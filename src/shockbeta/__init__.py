@@ -8,90 +8,35 @@ them the stability coefficient beta whose real part signals the transition
 to instability of the viscous front.
 """
 
-from .auxiliary import AuxMethod, AuxiliarySolution
-from .beta import (
-    BetaQuadrature,
-    BetaResult,
-    BetaStudy,
-    beta_convergence_study,
-    compute_beta,
-    stability_integral,
-)
-from .coupled import (
-    CoupledResult,
-    FoldedSystem,
-    ScanPoint,
-    build_folded_system,
-    continuation_scan,
-    initial_guess,
-    solve_coupled,
-)
-from .integrating_factor import (
-    forcing,
-    integrating_factor,
-    log_integrating_factor,
-    solve_auxiliary_if,
-    solve_v_if,
-    solve_w_if,
-)
+from .auxiliary import AuxMethod
+from .beta import beta_convergence_study, compute_beta
+from .coupled import continuation_scan, solve_coupled
+from .integrating_factor import solve_auxiliary_if
 from .model import (
-    FluxKind,
-    FluxModel,
-    NeutralFrequency,
-    ShockConfig,
     burgers_flux,
-    check_neutral,
     custom_flux,
-    lopatinskii,
-    make_flux,
     neutral_zero,
     normalize_to_standing,
     quadratic_transverse_flux,
-    rankine_hugoniot_speed,
     sine_transverse_flux,
 )
-from .profile import Grid, ProfileSolution, exact_burgers_profile, solve_profile
+from .profile import Grid, solve_profile
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AuxMethod",
-    "AuxiliarySolution",
-    "BetaQuadrature",
-    "BetaResult",
-    "BetaStudy",
-    "CoupledResult",
-    "FluxKind",
-    "FluxModel",
-    "FoldedSystem",
     "Grid",
-    "NeutralFrequency",
-    "ProfileSolution",
-    "ScanPoint",
-    "ShockConfig",
     "beta_convergence_study",
-    "build_folded_system",
     "burgers_flux",
-    "check_neutral",
     "compute_beta",
     "continuation_scan",
     "custom_flux",
-    "exact_burgers_profile",
-    "forcing",
-    "initial_guess",
-    "integrating_factor",
-    "log_integrating_factor",
-    "lopatinskii",
-    "make_flux",
     "neutral_zero",
     "normalize_to_standing",
     "quadratic_transverse_flux",
-    "rankine_hugoniot_speed",
     "sine_transverse_flux",
     "solve_auxiliary_if",
     "solve_coupled",
     "solve_profile",
-    "solve_v_if",
-    "solve_w_if",
-    "stability_integral",
 ]

@@ -56,13 +56,19 @@ class BetaResult:
 
 
 def _integrand(
-    f: FluxModel,
-    freq: NeutralFrequency,
-    profile: ProfileSolution,
-    aux: AuxiliarySolution,
+    f: FluxModel, profile: ProfileSolution, aux: AuxiliarySolution
 ) -> np.ndarray:
+    if profile.grid.x.shape != aux.grid.x.shape or not np.array_equal(
+        profile.grid.x, aux.grid.x
+    ):
+        raise GridMismatch("profile and correction are sampled on different grids")
+    freq = aux.freq
     factor = 1j * freq.tau0 + 1j * freq.xi0 * np.asarray(f.a2(profile.ubar))
-    return 2.0 * factor * (aux.w + 1j * aux.v) + 2.0 * freq.xi0**2 * profile.ubar_prime
+    return 2.0 * factor * aux.y + 2.0 * freq.xi0**2 * profile.ubar_prime
+
+
+def _quad(g: np.ndarray, h: float, simpson: bool) -> complex:
+    return complex(quad_simpson(g, h) if simpson else quad_trapezoid(g, h))
 
 
 def stability_integral(
@@ -72,14 +78,8 @@ def stability_integral(
     quadrature: BetaQuadrature = BetaQuadrature.TRAPEZOID,
 ) -> complex:
     """Quadrature of the correction integrand over [-L, L]."""
-    if profile.grid.x.shape != aux.grid.x.shape or not np.array_equal(
-        profile.grid.x, aux.grid.x
-    ):
-        raise GridMismatch("profile and correction are sampled on different grids")
-    g = _integrand(f, aux.freq, profile, aux)
-    if quadrature is BetaQuadrature.SIMPSON:
-        return complex(quad_simpson(g, profile.grid.h))
-    return complex(quad_trapezoid(g, profile.grid.h))
+    g = _integrand(f, profile, aux)
+    return _quad(g, profile.grid.h, quadrature is BetaQuadrature.SIMPSON)
 
 
 def compute_beta(
@@ -89,27 +89,24 @@ def compute_beta(
     quadrature: BetaQuadrature = BetaQuadrature.TRAPEZOID,
 ) -> BetaResult:
     """beta = integral / [u] with its sign report and quadrature diagnostics."""
-    integral = stability_integral(f, profile, aux, quadrature)
+    g = _integrand(f, profile, aux)
+    h = profile.grid.h
+    simpson = quadrature is BetaQuadrature.SIMPSON
+    integral = _quad(g, h, simpson)
     delta_lambda = profile.config.u_jump
     beta = integral / delta_lambda
     re = beta.real
     sign = 0 if abs(re) < SIGN_THRESHOLD else (1 if re > 0 else -1)
 
-    g = _integrand(f, aux.freq, profile, aux)
-    other = (
-        quad_trapezoid(g, profile.grid.h)
-        if quadrature is BetaQuadrature.SIMPSON
-        else quad_simpson(g, profile.grid.h)
-        if profile.grid.N % 2 == 0
-        else None
-    )
     diagnostics = {
         "integrand_tail": float(max(abs(g[0]), abs(g[-1]))),
         "aux_tail": aux.tail_magnitudes(),
         "profile_tails": profile.tail_residuals(),
     }
-    if other is not None:
-        diagnostics["quadrature_cross_difference"] = abs(complex(other) - integral)
+    if simpson or profile.grid.N % 2 == 0:  # other rule, same samples
+        diagnostics["quadrature_cross_difference"] = abs(
+            _quad(g, h, not simpson) - integral
+        )
     return BetaResult(
         beta=beta,
         integral=integral,
@@ -120,6 +117,31 @@ def compute_beta(
         quadrature=quadrature,
         diagnostics=diagnostics,
     )
+
+
+def solve_pair(
+    cfg: ShockConfig,
+    f: FluxModel,
+    freq: NeutralFrequency,
+    method: AuxMethod,
+    L: float,
+    N: int,
+    tol: float,
+    tail_tol: float,
+    decay_tol: float | None,
+) -> tuple[ProfileSolution, AuxiliarySolution]:
+    """Profile and correction on the uniform (L, N) grid by one method.
+
+    ``tol`` is the collocation tolerance of the coupled route; the tail gates
+    apply to both routes (``decay_tol=None`` skips the correction gate).
+    """
+    if method is AuxMethod.INTEGRATING_FACTOR:
+        profile = solve_profile(cfg, Grid.make(L, N), tail_tol=tail_tol)
+        return profile, solve_auxiliary_if(f, freq, profile, decay_tol=decay_tol)
+    res = solve_coupled(
+        cfg, f, freq, L, N, tol=tol, tail_tol=tail_tol, decay_tol=decay_tol
+    )
+    return res.profile, res.aux
 
 
 @dataclass
@@ -159,25 +181,13 @@ def beta_convergence_study(
     methods = [AuxMethod(m) for m in methods]
     study = BetaStudy(L_values=list(L_values), methods=methods)
     for L in L_values:
-        grid = Grid.make(L, N)
-        shared_profile = None
+        Grid.make(L, N)  # a bad (L, N) is a configuration error, not an entry failure
         for method in methods:
-            key = (method, L)
             try:
-                if method is AuxMethod.INTEGRATING_FACTOR:
-                    if shared_profile is None:
-                        shared_profile = solve_profile(cfg, grid, tail_tol=tail_tol)
-                    aux = solve_auxiliary_if(
-                        f, freq, shared_profile, decay_tol=decay_tol
-                    )
-                    profile = shared_profile
-                else:
-                    res = solve_coupled(
-                        cfg, f, freq, L, N, tol=tol,
-                        tail_tol=tail_tol, decay_tol=decay_tol,
-                    )
-                    profile, aux = res.profile, res.aux
-                study.results[key] = compute_beta(f, profile, aux, quadrature)
+                profile, aux = solve_pair(
+                    cfg, f, freq, method, L, N, tol, tail_tol, decay_tol
+                )
+                study.results[(method, L)] = compute_beta(f, profile, aux, quadrature)
             except ShockBetaError as exc:
-                study.failures[key] = f"{type(exc).__name__}: {exc}"
+                study.failures[(method, L)] = f"{type(exc).__name__}: {exc}"
     return study

@@ -14,19 +14,26 @@ from pathlib import Path
 import numpy as np
 
 from . import serialize
-from .auxiliary import AuxMethod
 from .beta import (
     STUDY_DECAY_TOL,
     STUDY_TAIL_TOL,
     beta_convergence_study,
     compute_beta,
+    solve_pair,
 )
 from .config import RunConfig, apply_overrides, build_model, parse_config_file
-from .coupled import continuation_scan, solve_coupled
+from .coupled import continuation_scan
+from .coupled import solve_coupled  # noqa: F401  perfbench/tracing.py patches it here
 from .errors import ContinuationStalled, SolverError, ValidationError
-from .integrating_factor import solve_auxiliary_if
+from .integrating_factor import solve_auxiliary_if  # noqa: F401  likewise
 from .model import FluxKind
-from .profile import DEFAULT_TAIL_TOL, Grid, exact_burgers_profile, solve_profile
+from .profile import (
+    DEFAULT_TAIL_TOL,
+    Grid,
+    exact_burgers_profile,
+    has_exact_profile,
+    solve_profile,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -74,17 +81,13 @@ def _out_dir(rc: RunConfig) -> Path:
     return out
 
 
-def _solve_pair(rc, flux, cfg, freq, method: AuxMethod, L: float):
-    """Profile plus correction by the requested method on the output grid."""
+def _solve_pairs(rc, flux, cfg, freq):
+    """(method, profile, correction) for each requested method at L_single."""
     tail = rc.tail_tol if rc.tail_tol is not None else DEFAULT_TAIL_TOL
-    if method is AuxMethod.INTEGRATING_FACTOR:
-        profile = solve_profile(cfg, Grid.make(L, rc.N), tail_tol=tail)
-        aux = solve_auxiliary_if(flux, freq, profile, decay_tol=rc.decay_tol)
-        return profile, aux
-    res = solve_coupled(
-        cfg, flux, freq, L, rc.N, tol=rc.tol, tail_tol=tail, decay_tol=rc.decay_tol
-    )
-    return res.profile, res.aux
+    for method in rc.methods():
+        yield method, *solve_pair(
+            cfg, flux, freq, method, rc.L_single, rc.N, rc.tol, tail, rc.decay_tol
+        )
 
 
 def cmd_profile(rc: RunConfig, args: argparse.Namespace) -> int:
@@ -92,10 +95,7 @@ def cmd_profile(rc: RunConfig, args: argparse.Namespace) -> int:
     out = _out_dir(rc)
     grid = Grid.make(rc.L_single, rc.N)
     if args.exact:
-        if flux.kind not in (FluxKind.BURGERS, FluxKind.QUADRATIC_TRANSVERSE,
-                             FluxKind.SINE_TRANSVERSE) or (
-            cfg.u_minus, cfg.u_plus, cfg.s
-        ) != (1.0, -1.0, 0.0):
+        if not has_exact_profile(flux, cfg):
             raise ValidationError(
                 "--exact requires the quadratic longitudinal flux with "
                 "u_minus = 1, u_plus = -1"
@@ -113,8 +113,7 @@ def cmd_profile(rc: RunConfig, args: argparse.Namespace) -> int:
 def cmd_aux(rc: RunConfig, args: argparse.Namespace) -> int:
     flux, cfg, freq = build_model(rc)
     out = _out_dir(rc)
-    for method in rc.methods():
-        profile, aux = _solve_pair(rc, flux, cfg, freq, method, rc.L_single)
+    for method, profile, aux in _solve_pairs(rc, flux, cfg, freq):
         ppath = out / f"profile_{method.value}.csv"
         apath = out / f"aux_{method.value}.csv"
         serialize.write_profile_csv(ppath, profile, flux)
@@ -220,12 +219,11 @@ def cmd_scan(rc: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_compare(rc: RunConfig, args: argparse.Namespace) -> int:
     flux, cfg, freq = build_model(rc)
-    exact_case = (
-        flux.kind is FluxKind.QUADRATIC_TRANSVERSE
-        and (cfg.u_minus, cfg.u_plus, cfg.s) == (1.0, -1.0, 0.0)
+    if not (
+        has_exact_profile(flux, cfg)
+        and flux.kind is FluxKind.QUADRATIC_TRANSVERSE
         and (freq.tau0, freq.xi0) == (0.0, 1.0)
-    )
-    if not exact_case:
+    ):
         raise ValidationError(
             "no exact solution for this configuration (needs the quadratic "
             "transverse flux, u_minus = 1, u_plus = -1, xi0 = 1)"
@@ -233,14 +231,13 @@ def cmd_compare(rc: RunConfig, args: argparse.Namespace) -> int:
     out = _out_dir(rc)
     grid = Grid.make(rc.L_single, rc.N)
     x = grid.x
-    u_exact = -np.tanh(x / 2.0)
+    u_exact = exact_burgers_profile(grid).ubar
     w_exact = np.zeros_like(x)
     v_exact = -x / np.cosh(x / 2.0) ** 2
     h = grid.h
 
     rows = []
-    for method in rc.methods():
-        profile, aux = _solve_pair(rc, flux, cfg, freq, method, rc.L_single)
+    for method, profile, aux in _solve_pairs(rc, flux, cfg, freq):
         for name, num, ref in (
             ("ubar", profile.ubar, u_exact),
             ("w", aux.w, w_exact),

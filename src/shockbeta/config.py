@@ -18,8 +18,8 @@ are comma-separated.  Keys:
     out_dir       output directory (default .)
     u_minus_list  continuation values of u_minus (scan command)
     tol           collocation residual tolerance (default 1e-8)
-    tail_tol      profile endpoint gate (defaults per command)
-    decay_tol     correction tail gate (defaults per command)
+    tail_tol      profile endpoint gate (default 1e-6; beta: 1e-3)
+    decay_tol     correction tail gate (default off; beta: 1e-2)
 """
 
 from __future__ import annotations

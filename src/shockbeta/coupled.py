@@ -107,12 +107,6 @@ class ScanPoint:
         return self.result.aux
 
 
-def build_folded_system(
-    cfg: ShockConfig, f: FluxModel, freq: NeutralFrequency, L: float
-) -> FoldedSystem:
-    return FoldedSystem(cfg=cfg, flux=f, freq=freq, L=float(L))
-
-
 def initial_guess(
     sys: FoldedSystem, n_nodes: int = 401, rtol: float = 1e-10, atol: float = 1e-12
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -153,7 +147,7 @@ def solve_coupled(
     is a (mesh, state) pair on [0, 1]; by default it is generated by outward
     integration.
     """
-    sys = build_folded_system(cfg, f, freq, L)
+    sys = FoldedSystem(cfg=cfg, flux=f, freq=freq, L=float(L))
     if guess is None:
         mesh, Y0 = initial_guess(sys)
     else:
@@ -167,8 +161,8 @@ def solve_coupled(
     at_fold = sol.interpolant(0.0)
     fold_mismatch = float(np.max(np.abs(at_fold[:3] - at_fold[3:])))
     if fold_mismatch > _FOLD_TOL:
-        raise RuntimeError(
-            f"internal error: fold duplicate mismatch {fold_mismatch:.3e} > {_FOLD_TOL}"
+        raise SolverError(
+            f"fold duplicate mismatch {fold_mismatch:.3e} > {_FOLD_TOL}"
         )
 
     grid = Grid.make(L, n_out)
@@ -265,7 +259,7 @@ def continuation_scan(
                 raise  # first point: configuration-level problem
             # an inadmissible parameter value stalls the chain outright
             raise ContinuationStalled(k, points, exc) from exc
-        except (SolverError, RuntimeError) as exc:
+        except SolverError as exc:
             if prev is None:
                 raise ContinuationStalled(k, points, exc) from exc
             # one automatic bisection of the parameter step
@@ -275,7 +269,7 @@ def continuation_scan(
                 _, _, res_mid = _solve_at(um_mid, prev)
                 cfg_mid = res_mid.profile.config
                 cfg, freq, res = _solve_at(float(um), (res_mid.bvp, cfg_mid))
-            except (SolverError, RuntimeError) as exc2:
+            except SolverError as exc2:
                 raise ContinuationStalled(k, points, exc2) from exc2
         points.append(ScanPoint(config=cfg, freq=freq, result=res))
         prev = (res.bvp, cfg)

@@ -5,9 +5,10 @@ Writing y = w + i v, the correction equations split into
     w' = a1(ubar) w,
     v' = a1(ubar) v + tau0 (ubar - u_minus) + xi0 (f2(ubar) - f2(u_minus)),
 
-so with M(x) = exp(-int_0^x a1(ubar)) both reduce to perfect derivatives:
-w = A / M and v = (B + int_0^x M F) / M.  Only cumulative quadrature of
-profile samples is needed; no differential equation is solved.
+so with M(x) = exp(-int_0^x a1(ubar)) both reduce to perfect derivatives.
+The origin values w(0) = v(0) = 0 that define beta give w = 0 and
+v = M^-1 int_0^x M F.  Only cumulative quadrature of profile samples is
+needed; no differential equation is solved.
 
 Overflow guard: M grows like exp(|a1(u+-)| L), so the code keeps the log of M
 and assembles v through one-interval exponential ratios (algebraically the
@@ -52,32 +53,15 @@ def log_integrating_factor(profile: ProfileSolution) -> np.ndarray:
     return E
 
 
-def integrating_factor(profile: ProfileSolution) -> np.ndarray:
-    """M(x) = exp(-int_0^x a1(ubar)); M(0) = 1.
-
-    May overflow for very wide domains; prefer :func:`log_integrating_factor`
-    in downstream computations.
-    """
-    return np.exp(-log_integrating_factor(profile))
-
-
-def solve_w_if(profile: ProfileSolution, A: float = 0.0) -> np.ndarray:
-    """w(x) = A * exp(int_0^x a1(ubar)); identically zero for A = 0."""
-    if A == 0.0:
-        return np.zeros_like(profile.ubar)
-    return A * np.exp(log_integrating_factor(profile))
-
-
-def _weighted_march(E: np.ndarray, F: np.ndarray, h: float, start: float) -> np.ndarray:
-    """March v_j = exp(E_j) * (start + int_0^{x_j} exp(-E) F) from the anchor.
+def _weighted_march(E: np.ndarray, F: np.ndarray, h: float) -> np.ndarray:
+    """March v_j = exp(E_j) * int_0^{x_j} exp(-E) F from the anchor.
 
     Equivalent to applying cumulative Simpson (trapezoid correction on odd
     prefixes) to exp(-E) F and multiplying by exp(E_j), but every exponential
     appears only as a one- or two-interval ratio, so nothing overflows.
     """
     n = E.size
-    v = np.empty(n)
-    v[0] = start
+    v = np.zeros(n)
     e1 = np.exp(E[1:] - E[:-1])
     for j in range(1, n):
         r1 = e1[j - 1]
@@ -94,10 +78,9 @@ def _weighted_march(E: np.ndarray, F: np.ndarray, h: float, start: float) -> np.
 def solve_v_if(
     profile: ProfileSolution,
     forcing_samples: np.ndarray,
-    B: float = 0.0,
     warn_estimate_tol: float | None = 1e-6,
 ) -> np.ndarray:
-    """v(x) = M(x)^-1 (B + int_0^x M F), inner integral by cumulative Simpson.
+    """v(x) = M(x)^-1 int_0^x M F, inner integral by cumulative Simpson.
 
     Emits a :class:`QuadratureDegraded` warning when a coarsened re-evaluation
     suggests the grid underresolves the integrals.
@@ -110,15 +93,15 @@ def solve_v_if(
     E = log_integrating_factor(profile)
 
     v = np.empty_like(F)
-    v[ic:] = _weighted_march(E[ic:], F[ic:], grid.h, B)
-    v[: ic + 1] = _weighted_march(E[ic::-1], F[ic::-1], -grid.h, B)[::-1]
+    v[ic:] = _weighted_march(E[ic:], F[ic:], grid.h)
+    v[: ic + 1] = _weighted_march(E[ic::-1], F[ic::-1], -grid.h)[::-1]
 
     if warn_estimate_tol is not None and grid.N % 4 == 0:
         Ec, Fc = E[::2], F[::2]
         icc = ic // 2
         vc = np.empty_like(Fc)
-        vc[icc:] = _weighted_march(Ec[icc:], Fc[icc:], 2 * grid.h, B)
-        vc[: icc + 1] = _weighted_march(Ec[icc::-1], Fc[icc::-1], -2 * grid.h, B)[::-1]
+        vc[icc:] = _weighted_march(Ec[icc:], Fc[icc:], 2 * grid.h)
+        vc[: icc + 1] = _weighted_march(Ec[icc::-1], Fc[icc::-1], -2 * grid.h)[::-1]
         est = np.max(np.abs(v[::2] - vc)) / 15.0
         if est > warn_estimate_tol:
             warnings.warn(
@@ -134,29 +117,19 @@ def solve_auxiliary_if(
     f: FluxModel,
     freq: NeutralFrequency,
     profile: ProfileSolution,
-    A: float = 0.0,
-    B: float = 0.0,
     decay_tol: float | None = DEFAULT_DECAY_TOL,
 ) -> AuxiliarySolution:
-    """Assemble the correction (w, v) on the profile grid.
-
-    A and B are the origin values w(0), v(0); both default to the value 0
-    required for the stability coefficient.
-    """
+    """Assemble the correction (w, v), with w(0) = v(0) = 0, on the profile grid."""
     if profile.grid.N % 2 != 0:
         raise ValidationError("integrating-factor method needs an even interval count")
-    F = forcing(f, freq, profile)
-    w = solve_w_if(profile, A)
-    v = solve_v_if(profile, F, B)
     aux = AuxiliarySolution(
         grid=profile.grid,
-        w=w,
-        v=v,
+        w=np.zeros_like(profile.ubar),
+        v=solve_v_if(profile, forcing(f, freq, profile)),
         method=AuxMethod.INTEGRATING_FACTOR,
         freq=freq,
-        diagnostics={"A": A, "B": B},
     )
     aux.diagnostics["tail_magnitude"] = aux.tail_magnitudes()
-    if decay_tol is not None and A == 0.0 and B == 0.0:
+    if decay_tol is not None:
         aux.check_decay(decay_tol)
     return aux

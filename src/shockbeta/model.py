@@ -177,10 +177,6 @@ class NeutralFrequency:
     tau0: float
     xi0: float
 
-    @property
-    def lam(self) -> complex:
-        return 1j * self.tau0
-
 
 def rankine_hugoniot_speed(f: FluxModel, u_minus: float, u_plus: float) -> float:
     """Shock speed forced by the jump condition."""

@@ -87,10 +87,6 @@ class Trajectory:
         self._direction = direction
 
     @property
-    def t_final(self) -> float:
-        return self.t[-1]
-
-    @property
     def y_final(self) -> np.ndarray:
         return self.y[-1]
 

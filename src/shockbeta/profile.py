@@ -12,8 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TailNotResolved, ValidationError
-from .model import ShockConfig, burgers_flux, normalize_to_standing
+from .errors import SolverError, TailNotResolved, ValidationError
+from .model import (
+    FluxKind,
+    FluxModel,
+    ShockConfig,
+    burgers_flux,
+    normalize_to_standing,
+)
 from .numerics import IvpProblem, ivp_solve
 
 DEFAULT_TAIL_TOL = 1e-6
@@ -88,7 +94,16 @@ def _check_profile(ps: ProfileSolution, tail_tol: float) -> None:
     dd = direction * np.diff(ps.ubar)
     scale = 1.0 + max(abs(ps.config.u_minus), abs(ps.config.u_plus))
     if np.any(dd < -_TIE_TOL * scale):
-        raise ValidationError("computed profile is not monotone")
+        raise SolverError("computed profile is not monotone")
+
+
+def has_exact_profile(f: FluxModel, cfg: ShockConfig) -> bool:
+    """Whether :func:`exact_burgers_profile` is the profile of this shock.
+
+    Every built-in flux has f1 = u^2/2; the states must be u-+ = +-1 (speed 0).
+    """
+    states = (cfg.u_minus, cfg.u_plus, cfg.s)
+    return f.kind is not FluxKind.CUSTOM and states == (1.0, -1.0, 0.0)
 
 
 def exact_burgers_profile(grid: Grid) -> ProfileSolution:

@@ -117,9 +117,7 @@ def write_aux_csv(path, aux: AuxiliarySolution, profile: ProfileSolution,
     meta = _shock_meta(
         profile.config, aux.grid, f,
         {"method": aux.method.value,
-         "tau0": fmt(aux.freq.tau0), "xi0": fmt(aux.freq.xi0),
-         "A": fmt(aux.diagnostics.get("A", 0.0)),
-         "B": fmt(aux.diagnostics.get("B", 0.0))},
+         "tau0": fmt(aux.freq.tau0), "xi0": fmt(aux.freq.xi0)},
     )
     _write_table(path, meta, ["x", "w", "v"], [aux.grid.x, aux.w, aux.v])
 
@@ -131,7 +129,6 @@ def read_aux_csv(path) -> AuxiliarySolution:
         grid=grid, w=cols["w"], v=cols["v"],
         method=AuxMethod(meta["method"]),
         freq=NeutralFrequency(float(meta["tau0"]), float(meta["xi0"])),
-        diagnostics={"A": float(meta.get("A", "0")), "B": float(meta.get("B", "0"))},
     )
 
 

@@ -8,9 +8,10 @@ from shockbeta.beta import (
     BetaQuadrature,
     beta_convergence_study,
     compute_beta,
+    solve_pair,
     stability_integral,
 )
-from shockbeta.errors import GridMismatch
+from shockbeta.errors import GridMismatch, TailNotResolved
 from shockbeta.integrating_factor import solve_auxiliary_if
 from shockbeta.model import NeutralFrequency
 from shockbeta.numerics import quad_simpson
@@ -94,6 +95,18 @@ class TestComputeBeta:
         assert abs(rt.beta - rs.beta) <= 1e-6
         assert rt.diagnostics["quadrature_cross_difference"] <= 1e-5
 
+    def test_integral_is_stability_integral(self, quad_flux, exact_freq,
+                                            profile_L20):
+        aux = solve_auxiliary_if(quad_flux, exact_freq, profile_L20)
+        ints = {}
+        for q in BetaQuadrature:
+            ints[q] = stability_integral(quad_flux, profile_L20, aux, q)
+            assert compute_beta(quad_flux, profile_L20, aux, q).integral == ints[q]
+        cross = compute_beta(quad_flux, profile_L20, aux).diagnostics[
+            "quadrature_cross_difference"]
+        assert cross == abs(ints[BetaQuadrature.SIMPSON]
+                            - ints[BetaQuadrature.TRAPEZOID])
+
     def test_no_transversality_parameter_anywhere(self):
         # the determinant's transversality factor cancels and never appears
         for fn in (compute_beta, stability_integral, beta_convergence_study):
@@ -111,6 +124,26 @@ class TestOracle:
         aux = solve_auxiliary_if(quad_flux, exact_freq, profile_L20)
         val = stability_integral(quad_flux, profile_L20, aux)
         assert abs(val.real - oracle_integral()) <= 1e-3
+
+
+class TestSolvePair:
+    def test_each_method_on_the_requested_grid(self, quad_flux, exact_cfg,
+                                               exact_freq):
+        for method in AuxMethod:
+            profile, aux = solve_pair(exact_cfg, quad_flux, exact_freq, method,
+                                      20.0, 1000, 1e-8, 1e-6, 1e-4)
+            assert aux.method is method
+            assert profile.grid.N == aux.grid.N == 1000
+            assert np.max(np.abs(aux.v - exact_v(aux.grid.x))) <= 1e-4
+
+    def test_gates_reach_both_methods(self, quad_flux, exact_cfg, exact_freq):
+        # at L = 10 the correction tails (~2e-3) fail a 1e-4 decay gate
+        for method in AuxMethod:
+            with pytest.raises(TailNotResolved):
+                solve_pair(exact_cfg, quad_flux, exact_freq, method,
+                           10.0, 1000, 1e-8, 1e-3, 1e-4)
+            solve_pair(exact_cfg, quad_flux, exact_freq, method,
+                       10.0, 1000, 1e-8, 1e-3, None)
 
 
 class TestConvergenceStudy:

@@ -1,9 +1,13 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shockbeta.coupled
 from shockbeta.cli import main
+
+EXACT_CASE_CFG = Path(__file__).resolve().parent.parent / "configs" / "exact_case.cfg"
 
 
 @pytest.fixture()
@@ -53,11 +57,29 @@ class TestProfileCommand:
         bad.write_text("u_minuss = 1.0\n")
         assert run(["profile", "--config", bad]) == 2
 
+    def test_non_monotone_profile_exits_3(self, tmp_path, capsys):
+        code = run(["profile", "--config", EXACT_CASE_CFG, "--L", "40",
+                    "--out-dir", tmp_path / "o"])
+        assert code == 3
+        assert "not monotone" in capsys.readouterr().err
+
     def test_exact_flag(self, exact_config, tmp_path):
         out = tmp_path / "out"
         assert run(["profile", "--config", exact_config, "--exact",
                     "--out-dir", out]) == 0
         assert (out / "profile.csv").exists()
+
+
+class TestAuxCommand:
+    def test_fold_mismatch_exits_3(self, exact_config, tmp_path, capsys,
+                                   monkeypatch):
+        monkeypatch.setattr(shockbeta.coupled, "_FOLD_TOL", -1.0)
+        code = run(["aux", "--config", exact_config, "--method", "coupled",
+                    "--out-dir", tmp_path / "o"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "SolverError: fold duplicate mismatch" in err
+        assert "Traceback" not in err
 
 
 class TestBetaCommand:

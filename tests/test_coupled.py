@@ -3,7 +3,7 @@ import pytest
 
 from shockbeta.auxiliary import AuxMethod
 from shockbeta.coupled import (
-    build_folded_system,
+    FoldedSystem,
     continuation_scan,
     initial_guess,
     solve_coupled,
@@ -24,7 +24,7 @@ from conftest import exact_profile, exact_v
 
 @pytest.fixture(scope="module")
 def folded(exact_cfg, quad_flux, exact_freq):
-    return build_folded_system(exact_cfg, quad_flux, exact_freq, 20.0)
+    return FoldedSystem(exact_cfg, quad_flux, exact_freq, 20.0)
 
 
 class TestFoldedSystem:
@@ -94,9 +94,7 @@ class TestInitialGuess:
         assert max(coupled_L20.bvp.newton_per_sweep) <= 3
 
     def test_zero_frequency_guess_has_zero_correction(self, exact_cfg, quad_flux):
-        sys0 = build_folded_system(
-            exact_cfg, quad_flux, NeutralFrequency(0.0, 0.0), 20.0
-        )
+        sys0 = FoldedSystem(exact_cfg, quad_flux, NeutralFrequency(0.0, 0.0), 20.0)
         _, Y = initial_guess(sys0)
         assert np.max(np.abs(Y[[1, 2, 4, 5]])) == 0.0
 

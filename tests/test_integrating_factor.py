@@ -5,11 +5,9 @@ from shockbeta.auxiliary import AuxMethod
 from shockbeta.errors import GridMismatch, QuadratureDegraded, TailNotResolved
 from shockbeta.integrating_factor import (
     forcing,
-    integrating_factor,
     log_integrating_factor,
     solve_auxiliary_if,
     solve_v_if,
-    solve_w_if,
 )
 from shockbeta.model import NeutralFrequency, neutral_zero, sine_transverse_flux
 from shockbeta.profile import Grid, exact_burgers_profile, solve_profile
@@ -42,36 +40,13 @@ class TestForcing:
 
 class TestIntegratingFactor:
     def test_exact_profile_gives_cosh_squared(self, exact_ps):
-        M = integrating_factor(exact_ps)
+        M = np.exp(-log_integrating_factor(exact_ps))
         expected = np.cosh(exact_ps.grid.x / 2.0) ** 2
         assert np.max(np.abs(M / expected - 1.0)) < 1e-5
 
     def test_unit_value_at_origin(self, exact_ps):
-        assert M_origin(exact_ps) == 1.0
-
-    def test_reciprocal_identity(self, exact_ps):
-        M = integrating_factor(exact_ps)
-        Minv = np.exp(log_integrating_factor(exact_ps))
-        assert np.max(np.abs(M * Minv - 1.0)) < 1e-12
-
-
-def M_origin(ps):
-    return integrating_factor(ps)[ps.grid.origin_index]
-
-
-class TestSolveW:
-    def test_zero_coefficient_gives_exact_zero(self, exact_ps):
-        w = solve_w_if(exact_ps, A=0.0)
-        assert np.all(w == 0.0)
-
-    def test_unit_coefficient_exact_case(self, exact_ps):
-        w = solve_w_if(exact_ps, A=1.0)
-        expected = 1.0 / np.cosh(exact_ps.grid.x / 2.0) ** 2
-        assert np.max(np.abs(w - expected)) < 1e-5
-
-    def test_origin_value_is_coefficient(self, exact_ps):
-        for A in (0.0, 1.0, -2.5):
-            assert solve_w_if(exact_ps, A)[exact_ps.grid.origin_index] == A
+        E = log_integrating_factor(exact_ps)
+        assert np.exp(-E[exact_ps.grid.origin_index]) == 1.0
 
 
 class TestSolveV:
@@ -80,14 +55,8 @@ class TestSolveV:
         v = solve_v_if(exact_ps, F)
         assert np.max(np.abs(v - exact_v(exact_ps.grid.x))) < 2e-6
 
-    def test_origin_value_is_coefficient(self, quad_flux, exact_freq, exact_ps):
-        F = forcing(quad_flux, exact_freq, exact_ps)
-        for B in (0.0, 0.7):
-            v = solve_v_if(exact_ps, F, B=B, warn_estimate_tol=None)
-            assert v[exact_ps.grid.origin_index] == B
-
     def test_zero_forcing_zero_solution(self, exact_ps):
-        v = solve_v_if(exact_ps, np.zeros_like(exact_ps.ubar), B=0.0)
+        v = solve_v_if(exact_ps, np.zeros_like(exact_ps.ubar))
         assert np.array_equal(v, np.zeros_like(v))
 
     def test_grid_mismatch(self, exact_ps):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from shockbeta.errors import TailNotResolved, ValidationError
+from shockbeta.errors import SolverError, TailNotResolved, ValidationError
 from shockbeta.model import burgers_flux, normalize_to_standing
 from shockbeta.numerics import IvpProblem, ivp_solve
 from shockbeta.profile import Grid, exact_burgers_profile, solve_profile
@@ -71,6 +71,11 @@ class TestSolveProfile:
     def test_tail_not_resolved_for_small_domain(self, exact_cfg):
         with pytest.raises(TailNotResolved):
             solve_profile(exact_cfg, Grid.make(1.0, 100))
+
+    def test_non_monotone_profile_is_solver_error(self, exact_cfg):
+        # dense-output wiggles in the saturated tails of a wide domain
+        with pytest.raises(SolverError, match="not monotone"):
+            solve_profile(exact_cfg, Grid.make(40.0, 4000))
 
     def test_derivative_is_rhs_not_differences(self, exact_cfg, profile_L20):
         c0 = exact_cfg.f1_shifted(exact_cfg.u_minus)
