@@ -2,7 +2,8 @@
 
 Subcommands: profile | aux | beta | scan | compare.  Options mirror the
 config-file keys and override file values.  Exit codes: 0 success, 2 invalid
-configuration, 3 solver failure (diagnostics on standard error).
+configuration (including an unreadable config file or an unwritable output
+path), 3 solver failure (diagnostics on standard error).
 """
 
 from __future__ import annotations
@@ -298,7 +299,7 @@ def main(argv=None) -> int:
     try:
         rc = _load_config(args)
         return args.func(rc, args)
-    except (ValidationError, FileNotFoundError) as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:

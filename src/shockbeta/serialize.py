@@ -1,9 +1,9 @@
 """CSV and JSON emission with lossless round-trips.
 
-Every float is written with 17 significant digits, which reproduces the
-double exactly on reload, so identical runs yield bit-identical files and
-readers rebuild the domain objects with equality on all fields.  Metadata
-travels in ``# key = value`` comment lines above the column header.
+Every float is written as ``%.17g``, which reproduces the double exactly on
+reload, so identical runs yield bit-identical files and readers rebuild the
+domain objects with equality on all fields.  Metadata travels in
+``# key = value`` comment lines above the column header.
 """
 
 from __future__ import annotations
@@ -18,6 +18,9 @@ from .errors import ValidationError
 from .model import FluxModel, NeutralFrequency, make_flux, normalize_to_standing
 from .profile import Grid, ProfileSolution
 
+# The one float format of every metadata value and table cell.
+_FLOAT = "%.17g"
+
 
 def fmt(x) -> str:
     if isinstance(x, (bool, np.bool_)):
@@ -26,7 +29,7 @@ def fmt(x) -> str:
         return str(int(x))
     if isinstance(x, complex):
         return f"{x.real:.17g}{x.imag:+.17g}j"
-    return f"{float(x):.17g}"
+    return _FLOAT % float(x)
 
 
 def _flux_meta(f: FluxModel) -> dict:
@@ -50,12 +53,23 @@ def _flux_from_meta(meta: dict) -> FluxModel:
 
 
 def _write_table(path, meta: dict, header: list[str], columns: list[np.ndarray]):
-    lines = [f"# {k} = {v}" for k, v in meta.items()]
-    lines.append(",".join(header))
-    rows = np.column_stack(columns)
-    for row in rows:
-        lines.append(",".join(fmt(x) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Stream ``columns`` to ``path`` as CSV rows of ``%.17g`` cells.
+
+    Every column must be real and one-dimensional with a common length: the
+    rows are zipped, which would silently truncate ragged columns, and a
+    float conversion would silently drop imaginary parts.
+    """
+    if any(np.iscomplexobj(c) for c in columns):
+        raise ValueError(f"{path}: complex table column")
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    if len({c.shape for c in columns}) != 1 or columns[0].ndim != 1:
+        raise ValueError(f"{path}: table columns must be 1-D of one length, "
+                         f"got shapes {[c.shape for c in columns]}")
+    row = ",".join([_FLOAT] * len(columns)) + "\n"
+    with open(path, "w") as fh:
+        fh.writelines(f"# {k} = {v}\n" for k, v in meta.items())
+        fh.write(",".join(header) + "\n")
+        fh.writelines(row % values for values in zip(*(c.tolist() for c in columns)))
 
 
 def _read_table(path):

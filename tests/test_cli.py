@@ -70,6 +70,35 @@ class TestProfileCommand:
         assert (out / "profile.csv").exists()
 
 
+class TestFileSystemErrors:
+    """Unreadable config paths and unwritable output paths are configuration
+    errors: exit 2 with an ``error:`` line, never a traceback."""
+
+    def _assert_config_error(self, args, capsys):
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        self._assert_config_error(
+            ["profile", "--config", tmp_path, "--out-dir", tmp_path / "o"], capsys)
+
+    def test_out_dir_under_a_regular_file(self, exact_config, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        self._assert_config_error(
+            ["profile", "--config", exact_config, "--exact",
+             "--out-dir", blocker / "out"], capsys)
+
+    def test_output_path_is_a_directory(self, exact_config, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "profile.csv").mkdir(parents=True)
+        self._assert_config_error(
+            ["profile", "--config", exact_config, "--exact", "--out-dir", out],
+            capsys)
+
+
 class TestAuxCommand:
     def test_fold_mismatch_exits_3(self, exact_config, tmp_path, capsys,
                                    monkeypatch):

@@ -1,6 +1,9 @@
 import json
+import math
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from shockbeta import serialize
 from shockbeta.auxiliary import AuxMethod
@@ -108,3 +111,51 @@ def test_float_formatting_is_lossless():
     vals = [0.1, 1.0 / 3.0, np.pi, 1e-17, -2.5e300, 0.0]
     for v in vals:
         assert float(serialize.fmt(v)) == v
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+def test_float_format_is_percent_17g_and_round_trips(x):
+    text = serialize.fmt(x)
+    assert text == "%.17g" % x == f"{x:.17g}"
+    back = float(text)
+    if math.isnan(x):
+        assert math.isnan(back)
+    else:
+        assert back == x and math.copysign(1.0, back) == math.copysign(1.0, x)
+
+
+def _reference_table_text(meta, header, columns):
+    """The row-by-row writer that ``_write_table`` replaced, kept as reference."""
+    lines = [f"# {k} = {v}" for k, v in meta.items()]
+    lines.append(",".join(header))
+    for row in np.column_stack(columns):
+        lines.append(",".join(serialize.fmt(x) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+_SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e16, 0.1,
+                      3.0, -42.0, 1.0 / 3.0])
+_MIXED = [np.roll(_SPECIALS, k) for k in range(5)]
+_META = {"flux_kind": "burgers", "L": serialize.fmt(20.0), "N": 10}
+_HEADER = ["x", "ubar", "ubar_prime", "w", "v"]
+
+
+@pytest.mark.parametrize("n_rows", [len(_SPECIALS), 1, 0])
+def test_write_table_matches_reference_writer(tmp_path, n_rows):
+    columns = [c[:n_rows] for c in _MIXED]
+    path = tmp_path / "t.csv"
+    serialize._write_table(path, _META, _HEADER, columns)
+    expected = _reference_table_text(_META, _HEADER, columns)
+    assert path.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("columns", [
+    [np.zeros(3), np.zeros(2)],
+    [np.zeros(3), np.zeros(3, dtype=complex)],
+], ids=["ragged", "complex"])
+def test_write_table_rejects_bad_columns(tmp_path, columns):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError):
+        serialize._write_table(path, _META, ["a", "b"], columns)
+    assert not path.exists()
