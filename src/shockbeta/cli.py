@@ -22,7 +22,13 @@ from .beta import (
     compute_beta,
     solve_pair,
 )
-from .config import RunConfig, apply_overrides, build_model, parse_config_file
+from .config import (
+    _PARSERS,
+    RunConfig,
+    apply_overrides,
+    build_model,
+    parse_config_file,
+)
 from .coupled import continuation_scan
 from .coupled import solve_coupled  # noqa: F401  perfbench/tracing.py patches it here
 from .errors import ContinuationStalled, SolverError, ValidationError
@@ -41,39 +47,29 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 
 
+_HELP = {
+    "flux": "flux kind",
+    "L": "half-width; comma list for beta",
+    "N": "output grid interval count",
+    "method": "if | coupled | both",
+    "quadrature": "trapezoid | simpson",
+}
+
+
 def _add_common_options(p: argparse.ArgumentParser) -> None:
+    """``--config`` plus one flag per config key (``_`` spelled ``-``)."""
     p.add_argument("--config", help="run-configuration file (key = value lines)")
-    p.add_argument("--flux", help="flux kind", default=None)
-    p.add_argument("--sine-freq", dest="sine_freq", default=None)
-    p.add_argument("--f1-coeffs", dest="f1_coeffs", default=None)
-    p.add_argument("--f2-coeffs", dest="f2_coeffs", default=None)
-    p.add_argument("--u-minus", dest="u_minus", default=None)
-    p.add_argument("--u-plus", dest="u_plus", default=None)
-    p.add_argument("--xi0", default=None)
-    p.add_argument("--tau0", default=None)
-    p.add_argument("--L", dest="L", default=None, help="half-width; comma list for beta")
-    p.add_argument("--N", dest="N", default=None, help="output grid interval count")
-    p.add_argument("--method", default=None, help="if | coupled | both")
-    p.add_argument("--quadrature", default=None, help="trapezoid | simpson")
-    p.add_argument("--out-dir", dest="out_dir", default=None)
-    p.add_argument("--u-minus-list", dest="u_minus_list", default=None)
-    p.add_argument("--tol", default=None)
-    p.add_argument("--tail-tol", dest="tail_tol", default=None)
-    p.add_argument("--decay-tol", dest="decay_tol", default=None)
+    for key in _PARSERS:
+        p.add_argument("--" + key.replace("_", "-"), dest=key, help=_HELP.get(key))
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
     rc = parse_config_file(args.config) if args.config else RunConfig()
-    overrides = {
-        key: getattr(args, key)
-        for key in (
-            "flux", "sine_freq", "f1_coeffs", "f2_coeffs", "u_minus", "u_plus",
-            "xi0", "tau0", "L", "N", "method", "quadrature", "out_dir",
-            "u_minus_list", "tol", "tail_tol", "decay_tol",
-        )
-        if hasattr(args, key)
-    }
-    return apply_overrides(rc, overrides)
+    rc = apply_overrides(rc, {key: getattr(args, key) for key in _PARSERS})
+    # every command rejects a bad choice, also one it never reads
+    rc.methods()
+    rc.quad()
+    return rc
 
 
 def _out_dir(rc: RunConfig) -> Path:

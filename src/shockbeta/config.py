@@ -112,9 +112,21 @@ _PARSERS = {
 assert set(_PARSERS) == {f.name for f in fields(RunConfig)}
 
 
+def _parse_field(key: str, text: str, where: str = ""):
+    """The one parse path of file and flag values."""
+    try:
+        return _PARSERS[key](text)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{where}field '{key}': {exc}") from exc
+
+
 def parse_config_file(path) -> RunConfig:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not a UTF-8 text file ({exc.reason})") from exc
     rc = RunConfig()
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -126,10 +138,7 @@ def parse_config_file(path) -> RunConfig:
             raise ValidationError(f"{path}:{lineno}: unknown config key '{key}'")
         if value == "":
             continue
-        try:
-            setattr(rc, key, _PARSERS[key](value))
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{path}:{lineno}: field '{key}': {exc}") from exc
+        setattr(rc, key, _parse_field(key, value, f"{path}:{lineno}: "))
     return rc
 
 
@@ -140,7 +149,7 @@ def apply_overrides(rc: RunConfig, overrides: dict) -> RunConfig:
         if key not in _PARSERS:
             raise ValidationError(f"unknown override '{key}'")
         if isinstance(value, str):
-            value = _PARSERS[key](value)
+            value = _parse_field(key, value)
         setattr(rc, key, value)
     return rc
 

@@ -110,23 +110,14 @@ class ScanPoint:
 def initial_guess(
     sys: FoldedSystem, n_nodes: int = 401, rtol: float = 1e-10, atol: float = 1e-12
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Guess by outward integration of the unfolded field from the fold."""
-    U0 = np.array([sys.cfg.u_mid, 0.0, 0.0])
-
-    def rhs3(t, U):
-        return sys.field(U[:, None])[:, 0]
-
+    """Guess by one outward integration of the folded field from the fold."""
+    u = sys.cfg.u_mid
+    traj = ivp_solve(
+        IvpProblem(rhs=sys.rhs, t_span=(0.0, 1.0), y0=[u, 0.0, 0.0, u, 0.0, 0.0],
+                   rtol=rtol, atol=atol)
+    )
     mesh = np.linspace(0.0, 1.0, n_nodes)
-    right = ivp_solve(
-        IvpProblem(rhs=rhs3, t_span=(0.0, sys.L), y0=U0, rtol=rtol, atol=atol)
-    )
-    left = ivp_solve(
-        IvpProblem(rhs=rhs3, t_span=(0.0, -sys.L), y0=U0, rtol=rtol, atol=atol)
-    )
-    Y = np.empty((6, n_nodes))
-    Y[:3] = right(sys.L * mesh).T
-    Y[3:] = left(-sys.L * mesh).T
-    return mesh, Y
+    return mesh, traj(mesh).T
 
 
 def solve_coupled(
@@ -167,10 +158,8 @@ def solve_coupled(
 
     grid = Grid.make(L, n_out)
     x = grid.x
-    samples = np.empty((3, x.size))
-    right = x >= 0.0
-    samples[:, right] = sol.interpolant(x[right] / L)[:3]
-    samples[:, ~right] = sol.interpolant(-x[~right] / L)[3:]
+    folded = sol.interpolant(np.abs(x) / L)
+    samples = np.where(x >= 0.0, folded[:3], folded[3:])
 
     ubar = samples[0]
     ubar_prime = np.asarray(cfg.f1_shifted(ubar)) - cfg.f1_shifted(cfg.u_minus)

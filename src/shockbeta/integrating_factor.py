@@ -10,9 +10,13 @@ The origin values w(0) = v(0) = 0 that define beta give w = 0 and
 v = M^-1 int_0^x M F.  Only cumulative quadrature of profile samples is
 needed; no differential equation is solved.
 
+Both halves are read outward from the anchor, folded side by side (row 0
+for x >= 0, row 1 for x <= 0), so each integral is one cumulative Simpson
+call on a two-row array.
+
 Overflow guard: M grows like exp(|a1(u+-)| L), so the code keeps the log of M
-and assembles v through one-interval exponential ratios (algebraically the
-same cumulative-Simpson formula, evaluated via exp of log differences).
+and marches v in blocks re-anchored at their first node, each block sized so
+that no exponential exceeds exp(_MAX_EXPONENT).
 """
 
 from __future__ import annotations
@@ -38,6 +42,24 @@ def forcing(
     )
 
 
+# On the left half, read outward in s = -x, d/dx = -d/ds: integrands of x
+# change sign there.
+_OUTWARD = np.array([[1.0], [-1.0]])
+
+# Largest exponent one march block evaluates; exp overflows near 709.
+_MAX_EXPONENT = 64.0
+
+
+def _fold(a: np.ndarray, ic: int) -> np.ndarray:
+    """Samples read outward from node ``ic``: row 0 rightward, row 1 leftward."""
+    return np.stack([a[ic:], a[ic::-1]])
+
+
+def _unfold(y: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_fold`."""
+    return np.concatenate([y[1, :0:-1], y[0]])
+
+
 def log_integrating_factor(profile: ProfileSolution) -> np.ndarray:
     """Exponent E(x) = int_0^x a1(ubar(z)) dz by cumulative Simpson.
 
@@ -45,33 +67,27 @@ def log_integrating_factor(profile: ProfileSolution) -> np.ndarray:
     Requires an even interval count so the anchor x = 0 is a node.
     """
     grid = profile.grid
-    ic = grid.origin_index
     a = np.asarray(profile.config.a1_shifted(profile.ubar))
-    E = np.empty_like(a)
-    E[ic:] = cumquad_simpson(a[ic:], grid.h)
-    E[: ic + 1] = -cumquad_simpson(a[ic::-1], grid.h)[::-1]
-    return E
+    return _unfold(cumquad_simpson(_OUTWARD * _fold(a, grid.origin_index), grid.h))
 
 
 def _weighted_march(E: np.ndarray, F: np.ndarray, h: float) -> np.ndarray:
-    """March v_j = exp(E_j) * int_0^{x_j} exp(-E) F from the anchor.
+    """v = exp(E) * int_0 exp(-E) F along the last axis, from the first node.
 
-    Equivalent to applying cumulative Simpson (trapezoid correction on odd
-    prefixes) to exp(-E) F and multiplying by exp(E_j), but every exponential
-    appears only as a one- or two-interval ratio, so nothing overflows.
+    Cumulative Simpson of the weighted integrand, taken in blocks of an even
+    interval count, each re-anchored at its first node (e = E - E_s), so that
+    no block exponentiates more than ``_MAX_EXPONENT``.
     """
-    n = E.size
-    v = np.zeros(n)
-    e1 = np.exp(E[1:] - E[:-1])
-    for j in range(1, n):
-        r1 = e1[j - 1]
-        if j % 2 == 1:
-            v[j] = r1 * v[j - 1] + (h / 2.0) * (r1 * F[j - 1] + F[j])
-        else:
-            r2 = r1 * e1[j - 2]
-            v[j] = r2 * v[j - 2] + (h / 3.0) * (
-                r2 * F[j - 2] + 4.0 * r1 * F[j - 1] + F[j]
-            )
+    n = E.shape[-1]
+    width = np.max(np.abs(np.diff(E, axis=-1)))  # largest exponent step
+    m = 2 * max(1, int(_MAX_EXPONENT / (2.0 * width))) if width > 0.0 else n
+    v = np.zeros_like(F)
+    for s in range(0, n - 1, m):
+        block = slice(s, s + m + 1)
+        e = E[..., block] - E[..., s, None]
+        v[..., block] = np.exp(e) * (
+            v[..., s, None] + cumquad_simpson(np.exp(-e) * F[..., block], h)
+        )
     return v
 
 
@@ -90,19 +106,13 @@ def solve_v_if(
         raise GridMismatch("forcing samples do not match the profile grid")
     grid = profile.grid
     ic = grid.origin_index
-    E = log_integrating_factor(profile)
-
-    v = np.empty_like(F)
-    v[ic:] = _weighted_march(E[ic:], F[ic:], grid.h)
-    v[: ic + 1] = _weighted_march(E[ic::-1], F[ic::-1], -grid.h)[::-1]
+    E = _fold(log_integrating_factor(profile), ic)
+    F = _OUTWARD * _fold(F, ic)
+    v = _weighted_march(E, F, grid.h)
 
     if warn_estimate_tol is not None and grid.N % 4 == 0:
-        Ec, Fc = E[::2], F[::2]
-        icc = ic // 2
-        vc = np.empty_like(Fc)
-        vc[icc:] = _weighted_march(Ec[icc:], Fc[icc:], 2 * grid.h)
-        vc[: icc + 1] = _weighted_march(Ec[icc::-1], Fc[icc::-1], -2 * grid.h)[::-1]
-        est = np.max(np.abs(v[::2] - vc)) / 15.0
+        vc = _weighted_march(E[:, ::2], F[:, ::2], 2 * grid.h)
+        est = np.max(np.abs(v[:, ::2] - vc)) / 15.0
         if est > warn_estimate_tol:
             warnings.warn(
                 f"cumulative Simpson refinement estimate {est:.3e} exceeds "
@@ -110,7 +120,7 @@ def solve_v_if(
                 QuadratureDegraded,
                 stacklevel=2,
             )
-    return v
+    return _unfold(v)
 
 
 def solve_auxiliary_if(

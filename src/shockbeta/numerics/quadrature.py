@@ -28,20 +28,19 @@ def quad_simpson(samples, h: float):
 
 
 def cumquad_simpson(samples, h: float):
-    """Running integral from the left endpoint at every node.
+    """Running integral from the first sample at every node, along the last axis.
 
     Even prefixes (an even number of intervals) are composite Simpson; odd
     prefixes take the Simpson value one node back plus a single trapezoid
     interval.  Entry 0 is 0.
     """
     y = np.asarray(samples)
-    if y.ndim != 1 or y.size < 2:
-        raise BadSampleCount("cumulative Simpson needs a 1-D array of >= 2 samples")
-    n = y.size
-    out = np.zeros(n, dtype=np.result_type(y.dtype, float))
+    if y.ndim < 1 or y.shape[-1] < 2:
+        raise BadSampleCount("cumulative Simpson needs >= 2 samples along the last axis")
+    out = np.zeros(y.shape, dtype=np.result_type(y.dtype, float))
     # Simpson value at even nodes, accumulated pair by pair.
-    pair = (h / 3.0) * (y[0:-2:2] + 4.0 * y[1:-1:2] + y[2::2])
-    out[2::2] = np.cumsum(pair)
+    pair = (h / 3.0) * (y[..., 0:-2:2] + 4.0 * y[..., 1:-1:2] + y[..., 2::2])
+    out[..., 2::2] = np.cumsum(pair, axis=-1)
     # Odd nodes: even-prefix value plus one trapezoid interval.
-    out[1::2] = out[0:-1:2] + (h / 2.0) * (y[0:-1:2] + y[1::2])
+    out[..., 1::2] = out[..., 0:-1:2] + (h / 2.0) * (y[..., 0:-1:2] + y[..., 1::2])
     return out

@@ -3,7 +3,8 @@
 The profile solves ``ubar' = f1_shifted(ubar) - f1_shifted(u_minus)`` and
 connects u_minus (at -infinity) to u_plus (at +infinity).  The translation
 family is pinned by the midpoint phase condition ``ubar(0) = (u+ + u-)/2``;
-integration runs outward from the origin, into the attracting ends.
+integration runs outward from the origin, into the attracting ends, as one
+sweep of the folded pair (ubar(t), ubar(-t)) over t in [0, L].
 """
 
 from __future__ import annotations
@@ -139,28 +140,18 @@ def solve_profile(
     ``tail_tol`` (the domain half-width L is too small for the decay rates).
     """
     c0 = cfg.f1_shifted(cfg.u_minus)
+    outward = np.array([1.0, -1.0])
 
     def rhs(t, y):
-        return cfg.f1_shifted(y) - c0
+        return outward * (cfg.f1_shifted(y) - c0)
 
-    y0 = np.array([cfg.u_mid])
+    traj = ivp_solve(
+        IvpProblem(rhs=rhs, t_span=(0.0, grid.L), y0=np.full(2, cfg.u_mid),
+                   rtol=rtol, atol=atol, max_step=max_step)
+    )
     x = grid.x
-    ubar = np.empty_like(x)
-
-    right = x >= 0.0
-    if np.any(right):
-        traj = ivp_solve(
-            IvpProblem(rhs=rhs, t_span=(0.0, grid.L), y0=y0, rtol=rtol, atol=atol,
-                       max_step=max_step)
-        )
-        ubar[right] = traj(x[right])[:, 0]
-    left = ~right
-    if np.any(left):
-        traj = ivp_solve(
-            IvpProblem(rhs=rhs, t_span=(0.0, -grid.L), y0=y0, rtol=rtol, atol=atol,
-                       max_step=max_step)
-        )
-        ubar[left] = traj(x[left])[:, 0]
+    folded = traj(np.abs(x))
+    ubar = np.where(x >= 0.0, folded[:, 0], folded[:, 1])
 
     ubar_prime = np.asarray(cfg.f1_shifted(ubar)) - c0
     ps = ProfileSolution(

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import shockbeta.coupled
-from shockbeta.cli import main
+from shockbeta.cli import build_parser, main
+from shockbeta.config import _PARSERS
 
 EXACT_CASE_CFG = Path(__file__).resolve().parent.parent / "configs" / "exact_case.cfg"
 
@@ -97,6 +98,63 @@ class TestFileSystemErrors:
         self._assert_config_error(
             ["profile", "--config", exact_config, "--exact", "--out-dir", out],
             capsys)
+
+
+class TestConfigValues:
+    """Malformed values and unknown choices are configuration errors (exit 2)
+    for every command, whether they come from a flag or a file."""
+
+    COMMANDS = ("profile", "aux", "beta", "scan", "compare")
+
+    def _assert_field_error(self, args, field, capsys):
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"field '{field}'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--N", "abc"), ("--xi0", "x"), ("--L", "20,a")]
+    )
+    def test_malformed_flag_exits_2(self, flag, value, exact_config, tmp_path,
+                                    capsys):
+        self._assert_field_error(
+            ["profile", "--config", exact_config, flag, value,
+             "--out-dir", tmp_path / "o"], flag[2:], capsys)
+
+    def test_malformed_file_value_names_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("u_minus = 1.0\nN = abc\n")
+        self._assert_field_error(["profile", "--config", bad], "N", capsys)
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [("scan", "--method", "bogus"), ("aux", "--quadrature", "nope"),
+         ("compare", "--quadrature", "nope")],
+    )
+    def test_bad_choice_exits_2_where_unused(self, command, flag, value,
+                                             exact_config, tmp_path, capsys):
+        out = tmp_path / "o"
+        self._assert_field_error(
+            [command, "--config", exact_config, "--u-minus-list", "1.0",
+             flag, value, "--out-dir", out], flag[2:], capsys)
+        assert not out.exists()
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_bytes(b"\xff\xfeu_minus = 1.0\n")
+        assert run(["profile", "--config", bad, "--out-dir", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ")
+        assert "Traceback" not in err
+
+    def test_every_config_key_is_a_flag_on_every_command(self):
+        parser = build_parser()
+        for command in self.COMMANDS:
+            for key in _PARSERS:
+                flag = "--" + key.replace("_", "-")
+                args = parser.parse_args([command, flag, "7"])
+                assert getattr(args, key) == "7", (command, flag)
 
 
 class TestAuxCommand:

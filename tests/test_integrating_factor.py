@@ -9,7 +9,13 @@ from shockbeta.integrating_factor import (
     solve_auxiliary_if,
     solve_v_if,
 )
-from shockbeta.model import NeutralFrequency, neutral_zero, sine_transverse_flux
+from shockbeta.model import (
+    NeutralFrequency,
+    burgers_flux,
+    neutral_zero,
+    normalize_to_standing,
+    sine_transverse_flux,
+)
 from shockbeta.profile import Grid, exact_burgers_profile, solve_profile
 
 from conftest import exact_v
@@ -94,6 +100,61 @@ class TestSolveV:
         # second order: one refinement shrinks the residual about 4x
         assert residuals[0] / residuals[1] > 3.0
         assert residuals[1] < 1e-3
+
+
+def _loop_march(E, F, h):
+    """Node-by-node march of v_j = exp(E_j) int_0^{x_j} exp(-E) F: cumulative
+    Simpson (a trapezoid on odd prefixes) with one- and two-interval ratios."""
+    n = E.size
+    v = np.zeros(n)
+    e1 = np.exp(E[1:] - E[:-1])
+    for j in range(1, n):
+        r1 = e1[j - 1]
+        if j % 2 == 1:
+            v[j] = r1 * v[j - 1] + (h / 2.0) * (r1 * F[j - 1] + F[j])
+        else:
+            r2 = r1 * e1[j - 2]
+            v[j] = r2 * v[j - 2] + (h / 3.0) * (
+                r2 * F[j - 2] + 4.0 * r1 * F[j - 1] + F[j]
+            )
+    return v
+
+
+def _loop_v(ps, F):
+    """Reference v: the loop run from the anchor over each half separately."""
+    E = log_integrating_factor(ps)
+    ic, h = ps.grid.origin_index, ps.grid.h
+    v = np.empty_like(F)
+    v[ic:] = _loop_march(E[ic:], F[ic:], h)
+    v[: ic + 1] = _loop_march(E[ic::-1], F[ic::-1], -h)[::-1]
+    return v
+
+
+class TestFoldedMarch:
+    """The folded, block re-anchored march against the node-by-node loop."""
+
+    def _assert_matches_loop(self, ps, F):
+        v = solve_v_if(ps, F, warn_estimate_tol=None)
+        ref = _loop_v(ps, F)
+        assert np.all(np.isfinite(v))
+        assert np.max(np.abs(v - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_exact_profile(self, quad_flux, exact_freq):
+        ps = exact_burgers_profile(Grid.make(20.0, 4000))
+        self._assert_matches_loop(ps, forcing(quad_flux, exact_freq, ps))
+
+    def test_sine_profile(self):
+        f = sine_transverse_flux()
+        cfg = normalize_to_standing(burgers_flux(), 1.1, -1.0, 0.05)
+        ps = solve_profile(cfg, Grid.make(20.0, 4000))
+        self._assert_matches_loop(ps, forcing(f, neutral_zero(cfg, f, 1.0), ps))
+
+    @pytest.mark.parametrize("L", [800.0, 2000.0])
+    def test_long_domain_stays_finite(self, quad_flux, exact_freq, L):
+        # M = exp(-E) reaches exp(L) here, far beyond the largest double
+        ps = exact_burgers_profile(Grid.make(L, 40000))
+        assert np.max(np.abs(log_integrating_factor(ps))) > 709.0
+        self._assert_matches_loop(ps, forcing(quad_flux, exact_freq, ps))
 
 
 class TestAssembled:

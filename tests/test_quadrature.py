@@ -51,6 +51,18 @@ def test_cumulative_matches_prefix_rules():
         assert out[j] == pytest.approx(expected, rel=1e-14)
 
 
+def test_cumulative_rows_match_one_dimensional_calls():
+    # a 2-row array is integrated along its last axis, each row bit for bit
+    # as the 1-D call gives it
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 8, 13):
+        y = rng.standard_normal((2, n))
+        out = cumquad_simpson(y, 0.13)
+        assert out.shape == y.shape
+        for row in range(2):
+            assert np.array_equal(out[row], cumquad_simpson(y[row], 0.13))
+
+
 def test_cumulative_against_antiderivative():
     # even prefixes are 4th order; odd prefixes carry the local h^3/12
     # error of their single trapezoid interval
