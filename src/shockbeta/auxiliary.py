@@ -1,9 +1,11 @@
-"""Sampled auxiliary correction (w, v) attached to a profile.
+"""Sampled auxiliary correction y = w + i v attached to a profile.
 
 The correction solves ``(y' - a1(ubar) y)' = (i tau0 + i xi0 a2(ubar)) ubar'``
-at a neutral frequency; w and v are its real and imaginary parts.  Both
-construction methods (integrating factor and coupled solve) produce this type
-on the profile's uniform grid.
+at a neutral frequency with y(0) = 0; w and v are its real and imaginary
+parts.  The forcing is purely imaginary, so once integrated the real part
+solves w' = a1(ubar) w, and w(0) = 0 makes it vanish identically: only v is
+computed and stored.  Both construction methods (integrating factor and
+coupled solve) produce this type on the profile's uniform grid.
 """
 
 from __future__ import annotations
@@ -28,22 +30,24 @@ class AuxMethod(str, enum.Enum):
 @dataclass
 class AuxiliarySolution:
     grid: Grid
-    w: np.ndarray
     v: np.ndarray
     method: AuxMethod
     freq: NeutralFrequency
     diagnostics: dict = field(default_factory=dict)
 
     @property
+    def w(self) -> np.ndarray:
+        """Real part of the correction: w' = a1(ubar) w and w(0) = 0 give w = 0."""
+        return np.zeros_like(self.v)
+
+    @property
     def y(self) -> np.ndarray:
-        """The complex correction w + i v."""
-        return self.w + 1j * self.v
+        """The complex correction w + i v = i v."""
+        return 1j * self.v
 
     def tail_magnitudes(self) -> float:
-        """Largest of |w|, |v| at the two domain ends."""
-        return float(
-            max(abs(self.w[0]), abs(self.w[-1]), abs(self.v[0]), abs(self.v[-1]))
-        )
+        """Largest of |y| = |v| at the two domain ends."""
+        return float(max(abs(self.v[0]), abs(self.v[-1])))
 
     def check_decay(self, tol: float = DEFAULT_DECAY_TOL) -> None:
         mag = self.tail_magnitudes()

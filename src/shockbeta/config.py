@@ -1,7 +1,7 @@
 """Run configuration: key = value file, flag overrides, model construction.
 
 The file format is flat ``key = value`` lines; ``#`` starts a comment.  Lists
-are comma-separated.  Keys:
+are comma-separated.  Numbers must be finite and lists non-empty.  Keys:
 
     flux          burgers | quadratic_transverse | sine_transverse | custom
     sine_freq     frequency of the sine transverse flux (default 4*pi)
@@ -10,7 +10,6 @@ are comma-separated.  Keys:
     u_minus       left end state (required)
     u_plus        right end state (required)
     xi0           transverse wavenumber of the neutral frequency (required)
-    tau0          explicit time-frequency override (must be a neutral zero)
     L             truncation half-width; a comma list for beta studies
     N             interval count of the output grid (default 4000)
     method        if | coupled | both (default both)
@@ -24,6 +23,7 @@ are comma-separated.  Keys:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -34,7 +34,6 @@ from .model import (
     FluxModel,
     NeutralFrequency,
     ShockConfig,
-    check_neutral,
     make_flux,
     neutral_zero,
     normalize_to_standing,
@@ -42,8 +41,18 @@ from .model import (
 )
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in str(text).split(",") if tok.strip())
+    values = tuple(_parse_float(t) for t in str(text).split(",") if t.strip())
+    if not values:
+        raise ValueError(f"expected a list of numbers, got {text!r}")
+    return values
 
 
 @dataclass
@@ -55,7 +64,6 @@ class RunConfig:
     u_minus: float | None = None
     u_plus: float | None = None
     xi0: float | None = None
-    tau0: float | None = None
     L: tuple[float, ...] = (20.0,)
     N: int = 4000
     method: str = "both"
@@ -92,22 +100,21 @@ class RunConfig:
 
 _PARSERS = {
     "flux": str,
-    "sine_freq": float,
+    "sine_freq": _parse_float,
     "f1_coeffs": _parse_float_list,
     "f2_coeffs": _parse_float_list,
-    "u_minus": float,
-    "u_plus": float,
-    "xi0": float,
-    "tau0": float,
+    "u_minus": _parse_float,
+    "u_plus": _parse_float,
+    "xi0": _parse_float,
     "L": _parse_float_list,
     "N": int,
     "method": str,
     "quadrature": str,
     "out_dir": str,
     "u_minus_list": _parse_float_list,
-    "tol": float,
-    "tail_tol": float,
-    "decay_tol": float,
+    "tol": _parse_float,
+    "tail_tol": _parse_float,
+    "decay_tol": _parse_float,
 }
 assert set(_PARSERS) == {f.name for f in fields(RunConfig)}
 
@@ -165,15 +172,4 @@ def build_model(rc: RunConfig) -> tuple[FluxModel, ShockConfig, NeutralFrequency
     )
     s = rankine_hugoniot_speed(flux, rc.u_minus, rc.u_plus)
     cfg = normalize_to_standing(flux, rc.u_minus, rc.u_plus, s)
-    if rc.tau0 is not None:
-        freq = NeutralFrequency(tau0=rc.tau0, xi0=rc.xi0)
-        try:
-            check_neutral(cfg, flux, freq)
-        except ValidationError:
-            raise ValidationError(
-                f"field 'tau0': frequency ({rc.tau0}, {rc.xi0}) is not a "
-                f"neutral zero of the determinant"
-            ) from None
-    else:
-        freq = neutral_zero(cfg, flux, rc.xi0)
-    return flux, cfg, freq
+    return flux, cfg, neutral_zero(cfg, flux, rc.xi0)

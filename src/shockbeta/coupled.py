@@ -3,19 +3,19 @@
 The autonomous field
 
     ubar' = f1s(ubar) - f1s(u-),
-    w'    = a1s(ubar) w,
     v'    = a1s(ubar) v + tau0 (ubar - u-) + xi0 (f2(ubar) - f2(u-)),
 
-has equilibria (u-, 0, 0) and (u+, 0, 0) at a neutral frequency; the desired
-solution is the heteroclinic connection between them.  The domain [-L, L] is
-folded: right and left halves are rescaled onto [0, 1] as U_r(t) = U(L t),
-U_l(t) = U(-L t), giving a 6-dimensional system closed by six conditions at
-the fold point: the midpoint phase condition, three matching conditions, and
-the two origin normalizations w(0) = v(0) = 0.  Both far ends then fall into
-the attracting equilibria on their own; the tail residual is verified after
-the solve.  The initial guess comes from integrating the field outward from
-the fold, and parameter sweeps reuse each converged solution as the next
-guess.
+has equilibria (u-, 0) and (u+, 0) at a neutral frequency; the desired
+solution is the heteroclinic connection between them.  The real part w of the
+correction solves w' = a1s(ubar) w with w(0) = 0, so w = 0 and is not solved
+for (see :class:`AuxiliarySolution`).  The domain [-L, L] is folded: right
+and left halves are rescaled onto [0, 1] as U_r(t) = U(L t), U_l(t) = U(-L t),
+giving a 4-dimensional system closed by four fold conditions: the midpoint
+phase condition, two matching conditions, and the origin normalization
+v(0) = 0.  Both far ends then fall into the attracting equilibria on their
+own; the tail residual is verified after the solve.  The initial guess comes
+from integrating the field outward from the fold, and parameter sweeps reuse
+each converged solution as the next guess.
 """
 
 from __future__ import annotations
@@ -54,33 +54,30 @@ class FoldedSystem:
         self._f2m = self.flux.f2(self.cfg.u_minus)
 
     def field(self, U: np.ndarray) -> np.ndarray:
-        """Unfolded autonomous field on states U = (ubar, w, v)."""
-        ubar, w, v = U
+        """Unfolded autonomous field on states U = (ubar, v)."""
+        ubar, v = U
         a = self.cfg.a1_shifted(ubar)
         du = self.cfg.f1_shifted(ubar) - self._c0
-        dw = a * w
         dv = a * v + self.freq.tau0 * (ubar - self.cfg.u_minus) + self.freq.xi0 * (
             np.asarray(self.flux.f2(ubar)) - self._f2m
         )
-        return np.stack([np.asarray(du, dtype=float), dw, dv])
+        return np.stack([np.asarray(du, dtype=float), dv])
 
     def rhs(self, t, Y: np.ndarray) -> np.ndarray:
         if Y.ndim == 1:
             return self.rhs(t, Y[:, None])[:, 0]
         return np.vstack(
-            [self.L * self.field(Y[:3]), -self.L * self.field(Y[3:])]
+            [self.L * self.field(Y[:2]), -self.L * self.field(Y[2:])]
         )
 
     def bc(self, Ya: np.ndarray, Yb: np.ndarray) -> np.ndarray:
-        """Six residuals at the fold: phase, matching, origin normalization."""
+        """Four residuals at the fold: phase, matching, origin normalization."""
         return np.array(
             [
                 Ya[0] - self.cfg.u_mid,  # phase pins ubar_r(0)
-                Ya[3] - Ya[0],           # ubar matches across the fold
-                Ya[1],                   # w_r(0) = 0
-                Ya[2],                   # v_r(0) = 0
-                Ya[4] - Ya[1],           # w matches
-                Ya[5] - Ya[2],           # v matches
+                Ya[2] - Ya[0],           # ubar matches across the fold
+                Ya[1],                   # v_r(0) = 0
+                Ya[3] - Ya[1],           # v matches
             ]
         )
 
@@ -113,7 +110,7 @@ def initial_guess(
     """Guess by one outward integration of the folded field from the fold."""
     u = sys.cfg.u_mid
     traj = ivp_solve(
-        IvpProblem(rhs=sys.rhs, t_span=(0.0, 1.0), y0=[u, 0.0, 0.0, u, 0.0, 0.0],
+        IvpProblem(rhs=sys.rhs, t_span=(0.0, 1.0), y0=[u, 0.0, u, 0.0],
                    rtol=rtol, atol=atol)
     )
     mesh = np.linspace(0.0, 1.0, n_nodes)
@@ -150,7 +147,7 @@ def solve_coupled(
     sol = bvp_solve(problem, max_nodes=max_nodes)
 
     at_fold = sol.interpolant(0.0)
-    fold_mismatch = float(np.max(np.abs(at_fold[:3] - at_fold[3:])))
+    fold_mismatch = float(np.max(np.abs(at_fold[:2] - at_fold[2:])))
     if fold_mismatch > _FOLD_TOL:
         raise SolverError(
             f"fold duplicate mismatch {fold_mismatch:.3e} > {_FOLD_TOL}"
@@ -159,9 +156,7 @@ def solve_coupled(
     grid = Grid.make(L, n_out)
     x = grid.x
     folded = sol.interpolant(np.abs(x) / L)
-    samples = np.where(x >= 0.0, folded[:3], folded[3:])
-
-    ubar = samples[0]
+    ubar, v = np.where(x >= 0.0, folded[:2], folded[2:])
     ubar_prime = np.asarray(cfg.f1_shifted(ubar)) - cfg.f1_shifted(cfg.u_minus)
     diag = {
         "method": "coupled",
@@ -183,8 +178,7 @@ def solve_coupled(
 
     aux = AuxiliarySolution(
         grid=grid,
-        w=samples[1],
-        v=samples[2],
+        v=v,
         method=AuxMethod.COUPLED,
         freq=freq,
         diagnostics=dict(diag),
@@ -202,7 +196,7 @@ def _rescaled_guess(
     Y = prev.y.copy()
     up = cfg_new.u_plus
     ratio = (cfg_new.u_minus - up) / (cfg_old.u_minus - up)
-    for row in (0, 3):
+    for row in (0, 2):
         Y[row] = up + (Y[row] - up) * ratio
     return prev.mesh.copy(), Y
 

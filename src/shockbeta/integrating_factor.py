@@ -6,9 +6,10 @@ Writing y = w + i v, the correction equations split into
     v' = a1(ubar) v + tau0 (ubar - u_minus) + xi0 (f2(ubar) - f2(u_minus)),
 
 so with M(x) = exp(-int_0^x a1(ubar)) both reduce to perfect derivatives.
-The origin values w(0) = v(0) = 0 that define beta give w = 0 and
-v = M^-1 int_0^x M F.  Only cumulative quadrature of profile samples is
-needed; no differential equation is solved.
+The origin values w(0) = v(0) = 0 that define beta give w = 0, which is not
+computed (see :class:`AuxiliarySolution`), and v = M^-1 int_0^x M F.  Only
+cumulative quadrature of profile samples is needed; no differential equation
+is solved.
 
 Both halves are read outward from the anchor, folded side by side (row 0
 for x >= 0, row 1 for x <= 0), so each integral is one cumulative Simpson
@@ -129,12 +130,11 @@ def solve_auxiliary_if(
     profile: ProfileSolution,
     decay_tol: float | None = DEFAULT_DECAY_TOL,
 ) -> AuxiliarySolution:
-    """Assemble the correction (w, v), with w(0) = v(0) = 0, on the profile grid."""
+    """Assemble the correction, v with v(0) = 0 (w = 0), on the profile grid."""
     if profile.grid.N % 2 != 0:
         raise ValidationError("integrating-factor method needs an even interval count")
     aux = AuxiliarySolution(
         grid=profile.grid,
-        w=np.zeros_like(profile.ubar),
         v=solve_v_if(profile, forcing(f, freq, profile)),
         method=AuxMethod.INTEGRATING_FACTOR,
         freq=freq,

@@ -111,8 +111,9 @@ def write_profile_csv(path, profile: ProfileSolution, f: FluxModel) -> None:
                  [profile.grid.x, profile.ubar, profile.ubar_prime])
 
 
-def read_profile_csv(path) -> tuple[ProfileSolution, FluxModel]:
-    meta, cols = _read_table(path)
+def _profile_from(meta: dict, cols: dict,
+                  method: str) -> tuple[ProfileSolution, FluxModel]:
+    """Profile and flux of a table with ``ubar``/``ubar_prime`` columns."""
     f = _flux_from_meta(meta)
     cfg = normalize_to_standing(
         f, float(meta["u_minus"]), float(meta["u_plus"]), float(meta["s"])
@@ -121,60 +122,57 @@ def read_profile_csv(path) -> tuple[ProfileSolution, FluxModel]:
     profile = ProfileSolution(
         config=cfg, grid=grid, ubar=cols["ubar"], ubar_prime=cols["ubar_prime"],
         exact=meta.get("exact") == "true",
-        diagnostics={"method": meta.get("method", "ivp")},
+        diagnostics={"method": meta.get("method", method)},
     )
     return profile, f
 
 
-def write_aux_csv(path, aux: AuxiliarySolution, profile: ProfileSolution,
-                  f: FluxModel) -> None:
-    meta = _shock_meta(
+def read_profile_csv(path) -> tuple[ProfileSolution, FluxModel]:
+    return _profile_from(*_read_table(path), "ivp")
+
+
+def _aux_meta(profile: ProfileSolution, aux: AuxiliarySolution,
+              f: FluxModel) -> dict:
+    return _shock_meta(
         profile.config, aux.grid, f,
         {"method": aux.method.value,
          "tau0": fmt(aux.freq.tau0), "xi0": fmt(aux.freq.xi0)},
     )
-    _write_table(path, meta, ["x", "w", "v"], [aux.grid.x, aux.w, aux.v])
+
+
+def write_aux_csv(path, aux: AuxiliarySolution, profile: ProfileSolution,
+                  f: FluxModel) -> None:
+    _write_table(path, _aux_meta(profile, aux, f), ["x", "w", "v"],
+                 [aux.grid.x, aux.w, aux.v])
+
+
+def _aux_from(path, meta: dict, cols: dict, grid: Grid) -> AuxiliarySolution:
+    """Correction of a table with ``w``/``v`` columns; w must be zero."""
+    if np.any(cols["w"] != 0.0):
+        raise ValidationError(f"{path}: column 'w' has nonzero cells, but w = 0")
+    return AuxiliarySolution(
+        grid=grid, v=cols["v"], method=AuxMethod(meta["method"]),
+        freq=NeutralFrequency(float(meta["tau0"]), float(meta["xi0"])),
+    )
 
 
 def read_aux_csv(path) -> AuxiliarySolution:
     meta, cols = _read_table(path)
-    grid = Grid.make(float(meta["L"]), int(meta["N"]))
-    return AuxiliarySolution(
-        grid=grid, w=cols["w"], v=cols["v"],
-        method=AuxMethod(meta["method"]),
-        freq=NeutralFrequency(float(meta["tau0"]), float(meta["xi0"])),
-    )
+    return _aux_from(path, meta, cols, Grid.make(float(meta["L"]), int(meta["N"])))
 
 
 def write_point_csv(path, profile: ProfileSolution, aux: AuxiliarySolution,
                     f: FluxModel) -> None:
     """Combined per-parameter-point table for continuation output."""
-    meta = _shock_meta(
-        profile.config, profile.grid, f,
-        {"method": aux.method.value,
-         "tau0": fmt(aux.freq.tau0), "xi0": fmt(aux.freq.xi0)},
-    )
-    _write_table(path, meta, ["x", "ubar", "ubar_prime", "w", "v"],
+    _write_table(path, _aux_meta(profile, aux, f),
+                 ["x", "ubar", "ubar_prime", "w", "v"],
                  [profile.grid.x, profile.ubar, profile.ubar_prime, aux.w, aux.v])
 
 
 def read_point_csv(path) -> tuple[ProfileSolution, AuxiliarySolution, FluxModel]:
     meta, cols = _read_table(path)
-    f = _flux_from_meta(meta)
-    cfg = normalize_to_standing(
-        f, float(meta["u_minus"]), float(meta["u_plus"]), float(meta["s"])
-    )
-    grid = Grid.make(float(meta["L"]), int(meta["N"]))
-    profile = ProfileSolution(
-        config=cfg, grid=grid, ubar=cols["ubar"], ubar_prime=cols["ubar_prime"],
-        exact=False, diagnostics={"method": meta.get("method", "coupled")},
-    )
-    aux = AuxiliarySolution(
-        grid=grid, w=cols["w"], v=cols["v"],
-        method=AuxMethod(meta["method"]),
-        freq=NeutralFrequency(float(meta["tau0"]), float(meta["xi0"])),
-    )
-    return profile, aux, f
+    profile, f = _profile_from(meta, cols, "coupled")
+    return profile, _aux_from(path, meta, cols, profile.grid), f
 
 
 def write_beta_table_csv(path, study) -> None:

@@ -260,7 +260,7 @@ def test_criterion_9_randomized_property_suite(quad_flux):
         from shockbeta.auxiliary import AuxiliarySolution
 
         aux = AuxiliarySolution(
-            grid=lin_profile.grid, w=np.zeros_like(v1), v=v1,
+            grid=lin_profile.grid, v=v1,
             method=AuxMethod.INTEGRATING_FACTOR, freq=lin_freq,
         )
         r = compute_beta(quad_flux, lin_profile, aux)

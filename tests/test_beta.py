@@ -34,7 +34,7 @@ def oracle_integral(n_nodes=2**20 + 1, half_width=60.0):
 
 def zero_aux(grid, freq):
     z = np.zeros(grid.x.size)
-    return AuxiliarySolution(grid=grid, w=z, v=z.copy(),
+    return AuxiliarySolution(grid=grid, v=z,
                              method=AuxMethod.INTEGRATING_FACTOR, freq=freq)
 
 

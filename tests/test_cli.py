@@ -114,13 +114,21 @@ class TestConfigValues:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "flag, value", [("--N", "abc"), ("--xi0", "x"), ("--L", "20,a")]
+        "flag, value",
+        [("--N", "abc"), ("--xi0", "x"), ("--L", "20,a"),
+         # empty lists
+         ("--L", ","), ("--f1-coeffs", ","),
+         # non-finite numbers
+         ("--xi0", "nan"), ("--tail-tol", "nan"), ("--L", "inf"),
+         ("--tol", "nan")],
     )
     def test_malformed_flag_exits_2(self, flag, value, exact_config, tmp_path,
                                     capsys):
+        out = tmp_path / "o"
         self._assert_field_error(
             ["profile", "--config", exact_config, flag, value,
-             "--out-dir", tmp_path / "o"], flag[2:], capsys)
+             "--out-dir", out], flag[2:].replace("-", "_"), capsys)
+        assert not out.exists()
 
     def test_malformed_file_value_names_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -197,11 +205,15 @@ class TestBetaCommand:
         assert len(rows) == 2
         assert rows[1].startswith("if,")
 
-    def test_non_neutral_override_exits_2(self, exact_config, tmp_path, capsys):
-        code = run(["beta", "--config", exact_config, "--tau0", "0.3",
-                    "--out-dir", tmp_path / "o"])
+    def test_tau0_is_not_a_config_key(self, exact_config, tmp_path, capsys):
+        # tau0 is always derived from xi0 as the neutral zero
+        exact_config.write_text(exact_config.read_text() + "tau0 = 0.3\n")
+        code = run(["beta", "--config", exact_config, "--out-dir", tmp_path / "o"])
         assert code == 2
-        assert "neutral" in capsys.readouterr().err
+        assert "unknown config key 'tau0'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as ei:
+            build_parser().parse_args(["beta", "--tau0", "0.3"])
+        assert ei.value.code == 2
 
 
 class TestScanCommand:

@@ -30,7 +30,7 @@ def folded(exact_cfg, quad_flux, exact_freq):
 class TestFoldedSystem:
     def test_equilibria_annihilate_field(self, folded, exact_cfg):
         for u in (exact_cfg.u_minus, exact_cfg.u_plus):
-            F = folded.field(np.array([[u], [0.0], [0.0]]))
+            F = folded.field(np.array([[u], [0.0]]))
             assert np.max(np.abs(F)) <= 1e-12
 
     def test_exact_solution_satisfies_rhs_pointwise(self, folded):
@@ -41,45 +41,44 @@ class TestFoldedSystem:
         u = exact_profile(x)
         v = exact_v(x)
         sech2 = 1.0 / np.cosh(x / 2.0) ** 2
-        Yr = np.vstack([u, np.zeros_like(x), v])
-        Yl = np.vstack([exact_profile(-x), np.zeros_like(x), exact_v(-x)])
+        Yr = np.vstack([u, v])
+        Yl = np.vstack([exact_profile(-x), exact_v(-x)])
         rhs = folded.rhs(t, np.vstack([Yr, Yl]))
         du_dt = L * (-0.5 * sech2)
         dv_dt = L * (-sech2 + x * sech2 * np.tanh(x / 2.0))
         assert np.max(np.abs(rhs[0] - du_dt)) <= 1e-12
-        assert np.max(np.abs(rhs[2] - dv_dt)) <= 1e-12
+        assert np.max(np.abs(rhs[1] - dv_dt)) <= 1e-12
 
-    def test_linearization_has_triple_eigenvalue(self, folded, exact_cfg, quad_flux,
+    def test_linearization_has_double_eigenvalue(self, folded, exact_cfg, quad_flux,
                                                  exact_freq):
         # complex-step differentiation of the field at the equilibria
         h = 1e-20
         for u in (exact_cfg.u_minus, exact_cfg.u_plus):
-            U0 = np.array([u, 0.0, 0.0], dtype=complex)
-            J = np.empty((3, 3))
-            for c in range(3):
+            U0 = np.array([u, 0.0], dtype=complex)
+            J = np.empty((2, 2))
+            for c in range(2):
                 Up = U0.copy()
                 Up[c] += 1j * h
 
-                ubar, w, v = Up
+                ubar, v = Up
                 a = quad_flux.a1(ubar) - exact_cfg.s
                 du = quad_flux.f1(ubar) - exact_cfg.s * ubar - (
                     quad_flux.f1(exact_cfg.u_minus)
                     - exact_cfg.s * exact_cfg.u_minus
                 )
-                dw = a * w
                 dv = a * v + exact_freq.tau0 * (ubar - exact_cfg.u_minus) \
                     + exact_freq.xi0 * (quad_flux.f2(ubar)
                                         - quad_flux.f2(exact_cfg.u_minus))
-                J[:, c] = np.imag(np.array([du, dw, dv])) / h
+                J[:, c] = np.imag(np.array([du, dv])) / h
             eigs = np.sort(np.linalg.eigvals(J).real)
             expected = exact_cfg.a1_shifted(u)
             assert np.max(np.abs(eigs - expected)) <= 1e-10
 
     def test_boundary_conditions_count_and_content(self, folded, exact_cfg):
-        Ya = np.array([exact_cfg.u_mid, 0.0, 0.0, exact_cfg.u_mid, 0.0, 0.0])
-        Yb = np.zeros(6)
+        Ya = np.array([exact_cfg.u_mid, 0.0, exact_cfg.u_mid, 0.0])
+        Yb = np.zeros(4)
         res = folded.bc(Ya, Yb)
-        assert res.shape == (6,)
+        assert res.shape == (4,)
         assert np.max(np.abs(res)) == 0.0
 
 
@@ -96,7 +95,7 @@ class TestInitialGuess:
     def test_zero_frequency_guess_has_zero_correction(self, exact_cfg, quad_flux):
         sys0 = FoldedSystem(exact_cfg, quad_flux, NeutralFrequency(0.0, 0.0), 20.0)
         _, Y = initial_guess(sys0)
-        assert np.max(np.abs(Y[[1, 2, 4, 5]])) == 0.0
+        assert np.max(np.abs(Y[[1, 3]])) == 0.0
 
 
 class TestSolveCoupled:
@@ -109,6 +108,10 @@ class TestSolveCoupled:
 
     def test_w_identically_zero(self, coupled_L20):
         assert np.max(np.abs(coupled_L20.aux.w)) <= 1e-12
+
+    def test_folded_state_is_profile_and_v(self, coupled_L20):
+        # (ubar, v) per half; w = 0 is not solved for
+        assert coupled_L20.bvp.y.shape[0] == 4
 
     def test_fold_mismatch_tiny(self, coupled_L20):
         assert coupled_L20.aux.diagnostics["fold_mismatch"] <= 1e-10

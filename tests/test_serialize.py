@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from shockbeta import serialize
 from shockbeta.auxiliary import AuxMethod
 from shockbeta.beta import beta_convergence_study
+from shockbeta.errors import ValidationError
 from shockbeta.integrating_factor import solve_auxiliary_if
 from shockbeta.model import sine_transverse_flux
 from shockbeta.profile import Grid, solve_profile
@@ -73,6 +74,35 @@ def test_point_csv_round_trip(tmp_path, quad_flux, exact_cfg, exact_freq):
     assert np.array_equal(aux.v, res.aux.v)
     assert aux.freq == res.aux.freq
     assert flux.kind is quad_flux.kind
+
+
+def _set_middle_w_cell(path, value):
+    lines = path.read_text().splitlines(keepends=True)
+    head = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    col = lines[head].strip().split(",").index("w")
+    k = (head + 1 + len(lines)) // 2
+    cells = lines[k].rstrip("\n").split(",")
+    cells[col] = value
+    lines[k] = ",".join(cells) + "\n"
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("kind", ["aux", "point"])
+def test_nonzero_w_cell_rejected(tmp_path, quad_flux, exact_freq, profile_L20,
+                                 kind):
+    # the correction has w = 0 identically, so a file saying otherwise is invalid
+    aux = solve_auxiliary_if(quad_flux, exact_freq, profile_L20)
+    path = tmp_path / f"{kind}.csv"
+    if kind == "aux":
+        serialize.write_aux_csv(path, aux, profile_L20, quad_flux)
+        read = serialize.read_aux_csv
+    else:
+        serialize.write_point_csv(path, profile_L20, aux, quad_flux)
+        read = serialize.read_point_csv
+    read(path)
+    _set_middle_w_cell(path, "5e-324")
+    with pytest.raises(ValidationError, match="column 'w'"):
+        read(path)
 
 
 def test_beta_table_layout(tmp_path, quad_flux, exact_cfg, exact_freq):
