@@ -34,13 +34,7 @@ from .coupled import solve_coupled  # noqa: F401  perfbench/tracing.py patches i
 from .errors import ContinuationStalled, SolverError, ValidationError
 from .integrating_factor import solve_auxiliary_if  # noqa: F401  likewise
 from .model import FluxKind
-from .profile import (
-    DEFAULT_TAIL_TOL,
-    Grid,
-    exact_burgers_profile,
-    has_exact_profile,
-    solve_profile,
-)
+from .profile import DEFAULT_TAIL_TOL, Grid, solve_profile
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -87,27 +81,18 @@ def _solve_pairs(rc, flux, cfg, freq):
         )
 
 
-def cmd_profile(rc: RunConfig, args: argparse.Namespace) -> int:
+def cmd_profile(rc: RunConfig) -> int:
     flux, cfg, _ = build_model(rc)
     out = _out_dir(rc)
-    grid = Grid.make(rc.L_single, rc.N)
-    if args.exact:
-        if not has_exact_profile(flux, cfg):
-            raise ValidationError(
-                "--exact requires the quadratic longitudinal flux with "
-                "u_minus = 1, u_plus = -1"
-            )
-        ps = exact_burgers_profile(grid)
-    else:
-        tail = rc.tail_tol if rc.tail_tol is not None else DEFAULT_TAIL_TOL
-        ps = solve_profile(cfg, grid, tail_tol=tail)
+    tail = rc.tail_tol if rc.tail_tol is not None else DEFAULT_TAIL_TOL
+    ps = solve_profile(cfg, Grid.make(rc.L_single, rc.N), tail_tol=tail)
     path = out / "profile.csv"
     serialize.write_profile_csv(path, ps, flux)
     print(path)
     return EXIT_OK
 
 
-def cmd_aux(rc: RunConfig, args: argparse.Namespace) -> int:
+def cmd_aux(rc: RunConfig) -> int:
     flux, cfg, freq = build_model(rc)
     out = _out_dir(rc)
     for method, profile, aux in _solve_pairs(rc, flux, cfg, freq):
@@ -120,7 +105,7 @@ def cmd_aux(rc: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_beta(rc: RunConfig, args: argparse.Namespace) -> int:
+def cmd_beta(rc: RunConfig) -> int:
     flux, cfg, freq = build_model(rc)
     out = _out_dir(rc)
     tail = rc.tail_tol if rc.tail_tol is not None else STUDY_TAIL_TOL
@@ -160,7 +145,7 @@ def cmd_beta(rc: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_scan(rc: RunConfig, args: argparse.Namespace) -> int:
+def cmd_scan(rc: RunConfig) -> int:
     flux, cfg0, _ = build_model(rc)
     if not rc.u_minus_list:
         raise ValidationError("field 'u_minus_list': required for scan")
@@ -214,11 +199,11 @@ def cmd_scan(rc: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK if stall_index is None else EXIT_SOLVER
 
 
-def cmd_compare(rc: RunConfig, args: argparse.Namespace) -> int:
+def cmd_compare(rc: RunConfig) -> int:
     flux, cfg, freq = build_model(rc)
     if not (
-        has_exact_profile(flux, cfg)
-        and flux.kind is FluxKind.QUADRATIC_TRANSVERSE
+        flux.kind is FluxKind.QUADRATIC_TRANSVERSE
+        and (cfg.u_minus, cfg.u_plus, cfg.s) == (1.0, -1.0, 0.0)
         and (freq.tau0, freq.xi0) == (0.0, 1.0)
     ):
         raise ValidationError(
@@ -228,7 +213,7 @@ def cmd_compare(rc: RunConfig, args: argparse.Namespace) -> int:
     out = _out_dir(rc)
     grid = Grid.make(rc.L_single, rc.N)
     x = grid.x
-    u_exact = exact_burgers_profile(grid).ubar
+    u_exact = -np.tanh(x / 2.0)
     v_exact = -x / np.cosh(x / 2.0) ** 2
     h = grid.h
 
@@ -266,8 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="compute and export the viscous profile")
     _add_common_options(p)
-    p.add_argument("--exact", action="store_true",
-                   help="emit the closed-form profile of the standard case")
     p.set_defaults(func=cmd_profile)
 
     p = sub.add_parser("aux", help="compute the correction pair (w, v)")
@@ -293,7 +276,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         rc = _load_config(args)
-        return args.func(rc, args)
+        return args.func(rc)
     except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

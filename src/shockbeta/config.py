@@ -1,7 +1,8 @@
 """Run configuration: key = value file, flag overrides, model construction.
 
 The file format is flat ``key = value`` lines; ``#`` starts a comment.  Lists
-are comma-separated.  Numbers must be finite and lists non-empty.  Keys:
+are comma-separated.  Numbers must be finite, lists non-empty, and the three
+tolerances positive.  Keys:
 
     flux          burgers | quadratic_transverse | sine_transverse | custom
     sine_freq     frequency of the sine transverse flux (default 4*pi)
@@ -45,6 +46,13 @@ def _parse_float(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _parse_positive(text: str) -> float:
+    value = _parse_float(text)
+    if not value > 0.0:
+        raise ValueError(f"expected a positive number, got {text!r}")
     return value
 
 
@@ -112,9 +120,9 @@ _PARSERS = {
     "quadrature": str,
     "out_dir": str,
     "u_minus_list": _parse_float_list,
-    "tol": _parse_float,
-    "tail_tol": _parse_float,
-    "decay_tol": _parse_float,
+    "tol": _parse_positive,
+    "tail_tol": _parse_positive,
+    "decay_tol": _parse_positive,
 }
 assert set(_PARSERS) == {f.name for f in fields(RunConfig)}
 

@@ -152,7 +152,8 @@ class ShockConfig:
     """End states with the speed-normalized longitudinal flux.
 
     ``f1_shifted(u) = f1(u) - s*u`` has the shock standing still; its
-    derivative is ``a1_shifted(u) = a1(u) - s``.
+    derivative is ``a1_shifted(u) = a1(u) - s``.  ``f1_quadratic`` records
+    whether f1 is a polynomial of degree 2, whose profile has a closed form.
     """
 
     u_minus: float
@@ -160,6 +161,7 @@ class ShockConfig:
     s: float
     f1_shifted: Callable
     a1_shifted: Callable
+    f1_quadratic: bool
 
     @property
     def u_jump(self) -> float:
@@ -230,12 +232,17 @@ def normalize_to_standing(
             "shifted flux has a rest point strictly between the end states"
         )
 
+    # every built-in flux has f1 = u^2/2; a custom f1 is a polynomial
+    quadratic = f.kind is not FluxKind.CUSTOM or (
+        np.polynomial.Polynomial(f.params["f1_coeffs"]).trim().degree() == 2
+    )
     return ShockConfig(
         u_minus=float(u_minus),
         u_plus=float(u_plus),
         s=float(s),
         f1_shifted=f1_shifted,
         a1_shifted=a1_shifted,
+        f1_quadratic=quadratic,
     )
 
 

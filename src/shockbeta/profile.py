@@ -2,9 +2,14 @@
 
 The profile solves ``ubar' = f1_shifted(ubar) - f1_shifted(u_minus)`` and
 connects u_minus (at -infinity) to u_plus (at +infinity).  The translation
-family is pinned by the midpoint phase condition ``ubar(0) = (u+ + u-)/2``;
-integration runs outward from the origin, into the attracting ends, as one
-sweep of the folded pair (ubar(t), ubar(-t)) over t in [0, L].
+family is pinned by the midpoint phase condition ``ubar(0) = (u+ + u-)/2``.
+
+For a quadratic f1 (every built-in flux, and a custom f1 of degree 2) the
+profile is the closed form ``u_mid - delta * tanh(a * delta * x)`` with
+``delta = (u- - u+)/2`` and a the leading coefficient of f1: exact up to
+rounding, and monotone by construction.  For a custom f1 of degree >= 3 the
+equation is integrated outward from the origin, into the attracting ends, as
+one sweep of the folded pair (ubar(t), ubar(-t)) over t in [0, L].
 """
 
 from __future__ import annotations
@@ -14,16 +19,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverError, TailNotResolved, ValidationError
-from .model import (
-    FluxKind,
-    FluxModel,
-    ShockConfig,
-    burgers_flux,
-    normalize_to_standing,
-)
+from .model import ShockConfig
 from .numerics import IvpProblem, ivp_solve
 
 DEFAULT_TAIL_TOL = 1e-6
+
+# Tolerances of the profile IVP (custom f1 of degree >= 3 only).
+_IVP_RTOL = 1e-12
+_IVP_ATOL = 1e-14
 
 # Machine-level ties are tolerated when checking strict monotonicity: in the
 # saturated tails consecutive samples can differ by less than one ulp.
@@ -98,48 +101,19 @@ def _check_profile(ps: ProfileSolution, tail_tol: float) -> None:
         raise SolverError("computed profile is not monotone")
 
 
-def has_exact_profile(f: FluxModel, cfg: ShockConfig) -> bool:
-    """Whether :func:`exact_burgers_profile` is the profile of this shock.
+def _tanh_profile(cfg: ShockConfig, x: np.ndarray) -> np.ndarray:
+    """Closed-form profile of a quadratic f1: u_mid - delta tanh(a delta x).
 
-    Every built-in flux has f1 = u^2/2; the states must be u-+ = +-1 (speed 0).
+    With f1_shifted(u) - c0 = a (u - u-)(u - u+), the leading coefficient is
+    a = a1_shifted(u+) / (u+ - u-), and delta = (u- - u+)/2.
     """
-    states = (cfg.u_minus, cfg.u_plus, cfg.s)
-    return f.kind is not FluxKind.CUSTOM and states == (1.0, -1.0, 0.0)
+    a = cfg.a1_shifted(cfg.u_plus) / cfg.u_jump
+    delta = 0.5 * (cfg.u_minus - cfg.u_plus)
+    return cfg.u_mid - delta * np.tanh(a * delta * x)
 
 
-def exact_burgers_profile(grid: Grid) -> ProfileSolution:
-    """Closed-form standing profile -tanh(x/2) of the quadratic flux.
-
-    Valid for u_minus = 1, u_plus = -1 (speed 0), where the profile equation
-    reduces to ``ubar' = (ubar^2 - 1)/2``.
-    """
-    cfg = normalize_to_standing(burgers_flux(), 1.0, -1.0, 0.0)
-    ubar = -np.tanh(grid.x / 2.0)
-    ubar_prime = 0.5 * (ubar**2 - 1.0)
-    return ProfileSolution(
-        config=cfg,
-        grid=grid,
-        ubar=ubar,
-        ubar_prime=ubar_prime,
-        exact=True,
-        diagnostics={"method": "exact"},
-    )
-
-
-def solve_profile(
-    cfg: ShockConfig,
-    grid: Grid,
-    rtol: float = 1e-12,
-    atol: float = 1e-14,
-    max_step: float = np.inf,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> ProfileSolution:
-    """Integrate the profile equation outward from the midpoint anchor.
-
-    Raises :class:`TailNotResolved` when the endpoint residual exceeds
-    ``tail_tol`` (the domain half-width L is too small for the decay rates).
-    """
-    c0 = cfg.f1_shifted(cfg.u_minus)
+def _ivp_profile(cfg: ShockConfig, grid: Grid, c0: float) -> np.ndarray:
+    """Profile by one outward integration of the folded pair from the origin."""
     outward = np.array([1.0, -1.0])
 
     def rhs(t, y):
@@ -147,20 +121,40 @@ def solve_profile(
 
     traj = ivp_solve(
         IvpProblem(rhs=rhs, t_span=(0.0, grid.L), y0=np.full(2, cfg.u_mid),
-                   rtol=rtol, atol=atol, max_step=max_step)
+                   rtol=_IVP_RTOL, atol=_IVP_ATOL)
     )
     x = grid.x
     folded = traj(np.abs(x))
-    ubar = np.where(x >= 0.0, folded[:, 0], folded[:, 1])
+    return np.where(x >= 0.0, folded[:, 0], folded[:, 1])
 
-    ubar_prime = np.asarray(cfg.f1_shifted(ubar)) - c0
+
+def solve_profile(
+    cfg: ShockConfig, grid: Grid, tail_tol: float = DEFAULT_TAIL_TOL
+) -> ProfileSolution:
+    """The profile on ``grid``: in closed form for quadratic f1, else by IVP.
+
+    A quadratic f1 (every built-in flux, and a custom f1 of degree 2) has the
+    tanh profile of :func:`_tanh_profile`, monotone by construction.  A custom
+    f1 of degree >= 3 is integrated outward from the midpoint anchor.  Either
+    way ``ubar_prime`` is the right side of the profile equation at ``ubar``.
+
+    Raises :class:`TailNotResolved` when the endpoint residual exceeds
+    ``tail_tol`` (the domain half-width L is too small for the decay rates).
+    """
+    c0 = cfg.f1_shifted(cfg.u_minus)
+    if cfg.f1_quadratic:
+        ubar = _tanh_profile(cfg, grid.x)
+        diagnostics = {"method": "tanh"}
+    else:
+        ubar = _ivp_profile(cfg, grid, c0)
+        diagnostics = {"method": "ivp", "rtol": _IVP_RTOL, "atol": _IVP_ATOL}
     ps = ProfileSolution(
         config=cfg,
         grid=grid,
         ubar=ubar,
-        ubar_prime=ubar_prime,
-        exact=False,
-        diagnostics={"method": "ivp", "rtol": rtol, "atol": atol},
+        ubar_prime=np.asarray(cfg.f1_shifted(ubar)) - c0,
+        exact=cfg.f1_quadratic,
+        diagnostics=diagnostics,
     )
     _check_profile(ps, tail_tol)
     return ps

@@ -33,7 +33,7 @@ from shockbeta.numerics import (
     quad_simpson,
     quad_trapezoid,
 )
-from shockbeta.profile import Grid, exact_burgers_profile, solve_profile
+from shockbeta.profile import Grid, solve_profile
 
 from conftest import exact_profile, exact_v
 
@@ -211,9 +211,9 @@ def test_criterion_8_kernel_convergence_orders():
            f"trapezoid {trapezoid_orders.min():.2f}, bvp {bvp_slope:.3f}")
 
 
-def test_criterion_9_randomized_property_suite(quad_flux):
+def test_criterion_9_randomized_property_suite(quad_flux, exact_cfg):
     rng = np.random.default_rng(42)
-    lin_profile = exact_burgers_profile(Grid.make(20.0, 512))
+    lin_profile = solve_profile(exact_cfg, Grid.make(20.0, 512))
 
     for fn in (compute_beta, stability_integral):
         names = {p.lower() for p in inspect.signature(fn).parameters}
@@ -269,7 +269,7 @@ def test_criterion_9_randomized_property_suite(quad_flux):
         # monotone profile
         rate = 0.5 * (um - up)
         L = min(50.0, max(8.0, 16.0 / rate))
-        ps = solve_profile(cfg, Grid.make(L, 400), rtol=1e-10, atol=1e-12)
+        ps = solve_profile(cfg, Grid.make(L, 400))
         assert np.all(np.diff(ps.ubar) < 0)
 
     _ok(9, "randomized invariants over 100 admissible configurations")

@@ -15,7 +15,7 @@ from shockbeta.errors import GridMismatch, TailNotResolved
 from shockbeta.integrating_factor import solve_auxiliary_if
 from shockbeta.model import NeutralFrequency
 from shockbeta.numerics import quad_simpson
-from shockbeta.profile import Grid, exact_burgers_profile, solve_profile
+from shockbeta.profile import Grid, solve_profile
 
 from conftest import exact_profile, exact_v
 

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import shockbeta.coupled
+import shockbeta.profile
 from shockbeta.cli import build_parser, main
 from shockbeta.config import _PARSERS
+from shockbeta.serialize import read_profile_csv
 
 EXACT_CASE_CFG = Path(__file__).resolve().parent.parent / "configs" / "exact_case.cfg"
 
@@ -58,17 +60,29 @@ class TestProfileCommand:
         bad.write_text("u_minuss = 1.0\n")
         assert run(["profile", "--config", bad]) == 2
 
-    def test_non_monotone_profile_exits_3(self, tmp_path, capsys):
-        code = run(["profile", "--config", EXACT_CASE_CFG, "--L", "40",
-                    "--out-dir", tmp_path / "o"])
+    def test_non_monotone_profile_exits_3(self, exact_config, tmp_path, capsys,
+                                          monkeypatch):
+        closed_form = shockbeta.profile._tanh_profile
+
+        def wiggly(cfg, x):
+            ubar = closed_form(cfg, x).copy()
+            ubar[10] += 1e-9
+            return ubar
+
+        monkeypatch.setattr(shockbeta.profile, "_tanh_profile", wiggly)
+        out = tmp_path / "o"
+        code = run(["profile", "--config", exact_config, "--out-dir", out])
         assert code == 3
         assert "not monotone" in capsys.readouterr().err
+        assert not (out / "profile.csv").exists()
 
-    def test_exact_flag(self, exact_config, tmp_path):
-        out = tmp_path / "out"
-        assert run(["profile", "--config", exact_config, "--exact",
+    @pytest.mark.parametrize("L, N", [("40", "8000"), ("200", "40000")])
+    def test_wide_domain_profile_is_monotone(self, L, N, tmp_path):
+        out = tmp_path / "o"
+        assert run(["profile", "--config", EXACT_CASE_CFG, "--L", L, "--N", N,
                     "--out-dir", out]) == 0
-        assert (out / "profile.csv").exists()
+        profile, _ = read_profile_csv(out / "profile.csv")
+        assert np.all(np.diff(profile.ubar) <= 0.0)
 
 
 class TestFileSystemErrors:
@@ -89,15 +103,14 @@ class TestFileSystemErrors:
         blocker = tmp_path / "file"
         blocker.write_text("")
         self._assert_config_error(
-            ["profile", "--config", exact_config, "--exact",
+            ["profile", "--config", exact_config,
              "--out-dir", blocker / "out"], capsys)
 
     def test_output_path_is_a_directory(self, exact_config, tmp_path, capsys):
         out = tmp_path / "out"
         (out / "profile.csv").mkdir(parents=True)
         self._assert_config_error(
-            ["profile", "--config", exact_config, "--exact", "--out-dir", out],
-            capsys)
+            ["profile", "--config", exact_config, "--out-dir", out], capsys)
 
 
 class TestConfigValues:
@@ -120,7 +133,10 @@ class TestConfigValues:
          ("--L", ","), ("--f1-coeffs", ","),
          # non-finite numbers
          ("--xi0", "nan"), ("--tail-tol", "nan"), ("--L", "inf"),
-         ("--tol", "nan")],
+         ("--tol", "nan"),
+         # tolerances must be positive
+         ("--tail-tol", "-1"), ("--decay-tol", "-1"), ("--tol", "0"),
+         ("--tol", "-1")],
     )
     def test_malformed_flag_exits_2(self, flag, value, exact_config, tmp_path,
                                     capsys):

@@ -92,6 +92,11 @@ class TestInitialGuess:
         # Newton never needs more than a few corrections per sweep
         assert max(coupled_L20.bvp.newton_per_sweep) <= 3
 
+    def test_guess_costs_no_newton_iteration(self, coupled_L20):
+        # the guess is integrated only to the starting mesh's own accuracy;
+        # Newton still converges on the first sweep in one iteration
+        assert coupled_L20.bvp.newton_per_sweep[0] == 1
+
     def test_zero_frequency_guess_has_zero_correction(self, exact_cfg, quad_flux):
         sys0 = FoldedSystem(exact_cfg, quad_flux, NeutralFrequency(0.0, 0.0), 20.0)
         _, Y = initial_guess(sys0)

@@ -16,14 +16,14 @@ from shockbeta.model import (
     normalize_to_standing,
     sine_transverse_flux,
 )
-from shockbeta.profile import Grid, exact_burgers_profile, solve_profile
+from shockbeta.profile import Grid, solve_profile
 
 from conftest import exact_v
 
 
 @pytest.fixture(scope="module")
-def exact_ps():
-    return exact_burgers_profile(Grid.make(20.0, 800))
+def exact_ps(exact_cfg):
+    return solve_profile(exact_cfg, Grid.make(20.0, 800))
 
 
 class TestForcing:
@@ -69,8 +69,8 @@ class TestSolveV:
         with pytest.raises(GridMismatch):
             solve_v_if(exact_ps, np.zeros(7))
 
-    def test_coarse_grid_warns(self, quad_flux, exact_freq):
-        ps = exact_burgers_profile(Grid.make(20.0, 200))
+    def test_coarse_grid_warns(self, quad_flux, exact_cfg, exact_freq):
+        ps = solve_profile(exact_cfg, Grid.make(20.0, 200))
         F = forcing(quad_flux, exact_freq, ps)
         with pytest.warns(QuadratureDegraded):
             solve_v_if(ps, F)
@@ -91,7 +91,7 @@ class TestSolveV:
         residuals = []
         for n in (400, 800):
             g = Grid.make(20.0, n)
-            ps = exact_burgers_profile(g)
+            ps = solve_profile(exact_cfg, g)
             F = forcing(quad_flux, exact_freq, ps)
             v = solve_v_if(ps, F, warn_estimate_tol=None)
             dv = (v[2:] - v[:-2]) / (2.0 * g.h)
@@ -139,8 +139,8 @@ class TestFoldedMarch:
         assert np.all(np.isfinite(v))
         assert np.max(np.abs(v - ref)) <= 1e-14 * np.max(np.abs(ref))
 
-    def test_exact_profile(self, quad_flux, exact_freq):
-        ps = exact_burgers_profile(Grid.make(20.0, 4000))
+    def test_exact_profile(self, quad_flux, exact_cfg, exact_freq):
+        ps = solve_profile(exact_cfg, Grid.make(20.0, 4000))
         self._assert_matches_loop(ps, forcing(quad_flux, exact_freq, ps))
 
     def test_sine_profile(self):
@@ -150,9 +150,9 @@ class TestFoldedMarch:
         self._assert_matches_loop(ps, forcing(f, neutral_zero(cfg, f, 1.0), ps))
 
     @pytest.mark.parametrize("L", [800.0, 2000.0])
-    def test_long_domain_stays_finite(self, quad_flux, exact_freq, L):
+    def test_long_domain_stays_finite(self, quad_flux, exact_cfg, exact_freq, L):
         # M = exp(-E) reaches exp(L) here, far beyond the largest double
-        ps = exact_burgers_profile(Grid.make(L, 40000))
+        ps = solve_profile(exact_cfg, Grid.make(L, 40000))
         assert np.max(np.abs(log_integrating_factor(ps))) > 709.0
         self._assert_matches_loop(ps, forcing(quad_flux, exact_freq, ps))
 

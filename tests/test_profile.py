@@ -1,11 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from shockbeta.auxiliary import AuxMethod
+from shockbeta.beta import compute_beta, solve_pair
 from shockbeta.errors import SolverError, TailNotResolved, ValidationError
-from shockbeta.model import burgers_flux, normalize_to_standing
+from shockbeta.model import (
+    burgers_flux,
+    custom_flux,
+    neutral_zero,
+    normalize_to_standing,
+    rankine_hugoniot_speed,
+)
 from shockbeta.numerics import IvpProblem, ivp_solve
-from shockbeta.profile import Grid, exact_burgers_profile, solve_profile
+from shockbeta.profile import Grid, _check_profile, solve_profile
 
 from conftest import exact_profile
 
@@ -34,9 +44,9 @@ class TestGrid:
 
 
 class TestExactProfile:
-    def test_values(self):
+    def test_values(self, exact_cfg):
         g = Grid.make(20.0, 4000)
-        ps = exact_burgers_profile(g)
+        ps = solve_profile(exact_cfg, g)
         i0 = g.origin_index
         assert ps.ubar[i0] == 0.0
         i2 = np.searchsorted(g.x, 2.0)
@@ -45,10 +55,62 @@ class TestExactProfile:
         assert np.max(np.abs(ps.ubar + ps.ubar[::-1])) <= 2e-15
         assert ps.exact
 
-    def test_derivative_consistent_with_equation(self):
+    def test_derivative_consistent_with_equation(self, exact_cfg):
         g = Grid.make(10.0, 500)
-        ps = exact_burgers_profile(g)
+        ps = solve_profile(exact_cfg, g, tail_tol=1e-3)  # tails 9.1e-5 at L = 10
         assert np.max(np.abs(ps.ubar_prime - 0.5 * (ps.ubar**2 - 1.0))) == 0.0
+
+    def test_standard_case_is_tanh_to_the_bit(self, exact_cfg, grid_L20):
+        ps = solve_profile(exact_cfg, grid_L20)
+        ubar = -np.tanh(grid_L20.x / 2.0)
+        assert np.array_equal(ps.ubar, ubar)
+        assert np.array_equal(ps.ubar_prime, 0.5 * (ubar**2 - 1.0))
+        assert ps.diagnostics["method"] == "tanh"
+
+    def test_custom_quadratic_matches_builtin(self, exact_cfg, grid_L20):
+        f = custom_flux([0.0, 0.0, 0.5], [0.0, 0.0, 1.0])
+        cfg = normalize_to_standing(f, 1.0, -1.0, 0.0)
+        assert cfg.f1_quadratic
+        custom = solve_profile(cfg, grid_L20)
+        builtin = solve_profile(exact_cfg, grid_L20)
+        assert np.array_equal(custom.ubar, builtin.ubar)
+        assert np.array_equal(custom.ubar_prime, builtin.ubar_prime)
+
+    def test_cubic_custom_takes_ivp_path(self):
+        # f1 = u^2/2 + u^3/10: rest points -1, 1 and -5, so u-+ = +-1 is admissible
+        f = custom_flux([0.0, 0.0, 0.5, 0.1], [0.0, 0.0, 1.0])
+        s = rankine_hugoniot_speed(f, 1.0, -1.0)
+        cfg = normalize_to_standing(f, 1.0, -1.0, s)
+        assert not cfg.f1_quadratic
+        ps = solve_profile(cfg, Grid.make(20.0, 2000))
+        assert ps.diagnostics["method"] == "ivp"
+        assert not ps.exact
+        _check_profile(ps, 1e-6)
+
+
+# (u-, u+, L, N): wide domains and strong shocks, each at the dimensionless
+# step a*delta*h = 0.01 of the standard case at L = 40, N = 4000
+WIDE_AND_STRONG = [
+    (1.0, -1.0, 40.0, 4000),
+    (1.0, -1.0, 200.0, 20000),
+    (1.0, -1.0, 800.0, 80000),
+    (3.0, -1.0, 20.0, 4000),
+    (10.0, -10.0, 20.0, 20000),
+]
+
+
+@pytest.mark.parametrize("um, up, L, N", WIDE_AND_STRONG)
+def test_wide_and_strong_shocks_succeed(quad_flux, um, up, L, N):
+    # beta = 10 for f2 = u^2, xi0 = 1 and any admissible end states
+    s = rankine_hugoniot_speed(quad_flux, um, up)
+    cfg = normalize_to_standing(quad_flux, um, up, s)
+    freq = neutral_zero(cfg, quad_flux, 1.0)
+    ps, aux = solve_pair(cfg, quad_flux, freq, AuxMethod.INTEGRATING_FACTOR,
+                         L, N, 1e-8, 1e-6, None)
+    assert np.all(np.diff(ps.ubar) <= 0.0)
+    eta = 0.25 * (um - up) * ps.grid.h  # a*delta*h with a = 1/2
+    beta = compute_beta(quad_flux, ps, aux).beta
+    assert abs(beta - 10.0) <= eta**3
 
 
 class TestSolveProfile:
@@ -72,10 +134,12 @@ class TestSolveProfile:
         with pytest.raises(TailNotResolved):
             solve_profile(exact_cfg, Grid.make(1.0, 100))
 
-    def test_non_monotone_profile_is_solver_error(self, exact_cfg):
-        # dense-output wiggles in the saturated tails of a wide domain
+    def test_non_monotone_profile_is_solver_error(self, profile_L20):
+        ubar = profile_L20.ubar.copy()
+        ubar[100] += 1e-9  # a wiggle in the saturated left tail
+        wiggly = dataclasses.replace(profile_L20, ubar=ubar)
         with pytest.raises(SolverError, match="not monotone"):
-            solve_profile(exact_cfg, Grid.make(40.0, 4000))
+            _check_profile(wiggly, 1e-6)
 
     def test_derivative_is_rhs_not_differences(self, exact_cfg, profile_L20):
         c0 = exact_cfg.f1_shifted(exact_cfg.u_minus)
@@ -107,11 +171,22 @@ class TestSolveProfile:
         assert np.max(np.abs(shifted - profile_L20.ubar[inner])) <= 1e-8
 
     def test_grid_refinement_reduces_error_at_integrator_order(self, exact_cfg):
-        # loose tolerances with max_step = h put the step size in control
+        # the profile equation as one folded outward sweep; loose tolerances
+        # with max_step = h put the step size in control
+        c0 = exact_cfg.f1_shifted(exact_cfg.u_minus)
+        outward = np.array([1.0, -1.0])
+
+        def rhs(t, y):
+            return outward * (exact_cfg.f1_shifted(y) - c0)
+
         errs = []
         for n in (250, 500):
             g = Grid.make(20.0, n)
-            ps = solve_profile(exact_cfg, g, rtol=1e-3, atol=1e-3, max_step=g.h)
-            errs.append(np.max(np.abs(ps.ubar - exact_profile(g.x))))
+            traj = ivp_solve(IvpProblem(rhs=rhs, t_span=(0.0, g.L),
+                                        y0=np.full(2, exact_cfg.u_mid),
+                                        rtol=1e-3, atol=1e-3, max_step=g.h))
+            folded = traj(np.abs(g.x))
+            ubar = np.where(g.x >= 0.0, folded[:, 0], folded[:, 1])
+            errs.append(np.max(np.abs(ubar - exact_profile(g.x))))
         # order p = 4 for the embedded pair: factor >= 2^4 less 20 percent
         assert errs[0] / errs[1] >= 2**4 * 0.8

@@ -18,7 +18,7 @@ from shockbeta.model import (
     rankine_hugoniot_speed,
     sine_transverse_flux,
 )
-from shockbeta.profile import Grid, exact_burgers_profile, solve_profile
+from shockbeta.profile import Grid, solve_profile
 
 COMMON = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -79,8 +79,8 @@ def test_neutral_zero_identity(um, up, choice, freq, xi):
 
 
 @pytest.fixture(scope="module")
-def linearity_profile():
-    return exact_burgers_profile(Grid.make(20.0, 512))
+def linearity_profile(exact_cfg):
+    return solve_profile(exact_cfg, Grid.make(20.0, 512))
 
 
 @COMMON
