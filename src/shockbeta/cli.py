@@ -135,14 +135,11 @@ def cmd_beta(rc: RunConfig) -> int:
     print(table)
     if not study.results:
         print("all table entries failed", file=sys.stderr)
-        for key, msg in study.failures.items():
-            print(f"  {key}: {msg}", file=sys.stderr)
-        return EXIT_SOLVER
     for (method, L), msg in sorted(
         study.failures.items(), key=lambda kv: (kv[0][0].value, kv[0][1])
     ):
         print(f"entry {method.value} L={L} failed: {msg}", file=sys.stderr)
-    return EXIT_OK
+    return EXIT_OK if study.results else EXIT_SOLVER
 
 
 def cmd_scan(rc: RunConfig) -> int:

@@ -3,21 +3,26 @@
 Writing y = w + i v, the correction equations split into
 
     w' = a1(ubar) w,
-    v' = a1(ubar) v + tau0 (ubar - u_minus) + xi0 (f2(ubar) - f2(u_minus)),
+    v' = a1(ubar) v + F,  F = tau0 (ubar - u_minus) + xi0 (f2(ubar) - f2(u_minus)),
 
-so with M(x) = exp(-int_0^x a1(ubar)) both reduce to perfect derivatives.
-The origin values w(0) = v(0) = 0 that define beta give w = 0, which is not
-computed (see :class:`AuxiliarySolution`), and v = M^-1 int_0^x M F.  Only
-cumulative quadrature of profile samples is needed; no differential equation
-is solved.
+so with the integrating factor M(x) = exp(-int_0^x a1(ubar)) both reduce to
+perfect derivatives.  The origin values w(0) = v(0) = 0 that define beta give
+w = 0, which is not computed (see :class:`AuxiliarySolution`), and
+v = M^-1 int_0^x M F.  The profile equation gives ubar'' = a1(ubar) ubar', so
+M = ubar'(0) / ubar'(x) exactly, for every flux, and
 
-Both halves are read outward from the anchor, folded side by side (row 0
-for x >= 0, row 1 for x <= 0), so each integral is one cumulative Simpson
-call on a two-row array.
+    v(x) = ubar'(x) int_0^x F / ubar'.
 
-Overflow guard: M grows like exp(|a1(u+-)| L), so the code keeps the log of M
-and marches v in blocks re-anchored at their first node, each block sized so
-that no exponential exceeds exp(_MAX_EXPONENT).
+That is one cumulative Simpson of R = F/ubar' over the whole grid, less its
+value at the origin, times ubar': no exponential is formed, nothing overflows
+on long domains, and v(0) = 0 exactly.
+
+Once the profile reaches an end state in floating point, ubar' = f1s(ubar) - c0
+is rounding residue and F/ubar' a ratio of residues (or 0/0), which would build
+up linearly along the tail.  R is taken as 0 wherever
+|ubar'| <= 8 eps (|f1s(ubar)| + |c0|); v there is ubar' times a bounded
+integral, itself at the rounding level.  Dividing by ubar' inherits the
+cancellation in f1s(ubar) - c0, which costs digits when |u+-| >> |u- - u+|.
 """
 
 from __future__ import annotations
@@ -32,6 +37,9 @@ from .model import FluxModel, NeutralFrequency
 from .numerics import cumquad_simpson
 from .profile import ProfileSolution
 
+# |ubar'| at or below this multiple of eps * (|f1s(ubar)| + |c0|) is rounding.
+_ROUNDING = 8.0 * np.finfo(float).eps
+
 
 def forcing(
     f: FluxModel, freq: NeutralFrequency, profile: ProfileSolution
@@ -43,53 +51,12 @@ def forcing(
     )
 
 
-# On the left half, read outward in s = -x, d/dx = -d/ds: integrands of x
-# change sign there.
-_OUTWARD = np.array([[1.0], [-1.0]])
-
-# Largest exponent one march block evaluates; exp overflows near 709.
-_MAX_EXPONENT = 64.0
-
-
-def _fold(a: np.ndarray, ic: int) -> np.ndarray:
-    """Samples read outward from node ``ic``: row 0 rightward, row 1 leftward."""
-    return np.stack([a[ic:], a[ic::-1]])
-
-
-def _unfold(y: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`_fold`."""
-    return np.concatenate([y[1, :0:-1], y[0]])
-
-
-def log_integrating_factor(profile: ProfileSolution) -> np.ndarray:
-    """Exponent E(x) = int_0^x a1(ubar(z)) dz by cumulative Simpson.
-
-    The integrating factor is M = exp(-E); the log form never overflows.
-    Requires an even interval count so the anchor x = 0 is a node.
-    """
-    grid = profile.grid
-    a = np.asarray(profile.config.a1_shifted(profile.ubar))
-    return _unfold(cumquad_simpson(_OUTWARD * _fold(a, grid.origin_index), grid.h))
-
-
-def _weighted_march(E: np.ndarray, F: np.ndarray, h: float) -> np.ndarray:
-    """v = exp(E) * int_0 exp(-E) F along the last axis, from the first node.
-
-    Cumulative Simpson of the weighted integrand, taken in blocks of an even
-    interval count, each re-anchored at its first node (e = E - E_s), so that
-    no block exponentiates more than ``_MAX_EXPONENT``.
-    """
-    n = E.shape[-1]
-    width = np.max(np.abs(np.diff(E, axis=-1)))  # largest exponent step
-    m = 2 * max(1, int(_MAX_EXPONENT / (2.0 * width))) if width > 0.0 else n
-    v = np.zeros_like(F)
-    for s in range(0, n - 1, m):
-        block = slice(s, s + m + 1)
-        e = E[..., block] - E[..., s, None]
-        v[..., block] = np.exp(e) * (
-            v[..., s, None] + cumquad_simpson(np.exp(-e) * F[..., block], h)
-        )
-    return v
+def _anchored(R: np.ndarray, up: np.ndarray, h: float, ic: int) -> np.ndarray:
+    """up * int_{x_ic}^x R at every node, by cumulative Simpson."""
+    C = cumquad_simpson(R, h)
+    C -= C[ic]
+    C *= up
+    return C
 
 
 def solve_v_if(
@@ -97,7 +64,7 @@ def solve_v_if(
     forcing_samples: np.ndarray,
     warn_estimate_tol: float | None = 1e-6,
 ) -> np.ndarray:
-    """v(x) = M(x)^-1 int_0^x M F, inner integral by cumulative Simpson.
+    """v(x) = ubar'(x) int_0^x F / ubar', the integral by cumulative Simpson.
 
     Emits a :class:`QuadratureDegraded` warning when a coarsened re-evaluation
     suggests the grid underresolves the integrals.
@@ -105,15 +72,17 @@ def solve_v_if(
     F = np.asarray(forcing_samples)
     if F.shape != profile.ubar.shape:
         raise GridMismatch("forcing samples do not match the profile grid")
-    grid = profile.grid
+    cfg, grid = profile.config, profile.grid
+    up = profile.ubar_prime
+    c0 = cfg.f1_shifted(cfg.u_minus)
+    resolved = np.abs(up) > _ROUNDING * (np.abs(up + c0) + abs(c0))
+    R = np.divide(F, up, out=np.zeros_like(up), where=resolved)
     ic = grid.origin_index
-    E = _fold(log_integrating_factor(profile), ic)
-    F = _OUTWARD * _fold(F, ic)
-    v = _weighted_march(E, F, grid.h)
+    v = _anchored(R, up, grid.h, ic)
 
     if warn_estimate_tol is not None and grid.N % 4 == 0:
-        vc = _weighted_march(E[:, ::2], F[:, ::2], 2 * grid.h)
-        est = np.max(np.abs(v[:, ::2] - vc)) / 15.0
+        vc = _anchored(R[::2], up[::2], 2 * grid.h, ic // 2)
+        est = np.max(np.abs(v[::2] - vc)) / 15.0
         if est > warn_estimate_tol:
             warnings.warn(
                 f"cumulative Simpson refinement estimate {est:.3e} exceeds "
@@ -121,7 +90,7 @@ def solve_v_if(
                 QuadratureDegraded,
                 stacklevel=2,
             )
-    return _unfold(v)
+    return v
 
 
 def solve_auxiliary_if(

@@ -31,6 +31,7 @@ from .errors import (
 _JUMP_TOL = 1e-12       # identities that are exact in exact arithmetic
 _NEUTRAL_TOL = 1e-14
 _SCAN_SAMPLES = 10_000  # interior-equilibrium sign scan density
+_ROUNDING = 8 * np.finfo(float).eps
 
 
 class FluxKind(str, enum.Enum):
@@ -194,7 +195,8 @@ def normalize_to_standing(
 
     Checks the jump condition, both admissibility inequalities of the
     shifted flux, and the absence of rest points strictly between the end
-    states (scanned on a fine uniform grid).
+    states (scanned on a fine uniform grid plus the interior critical points
+    of f1 - s*u; a value at the rounding level counts as a rest point).
     """
     if abs(u_plus - u_minus) < _JUMP_TOL:
         raise DegenerateShock("end states coincide")
@@ -224,25 +226,34 @@ def normalize_to_standing(
                 f"{name} is not finite on the state interval [{lo}, {hi}]"
             )
 
-    interior = np.linspace(u_minus, u_plus, _SCAN_SAMPLES + 2)[1:-1]
-    g = np.asarray(f1_shifted(interior)) - f1_shifted(u_minus)
-    expected = np.sign(u_plus - u_minus)
-    if np.any(expected * g <= 0.0):
+    # every built-in flux has f1 = u^2/2; a custom f1 is a polynomial
+    p1 = np.polynomial.Polynomial(
+        f.params["f1_coeffs"] if f.kind is FluxKind.CUSTOM else (0.0, 0.0, 0.5)
+    )
+    # A uniform scan misses a tangent rest point between samples; every
+    # interior extremum of f1 - s*u is one more sample.
+    crit = (p1.deriv() - s).roots().real
+    samples = np.concatenate([
+        np.linspace(u_minus, u_plus, _SCAN_SAMPLES + 2)[1:-1],
+        crit[(crit - u_minus) * (crit - u_plus) < 0.0],
+    ])
+    c0 = f1_shifted(u_minus)
+    g = np.asarray(f1_shifted(samples)) - c0
+    # rounding level of g: eps times the magnitudes its evaluation sums
+    size = np.polynomial.Polynomial(np.abs(p1.coef))(np.abs(samples))
+    rounding = _ROUNDING * (size + abs(s * samples) + abs(c0))
+    if np.any(np.sign(u_plus - u_minus) * g <= rounding):
         raise InteriorEquilibrium(
             "shifted flux has a rest point strictly between the end states"
         )
 
-    # every built-in flux has f1 = u^2/2; a custom f1 is a polynomial
-    quadratic = f.kind is not FluxKind.CUSTOM or (
-        np.polynomial.Polynomial(f.params["f1_coeffs"]).trim().degree() == 2
-    )
     return ShockConfig(
         u_minus=float(u_minus),
         u_plus=float(u_plus),
         s=float(s),
         f1_shifted=f1_shifted,
         a1_shifted=a1_shifted,
-        f1_quadratic=quadratic,
+        f1_quadratic=p1.trim().degree() == 2,
     )
 
 

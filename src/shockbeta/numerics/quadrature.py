@@ -30,17 +30,28 @@ def quad_simpson(samples, h: float):
 def cumquad_simpson(samples, h: float):
     """Running integral from the first sample at every node, along the last axis.
 
-    Even prefixes (an even number of intervals) are composite Simpson; odd
-    prefixes take the Simpson value one node back plus a single trapezoid
-    interval.  Entry 0 is 0.
+    Even prefixes (an even number of intervals) are composite Simpson.  An odd
+    prefix adds its last interval to the Simpson value one node back, by the
+    three-point rule h/12 (5, 8, -1) through the next node, or h/12 (-1, 8, 5)
+    through the two previous nodes at the last node.  Both are exact on
+    quadratics, so every node is fourth order.  A single interval is a
+    trapezoid.  Entry 0 is 0.
     """
     y = np.asarray(samples)
-    if y.ndim < 1 or y.shape[-1] < 2:
+    n = y.shape[-1] if y.ndim >= 1 else 0
+    if n < 2:
         raise BadSampleCount("cumulative Simpson needs >= 2 samples along the last axis")
     out = np.zeros(y.shape, dtype=np.result_type(y.dtype, float))
+    if n == 2:
+        out[..., 1] = (h / 2.0) * (y[..., 0] + y[..., 1])
+        return out
     # Simpson value at even nodes, accumulated pair by pair.
-    pair = (h / 3.0) * (y[..., 0:-2:2] + 4.0 * y[..., 1:-1:2] + y[..., 2::2])
-    out[..., 2::2] = np.cumsum(pair, axis=-1)
-    # Odd nodes: even-prefix value plus one trapezoid interval.
-    out[..., 1::2] = out[..., 0:-1:2] + (h / 2.0) * (y[..., 0:-1:2] + y[..., 1::2])
+    a, b, c = y[..., 0:-2:2], y[..., 1:-1:2], y[..., 2::2]
+    out[..., 2::2] = np.cumsum((h / 3.0) * (a + 4.0 * b + c), axis=-1)
+    # Odd nodes with a right neighbour: first interval of each pair.
+    out[..., 1:-1:2] = out[..., 0:-2:2] + (h / 12.0) * (5.0 * a + 8.0 * b - c)
+    if n % 2 == 0:
+        out[..., -1] = out[..., -2] + (h / 12.0) * (
+            8.0 * y[..., -2] + 5.0 * y[..., -1] - y[..., -3]
+        )
     return out

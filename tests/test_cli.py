@@ -76,6 +76,18 @@ class TestProfileCommand:
         assert "not monotone" in capsys.readouterr().err
         assert not (out / "profile.csv").exists()
 
+    @pytest.mark.parametrize("command", ["profile", "aux", "beta"])
+    def test_tangent_rest_point_exits_2(self, command, tmp_path, capsys):
+        # f1 = (u^2 - 1)(u - 1/3)^2: a double root inside (-1, 1); a value
+        # starting with '-' has to be passed as --key=value
+        code = run([command, "--flux", "custom",
+                    "--f1-coeffs=-0.1111111111111111,0.6666666666666666,"
+                    "-0.8888888888888888,-0.6666666666666666,1",
+                    "--f2-coeffs", "0,0,1", "--u-minus", "1", "--u-plus", "-1",
+                    "--xi0", "1", "--out-dir", tmp_path / "o"])
+        assert code == 2
+        assert "rest point" in capsys.readouterr().err
+
     @pytest.mark.parametrize("L, N", [("40", "8000"), ("200", "40000")])
     def test_wide_domain_profile_is_monotone(self, L, N, tmp_path):
         out = tmp_path / "o"
@@ -220,6 +232,17 @@ class TestBetaCommand:
         ]
         assert len(rows) == 2
         assert rows[1].startswith("if,")
+
+    def test_all_entries_failed_names_each_entry(self, tmp_path, capsys):
+        code = run(["beta", "--config", EXACT_CASE_CFG, "--L", "1",
+                    "--out-dir", tmp_path / "o"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "all table entries failed" in err
+        assert "entry coupled L=1.0 failed: " in err
+        assert "entry if L=1.0 failed: " in err
+        assert err.index("entry coupled") < err.index("entry if")
+        assert "AuxMethod" not in err
 
     def test_tau0_is_not_a_config_key(self, exact_config, tmp_path, capsys):
         # tau0 is always derived from xi0 as the neutral zero

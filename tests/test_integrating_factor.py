@@ -2,13 +2,9 @@ import numpy as np
 import pytest
 
 from shockbeta.auxiliary import AuxMethod
+from shockbeta.beta import compute_beta
 from shockbeta.errors import GridMismatch, QuadratureDegraded, TailNotResolved
-from shockbeta.integrating_factor import (
-    forcing,
-    log_integrating_factor,
-    solve_auxiliary_if,
-    solve_v_if,
-)
+from shockbeta.integrating_factor import forcing, solve_auxiliary_if, solve_v_if
 from shockbeta.model import (
     NeutralFrequency,
     burgers_flux,
@@ -24,6 +20,14 @@ from conftest import exact_v
 @pytest.fixture(scope="module")
 def exact_ps(exact_cfg):
     return solve_profile(exact_cfg, Grid.make(20.0, 800))
+
+
+@pytest.fixture(scope="module")
+def sine_case():
+    """Sine transverse flux, u- = 1.2, u+ = -1, xi0 = 1 (one sine_scan point)."""
+    f = sine_transverse_flux()
+    cfg = normalize_to_standing(burgers_flux(), 1.2, -1.0, 0.1)
+    return f, cfg, neutral_zero(cfg, f, 1.0)
 
 
 class TestForcing:
@@ -44,17 +48,6 @@ class TestForcing:
         assert np.array_equal(F, np.zeros_like(F))
 
 
-class TestIntegratingFactor:
-    def test_exact_profile_gives_cosh_squared(self, exact_ps):
-        M = np.exp(-log_integrating_factor(exact_ps))
-        expected = np.cosh(exact_ps.grid.x / 2.0) ** 2
-        assert np.max(np.abs(M / expected - 1.0)) < 1e-5
-
-    def test_unit_value_at_origin(self, exact_ps):
-        E = log_integrating_factor(exact_ps)
-        assert np.exp(-E[exact_ps.grid.origin_index]) == 1.0
-
-
 class TestSolveV:
     def test_exact_solution(self, quad_flux, exact_freq, exact_ps):
         F = forcing(quad_flux, exact_freq, exact_ps)
@@ -69,11 +62,12 @@ class TestSolveV:
         with pytest.raises(GridMismatch):
             solve_v_if(exact_ps, np.zeros(7))
 
-    def test_coarse_grid_warns(self, quad_flux, exact_cfg, exact_freq):
-        ps = solve_profile(exact_cfg, Grid.make(20.0, 200))
-        F = forcing(quad_flux, exact_freq, ps)
+    def test_coarse_grid_warns(self, sine_case):
+        # the exact case never warns: F/ubar' = 2 there, so the estimate is 0
+        f, cfg, freq = sine_case
+        ps = solve_profile(cfg, Grid.make(20.0, 400))
         with pytest.warns(QuadratureDegraded):
-            solve_v_if(ps, F)
+            solve_v_if(ps, forcing(f, freq, ps))
 
     def test_linearity_doubling_forcing_doubles_v(self, quad_flux, exact_ps):
         # doubling xi0 doubles the forcing and hence v, bit for bit
@@ -102,63 +96,38 @@ class TestSolveV:
         assert residuals[1] < 1e-3
 
 
-def _loop_march(E, F, h):
-    """Node-by-node march of v_j = exp(E_j) int_0^{x_j} exp(-E) F: cumulative
-    Simpson (a trapezoid on odd prefixes) with one- and two-interval ratios."""
-    n = E.size
-    v = np.zeros(n)
-    e1 = np.exp(E[1:] - E[:-1])
-    for j in range(1, n):
-        r1 = e1[j - 1]
-        if j % 2 == 1:
-            v[j] = r1 * v[j - 1] + (h / 2.0) * (r1 * F[j - 1] + F[j])
-        else:
-            r2 = r1 * e1[j - 2]
-            v[j] = r2 * v[j - 2] + (h / 3.0) * (
-                r2 * F[j - 2] + 4.0 * r1 * F[j - 1] + F[j]
-            )
-    return v
-
-
-def _loop_v(ps, F):
-    """Reference v: the loop run from the anchor over each half separately."""
-    E = log_integrating_factor(ps)
-    ic, h = ps.grid.origin_index, ps.grid.h
-    v = np.empty_like(F)
-    v[ic:] = _loop_march(E[ic:], F[ic:], h)
-    v[: ic + 1] = _loop_march(E[ic::-1], F[ic::-1], -h)[::-1]
-    return v
-
-
-class TestFoldedMarch:
-    """The folded, block re-anchored march against the node-by-node loop."""
-
-    def _assert_matches_loop(self, ps, F):
-        v = solve_v_if(ps, F, warn_estimate_tol=None)
-        ref = _loop_v(ps, F)
-        assert np.all(np.isfinite(v))
-        assert np.max(np.abs(v - ref)) <= 1e-14 * np.max(np.abs(ref))
-
-    def test_exact_profile(self, quad_flux, exact_cfg, exact_freq):
-        ps = solve_profile(exact_cfg, Grid.make(20.0, 4000))
-        self._assert_matches_loop(ps, forcing(quad_flux, exact_freq, ps))
-
-    def test_sine_profile(self):
-        f = sine_transverse_flux()
-        cfg = normalize_to_standing(burgers_flux(), 1.1, -1.0, 0.05)
-        ps = solve_profile(cfg, Grid.make(20.0, 4000))
-        self._assert_matches_loop(ps, forcing(f, neutral_zero(cfg, f, 1.0), ps))
+class TestAccuracy:
+    @pytest.mark.parametrize("N", [200, 800, 4000])
+    def test_exact_v_at_rounding_level(self, quad_flux, exact_cfg, exact_freq, N):
+        # F/ubar' = 2, so the quadrature is exact and only rounding remains
+        ps = solve_profile(exact_cfg, Grid.make(20.0, N))
+        v = solve_v_if(ps, forcing(quad_flux, exact_freq, ps))
+        assert np.max(np.abs(v - exact_v(ps.grid.x))) <= 1e-13
 
     @pytest.mark.parametrize("L", [800.0, 2000.0])
-    def test_long_domain_stays_finite(self, quad_flux, exact_cfg, exact_freq, L):
-        # M = exp(-E) reaches exp(L) here, far beyond the largest double
+    def test_long_domain_beta(self, quad_flux, exact_cfg, exact_freq, L):
+        # exp(int a1) would reach exp(L) here, far beyond the largest double
         ps = solve_profile(exact_cfg, Grid.make(L, 40000))
-        assert np.max(np.abs(log_integrating_factor(ps))) > 709.0
-        self._assert_matches_loop(ps, forcing(quad_flux, exact_freq, ps))
+        aux = solve_auxiliary_if(quad_flux, exact_freq, ps)
+        assert np.all(np.isfinite(aux.v))
+        beta = compute_beta(quad_flux, ps, aux).beta
+        assert abs(beta - 10.0) <= 1e-12
+
+    @pytest.mark.filterwarnings("ignore::shockbeta.errors.QuadratureDegraded")
+    def test_beta_fourth_order(self, sine_case):
+        f, cfg, freq = sine_case
+        betas = []
+        for n in (1000, 2000, 4000):
+            ps = solve_profile(cfg, Grid.make(20.0, n))
+            betas.append(compute_beta(f, ps, solve_auxiliary_if(f, freq, ps)).beta.real)
+        ratio = (betas[0] - betas[1]) / (betas[1] - betas[2])
+        assert ratio >= 2.0**3.7
 
 
 class TestAssembled:
-    def test_two_norm_error_and_refinement(self, quad_flux, exact_cfg, exact_freq):
+    @pytest.mark.filterwarnings("ignore::shockbeta.errors.QuadratureDegraded")
+    def test_two_norm_error_and_refinement(self, quad_flux, exact_cfg, exact_freq,
+                                           sine_case):
         errs = {}
         for n in (512, 1024):
             g = Grid.make(20.0, n)
@@ -167,7 +136,17 @@ class TestAssembled:
             errs[n] = np.sqrt(np.sum((aux.v - exact_v(g.x)) ** 2))
         assert errs[512] <= 5e-4
         assert errs[1024] <= 1e-5
-        assert errs[1024] < errs[512]
+        # the exact case sits at rounding level; refinement shows on the sine
+        # case, against v at 4096 intervals on the shared nodes
+        f, cfg, freq = sine_case
+        vs = {}
+        for n in (512, 1024, 4096):
+            ps = solve_profile(cfg, Grid.make(20.0, n))
+            vs[n] = solve_auxiliary_if(f, freq, ps).v
+        sine_errs = {
+            n: np.sqrt(np.sum((vs[n] - vs[4096][:: 4096 // n]) ** 2)) for n in (512, 1024)
+        }
+        assert sine_errs[1024] < sine_errs[512]
 
     def test_method_tag_and_origin(self, quad_flux, exact_cfg, exact_freq):
         ps = solve_profile(exact_cfg, Grid.make(20.0, 512))

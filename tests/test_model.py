@@ -73,6 +73,10 @@ class TestShockSpeed:
             rankine_hugoniot_speed(burgers_flux(), 1.0, 1.0)
 
 
+# (u^2 - 1)(u - 1/3)^2, ascending coefficients
+TANGENT_F1 = [-1.0 / 9.0, 2.0 / 3.0, -8.0 / 9.0, -2.0 / 3.0, 1.0]
+
+
 class TestNormalizeToStanding:
     def test_zero_speed_shift_is_identity(self):
         f = burgers_flux()
@@ -103,6 +107,13 @@ class TestNormalizeToStanding:
     def test_interior_equilibrium_detected(self):
         # f1 = u^4/4 - 0.3 u^2 has rest points at u = +-sqrt(0.2) inside (-1, 1)
         f = custom_flux([0.0, 0.0, -0.3, 0.0, 0.25], [0.0, 1.0])
+        with pytest.raises(InteriorEquilibrium):
+            normalize_to_standing(f, 1.0, -1.0, 0.0)
+
+    def test_tangent_interior_equilibrium_detected(self):
+        # f1 = (u^2 - 1)(u - 1/3)^2 touches zero at u = 1/3 without changing
+        # sign; the double root lies between the uniform scan samples
+        f = custom_flux(TANGENT_F1, [0.0, 0.0, 1.0])
         with pytest.raises(InteriorEquilibrium):
             normalize_to_standing(f, 1.0, -1.0, 0.0)
 
