@@ -57,6 +57,26 @@ def _add_common_options(p: argparse.ArgumentParser) -> None:
         p.add_argument("--" + key.replace("_", "-"), dest=key, help=_HELP.get(key))
 
 
+def _join_config_flags(argv: list[str]) -> list[str]:
+    """Join each ``--<config key>`` flag with the token after it.
+
+    argparse reads any token that starts with ``-`` and is not a plain
+    decimal as an option, so ``--u-plus -1e0`` or ``--f1-coeffs -0.1,0,0.5``
+    would lose their value.  Joined as ``--u-plus=-1e0``, every config flag
+    takes the next token as its value.
+    """
+    flags = {"--" + key.replace("_", "-") for key in _PARSERS}
+    out = []
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok in flags:
+            value = next(tokens, None)
+            if value is not None:
+                tok = f"{tok}={value}"
+        out.append(tok)
+    return out
+
+
 def _load_config(args: argparse.Namespace) -> RunConfig:
     rc = parse_config_file(args.config) if args.config else RunConfig()
     rc = apply_overrides(rc, {key: getattr(args, key) for key in _PARSERS})
@@ -270,7 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parser.parse_args(_join_config_flags(argv))
     try:
         rc = _load_config(args)
         return args.func(rc)

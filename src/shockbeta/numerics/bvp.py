@@ -6,6 +6,18 @@ interval midpoint (fourth order at the nodes).  The nonlinear collocation
 equations are solved by a damped Newton iteration with finite-difference
 Jacobians; intervals whose scaled residual exceeds the tolerance are split
 and the solve is repeated warm-started from the interpolant.
+
+The Newton matrix is block lower-bidiagonal: interval i couples only y_i and
+y_{i+1}, and the m boundary rows couple y_0 with y_{n-1}.  It is solved by
+block condensation (Ascher, Mattheij & Russell, *Numerical Solution of
+Boundary Value Problems for ODEs*, ch. 7), in numpy alone: every interval
+block is solved for the affine map y_{i+1} = M_i y_i + c_i, a prefix scan
+composes the maps into y_k = Phi_k y_0 + c_k, and one m x m system imposes
+the boundary conditions.  Marching from x = 0 is stable when the linearized
+flow contracts towards x = 1, as the folded shock system does on both halves
+(a Lax shock has a1(u+) < 0 < a1(u-)).  A problem whose propagator norm
+max_k |Phi_k| exceeds 1/sqrt(eps), such as a dichotomic one with a growing
+mode, is refused with :class:`SingularJacobian`.
 """
 
 from __future__ import annotations
@@ -14,8 +26,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
 
 from ..errors import (
     BadProblem,
@@ -25,6 +35,9 @@ from ..errors import (
 )
 
 _SQRT_EPS = np.sqrt(np.finfo(float).eps)
+# Largest propagator norm the forward march accepts: beyond it the march
+# would amplify rounding by more than half of the working digits.
+_MAX_PROPAGATOR_NORM = 1.0 / _SQRT_EPS
 # Interior abscissae of the 5-point Lobatto rule (residual sampling points
 # between the collocation points) and their quadrature weight.
 _RES_THETA = (0.5 - np.sqrt(21.0) / 14.0, 0.5 + np.sqrt(21.0) / 14.0)
@@ -177,8 +190,13 @@ def _fd_bc_jacobian(bc, ya, yb):
 
 
 def _assemble_jacobian(rhs, bc, x, Y, f, f_mid, y_mid, x_mid):
-    """Sparse Newton matrix of the collocation system (node-major ordering)."""
-    m, n = Y.shape
+    """Blocks of the Newton matrix of the collocation system.
+
+    Returns ``(A, B, dga, dgb)``: A and B of shape (n-1, m, m) are the
+    derivatives of interval i's residual with respect to y_i and y_{i+1};
+    dga and dgb those of the boundary residuals with respect to y_0, y_{n-1}.
+    """
+    m = Y.shape[0]
     h = np.diff(x)
 
     Jn = _fd_jacobian(rhs, x, Y)
@@ -199,21 +217,65 @@ def _assemble_jacobian(rhs, bc, x, Y, f, f_mid, y_mid, x_mid):
         - Jn_hi / 6.0
         - (2.0 / 3.0) * (Jm @ (0.5 * eye - (hcol / 8.0) * Jn_hi))
     )
+    return A, B, dga, dgb
 
-    blk_row = np.arange(m)[:, None].repeat(m, axis=1)
-    blk_col = np.arange(m)[None, :].repeat(m, axis=0)
-    ivals = np.arange(n - 1)[:, None, None]
-    rows_A = (ivals * m + blk_row).ravel()
-    cols_A = (ivals * m + blk_col).ravel()
-    cols_B = ((ivals + 1) * m + blk_col).ravel()
-    rows_bc = ((n - 1) * m + blk_row).ravel()
-    cols_bc_a = blk_col.ravel()
-    cols_bc_b = ((n - 1) * m + blk_col).ravel()
 
-    rows = np.concatenate([rows_A, rows_A, rows_bc, rows_bc])
-    cols = np.concatenate([cols_A, cols_B, cols_bc_a, cols_bc_b])
-    data = np.concatenate([A.ravel(), B.ravel(), dga.ravel(), dgb.ravel()])
-    return csc_matrix((data, (rows, cols)), shape=(m * n, m * n))
+def _block_solve(jac, R):
+    """Newton step dY, of shape (m, n), solving ``J dY = -R`` by condensation.
+
+    ``jac`` holds the blocks of :func:`_assemble_jacobian`; ``R`` is the
+    residual of :func:`_full_residual` (interval residuals node-major, then
+    the m boundary residuals).  Three steps:
+
+    1. one batched solve of B_i [M_i | c_i] = [-A_i | -phi_i] gives the
+       affine maps dy_{i+1} = M_i dy_i + c_i;
+    2. a ceil(log2 n)-level prefix scan of the augmented (m+1) x (m+1) maps
+       gives [dy_k; 1] = P_k [dy_0; 1], with P_k = [[Phi_k, c_k], [0, 1]];
+    3. one m x m solve of (dga + dgb Phi_{n-1}) dy_0 = -g - dgb c_{n-1}
+       imposes the boundary conditions, and one batched product gives every
+       dy_k.
+
+    This is the whole factor-and-solve of one Newton iteration.  It is bound
+    to the module name ``splu``, which ``perfbench/tracing.py`` wraps, so the
+    traced ``bvp.splu_s`` is the time of this linear algebra and
+    ``bvp.splu_calls`` counts Newton linear solves.
+
+    Raises :class:`SingularJacobian` if a block or the boundary system is
+    singular, or if max_k |Phi_k| (infinity norm) exceeds 1/sqrt(eps): the
+    forward march is then unstable.
+    """
+    A, B, dga, dgb = jac
+    nint, m, _ = A.shape
+    AR = np.concatenate([-A, -R[:-m].reshape(nint, m, 1)], axis=2)
+    P = np.zeros((nint + 1, m + 1, m + 1))
+    P[0] = np.eye(m + 1)
+    try:
+        P[1:, :m] = np.linalg.solve(B, AR)
+    except np.linalg.LinAlgError as exc:
+        raise SingularJacobian(f"collocation block: {exc}") from exc
+    P[1:, m, m] = 1.0
+    # Hillis-Steele scan: after the level of width d, P[k] is the product
+    # of the (up to) 2d maps ending at interval k-1; P[0] = I is neutral.
+    d = 1
+    while d <= nint:
+        P[d:] = P[d:] @ P[:-d]
+        d *= 2
+    norm = float(np.max(np.sum(np.abs(P[:, :m, :m]), axis=2)))
+    if norm > _MAX_PROPAGATOR_NORM:
+        raise SingularJacobian(
+            f"propagator norm {norm:.3e} exceeds {_MAX_PROPAGATOR_NORM:.3e}: "
+            "the linearized problem does not contract away from x = 0"
+        )
+    phi, c = P[-1, :m, :m], P[-1, :m, m]
+    try:
+        dy0 = np.linalg.solve(dga + dgb @ phi, -R[-m:] - dgb @ c)
+    except np.linalg.LinAlgError as exc:
+        raise SingularJacobian(f"boundary system: {exc}") from exc
+    return (P[:, :m] @ np.append(dy0, 1.0)).T
+
+
+# perfbench/tracing.py wraps the Newton linear solve under this name.
+splu = _block_solve
 
 
 def _full_residual(rhs, bc, x, Y):
@@ -228,7 +290,6 @@ def _newton(rhs, bc, x, Y, max_newton, max_backtracks):
     R, f, f_mid, y_mid, x_mid = _full_residual(rhs, bc, x, Y)
     if not np.all(np.isfinite(R)):
         raise NewtonDivergence("residual is not finite at the initial guess")
-    m, n = Y.shape
     iters = 0
     for _ in range(max_newton):
         # residual densities have the units of the rhs
@@ -236,15 +297,10 @@ def _newton(rhs, bc, x, Y, max_newton, max_backtracks):
         norm = np.max(np.abs(R))
         if norm <= 1e-11 * scale:
             return Y, f, iters
-        J = _assemble_jacobian(rhs, bc, x, Y, f, f_mid, y_mid, x_mid)
-        try:
-            lu = splu(J)
-        except RuntimeError as exc:
-            raise SingularJacobian(str(exc)) from exc
-        step = lu.solve(-R)
-        if not np.all(np.isfinite(step)):
+        jac = _assemble_jacobian(rhs, bc, x, Y, f, f_mid, y_mid, x_mid)
+        dY = splu(jac, R)
+        if not np.all(np.isfinite(dY)):
             raise SingularJacobian("Newton linear solve produced non-finite step")
-        dY = step.reshape(n, m).T
 
         lam = 1.0
         for _ in range(max_backtracks + 1):
@@ -296,6 +352,25 @@ def _estimate_residuals(rhs, x, Y, f):
     return np.sqrt(est_sq)
 
 
+def _refine_mesh(x, est, tol):
+    """Split every interval whose residual estimate exceeds ``tol``.
+
+    Intervals above 100 tol get two nodes at their thirds, the others above
+    tol one node at their midpoint.
+    """
+    h = np.diff(x)
+    thirds = np.flatnonzero(est > 100.0 * tol)
+    halves = np.flatnonzero((est > tol) & ~(est > 100.0 * tol))
+    new = np.concatenate([
+        x[thirds] + (1 / 3) * h[thirds],
+        x[thirds] + (2 / 3) * h[thirds],
+        0.5 * (x[halves] + x[halves + 1]),
+    ])
+    at = np.concatenate([thirds, thirds, halves]) + 1
+    # np.insert places equal positions in the given order (a stable sort)
+    return np.insert(x, at, new)
+
+
 def bvp_solve(
     problem: BvpProblem,
     max_nodes: int = 20000,
@@ -306,7 +381,8 @@ def bvp_solve(
     """Solve a :class:`BvpProblem` to its residual tolerance.
 
     Raises :class:`NewtonDivergence` for an unusable initial guess,
-    :class:`SingularJacobian` if the linearization degenerates, and
+    :class:`SingularJacobian` if the linearization degenerates or its
+    propagator from x = 0 grows past 1/sqrt(eps), and
     :class:`MeshLimitExceeded` if refinement runs out of its node budget.
     """
     rhs, bc = problem.rhs, problem.bc
@@ -331,23 +407,12 @@ def bvp_solve(
                 mesh_iterations=sweep,
                 newton_per_sweep=per_sweep,
             )
-        interp = HermiteInterpolant(x, Y, f)
-        pieces = [np.array([x[0]])]
-        for i in range(x.size - 1):
-            if est[i] > 100.0 * problem.tol:
-                extra = x[i] + np.array([1 / 3, 2 / 3]) * (x[i + 1] - x[i])
-            elif est[i] > problem.tol:
-                extra = np.array([0.5 * (x[i] + x[i + 1])])
-            else:
-                extra = np.empty(0)
-            pieces.append(extra)
-            pieces.append(np.array([x[i + 1]]))
-        x_new = np.concatenate(pieces)
+        x_new = _refine_mesh(x, est, problem.tol)
         if x_new.size > max_nodes:
             raise MeshLimitExceeded(
                 f"refinement needs {x_new.size} nodes (budget {max_nodes})"
             )
-        Y = interp(x_new)
+        Y = HermiteInterpolant(x, Y, f)(x_new)
         x = x_new
 
     raise MeshLimitExceeded(

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,9 @@ from shockbeta.cli import build_parser, main
 from shockbeta.config import _PARSERS
 from shockbeta.serialize import read_profile_csv
 
-EXACT_CASE_CFG = Path(__file__).resolve().parent.parent / "configs" / "exact_case.cfg"
+ROOT = Path(__file__).resolve().parent.parent
+EXACT_CASE_CFG = ROOT / "configs" / "exact_case.cfg"
+SINE_SCAN_CFG = ROOT / "configs" / "sine_scan.cfg"
 
 
 @pytest.fixture()
@@ -78,8 +83,7 @@ class TestProfileCommand:
 
     @pytest.mark.parametrize("command", ["profile", "aux", "beta"])
     def test_tangent_rest_point_exits_2(self, command, tmp_path, capsys):
-        # f1 = (u^2 - 1)(u - 1/3)^2: a double root inside (-1, 1); a value
-        # starting with '-' has to be passed as --key=value
+        # f1 = (u^2 - 1)(u - 1/3)^2: a double root inside (-1, 1)
         code = run([command, "--flux", "custom",
                     "--f1-coeffs=-0.1111111111111111,0.6666666666666666,"
                     "-0.8888888888888888,-0.6666666666666666,1",
@@ -183,6 +187,22 @@ class TestConfigValues:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ")
         assert "Traceback" not in err
+
+    def test_negative_value_as_its_own_argument(self, tmp_path):
+        # argparse alone reads '-0.1,0,0.5' and '-1e0' as options
+        common = ["aux", "--flux", "custom", "--f2-coeffs", "0,0,1",
+                  "--u-minus", "1", "--xi0", "1", "--L", "20", "--N", "400",
+                  "--method", "if"]
+        split, joined = tmp_path / "split", tmp_path / "joined"
+        assert run(common + ["--f1-coeffs", "-0.1,0,0.5", "--u-plus", "-1e0",
+                             "--out-dir", split]) == 0
+        assert run(common + ["--f1-coeffs=-0.1,0,0.5", "--u-plus=-1e0",
+                             "--out-dir", joined]) == 0
+        names = sorted(p.name for p in split.iterdir())
+        assert names == ["aux_if.csv", "profile_if.csv"]
+        assert names == sorted(p.name for p in joined.iterdir())
+        for name in names:
+            assert (split / name).read_bytes() == (joined / name).read_bytes()
 
     def test_every_config_key_is_a_flag_on_every_command(self):
         parser = build_parser()
@@ -336,3 +356,37 @@ class TestOverridePrecedence:
                     "--out-dir", out]) == 0
         text = (out / "profile.csv").read_text()
         assert "# N = 500" in text
+
+
+_NO_SCIPY_RUN = """
+import json, sys
+sys.modules["scipy"] = None  # every scipy import now raises ImportError
+from shockbeta.cli import main
+exact, sine, out = sys.argv[1:]
+codes = [
+    main(["beta", "--config", exact, "--L", "20", "--out-dir", out + "/beta"]),
+    main(["scan", "--config", sine, "--u-minus-list", "1.0,1.1",
+          "--out-dir", out + "/scan"]),
+]
+loaded = sorted(name for name, mod in sys.modules.items()
+                if name.split(".")[0] == "scipy" and mod is not None)
+print(json.dumps({"codes": codes, "scipy_modules": loaded}))
+"""
+
+
+def test_runtime_is_numpy_only(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_RUN, str(EXACT_CASE_CFG),
+         str(SINE_SCAN_CFG), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report == {"codes": [0, 0], "scipy_modules": []}
+    assert (tmp_path / "beta" / "beta_table.csv").exists()
+    assert len(json.loads((tmp_path / "scan" / "scan_manifest.json").read_text())
+               ["points"]) == 2
