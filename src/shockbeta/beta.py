@@ -23,7 +23,7 @@ import numpy as np
 
 from .auxiliary import AuxiliarySolution, AuxMethod
 from .coupled import solve_coupled
-from .errors import GridMismatch, ShockBetaError
+from .errors import GridMismatch, SolverError
 from .integrating_factor import solve_auxiliary_if
 from .model import FluxModel, NeutralFrequency, ShockConfig
 from .numerics import quad_simpson, quad_trapezoid
@@ -175,8 +175,9 @@ def beta_convergence_study(
 ) -> BetaStudy:
     """Recompute beta over a list of truncation half-widths.
 
-    Failures are recorded per entry (the rest of the table survives), and
-    sign stability across the table is reported by the returned study.
+    Solver failures are recorded per entry (the rest of the table survives),
+    and sign stability across the table is reported by the returned study; a
+    :class:`ValidationError` (say, an odd ``N`` for ``if`` or Simpson) propagates.
     """
     methods = [AuxMethod(m) for m in methods]
     study = BetaStudy(L_values=list(L_values), methods=methods)
@@ -188,6 +189,6 @@ def beta_convergence_study(
                     cfg, f, freq, method, L, N, tol, tail_tol, decay_tol
                 )
                 study.results[(method, L)] = compute_beta(f, profile, aux, quadrature)
-            except ShockBetaError as exc:
+            except SolverError as exc:
                 study.failures[(method, L)] = f"{type(exc).__name__}: {exc}"
     return study

@@ -2,8 +2,8 @@
 
 Subcommands: profile | aux | beta | scan | compare.  Options mirror the
 config-file keys and override file values.  Exit codes: 0 success, 2 invalid
-configuration (including an unreadable config file or an unwritable output
-path), 3 solver failure (diagnostics on standard error).
+configuration (also an unreadable config file, an unwritable output path or
+a grid too large to allocate), 3 solver failure (diagnostics on stderr).
 """
 
 from __future__ import annotations
@@ -194,9 +194,9 @@ def cmd_scan(rc: RunConfig) -> int:
                 "s": pt.config.s,
                 "tau0": pt.freq.tau0,
                 "xi0": pt.freq.xi0,
-                "newton_iters": pt.result.bvp.newton_iters,
-                "residual_norm": pt.result.bvp.residual_norm,
-                "mesh_size": int(pt.result.bvp.mesh.size),
+                "newton_iters": pt.bvp.newton_iters,
+                "residual_norm": pt.bvp.residual_norm,
+                "mesh_size": int(pt.bvp.mesh.size),
                 "beta": [r.beta.real, r.beta.imag],
                 "sign_re_beta": r.sign_re_beta,
                 "aux_tail": pt.aux.tail_magnitudes(),
@@ -296,7 +296,7 @@ def main(argv=None) -> int:
     try:
         rc = _load_config(args)
         return args.func(rc)
-    except (ValidationError, OSError) as exc:
+    except (ValidationError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:

@@ -2,11 +2,12 @@
 
 The autonomous field
 
-    ubar' = f1s(ubar) - f1s(u-),
+    ubar' = P(ubar),
     v'    = a1s(ubar) v + tau0 (ubar - u-) + xi0 (f2(ubar) - f2(u-)),
 
-has equilibria (u-, 0) and (u+, 0) at a neutral frequency; the desired
-solution is the heteroclinic connection between them.  The real part w of the
+with P the factored profile field of :class:`ShockConfig`, has equilibria
+(u-, 0) and (u+, 0) at a neutral frequency; the desired solution is the
+heteroclinic connection between them.  The real part w of the
 correction solves w' = a1s(ubar) w with w(0) = 0, so w = 0 and is not solved
 for (see :class:`AuxiliarySolution`).  The domain [-L, L] is folded: right
 and left halves are rescaled onto [0, 1] as U_r(t) = U(L t), U_l(t) = U(-L t),
@@ -50,14 +51,13 @@ class FoldedSystem:
     L: float
 
     def __post_init__(self):
-        self._c0 = self.cfg.f1_shifted(self.cfg.u_minus)
         self._f2m = self.flux.f2(self.cfg.u_minus)
 
     def field(self, U: np.ndarray) -> np.ndarray:
         """Unfolded autonomous field on states U = (ubar, v)."""
         ubar, v = U
         a = self.cfg.a1_shifted(ubar)
-        du = self.cfg.f1_shifted(ubar) - self._c0
+        du = self.cfg.profile_field(ubar)
         dv = a * v + self.freq.tau0 * (ubar - self.cfg.u_minus) + self.freq.xi0 * (
             np.asarray(self.flux.f2(ubar)) - self._f2m
         )
@@ -88,20 +88,13 @@ class CoupledResult:
     aux: AuxiliarySolution
     bvp: BvpSolution
 
-
-@dataclass
-class ScanPoint:
-    config: ShockConfig
-    freq: NeutralFrequency
-    result: CoupledResult
+    @property
+    def config(self) -> ShockConfig:
+        return self.profile.config
 
     @property
-    def profile(self) -> ProfileSolution:
-        return self.result.profile
-
-    @property
-    def aux(self) -> AuxiliarySolution:
-        return self.result.aux
+    def freq(self) -> NeutralFrequency:
+        return self.aux.freq
 
 
 def initial_guess(
@@ -165,7 +158,7 @@ def solve_coupled(
     x = grid.x
     folded = sol.interpolant(np.abs(x) / L)
     ubar, v = np.where(x >= 0.0, folded[:2], folded[2:])
-    ubar_prime = np.asarray(cfg.f1_shifted(ubar)) - cfg.f1_shifted(cfg.u_minus)
+    ubar_prime = cfg.profile_field(ubar)
     diag = {
         "method": "coupled",
         "residual_norm": sol.residual_norm,
@@ -198,15 +191,14 @@ def solve_coupled(
 
 
 def _rescaled_guess(
-    prev: BvpSolution, cfg_old: ShockConfig, cfg_new: ShockConfig
+    prev: CoupledResult, cfg_new: ShockConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Previous folded solution with its profile stretched to the new states."""
-    Y = prev.y.copy()
+    Y = prev.bvp.y.copy()
     up = cfg_new.u_plus
-    ratio = (cfg_new.u_minus - up) / (cfg_old.u_minus - up)
-    for row in (0, 2):
-        Y[row] = up + (Y[row] - up) * ratio
-    return prev.mesh.copy(), Y
+    ratio = (cfg_new.u_minus - up) / (prev.config.u_minus - up)
+    Y[::2] = up + (Y[::2] - up) * ratio  # the ubar rows of both halves
+    return prev.bvp.mesh.copy(), Y
 
 
 def continuation_scan(
@@ -219,7 +211,7 @@ def continuation_scan(
     tol: float = 1e-8,
     tail_tol: float = DEFAULT_TAIL_TOL,
     decay_tol: float | None = DEFAULT_DECAY_TOL,
-) -> list[ScanPoint]:
+) -> list[CoupledResult]:
     """Sweep the left state, reusing each solution as the next guess.
 
     The right state is taken from ``cfg0``; speed and neutral frequency are
@@ -228,23 +220,22 @@ def continuation_scan(
     computed so far.
     """
     u_plus = cfg0.u_plus
-    points: list[ScanPoint] = []
-    prev: tuple[BvpSolution, ShockConfig] | None = None
+    points: list[CoupledResult] = []
 
-    def _solve_at(um: float, seed):
+    def _solve_at(um: float, seed: CoupledResult | None) -> CoupledResult:
         s = rankine_hugoniot_speed(f, um, u_plus)
         cfg = normalize_to_standing(f, um, u_plus, s)
         freq = neutral_zero(cfg, f, xi0)
-        guess = None if seed is None else _rescaled_guess(seed[0], seed[1], cfg)
-        res = solve_coupled(
+        guess = None if seed is None else _rescaled_guess(seed, cfg)
+        return solve_coupled(
             cfg, f, freq, L, n_out, guess=guess, tol=tol,
             tail_tol=tail_tol, decay_tol=decay_tol,
         )
-        return cfg, freq, res
 
     for k, um in enumerate(u_minus_values):
+        prev = points[-1] if points else None
         try:
-            cfg, freq, res = _solve_at(float(um), prev)
+            res = _solve_at(float(um), prev)
         except ValidationError as exc:
             if prev is None:
                 raise  # first point: configuration-level problem
@@ -255,13 +246,9 @@ def continuation_scan(
                 raise ContinuationStalled(k, points, exc) from exc
             # one automatic bisection of the parameter step
             try:
-                um_prev = prev[1].u_minus
-                um_mid = 0.5 * (um_prev + float(um))
-                _, _, res_mid = _solve_at(um_mid, prev)
-                cfg_mid = res_mid.profile.config
-                cfg, freq, res = _solve_at(float(um), (res_mid.bvp, cfg_mid))
+                um_mid = 0.5 * (prev.config.u_minus + float(um))
+                res = _solve_at(float(um), _solve_at(um_mid, prev))
             except SolverError as exc2:
                 raise ContinuationStalled(k, points, exc2) from exc2
-        points.append(ScanPoint(config=cfg, freq=freq, result=res))
-        prev = (res.bvp, cfg)
+        points.append(res)
     return points

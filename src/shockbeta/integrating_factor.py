@@ -15,14 +15,9 @@ M = ubar'(0) / ubar'(x) exactly, for every flux, and
 
 That is one cumulative Simpson of R = F/ubar' over the whole grid, less its
 value at the origin, times ubar': no exponential is formed, nothing overflows
-on long domains, and v(0) = 0 exactly.
-
-Once the profile reaches an end state in floating point, ubar' = f1s(ubar) - c0
-is rounding residue and F/ubar' a ratio of residues (or 0/0), which would build
-up linearly along the tail.  R is taken as 0 wherever
-|ubar'| <= 8 eps (|f1s(ubar)| + |c0|); v there is ubar' times a bounded
-integral, itself at the rounding level.  Dividing by ubar' inherits the
-cancellation in f1s(ubar) - c0, which costs digits when |u+-| >> |u- - u+|.
+on long domains, and v(0) = 0 exactly.  The profile field is factored, so
+ubar' = 0 exactly where the profile has reached an end state; R is taken as
+0 there, and v = 0.
 """
 
 from __future__ import annotations
@@ -36,9 +31,6 @@ from .errors import GridMismatch, QuadratureDegraded, ValidationError
 from .model import FluxModel, NeutralFrequency
 from .numerics import cumquad_simpson
 from .profile import ProfileSolution
-
-# |ubar'| at or below this multiple of eps * (|f1s(ubar)| + |c0|) is rounding.
-_ROUNDING = 8.0 * np.finfo(float).eps
 
 
 def forcing(
@@ -72,11 +64,9 @@ def solve_v_if(
     F = np.asarray(forcing_samples)
     if F.shape != profile.ubar.shape:
         raise GridMismatch("forcing samples do not match the profile grid")
-    cfg, grid = profile.config, profile.grid
+    grid = profile.grid
     up = profile.ubar_prime
-    c0 = cfg.f1_shifted(cfg.u_minus)
-    resolved = np.abs(up) > _ROUNDING * (np.abs(up + c0) + abs(c0))
-    R = np.divide(F, up, out=np.zeros_like(up), where=resolved)
+    R = np.divide(F, up, out=np.zeros_like(up), where=up != 0.0)
     ic = grid.origin_index
     v = _anchored(R, up, grid.h, ic)
 

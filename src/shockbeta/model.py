@@ -10,6 +10,10 @@ longitudinal flux so the shock stands still, the determinant
 has no zeros with positive real part; its neutral zeros (Re lambda = 0) form
 the line ``tau = -xi * [f2] / [u]`` along which the refined stability
 coefficient is evaluated.
+
+The profile field ``P(u) = f1(u) - s*u - f1(u-) + s*u-`` of ``ubar' = P(ubar)``
+is stored factored as ``(u - u+)(u - u-) Q(u)`` (every f1 is a polynomial), so
+it vanishes exactly at both end states.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import polynomial as poly
 
 from .errors import (
     DegenerateShock,
@@ -30,7 +35,6 @@ from .errors import (
 
 _JUMP_TOL = 1e-12       # identities that are exact in exact arithmetic
 _NEUTRAL_TOL = 1e-14
-_SCAN_SAMPLES = 10_000  # interior-equilibrium sign scan density
 _ROUNDING = 8 * np.finfo(float).eps
 
 
@@ -152,17 +156,28 @@ def make_flux(
 class ShockConfig:
     """End states with the speed-normalized longitudinal flux.
 
-    ``f1_shifted(u) = f1(u) - s*u`` has the shock standing still; its
-    derivative is ``a1_shifted(u) = a1(u) - s``.  ``f1_quadratic`` records
-    whether f1 is a polynomial of degree 2, whose profile has a closed form.
+    ``a1_shifted(u) = a1(u) - s`` is the flux derivative in the frame where
+    the shock stands still.  ``q_coeffs`` holds the ascending coefficients of
+    Q in the profile field ``P(u) = (u - u+)(u - u-) Q(u)``; a quadratic f1,
+    whose profile has a closed form, is exactly a constant Q.
     """
 
     u_minus: float
     u_plus: float
     s: float
-    f1_shifted: Callable
     a1_shifted: Callable
-    f1_quadratic: bool
+    q_coeffs: tuple
+
+    def q(self, u):
+        """Q(u) by Horner's rule."""
+        acc = self.q_coeffs[-1]
+        for c in self.q_coeffs[-2::-1]:
+            acc = acc * u + c
+        return acc
+
+    def profile_field(self, u):
+        """P(u), the right side of ``ubar' = P(ubar)``; exactly 0 at u+-."""
+        return (u - self.u_plus) * (u - self.u_minus) * self.q(u)
 
     @property
     def u_jump(self) -> float:
@@ -195,8 +210,7 @@ def normalize_to_standing(
 
     Checks the jump condition, both admissibility inequalities of the
     shifted flux, and the absence of rest points strictly between the end
-    states (scanned on a fine uniform grid plus the interior critical points
-    of f1 - s*u; a value at the rounding level counts as a rest point).
+    states, and factors the profile field as ``(u - u+)(u - u-) Q(u)``.
     """
     if abs(u_plus - u_minus) < _JUMP_TOL:
         raise DegenerateShock("end states coincide")
@@ -205,9 +219,6 @@ def normalize_to_standing(
         raise RankineHugoniotViolation(
             f"s*[u] - [f1] = {rh:.3e} for s={s}, u-={u_minus}, u+={u_plus}"
         )
-
-    def f1_shifted(u, _f1=f.f1, _s=s):
-        return _f1(u) - _s * u
 
     def a1_shifted(u, _a1=f.a1, _s=s):
         return _a1(u) - _s
@@ -227,34 +238,31 @@ def normalize_to_standing(
             )
 
     # every built-in flux has f1 = u^2/2; a custom f1 is a polynomial
-    p1 = np.polynomial.Polynomial(
-        f.params["f1_coeffs"] if f.kind is FluxKind.CUSTOM else (0.0, 0.0, 0.5)
-    )
-    # A uniform scan misses a tangent rest point between samples; every
-    # interior extremum of f1 - s*u is one more sample.
-    crit = (p1.deriv() - s).roots().real
-    samples = np.concatenate([
-        np.linspace(u_minus, u_plus, _SCAN_SAMPLES + 2)[1:-1],
-        crit[(crit - u_minus) * (crit - u_plus) < 0.0],
-    ])
-    c0 = f1_shifted(u_minus)
-    g = np.asarray(f1_shifted(samples)) - c0
-    # rounding level of g: eps times the magnitudes its evaluation sums
-    size = np.polynomial.Polynomial(np.abs(p1.coef))(np.abs(samples))
-    rounding = _ROUNDING * (size + abs(s * samples) + abs(c0))
-    if np.any(np.sign(u_plus - u_minus) * g <= rounding):
-        raise InteriorEquilibrium(
-            "shifted flux has a rest point strictly between the end states"
-        )
-
-    return ShockConfig(
+    f1 = f.params["f1_coeffs"] if f.kind is FluxKind.CUSTOM else (0.0, 0.0, 0.5)
+    c0 = f.f1(u_minus) - s * u_minus
+    ends = poly.polyfromroots((u_plus, u_minus))
+    q, _ = poly.polydiv(poly.polysub(f1, (c0, s)), ends)
+    cfg = ShockConfig(
         u_minus=float(u_minus),
         u_plus=float(u_plus),
         s=float(s),
-        f1_shifted=f1_shifted,
         a1_shifted=a1_shifted,
-        f1_quadratic=p1.trim().degree() == 2,
+        q_coeffs=tuple(float(c) for c in q),
     )
+
+    # A rest point inside is a zero of Q.  Lax makes sign(u- - u+) Q positive
+    # at both ends, so its least value is at an end or an interior critical
+    # point of Q; one at the rounding level of Q counts as a rest point.
+    crit = poly.polyroots(poly.polyder(q)).real
+    samples = np.concatenate(
+        [[u_minus, u_plus], crit[(crit - u_minus) * (crit - u_plus) < 0.0]]
+    )
+    rounding = _ROUNDING * poly.polyval(np.abs(samples), np.abs(q))
+    if np.any(np.sign(u_minus - u_plus) * cfg.q(samples) <= rounding):
+        raise InteriorEquilibrium(
+            "shifted flux has a rest point strictly between the end states"
+        )
+    return cfg
 
 
 def lopatinskii(cfg: ShockConfig, f: FluxModel, lam: complex, xi: float) -> complex:

@@ -1,15 +1,16 @@
 """Standing-wave viscous profiles on a truncated, uniformly sampled domain.
 
-The profile solves ``ubar' = f1_shifted(ubar) - f1_shifted(u_minus)`` and
-connects u_minus (at -infinity) to u_plus (at +infinity).  The translation
-family is pinned by the midpoint phase condition ``ubar(0) = (u+ + u-)/2``.
+The profile solves ``ubar' = P(ubar)`` (P the factored field of
+:class:`ShockConfig`) and connects u_minus (at -infinity) to u_plus (at
++infinity).  The translation family is pinned by ``ubar(0) = (u+ + u-)/2``.
 
-For a quadratic f1 (every built-in flux, and a custom f1 of degree 2) the
-profile is the closed form ``u_mid - delta * tanh(a * delta * x)`` with
-``delta = (u- - u+)/2`` and a the leading coefficient of f1: exact up to
-rounding, and monotone by construction.  For a custom f1 of degree >= 3 the
-equation is integrated outward from the origin, into the attracting ends, as
-one sweep of the folded pair (ubar(t), ubar(-t)) over t in [0, L].
+For a quadratic f1 (every built-in flux, and a custom f1 of degree 2) Q is
+the leading coefficient a of f1, and the profile is the closed form
+``u_mid - delta * tanh(a * delta * x)`` with ``delta = (u- - u+)/2``: monotone
+by construction, and exactly u+- where tanh has saturated.  For a custom f1
+of degree >= 3 the equation is integrated outward from the origin as one
+sweep of the folded pair (ubar(t), ubar(-t)) over t in [0, L], each half as
+its deviation from the end state it approaches.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from .numerics import IvpProblem, ivp_solve
 
 DEFAULT_TAIL_TOL = 1e-6
 
-# Tolerances of the profile IVP (custom f1 of degree >= 3 only).
+# Tolerances of the profile IVP (custom f1 of degree >= 3 only): the error
+# control is relative to the deviation from the end state, down to underflow.
 _IVP_RTOL = 1e-12
-_IVP_ATOL = 1e-14
+_IVP_ATOL = np.finfo(float).tiny
 
 # Machine-level ties are tolerated when checking strict monotonicity: in the
 # saturated tails consecutive samples can differ by less than one ulp.
@@ -104,28 +106,39 @@ def _check_profile(ps: ProfileSolution, tail_tol: float) -> None:
 def _tanh_profile(cfg: ShockConfig, x: np.ndarray) -> np.ndarray:
     """Closed-form profile of a quadratic f1: u_mid - delta tanh(a delta x).
 
-    With f1_shifted(u) - c0 = a (u - u-)(u - u+), the leading coefficient is
-    a = a1_shifted(u+) / (u+ - u-), and delta = (u- - u+)/2.
+    P(u) = a (u - u+)(u - u-) with the constant Q = a, and delta = (u- - u+)/2.
+    Where tanh has saturated to +-1 the samples are the end states themselves.
     """
-    a = cfg.a1_shifted(cfg.u_plus) / cfg.u_jump
     delta = 0.5 * (cfg.u_minus - cfg.u_plus)
-    return cfg.u_mid - delta * np.tanh(a * delta * x)
+    t = np.tanh(cfg.q_coeffs[0] * delta * x)
+    ubar = cfg.u_mid - delta * t
+    ubar[t == 1.0] = cfg.u_plus
+    ubar[t == -1.0] = cfg.u_minus
+    return ubar
 
 
-def _ivp_profile(cfg: ShockConfig, grid: Grid, c0: float) -> np.ndarray:
-    """Profile by one outward integration of the folded pair from the origin."""
+def _ivp_profile(cfg: ShockConfig, grid: Grid) -> np.ndarray:
+    """Profile by one outward integration of the folded pair from the origin.
+
+    Each half is the deviation d = ubar - u_end from the end state it nears:
+    d' = +-d (d - (u_other - u_end)) Q(u_end + d) keeps the sign of d.
+    """
     outward = np.array([1.0, -1.0])
+    ends = np.array([cfg.u_plus, cfg.u_minus])
+    gaps = ends[::-1] - ends
 
-    def rhs(t, y):
-        return outward * (cfg.f1_shifted(y) - c0)
+    def rhs(t, d):
+        return outward * d * (d - gaps) * cfg.q(ends + d)
 
     traj = ivp_solve(
-        IvpProblem(rhs=rhs, t_span=(0.0, grid.L), y0=np.full(2, cfg.u_mid),
+        IvpProblem(rhs=rhs, t_span=(0.0, grid.L), y0=cfg.u_mid - ends,
                    rtol=_IVP_RTOL, atol=_IVP_ATOL)
     )
     x = grid.x
-    folded = traj(np.abs(x))
-    return np.where(x >= 0.0, folded[:, 0], folded[:, 1])
+    folded = ends + traj(np.abs(x))
+    ubar = np.where(x >= 0.0, folded[:, 0], folded[:, 1])
+    ubar[x == 0.0] = cfg.u_mid  # u_end + (u_mid - u_end) may round off u_mid
+    return ubar
 
 
 def solve_profile(
@@ -136,24 +149,24 @@ def solve_profile(
     A quadratic f1 (every built-in flux, and a custom f1 of degree 2) has the
     tanh profile of :func:`_tanh_profile`, monotone by construction.  A custom
     f1 of degree >= 3 is integrated outward from the midpoint anchor.  Either
-    way ``ubar_prime`` is the right side of the profile equation at ``ubar``.
+    way ``ubar_prime`` is the profile field P at ``ubar``.
 
     Raises :class:`TailNotResolved` when the endpoint residual exceeds
     ``tail_tol`` (the domain half-width L is too small for the decay rates).
     """
-    c0 = cfg.f1_shifted(cfg.u_minus)
-    if cfg.f1_quadratic:
+    quadratic = len(cfg.q_coeffs) == 1
+    if quadratic:
         ubar = _tanh_profile(cfg, grid.x)
         diagnostics = {"method": "tanh"}
     else:
-        ubar = _ivp_profile(cfg, grid, c0)
+        ubar = _ivp_profile(cfg, grid)
         diagnostics = {"method": "ivp", "rtol": _IVP_RTOL, "atol": _IVP_ATOL}
     ps = ProfileSolution(
         config=cfg,
         grid=grid,
         ubar=ubar,
-        ubar_prime=np.asarray(cfg.f1_shifted(ubar)) - c0,
-        exact=cfg.f1_quadratic,
+        ubar_prime=cfg.profile_field(ubar),
+        exact=quadratic,
         diagnostics=diagnostics,
     )
     _check_profile(ps, tail_tol)

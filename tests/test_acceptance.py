@@ -137,14 +137,14 @@ def test_criterion_6_continuation_scan(sine_scan_timed):
     assert len(points) == 6
     assert elapsed < 60.0
     for pt in points[1:]:
-        assert pt.result.bvp.newton_iters <= 10
+        assert pt.bvp.newton_iters <= 10
     for pt in points:
         assert pt.aux.tail_magnitudes() <= 1e-4
         i0 = pt.aux.grid.origin_index
         assert abs(pt.aux.w[i0]) <= 1e-9
         assert abs(pt.aux.v[i0]) <= 1e-9
         assert np.all(np.diff(pt.profile.ubar) < 0)
-    iters = [pt.result.bvp.newton_iters for pt in points]
+    iters = [pt.bvp.newton_iters for pt in points]
     _ok(6, f"six points in {elapsed:.1f}s, newton iters {iters}")
 
 

@@ -128,6 +128,13 @@ class TestFileSystemErrors:
         self._assert_config_error(
             ["profile", "--config", exact_config, "--out-dir", out], capsys)
 
+    def test_grid_too_large_to_allocate(self, tmp_path, capsys):
+        # 10**15 nodes ask for about 7 PiB, beyond any address space, so the
+        # allocation is refused without touching memory
+        self._assert_config_error(
+            ["profile", "--config", EXACT_CASE_CFG, "--N", 10**15,
+             "--out-dir", tmp_path / "o"], capsys)
+
 
 class TestConfigValues:
     """Malformed values and unknown choices are configuration errors (exit 2)
@@ -263,6 +270,23 @@ class TestBetaCommand:
         assert "entry if L=1.0 failed: " in err
         assert err.index("entry coupled") < err.index("entry if")
         assert "AuxMethod" not in err
+
+    @pytest.mark.parametrize("extra", [
+        ["--method", "if"],
+        ["--method", "coupled", "--quadrature", "simpson"],
+    ])
+    def test_odd_N_exits_2_before_any_file(self, extra, tmp_path, capsys):
+        # an odd interval count is a configuration error of the whole table
+        out = tmp_path / "o"
+        code = run(["beta", "--config", EXACT_CASE_CFG, "--N", "4001", *extra,
+                    "--out-dir", out])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not any(out.iterdir())
+
+    def test_odd_N_coupled_trapezoid_succeeds(self, tmp_path):
+        assert run(["beta", "--config", EXACT_CASE_CFG, "--N", "4001",
+                    "--method", "coupled", "--out-dir", tmp_path / "o"]) == 0
 
     def test_tau0_is_not_a_config_key(self, exact_config, tmp_path, capsys):
         # tau0 is always derived from xi0 as the neutral zero

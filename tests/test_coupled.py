@@ -183,7 +183,7 @@ class TestContinuation:
     def test_six_point_sine_scan(self, sine_scan):
         assert len(sine_scan) == 6
         for pt in sine_scan[1:]:
-            assert pt.result.bvp.newton_iters <= 10
+            assert pt.bvp.newton_iters <= 10
         for pt in sine_scan:
             assert pt.aux.tail_magnitudes() <= 1e-4
             i0 = pt.aux.grid.origin_index
@@ -198,7 +198,7 @@ class TestContinuation:
 
     def test_repeated_parameter_needs_no_extra_newton(self, quad_flux, exact_cfg):
         pts = continuation_scan(exact_cfg, quad_flux, 1.0, [1.0, 1.0], 20.0, 1000)
-        assert pts[1].result.bvp.newton_iters <= 1
+        assert pts[1].bvp.newton_iters <= 1
 
     def test_stall_preserves_prior_points(self, quad_flux, exact_cfg):
         with pytest.raises(ContinuationStalled) as ei:

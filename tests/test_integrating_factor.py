@@ -10,6 +10,7 @@ from shockbeta.model import (
     burgers_flux,
     neutral_zero,
     normalize_to_standing,
+    rankine_hugoniot_speed,
     sine_transverse_flux,
 )
 from shockbeta.profile import Grid, solve_profile
@@ -112,6 +113,33 @@ class TestAccuracy:
         assert np.all(np.isfinite(aux.v))
         beta = compute_beta(quad_flux, ps, aux).beta
         assert abs(beta - 10.0) <= 1e-12
+
+    @pytest.mark.filterwarnings("ignore::shockbeta.errors.QuadratureDegraded")
+    def test_saturated_tail_adds_nothing(self):
+        # sine flux, u- = 1.3: where the profile has reached an end state the
+        # field is exactly 0 and so is v, so beta does not drift with L at
+        # equal h
+        f = sine_transverse_flux()
+        cfg = normalize_to_standing(f, 1.3, -1.0, rankine_hugoniot_speed(f, 1.3, -1.0))
+        freq = neutral_zero(cfg, f, 1.0)
+        betas = []
+        for L in (200.0, 800.0):
+            ps = solve_profile(cfg, Grid.make(L, int(200 * L)))
+            aux = solve_auxiliary_if(f, freq, ps)
+            at_end = (ps.ubar == cfg.u_plus) | (ps.ubar == cfg.u_minus)
+            assert at_end[0] and at_end[-1]
+            assert np.all(aux.v[at_end] == 0.0)
+            betas.append(compute_beta(f, ps, aux).beta.real)
+        assert abs(betas[1] / betas[0] - 1.0) <= 1e-13
+
+    def test_offset_weak_shock(self, quad_flux):
+        # u+- = (9.9, 10.1): the jump is small against the states themselves
+        s = rankine_hugoniot_speed(quad_flux, 10.1, 9.9)
+        cfg = normalize_to_standing(quad_flux, 10.1, 9.9, s)
+        freq = neutral_zero(cfg, quad_flux, 1.0)
+        ps = solve_profile(cfg, Grid.make(300.0, 60000))
+        aux = solve_auxiliary_if(quad_flux, freq, ps)
+        assert abs(compute_beta(quad_flux, ps, aux).beta - 10.0) <= 2e-10
 
     @pytest.mark.filterwarnings("ignore::shockbeta.errors.QuadratureDegraded")
     def test_beta_fourth_order(self, sine_case):

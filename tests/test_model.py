@@ -82,12 +82,17 @@ class TestNormalizeToStanding:
         f = burgers_flux()
         cfg = normalize_to_standing(f, 1.0, -1.0, 0.0)
         u = np.linspace(-2.0, 2.0, 17)
-        assert np.array_equal(cfg.f1_shifted(u), f.f1(u))
+        # no shift: the profile field is f1(u) - f1(u-), factored exactly
+        assert cfg.q_coeffs == (0.5,)
+        assert np.max(np.abs(cfg.profile_field(u) - (f.f1(u) - f.f1(1.0)))) <= 1e-15
         assert cfg.u_mid == 0.0
 
     def test_shifted_flux_and_lax(self):
         cfg = normalize_to_standing(burgers_flux(), 1.2, -1.0, 0.1)
-        assert cfg.f1_shifted(2.0) == pytest.approx(0.5 * 4.0 - 0.1 * 2.0)
+        c0 = 0.5 * 1.2**2 - 0.1 * 1.2
+        assert cfg.profile_field(2.0) == pytest.approx(0.5 * 4.0 - 0.1 * 2.0 - c0)
+        assert cfg.profile_field(1.2) == 0.0
+        assert cfg.profile_field(-1.0) == 0.0
         assert cfg.a1_shifted(1.2) == pytest.approx(1.1)
         assert cfg.a1_shifted(-1.0) == pytest.approx(-1.1)
 
@@ -109,6 +114,15 @@ class TestNormalizeToStanding:
         f = custom_flux([0.0, 0.0, -0.3, 0.0, 0.25], [0.0, 1.0])
         with pytest.raises(InteriorEquilibrium):
             normalize_to_standing(f, 1.0, -1.0, 0.0)
+
+    def test_just_admissible_flux_accepted(self):
+        # f1 = (u^2 - 1)((u - 1/3)^2 + 1e-6): Q has its least value 1e-6 inside
+        f1 = np.polynomial.polynomial.polymul(
+            [-1.0, 0.0, 1.0], [1.0 / 9.0 + 1e-6, -2.0 / 3.0, 1.0]
+        )
+        f = custom_flux(f1, [0.0, 0.0, 1.0])
+        cfg = normalize_to_standing(f, 1.0, -1.0, rankine_hugoniot_speed(f, 1.0, -1.0))
+        assert cfg.q(1.0 / 3.0) == pytest.approx(1e-6, rel=1e-6)
 
     def test_tangent_interior_equilibrium_detected(self):
         # f1 = (u^2 - 1)(u - 1/3)^2 touches zero at u = 1/3 without changing

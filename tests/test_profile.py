@@ -19,6 +19,10 @@ from shockbeta.profile import Grid, _check_profile, solve_profile
 
 from conftest import exact_profile
 
+# f1 = u^2/2 + u^3/10: rest points -1, 1 and -5, so u-+ = +-1 is admissible;
+# a custom f1 of degree 3 takes the IVP path
+CUBIC = custom_flux([0.0, 0.0, 0.5, 0.1], [0.0, 0.0, 1.0])
+
 
 class TestGrid:
     def test_make(self):
@@ -58,34 +62,60 @@ class TestExactProfile:
     def test_derivative_consistent_with_equation(self, exact_cfg):
         g = Grid.make(10.0, 500)
         ps = solve_profile(exact_cfg, g, tail_tol=1e-3)  # tails 9.1e-5 at L = 10
-        assert np.max(np.abs(ps.ubar_prime - 0.5 * (ps.ubar**2 - 1.0))) == 0.0
+        expected = (ps.ubar + 1.0) * (ps.ubar - 1.0) * 0.5
+        assert np.max(np.abs(ps.ubar_prime - expected)) == 0.0
 
     def test_standard_case_is_tanh_to_the_bit(self, exact_cfg, grid_L20):
         ps = solve_profile(exact_cfg, grid_L20)
         ubar = -np.tanh(grid_L20.x / 2.0)
         assert np.array_equal(ps.ubar, ubar)
-        assert np.array_equal(ps.ubar_prime, 0.5 * (ubar**2 - 1.0))
+        assert np.array_equal(ps.ubar_prime, (ubar + 1.0) * (ubar - 1.0) * 0.5)
         assert ps.diagnostics["method"] == "tanh"
 
     def test_custom_quadratic_matches_builtin(self, exact_cfg, grid_L20):
         f = custom_flux([0.0, 0.0, 0.5], [0.0, 0.0, 1.0])
         cfg = normalize_to_standing(f, 1.0, -1.0, 0.0)
-        assert cfg.f1_quadratic
+        assert cfg.q_coeffs == (0.5,)
         custom = solve_profile(cfg, grid_L20)
         builtin = solve_profile(exact_cfg, grid_L20)
         assert np.array_equal(custom.ubar, builtin.ubar)
         assert np.array_equal(custom.ubar_prime, builtin.ubar_prime)
 
+    def test_saturated_samples_are_end_states(self):
+        # u_mid - delta = 0.15 - 1.15 is not -1 in floating point
+        f = burgers_flux()
+        cfg = normalize_to_standing(f, 1.3, -1.0, rankine_hugoniot_speed(f, 1.3, -1.0))
+        ps = solve_profile(cfg, Grid.make(40.0, 8000))
+        assert ps.ubar[0] == 1.3
+        assert ps.ubar[-1] == -1.0
+        assert ps.ubar_prime[0] == 0.0
+        assert ps.ubar_prime[-1] == 0.0
+
     def test_cubic_custom_takes_ivp_path(self):
-        # f1 = u^2/2 + u^3/10: rest points -1, 1 and -5, so u-+ = +-1 is admissible
-        f = custom_flux([0.0, 0.0, 0.5, 0.1], [0.0, 0.0, 1.0])
+        f = CUBIC
         s = rankine_hugoniot_speed(f, 1.0, -1.0)
         cfg = normalize_to_standing(f, 1.0, -1.0, s)
-        assert not cfg.f1_quadratic
+        assert len(cfg.q_coeffs) == 2
         ps = solve_profile(cfg, Grid.make(20.0, 2000))
         assert ps.diagnostics["method"] == "ivp"
         assert not ps.exact
         _check_profile(ps, 1e-6)
+
+
+@pytest.mark.parametrize("um", [1.0, 1.3])
+@pytest.mark.parametrize("L", [40.0, 100.0])
+def test_cubic_custom_wide_domain_matches_coupled(um, L):
+    # the IVP profile reaches the end states on wide domains without
+    # overshooting them, and the two routes agree
+    s = rankine_hugoniot_speed(CUBIC, um, -1.0)
+    cfg = normalize_to_standing(CUBIC, um, -1.0, s)
+    freq = neutral_zero(cfg, CUBIC, 1.0)
+    betas = []
+    for method in (AuxMethod.INTEGRATING_FACTOR, AuxMethod.COUPLED):
+        ps, aux = solve_pair(cfg, CUBIC, freq, method, L, int(200 * L),
+                             1e-8, 1e-6, 1e-6)
+        betas.append(compute_beta(CUBIC, ps, aux).beta.real)
+    assert abs(betas[0] / betas[1] - 1.0) <= 1e-11
 
 
 # (u-, u+, L, N): wide domains and strong shocks, each at the dimensionless
@@ -142,8 +172,7 @@ class TestSolveProfile:
             _check_profile(wiggly, 1e-6)
 
     def test_derivative_is_rhs_not_differences(self, exact_cfg, profile_L20):
-        c0 = exact_cfg.f1_shifted(exact_cfg.u_minus)
-        expected = exact_cfg.f1_shifted(profile_L20.ubar) - c0
+        expected = exact_cfg.profile_field(profile_L20.ubar)
         assert np.array_equal(profile_L20.ubar_prime, expected)
 
     def test_derivative_one_sign(self, profile_L20):
@@ -151,10 +180,8 @@ class TestSolveProfile:
 
     def test_translation_quotient(self, exact_cfg, grid_L20, profile_L20):
         # start from any state on the orbit, re-center, and recover the profile
-        c0 = exact_cfg.f1_shifted(exact_cfg.u_minus)
-
         def rhs(t, y):
-            return exact_cfg.f1_shifted(y) - c0
+            return exact_cfg.profile_field(y)
 
         span = grid_L20.L + 5.0
         fwd = ivp_solve(IvpProblem(rhs=rhs, t_span=(0.0, span),
@@ -173,11 +200,10 @@ class TestSolveProfile:
     def test_grid_refinement_reduces_error_at_integrator_order(self, exact_cfg):
         # the profile equation as one folded outward sweep; loose tolerances
         # with max_step = h put the step size in control
-        c0 = exact_cfg.f1_shifted(exact_cfg.u_minus)
         outward = np.array([1.0, -1.0])
 
         def rhs(t, y):
-            return outward * (exact_cfg.f1_shifted(y) - c0)
+            return outward * exact_cfg.profile_field(y)
 
         errs = []
         for n in (250, 500):
