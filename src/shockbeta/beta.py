@@ -23,7 +23,7 @@ import numpy as np
 
 from .auxiliary import AuxiliarySolution, AuxMethod
 from .coupled import solve_coupled
-from .errors import GridMismatch, SolverError
+from .errors import GridMismatch, SolverError, ValidationError
 from .integrating_factor import solve_auxiliary_if
 from .model import FluxModel, NeutralFrequency, ShockConfig
 from .numerics import quad_simpson, quad_trapezoid
@@ -119,6 +119,17 @@ def compute_beta(
     )
 
 
+def check_even_N(N: int, quadrature: BetaQuadrature, methods=()) -> None:
+    """Before any solve: Simpson's rule and the ``if`` route need an even N."""
+    need = None
+    if quadrature is BetaQuadrature.SIMPSON:
+        need = "Simpson's rule needs an even number of intervals"
+    elif AuxMethod.INTEGRATING_FACTOR in methods:
+        need = "the if route needs a grid node at the origin"
+    if N % 2 and need:
+        raise ValidationError(f"field 'N': {N} is odd, but {need}")
+
+
 def solve_pair(
     cfg: ShockConfig,
     f: FluxModel,
@@ -177,9 +188,11 @@ def beta_convergence_study(
 
     Solver failures are recorded per entry (the rest of the table survives),
     and sign stability across the table is reported by the returned study; a
-    :class:`ValidationError` (say, an odd ``N`` for ``if`` or Simpson) propagates.
+    :class:`ValidationError` propagates.  An odd ``N`` for ``if`` or Simpson
+    is rejected before the first solve.
     """
     methods = [AuxMethod(m) for m in methods]
+    check_even_N(N, quadrature, methods)
     study = BetaStudy(L_values=list(L_values), methods=methods)
     for L in L_values:
         Grid.make(L, N)  # a bad (L, N) is a configuration error, not an entry failure

@@ -19,6 +19,7 @@ from .beta import (
     STUDY_DECAY_TOL,
     STUDY_TAIL_TOL,
     beta_convergence_study,
+    check_even_N,
     compute_beta,
     solve_pair,
 )
@@ -92,9 +93,14 @@ def _out_dir(rc: RunConfig) -> Path:
     return out
 
 
+def _tail_tol(rc: RunConfig, default: float = DEFAULT_TAIL_TOL) -> float:
+    """The profile endpoint gate: the configured one, else ``default``."""
+    return rc.tail_tol if rc.tail_tol is not None else default
+
+
 def _solve_pairs(rc, flux, cfg, freq):
     """(method, profile, correction) for each requested method at L_single."""
-    tail = rc.tail_tol if rc.tail_tol is not None else DEFAULT_TAIL_TOL
+    tail = _tail_tol(rc)
     for method in rc.methods():
         yield method, *solve_pair(
             cfg, flux, freq, method, rc.L_single, rc.N, rc.tol, tail, rc.decay_tol
@@ -104,7 +110,7 @@ def _solve_pairs(rc, flux, cfg, freq):
 def cmd_profile(rc: RunConfig) -> int:
     flux, cfg, _ = build_model(rc)
     out = _out_dir(rc)
-    tail = rc.tail_tol if rc.tail_tol is not None else DEFAULT_TAIL_TOL
+    tail = _tail_tol(rc)
     ps = solve_profile(cfg, Grid.make(rc.L_single, rc.N), tail_tol=tail)
     path = out / "profile.csv"
     serialize.write_profile_csv(path, ps, flux)
@@ -128,7 +134,7 @@ def cmd_aux(rc: RunConfig) -> int:
 def cmd_beta(rc: RunConfig) -> int:
     flux, cfg, freq = build_model(rc)
     out = _out_dir(rc)
-    tail = rc.tail_tol if rc.tail_tol is not None else STUDY_TAIL_TOL
+    tail = _tail_tol(rc, STUDY_TAIL_TOL)
     decay = rc.decay_tol if rc.decay_tol is not None else STUDY_DECAY_TOL
     study = beta_convergence_study(
         cfg, flux, freq, list(rc.L), methods=rc.methods(), N=rc.N, tol=rc.tol,
@@ -166,8 +172,9 @@ def cmd_scan(rc: RunConfig) -> int:
     flux, cfg0, _ = build_model(rc)
     if not rc.u_minus_list:
         raise ValidationError("field 'u_minus_list': required for scan")
+    check_even_N(rc.N, rc.quad())
     out = _out_dir(rc)
-    tail = rc.tail_tol if rc.tail_tol is not None else DEFAULT_TAIL_TOL
+    tail = _tail_tol(rc)
     stall_index = None
     stall_cause = None
     try:
@@ -265,26 +272,16 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("profile", help="compute and export the viscous profile")
-    _add_common_options(p)
-    p.set_defaults(func=cmd_profile)
-
-    p = sub.add_parser("aux", help="compute the correction pair (w, v)")
-    _add_common_options(p)
-    p.set_defaults(func=cmd_aux)
-
-    p = sub.add_parser("beta", help="stability coefficient over a list of L")
-    _add_common_options(p)
-    p.set_defaults(func=cmd_beta)
-
-    p = sub.add_parser("scan", help="continuation sweep over u_minus")
-    _add_common_options(p)
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("compare", help="error norms against the exact solution")
-    _add_common_options(p)
-    p.set_defaults(func=cmd_compare)
+    for name, help_text, func in (
+        ("profile", "compute and export the viscous profile", cmd_profile),
+        ("aux", "compute the correction pair (w, v)", cmd_aux),
+        ("beta", "stability coefficient over a list of L", cmd_beta),
+        ("scan", "continuation sweep over u_minus", cmd_scan),
+        ("compare", "error norms against the exact solution", cmd_compare),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        _add_common_options(p)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -39,6 +39,10 @@ from .numerics import BvpProblem, BvpSolution, IvpProblem, bvp_solve, ivp_solve
 from .profile import DEFAULT_TAIL_TOL, Grid, ProfileSolution, _check_profile
 
 _FOLD_TOL = 1e-10
+# Starting mesh of the initial guess, and the tolerances of its integration.
+_GUESS_NODES = 401
+_GUESS_RTOL = 1e-6
+_GUESS_ATOL = 1e-8
 
 
 @dataclass
@@ -97,12 +101,10 @@ class CoupledResult:
         return self.aux.freq
 
 
-def initial_guess(
-    sys: FoldedSystem, n_nodes: int = 401, rtol: float = 1e-6, atol: float = 1e-8
-) -> tuple[np.ndarray, np.ndarray]:
+def initial_guess(sys: FoldedSystem) -> tuple[np.ndarray, np.ndarray]:
     """Guess by one outward integration of the folded field from the fold.
 
-    The guess only seeds Newton on the ``n_nodes`` starting mesh, whose own
+    The guess only seeds Newton on the 401-node starting mesh, whose own
     discretization error is larger than 1e-6, so tighter integration buys no
     Newton iteration; the solver refines the mesh and the answer from there.
     The guess is the route's own integration, not the integrating-factor
@@ -112,9 +114,9 @@ def initial_guess(
     u = sys.cfg.u_mid
     traj = ivp_solve(
         IvpProblem(rhs=sys.rhs, t_span=(0.0, 1.0), y0=[u, 0.0, u, 0.0],
-                   rtol=rtol, atol=atol)
+                   rtol=_GUESS_RTOL, atol=_GUESS_ATOL)
     )
-    mesh = np.linspace(0.0, 1.0, n_nodes)
+    mesh = np.linspace(0.0, 1.0, _GUESS_NODES)
     return mesh, traj(mesh).T
 
 
@@ -128,7 +130,6 @@ def solve_coupled(
     tol: float = 1e-8,
     tail_tol: float = DEFAULT_TAIL_TOL,
     decay_tol: float | None = DEFAULT_DECAY_TOL,
-    max_nodes: int = 20000,
 ) -> CoupledResult:
     """Solve the folded system and sample the unfolded pair on a uniform grid.
 
@@ -145,7 +146,7 @@ def solve_coupled(
     problem = BvpProblem(
         rhs=sys.rhs, bc=sys.bc, initial_mesh=mesh, initial_guess=Y0, tol=tol
     )
-    sol = bvp_solve(problem, max_nodes=max_nodes)
+    sol = bvp_solve(problem)
 
     at_fold = sol.interpolant(0.0)
     fold_mismatch = float(np.max(np.abs(at_fold[:2] - at_fold[2:])))

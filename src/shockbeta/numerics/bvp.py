@@ -4,8 +4,9 @@ The discretization is the classical implicit Simpson scheme: a C1 cubic
 Hermite spline is required to satisfy the ODE at every mesh node and at every
 interval midpoint (fourth order at the nodes).  The nonlinear collocation
 equations are solved by a damped Newton iteration with finite-difference
-Jacobians; intervals whose scaled residual exceeds the tolerance are split
-and the solve is repeated warm-started from the interpolant.
+Jacobians, whose base values are the residual's own evaluations; intervals
+whose scaled residual exceeds the tolerance are split and the solve is
+repeated warm-started from the interpolant.
 
 The Newton matrix is block lower-bidiagonal: interval i couples only y_i and
 y_{i+1}, and the m boundary rows couple y_0 with y_{n-1}.  It is solved by
@@ -42,6 +43,9 @@ _MAX_PROPAGATOR_NORM = 1.0 / _SQRT_EPS
 # between the collocation points) and their quadrature weight.
 _RES_THETA = (0.5 - np.sqrt(21.0) / 14.0, 0.5 + np.sqrt(21.0) / 14.0)
 _RES_WEIGHT = 49.0 / 180.0
+# Step halvings of one damped Newton step, and mesh sweeps of one solve.
+_MAX_BACKTRACKS = 8
+_MAX_MESH_SWEEPS = 12
 
 
 @dataclass
@@ -85,6 +89,23 @@ class BvpProblem:
             )
 
 
+def _hermite(y0, y1, f0, f1, h, t):
+    """Value and slope at t in [0, 1] of the cubic with ends (y0, f0), (y1, f1)."""
+    t2, t3 = t * t, t * t * t
+    value = (
+        y0 * (2 * t3 - 3 * t2 + 1)
+        + y1 * (-2 * t3 + 3 * t2)
+        + h * f0 * (t3 - 2 * t2 + t)
+        + h * f1 * (t3 - t2)
+    )
+    slope = (
+        (y1 - y0) * (6 * t - 6 * t2) / h
+        + f0 * (3 * t2 - 4 * t + 1)
+        + f1 * (3 * t2 - 2 * t)
+    )
+    return value, slope
+
+
 class HermiteInterpolant:
     """Piecewise-cubic Hermite interpolant of (mesh, y, y'); C1 by construction."""
 
@@ -93,35 +114,21 @@ class HermiteInterpolant:
         self.y = y
         self.yp = yp
 
-    def _locate(self, xq):
-        xq = np.atleast_1d(np.asarray(xq, dtype=float))
-        idx = np.clip(np.searchsorted(self.x, xq, side="right") - 1, 0, self.x.size - 2)
-        h = self.x[idx + 1] - self.x[idx]
-        theta = (xq - self.x[idx]) / h
-        return idx, h, theta
+    def _at(self, xq, k):
+        """Value (k = 0) or slope (k = 1) at scalar or array ``xq``."""
+        xs = np.atleast_1d(np.asarray(xq, dtype=float))
+        i = np.clip(np.searchsorted(self.x, xs, side="right") - 1, 0, self.x.size - 2)
+        h = self.x[i + 1] - self.x[i]
+        y, yp = self.y, self.yp
+        t = (xs - self.x[i]) / h
+        out = _hermite(y[:, i], y[:, i + 1], yp[:, i], yp[:, i + 1], h, t)[k]
+        return out[:, 0] if np.ndim(xq) == 0 else out
 
     def __call__(self, xq):
-        scalar = np.ndim(xq) == 0
-        idx, h, t = self._locate(xq)
-        t2, t3 = t * t, t * t * t
-        out = (
-            self.y[:, idx] * (2 * t3 - 3 * t2 + 1)
-            + self.y[:, idx + 1] * (-2 * t3 + 3 * t2)
-            + h * self.yp[:, idx] * (t3 - 2 * t2 + t)
-            + h * self.yp[:, idx + 1] * (t3 - t2)
-        )
-        return out[:, 0] if scalar else out
+        return self._at(xq, 0)
 
     def derivative(self, xq):
-        scalar = np.ndim(xq) == 0
-        idx, h, t = self._locate(xq)
-        t2 = t * t
-        out = (
-            (self.y[:, idx + 1] - self.y[:, idx]) * (6 * t - 6 * t2) / h
-            + self.yp[:, idx] * (3 * t2 - 4 * t + 1)
-            + self.yp[:, idx + 1] * (3 * t2 - 2 * t)
-        )
-        return out[:, 0] if scalar else out
+        return self._at(xq, 1)
 
 
 @dataclass
@@ -156,13 +163,13 @@ def _collocation_residual(rhs, x, Y):
     return phi, f, f_mid, y_mid, x_mid
 
 
-def _fd_jacobian(rhs, x, Y):
+def _fd_jacobian(rhs, x, Y, f0):
     """One-sided FD Jacobian of the vectorized rhs at every column of Y.
 
-    Returns shape (npts, m, m): J[p, r, c] = d rhs_r / d y_c at point p.
+    ``f0 = rhs(x, Y)`` comes from the residual.  Returns shape (npts, m, m):
+    J[p, r, c] = d rhs_r / d y_c at point p.
     """
     m, n = Y.shape
-    f0 = rhs(x, Y)
     J = np.empty((n, m, m))
     for c in range(m):
         step = _SQRT_EPS * (1.0 + np.abs(Y[c]))
@@ -172,9 +179,9 @@ def _fd_jacobian(rhs, x, Y):
     return J
 
 
-def _fd_bc_jacobian(bc, ya, yb):
+def _fd_bc_jacobian(bc, ya, yb, g0):
+    """FD derivatives of the boundary residuals ``g0 = bc(ya, yb)``."""
     m = ya.size
-    g0 = np.asarray(bc(ya, yb))
     dga = np.empty((m, m))
     dgb = np.empty((m, m))
     for c in range(m):
@@ -189,9 +196,11 @@ def _fd_bc_jacobian(bc, ya, yb):
     return dga, dgb
 
 
-def _assemble_jacobian(rhs, bc, x, Y, f, f_mid, y_mid, x_mid):
+def _assemble_jacobian(rhs, bc, x, Y, R, f, f_mid, y_mid, x_mid):
     """Blocks of the Newton matrix of the collocation system.
 
+    The finite differences start from the residual's own values: ``f`` and
+    ``f_mid`` at nodes and midpoints, and the bc residuals ``R[-m:]``.
     Returns ``(A, B, dga, dgb)``: A and B of shape (n-1, m, m) are the
     derivatives of interval i's residual with respect to y_i and y_{i+1};
     dga and dgb those of the boundary residuals with respect to y_0, y_{n-1}.
@@ -199,9 +208,9 @@ def _assemble_jacobian(rhs, bc, x, Y, f, f_mid, y_mid, x_mid):
     m = Y.shape[0]
     h = np.diff(x)
 
-    Jn = _fd_jacobian(rhs, x, Y)
-    Jm = _fd_jacobian(rhs, x_mid, y_mid)
-    dga, dgb = _fd_bc_jacobian(bc, Y[:, 0], Y[:, -1])
+    Jn = _fd_jacobian(rhs, x, Y, f)
+    Jm = _fd_jacobian(rhs, x_mid, y_mid, f_mid)
+    dga, dgb = _fd_bc_jacobian(bc, Y[:, 0], Y[:, -1], R[-m:])
 
     eye = np.eye(m)
     hcol = h[:, None, None]
@@ -285,7 +294,7 @@ def _full_residual(rhs, bc, x, Y):
     return R, f, f_mid, y_mid, x_mid
 
 
-def _newton(rhs, bc, x, Y, max_newton, max_backtracks):
+def _newton(rhs, bc, x, Y, max_newton):
     """Damped Newton on the collocation system; returns (Y, f, iterations)."""
     R, f, f_mid, y_mid, x_mid = _full_residual(rhs, bc, x, Y)
     if not np.all(np.isfinite(R)):
@@ -297,13 +306,13 @@ def _newton(rhs, bc, x, Y, max_newton, max_backtracks):
         norm = np.max(np.abs(R))
         if norm <= 1e-11 * scale:
             return Y, f, iters
-        jac = _assemble_jacobian(rhs, bc, x, Y, f, f_mid, y_mid, x_mid)
+        jac = _assemble_jacobian(rhs, bc, x, Y, R, f, f_mid, y_mid, x_mid)
         dY = splu(jac, R)
         if not np.all(np.isfinite(dY)):
             raise SingularJacobian("Newton linear solve produced non-finite step")
 
         lam = 1.0
-        for _ in range(max_backtracks + 1):
+        for _ in range(_MAX_BACKTRACKS + 1):
             Y_try = Y + lam * dY
             R_try, f_t, f_mid_t, y_mid_t, x_mid = _full_residual(rhs, bc, x, Y_try)
             norm_try = np.max(np.abs(R_try)) if np.all(np.isfinite(R_try)) else np.inf
@@ -312,7 +321,7 @@ def _newton(rhs, bc, x, Y, max_newton, max_backtracks):
             lam *= 0.5
         else:
             raise NewtonDivergence(
-                f"no residual decrease after {max_backtracks} step halvings "
+                f"no residual decrease after {_MAX_BACKTRACKS} step halvings "
                 f"(|R|={norm:.3e})"
             )
         Y, R, f, f_mid, y_mid = Y_try, R_try, f_t, f_mid_t, y_mid_t
@@ -331,21 +340,8 @@ def _estimate_residuals(rhs, x, Y, f):
     """
     h = np.diff(x)
     est_sq = np.zeros(x.size - 1)
-    y_lo, y_hi = Y[:, :-1], Y[:, 1:]
-    f_lo, f_hi = f[:, :-1], f[:, 1:]
     for t in _RES_THETA:
-        t2, t3 = t * t, t ** 3
-        S = (
-            y_lo * (2 * t3 - 3 * t2 + 1)
-            + y_hi * (-2 * t3 + 3 * t2)
-            + h * f_lo * (t3 - 2 * t2 + t)
-            + h * f_hi * (t3 - t2)
-        )
-        Sp = (
-            (y_hi - y_lo) * (6 * t - 6 * t2) / h
-            + f_lo * (3 * t2 - 4 * t + 1)
-            + f_hi * (3 * t2 - 2 * t)
-        )
+        S, Sp = _hermite(Y[:, :-1], Y[:, 1:], f[:, :-1], f[:, 1:], h, t)
         fq = rhs(x[:-1] + t * h, S)
         rel = (Sp - fq) / (1.0 + np.abs(fq))
         est_sq += _RES_WEIGHT * np.sum(rel * rel, axis=0)
@@ -375,8 +371,6 @@ def bvp_solve(
     problem: BvpProblem,
     max_nodes: int = 20000,
     max_newton: int = 50,
-    max_backtracks: int = 8,
-    max_mesh_iterations: int = 12,
 ) -> BvpSolution:
     """Solve a :class:`BvpProblem` to its residual tolerance.
 
@@ -390,8 +384,8 @@ def bvp_solve(
     Y = problem.initial_guess.copy()
     per_sweep: list[int] = []
 
-    for sweep in range(1, max_mesh_iterations + 1):
-        Y, f, iters = _newton(rhs, bc, x, Y, max_newton, max_backtracks)
+    for sweep in range(1, _MAX_MESH_SWEEPS + 1):
+        Y, f, iters = _newton(rhs, bc, x, Y, max_newton)
         per_sweep.append(iters)
         est = _estimate_residuals(rhs, x, Y, f)
         res_norm = float(est.max())
@@ -416,5 +410,5 @@ def bvp_solve(
         x = x_new
 
     raise MeshLimitExceeded(
-        f"residual {res_norm:.3e} > tol after {max_mesh_iterations} mesh sweeps"
+        f"residual {res_norm:.3e} > tol after {_MAX_MESH_SWEEPS} mesh sweeps"
     )

@@ -3,6 +3,8 @@
 The fifth-order solution is propagated; the embedded fourth-order solution
 drives the step-size controller.  Each accepted step stores the coefficients
 of the pair's quartic interpolant, so trajectories provide dense output.
+Integration runs forward only, from ``t_span[0]`` to ``t_span[1] > t_span[0]``;
+a problem on x <= 0 is integrated forward in t = -x with the negated field.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ class IvpProblem:
     """An initial-value problem ``y' = rhs(t, y)`` on ``t_span``.
 
     ``rhs`` maps ``(t, y)`` with ``y`` of shape ``(m,)`` to an array of shape
-    ``(m,)``.  Integration may run in either direction of ``t_span``.
+    ``(m,)``.  ``t_span`` must run forward: ``t_span[1] > t_span[0]``.
     """
 
     rhs: Callable[[float, np.ndarray], np.ndarray]
@@ -73,18 +75,18 @@ class IvpProblem:
             raise BadProblem("y0 must be a finite 1-D state vector")
         if self.max_step <= 0:
             raise BadProblem("max_step must be positive")
+        if not self.t_span[1] > self.t_span[0]:
+            raise BadProblem("t_span must run forward: t_span[1] > t_span[0]")
 
 
 class Trajectory:
     """Dense solution of an IVP: accepted steps plus a piecewise interpolant."""
 
-    def __init__(self, t, y, t0, hs, rcont, direction):
-        self.t = t
+    def __init__(self, t, y, hs, rcont):
+        self.t = t  # accepted step ends; step k spans [t[k], t[k + 1]]
         self.y = y
-        self._t0 = t0
         self._hs = hs
         self._rcont = rcont  # shape (nsteps, 5, m)
-        self._direction = direction
 
     @property
     def y_final(self) -> np.ndarray:
@@ -93,15 +95,14 @@ class Trajectory:
     def __call__(self, t):
         """Evaluate the interpolant at scalar or array ``t`` inside the span."""
         tq = np.atleast_1d(np.asarray(t, dtype=float))
-        tau = self._direction * tq
-        ts = self._direction * self._t0
-        lo, hi = ts[0], self._direction * self.t[-1]
-        if np.any(tau < lo - 1e-12 * (1 + abs(lo))) or np.any(
-            tau > hi + 1e-12 * (1 + abs(hi))
+        lo, hi = self.t[0], self.t[-1]
+        if np.any(tq < lo - 1e-12 * (1 + abs(lo))) or np.any(
+            tq > hi + 1e-12 * (1 + abs(hi))
         ):
             raise ValueError("dense output queried outside the integration span")
-        idx = np.clip(np.searchsorted(ts, tau, side="right") - 1, 0, len(ts) - 1)
-        theta = (tq - self._t0[idx]) / self._hs[idx]
+        ts = self.t[:-1]
+        idx = np.clip(np.searchsorted(ts, tq, side="right") - 1, 0, len(ts) - 1)
+        theta = (tq - ts[idx]) / self._hs[idx]
         theta = np.clip(theta, 0.0, 1.0)[:, None]
         r = self._rcont[idx]
         out = r[:, 0] + theta * (
@@ -112,14 +113,14 @@ class Trajectory:
         return out
 
 
-def _initial_step(rhs, t0, y0, f0, direction, rtol, atol, max_step):
+def _initial_step(rhs, t0, y0, f0, rtol, atol, max_step):
     """Hairer-style starting step estimate."""
     scale = atol + np.abs(y0) * rtol
     d0 = np.sqrt(np.mean((y0 / scale) ** 2))
     d1 = np.sqrt(np.mean((f0 / scale) ** 2))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    y1 = y0 + h0 * direction * f0
-    f1 = rhs(t0 + h0 * direction, y1)
+    y1 = y0 + h0 * f0
+    f1 = rhs(t0 + h0, y1)
     d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -136,8 +137,6 @@ def ivp_solve(problem: IvpProblem) -> Trajectory:
     """
     rhs = problem.rhs
     t0, tf = problem.t_span
-    direction = 1.0 if tf >= t0 else -1.0
-    span = abs(tf - t0)
     m = problem.y0.size
 
     t = t0
@@ -148,61 +147,50 @@ def ivp_solve(problem: IvpProblem) -> Trajectory:
 
     ts = [t]
     ys = [y.copy()]
-    t_lefts: list[float] = []
     hs: list[float] = []
     rconts: list[np.ndarray] = []
 
-    if span == 0.0:
-        rcont = np.zeros((1, 5, m))
-        rcont[0, 0] = y
-        return Trajectory(
-            np.array(ts), np.array(ys), np.array([t0]), np.array([1.0]),
-            rcont, direction,
-        )
-
-    h = _initial_step(rhs, t, y, f, direction, problem.rtol, problem.atol,
-                      min(problem.max_step, span))
+    h = _initial_step(rhs, t, y, f, problem.rtol, problem.atol,
+                      min(problem.max_step, tf - t0))
     K = np.empty((7, m))
 
-    while direction * (tf - t) > 0:
+    while t < tf:
         h_cap = min(h, problem.max_step)
-        remaining = abs(tf - t)
+        remaining = tf - t
         if remaining <= h_cap:
             h_try, is_last = remaining, True
         else:
             h_try, is_last = h_cap, False
 
-        hd = h_try * direction
-        if t + hd == t:
+        if t + h_try == t:
             # no representable progress: the controller has collapsed the step
             raise IntegratorFailure(f"step size underflow at t={t!r}")
         K[0] = f
         for i in range(1, 6):
-            K[i] = rhs(t + _C[i] * hd, y + hd * (_A[i, :i] @ K[:i]))
-        y_new = y + hd * (_B @ K[:6])
-        f_new = rhs(t + hd, y_new)
+            K[i] = rhs(t + _C[i] * h_try, y + h_try * (_A[i, :i] @ K[:i]))
+        y_new = y + h_try * (_B @ K[:6])
+        f_new = rhs(t + h_try, y_new)
         K[6] = f_new
         if not np.all(np.isfinite(K)) or not np.all(np.isfinite(y_new)):
             raise IntegratorFailure(f"non-finite right-hand side near t={t!r}")
 
         scale = problem.atol + problem.rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = np.sqrt(np.mean((hd * (_E @ K) / scale) ** 2))
+        err = np.sqrt(np.mean((h_try * (_E @ K) / scale) ** 2))
 
         if err <= 1.0:
             # Continuous extension coefficients for this step.
             dy = y_new - y
-            bspl = hd * K[0] - dy
+            bspl = h_try * K[0] - dy
             rcont = np.empty((5, m))
             rcont[0] = y
             rcont[1] = dy
             rcont[2] = bspl
-            rcont[3] = dy - hd * K[6] - bspl
-            rcont[4] = hd * (_D @ K)
-            t_lefts.append(t)
-            hs.append(hd)
+            rcont[3] = dy - h_try * K[6] - bspl
+            rcont[4] = h_try * (_D @ K)
+            hs.append(h_try)
             rconts.append(rcont)
 
-            t = tf if is_last else t + hd
+            t = tf if is_last else t + h_try
             y = y_new
             f = f_new
             ts.append(t)
@@ -217,8 +205,6 @@ def ivp_solve(problem: IvpProblem) -> Trajectory:
     return Trajectory(
         np.array(ts),
         np.array(ys),
-        np.array(t_lefts),
         np.array(hs),
         np.array(rconts),
-        direction,
     )

@@ -10,7 +10,7 @@ the leading coefficient a of f1, and the profile is the closed form
 by construction, and exactly u+- where tanh has saturated.  For a custom f1
 of degree >= 3 the equation is integrated outward from the origin as one
 sweep of the folded pair (ubar(t), ubar(-t)) over t in [0, L], each half as
-its deviation from the end state it approaches.
+the log of its deviation from the end state it approaches.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ from .numerics import IvpProblem, ivp_solve
 
 DEFAULT_TAIL_TOL = 1e-6
 
-# Tolerances of the profile IVP (custom f1 of degree >= 3 only): the error
-# control is relative to the deviation from the end state, down to underflow.
-_IVP_RTOL = 1e-12
-_IVP_ATOL = np.finfo(float).tiny
+# Relative and absolute tolerance of the profile IVP (custom f1 of degree >= 3)
+# in l = log|ubar - u_end|: an error in l is a relative error of the deviation.
+_IVP_TOL = 1e-12
 
 # Machine-level ties are tolerated when checking strict monotonicity: in the
 # saturated tails consecutive samples can differ by less than one ulp.
@@ -120,22 +119,27 @@ def _tanh_profile(cfg: ShockConfig, x: np.ndarray) -> np.ndarray:
 def _ivp_profile(cfg: ShockConfig, grid: Grid) -> np.ndarray:
     """Profile by one outward integration of the folded pair from the origin.
 
-    Each half is the deviation d = ubar - u_end from the end state it nears:
-    d' = +-d (d - (u_other - u_end)) Q(u_end + d) keeps the sign of d.
+    Each half is the deviation d = ubar - u_end from the end state it nears,
+    integrated as l = log|d|: l' = +-(d - (u_other - u_end)) Q(u_end + d) with
+    d = sign exp(l).  d keeps its sign and |d| is monotone, so the profile is
+    monotone by construction, and l is nearly linear on the tails.
     """
     outward = np.array([1.0, -1.0])
     ends = np.array([cfg.u_plus, cfg.u_minus])
     gaps = ends[::-1] - ends
+    d0 = cfg.u_mid - ends
+    sign = np.sign(d0)
 
-    def rhs(t, d):
-        return outward * d * (d - gaps) * cfg.q(ends + d)
+    def rhs(t, log_d):
+        d = sign * np.exp(log_d)
+        return outward * (d - gaps) * cfg.q(ends + d)
 
     traj = ivp_solve(
-        IvpProblem(rhs=rhs, t_span=(0.0, grid.L), y0=cfg.u_mid - ends,
-                   rtol=_IVP_RTOL, atol=_IVP_ATOL)
+        IvpProblem(rhs=rhs, t_span=(0.0, grid.L), y0=np.log(np.abs(d0)),
+                   rtol=_IVP_TOL, atol=_IVP_TOL)
     )
     x = grid.x
-    folded = ends + traj(np.abs(x))
+    folded = ends + sign * np.exp(traj(np.abs(x)))
     ubar = np.where(x >= 0.0, folded[:, 0], folded[:, 1])
     ubar[x == 0.0] = cfg.u_mid  # u_end + (u_mid - u_end) may round off u_mid
     return ubar
@@ -160,7 +164,7 @@ def solve_profile(
         diagnostics = {"method": "tanh"}
     else:
         ubar = _ivp_profile(cfg, grid)
-        diagnostics = {"method": "ivp", "rtol": _IVP_RTOL, "atol": _IVP_ATOL}
+        diagnostics = {"method": "ivp", "rtol": _IVP_TOL, "atol": _IVP_TOL}
     ps = ProfileSolution(
         config=cfg,
         grid=grid,

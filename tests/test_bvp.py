@@ -54,7 +54,7 @@ def _dense_newton_matrix(A, B, dga, dgb):
 
 def _block_and_dense_steps(rhs, bc, x, Y):
     R, f, f_mid, y_mid, x_mid = bvp._full_residual(rhs, bc, x, Y)
-    jac = bvp._assemble_jacobian(rhs, bc, x, Y, f, f_mid, y_mid, x_mid)
+    jac = bvp._assemble_jacobian(rhs, bc, x, Y, R, f, f_mid, y_mid, x_mid)
     dense = np.linalg.solve(_dense_newton_matrix(*jac), -R)
     return bvp._block_solve(jac, R), dense.reshape(x.size, Y.shape[0]).T
 
@@ -76,6 +76,83 @@ def test_mixed_end_conditions():
     sol = bvp_solve(p)
     assert np.max(np.abs(sol.y[0] - np.sin(sol.mesh))) < 1e-8
     assert sol.residual_norm <= 1e-8
+
+
+def test_jacobians_reuse_the_residual_evaluations():
+    # the finite differences start from the residual's own rhs and bc
+    # values: 2m perturbed rhs calls (m at the nodes, m at the midpoints)
+    # and 2m perturbed bc calls, none at the unperturbed state
+    p = _mixed_sine_problem(11)
+    x, Y = p.initial_mesh, p.initial_guess + 0.25
+    rhs_states, bc_states = [], []
+
+    def rhs(x, Y):
+        rhs_states.append(Y.copy())
+        return p.rhs(x, Y)
+
+    def bc(ya, yb):
+        bc_states.append((ya.copy(), yb.copy()))
+        return p.bc(ya, yb)
+
+    R, f, f_mid, y_mid, x_mid = bvp._full_residual(rhs, bc, x, Y)
+    rhs_states.clear()
+    bc_states.clear()
+    bvp._assemble_jacobian(rhs, bc, x, Y, R, f, f_mid, y_mid, x_mid)
+    m = Y.shape[0]
+    assert len(rhs_states) == 2 * m
+    assert len(bc_states) == 2 * m
+    for state in rhs_states:
+        assert not np.array_equal(state, Y) and not np.array_equal(state, y_mid)
+    for ya, yb in bc_states:
+        assert not (np.array_equal(ya, Y[:, 0]) and np.array_equal(yb, Y[:, -1]))
+
+
+def _inline_hermite(y_lo, y_hi, f_lo, f_hi, h, t, t3):
+    """The cubic Hermite basis written out, as the residual estimate had it."""
+    t2 = t * t
+    S = (
+        y_lo * (2 * t3 - 3 * t2 + 1)
+        + y_hi * (-2 * t3 + 3 * t2)
+        + h * f_lo * (t3 - 2 * t2 + t)
+        + h * f_hi * (t3 - t2)
+    )
+    Sp = (
+        (y_hi - y_lo) * (6 * t - 6 * t2) / h
+        + f_lo * (3 * t2 - 4 * t + 1)
+        + f_hi * (3 * t2 - 2 * t)
+    )
+    return S, Sp
+
+
+def test_residual_estimate_matches_inline_basis(exact_cfg, quad_flux, exact_freq):
+    sys = FoldedSystem(cfg=exact_cfg, flux=quad_flux, freq=exact_freq, L=20.0)
+    x, Y = initial_guess(sys)
+    f = sys.rhs(x, Y)
+    h = np.diff(x)
+    est_sq = np.zeros(x.size - 1)
+    for t in bvp._RES_THETA:
+        S, Sp = _inline_hermite(Y[:, :-1], Y[:, 1:], f[:, :-1], f[:, 1:], h, t,
+                                t ** 3)
+        fq = sys.rhs(x[:-1] + t * h, S)
+        rel = (Sp - fq) / (1.0 + np.abs(fq))
+        est_sq += bvp._RES_WEIGHT * np.sum(rel * rel, axis=0)
+    assert np.array_equal(bvp._estimate_residuals(sys.rhs, x, Y, f), np.sqrt(est_sq))
+
+
+def test_interpolant_matches_inline_basis():
+    sol = bvp_solve(_sine_problem(11))
+    interp = sol.interpolant
+    xq = np.random.default_rng(3).uniform(0.0, 1.0, 50)
+    idx = np.clip(np.searchsorted(interp.x, xq, side="right") - 1, 0,
+                  interp.x.size - 2)
+    h = interp.x[idx + 1] - interp.x[idx]
+    t = (xq - interp.x[idx]) / h
+    S, Sp = _inline_hermite(interp.y[:, idx], interp.y[:, idx + 1],
+                            interp.yp[:, idx], interp.yp[:, idx + 1], h, t,
+                            t * t * t)
+    assert np.array_equal(interp(xq), S)
+    assert np.array_equal(interp.derivative(xq), Sp)
+    assert np.array_equal(interp(xq[7]), S[:, 7])
 
 
 def test_dichotomic_problem_refused_with_propagator_norm():

@@ -284,6 +284,26 @@ class TestBetaCommand:
         assert capsys.readouterr().err.startswith("error: ")
         assert not any(out.iterdir())
 
+    @pytest.mark.parametrize("command, extra", [
+        (["beta", "--config", EXACT_CASE_CFG, "--method", "if"], []),
+        (["beta", "--config", EXACT_CASE_CFG, "--method", "coupled"],
+         ["--quadrature", "simpson"]),
+        (["scan", "--config", SINE_SCAN_CFG], ["--quadrature", "simpson"]),
+    ])
+    def test_odd_N_rejected_before_any_solve(self, command, extra, tmp_path,
+                                             capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solver ran before the sample-count check")
+
+        for target in ("shockbeta.beta.solve_profile", "shockbeta.beta.solve_coupled",
+                       "shockbeta.coupled.solve_coupled"):
+            monkeypatch.setattr(target, no_solve)
+        out = tmp_path / "o"
+        code = run([*command, "--N", "4001", *extra, "--out-dir", out])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: field 'N': 4001 is odd")
+        assert not out.exists() or not any(out.iterdir())
+
     def test_odd_N_coupled_trapezoid_succeeds(self, tmp_path):
         assert run(["beta", "--config", EXACT_CASE_CFG, "--N", "4001",
                     "--method", "coupled", "--out-dir", tmp_path / "o"]) == 0

@@ -118,6 +118,30 @@ def test_cubic_custom_wide_domain_matches_coupled(um, L):
     assert abs(betas[0] / betas[1] - 1.0) <= 1e-11
 
 
+def test_cubic_custom_profile_steps_do_not_grow_with_the_tails(monkeypatch):
+    # in log-deviation form the saturated tails are nearly linear, so the
+    # step count stays flat as L grows (7459 steps at L = 100 for the
+    # deviation itself), and the routes still agree
+    steps = []
+
+    def counted(problem):
+        traj = ivp_solve(problem)
+        steps.append(len(traj.t) - 1)
+        return traj
+
+    monkeypatch.setattr("shockbeta.profile.ivp_solve", counted)
+    s = rankine_hugoniot_speed(CUBIC, 1.0, -1.0)
+    cfg = normalize_to_standing(CUBIC, 1.0, -1.0, s)
+    freq = neutral_zero(cfg, CUBIC, 1.0)
+    betas = []
+    for method in (AuxMethod.INTEGRATING_FACTOR, AuxMethod.COUPLED):
+        ps, aux = solve_pair(cfg, CUBIC, freq, method, 100.0, 20000,
+                             1e-8, 1e-6, 1e-6)
+        betas.append(compute_beta(CUBIC, ps, aux).beta.real)
+    assert len(steps) == 1 and steps[0] <= 300
+    assert abs(betas[0] / betas[1] - 1.0) <= 1e-12
+
+
 # (u-, u+, L, N): wide domains and strong shocks, each at the dimensionless
 # step a*delta*h = 0.01 of the standard case at L = 40, N = 4000
 WIDE_AND_STRONG = [
@@ -183,14 +207,18 @@ class TestSolveProfile:
         def rhs(t, y):
             return exact_cfg.profile_field(y)
 
+        def left_rhs(t, y):
+            # u(-t) for t >= 0: the left half integrated forward
+            return -rhs(t, y)
+
         span = grid_L20.L + 5.0
         fwd = ivp_solve(IvpProblem(rhs=rhs, t_span=(0.0, span),
                                    y0=np.array([0.3]), rtol=1e-12, atol=1e-14))
-        bwd = ivp_solve(IvpProblem(rhs=rhs, t_span=(0.0, -span),
+        bwd = ivp_solve(IvpProblem(rhs=left_rhs, t_span=(0.0, span),
                                    y0=np.array([0.3]), rtol=1e-12, atol=1e-14))
 
         def u_at(x):
-            return fwd(x)[0] if x >= 0 else bwd(x)[0]
+            return fwd(x)[0] if x >= 0 else bwd(-x)[0]
 
         x_star = brentq(lambda x: u_at(x) - exact_cfg.u_mid, -4.0, 4.0, xtol=1e-14)
         inner = np.abs(grid_L20.x + x_star) <= span
