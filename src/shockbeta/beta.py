@@ -119,8 +119,13 @@ def compute_beta(
     )
 
 
-def check_even_N(N: int, quadrature: BetaQuadrature, methods=()) -> None:
-    """Before any solve: Simpson's rule and the ``if`` route need an even N."""
+def check_even_N(
+    N: int, quadrature: BetaQuadrature | None = None, methods=()
+) -> None:
+    """Before any solve: Simpson's rule and the ``if`` route need an even N.
+
+    ``quadrature`` is None for a command that computes no beta.
+    """
     need = None
     if quadrature is BetaQuadrature.SIMPSON:
         need = "Simpson's rule needs an even number of intervals"

@@ -120,6 +120,7 @@ def cmd_profile(rc: RunConfig) -> int:
 
 def cmd_aux(rc: RunConfig) -> int:
     flux, cfg, freq = build_model(rc)
+    check_even_N(rc.N, methods=rc.methods())
     out = _out_dir(rc)
     for method, profile, aux in _solve_pairs(rc, flux, cfg, freq):
         ppath = out / f"profile_{method.value}.csv"
@@ -234,6 +235,7 @@ def cmd_compare(rc: RunConfig) -> int:
             "no exact solution for this configuration (needs the quadratic "
             "transverse flux, u_minus = 1, u_plus = -1, xi0 = 1)"
         )
+    check_even_N(rc.N, methods=rc.methods())
     out = _out_dir(rc)
     grid = Grid.make(rc.L_single, rc.N)
     x = grid.x

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as poly
 
 from .auxiliary import DEFAULT_DECAY_TOL, AuxMethod, AuxiliarySolution
 from .errors import ContinuationStalled, SolverError, ValidationError
@@ -56,6 +57,9 @@ class FoldedSystem:
 
     def __post_init__(self):
         self._f2m = self.flux.f2(self.cfg.u_minus)
+        # P'' = f1'' as a polynomial, from the factored profile field
+        ends = poly.polyfromroots((self.cfg.u_plus, self.cfg.u_minus))
+        self._p2 = poly.polyder(poly.polymul(ends, self.cfg.q_coeffs), 2)
 
     def field(self, U: np.ndarray) -> np.ndarray:
         """Unfolded autonomous field on states U = (ubar, v)."""
@@ -73,6 +77,26 @@ class FoldedSystem:
         return np.vstack(
             [self.L * self.field(Y[:2]), -self.L * self.field(Y[2:])]
         )
+
+    def jac(self, t, Y: np.ndarray) -> np.ndarray:
+        """Jacobian of :meth:`rhs`, shape (n, 4, 4).
+
+        Each half is lower triangular, with sign +1 on the right half and -1
+        on the left: d ubar'/d ubar = d v'/d v = a1s(ubar), since
+        P' = f1' - s, and d v'/d ubar = P''(ubar) v + tau0 + xi0 a2(ubar).
+        """
+        J = np.zeros((Y.shape[1], 4, 4))
+        for r, sign in ((0, self.L), (2, -self.L)):
+            ubar, v = Y[r], Y[r + 1]
+            a = sign * self.cfg.a1_shifted(ubar)
+            J[:, r, r] = a
+            J[:, r + 1, r + 1] = a
+            J[:, r + 1, r] = sign * (
+                poly.polyval(ubar, self._p2) * v
+                + self.freq.tau0
+                + self.freq.xi0 * self.flux.a2(ubar)
+            )
+        return J
 
     def bc(self, Ya: np.ndarray, Yb: np.ndarray) -> np.ndarray:
         """Four residuals at the fold: phase, matching, origin normalization."""
@@ -144,7 +168,8 @@ def solve_coupled(
         mesh, Y0 = guess
 
     problem = BvpProblem(
-        rhs=sys.rhs, bc=sys.bc, initial_mesh=mesh, initial_guess=Y0, tol=tol
+        rhs=sys.rhs, jac=sys.jac, bc=sys.bc, initial_mesh=mesh,
+        initial_guess=Y0, tol=tol,
     )
     sol = bvp_solve(problem)
 

@@ -3,17 +3,20 @@
 The discretization is the classical implicit Simpson scheme: a C1 cubic
 Hermite spline is required to satisfy the ODE at every mesh node and at every
 interval midpoint (fourth order at the nodes).  The nonlinear collocation
-equations are solved by a damped Newton iteration with finite-difference
-Jacobians, whose base values are the residual's own evaluations; intervals
-whose scaled residual exceeds the tolerance are split and the solve is
-repeated warm-started from the interpolant.
+equations are solved by a damped Newton iteration; the problem supplies the
+analytic Jacobian of its rhs, evaluated at the nodes and at the midpoints the
+residual already formed, and the few boundary residuals are differenced.
+Intervals whose scaled residual exceeds the tolerance are split and the solve
+is repeated warm-started from the interpolant.
 
 The Newton matrix is block lower-bidiagonal: interval i couples only y_i and
 y_{i+1}, and the m boundary rows couple y_0 with y_{n-1}.  It is solved by
 block condensation (Ascher, Mattheij & Russell, *Numerical Solution of
-Boundary Value Problems for ODEs*, ch. 7), in numpy alone: every interval
-block is solved for the affine map y_{i+1} = M_i y_i + c_i, a prefix scan
-composes the maps into y_k = Phi_k y_0 + c_k, and one m x m system imposes
+Boundary Value Problems for ODEs*, ch. 7), in numpy alone: partial-pivoted
+elimination, vectorized across the intervals, solves every interval block
+for the affine map y_{i+1} = M_i y_i + c_i in m pivot steps; a work-efficient
+prefix scan (Blelloch, CMU-CS-90-190) composes the maps into
+y_k = Phi_k y_0 + c_k with about 2n products; and one m x m system imposes
 the boundary conditions.  Marching from x = 0 is stable when the linearized
 flow contracts towards x = 1, as the folded shock system does on both halves
 (a Lax shock has a1(u+) < 0 < a1(u-)).  A problem whose propagator norm
@@ -53,12 +56,15 @@ class BvpProblem:
     """First-order system ``y' = rhs(x, y)`` on [0, 1] with two-point BCs.
 
     ``rhs`` is vectorized: it maps abscissae of shape ``(n,)`` and states of
-    shape ``(m, n)`` to derivatives of shape ``(m, n)``.  ``bc(ya, yb)``
+    shape ``(m, n)`` to derivatives of shape ``(m, n)``.  ``jac`` takes the
+    same arguments and returns its Jacobian, of shape ``(n, m, m)``:
+    ``jac(x, Y)[p, r, c]`` is d rhs_r / d y_c at point p.  ``bc(ya, yb)``
     returns the m boundary residuals.  ``initial_guess`` holds state samples
     of shape ``(m, n)`` on ``initial_mesh``.
     """
 
     rhs: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    jac: Callable[[np.ndarray, np.ndarray], np.ndarray]
     bc: Callable[[np.ndarray, np.ndarray], np.ndarray]
     initial_mesh: np.ndarray
     initial_guess: np.ndarray
@@ -87,23 +93,33 @@ class BvpProblem:
                 f"bc returned {res.shape[0] if res.ndim == 1 else res.shape} "
                 f"residuals for a system of dimension {m}"
             )
+        shape = np.shape(self.jac(x[:1], self.initial_guess[:, :1]))
+        if shape != (1, m, m):
+            raise BadProblem(
+                f"jac returned shape {shape} at one point of a system of "
+                f"dimension {m}; expected {(1, m, m)}"
+            )
 
 
-def _hermite(y0, y1, f0, f1, h, t):
-    """Value and slope at t in [0, 1] of the cubic with ends (y0, f0), (y1, f1)."""
+def _hermite_value(y0, y1, f0, f1, h, t):
+    """Value at t in [0, 1] of the cubic with ends (y0, f0), (y1, f1)."""
     t2, t3 = t * t, t * t * t
-    value = (
+    return (
         y0 * (2 * t3 - 3 * t2 + 1)
         + y1 * (-2 * t3 + 3 * t2)
         + h * f0 * (t3 - 2 * t2 + t)
         + h * f1 * (t3 - t2)
     )
-    slope = (
+
+
+def _hermite_slope(y0, y1, f0, f1, h, t):
+    """Slope at t in [0, 1] of the cubic of :func:`_hermite_value`."""
+    t2 = t * t
+    return (
         (y1 - y0) * (6 * t - 6 * t2) / h
         + f0 * (3 * t2 - 4 * t + 1)
         + f1 * (3 * t2 - 2 * t)
     )
-    return value, slope
 
 
 class HermiteInterpolant:
@@ -114,21 +130,15 @@ class HermiteInterpolant:
         self.y = y
         self.yp = yp
 
-    def _at(self, xq, k):
-        """Value (k = 0) or slope (k = 1) at scalar or array ``xq``."""
+    def __call__(self, xq):
+        """Values at scalar or array ``xq``."""
         xs = np.atleast_1d(np.asarray(xq, dtype=float))
         i = np.clip(np.searchsorted(self.x, xs, side="right") - 1, 0, self.x.size - 2)
         h = self.x[i + 1] - self.x[i]
         y, yp = self.y, self.yp
         t = (xs - self.x[i]) / h
-        out = _hermite(y[:, i], y[:, i + 1], yp[:, i], yp[:, i + 1], h, t)[k]
+        out = _hermite_value(y[:, i], y[:, i + 1], yp[:, i], yp[:, i + 1], h, t)
         return out[:, 0] if np.ndim(xq) == 0 else out
-
-    def __call__(self, xq):
-        return self._at(xq, 0)
-
-    def derivative(self, xq):
-        return self._at(xq, 1)
 
 
 @dataclass
@@ -160,23 +170,7 @@ def _collocation_residual(rhs, x, Y):
     x_mid = x[:-1] + 0.5 * h
     f_mid = rhs(x_mid, y_mid)
     phi = (y_hi - y_lo) / h - (f_lo + 4.0 * f_mid + f_hi) / 6.0
-    return phi, f, f_mid, y_mid, x_mid
-
-
-def _fd_jacobian(rhs, x, Y, f0):
-    """One-sided FD Jacobian of the vectorized rhs at every column of Y.
-
-    ``f0 = rhs(x, Y)`` comes from the residual.  Returns shape (npts, m, m):
-    J[p, r, c] = d rhs_r / d y_c at point p.
-    """
-    m, n = Y.shape
-    J = np.empty((n, m, m))
-    for c in range(m):
-        step = _SQRT_EPS * (1.0 + np.abs(Y[c]))
-        Yp = Y.copy()
-        Yp[c] += step
-        J[:, :, c] = ((rhs(x, Yp) - f0) / step).T
-    return J
+    return phi, f, y_mid, x_mid
 
 
 def _fd_bc_jacobian(bc, ya, yb, g0):
@@ -196,37 +190,93 @@ def _fd_bc_jacobian(bc, ya, yb, g0):
     return dga, dgb
 
 
-def _assemble_jacobian(rhs, bc, x, Y, R, f, f_mid, y_mid, x_mid):
+def _assemble_jacobian(jac, bc, x, Y, R, y_mid, x_mid):
     """Blocks of the Newton matrix of the collocation system.
 
-    The finite differences start from the residual's own values: ``f`` and
-    ``f_mid`` at nodes and midpoints, and the bc residuals ``R[-m:]``.
-    Returns ``(A, B, dga, dgb)``: A and B of shape (n-1, m, m) are the
-    derivatives of interval i's residual with respect to y_i and y_{i+1};
-    dga and dgb those of the boundary residuals with respect to y_0, y_{n-1}.
+    The rhs Jacobian ``jac`` is evaluated at the nodes and at the residual's
+    own midpoint states ``y_mid``; the boundary finite differences start from
+    the bc residuals ``R[-m:]``.  Returns ``(A, B, dga, dgb)``: A and B of
+    shape (n-1, m, m) are the derivatives of interval i's residual with
+    respect to y_i and y_{i+1}; dga and dgb those of the boundary residuals
+    with respect to y_0, y_{n-1}.
     """
     m = Y.shape[0]
     h = np.diff(x)
 
-    Jn = _fd_jacobian(rhs, x, Y, f)
-    Jm = _fd_jacobian(rhs, x_mid, y_mid, f_mid)
+    Jn = jac(x, Y)
+    Jm = jac(x_mid, y_mid)
     dga, dgb = _fd_bc_jacobian(bc, Y[:, 0], Y[:, -1], R[-m:])
 
     eye = np.eye(m)
     hcol = h[:, None, None]
+    eye_h = eye / hcol
     Jn_lo, Jn_hi = Jn[:-1], Jn[1:]
     # d(phi_i)/d(y_i) and d(phi_i)/d(y_{i+1}) for the 1/h-scaled residuals.
     A = (
-        -eye / hcol
+        -eye_h
         - Jn_lo / 6.0
         - (2.0 / 3.0) * (Jm @ (0.5 * eye + (hcol / 8.0) * Jn_lo))
     )
     B = (
-        eye / hcol
+        eye_h
         - Jn_hi / 6.0
         - (2.0 / 3.0) * (Jm @ (0.5 * eye - (hcol / 8.0) * Jn_hi))
     )
     return A, B, dga, dgb
+
+
+def _eliminate(W, m):
+    """Solve every interval block at once by partial-pivoted elimination.
+
+    ``W`` has shape (m, m + k, nint), the interval index last: each slice
+    ``W[:, :, i]`` is an augmented system [B_i | F_i] with an m x m left
+    block.  The m pivot steps and the back substitution are array operations
+    across all intervals, overwriting ``W``; returns the solutions
+    ``B_i^{-1} F_i`` as the view ``W[:, m:]``.  An exactly zero pivot raises
+    :class:`SingularJacobian`.
+    """
+    for k in range(m):
+        col = np.abs(W[k:, k])
+        # the largest entry, first among equals; argmax only where it is
+        # not already on the diagonal
+        swap = np.flatnonzero(col[0] < col.max(axis=0))
+        if swap.size:
+            p = k + np.argmax(col[:, swap], axis=0)
+            rows = W[k][:, swap]
+            W[k][:, swap] = W[p, :, swap].T
+            W[p, :, swap] = rows.T
+        pivot = W[k, k]
+        if not np.all(pivot):
+            i = int(np.flatnonzero(pivot == 0.0)[0])
+            raise SingularJacobian(
+                f"collocation block: zero pivot in column {k} of interval {i}"
+            )
+        lk = W[k + 1:, k] / pivot
+        W[k + 1:, k + 1:] -= lk[:, None] * W[k, k + 1:]
+    X = W[:, m:]
+    for k in range(m - 1, -1, -1):
+        for c in range(k + 1, m):
+            X[k] -= W[k, c] * X[c]
+        X[k] /= W[k, k]
+    return X
+
+
+def _prefix_products(G):
+    """S[k] = G[k] @ ... @ G[0] for a stack of square maps G.
+
+    Work-efficient scan (Blelloch, CMU-CS-90-190): compose adjacent pairs,
+    scan the half-length sequence of pairs recursively, which gives every odd
+    prefix, and reach each even prefix with one more product.  That is about
+    2n products in ceil(log2 n) levels.
+    """
+    n = G.shape[0]
+    if n == 1:
+        return G
+    S = np.empty_like(G)
+    S[0] = G[0]
+    S[1::2] = _prefix_products(G[1::2] @ G[0:n - 1:2])
+    S[2::2] = G[2::2] @ S[1:n - 1:2]
+    return S
 
 
 def _block_solve(jac, R):
@@ -236,9 +286,9 @@ def _block_solve(jac, R):
     residual of :func:`_full_residual` (interval residuals node-major, then
     the m boundary residuals).  Three steps:
 
-    1. one batched solve of B_i [M_i | c_i] = [-A_i | -phi_i] gives the
-       affine maps dy_{i+1} = M_i dy_i + c_i;
-    2. a ceil(log2 n)-level prefix scan of the augmented (m+1) x (m+1) maps
+    1. elimination of B_i [M_i | c_i] = [-A_i | -phi_i], vectorized across
+       the intervals, gives the affine maps dy_{i+1} = M_i dy_i + c_i;
+    2. a work-efficient prefix scan of the augmented (m+1) x (m+1) maps
        gives [dy_k; 1] = P_k [dy_0; 1], with P_k = [[Phi_k, c_k], [0, 1]];
     3. one m x m solve of (dga + dgb Phi_{n-1}) dy_0 = -g - dgb c_{n-1}
        imposes the boundary conditions, and one batched product gives every
@@ -255,21 +305,25 @@ def _block_solve(jac, R):
     """
     A, B, dga, dgb = jac
     nint, m, _ = A.shape
-    AR = np.concatenate([-A, -R[:-m].reshape(nint, m, 1)], axis=2)
-    P = np.zeros((nint + 1, m + 1, m + 1))
+    # B_i X_i = [A_i | phi_i], so [M_i | c_i] = -X_i (negation is exact)
+    W = np.empty((m, 2 * m + 1, nint))
+    W[:, :m] = B.transpose(1, 2, 0)
+    W[:, m:2 * m] = A.transpose(1, 2, 0)
+    W[:, 2 * m] = R[:-m].reshape(nint, m).T
+    X = _eliminate(W, m)
+    G = np.zeros((nint, m + 1, m + 1))
+    np.negative(X.transpose(2, 0, 1), out=G[:, :m])
+    G[:, m, m] = 1.0
+    P = np.empty((nint + 1, m + 1, m + 1))
     P[0] = np.eye(m + 1)
-    try:
-        P[1:, :m] = np.linalg.solve(B, AR)
-    except np.linalg.LinAlgError as exc:
-        raise SingularJacobian(f"collocation block: {exc}") from exc
-    P[1:, m, m] = 1.0
-    # Hillis-Steele scan: after the level of width d, P[k] is the product
-    # of the (up to) 2d maps ending at interval k-1; P[0] = I is neutral.
-    d = 1
-    while d <= nint:
-        P[d:] = P[d:] @ P[:-d]
-        d *= 2
-    norm = float(np.max(np.sum(np.abs(P[:, :m, :m]), axis=2)))
+    P[1:] = _prefix_products(G)
+    # row sums of |Phi_k| column by column: numpy reduces a length-m last
+    # axis of a strided view several times slower
+    a = np.abs(P)
+    row_sums = a[:, :m, 0]
+    for j in range(1, m):
+        row_sums = row_sums + a[:, :m, j]
+    norm = float(np.max(row_sums))
     if norm > _MAX_PROPAGATOR_NORM:
         raise SingularJacobian(
             f"propagator norm {norm:.3e} exceeds {_MAX_PROPAGATOR_NORM:.3e}: "
@@ -280,7 +334,7 @@ def _block_solve(jac, R):
         dy0 = np.linalg.solve(dga + dgb @ phi, -R[-m:] - dgb @ c)
     except np.linalg.LinAlgError as exc:
         raise SingularJacobian(f"boundary system: {exc}") from exc
-    return (P[:, :m] @ np.append(dy0, 1.0)).T
+    return (P @ np.append(dy0, 1.0))[:, :m].T
 
 
 # perfbench/tracing.py wraps the Newton linear solve under this name.
@@ -288,15 +342,15 @@ splu = _block_solve
 
 
 def _full_residual(rhs, bc, x, Y):
-    phi, f, f_mid, y_mid, x_mid = _collocation_residual(rhs, x, Y)
+    phi, f, y_mid, x_mid = _collocation_residual(rhs, x, Y)
     g = np.asarray(bc(Y[:, 0], Y[:, -1]))
     R = np.concatenate([phi.T.ravel(), g])
-    return R, f, f_mid, y_mid, x_mid
+    return R, f, y_mid, x_mid
 
 
-def _newton(rhs, bc, x, Y, max_newton):
+def _newton(rhs, jac, bc, x, Y, max_newton):
     """Damped Newton on the collocation system; returns (Y, f, iterations)."""
-    R, f, f_mid, y_mid, x_mid = _full_residual(rhs, bc, x, Y)
+    R, f, y_mid, x_mid = _full_residual(rhs, bc, x, Y)
     if not np.all(np.isfinite(R)):
         raise NewtonDivergence("residual is not finite at the initial guess")
     iters = 0
@@ -306,15 +360,15 @@ def _newton(rhs, bc, x, Y, max_newton):
         norm = np.max(np.abs(R))
         if norm <= 1e-11 * scale:
             return Y, f, iters
-        jac = _assemble_jacobian(rhs, bc, x, Y, R, f, f_mid, y_mid, x_mid)
-        dY = splu(jac, R)
+        blocks = _assemble_jacobian(jac, bc, x, Y, R, y_mid, x_mid)
+        dY = splu(blocks, R)
         if not np.all(np.isfinite(dY)):
             raise SingularJacobian("Newton linear solve produced non-finite step")
 
         lam = 1.0
         for _ in range(_MAX_BACKTRACKS + 1):
             Y_try = Y + lam * dY
-            R_try, f_t, f_mid_t, y_mid_t, x_mid = _full_residual(rhs, bc, x, Y_try)
+            R_try, f_t, y_mid_t, x_mid = _full_residual(rhs, bc, x, Y_try)
             norm_try = np.max(np.abs(R_try)) if np.all(np.isfinite(R_try)) else np.inf
             if norm_try < (1.0 - 1e-4 * lam) * norm:
                 break
@@ -324,7 +378,7 @@ def _newton(rhs, bc, x, Y, max_newton):
                 f"no residual decrease after {_MAX_BACKTRACKS} step halvings "
                 f"(|R|={norm:.3e})"
             )
-        Y, R, f, f_mid, y_mid = Y_try, R_try, f_t, f_mid_t, y_mid_t
+        Y, R, f, y_mid = Y_try, R_try, f_t, y_mid_t
         iters += 1
         if np.max(np.abs(lam * dY)) <= 1e-14 * scale:
             return Y, f, iters
@@ -341,7 +395,8 @@ def _estimate_residuals(rhs, x, Y, f):
     h = np.diff(x)
     est_sq = np.zeros(x.size - 1)
     for t in _RES_THETA:
-        S, Sp = _hermite(Y[:, :-1], Y[:, 1:], f[:, :-1], f[:, 1:], h, t)
+        ends = (Y[:, :-1], Y[:, 1:], f[:, :-1], f[:, 1:], h, t)
+        S, Sp = _hermite_value(*ends), _hermite_slope(*ends)
         fq = rhs(x[:-1] + t * h, S)
         rel = (Sp - fq) / (1.0 + np.abs(fq))
         est_sq += _RES_WEIGHT * np.sum(rel * rel, axis=0)
@@ -379,13 +434,13 @@ def bvp_solve(
     propagator from x = 0 grows past 1/sqrt(eps), and
     :class:`MeshLimitExceeded` if refinement runs out of its node budget.
     """
-    rhs, bc = problem.rhs, problem.bc
+    rhs, jac, bc = problem.rhs, problem.jac, problem.bc
     x = problem.initial_mesh.copy()
     Y = problem.initial_guess.copy()
     per_sweep: list[int] = []
 
     for sweep in range(1, _MAX_MESH_SWEEPS + 1):
-        Y, f, iters = _newton(rhs, bc, x, Y, max_newton)
+        Y, f, iters = _newton(rhs, jac, bc, x, Y, max_newton)
         per_sweep.append(iters)
         est = _estimate_residuals(rhs, x, Y, f)
         res_norm = float(est.max())

@@ -192,6 +192,9 @@ def test_criterion_8_kernel_convergence_orders():
     def rhs(x, Y):
         return np.vstack([Y[1], -Y[0]])
 
+    def jac(x, Y):
+        return np.broadcast_to([[0.0, 1.0], [-1.0, 0.0]], (Y.shape[1], 2, 2))
+
     def bc(ya, yb):
         return np.array([ya[0], yb[0] - np.sin(1.0)])
 
@@ -199,7 +202,7 @@ def test_criterion_8_kernel_convergence_orders():
     sizes = [8, 11, 16, 21, 31, 41]
     for n in sizes:
         mesh = np.linspace(0.0, 1.0, n)
-        prob = BvpProblem(rhs=rhs, bc=bc, initial_mesh=mesh,
+        prob = BvpProblem(rhs=rhs, jac=jac, bc=bc, initial_mesh=mesh,
                           initial_guess=np.zeros((2, n)), tol=10.0)
         sol = bvp_solve(prob)
         bvp_errs.append(np.max(np.abs(sol.y[0] - np.sin(sol.mesh))))

@@ -11,31 +11,46 @@ from shockbeta.coupled import FoldedSystem, initial_guess
 from shockbeta.numerics import BvpProblem, bvp, bvp_solve
 
 
-def _sine_problem(n, tol=1e-8):
-    # y'' = -y as a first-order system; y(0) = 0, y(1) = sin 1  ->  y = sin x
+def _linear(M):
+    """rhs and analytic jac of the constant-coefficient system y' = M y."""
+    M = np.asarray(M, dtype=float)
+
     def rhs(x, Y):
-        return np.vstack([Y[1], -Y[0]])
+        return M @ Y
+
+    def jac(x, Y):
+        return np.broadcast_to(M, (Y.shape[1], *M.shape))
+
+    return rhs, jac
+
+
+# y'' = -y as a first-order system
+_OSCILLATOR = [[0.0, 1.0], [-1.0, 0.0]]
+
+
+def _sine_problem(n, tol=1e-8):
+    # y(0) = 0, y(1) = sin 1  ->  y = sin x
+    rhs, jac = _linear(_OSCILLATOR)
 
     def bc(ya, yb):
         return np.array([ya[0], yb[0] - np.sin(1.0)])
 
     mesh = np.linspace(0.0, 1.0, n)
-    return BvpProblem(rhs=rhs, bc=bc, initial_mesh=mesh,
+    return BvpProblem(rhs=rhs, jac=jac, bc=bc, initial_mesh=mesh,
                       initial_guess=np.zeros((2, n)), tol=tol)
 
 
 def _mixed_sine_problem(n):
     # y = sin x again, but each condition couples both ends, so the
     # boundary solve needs the propagator to x = 1 in full
-    def rhs(x, Y):
-        return np.vstack([Y[1], -Y[0]])
+    rhs, jac = _linear(_OSCILLATOR)
 
     def bc(ya, yb):
         return np.array([ya[0] + yb[1] - np.cos(1.0),
                          ya[1] - yb[0] - (1.0 - np.sin(1.0))])
 
     mesh = np.linspace(0.0, 1.0, n)
-    return BvpProblem(rhs=rhs, bc=bc, initial_mesh=mesh,
+    return BvpProblem(rhs=rhs, jac=jac, bc=bc, initial_mesh=mesh,
                       initial_guess=np.zeros((2, n)))
 
 
@@ -52,11 +67,11 @@ def _dense_newton_matrix(A, B, dga, dgb):
     return J
 
 
-def _block_and_dense_steps(rhs, bc, x, Y):
-    R, f, f_mid, y_mid, x_mid = bvp._full_residual(rhs, bc, x, Y)
-    jac = bvp._assemble_jacobian(rhs, bc, x, Y, R, f, f_mid, y_mid, x_mid)
-    dense = np.linalg.solve(_dense_newton_matrix(*jac), -R)
-    return bvp._block_solve(jac, R), dense.reshape(x.size, Y.shape[0]).T
+def _block_and_dense_steps(p, x, Y):
+    R, f, y_mid, x_mid = bvp._full_residual(p.rhs, p.bc, x, Y)
+    blocks = bvp._assemble_jacobian(p.jac, p.bc, x, Y, R, y_mid, x_mid)
+    dense = np.linalg.solve(_dense_newton_matrix(*blocks), -R)
+    return bvp._block_solve(blocks, R), dense.reshape(x.size, Y.shape[0]).T
 
 
 def test_block_step_matches_dense_solve_on_coupled_system(exact_cfg, quad_flux,
@@ -64,14 +79,13 @@ def test_block_step_matches_dense_solve_on_coupled_system(exact_cfg, quad_flux,
     sys = FoldedSystem(cfg=exact_cfg, flux=quad_flux, freq=exact_freq, L=20.0)
     mesh, Y0 = initial_guess(sys)
     assert mesh.size == 401
-    step, ref = _block_and_dense_steps(sys.rhs, sys.bc, mesh, Y0)
+    step, ref = _block_and_dense_steps(sys, mesh, Y0)
     assert np.max(np.abs(step - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_mixed_end_conditions():
     p = _mixed_sine_problem(11)
-    step, ref = _block_and_dense_steps(p.rhs, p.bc, p.initial_mesh,
-                                       p.initial_guess)
+    step, ref = _block_and_dense_steps(p, p.initial_mesh, p.initial_guess)
     assert np.max(np.abs(step - ref)) <= 1e-13 * np.max(np.abs(ref))
     sol = bvp_solve(p)
     assert np.max(np.abs(sol.y[0] - np.sin(sol.mesh))) < 1e-8
@@ -79,32 +93,96 @@ def test_mixed_end_conditions():
 
 
 def test_jacobians_reuse_the_residual_evaluations():
-    # the finite differences start from the residual's own rhs and bc
-    # values: 2m perturbed rhs calls (m at the nodes, m at the midpoints)
-    # and 2m perturbed bc calls, none at the unperturbed state
+    # assembly makes no rhs call: the analytic jac is evaluated once at the
+    # nodes and once at the residual's own midpoint states; the boundary
+    # finite differences start from the residual's bc values, so all 2m
+    # bc calls are perturbed
     p = _mixed_sine_problem(11)
     x, Y = p.initial_mesh, p.initial_guess + 0.25
-    rhs_states, bc_states = [], []
+    rhs_calls, jac_points, bc_states = [], [], []
 
     def rhs(x, Y):
-        rhs_states.append(Y.copy())
+        rhs_calls.append(Y)
         return p.rhs(x, Y)
+
+    def jac(x, Y):
+        jac_points.append((x.copy(), Y.copy()))
+        return p.jac(x, Y)
 
     def bc(ya, yb):
         bc_states.append((ya.copy(), yb.copy()))
         return p.bc(ya, yb)
 
-    R, f, f_mid, y_mid, x_mid = bvp._full_residual(rhs, bc, x, Y)
-    rhs_states.clear()
+    R, f, y_mid, x_mid = bvp._full_residual(rhs, bc, x, Y)
+    rhs_calls.clear()
     bc_states.clear()
-    bvp._assemble_jacobian(rhs, bc, x, Y, R, f, f_mid, y_mid, x_mid)
+    bvp._assemble_jacobian(jac, bc, x, Y, R, y_mid, x_mid)
     m = Y.shape[0]
-    assert len(rhs_states) == 2 * m
+    assert rhs_calls == []
+    assert len(jac_points) == 2
+    (xn, Yn), (xm, Ym) = jac_points
+    assert np.array_equal(xn, x) and np.array_equal(Yn, Y)
+    assert np.array_equal(xm, x_mid) and np.array_equal(Ym, y_mid)
     assert len(bc_states) == 2 * m
-    for state in rhs_states:
-        assert not np.array_equal(state, Y) and not np.array_equal(state, y_mid)
     for ya, yb in bc_states:
         assert not (np.array_equal(ya, Y[:, 0]) and np.array_equal(yb, Y[:, -1]))
+
+
+def _affine_maps(rng, m, nint):
+    """Augmented maps [[Q, c], [0, 1]] with orthogonal Q."""
+    G = np.zeros((nint, m + 1, m + 1))
+    G[:, :m, :m] = np.linalg.qr(rng.standard_normal((nint, m, m)))[0]
+    G[:, :m, m] = rng.standard_normal((nint, m))
+    G[:, m, m] = 1.0
+    return G
+
+
+@pytest.mark.parametrize("nint", [1, 2, 3, 400, 4397])
+def test_prefix_scan_matches_sequential_composition(nint):
+    m = 4
+    G = _affine_maps(np.random.default_rng(nint), m, nint)
+    ref = np.empty_like(G)
+    ref[0] = G[0]
+    for k in range(1, nint):
+        ref[k] = G[k] @ ref[k - 1]
+    # orthogonal factors: rounding grows at most linearly with the length
+    tol = nint * (m + 1) * np.finfo(float).eps * np.max(np.abs(ref))
+    assert np.max(np.abs(bvp._prefix_products(G) - ref)) <= tol
+
+
+def _row_swapping_blocks(rng, m, nint):
+    """Diagonally dominant blocks with their rows shuffled, interval first.
+
+    The dominant entry of each column sits off the diagonal in most blocks,
+    so partial pivoting has to swap rows.
+    """
+    D = 4.0 * np.eye(m) + rng.uniform(-1.0, 1.0, (nint, m, m))
+    perm = np.array([rng.permutation(m) for _ in range(nint)])
+    return np.take_along_axis(D, perm[:, :, None], axis=1), perm
+
+
+def test_block_elimination_matches_dense_solve_with_row_swaps():
+    rng = np.random.default_rng(11)
+    m, k, nint = 4, 5, 300
+    B, perm = _row_swapping_blocks(rng, m, nint)
+    assert np.mean(perm[:, 0] != 0) > 0.5
+    F = rng.standard_normal((nint, m, k))
+    W = np.concatenate([B, F], axis=2).transpose(1, 2, 0).copy()
+    X = bvp._eliminate(W, m).transpose(2, 0, 1)
+    ref = np.linalg.solve(B, F)
+    assert np.max(np.abs(X - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_zero_pivot_column_raises_collocation_block_error():
+    rng = np.random.default_rng(5)
+    m, nint = 4, 20
+    B, _ = _row_swapping_blocks(rng, m, nint)
+    B[7, :, 2] = 0.0
+    A = rng.standard_normal((nint, m, m))
+    R = rng.standard_normal(nint * m + m)
+    eye = np.eye(m)
+    with pytest.raises(SingularJacobian, match="collocation block: .*interval 7"):
+        bvp._block_solve((A, B, eye, eye), R)
 
 
 def _inline_hermite(y_lo, y_hi, f_lo, f_hi, h, t, t3):
@@ -147,25 +225,23 @@ def test_interpolant_matches_inline_basis():
                   interp.x.size - 2)
     h = interp.x[idx + 1] - interp.x[idx]
     t = (xq - interp.x[idx]) / h
-    S, Sp = _inline_hermite(interp.y[:, idx], interp.y[:, idx + 1],
-                            interp.yp[:, idx], interp.yp[:, idx + 1], h, t,
-                            t * t * t)
+    S, _ = _inline_hermite(interp.y[:, idx], interp.y[:, idx + 1],
+                           interp.yp[:, idx], interp.yp[:, idx + 1], h, t,
+                           t * t * t)
     assert np.array_equal(interp(xq), S)
-    assert np.array_equal(interp.derivative(xq), Sp)
     assert np.array_equal(interp(xq[7]), S[:, 7])
 
 
 def test_dichotomic_problem_refused_with_propagator_norm():
     # y'' = 1600 y has a mode growing like exp(40 x): marching from x = 0
     # cannot be stable, whatever the conditioning of the BVP itself
-    def rhs(x, Y):
-        return np.vstack([Y[1], 1600.0 * Y[0]])
+    rhs, jac = _linear([[0.0, 1.0], [1600.0, 0.0]])
 
     def bc(ya, yb):
         return np.array([ya[0] - 1.0, yb[0]])
 
     mesh = np.linspace(0.0, 1.0, 41)
-    p = BvpProblem(rhs=rhs, bc=bc, initial_mesh=mesh,
+    p = BvpProblem(rhs=rhs, jac=jac, bc=bc, initial_mesh=mesh,
                    initial_guess=np.zeros((2, 41)))
     with pytest.raises(SingularJacobian, match=r"propagator norm \d\.\d{3}e\+\d+"):
         bvp_solve(p)
@@ -198,15 +274,6 @@ def test_interpolant_reproduces_mesh_samples_exactly():
     assert np.array_equal(sol.interpolant(sol.mesh), sol.y)
 
 
-def test_interpolant_first_derivative_continuity():
-    sol = bvp_solve(_sine_problem(11))
-    eps = 1e-13
-    xi = sol.mesh[1:-1]
-    jump = sol.interpolant.derivative(xi + eps) - sol.interpolant.derivative(xi - eps)
-    scale = 1.0 + np.max(np.abs(sol.yp))
-    assert np.max(np.abs(jump)) <= 1e-10 * scale
-
-
 def test_convergence_order_fourth():
     # refinement disabled (loose tol) so the mesh sets the error
     errs = []
@@ -220,25 +287,31 @@ def test_convergence_order_fourth():
 
 
 def test_bc_count_mismatch_rejected_at_construction():
-    def rhs(x, Y):
-        return np.vstack([Y[1], -Y[0]])
-
+    rhs, jac = _linear(_OSCILLATOR)
     mesh = np.linspace(0.0, 1.0, 5)
     with pytest.raises(BadProblem):
-        BvpProblem(rhs=rhs, bc=lambda ya, yb: np.array([ya[0]]),
+        BvpProblem(rhs=rhs, jac=jac, bc=lambda ya, yb: np.array([ya[0]]),
+                   initial_mesh=mesh, initial_guess=np.zeros((2, 5)))
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (2, 2, 1), (1, 2, 3), (1, 1, 1)])
+def test_jac_shape_mismatch_rejected_at_construction(shape):
+    rhs, _ = _linear(_OSCILLATOR)
+    mesh = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(BadProblem, match=r"jac returned shape"):
+        BvpProblem(rhs=rhs, jac=lambda x, Y: np.zeros(shape),
+                   bc=lambda ya, yb: np.array([ya[0], yb[0]]),
                    initial_mesh=mesh, initial_guess=np.zeros((2, 5)))
 
 
 def test_mesh_validation():
-    def rhs(x, Y):
-        return Y
-
+    rhs, jac = _linear([[1.0]])
     bad = np.array([0.0, 0.5, 0.4, 1.0])
     with pytest.raises(BadProblem):
-        BvpProblem(rhs=rhs, bc=lambda ya, yb: np.array([ya[0]]),
+        BvpProblem(rhs=rhs, jac=jac, bc=lambda ya, yb: np.array([ya[0]]),
                    initial_mesh=bad, initial_guess=np.zeros((1, 4)))
     with pytest.raises(BadProblem):
-        BvpProblem(rhs=rhs, bc=lambda ya, yb: np.array([ya[0]]),
+        BvpProblem(rhs=rhs, jac=jac, bc=lambda ya, yb: np.array([ya[0]]),
                    initial_mesh=np.linspace(0.1, 1.0, 4),
                    initial_guess=np.zeros((1, 4)))
 
@@ -254,11 +327,17 @@ def test_newton_iteration_budget():
     def rhs(x, Y):
         return np.vstack([Y[1], np.exp(Y[0])])
 
+    def jac(x, Y):
+        J = np.zeros((Y.shape[1], 2, 2))
+        J[:, 0, 1] = 1.0
+        J[:, 1, 0] = np.exp(Y[0])
+        return J
+
     def bc(ya, yb):
         return np.array([ya[0], yb[0]])
 
     mesh = np.linspace(0.0, 1.0, 21)
-    p = BvpProblem(rhs=rhs, bc=bc, initial_mesh=mesh,
+    p = BvpProblem(rhs=rhs, jac=jac, bc=bc, initial_mesh=mesh,
                    initial_guess=np.vstack([np.full(21, 3.0), np.zeros(21)]),
                    tol=1e-8)
     with pytest.raises(NewtonDivergence):
@@ -267,14 +346,14 @@ def test_newton_iteration_budget():
 
 def test_singular_jacobian_detected():
     # contradictory conditions on y1 leave y2 unconstrained
-    def rhs(x, Y):
-        return np.zeros_like(Y)
+    rhs, jac = _linear(np.zeros((2, 2)))
 
     def bc(ya, yb):
         return np.array([ya[0] - yb[0], ya[0] - yb[0] - 1.0])
 
     mesh = np.linspace(0.0, 1.0, 6)
-    p = BvpProblem(rhs=rhs, bc=bc, initial_mesh=mesh, initial_guess=np.zeros((2, 6)))
+    p = BvpProblem(rhs=rhs, jac=jac, bc=bc, initial_mesh=mesh,
+                   initial_guess=np.zeros((2, 6)))
     with pytest.raises(SingularJacobian):
         bvp_solve(p)
 

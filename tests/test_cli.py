@@ -289,6 +289,9 @@ class TestBetaCommand:
         (["beta", "--config", EXACT_CASE_CFG, "--method", "coupled"],
          ["--quadrature", "simpson"]),
         (["scan", "--config", SINE_SCAN_CFG], ["--quadrature", "simpson"]),
+        (["aux", "--config", EXACT_CASE_CFG, "--L", "20"], ["--method", "both"]),
+        (["aux", "--config", EXACT_CASE_CFG, "--L", "20"], ["--method", "if"]),
+        (["compare", "--config", EXACT_CASE_CFG, "--L", "20"], ["--method", "if"]),
     ])
     def test_odd_N_rejected_before_any_solve(self, command, extra, tmp_path,
                                              capsys, monkeypatch):

@@ -13,8 +13,11 @@ from shockbeta.integrating_factor import solve_auxiliary_if
 from shockbeta.model import (
     NeutralFrequency,
     burgers_flux,
+    custom_flux,
     neutral_zero,
     normalize_to_standing,
+    quadratic_transverse_flux,
+    rankine_hugoniot_speed,
     sine_transverse_flux,
 )
 from shockbeta.profile import Grid, solve_profile
@@ -73,6 +76,36 @@ class TestFoldedSystem:
             eigs = np.sort(np.linalg.eigvals(J).real)
             expected = exact_cfg.a1_shifted(u)
             assert np.max(np.abs(eigs - expected)) <= 1e-10
+
+    @pytest.mark.parametrize("flux", [
+        quadratic_transverse_flux(),
+        sine_transverse_flux(),
+        custom_flux([0.0, 0.0, 0.5, 0.1], [0.0, 0.0, 1.0]),
+    ], ids=["quadratic", "sine", "custom_cubic"])
+    def test_jac_matches_central_differences(self, flux):
+        cfg = normalize_to_standing(
+            flux, 1.2, -1.0, rankine_hugoniot_speed(flux, 1.2, -1.0)
+        )
+        sys = FoldedSystem(cfg, flux, neutral_zero(cfg, flux, 1.3), 20.0)
+        # both halves at independent states, v far from 0
+        rng = np.random.default_rng(1)
+        n = 60
+        t = np.linspace(0.0, 1.0, n)
+        Y = np.vstack([rng.uniform(-1.0, 1.2, n), rng.uniform(0.5, 2.0, n),
+                       rng.uniform(-1.0, 1.2, n), rng.uniform(-2.0, -0.5, n)])
+        J = sys.jac(t, Y)
+        assert J.shape == (n, 4, 4)
+        h = 1e-6
+        fd = np.empty_like(J)
+        for c in range(4):
+            step = np.zeros((4, 1))
+            step[c] = h
+            fd[:, :, c] = ((sys.rhs(t, Y + step) - sys.rhs(t, Y - step)) / (2 * h)).T
+        assert np.max(np.abs(J - fd)) <= 1e-7 * (1.0 + np.max(np.abs(J)))
+        # the halves do not couple, and u' does not depend on v
+        zero = np.ones((4, 4), dtype=bool)
+        zero[[0, 1, 1, 2, 3, 3], [0, 0, 1, 2, 2, 3]] = False
+        assert np.all(J[:, zero] == 0.0)
 
     def test_boundary_conditions_count_and_content(self, folded, exact_cfg):
         Ya = np.array([exact_cfg.u_mid, 0.0, exact_cfg.u_mid, 0.0])
