@@ -10,7 +10,7 @@ tolerances positive.  Keys:
     f2_coeffs     ascending polynomial coefficients (custom flux only)
     u_minus       left end state (required)
     u_plus        right end state (required)
-    xi0           transverse wavenumber of the neutral frequency (required)
+    xi0           transverse wavenumber of the neutral frequency (required, not 0)
     L             truncation half-width; a comma list for beta studies
     N             interval count of the output grid (default 4000)
     method        if | coupled | both (default both)
@@ -174,6 +174,8 @@ def build_model(rc: RunConfig) -> tuple[FluxModel, ShockConfig, NeutralFrequency
     for name in ("u_minus", "u_plus", "xi0"):
         if getattr(rc, name) is None:
             raise ValidationError(f"field '{name}': required but not set")
+    if rc.xi0 == 0.0:
+        raise ValidationError("field 'xi0': 0 is not a transverse mode")
     flux = make_flux(
         rc.flux, sine_freq=rc.sine_freq,
         f1_coeffs=rc.f1_coeffs, f2_coeffs=rc.f2_coeffs,

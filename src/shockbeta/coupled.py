@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as poly
 
 from .auxiliary import DEFAULT_DECAY_TOL, AuxMethod, AuxiliarySolution
 from .errors import ContinuationStalled, SolverError, ValidationError
@@ -57,9 +56,6 @@ class FoldedSystem:
 
     def __post_init__(self):
         self._f2m = self.flux.f2(self.cfg.u_minus)
-        # P'' = f1'' as a polynomial, from the factored profile field
-        ends = poly.polyfromroots((self.cfg.u_plus, self.cfg.u_minus))
-        self._p2 = poly.polyder(poly.polymul(ends, self.cfg.q_coeffs), 2)
 
     def field(self, U: np.ndarray) -> np.ndarray:
         """Unfolded autonomous field on states U = (ubar, v)."""
@@ -82,8 +78,8 @@ class FoldedSystem:
         """Jacobian of :meth:`rhs`, shape (n, 4, 4).
 
         Each half is lower triangular, with sign +1 on the right half and -1
-        on the left: d ubar'/d ubar = d v'/d v = a1s(ubar), since
-        P' = f1' - s, and d v'/d ubar = P''(ubar) v + tau0 + xi0 a2(ubar).
+        on the left: d ubar'/d ubar = d v'/d v = a1s(ubar) = P'(ubar), and
+        d v'/d ubar = P''(ubar) v + tau0 + xi0 a2(ubar).
         """
         J = np.zeros((Y.shape[1], 4, 4))
         for r, sign in ((0, self.L), (2, -self.L)):
@@ -92,22 +88,22 @@ class FoldedSystem:
             J[:, r, r] = a
             J[:, r + 1, r + 1] = a
             J[:, r + 1, r] = sign * (
-                poly.polyval(ubar, self._p2) * v
+                self.cfg.d2p(ubar) * v
                 + self.freq.tau0
                 + self.freq.xi0 * self.flux.a2(ubar)
             )
         return J
 
-    def bc(self, Ya: np.ndarray, Yb: np.ndarray) -> np.ndarray:
-        """Four residuals at the fold: phase, matching, origin normalization."""
-        return np.array(
-            [
-                Ya[0] - self.cfg.u_mid,  # phase pins ubar_r(0)
-                Ya[2] - Ya[0],           # ubar matches across the fold
-                Ya[1],                   # v_r(0) = 0
-                Ya[3] - Ya[1],           # v matches
-            ]
-        )
+    @property
+    def bc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The four fold conditions as ``Ba y(0) + Bb y(1) = g``; Bb = 0."""
+        Ba = np.array([
+            [1.0, 0.0, 0.0, 0.0],   # phase pins ubar_r(0) = u_mid
+            [-1.0, 0.0, 1.0, 0.0],  # ubar matches across the fold
+            [0.0, 1.0, 0.0, 0.0],   # v_r(0) = 0
+            [0.0, -1.0, 0.0, 1.0],  # v matches
+        ])
+        return Ba, np.zeros((4, 4)), np.array([self.cfg.u_mid, 0.0, 0.0, 0.0])
 
 
 @dataclass

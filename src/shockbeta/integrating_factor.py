@@ -27,7 +27,7 @@ import warnings
 import numpy as np
 
 from .auxiliary import DEFAULT_DECAY_TOL, AuxMethod, AuxiliarySolution
-from .errors import GridMismatch, QuadratureDegraded, ValidationError
+from .errors import GridMismatch, QuadratureDegraded
 from .model import FluxModel, NeutralFrequency
 from .numerics import cumquad_simpson
 from .profile import ProfileSolution
@@ -89,9 +89,7 @@ def solve_auxiliary_if(
     profile: ProfileSolution,
     decay_tol: float | None = DEFAULT_DECAY_TOL,
 ) -> AuxiliarySolution:
-    """Assemble the correction, v with v(0) = 0 (w = 0), on the profile grid."""
-    if profile.grid.N % 2 != 0:
-        raise ValidationError("integrating-factor method needs an even interval count")
+    """Assemble the correction, v with v(0) = 0 (w = 0), on an even-N profile grid."""
     aux = AuxiliarySolution(
         grid=profile.grid,
         v=solve_v_if(profile, forcing(f, freq, profile)),

@@ -12,8 +12,8 @@ the line ``tau = -xi * [f2] / [u]`` along which the refined stability
 coefficient is evaluated.
 
 The profile field ``P(u) = f1(u) - s*u - f1(u-) + s*u-`` of ``ubar' = P(ubar)``
-is stored factored as ``(u - u+)(u - u-) Q(u)`` (every f1 is a polynomial), so
-it vanishes exactly at both end states.
+is stored factored as ``(u - u+)(u - u-) Q(u)``, so it vanishes exactly at
+both end states: every f1 is a polynomial, given by its coefficients.
 """
 
 from __future__ import annotations
@@ -45,41 +45,57 @@ class FluxKind(str, enum.Enum):
     CUSTOM = "custom"
 
 
+# f1 = u^2/2, the longitudinal flux of every built-in model
+_HALF_SQUARE = (0.0, 0.0, 0.5)
+
+
+def _horner(coeffs, u):
+    """The polynomial with ascending ``coeffs`` at u, by Horner's rule."""
+    acc = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        acc = acc * u + c
+    return acc
+
+
 @dataclass(frozen=True)
 class FluxModel:
-    """Scalar flux pair (f1, f2) with analytic derivatives (a1, a2).
+    """Scalar flux pair: polynomial f1, and f2 with its analytic derivative a2.
 
-    Derivatives are checked against a central difference at construction, so
-    a mismatched (f, a) pair is rejected immediately.
+    ``f1_coeffs`` holds the ascending coefficients of f1; every derivative of
+    f1 is taken from them.  a2 is checked against a central difference of f2
+    at construction, so a mismatched (f2, a2) pair is rejected immediately.
     """
 
-    f1: Callable
+    f1_coeffs: tuple
     f2: Callable
-    a1: Callable
     a2: Callable
     kind: FluxKind
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not np.all(np.isfinite(self.f1_coeffs)):
+            raise ValidationError("f1_coeffs must be finite")
         u = np.linspace(-3.0, 3.0, 41)
         h = 1e-5
-        for fn, dfn, name in ((self.f1, self.a1, "a1"), (self.f2, self.a2, "a2")):
-            fd = (np.asarray(fn(u + h)) - np.asarray(fn(u - h))) / (2 * h)
-            exact = np.asarray(dfn(u))
-            scale = 1.0 + np.max(np.abs(exact))
-            if not np.all(np.isfinite(fd)) or np.max(np.abs(fd - exact)) > 1e-6 * scale:
-                raise ValidationError(
-                    f"{name} is not the derivative of its flux "
-                    f"(finite-difference check failed)"
-                )
+        fd = (np.asarray(self.f2(u + h)) - np.asarray(self.f2(u - h))) / (2 * h)
+        exact = np.asarray(self.a2(u))
+        scale = 1.0 + np.max(np.abs(exact))
+        if not np.all(np.isfinite(fd)) or np.max(np.abs(fd - exact)) > 1e-6 * scale:
+            raise ValidationError(
+                "a2 is not the derivative of its flux "
+                "(finite-difference check failed)"
+            )
+
+    def f1(self, u):
+        """f1(u) from its coefficients."""
+        return _horner(self.f1_coeffs, u)
 
 
 def burgers_flux() -> FluxModel:
     """f1 = f2 = u^2/2: the same quadratic flux in both directions."""
     return FluxModel(
-        f1=lambda u: 0.5 * u**2,
+        f1_coeffs=_HALF_SQUARE,
         f2=lambda u: 0.5 * u**2,
-        a1=lambda u: u,
         a2=lambda u: u,
         kind=FluxKind.BURGERS,
     )
@@ -88,9 +104,8 @@ def burgers_flux() -> FluxModel:
 def quadratic_transverse_flux() -> FluxModel:
     """f1 = u^2/2 with transverse flux f2 = u^2."""
     return FluxModel(
-        f1=lambda u: 0.5 * u**2,
+        f1_coeffs=_HALF_SQUARE,
         f2=lambda u: u**2,
-        a1=lambda u: u,
         a2=lambda u: 2.0 * u,
         kind=FluxKind.QUADRATIC_TRANSVERSE,
     )
@@ -99,9 +114,8 @@ def quadratic_transverse_flux() -> FluxModel:
 def sine_transverse_flux(freq: float = 4.0 * np.pi) -> FluxModel:
     """f1 = u^2/2 with oscillatory transverse flux f2 = sin(freq * u)."""
     return FluxModel(
-        f1=lambda u: 0.5 * u**2,
+        f1_coeffs=_HALF_SQUARE,
         f2=lambda u: np.sin(freq * u),
-        a1=lambda u: u,
         a2=lambda u: freq * np.cos(freq * u),
         kind=FluxKind.SINE_TRANSVERSE,
         params={"freq": float(freq)},
@@ -110,18 +124,14 @@ def sine_transverse_flux(freq: float = 4.0 * np.pi) -> FluxModel:
 
 def custom_flux(f1_coeffs, f2_coeffs) -> FluxModel:
     """Polynomial fluxes from ascending coefficient tables."""
-    p1 = np.polynomial.Polynomial(np.asarray(f1_coeffs, dtype=float))
-    p2 = np.polynomial.Polynomial(np.asarray(f2_coeffs, dtype=float))
+    f2_coeffs = tuple(float(c) for c in np.atleast_1d(f2_coeffs))
+    p2 = np.polynomial.Polynomial(f2_coeffs)
     return FluxModel(
-        f1=p1,
+        f1_coeffs=tuple(float(c) for c in np.atleast_1d(f1_coeffs)),
         f2=p2,
-        a1=p1.deriv(),
         a2=p2.deriv(),
         kind=FluxKind.CUSTOM,
-        params={
-            "f1_coeffs": tuple(float(c) for c in np.atleast_1d(f1_coeffs)),
-            "f2_coeffs": tuple(float(c) for c in np.atleast_1d(f2_coeffs)),
-        },
+        params={"f2_coeffs": f2_coeffs},
     )
 
 
@@ -156,24 +166,31 @@ def make_flux(
 class ShockConfig:
     """End states with the speed-normalized longitudinal flux.
 
-    ``a1_shifted(u) = a1(u) - s`` is the flux derivative in the frame where
-    the shock stands still.  ``q_coeffs`` holds the ascending coefficients of
-    Q in the profile field ``P(u) = (u - u+)(u - u-) Q(u)``; a quadratic f1,
-    whose profile has a closed form, is exactly a constant Q.
+    The ascending coefficient tables all derive from the one profile field
+    ``P(u) = f1(u) - s*u - f1(u-) + s*u-`` of the standing frame:
+    ``q_coeffs`` is Q in ``P(u) = (u - u+)(u - u-) Q(u)`` (a constant for a
+    quadratic f1, whose profile has a closed form), ``dp_coeffs`` is
+    ``P' = a1 - s`` and ``d2p_coeffs`` is ``P''``.
     """
 
     u_minus: float
     u_plus: float
     s: float
-    a1_shifted: Callable
     q_coeffs: tuple
+    dp_coeffs: tuple
+    d2p_coeffs: tuple
 
     def q(self, u):
-        """Q(u) by Horner's rule."""
-        acc = self.q_coeffs[-1]
-        for c in self.q_coeffs[-2::-1]:
-            acc = acc * u + c
-        return acc
+        """Q(u)."""
+        return _horner(self.q_coeffs, u)
+
+    def a1_shifted(self, u):
+        """P'(u) = a1(u) - s, the flux derivative in the standing frame."""
+        return _horner(self.dp_coeffs, u)
+
+    def d2p(self, u):
+        """P''(u)."""
+        return _horner(self.d2p_coeffs, u)
 
     def profile_field(self, u):
         """P(u), the right side of ``ubar' = P(ubar)``; exactly 0 at u+-."""
@@ -210,7 +227,8 @@ def normalize_to_standing(
 
     Checks the jump condition, both admissibility inequalities of the
     shifted flux, and the absence of rest points strictly between the end
-    states, and factors the profile field as ``(u - u+)(u - u-) Q(u)``.
+    states; factors the profile field as ``(u - u+)(u - u-) Q(u)`` and
+    differentiates it twice.
     """
     if abs(u_plus - u_minus) < _JUMP_TOL:
         raise DegenerateShock("end states coincide")
@@ -220,35 +238,32 @@ def normalize_to_standing(
             f"s*[u] - [f1] = {rh:.3e} for s={s}, u-={u_minus}, u+={u_plus}"
         )
 
-    def a1_shifted(u, _a1=f.a1, _s=s):
-        return _a1(u) - _s
-
-    if not (a1_shifted(u_plus) < 0.0):
-        raise LaxViolation(f"a1(u+) - s = {a1_shifted(u_plus):.6g} must be negative")
-    if not (a1_shifted(u_minus) > 0.0):
-        raise LaxViolation(f"a1(u-) - s = {a1_shifted(u_minus):.6g} must be positive")
-
-    lo = min(u_minus, u_plus) - 1.0
-    hi = max(u_minus, u_plus) + 1.0
-    padded = np.linspace(lo, hi, 101)
-    for fn, name in ((f.f1, "f1"), (f.f2, "f2"), (f.a1, "a1"), (f.a2, "a2")):
-        if not np.all(np.isfinite(np.asarray(fn(padded)))):
-            raise ValidationError(
-                f"{name} is not finite on the state interval [{lo}, {hi}]"
-            )
-
-    # every built-in flux has f1 = u^2/2; a custom f1 is a polynomial
-    f1 = f.params["f1_coeffs"] if f.kind is FluxKind.CUSTOM else (0.0, 0.0, 0.5)
-    c0 = f.f1(u_minus) - s * u_minus
-    ends = poly.polyfromroots((u_plus, u_minus))
-    q, _ = poly.polydiv(poly.polysub(f1, (c0, s)), ends)
+    # P = f1 - s*u - c0, expanded; every field of the config derives from it
+    p = poly.polysub(f.f1_coeffs, (f.f1(u_minus) - s * u_minus, s))
+    dp = poly.polyder(p)
+    q, _ = poly.polydiv(p, poly.polyfromroots((u_plus, u_minus)))
     cfg = ShockConfig(
         u_minus=float(u_minus),
         u_plus=float(u_plus),
         s=float(s),
-        a1_shifted=a1_shifted,
         q_coeffs=tuple(float(c) for c in q),
+        dp_coeffs=tuple(float(c) for c in dp),
+        d2p_coeffs=tuple(float(c) for c in poly.polyder(dp)),
     )
+    a_plus, a_minus = cfg.a1_shifted(u_plus), cfg.a1_shifted(u_minus)
+    if not (a_plus < 0.0):
+        raise LaxViolation(f"a1(u+) - s = {a_plus:.6g} must be negative")
+    if not (a_minus > 0.0):
+        raise LaxViolation(f"a1(u-) - s = {a_minus:.6g} must be positive")
+
+    lo = min(u_minus, u_plus) - 1.0
+    hi = max(u_minus, u_plus) + 1.0
+    padded = np.linspace(lo, hi, 101)
+    for fn, name in ((f.f2, "f2"), (f.a2, "a2")):
+        if not np.all(np.isfinite(np.asarray(fn(padded)))):
+            raise ValidationError(
+                f"{name} is not finite on the state interval [{lo}, {hi}]"
+            )
 
     # A rest point inside is a zero of Q.  Lax makes sign(u- - u+) Q positive
     # at both ends, so its least value is at an end or an interior critical

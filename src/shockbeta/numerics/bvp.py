@@ -5,7 +5,8 @@ Hermite spline is required to satisfy the ODE at every mesh node and at every
 interval midpoint (fourth order at the nodes).  The nonlinear collocation
 equations are solved by a damped Newton iteration; the problem supplies the
 analytic Jacobian of its rhs, evaluated at the nodes and at the midpoints the
-residual already formed, and the few boundary residuals are differenced.
+residual already formed, and affine boundary conditions
+``Ba y(0) + Bb y(1) = g``, which are their own Jacobian.
 Intervals whose scaled residual exceeds the tolerance are split and the solve
 is repeated warm-started from the interpolant.
 
@@ -38,10 +39,9 @@ from ..errors import (
     SingularJacobian,
 )
 
-_SQRT_EPS = np.sqrt(np.finfo(float).eps)
 # Largest propagator norm the forward march accepts: beyond it the march
 # would amplify rounding by more than half of the working digits.
-_MAX_PROPAGATOR_NORM = 1.0 / _SQRT_EPS
+_MAX_PROPAGATOR_NORM = 1.0 / np.sqrt(np.finfo(float).eps)
 # Interior abscissae of the 5-point Lobatto rule (residual sampling points
 # between the collocation points) and their quadrature weight.
 _RES_THETA = (0.5 - np.sqrt(21.0) / 14.0, 0.5 + np.sqrt(21.0) / 14.0)
@@ -53,19 +53,20 @@ _MAX_MESH_SWEEPS = 12
 
 @dataclass
 class BvpProblem:
-    """First-order system ``y' = rhs(x, y)`` on [0, 1] with two-point BCs.
+    """First-order system ``y' = rhs(x, y)`` on [0, 1] with affine two-point BCs.
 
     ``rhs`` is vectorized: it maps abscissae of shape ``(n,)`` and states of
     shape ``(m, n)`` to derivatives of shape ``(m, n)``.  ``jac`` takes the
     same arguments and returns its Jacobian, of shape ``(n, m, m)``:
-    ``jac(x, Y)[p, r, c]`` is d rhs_r / d y_c at point p.  ``bc(ya, yb)``
-    returns the m boundary residuals.  ``initial_guess`` holds state samples
-    of shape ``(m, n)`` on ``initial_mesh``.
+    ``jac(x, Y)[p, r, c]`` is d rhs_r / d y_c at point p.  ``bc`` is the
+    triple ``(Ba, Bb, g)`` of shapes (m, m), (m, m), (m,) that states the m
+    conditions ``Ba y(0) + Bb y(1) = g``.  ``initial_guess`` holds state
+    samples of shape ``(m, n)`` on ``initial_mesh``.
     """
 
     rhs: Callable[[np.ndarray, np.ndarray], np.ndarray]
     jac: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    bc: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    bc: tuple
     initial_mesh: np.ndarray
     initial_guess: np.ndarray
     tol: float = 1e-8
@@ -85,13 +86,15 @@ class BvpProblem:
         if self.tol <= 0:
             raise BadProblem("tol must be positive")
         m = self.initial_guess.shape[0]
-        res = np.atleast_1d(
-            np.asarray(self.bc(self.initial_guess[:, 0], self.initial_guess[:, -1]))
-        )
-        if res.shape != (m,):
+        try:
+            self.bc = tuple(np.asarray(b, dtype=float) for b in self.bc)
+        except (TypeError, ValueError) as exc:
+            raise BadProblem(f"bc must be the triple (Ba, Bb, g): {exc}") from exc
+        shapes = tuple(b.shape for b in self.bc)
+        if shapes != ((m, m), (m, m), (m,)):
             raise BadProblem(
-                f"bc returned {res.shape[0] if res.ndim == 1 else res.shape} "
-                f"residuals for a system of dimension {m}"
+                f"bc (Ba, Bb, g) has shapes {shapes} for a system of "
+                f"dimension {m}; expected {((m, m), (m, m), (m,))}"
             )
         shape = np.shape(self.jac(x[:1], self.initial_guess[:, :1]))
         if shape != (1, m, m):
@@ -173,39 +176,22 @@ def _collocation_residual(rhs, x, Y):
     return phi, f, y_mid, x_mid
 
 
-def _fd_bc_jacobian(bc, ya, yb, g0):
-    """FD derivatives of the boundary residuals ``g0 = bc(ya, yb)``."""
-    m = ya.size
-    dga = np.empty((m, m))
-    dgb = np.empty((m, m))
-    for c in range(m):
-        step = _SQRT_EPS * (1.0 + abs(ya[c]))
-        yp = ya.copy()
-        yp[c] += step
-        dga[:, c] = (np.asarray(bc(yp, yb)) - g0) / step
-        step = _SQRT_EPS * (1.0 + abs(yb[c]))
-        yp = yb.copy()
-        yp[c] += step
-        dgb[:, c] = (np.asarray(bc(ya, yp)) - g0) / step
-    return dga, dgb
-
-
-def _assemble_jacobian(jac, bc, x, Y, R, y_mid, x_mid):
+def _assemble_jacobian(jac, bc, x, Y, y_mid, x_mid):
     """Blocks of the Newton matrix of the collocation system.
 
     The rhs Jacobian ``jac`` is evaluated at the nodes and at the residual's
-    own midpoint states ``y_mid``; the boundary finite differences start from
-    the bc residuals ``R[-m:]``.  Returns ``(A, B, dga, dgb)``: A and B of
+    own midpoint states ``y_mid``.  Returns ``(A, B, dga, dgb)``: A and B of
     shape (n-1, m, m) are the derivatives of interval i's residual with
-    respect to y_i and y_{i+1}; dga and dgb those of the boundary residuals
-    with respect to y_0, y_{n-1}.
+    respect to y_i and y_{i+1}; dga and dgb, the matrices Ba and Bb of the
+    affine conditions ``bc``, those of the boundary residuals with respect
+    to y_0, y_{n-1}.
     """
     m = Y.shape[0]
     h = np.diff(x)
 
     Jn = jac(x, Y)
     Jm = jac(x_mid, y_mid)
-    dga, dgb = _fd_bc_jacobian(bc, Y[:, 0], Y[:, -1], R[-m:])
+    dga, dgb, _ = bc
 
     eye = np.eye(m)
     hcol = h[:, None, None]
@@ -343,8 +329,8 @@ splu = _block_solve
 
 def _full_residual(rhs, bc, x, Y):
     phi, f, y_mid, x_mid = _collocation_residual(rhs, x, Y)
-    g = np.asarray(bc(Y[:, 0], Y[:, -1]))
-    R = np.concatenate([phi.T.ravel(), g])
+    Ba, Bb, g = bc
+    R = np.concatenate([phi.T.ravel(), Ba @ Y[:, 0] + Bb @ Y[:, -1] - g])
     return R, f, y_mid, x_mid
 
 
@@ -360,7 +346,7 @@ def _newton(rhs, jac, bc, x, Y, max_newton):
         norm = np.max(np.abs(R))
         if norm <= 1e-11 * scale:
             return Y, f, iters
-        blocks = _assemble_jacobian(jac, bc, x, Y, R, y_mid, x_mid)
+        blocks = _assemble_jacobian(jac, bc, x, Y, y_mid, x_mid)
         dY = splu(blocks, R)
         if not np.all(np.isfinite(dY)):
             raise SingularJacobian("Newton linear solve produced non-finite step")

@@ -36,8 +36,8 @@ def _flux_meta(f: FluxModel) -> dict:
     meta = {"flux_kind": f.kind.value}
     if "freq" in f.params:
         meta["sine_freq"] = fmt(f.params["freq"])
-    if "f1_coeffs" in f.params:
-        meta["f1_coeffs"] = ",".join(fmt(c) for c in f.params["f1_coeffs"])
+    if "f2_coeffs" in f.params:  # a custom flux
+        meta["f1_coeffs"] = ",".join(fmt(c) for c in f.f1_coeffs)
         meta["f2_coeffs"] = ",".join(fmt(c) for c in f.params["f2_coeffs"])
     return meta
 

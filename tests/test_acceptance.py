@@ -195,8 +195,8 @@ def test_criterion_8_kernel_convergence_orders():
     def jac(x, Y):
         return np.broadcast_to([[0.0, 1.0], [-1.0, 0.0]], (Y.shape[1], 2, 2))
 
-    def bc(ya, yb):
-        return np.array([ya[0], yb[0] - np.sin(1.0)])
+    # y(0) = 0 and y(1) = sin 1, as Ba y(0) + Bb y(1) = g
+    bc = ([[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]], [0.0, np.sin(1.0)])
 
     bvp_errs = []
     sizes = [8, 11, 16, 21, 31, 41]

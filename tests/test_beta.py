@@ -13,7 +13,14 @@ from shockbeta.beta import (
 )
 from shockbeta.errors import GridMismatch, TailNotResolved
 from shockbeta.integrating_factor import solve_auxiliary_if
-from shockbeta.model import NeutralFrequency
+from shockbeta.model import (
+    NeutralFrequency,
+    custom_flux,
+    neutral_zero,
+    normalize_to_standing,
+    rankine_hugoniot_speed,
+    sine_transverse_flux,
+)
 from shockbeta.numerics import quad_simpson
 from shockbeta.profile import Grid, solve_profile
 
@@ -176,3 +183,34 @@ class TestConvergenceStudy:
         row = study.row(AuxMethod.COUPLED)
         assert len(row) == 2
         assert all(r is not None for r in row)
+
+
+def _betas(f, u_minus, xi0, L=20.0, N=4000):
+    """beta on both routes, by method, for the shock (u_minus, -1)."""
+    s = rankine_hugoniot_speed(f, u_minus, -1.0)
+    cfg = normalize_to_standing(f, u_minus, -1.0, s)
+    study = beta_convergence_study(cfg, f, neutral_zero(cfg, f, xi0), [L], N=N)
+    assert not study.failures
+    return {m: study.results[(m, L)].beta for m in study.methods}
+
+
+class TestMetamorphic:
+    """Identities of beta that need no oracle, on both routes."""
+
+    @pytest.mark.parametrize("f1", [(0.0, 0.0, 0.5), (0.0, 0.0, 0.5, 0.1)],
+                             ids=["quadratic", "cubic"])
+    def test_affine_change_of_f2_leaves_beta(self, f1):
+        # f2 -> f2 + a u + b moves tau0 by -a xi0, which cancels a's share
+        # of the forcing and of the integrand factor
+        base = _betas(custom_flux(f1, (0.0, 0.0, 1.0)), 1.3, 1.0)
+        moved = _betas(custom_flux(f1, (-0.4, 0.7, 1.0)), 1.3, 1.0)
+        for m, beta in base.items():
+            assert abs(moved[m] - beta) <= 1e-13 * abs(beta)
+
+    def test_doubling_xi0_quadruples_beta(self):
+        # tau0, the forcing and v are linear in xi0, the integrand quadratic
+        f = sine_transverse_flux()
+        base = _betas(f, 1.2, 1.0)
+        doubled = _betas(f, 1.2, 2.0)
+        for m, beta in base.items():
+            assert abs(doubled[m] - 4.0 * beta) <= 1e-12 * abs(4.0 * beta)

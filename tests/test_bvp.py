@@ -28,27 +28,26 @@ def _linear(M):
 _OSCILLATOR = [[0.0, 1.0], [-1.0, 0.0]]
 
 
+def _ends_bc(a, b):
+    """y_0(0) = a and y_0(1) = b for a 2-dimensional system, as (Ba, Bb, g)."""
+    return [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]], [a, b]
+
+
 def _sine_problem(n, tol=1e-8):
     # y(0) = 0, y(1) = sin 1  ->  y = sin x
     rhs, jac = _linear(_OSCILLATOR)
-
-    def bc(ya, yb):
-        return np.array([ya[0], yb[0] - np.sin(1.0)])
-
     mesh = np.linspace(0.0, 1.0, n)
-    return BvpProblem(rhs=rhs, jac=jac, bc=bc, initial_mesh=mesh,
-                      initial_guess=np.zeros((2, n)), tol=tol)
+    return BvpProblem(rhs=rhs, jac=jac, bc=_ends_bc(0.0, np.sin(1.0)),
+                      initial_mesh=mesh, initial_guess=np.zeros((2, n)), tol=tol)
 
 
 def _mixed_sine_problem(n):
     # y = sin x again, but each condition couples both ends, so the
-    # boundary solve needs the propagator to x = 1 in full
+    # boundary solve needs the propagator to x = 1 in full:
+    # y_0(0) + y_1(1) = cos 1 and y_1(0) - y_0(1) = 1 - sin 1
     rhs, jac = _linear(_OSCILLATOR)
-
-    def bc(ya, yb):
-        return np.array([ya[0] + yb[1] - np.cos(1.0),
-                         ya[1] - yb[0] - (1.0 - np.sin(1.0))])
-
+    bc = ([[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [-1.0, 0.0]],
+          [np.cos(1.0), 1.0 - np.sin(1.0)])
     mesh = np.linspace(0.0, 1.0, n)
     return BvpProblem(rhs=rhs, jac=jac, bc=bc, initial_mesh=mesh,
                       initial_guess=np.zeros((2, n)))
@@ -69,7 +68,7 @@ def _dense_newton_matrix(A, B, dga, dgb):
 
 def _block_and_dense_steps(p, x, Y):
     R, f, y_mid, x_mid = bvp._full_residual(p.rhs, p.bc, x, Y)
-    blocks = bvp._assemble_jacobian(p.jac, p.bc, x, Y, R, y_mid, x_mid)
+    blocks = bvp._assemble_jacobian(p.jac, p.bc, x, Y, y_mid, x_mid)
     dense = np.linalg.solve(_dense_newton_matrix(*blocks), -R)
     return bvp._block_solve(blocks, R), dense.reshape(x.size, Y.shape[0]).T
 
@@ -94,12 +93,11 @@ def test_mixed_end_conditions():
 
 def test_jacobians_reuse_the_residual_evaluations():
     # assembly makes no rhs call: the analytic jac is evaluated once at the
-    # nodes and once at the residual's own midpoint states; the boundary
-    # finite differences start from the residual's bc values, so all 2m
-    # bc calls are perturbed
+    # nodes and once at the residual's own midpoint states, and the boundary
+    # rows are the problem's own affine matrices
     p = _mixed_sine_problem(11)
     x, Y = p.initial_mesh, p.initial_guess + 0.25
-    rhs_calls, jac_points, bc_states = [], [], []
+    rhs_calls, jac_points = [], []
 
     def rhs(x, Y):
         rhs_calls.append(Y)
@@ -109,23 +107,17 @@ def test_jacobians_reuse_the_residual_evaluations():
         jac_points.append((x.copy(), Y.copy()))
         return p.jac(x, Y)
 
-    def bc(ya, yb):
-        bc_states.append((ya.copy(), yb.copy()))
-        return p.bc(ya, yb)
-
-    R, f, y_mid, x_mid = bvp._full_residual(rhs, bc, x, Y)
+    R, f, y_mid, x_mid = bvp._full_residual(rhs, p.bc, x, Y)
+    Ba, Bb, g = p.bc
+    assert np.array_equal(R[-2:], Ba @ Y[:, 0] + Bb @ Y[:, -1] - g)
     rhs_calls.clear()
-    bc_states.clear()
-    bvp._assemble_jacobian(jac, bc, x, Y, R, y_mid, x_mid)
-    m = Y.shape[0]
+    _, _, dga, dgb = bvp._assemble_jacobian(jac, p.bc, x, Y, y_mid, x_mid)
     assert rhs_calls == []
     assert len(jac_points) == 2
     (xn, Yn), (xm, Ym) = jac_points
     assert np.array_equal(xn, x) and np.array_equal(Yn, Y)
     assert np.array_equal(xm, x_mid) and np.array_equal(Ym, y_mid)
-    assert len(bc_states) == 2 * m
-    for ya, yb in bc_states:
-        assert not (np.array_equal(ya, Y[:, 0]) and np.array_equal(yb, Y[:, -1]))
+    assert dga is Ba and dgb is Bb
 
 
 def _affine_maps(rng, m, nint):
@@ -236,12 +228,8 @@ def test_dichotomic_problem_refused_with_propagator_norm():
     # y'' = 1600 y has a mode growing like exp(40 x): marching from x = 0
     # cannot be stable, whatever the conditioning of the BVP itself
     rhs, jac = _linear([[0.0, 1.0], [1600.0, 0.0]])
-
-    def bc(ya, yb):
-        return np.array([ya[0] - 1.0, yb[0]])
-
     mesh = np.linspace(0.0, 1.0, 41)
-    p = BvpProblem(rhs=rhs, jac=jac, bc=bc, initial_mesh=mesh,
+    p = BvpProblem(rhs=rhs, jac=jac, bc=_ends_bc(1.0, 0.0), initial_mesh=mesh,
                    initial_guess=np.zeros((2, 41)))
     with pytest.raises(SingularJacobian, match=r"propagator norm \d\.\d{3}e\+\d+"):
         bvp_solve(p)
@@ -289,8 +277,22 @@ def test_convergence_order_fourth():
 def test_bc_count_mismatch_rejected_at_construction():
     rhs, jac = _linear(_OSCILLATOR)
     mesh = np.linspace(0.0, 1.0, 5)
-    with pytest.raises(BadProblem):
-        BvpProblem(rhs=rhs, jac=jac, bc=lambda ya, yb: np.array([ya[0]]),
+    for bc in [
+        ([[1.0, 0.0]], [[0.0, 0.0]], [0.0]),               # one condition for two
+        (np.eye(2), np.zeros((2, 2)), [0.0, 0.0, 0.0]),   # three right sides
+        (np.eye(2), np.zeros((2, 3)), [0.0, 0.0]),        # Bb of the wrong width
+        (np.eye(2), [0.0, 0.0]),                          # no Bb
+    ]:
+        with pytest.raises(BadProblem, match=r"bc \(Ba, Bb, g\) has shapes"):
+            BvpProblem(rhs=rhs, jac=jac, bc=bc,
+                       initial_mesh=mesh, initial_guess=np.zeros((2, 5)))
+
+
+def test_bc_callable_rejected_at_construction():
+    rhs, jac = _linear(_OSCILLATOR)
+    mesh = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(BadProblem, match=r"bc must be the triple"):
+        BvpProblem(rhs=rhs, jac=jac, bc=lambda ya, yb: np.array([ya[0], yb[0]]),
                    initial_mesh=mesh, initial_guess=np.zeros((2, 5)))
 
 
@@ -300,7 +302,7 @@ def test_jac_shape_mismatch_rejected_at_construction(shape):
     mesh = np.linspace(0.0, 1.0, 5)
     with pytest.raises(BadProblem, match=r"jac returned shape"):
         BvpProblem(rhs=rhs, jac=lambda x, Y: np.zeros(shape),
-                   bc=lambda ya, yb: np.array([ya[0], yb[0]]),
+                   bc=_ends_bc(0.0, 0.0),
                    initial_mesh=mesh, initial_guess=np.zeros((2, 5)))
 
 
@@ -308,10 +310,10 @@ def test_mesh_validation():
     rhs, jac = _linear([[1.0]])
     bad = np.array([0.0, 0.5, 0.4, 1.0])
     with pytest.raises(BadProblem):
-        BvpProblem(rhs=rhs, jac=jac, bc=lambda ya, yb: np.array([ya[0]]),
+        BvpProblem(rhs=rhs, jac=jac, bc=([[1.0]], [[0.0]], [0.0]),
                    initial_mesh=bad, initial_guess=np.zeros((1, 4)))
     with pytest.raises(BadProblem):
-        BvpProblem(rhs=rhs, jac=jac, bc=lambda ya, yb: np.array([ya[0]]),
+        BvpProblem(rhs=rhs, jac=jac, bc=([[1.0]], [[0.0]], [0.0]),
                    initial_mesh=np.linspace(0.1, 1.0, 4),
                    initial_guess=np.zeros((1, 4)))
 
@@ -333,11 +335,8 @@ def test_newton_iteration_budget():
         J[:, 1, 0] = np.exp(Y[0])
         return J
 
-    def bc(ya, yb):
-        return np.array([ya[0], yb[0]])
-
     mesh = np.linspace(0.0, 1.0, 21)
-    p = BvpProblem(rhs=rhs, jac=jac, bc=bc, initial_mesh=mesh,
+    p = BvpProblem(rhs=rhs, jac=jac, bc=_ends_bc(0.0, 0.0), initial_mesh=mesh,
                    initial_guess=np.vstack([np.full(21, 3.0), np.zeros(21)]),
                    tol=1e-8)
     with pytest.raises(NewtonDivergence):
@@ -345,12 +344,10 @@ def test_newton_iteration_budget():
 
 
 def test_singular_jacobian_detected():
-    # contradictory conditions on y1 leave y2 unconstrained
+    # contradictory conditions on y1 leave y2 unconstrained:
+    # y_0(0) - y_0(1) = 0 and y_0(0) - y_0(1) = 1
     rhs, jac = _linear(np.zeros((2, 2)))
-
-    def bc(ya, yb):
-        return np.array([ya[0] - yb[0], ya[0] - yb[0] - 1.0])
-
+    bc = ([[1.0, 0.0], [1.0, 0.0]], [[-1.0, 0.0], [-1.0, 0.0]], [0.0, 1.0])
     mesh = np.linspace(0.0, 1.0, 6)
     p = BvpProblem(rhs=rhs, jac=jac, bc=bc, initial_mesh=mesh,
                    initial_guess=np.zeros((2, 6)))

@@ -311,6 +311,19 @@ class TestBetaCommand:
         assert run(["beta", "--config", EXACT_CASE_CFG, "--N", "4001",
                     "--method", "coupled", "--out-dir", tmp_path / "o"]) == 0
 
+    @pytest.mark.parametrize("command", [
+        ["beta", "--config", EXACT_CASE_CFG, "--L", "20"],
+        ["scan", "--config", SINE_SCAN_CFG],
+        ["aux", "--config", EXACT_CASE_CFG, "--L", "20"],
+    ])
+    def test_zero_xi0_exits_2_before_any_file(self, command, tmp_path, capsys):
+        # xi0 = 0 is not a transverse mode: beta would read -0.0 as "stable"
+        out = tmp_path / "o"
+        code = run([*command, "--xi0", "0", "--out-dir", out])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: field 'xi0': ")
+        assert not out.exists() or not any(out.iterdir())
+
     def test_tau0_is_not_a_config_key(self, exact_config, tmp_path, capsys):
         # tau0 is always derived from xi0 as the neutral zero
         exact_config.write_text(exact_config.read_text() + "tau0 = 0.3\n")

@@ -64,7 +64,7 @@ class TestFoldedSystem:
                 Up[c] += 1j * h
 
                 ubar, v = Up
-                a = quad_flux.a1(ubar) - exact_cfg.s
+                a = ubar - exact_cfg.s  # a1 = u for f1 = u^2/2
                 du = quad_flux.f1(ubar) - exact_cfg.s * ubar - (
                     quad_flux.f1(exact_cfg.u_minus)
                     - exact_cfg.s * exact_cfg.u_minus
@@ -110,15 +110,22 @@ class TestFoldedSystem:
     def test_boundary_conditions_count_and_content(self, folded, exact_cfg):
         Ya = np.array([exact_cfg.u_mid, 0.0, exact_cfg.u_mid, 0.0])
         Yb = np.zeros(4)
-        res = folded.bc(Ya, Yb)
-        assert res.shape == (4,)
+        Ba, Bb, g = folded.bc
+        assert Ba.shape == Bb.shape == (4, 4) and g.shape == (4,)
+        assert not np.any(Bb)  # every condition sits at the fold
+        res = Ba @ Ya + Bb @ Yb - g
         assert np.max(np.abs(res)) == 0.0
+        # phase, ubar matching, v_r(0) = 0 and v matching, at any state
+        Ya, Yb = np.random.default_rng(2).uniform(-2.0, 2.0, (2, 4))
+        expected = [Ya[0] - exact_cfg.u_mid, Ya[2] - Ya[0], Ya[1], Ya[3] - Ya[1]]
+        assert np.array_equal(Ba @ Ya + Bb @ Yb - g, expected)
 
 
 class TestInitialGuess:
     def test_guess_quality_and_newton_count(self, folded, coupled_L20):
         mesh, Y = initial_guess(folded)
-        bc_res = folded.bc(Y[:, 0], Y[:, -1])
+        Ba, Bb, g = folded.bc
+        bc_res = Ba @ Y[:, 0] + Bb @ Y[:, -1] - g
         assert np.max(np.abs(bc_res)) <= 1e-6
         # tail of the guess reaches the attracting state
         assert abs(Y[0, -1] - (-1.0)) <= 1e-6

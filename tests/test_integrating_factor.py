@@ -3,7 +3,12 @@ import pytest
 
 from shockbeta.auxiliary import AuxMethod
 from shockbeta.beta import compute_beta
-from shockbeta.errors import GridMismatch, QuadratureDegraded, TailNotResolved
+from shockbeta.errors import (
+    GridMismatch,
+    QuadratureDegraded,
+    TailNotResolved,
+    ValidationError,
+)
 from shockbeta.integrating_factor import forcing, solve_auxiliary_if, solve_v_if
 from shockbeta.model import (
     NeutralFrequency,
@@ -183,6 +188,12 @@ class TestAssembled:
         i0 = aux.grid.origin_index
         assert aux.w[i0] == 0.0
         assert aux.v[i0] == 0.0
+
+    def test_odd_N_profile_rejected(self, quad_flux, exact_cfg, exact_freq):
+        # the origin, where v = 0 is imposed, is a node only for even N
+        ps = solve_profile(exact_cfg, Grid.make(20.0, 513))
+        with pytest.raises(ValidationError, match="origin is a node only for even"):
+            solve_auxiliary_if(quad_flux, exact_freq, ps)
 
     def test_decay_gate(self, quad_flux, exact_cfg):
         # narrow domain: the correction tails stay visibly above the gate

@@ -35,18 +35,21 @@ class TestFluxModels:
     def test_custom_polynomial_flux(self):
         f = custom_flux([0.0, 0.0, 0.5], [0.0, 1.0])
         assert f.f1(2.0) == pytest.approx(2.0)
-        assert f.a1(2.0) == pytest.approx(2.0)
+        assert f.f1_coeffs == (0.0, 0.0, 0.5)
         assert f.a2(5.0) == pytest.approx(1.0)
 
     def test_mismatched_derivative_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="a2 is not the derivative"):
             FluxModel(
-                f1=lambda u: 0.5 * u**2,
+                f1_coeffs=(0.0, 0.0, 0.5),
                 f2=lambda u: u**2,
-                a1=lambda u: 2.0 * u,  # wrong by a factor of 2
-                a2=lambda u: 2.0 * u,
+                a2=lambda u: u,  # wrong by a factor of 2
                 kind=FluxKind.CUSTOM,
             )
+
+    def test_non_finite_f1_coefficient_rejected(self):
+        with pytest.raises(ValidationError, match="f1_coeffs must be finite"):
+            custom_flux([0.0, np.inf, 0.5], [0.0, 1.0])
 
     def test_make_flux_dispatch(self):
         assert make_flux("burgers").kind is FluxKind.BURGERS
@@ -95,6 +98,18 @@ class TestNormalizeToStanding:
         assert cfg.profile_field(-1.0) == 0.0
         assert cfg.a1_shifted(1.2) == pytest.approx(1.1)
         assert cfg.a1_shifted(-1.0) == pytest.approx(-1.1)
+
+    @pytest.mark.parametrize("flux", [
+        burgers_flux(), quadratic_transverse_flux(), sine_transverse_flux(),
+    ], ids=lambda f: f.kind.value)
+    def test_builtin_a1_shifted_is_u_minus_s_bitwise(self, flux):
+        # f1 = u^2/2, so P' = u - s with no rounding beyond the subtraction
+        for um, up in ((1.0, -1.0), (1.5, -1.0), (0.3, -2.7), (2.9, 0.7)):
+            s = rankine_hugoniot_speed(flux, um, up)
+            cfg = normalize_to_standing(flux, um, up, s)
+            u = np.linspace(-3.0, 3.0, 97)
+            assert np.array_equal(cfg.a1_shifted(u), u - s)
+            assert cfg.d2p_coeffs == (1.0,)
 
     def test_degenerate_shock(self):
         with pytest.raises(DegenerateShock):
