@@ -17,6 +17,7 @@ resolution threshold.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,11 @@ from .numerics import quad_simpson, quad_trapezoid
 from .profile import Grid, ProfileSolution, solve_profile
 
 SIGN_THRESHOLD = 1e-10
+
+# Deterministic counters of the coupled route's collocation solve that a
+# result carries on from its correction: no timings, so outputs stay
+# bit-identical across runs.
+_SOLVER_COUNTERS = ("mesh_size", "mesh_sweeps", "newton_per_sweep")
 
 # Tail gates for convergence studies: narrow domains (small L) legitimately
 # carry visible truncation, which is exactly what the study documents, so the
@@ -103,6 +109,9 @@ def compute_beta(
         "aux_tail": aux.tail_magnitudes(),
         "profile_tails": profile.tail_residuals(),
     }
+    diagnostics.update(
+        (k, aux.diagnostics[k]) for k in _SOLVER_COUNTERS if k in aux.diagnostics
+    )
     if simpson or profile.grid.N % 2 == 0:  # other rule, same samples
         diagnostics["quadrature_cross_difference"] = abs(
             _quad(g, h, not simpson) - integral
@@ -133,6 +142,25 @@ def check_even_N(
         need = "the if route needs a grid node at the origin"
     if N % 2 and need:
         raise ValidationError(f"field 'N': {N} is odd, but {need}")
+
+
+def check_resolution(cfg: ShockConfig, L: float, N: int) -> None:
+    """Before any solve: the uniform (L, N) grid must resolve the profile layer.
+
+    The profile meets u+- like exp(a1s(u+-) x), so a step h = 2L/N with
+    h max|a1s(u+-)| > 1/2 leaves the layer on a few nodes, where neither
+    route's beta is to be trusted.
+    """
+    a = max(abs(cfg.a1_shifted(cfg.u_plus)), abs(cfg.a1_shifted(cfg.u_minus)))
+    need = 4.0 * L * a  # h a <= 1/2 with h = 2L/N
+    if N < need:
+        least = math.ceil(need) if need < 2.0**53 else f"about {need:.3g}"
+        raise ValidationError(
+            f"field 'N': {N} intervals on [-{L:g}, {L:g}] at u- = "
+            f"{cfg.u_minus:g}, u+ = {cfg.u_plus:g} give "
+            f"h max|a1s(u+-)| = {2.0 * L * a / N:.3g} > 1/2, too coarse for "
+            f"the profile layer; the smallest admissible N is {least}"
+        )
 
 
 def solve_pair(
@@ -193,14 +221,17 @@ def beta_convergence_study(
 
     Solver failures are recorded per entry (the rest of the table survives),
     and sign stability across the table is reported by the returned study; a
-    :class:`ValidationError` propagates.  An odd ``N`` for ``if`` or Simpson
-    is rejected before the first solve.
+    :class:`ValidationError` propagates.  An odd ``N`` for ``if`` or Simpson,
+    and a grid too coarse for the profile layer at any L, are rejected before
+    the first solve.
     """
     methods = [AuxMethod(m) for m in methods]
     check_even_N(N, quadrature, methods)
-    study = BetaStudy(L_values=list(L_values), methods=methods)
     for L in L_values:
         Grid.make(L, N)  # a bad (L, N) is a configuration error, not an entry failure
+        check_resolution(cfg, L, N)
+    study = BetaStudy(L_values=list(L_values), methods=methods)
+    for L in L_values:
         for method in methods:
             try:
                 profile, aux = solve_pair(

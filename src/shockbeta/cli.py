@@ -20,6 +20,7 @@ from .beta import (
     STUDY_TAIL_TOL,
     beta_convergence_study,
     check_even_N,
+    check_resolution,
     compute_beta,
     solve_pair,
 )
@@ -34,7 +35,7 @@ from .coupled import continuation_scan
 from .coupled import solve_coupled  # noqa: F401  perfbench/tracing.py patches it here
 from .errors import ContinuationStalled, SolverError, ValidationError
 from .integrating_factor import solve_auxiliary_if  # noqa: F401  likewise
-from .model import FluxKind
+from .model import FluxKind, normalize_to_standing, rankine_hugoniot_speed
 from .profile import DEFAULT_TAIL_TOL, Grid, solve_profile
 
 EXIT_OK = 0
@@ -121,6 +122,7 @@ def cmd_profile(rc: RunConfig) -> int:
 def cmd_aux(rc: RunConfig) -> int:
     flux, cfg, freq = build_model(rc)
     check_even_N(rc.N, methods=rc.methods())
+    check_resolution(cfg, rc.L_single, rc.N)
     out = _out_dir(rc)
     for method, profile, aux in _solve_pairs(rc, flux, cfg, freq):
         ppath = out / f"profile_{method.value}.csv"
@@ -174,6 +176,15 @@ def cmd_scan(rc: RunConfig) -> int:
     if not rc.u_minus_list:
         raise ValidationError("field 'u_minus_list': required for scan")
     check_even_N(rc.N, rc.quad())
+    u_plus = cfg0.u_plus
+    for um in rc.u_minus_list:
+        try:
+            cfg = normalize_to_standing(
+                flux, um, u_plus, rankine_hugoniot_speed(flux, um, u_plus)
+            )
+        except ValidationError:
+            break  # the chain stalls here, and no later point is solved
+        check_resolution(cfg, rc.L_single, rc.N)
     out = _out_dir(rc)
     tail = _tail_tol(rc)
     stall_index = None
@@ -205,6 +216,8 @@ def cmd_scan(rc: RunConfig) -> int:
                 "newton_iters": pt.bvp.newton_iters,
                 "residual_norm": pt.bvp.residual_norm,
                 "mesh_size": int(pt.bvp.mesh.size),
+                "mesh_sweeps": pt.bvp.mesh_iterations,
+                "newton_per_sweep": pt.bvp.newton_per_sweep,
                 "beta": [r.beta.real, r.beta.imag],
                 "sign_re_beta": r.sign_re_beta,
                 "aux_tail": pt.aux.tail_magnitudes(),
@@ -236,6 +249,7 @@ def cmd_compare(rc: RunConfig) -> int:
             "transverse flux, u_minus = 1, u_plus = -1, xi0 = 1)"
         )
     check_even_N(rc.N, methods=rc.methods())
+    check_resolution(cfg, rc.L_single, rc.N)
     out = _out_dir(rc)
     grid = Grid.make(rc.L_single, rc.N)
     x = grid.x

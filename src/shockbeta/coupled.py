@@ -185,8 +185,9 @@ def solve_coupled(
         "method": "coupled",
         "residual_norm": sol.residual_norm,
         "newton_iters": sol.newton_iters,
-        "mesh_iterations": sol.mesh_iterations,
         "mesh_size": int(sol.mesh.size),
+        "mesh_sweeps": sol.mesh_iterations,
+        "newton_per_sweep": list(sol.newton_per_sweep),
         "fold_mismatch": fold_mismatch,
     }
     profile = ProfileSolution(

@@ -7,8 +7,14 @@ equations are solved by a damped Newton iteration; the problem supplies the
 analytic Jacobian of its rhs, evaluated at the nodes and at the midpoints the
 residual already formed, and affine boundary conditions
 ``Ba y(0) + Bb y(1) = g``, which are their own Jacobian.
-Intervals whose scaled residual exceeds the tolerance are split and the solve
-is repeated warm-started from the interpolant.
+
+While the scaled residual estimate exceeds the tolerance somewhere, the mesh
+is redistributed (de Boor's mesh selection; Ascher, Mattheij & Russell, ch. 9,
+and Kierzenka & Shampine, ACM TOMS 27, 2001): the estimate scales as h^3, so
+the nodes are placed to equidistribute est^(1/3), aiming every interval at a
+fixed fraction of the tolerance.  Nodes go where the estimate is large and
+come out where it is small, and no interval grows wider than the widest of
+the initial mesh.  The solve is repeated warm-started from the interpolant.
 
 The Newton matrix is block lower-bidiagonal: interval i couples only y_i and
 y_{i+1}, and the m boundary rows couple y_0 with y_{n-1}.  It is solved by
@@ -46,6 +52,10 @@ _MAX_PROPAGATOR_NORM = 1.0 / np.sqrt(np.finfo(float).eps)
 # between the collocation points) and their quadrature weight.
 _RES_THETA = (0.5 - np.sqrt(21.0) / 14.0, 0.5 + np.sqrt(21.0) / 14.0)
 _RES_WEIGHT = 49.0 / 180.0
+# Fraction of the tolerance that a redistributed mesh aims each interval's
+# residual estimate at.  Of 0.3, 0.35, ..., 0.5, 0.3 took the fewest mesh
+# sweeps over 48 coupled shock configurations (106, against 121 at 0.5).
+_MESH_THETA = 0.3
 # Step halvings of one damped Newton step, and mesh sweeps of one solve.
 _MAX_BACKTRACKS = 8
 _MAX_MESH_SWEEPS = 12
@@ -389,23 +399,21 @@ def _estimate_residuals(rhs, x, Y, f):
     return np.sqrt(est_sq)
 
 
-def _refine_mesh(x, est, tol):
-    """Split every interval whose residual estimate exceeds ``tol``.
+def _refine_mesh(x, est, tol, h_max):
+    """A fresh mesh whose intervals each carry an estimate of about theta tol.
 
-    Intervals above 100 tol get two nodes at their thirds, the others above
-    tol one node at their midpoint.
+    The estimate scales as h**3 (halving an interval divides it by about 8),
+    so interval i needs (est_i / (theta tol))**(1/3) subintervals, and at
+    least h_i / h_max, so that no interval grows wider than ``h_max``.  The
+    new nodes equidistribute the cumulative need over [x_0, x_{n-1}]: they
+    crowd where the estimate is large, and nodes where it is small are
+    removed.  Both ends are kept.
     """
     h = np.diff(x)
-    thirds = np.flatnonzero(est > 100.0 * tol)
-    halves = np.flatnonzero((est > tol) & ~(est > 100.0 * tol))
-    new = np.concatenate([
-        x[thirds] + (1 / 3) * h[thirds],
-        x[thirds] + (2 / 3) * h[thirds],
-        0.5 * (x[halves] + x[halves + 1]),
-    ])
-    at = np.concatenate([thirds, thirds, halves]) + 1
-    # np.insert places equal positions in the given order (a stable sort)
-    return np.insert(x, at, new)
+    need = np.maximum(np.cbrt(est / (_MESH_THETA * tol)), h / h_max)
+    cum = np.concatenate([[0.0], np.cumsum(need)])
+    n = int(np.ceil(cum[-1]))
+    return np.interp(np.linspace(0.0, cum[-1], n + 1), cum, x)
 
 
 def bvp_solve(
@@ -415,14 +423,22 @@ def bvp_solve(
 ) -> BvpSolution:
     """Solve a :class:`BvpProblem` to its residual tolerance.
 
+    Each mesh sweep runs Newton on the current mesh and estimates the
+    residual; where the estimate exceeds ``problem.tol``, the next sweep
+    starts from a redistributed mesh (:func:`_refine_mesh`), which may hold
+    fewer nodes than the current one.
+
     Raises :class:`NewtonDivergence` for an unusable initial guess,
     :class:`SingularJacobian` if the linearization degenerates or its
     propagator from x = 0 grows past 1/sqrt(eps), and
-    :class:`MeshLimitExceeded` if refinement runs out of its node budget.
+    :class:`MeshLimitExceeded` if a redistributed mesh needs more than
+    ``max_nodes`` nodes or the residual stays above the tolerance after the
+    last mesh sweep.
     """
     rhs, jac, bc = problem.rhs, problem.jac, problem.bc
     x = problem.initial_mesh.copy()
     Y = problem.initial_guess.copy()
+    h_max = float(np.max(np.diff(x)))
     per_sweep: list[int] = []
 
     for sweep in range(1, _MAX_MESH_SWEEPS + 1):
@@ -442,10 +458,10 @@ def bvp_solve(
                 mesh_iterations=sweep,
                 newton_per_sweep=per_sweep,
             )
-        x_new = _refine_mesh(x, est, problem.tol)
+        x_new = _refine_mesh(x, est, problem.tol, h_max)
         if x_new.size > max_nodes:
             raise MeshLimitExceeded(
-                f"refinement needs {x_new.size} nodes (budget {max_nodes})"
+                f"the redistributed mesh needs {x_new.size} nodes (budget {max_nodes})"
             )
         Y = HermiteInterpolant(x, Y, f)(x_new)
         x = x_new

@@ -235,20 +235,47 @@ def test_dichotomic_problem_refused_with_propagator_norm():
         bvp_solve(p)
 
 
-def test_refinement_inserts_thirds_and_midpoints_in_order():
-    rng = np.random.default_rng(7)
-    x = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 200)), [1.0]])
+def _graded_mesh_and_estimate(seed, tol):
+    """A random graded mesh on [0, 1] with est = C(x) h**3, C a narrow bump."""
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 300)), [1.0]])
+    h = np.diff(x)
+    mid = x[:-1] + 0.5 * h
+    C = 1e3 * np.exp(-((mid - 0.37) / 0.05) ** 2) + 1e-6
+    return x, C * h**3
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_redistributed_mesh_keeps_ends_and_bounds_widths(seed):
     tol = 1e-8
-    est = tol * 10.0 ** rng.uniform(-1.0, 3.0, x.size - 1)
-    # the per-interval rule, written out
-    expected = [x[0]]
-    for i in range(x.size - 1):
-        if est[i] > 100.0 * tol:
-            expected.extend(x[i] + np.array([1 / 3, 2 / 3]) * (x[i + 1] - x[i]))
-        elif est[i] > tol:
-            expected.append(0.5 * (x[i] + x[i + 1]))
-        expected.append(x[i + 1])
-    assert np.array_equal(bvp._refine_mesh(x, est, tol), np.array(expected))
+    x, est = _graded_mesh_and_estimate(seed, tol)
+    h_max = float(np.max(np.diff(x)))
+    new = bvp._refine_mesh(x, est, tol, h_max)
+    assert new[0] == x[0] and new[-1] == x[-1]
+    assert np.all(np.diff(new) > 0.0)
+    assert np.max(np.diff(new)) <= h_max * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_redistributed_mesh_meets_predicted_estimates(seed):
+    # with est = C h**3, C constant on each old interval, the cube root of the
+    # estimate is additive in length: a new interval's predicted estimate is
+    # (integral of C**(1/3) over it)**3
+    tol = 1e-8
+    x, est = _graded_mesh_and_estimate(seed, tol)
+    new = bvp._refine_mesh(x, est, tol, float(np.max(np.diff(x))))
+    root = np.interp(new, x, np.concatenate([[0.0], np.cumsum(np.cbrt(est))]))
+    predicted = np.diff(root) ** 3
+    assert np.max(predicted) <= bvp._MESH_THETA * tol * (1.0 + 1e-9)
+
+
+def test_redistribution_removes_surplus_nodes():
+    # a fine uniform mesh whose estimate is far below tol shrinks back to
+    # the node spacing h_max allows
+    x = np.linspace(0.0, 1.0, 1001)
+    new = bvp._refine_mesh(x, np.full(1000, 1e-20), 1e-8, 0.1)
+    assert 11 <= new.size <= 12
+    assert new[0] == 0.0 and new[-1] == 1.0
 
 
 def test_manufactured_sine_problem():

@@ -249,6 +249,19 @@ class TestBetaCommand:
         table = (out / "beta_table.csv").read_text().splitlines()
         assert table[1].split(",") == ["method", "L=10", "L=20", "L=30"]
 
+    def test_coupled_entries_carry_solver_counters(self, exact_config, tmp_path):
+        out = tmp_path / "out"
+        assert run(["beta", "--config", exact_config, "--out-dir", out]) == 0
+        entries = json.loads((out / "beta_manifest.json").read_text())["entries"]
+        keys = ("mesh_size", "mesh_sweeps", "newton_per_sweep")
+        for e in entries:
+            d = e["diagnostics"]
+            if e["method"] == "coupled":
+                assert d["mesh_sweeps"] == len(d["newton_per_sweep"]) >= 1
+                assert d["mesh_size"] > 401
+            else:
+                assert not any(k in d for k in keys)
+
     def test_method_subset_single_row(self, exact_config, tmp_path):
         out = tmp_path / "out"
         assert run(["beta", "--config", exact_config, "--method", "if",
@@ -335,6 +348,74 @@ class TestBetaCommand:
         assert ei.value.code == 2
 
 
+# f1 = A u^2, f2 = u^2 between u- = 1 and u+ = -1: beta = 2 + 2/A^2 and
+# a1s(u+-) = +-2A, so the default N = 4000 at L = 20 resolves A <= 25
+STEEP = ["--flux", "custom", "--f2-coeffs", "0,0,1", "--u-minus", "1",
+         "--u-plus", "-1", "--xi0", "1", "--L", "20"]
+
+
+class TestGridResolution:
+    @pytest.mark.parametrize("A", ["1e2", "1e3", "1e200"])
+    def test_steep_flux_exits_2_before_any_file(self, A, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run(["beta", *STEEP, "--f1-coeffs", f"0,0,{A}", "--out-dir", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: field 'N': 4000 intervals on [-20, 20]")
+        assert "Traceback" not in err and "Warning" not in err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_smallest_admissible_N_named(self, tmp_path, capsys):
+        # h max|a1s| <= 1/2 needs N >= 4 L max|a1s| = 4 * 20 * 200
+        assert run(["beta", *STEEP, "--f1-coeffs", "0,0,1e2",
+                    "--out-dir", tmp_path / "o"]) == 2
+        assert capsys.readouterr().err.rstrip().endswith(
+            "the smallest admissible N is 16000")
+
+    @pytest.mark.parametrize("A", [10.0, 25.0])
+    def test_resolved_steep_flux_gives_closed_form(self, A, tmp_path):
+        out = tmp_path / "o"
+        assert run(["beta", *STEEP, "--f1-coeffs", f"0,0,{A:g}", "--method",
+                    "both", "--out-dir", out]) == 0
+        manifest = json.loads((out / "beta_manifest.json").read_text())
+        assert [e["method"] for e in manifest["entries"]] == ["coupled", "if"]
+        for e in manifest["entries"]:
+            assert abs(e["beta"][0] / (2.0 + 2.0 / A**2) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("command", [
+        # the second L is too wide for N = 4000 (4 L a1s = 4004)
+        ["beta", "--config", EXACT_CASE_CFG, "--L", "10,1001"],
+        # u- = 1.3 gives a1s(u+-) = +-1.15, so 4 L a1s = 92 > 90
+        ["scan", "--config", SINE_SCAN_CFG, "--N", "90"],
+        ["aux", "--config", EXACT_CASE_CFG, "--L", "20", "--N", "78"],
+        ["compare", "--config", EXACT_CASE_CFG, "--L", "20", "--N", "78"],
+    ])
+    def test_coarse_grid_rejected_before_any_solve(self, command, tmp_path,
+                                                   capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solver ran before the resolution check")
+
+        for target in ("shockbeta.beta.solve_profile", "shockbeta.beta.solve_coupled",
+                       "shockbeta.coupled.solve_coupled"):
+            monkeypatch.setattr(target, no_solve)
+        out = tmp_path / "o"
+        assert run([*command, "--out-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: field 'N': ")
+        assert "> 1/2" in err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_scan_checks_only_points_the_chain_reaches(self, tmp_path):
+        # u- = -3 is inadmissible, so the chain stalls there with exit 3;
+        # the check does not turn that stall into a configuration error
+        out = tmp_path / "out"
+        code = run(["scan", "--flux", "sine_transverse", "--u-minus", "1.0",
+                    "--u-plus", "-1.0", "--xi0", "1.0", "--L", "20",
+                    "--N", "800", "--u-minus-list", "1.0,-3.0,50.0",
+                    "--out-dir", out])
+        assert code == 3
+
+
 class TestScanCommand:
     def test_sine_scan_manifest(self, tmp_path):
         out = tmp_path / "out"
@@ -351,6 +432,17 @@ class TestScanCommand:
             assert p["sign_re_beta"] in (-1, 1)
         # speeds recomputed along the chain
         assert manifest["points"][1]["s"] == pytest.approx(0.05)
+
+    def test_points_carry_solver_counters(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(["scan", "--flux", "sine_transverse", "--u-minus", "1.0",
+                    "--u-plus", "-1.0", "--xi0", "1.0", "--L", "20",
+                    "--N", "1000", "--u-minus-list", "1.0,1.1",
+                    "--out-dir", out]) == 0
+        for p in json.loads((out / "scan_manifest.json").read_text())["points"]:
+            assert p["mesh_sweeps"] == len(p["newton_per_sweep"]) >= 1
+            assert p["newton_iters"] == sum(p["newton_per_sweep"])
+            assert p["mesh_size"] > 401
 
     def test_stall_preserves_partials_exits_3(self, tmp_path, capsys):
         out = tmp_path / "out"

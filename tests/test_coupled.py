@@ -219,6 +219,17 @@ class TestSolveCoupled:
             assert dv < 1e-6
 
 
+    @pytest.mark.parametrize("L", [10.0, 20.0, 30.0])
+    def test_cold_exact_solve_takes_two_sweeps(self, exact_cfg, quad_flux,
+                                               exact_freq, L):
+        # the mesh redistributed after the first sweep meets the tolerance
+        res = solve_coupled(exact_cfg, quad_flux, exact_freq, L, 4000,
+                            tail_tol=1e-3, decay_tol=1e-2)
+        assert res.bvp.mesh_iterations <= 2
+        assert res.aux.diagnostics["mesh_sweeps"] == res.bvp.mesh_iterations
+        assert res.aux.diagnostics["newton_per_sweep"] == res.bvp.newton_per_sweep
+
+
 class TestContinuation:
     def test_six_point_sine_scan(self, sine_scan):
         assert len(sine_scan) == 6
@@ -229,6 +240,13 @@ class TestContinuation:
             i0 = pt.aux.grid.origin_index
             assert abs(pt.aux.w[i0]) <= 1e-10
             assert abs(pt.aux.v[i0]) <= 1e-10
+
+    def test_scan_meshes_do_not_accumulate(self, sine_scan):
+        # each warm mesh is sized for its own point, not grown from the last
+        f = sine_transverse_flux()
+        for pt in sine_scan:
+            cold = solve_coupled(pt.config, f, pt.freq, 20.0, 4000)
+            assert pt.bvp.mesh.size <= 1.1 * cold.bvp.mesh.size
 
     def test_singleton_chain_matches_direct_solve(self, quad_flux, exact_cfg,
                                                   exact_freq, coupled_L20):
