@@ -4,6 +4,8 @@ Subcommands: profile | aux | beta | scan | compare.  Options mirror the
 config-file keys and override file values.  Exit codes: 0 success, 2 invalid
 configuration (also an unreadable config file, an unwritable output path or
 a grid too large to allocate), 3 solver failure (diagnostics on stderr).
+Each command checks, solves, then writes: a failed check leaves no output
+directory, and an unwritable output path is reported after the solves.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .beta import (
     STUDY_TAIL_TOL,
     beta_convergence_study,
     check_even_N,
-    check_resolution,
     compute_beta,
     solve_pair,
 )
@@ -35,8 +36,8 @@ from .coupled import continuation_scan
 from .coupled import solve_coupled  # noqa: F401  perfbench/tracing.py patches it here
 from .errors import ContinuationStalled, SolverError, ValidationError
 from .integrating_factor import solve_auxiliary_if  # noqa: F401  likewise
-from .model import FluxKind, normalize_to_standing, rankine_hugoniot_speed
-from .profile import DEFAULT_TAIL_TOL, Grid, solve_profile
+from .model import FluxKind
+from .profile import DEFAULT_TAIL_TOL, Grid, check_resolution, solve_profile
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -110,10 +111,8 @@ def _solve_pairs(rc, flux, cfg, freq):
 
 def cmd_profile(rc: RunConfig) -> int:
     flux, cfg, _ = build_model(rc)
-    out = _out_dir(rc)
-    tail = _tail_tol(rc)
-    ps = solve_profile(cfg, Grid.make(rc.L_single, rc.N), tail_tol=tail)
-    path = out / "profile.csv"
+    ps = solve_profile(cfg, Grid.make(rc.L_single, rc.N), tail_tol=_tail_tol(rc))
+    path = _out_dir(rc) / "profile.csv"
     serialize.write_profile_csv(path, ps, flux)
     print(path)
     return EXIT_OK
@@ -123,8 +122,8 @@ def cmd_aux(rc: RunConfig) -> int:
     flux, cfg, freq = build_model(rc)
     check_even_N(rc.N, methods=rc.methods())
     check_resolution(cfg, rc.L_single, rc.N)
-    out = _out_dir(rc)
     for method, profile, aux in _solve_pairs(rc, flux, cfg, freq):
+        out = _out_dir(rc)  # each route is written once solved, before the next runs
         ppath = out / f"profile_{method.value}.csv"
         apath = out / f"aux_{method.value}.csv"
         serialize.write_profile_csv(ppath, profile, flux)
@@ -136,20 +135,23 @@ def cmd_aux(rc: RunConfig) -> int:
 
 def cmd_beta(rc: RunConfig) -> int:
     flux, cfg, freq = build_model(rc)
-    out = _out_dir(rc)
     tail = _tail_tol(rc, STUDY_TAIL_TOL)
     decay = rc.decay_tol if rc.decay_tol is not None else STUDY_DECAY_TOL
     study = beta_convergence_study(
         cfg, flux, freq, list(rc.L), methods=rc.methods(), N=rc.N, tol=rc.tol,
         quadrature=rc.quad(), tail_tol=tail, decay_tol=decay,
     )
+    out = _out_dir(rc)
     table = out / "beta_table.csv"
     serialize.write_beta_table_csv(table, study)
+
+    def by_entry(item):  # by method name, then L
+        (method, L), _ = item
+        return method.value, L
+
     entries = [
         serialize.beta_result_dict(r)
-        for (_, _), r in sorted(
-            study.results.items(), key=lambda kv: (kv[0][0].value, kv[0][1])
-        )
+        for _, r in sorted(study.results.items(), key=by_entry)
     ]
     manifest = {
         "L_values": list(rc.L),
@@ -164,9 +166,7 @@ def cmd_beta(rc: RunConfig) -> int:
     print(table)
     if not study.results:
         print("all table entries failed", file=sys.stderr)
-    for (method, L), msg in sorted(
-        study.failures.items(), key=lambda kv: (kv[0][0].value, kv[0][1])
-    ):
+    for (method, L), msg in sorted(study.failures.items(), key=by_entry):
         print(f"entry {method.value} L={L} failed: {msg}", file=sys.stderr)
     return EXIT_OK if study.results else EXIT_SOLVER
 
@@ -176,30 +176,17 @@ def cmd_scan(rc: RunConfig) -> int:
     if not rc.u_minus_list:
         raise ValidationError("field 'u_minus_list': required for scan")
     check_even_N(rc.N, rc.quad())
-    u_plus = cfg0.u_plus
-    for um in rc.u_minus_list:
-        try:
-            cfg = normalize_to_standing(
-                flux, um, u_plus, rankine_hugoniot_speed(flux, um, u_plus)
-            )
-        except ValidationError:
-            break  # the chain stalls here, and no later point is solved
-        check_resolution(cfg, rc.L_single, rc.N)
-    out = _out_dir(rc)
-    tail = _tail_tol(rc)
-    stall_index = None
-    stall_cause = None
+    stall = None
     try:
         points = continuation_scan(
             cfg0, flux, rc.xi0, list(rc.u_minus_list), rc.L_single, rc.N,
-            tol=rc.tol, tail_tol=tail, decay_tol=rc.decay_tol,
+            tol=rc.tol, tail_tol=_tail_tol(rc), decay_tol=rc.decay_tol,
         )
     except ContinuationStalled as exc:
-        points = exc.results
-        stall_index = exc.index
-        stall_cause = str(exc.cause)
+        points, stall = exc.results, exc
         print(exc, file=sys.stderr)
 
+    out = _out_dir(rc)
     manifest_points = []
     for k, pt in enumerate(points):
         r = compute_beta(flux, pt.profile, pt.aux, rc.quad())
@@ -229,12 +216,12 @@ def cmd_scan(rc: RunConfig) -> int:
         "xi0": rc.xi0,
         "u_minus_list": list(rc.u_minus_list),
         "points": manifest_points,
-        "stall_index": stall_index,
-        "stall_cause": stall_cause,
+        "stall_index": stall.index if stall else None,
+        "stall_cause": str(stall.cause) if stall else None,
     }
     serialize.write_manifest(out / "scan_manifest.json", manifest)
     print(out / "scan_manifest.json")
-    return EXIT_OK if stall_index is None else EXIT_SOLVER
+    return EXIT_OK if stall is None else EXIT_SOLVER
 
 
 def cmd_compare(rc: RunConfig) -> int:
@@ -250,7 +237,6 @@ def cmd_compare(rc: RunConfig) -> int:
         )
     check_even_N(rc.N, methods=rc.methods())
     check_resolution(cfg, rc.L_single, rc.N)
-    out = _out_dir(rc)
     grid = Grid.make(rc.L_single, rc.N)
     x = grid.x
     u_exact = -np.tanh(x / 2.0)
@@ -267,7 +253,7 @@ def cmd_compare(rc: RunConfig) -> int:
             e2 = float(np.sqrt(np.sum((num - ref) ** 2)))
             rows.append((method.value, name, e2, np.sqrt(h) * e2))
 
-    path = out / "compare.csv"
+    path = _out_dir(rc) / "compare.csv"
     lines = ["# type = compare", f"# L = {serialize.fmt(grid.L)}",
              f"# N = {grid.N}", "method,quantity,norm2,norm2_weighted"]
     for method, name, e2, e2w in rows:

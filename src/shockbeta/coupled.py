@@ -36,7 +36,9 @@ from .model import (
     rankine_hugoniot_speed,
 )
 from .numerics import BvpProblem, BvpSolution, IvpProblem, bvp_solve, ivp_solve
-from .profile import DEFAULT_TAIL_TOL, Grid, ProfileSolution, _check_profile
+from .profile import (
+    DEFAULT_TAIL_TOL, Grid, ProfileSolution, _check_profile, check_resolution,
+)
 
 _FOLD_TOL = 1e-10
 # Starting mesh of the initial guess, and the tolerances of its integration.
@@ -238,40 +240,53 @@ def continuation_scan(
     """Sweep the left state, reusing each solution as the next guess.
 
     The right state is taken from ``cfg0``; speed and neutral frequency are
-    recomputed at every step.  On failure the step is bisected once; if the
-    bisected step also fails, :class:`ContinuationStalled` carries the chain
-    computed so far.
+    recomputed at every step.  Every point the chain reaches is built, and
+    the grid checked against the steepest, before the first solve; the chain
+    stalls at an inadmissible later point.  On a solver failure the step is
+    bisected once; if the bisected step also fails,
+    :class:`ContinuationStalled` carries the chain computed so far.
     """
-    u_plus = cfg0.u_plus
-    points: list[CoupledResult] = []
+    def _shock(um: float) -> tuple[ShockConfig, NeutralFrequency]:
+        s = rankine_hugoniot_speed(f, um, cfg0.u_plus)
+        cfg = normalize_to_standing(f, um, cfg0.u_plus, s)
+        return cfg, neutral_zero(cfg, f, xi0)
 
-    def _solve_at(um: float, seed: CoupledResult | None) -> CoupledResult:
-        s = rankine_hugoniot_speed(f, um, u_plus)
-        cfg = normalize_to_standing(f, um, u_plus, s)
-        freq = neutral_zero(cfg, f, xi0)
+    shocks, inadmissible = [], None
+    for um in u_minus_values:
+        try:
+            shocks.append(_shock(float(um)))
+        except ValidationError as exc:
+            if not shocks:
+                raise  # first point: configuration-level problem
+            inadmissible = exc
+            break
+    if shocks:
+        steepest = max((cfg for cfg, _ in shocks), key=lambda cfg: cfg.layer_rate)
+        check_resolution(steepest, L, n_out)
+
+    def _solve_at(shock, seed: CoupledResult | None) -> CoupledResult:
+        cfg, freq = shock
         guess = None if seed is None else _rescaled_guess(seed, cfg)
         return solve_coupled(
             cfg, f, freq, L, n_out, guess=guess, tol=tol,
             tail_tol=tail_tol, decay_tol=decay_tol,
         )
 
-    for k, um in enumerate(u_minus_values):
+    points: list[CoupledResult] = []
+    for k, shock in enumerate(shocks):
         prev = points[-1] if points else None
         try:
-            res = _solve_at(float(um), prev)
-        except ValidationError as exc:
-            if prev is None:
-                raise  # first point: configuration-level problem
-            # an inadmissible parameter value stalls the chain outright
-            raise ContinuationStalled(k, points, exc) from exc
+            res = _solve_at(shock, prev)
         except SolverError as exc:
             if prev is None:
                 raise ContinuationStalled(k, points, exc) from exc
             # one automatic bisection of the parameter step
             try:
-                um_mid = 0.5 * (prev.config.u_minus + float(um))
-                res = _solve_at(float(um), _solve_at(um_mid, prev))
+                um_mid = 0.5 * (prev.config.u_minus + shock[0].u_minus)
+                res = _solve_at(shock, _solve_at(_shock(um_mid), prev))
             except SolverError as exc2:
                 raise ContinuationStalled(k, points, exc2) from exc2
         points.append(res)
+    if inadmissible is not None:
+        raise ContinuationStalled(len(shocks), points, inadmissible) from inadmissible
     return points

@@ -32,6 +32,9 @@ from .model import FluxModel, NeutralFrequency
 from .numerics import cumquad_simpson
 from .profile import ProfileSolution
 
+# Refinement estimate of v above which the grid is reported as too coarse.
+_WARN_ESTIMATE_TOL = 1e-6
+
 
 def forcing(
     f: FluxModel, freq: NeutralFrequency, profile: ProfileSolution
@@ -51,15 +54,11 @@ def _anchored(R: np.ndarray, up: np.ndarray, h: float, ic: int) -> np.ndarray:
     return C
 
 
-def solve_v_if(
-    profile: ProfileSolution,
-    forcing_samples: np.ndarray,
-    warn_estimate_tol: float | None = 1e-6,
-) -> np.ndarray:
+def solve_v_if(profile: ProfileSolution, forcing_samples: np.ndarray) -> np.ndarray:
     """v(x) = ubar'(x) int_0^x F / ubar', the integral by cumulative Simpson.
 
     Emits a :class:`QuadratureDegraded` warning when a coarsened re-evaluation
-    suggests the grid underresolves the integrals.
+    estimates the error of v above ``_WARN_ESTIMATE_TOL``.
     """
     F = np.asarray(forcing_samples)
     if F.shape != profile.ubar.shape:
@@ -70,13 +69,13 @@ def solve_v_if(
     ic = grid.origin_index
     v = _anchored(R, up, grid.h, ic)
 
-    if warn_estimate_tol is not None and grid.N % 4 == 0:
+    if grid.N % 4 == 0:
         vc = _anchored(R[::2], up[::2], 2 * grid.h, ic // 2)
         est = np.max(np.abs(v[::2] - vc)) / 15.0
-        if est > warn_estimate_tol:
+        if est > _WARN_ESTIMATE_TOL:
             warnings.warn(
                 f"cumulative Simpson refinement estimate {est:.3e} exceeds "
-                f"{warn_estimate_tol:.1e}; grid may be too coarse",
+                f"{_WARN_ESTIMATE_TOL:.1e}; grid may be too coarse",
                 QuadratureDegraded,
                 stacklevel=2,
             )

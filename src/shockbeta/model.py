@@ -197,6 +197,11 @@ class ShockConfig:
         return (u - self.u_plus) * (u - self.u_minus) * self.q(u)
 
     @property
+    def layer_rate(self) -> float:
+        """max|a1s(u+-)|: the profile meets u+- like exp(a1s(u+-) x)."""
+        return max(abs(self.a1_shifted(u)) for u in (self.u_plus, self.u_minus))
+
+    @property
     def u_jump(self) -> float:
         return self.u_plus - self.u_minus
 

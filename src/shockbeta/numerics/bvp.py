@@ -56,9 +56,11 @@ _RES_WEIGHT = 49.0 / 180.0
 # residual estimate at.  Of 0.3, 0.35, ..., 0.5, 0.3 took the fewest mesh
 # sweeps over 48 coupled shock configurations (106, against 121 at 0.5).
 _MESH_THETA = 0.3
-# Step halvings of one damped Newton step, and mesh sweeps of one solve.
+# Budgets: step halvings per Newton step, Newton steps per sweep, sweeps, nodes.
 _MAX_BACKTRACKS = 8
+_MAX_NEWTON = 50
 _MAX_MESH_SWEEPS = 12
+_MAX_NODES = 20000
 
 
 @dataclass
@@ -344,13 +346,13 @@ def _full_residual(rhs, bc, x, Y):
     return R, f, y_mid, x_mid
 
 
-def _newton(rhs, jac, bc, x, Y, max_newton):
+def _newton(rhs, jac, bc, x, Y):
     """Damped Newton on the collocation system; returns (Y, f, iterations)."""
     R, f, y_mid, x_mid = _full_residual(rhs, bc, x, Y)
     if not np.all(np.isfinite(R)):
         raise NewtonDivergence("residual is not finite at the initial guess")
     iters = 0
-    for _ in range(max_newton):
+    for _ in range(_MAX_NEWTON):
         # residual densities have the units of the rhs
         scale = 1.0 + np.max(np.abs(Y)) + np.max(np.abs(f))
         norm = np.max(np.abs(R))
@@ -378,7 +380,7 @@ def _newton(rhs, jac, bc, x, Y, max_newton):
         iters += 1
         if np.max(np.abs(lam * dY)) <= 1e-14 * scale:
             return Y, f, iters
-    raise NewtonDivergence(f"not converged after {max_newton} Newton iterations")
+    raise NewtonDivergence(f"not converged after {_MAX_NEWTON} Newton iterations")
 
 
 def _estimate_residuals(rhs, x, Y, f):
@@ -416,11 +418,7 @@ def _refine_mesh(x, est, tol, h_max):
     return np.interp(np.linspace(0.0, cum[-1], n + 1), cum, x)
 
 
-def bvp_solve(
-    problem: BvpProblem,
-    max_nodes: int = 20000,
-    max_newton: int = 50,
-) -> BvpSolution:
+def bvp_solve(problem: BvpProblem) -> BvpSolution:
     """Solve a :class:`BvpProblem` to its residual tolerance.
 
     Each mesh sweep runs Newton on the current mesh and estimates the
@@ -432,7 +430,7 @@ def bvp_solve(
     :class:`SingularJacobian` if the linearization degenerates or its
     propagator from x = 0 grows past 1/sqrt(eps), and
     :class:`MeshLimitExceeded` if a redistributed mesh needs more than
-    ``max_nodes`` nodes or the residual stays above the tolerance after the
+    ``_MAX_NODES`` nodes or the residual stays above the tolerance after the
     last mesh sweep.
     """
     rhs, jac, bc = problem.rhs, problem.jac, problem.bc
@@ -442,7 +440,7 @@ def bvp_solve(
     per_sweep: list[int] = []
 
     for sweep in range(1, _MAX_MESH_SWEEPS + 1):
-        Y, f, iters = _newton(rhs, jac, bc, x, Y, max_newton)
+        Y, f, iters = _newton(rhs, jac, bc, x, Y)
         per_sweep.append(iters)
         est = _estimate_residuals(rhs, x, Y, f)
         res_norm = float(est.max())
@@ -459,9 +457,9 @@ def bvp_solve(
                 newton_per_sweep=per_sweep,
             )
         x_new = _refine_mesh(x, est, problem.tol, h_max)
-        if x_new.size > max_nodes:
+        if x_new.size > _MAX_NODES:
             raise MeshLimitExceeded(
-                f"the redistributed mesh needs {x_new.size} nodes (budget {max_nodes})"
+                f"the redistributed mesh needs {x_new.size} nodes (budget {_MAX_NODES})"
             )
         Y = HermiteInterpolant(x, Y, f)(x_new)
         x = x_new

@@ -42,10 +42,14 @@ class Grid:
     N: int
     x: np.ndarray
 
-    @classmethod
-    def make(cls, L: float, N: int) -> "Grid":
+    @staticmethod
+    def check(L: float, N: int) -> None:
         if L <= 0 or N < 2:
             raise ValidationError("grid needs L > 0 and N >= 2")
+
+    @classmethod
+    def make(cls, L: float, N: int) -> "Grid":
+        cls.check(L, N)
         return cls(L=float(L), N=int(N), x=np.linspace(-L, L, N + 1))
 
     def __post_init__(self):
@@ -67,6 +71,28 @@ class Grid:
         if self.N % 2 != 0:
             raise ValidationError("origin is a node only for even N")
         return self.N // 2
+
+
+def check_resolution(cfg: ShockConfig, L: float, N: int) -> None:
+    """Before any solve: :meth:`Grid.check`, then a grid that resolves the layer.
+
+    The profile meets u+- like exp(a1s(u+-) x); with h max|a1s(u+-)| > 1/2
+    (h = 2L/N) the layer falls on a few nodes, where neither route's beta is
+    to be trusted.  The N named is even, as Simpson's rule and ``if`` need.
+    """
+    Grid.check(L, N)
+    width = 2.0 * L * cfg.layer_rate  # h max|a1s(u+-)| = width / N
+    ratio = width / N
+    if ratio > 0.5:
+        least = 2 * int(np.ceil(width)) if width < 2.0**52 else f"about {2 * width:.3g}"
+        # enough digits that a refused grid never reads as admissible
+        shown = f"{ratio:.3g}" if ratio >= 0.501 else str(float(ratio))
+        raise ValidationError(
+            f"field 'N': {N} intervals on [-{L:g}, {L:g}] at u- = "
+            f"{cfg.u_minus:g}, u+ = {cfg.u_plus:g} give "
+            f"h max|a1s(u+-)| = {shown} > 1/2, too coarse for the profile "
+            f"layer; the smallest admissible even N is {least}"
+        )
 
 
 @dataclass

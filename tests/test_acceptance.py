@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from shockbeta.auxiliary import AuxMethod
-from shockbeta.beta import beta_convergence_study, compute_beta, stability_integral
+from shockbeta.beta import beta_convergence_study, compute_beta
 from shockbeta.coupled import continuation_scan, solve_coupled
 from shockbeta.integrating_factor import forcing, solve_auxiliary_if, solve_v_if
 from shockbeta.model import (
@@ -214,13 +214,13 @@ def test_criterion_8_kernel_convergence_orders():
            f"trapezoid {trapezoid_orders.min():.2f}, bvp {bvp_slope:.3f}")
 
 
+@pytest.mark.filterwarnings("ignore::shockbeta.errors.QuadratureDegraded")
 def test_criterion_9_randomized_property_suite(quad_flux, exact_cfg):
     rng = np.random.default_rng(42)
     lin_profile = solve_profile(exact_cfg, Grid.make(20.0, 512))
 
-    for fn in (compute_beta, stability_integral):
-        names = {p.lower() for p in inspect.signature(fn).parameters}
-        assert not names & {"gamma", "transversality"}
+    names = {p.lower() for p in inspect.signature(compute_beta).parameters}
+    assert not names & {"gamma", "transversality"}
 
     for k in range(100):
         um = float(rng.uniform(0.3, 2.5))
@@ -255,8 +255,8 @@ def test_criterion_9_randomized_property_suite(quad_flux, exact_cfg):
         xi_lin = float(rng.uniform(0.05, 3.0))
         lin_freq = NeutralFrequency(0.0, xi_lin)
         F1 = forcing(quad_flux, lin_freq, lin_profile)
-        v1 = solve_v_if(lin_profile, F1, warn_estimate_tol=None)
-        v2 = solve_v_if(lin_profile, 2.0 * F1, warn_estimate_tol=None)
+        v1 = solve_v_if(lin_profile, F1)
+        v2 = solve_v_if(lin_profile, 2.0 * F1)
         assert np.array_equal(v2, 2.0 * v1)
 
         # the coefficient is exactly the integral over the state jump

@@ -9,7 +9,6 @@ from shockbeta.beta import (
     beta_convergence_study,
     compute_beta,
     solve_pair,
-    stability_integral,
 )
 from shockbeta.errors import GridMismatch, TailNotResolved
 from shockbeta.integrating_factor import solve_auxiliary_if
@@ -21,7 +20,7 @@ from shockbeta.model import (
     rankine_hugoniot_speed,
     sine_transverse_flux,
 )
-from shockbeta.numerics import quad_simpson
+from shockbeta.numerics import quad_simpson, quad_trapezoid
 from shockbeta.profile import Grid, solve_profile
 
 from conftest import exact_profile, exact_v
@@ -48,25 +47,25 @@ def zero_aux(grid, freq):
 class TestStabilityIntegral:
     def test_exact_case_oracle_value(self, quad_flux, exact_freq, profile_L20):
         aux = solve_auxiliary_if(quad_flux, exact_freq, profile_L20)
-        val = stability_integral(quad_flux, profile_L20, aux)
+        val = compute_beta(quad_flux, profile_L20, aux).integral
         assert val.imag == pytest.approx(0.0, abs=1e-10)
         assert val.real == pytest.approx(-20.0, abs=1e-3)
 
     def test_zero_frequency_zero_integral(self, quad_flux, grid_L20, profile_L20):
         aux = zero_aux(grid_L20, NeutralFrequency(0.0, 0.0))
-        assert stability_integral(quad_flux, profile_L20, aux) == 0.0
+        assert compute_beta(quad_flux, profile_L20, aux).integral == 0.0
 
     def test_zero_correction_telescopes(self, quad_flux, grid_L20, profile_L20,
                                         exact_freq):
         # with y = 0 only 2 xi0^2 ubar' survives and integrates to 2 [u]
         aux = zero_aux(grid_L20, exact_freq)
-        val = stability_integral(quad_flux, profile_L20, aux)
+        val = compute_beta(quad_flux, profile_L20, aux).integral
         assert val == pytest.approx(-4.0, abs=1e-6)
 
     def test_grid_mismatch(self, quad_flux, profile_L20, exact_freq):
         aux = zero_aux(Grid.make(10.0, 100), exact_freq)
         with pytest.raises(GridMismatch):
-            stability_integral(quad_flux, profile_L20, aux)
+            compute_beta(quad_flux, profile_L20, aux).integral
 
 
 class TestComputeBeta:
@@ -104,10 +103,16 @@ class TestComputeBeta:
 
     def test_integral_is_stability_integral(self, quad_flux, exact_freq,
                                             profile_L20):
+        # the integral is each rule's quadrature of the integrand of the paper
         aux = solve_auxiliary_if(quad_flux, exact_freq, profile_L20)
+        factor = 1j * exact_freq.tau0 + 1j * exact_freq.xi0 * np.asarray(
+            quad_flux.a2(profile_L20.ubar))
+        g = 2.0 * factor * aux.y + 2.0 * exact_freq.xi0**2 * profile_L20.ubar_prime
+        rule = {BetaQuadrature.TRAPEZOID: quad_trapezoid,
+                BetaQuadrature.SIMPSON: quad_simpson}
         ints = {}
         for q in BetaQuadrature:
-            ints[q] = stability_integral(quad_flux, profile_L20, aux, q)
+            ints[q] = complex(rule[q](g, profile_L20.grid.h))
             assert compute_beta(quad_flux, profile_L20, aux, q).integral == ints[q]
         cross = compute_beta(quad_flux, profile_L20, aux).diagnostics[
             "quadrature_cross_difference"]
@@ -116,7 +121,7 @@ class TestComputeBeta:
 
     def test_no_transversality_parameter_anywhere(self):
         # the determinant's transversality factor cancels and never appears
-        for fn in (compute_beta, stability_integral, beta_convergence_study):
+        for fn in (compute_beta, beta_convergence_study):
             names = {p.lower() for p in inspect.signature(fn).parameters}
             assert not names & {"gamma", "transversality"}
 
@@ -129,7 +134,7 @@ class TestOracle:
 
     def test_pipeline_agrees_with_oracle(self, quad_flux, exact_freq, profile_L20):
         aux = solve_auxiliary_if(quad_flux, exact_freq, profile_L20)
-        val = stability_integral(quad_flux, profile_L20, aux)
+        val = compute_beta(quad_flux, profile_L20, aux).integral
         assert abs(val.real - oracle_integral()) <= 1e-3
 
 

@@ -352,7 +352,7 @@ def test_newton_divergence_on_bad_guess():
         bvp_solve(p)
 
 
-def test_newton_iteration_budget():
+def test_newton_iteration_budget(monkeypatch):
     def rhs(x, Y):
         return np.vstack([Y[1], np.exp(Y[0])])
 
@@ -366,8 +366,9 @@ def test_newton_iteration_budget():
     p = BvpProblem(rhs=rhs, jac=jac, bc=_ends_bc(0.0, 0.0), initial_mesh=mesh,
                    initial_guess=np.vstack([np.full(21, 3.0), np.zeros(21)]),
                    tol=1e-8)
+    monkeypatch.setattr(bvp, "_MAX_NEWTON", 1)
     with pytest.raises(NewtonDivergence):
-        bvp_solve(p, max_newton=1)
+        bvp_solve(p)
 
 
 def test_singular_jacobian_detected():
@@ -382,9 +383,10 @@ def test_singular_jacobian_detected():
         bvp_solve(p)
 
 
-def test_mesh_limit_exceeded():
+def test_mesh_limit_exceeded(monkeypatch):
+    monkeypatch.setattr(bvp, "_MAX_NODES", 10)
     with pytest.raises(MeshLimitExceeded):
-        bvp_solve(_sine_problem(5, tol=1e-12), max_nodes=10)
+        bvp_solve(_sine_problem(5, tol=1e-12))
 
 
 def test_newton_counts_reported():

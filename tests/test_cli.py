@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import shockbeta.coupled
+import shockbeta.model
 import shockbeta.profile
 from shockbeta.cli import build_parser, main
 from shockbeta.config import _PARSERS
@@ -295,7 +296,7 @@ class TestBetaCommand:
                     "--out-dir", out])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
-        assert not any(out.iterdir())
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, extra", [
         (["beta", "--config", EXACT_CASE_CFG, "--method", "if"], []),
@@ -318,7 +319,7 @@ class TestBetaCommand:
         code = run([*command, "--N", "4001", *extra, "--out-dir", out])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: field 'N': 4001 is odd")
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_odd_N_coupled_trapezoid_succeeds(self, tmp_path):
         assert run(["beta", "--config", EXACT_CASE_CFG, "--N", "4001",
@@ -335,7 +336,7 @@ class TestBetaCommand:
         code = run([*command, "--xi0", "0", "--out-dir", out])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: field 'xi0': ")
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_tau0_is_not_a_config_key(self, exact_config, tmp_path, capsys):
         # tau0 is always derived from xi0 as the neutral zero
@@ -363,14 +364,45 @@ class TestGridResolution:
         err = capsys.readouterr().err
         assert err.startswith("error: field 'N': 4000 intervals on [-20, 20]")
         assert "Traceback" not in err and "Warning" not in err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_smallest_admissible_N_named(self, tmp_path, capsys):
         # h max|a1s| <= 1/2 needs N >= 4 L max|a1s| = 4 * 20 * 200
         assert run(["beta", *STEEP, "--f1-coeffs", "0,0,1e2",
                     "--out-dir", tmp_path / "o"]) == 2
         assert capsys.readouterr().err.rstrip().endswith(
-            "the smallest admissible N is 16000")
+            "the smallest admissible even N is 16000")
+
+    @pytest.mark.parametrize("command", [
+        # 4 L max|a1s| = 81 at L = 20.25: the least admissible N is odd
+        ["aux", "--config", EXACT_CASE_CFG, "--L", "20.25", "--N", "78",
+         "--method", "if"],
+        ["compare", "--config", EXACT_CASE_CFG, "--L", "20.25", "--N", "78"],
+        ["beta", "--config", EXACT_CASE_CFG, "--L", "10,20.25", "--N", "78",
+         "--method", "coupled", "--quadrature", "simpson"],
+        ["beta", "--config", EXACT_CASE_CFG, "--L", "20.25,10", "--N", "78",
+         "--method", "coupled"],
+        # u- = 1.3 is the first point too coarse at N = 90, u- = 1.5 the steepest
+        ["scan", "--config", SINE_SCAN_CFG, "--N", "90"],
+    ])
+    def test_named_N_passes_every_gate(self, command, tmp_path, capsys):
+        # the refusal's advice, followed, gives a run that exits 0
+        refused = tmp_path / "refused"
+        assert run([*command, "--out-dir", refused]) == 2
+        assert not refused.exists()
+        err = capsys.readouterr().err.rstrip()
+        named = err.rsplit("the smallest admissible even N is ", 1)[1]
+        out = tmp_path / "o"
+        assert run([*command, "--N", named, "--out-dir", out]) == 0
+        if command[0] == "beta":
+            manifest = json.loads((out / "beta_manifest.json").read_text())
+            assert manifest["failures"] == {}
+
+    def test_refused_ratio_never_reads_as_admissible(self, tmp_path, capsys):
+        # h max|a1s| = 2002 / 4000 = 0.5005, which 3 digits would round to 0.5
+        assert run(["beta", "--config", EXACT_CASE_CFG, "--L", "10,1001",
+                    "--out-dir", tmp_path / "o"]) == 2
+        assert "h max|a1s(u+-)| = 0.5005 > 1/2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("A", [10.0, 25.0])
     def test_resolved_steep_flux_gives_closed_form(self, A, tmp_path):
@@ -403,7 +435,7 @@ class TestGridResolution:
         err = capsys.readouterr().err
         assert err.startswith("error: field 'N': ")
         assert "> 1/2" in err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
 
     def test_scan_checks_only_points_the_chain_reaches(self, tmp_path):
         # u- = -3 is inadmissible, so the chain stalls there with exit 3;
@@ -432,6 +464,23 @@ class TestScanCommand:
             assert p["sign_re_beta"] in (-1, 1)
         # speeds recomputed along the chain
         assert manifest["points"][1]["s"] == pytest.approx(0.05)
+
+    def test_each_shock_is_built_once(self, tmp_path, monkeypatch):
+        # one normalization for the run's own shock, then one per scan point
+        original = shockbeta.model.normalize_to_standing
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("shockbeta")
+                    and getattr(module, "normalize_to_standing", None) is original):
+                monkeypatch.setattr(module, "normalize_to_standing", counted)
+        assert run(["scan", "--config", SINE_SCAN_CFG,
+                    "--out-dir", tmp_path / "o"]) == 0
+        assert len(calls) == 7
 
     def test_points_carry_solver_counters(self, tmp_path):
         out = tmp_path / "out"

@@ -8,7 +8,7 @@ from shockbeta.coupled import (
     initial_guess,
     solve_coupled,
 )
-from shockbeta.errors import ContinuationStalled
+from shockbeta.errors import ContinuationStalled, ValidationError
 from shockbeta.integrating_factor import solve_auxiliary_if
 from shockbeta.model import (
     NeutralFrequency,
@@ -265,6 +265,16 @@ class TestContinuation:
             )
         assert ei.value.index == 1
         assert len(ei.value.results) == 1
+
+    def test_coarse_grid_at_a_later_point_raises_before_any_solve(
+            self, quad_flux, exact_cfg, monkeypatch):
+        # 4 L max|a1s| = 40 (u- - u+): N = 100 resolves u- = 1 and 1.2, not 3
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a point was solved before the grid check")
+
+        monkeypatch.setattr("shockbeta.coupled.solve_coupled", no_solve)
+        with pytest.raises(ValidationError, match="at u- = 3, .* even N is 160"):
+            continuation_scan(exact_cfg, quad_flux, 1.0, [1.0, 1.2, 3.0], 20.0, 100)
 
 
 @pytest.fixture(scope="module")
