@@ -1,10 +1,10 @@
 """Refined stability coefficient of planar viscous shock profiles.
 
 For a scalar conservation law with viscosity in two space dimensions, the
-package computes the standing shock profile, the auxiliary correction pair
-(w, v) at a neutral frequency of the Lopatinskii determinant (by an
+package computes the standing shock profile, the auxiliary correction v at
+a neutral frequency of the Lopatinskii determinant (by an
 integrating-factor formula and by a coupled boundary-value solve), and from
-them the stability coefficient beta whose real part signals the transition
+them the real stability coefficient beta whose sign signals the transition
 to instability of the viscous front.
 """
 

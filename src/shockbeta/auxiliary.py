@@ -1,11 +1,11 @@
-"""Sampled auxiliary correction y = w + i v attached to a profile.
+"""Sampled auxiliary correction v attached to a profile.
 
-The correction solves ``(y' - a1(ubar) y)' = (i tau0 + i xi0 a2(ubar)) ubar'``
-at a neutral frequency with y(0) = 0; w and v are its real and imaginary
-parts.  The forcing is purely imaginary, so once integrated the real part
-solves w' = a1(ubar) w, and w(0) = 0 makes it vanish identically: only v is
-computed and stored.  Both construction methods (integrating factor and
-coupled solve) produce this type on the profile's uniform grid.
+The paper's correction y solves ``(y' - a1(ubar) y)' = (i tau0 + i xi0
+a2(ubar)) ubar'`` at a neutral frequency with y(0) = 0.  The forcing is
+purely imaginary, so its real part solves w' = a1(ubar) w with w(0) = 0 and
+vanishes: y = i v, and the real array v is the whole correction.  Both
+construction methods (integrating factor and coupled solve) produce this
+type on the profile's uniform grid.
 """
 
 from __future__ import annotations
@@ -35,23 +35,13 @@ class AuxiliarySolution:
     freq: NeutralFrequency
     diagnostics: dict = field(default_factory=dict)
 
-    @property
-    def w(self) -> np.ndarray:
-        """Real part of the correction: w' = a1(ubar) w and w(0) = 0 give w = 0."""
-        return np.zeros_like(self.v)
-
-    @property
-    def y(self) -> np.ndarray:
-        """The complex correction w + i v = i v."""
-        return 1j * self.v
-
     def tail_magnitudes(self) -> float:
-        """Largest of |y| = |v| at the two domain ends."""
+        """Largest of |v| at the two domain ends."""
         return float(max(abs(self.v[0]), abs(self.v[-1])))
 
     def check_decay(self, tol: float = DEFAULT_DECAY_TOL) -> None:
         mag = self.tail_magnitudes()
         if mag > tol:
             raise TailNotResolved(
-                f"correction tails |y(+-L)| = {mag:.3e} exceed {tol:.1e}; increase L"
+                f"correction tails |v(+-L)| = {mag:.3e} exceed {tol:.1e}; increase L"
             )

@@ -5,13 +5,14 @@ spectral determinant at a neutral zero; both reduce to computable pieces:
 
     beta = integral / (u+ - u-),
 
-    integral = int 2 (i tau0 + i xi0 a2(ubar)) (w + i v) + 2 xi0^2 ubar' dx,
+    integral = int 2 xi0^2 ubar' - 2 (tau0 + xi0 a2(ubar)) v dx,
 
-with ubar' inserted through the profile equation (no differencing).  The
-transversality factor of the determinant cancels in the ratio and never
-enters the computation.  sgn Re beta > 0 is the necessary condition for weak
-viscous stability; the sign is reported as 0 when |Re beta| falls below the
-resolution threshold.
+with ubar' inserted through the profile equation (no differencing).  This is
+the paper's int 2 (i tau0 + i xi0 a2(ubar)) y + 2 xi0^2 ubar' dx with the
+correction y = i v, so beta is real.  The transversality factor of the
+determinant cancels in the ratio and never enters the computation.
+sgn beta > 0 is the necessary condition for weak viscous stability; the sign
+is reported as 0 when |beta| falls below the resolution threshold.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ class BetaQuadrature(str, enum.Enum):
 
 @dataclass
 class BetaResult:
-    beta: complex
-    integral: complex
+    beta: float
+    integral: float
     delta_lambda: float
     sign_re_beta: int
     L: float
@@ -63,17 +64,15 @@ class BetaResult:
 def _integrand(
     f: FluxModel, profile: ProfileSolution, aux: AuxiliarySolution
 ) -> np.ndarray:
-    if profile.grid.x.shape != aux.grid.x.shape or not np.array_equal(
-        profile.grid.x, aux.grid.x
-    ):
+    if profile.grid != aux.grid:
         raise GridMismatch("profile and correction are sampled on different grids")
     freq = aux.freq
-    factor = 1j * freq.tau0 + 1j * freq.xi0 * np.asarray(f.a2(profile.ubar))
-    return 2.0 * factor * aux.y + 2.0 * freq.xi0**2 * profile.ubar_prime
+    factor = 2.0 * (freq.tau0 + freq.xi0 * np.asarray(f.a2(profile.ubar)))
+    return 2.0 * freq.xi0**2 * profile.ubar_prime - factor * aux.v
 
 
-def _quad(g: np.ndarray, h: float, simpson: bool) -> complex:
-    return complex(quad_simpson(g, h) if simpson else quad_trapezoid(g, h))
+def _quad(g: np.ndarray, h: float, simpson: bool) -> float:
+    return float(quad_simpson(g, h) if simpson else quad_trapezoid(g, h))
 
 
 def compute_beta(
@@ -89,8 +88,7 @@ def compute_beta(
     integral = _quad(g, h, simpson)
     delta_lambda = profile.config.u_jump
     beta = integral / delta_lambda
-    re = beta.real
-    sign = 0 if abs(re) < SIGN_THRESHOLD else (1 if re > 0 else -1)
+    sign = 0 if abs(beta) < SIGN_THRESHOLD else (1 if beta > 0 else -1)
 
     diagnostics = {
         "integrand_tail": float(max(abs(g[0]), abs(g[-1]))),

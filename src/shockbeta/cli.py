@@ -205,7 +205,7 @@ def cmd_scan(rc: RunConfig) -> int:
                 "mesh_size": int(pt.bvp.mesh.size),
                 "mesh_sweeps": pt.bvp.mesh_iterations,
                 "newton_per_sweep": pt.bvp.newton_per_sweep,
-                "beta": [r.beta.real, r.beta.imag],
+                "beta": [r.beta, 0.0],
                 "sign_re_beta": r.sign_re_beta,
                 "aux_tail": pt.aux.tail_magnitudes(),
             }
@@ -247,7 +247,6 @@ def cmd_compare(rc: RunConfig) -> int:
     for method, profile, aux in _solve_pairs(rc, flux, cfg, freq):
         for name, num, ref in (
             ("ubar", profile.ubar, u_exact),
-            ("w", aux.w, 0.0),
             ("v", aux.v, v_exact),
         ):
             e2 = float(np.sqrt(np.sum((num - ref) ** 2)))
@@ -276,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text, func in (
         ("profile", "compute and export the viscous profile", cmd_profile),
-        ("aux", "compute the correction pair (w, v)", cmd_aux),
+        ("aux", "compute the correction v", cmd_aux),
         ("beta", "stability coefficient over a list of L", cmd_beta),
         ("scan", "continuation sweep over u_minus", cmd_scan),
         ("compare", "error norms against the exact solution", cmd_compare),

@@ -7,9 +7,8 @@ The autonomous field
 
 with P the factored profile field of :class:`ShockConfig`, has equilibria
 (u-, 0) and (u+, 0) at a neutral frequency; the desired solution is the
-heteroclinic connection between them.  The real part w of the
-correction solves w' = a1s(ubar) w with w(0) = 0, so w = 0 and is not solved
-for (see :class:`AuxiliarySolution`).  The domain [-L, L] is folded: right
+heteroclinic connection between them; v is the whole correction (see
+:class:`AuxiliarySolution`).  The domain [-L, L] is folded: right
 and left halves are rescaled onto [0, 1] as U_r(t) = U(L t), U_l(t) = U(-L t),
 giving a 4-dimensional system closed by four fold conditions: the midpoint
 phase condition, two matching conditions, and the origin normalization
@@ -182,23 +181,13 @@ def solve_coupled(
     x = grid.x
     folded = sol.interpolant(np.abs(x) / L)
     ubar, v = np.where(x >= 0.0, folded[:2], folded[2:])
-    ubar_prime = cfg.profile_field(ubar)
-    diag = {
-        "method": "coupled",
-        "residual_norm": sol.residual_norm,
-        "newton_iters": sol.newton_iters,
-        "mesh_size": int(sol.mesh.size),
-        "mesh_sweeps": sol.mesh_iterations,
-        "newton_per_sweep": list(sol.newton_per_sweep),
-        "fold_mismatch": fold_mismatch,
-    }
     profile = ProfileSolution(
         config=cfg,
         grid=grid,
         ubar=ubar,
-        ubar_prime=ubar_prime,
+        ubar_prime=cfg.profile_field(ubar),
         exact=False,
-        diagnostics=dict(diag),
+        diagnostics={"method": "coupled"},
     )
     _check_profile(profile, tail_tol)
 
@@ -207,7 +196,15 @@ def solve_coupled(
         v=v,
         method=AuxMethod.COUPLED,
         freq=freq,
-        diagnostics=dict(diag),
+        diagnostics={
+            "method": "coupled",
+            "residual_norm": sol.residual_norm,
+            "newton_iters": sol.newton_iters,
+            "mesh_size": int(sol.mesh.size),
+            "mesh_sweeps": sol.mesh_iterations,
+            "newton_per_sweep": list(sol.newton_per_sweep),
+            "fold_mismatch": fold_mismatch,
+        },
     )
     aux.diagnostics["tail_magnitude"] = aux.tail_magnitudes()
     if decay_tol is not None:

@@ -1,13 +1,11 @@
 """Closed-form construction of the auxiliary correction from a profile.
 
-Writing y = w + i v, the correction equations split into
+The correction v (see :class:`AuxiliarySolution`) solves
 
-    w' = a1(ubar) w,
     v' = a1(ubar) v + F,  F = tau0 (ubar - u_minus) + xi0 (f2(ubar) - f2(u_minus)),
 
-so with the integrating factor M(x) = exp(-int_0^x a1(ubar)) both reduce to
-perfect derivatives.  The origin values w(0) = v(0) = 0 that define beta give
-w = 0, which is not computed (see :class:`AuxiliarySolution`), and
+so with the integrating factor M(x) = exp(-int_0^x a1(ubar)) it reduces to a
+perfect derivative, and the origin value v(0) = 0 that defines beta gives
 v = M^-1 int_0^x M F.  The profile equation gives ubar'' = a1(ubar) ubar', so
 M = ubar'(0) / ubar'(x) exactly, for every flux, and
 
@@ -88,7 +86,7 @@ def solve_auxiliary_if(
     profile: ProfileSolution,
     decay_tol: float | None = DEFAULT_DECAY_TOL,
 ) -> AuxiliarySolution:
-    """Assemble the correction, v with v(0) = 0 (w = 0), on an even-N profile grid."""
+    """Assemble the correction v with v(0) = 0 on an even-N profile grid."""
     aux = AuxiliarySolution(
         grid=profile.grid,
         v=solve_v_if(profile, forcing(f, freq, profile)),

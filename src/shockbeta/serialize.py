@@ -3,7 +3,9 @@
 Every float is written as ``%.17g``, which reproduces the double exactly on
 reload, so identical runs yield bit-identical files and readers rebuild the
 domain objects with equality on all fields.  Metadata travels in
-``# key = value`` comment lines above the column header.
+``# key = value`` comment lines above the column header.  A reader refuses a
+table whose header is not the one its writer writes, or whose ``x`` column
+is not the grid its metadata names.
 """
 
 from __future__ import annotations
@@ -21,14 +23,17 @@ from .profile import Grid, ProfileSolution
 # The one float format of every metadata value and table cell.
 _FLOAT = "%.17g"
 
+# Column headers, each shared by a writer and its reader.
+_PROFILE_COLUMNS = ["x", "ubar", "ubar_prime"]
+_AUX_COLUMNS = ["x", "v"]
+_POINT_COLUMNS = ["x", "ubar", "ubar_prime", "v"]
+
 
 def fmt(x) -> str:
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    if isinstance(x, complex):
-        return f"{x.real:.17g}{x.imag:+.17g}j"
     return _FLOAT % float(x)
 
 
@@ -72,7 +77,12 @@ def _write_table(path, meta: dict, header: list[str], columns: list[np.ndarray])
         fh.writelines(row % values for values in zip(*(c.tolist() for c in columns)))
 
 
-def _read_table(path):
+def _read_table(path, columns: list[str]) -> tuple[dict, dict, Grid]:
+    """Metadata, columns by name and grid of a table with header ``columns``.
+
+    The ``x`` column must be bit-equal to the abscissae of the (L, N) grid
+    that the metadata names.
+    """
     meta: dict[str, str] = {}
     header: list[str] | None = None
     data: list[list[float]] = []
@@ -87,10 +97,16 @@ def _read_table(path):
             header = [c.strip() for c in line.split(",")]
         else:
             data.append([float(c) for c in line.split(",")])
-    if header is None:
-        raise ValidationError(f"{path}: no column header found")
-    arr = np.asarray(data, dtype=float)
-    return meta, {name: arr[:, i] for i, name in enumerate(header)}
+    if header != columns:
+        raise ValidationError(f"{path}: column header {header}, expected {columns}")
+    arr = np.asarray(data, dtype=float).reshape(len(data), len(header))
+    cols = {name: arr[:, i] for i, name in enumerate(header)}
+    grid = Grid.make(float(meta["L"]), int(meta["N"]))
+    if not np.array_equal(cols["x"], grid.x):
+        raise ValidationError(
+            f"{path}: column 'x' is not the grid of L = {meta['L']}, N = {meta['N']}"
+        )
+    return meta, cols, grid
 
 
 def _shock_meta(profile_cfg, grid: Grid, f: FluxModel, extra: dict) -> dict:
@@ -107,18 +123,17 @@ def write_profile_csv(path, profile: ProfileSolution, f: FluxModel) -> None:
         {"method": profile.diagnostics.get("method", "ivp"),
          "exact": fmt(profile.exact)},
     )
-    _write_table(path, meta, ["x", "ubar", "ubar_prime"],
+    _write_table(path, meta, _PROFILE_COLUMNS,
                  [profile.grid.x, profile.ubar, profile.ubar_prime])
 
 
-def _profile_from(meta: dict, cols: dict,
+def _profile_from(meta: dict, cols: dict, grid: Grid,
                   method: str) -> tuple[ProfileSolution, FluxModel]:
     """Profile and flux of a table with ``ubar``/``ubar_prime`` columns."""
     f = _flux_from_meta(meta)
     cfg = normalize_to_standing(
         f, float(meta["u_minus"]), float(meta["u_plus"]), float(meta["s"])
     )
-    grid = Grid.make(float(meta["L"]), int(meta["N"]))
     profile = ProfileSolution(
         config=cfg, grid=grid, ubar=cols["ubar"], ubar_prime=cols["ubar_prime"],
         exact=meta.get("exact") == "true",
@@ -128,7 +143,7 @@ def _profile_from(meta: dict, cols: dict,
 
 
 def read_profile_csv(path) -> tuple[ProfileSolution, FluxModel]:
-    return _profile_from(*_read_table(path), "ivp")
+    return _profile_from(*_read_table(path, _PROFILE_COLUMNS), "ivp")
 
 
 def _aux_meta(profile: ProfileSolution, aux: AuxiliarySolution,
@@ -142,14 +157,12 @@ def _aux_meta(profile: ProfileSolution, aux: AuxiliarySolution,
 
 def write_aux_csv(path, aux: AuxiliarySolution, profile: ProfileSolution,
                   f: FluxModel) -> None:
-    _write_table(path, _aux_meta(profile, aux, f), ["x", "w", "v"],
-                 [aux.grid.x, aux.w, aux.v])
+    _write_table(path, _aux_meta(profile, aux, f), _AUX_COLUMNS,
+                 [aux.grid.x, aux.v])
 
 
-def _aux_from(path, meta: dict, cols: dict, grid: Grid) -> AuxiliarySolution:
-    """Correction of a table with ``w``/``v`` columns; w must be zero."""
-    if np.any(cols["w"] != 0.0):
-        raise ValidationError(f"{path}: column 'w' has nonzero cells, but w = 0")
+def _aux_from(meta: dict, cols: dict, grid: Grid) -> AuxiliarySolution:
+    """Correction of a table with a ``v`` column."""
     return AuxiliarySolution(
         grid=grid, v=cols["v"], method=AuxMethod(meta["method"]),
         freq=NeutralFrequency(float(meta["tau0"]), float(meta["xi0"])),
@@ -157,22 +170,20 @@ def _aux_from(path, meta: dict, cols: dict, grid: Grid) -> AuxiliarySolution:
 
 
 def read_aux_csv(path) -> AuxiliarySolution:
-    meta, cols = _read_table(path)
-    return _aux_from(path, meta, cols, Grid.make(float(meta["L"]), int(meta["N"])))
+    return _aux_from(*_read_table(path, _AUX_COLUMNS))
 
 
 def write_point_csv(path, profile: ProfileSolution, aux: AuxiliarySolution,
                     f: FluxModel) -> None:
     """Combined per-parameter-point table for continuation output."""
-    _write_table(path, _aux_meta(profile, aux, f),
-                 ["x", "ubar", "ubar_prime", "w", "v"],
-                 [profile.grid.x, profile.ubar, profile.ubar_prime, aux.w, aux.v])
+    _write_table(path, _aux_meta(profile, aux, f), _POINT_COLUMNS,
+                 [profile.grid.x, profile.ubar, profile.ubar_prime, aux.v])
 
 
 def read_point_csv(path) -> tuple[ProfileSolution, AuxiliarySolution, FluxModel]:
-    meta, cols = _read_table(path)
-    profile, f = _profile_from(meta, cols, "coupled")
-    return profile, _aux_from(path, meta, cols, profile.grid), f
+    meta, cols, grid = _read_table(path, _POINT_COLUMNS)
+    profile, f = _profile_from(meta, cols, grid, "coupled")
+    return profile, _aux_from(meta, cols, grid), f
 
 
 def write_beta_table_csv(path, study) -> None:
@@ -194,8 +205,8 @@ def write_beta_table_csv(path, study) -> None:
 
 def beta_result_dict(r) -> dict:
     return {
-        "beta": [r.beta.real, r.beta.imag],
-        "integral": [r.integral.real, r.integral.imag],
+        "beta": [r.beta, 0.0],  # [real, imaginary]: beta is real
+        "integral": [r.integral, 0.0],
         "delta_lambda": r.delta_lambda,
         "sign_re_beta": r.sign_re_beta,
         "L": r.L,

@@ -77,6 +77,16 @@ class TestComputeBeta:
         assert r.sign_re_beta == 1
         assert r.delta_lambda == -2.0
 
+    def test_beta_and_integral_are_floats(self, quad_flux, exact_freq,
+                                          profile_L20, coupled_L20):
+        for profile, aux in ((profile_L20, solve_auxiliary_if(
+                quad_flux, exact_freq, profile_L20)),
+                             (coupled_L20.profile, coupled_L20.aux)):
+            for q in BetaQuadrature:
+                r = compute_beta(quad_flux, profile, aux, q)
+                assert type(r.beta) is float
+                assert type(r.integral) is float
+
     def test_beta_is_integral_over_jump(self, quad_flux, exact_freq, profile_L20):
         aux = solve_auxiliary_if(quad_flux, exact_freq, profile_L20)
         r = compute_beta(quad_flux, profile_L20, aux)
@@ -101,23 +111,31 @@ class TestComputeBeta:
         assert abs(rt.beta - rs.beta) <= 1e-6
         assert rt.diagnostics["quadrature_cross_difference"] <= 1e-5
 
-    def test_integral_is_stability_integral(self, quad_flux, exact_freq,
-                                            profile_L20):
-        # the integral is each rule's quadrature of the integrand of the paper
-        aux = solve_auxiliary_if(quad_flux, exact_freq, profile_L20)
-        factor = 1j * exact_freq.tau0 + 1j * exact_freq.xi0 * np.asarray(
-            quad_flux.a2(profile_L20.ubar))
-        g = 2.0 * factor * aux.y + 2.0 * exact_freq.xi0**2 * profile_L20.ubar_prime
+    def test_integral_is_stability_integral(self, quad_flux, exact_cfg,
+                                            exact_freq):
+        # at each L of the paper table, the integrand of the paper with y = i v
+        # is real, and is 2 xi0^2 ubar' - 2 (tau0 + xi0 a2(ubar)) v element by
+        # element; the integral is each rule's quadrature of it
         rule = {BetaQuadrature.TRAPEZOID: quad_trapezoid,
                 BetaQuadrature.SIMPSON: quad_simpson}
-        ints = {}
-        for q in BetaQuadrature:
-            ints[q] = complex(rule[q](g, profile_L20.grid.h))
-            assert compute_beta(quad_flux, profile_L20, aux, q).integral == ints[q]
-        cross = compute_beta(quad_flux, profile_L20, aux).diagnostics[
-            "quadrature_cross_difference"]
-        assert cross == abs(ints[BetaQuadrature.SIMPSON]
-                            - ints[BetaQuadrature.TRAPEZOID])
+        for L in (10.0, 20.0, 30.0):
+            profile = solve_profile(exact_cfg, Grid.make(L, 4000), tail_tol=1e-3)
+            aux = solve_auxiliary_if(quad_flux, exact_freq, profile, decay_tol=None)
+            a2 = np.asarray(quad_flux.a2(profile.ubar))
+            dterm = 2.0 * exact_freq.xi0**2 * profile.ubar_prime
+            factor = 1j * exact_freq.tau0 + 1j * exact_freq.xi0 * a2
+            g_paper = 2.0 * factor * (1j * aux.v) + dterm
+            g = dterm - 2.0 * (exact_freq.tau0 + exact_freq.xi0 * a2) * aux.v
+            assert np.array_equal(g_paper.real, g)
+            assert np.all(g_paper.imag == 0.0)
+            ints = {}
+            for q in BetaQuadrature:
+                ints[q] = float(rule[q](g, profile.grid.h))
+                assert compute_beta(quad_flux, profile, aux, q).integral == ints[q]
+            cross = compute_beta(quad_flux, profile, aux).diagnostics[
+                "quadrature_cross_difference"]
+            assert cross == abs(ints[BetaQuadrature.SIMPSON]
+                                - ints[BetaQuadrature.TRAPEZOID])
 
     def test_no_transversality_parameter_anywhere(self):
         # the determinant's transversality factor cancels and never appears

@@ -151,11 +151,8 @@ class TestSolveCoupled:
         assert eu <= 1e-6
         assert ev <= 5e-6
 
-    def test_w_identically_zero(self, coupled_L20):
-        assert np.max(np.abs(coupled_L20.aux.w)) <= 1e-12
-
     def test_folded_state_is_profile_and_v(self, coupled_L20):
-        # (ubar, v) per half; w = 0 is not solved for
+        # (ubar, v) per half; v is the whole correction
         assert coupled_L20.bvp.y.shape[0] == 4
 
     def test_fold_mismatch_tiny(self, coupled_L20):
@@ -169,7 +166,6 @@ class TestSolveCoupled:
         res = solve_coupled(
             exact_cfg, quad_flux, NeutralFrequency(0.0, 0.0), 20.0, 4000
         )
-        assert np.array_equal(res.aux.w, np.zeros(4001))
         assert np.array_equal(res.aux.v, np.zeros(4001))
         assert np.max(np.abs(res.profile.ubar - profile_L20.ubar)) <= 1e-8
 
@@ -238,7 +234,6 @@ class TestContinuation:
         for pt in sine_scan:
             assert pt.aux.tail_magnitudes() <= 1e-4
             i0 = pt.aux.grid.origin_index
-            assert abs(pt.aux.w[i0]) <= 1e-10
             assert abs(pt.aux.v[i0]) <= 1e-10
 
     def test_scan_meshes_do_not_accumulate(self, sine_scan):

@@ -39,7 +39,7 @@ class TestGrid:
             Grid.make(-1.0, 100)
         with pytest.raises(ValidationError):
             Grid.make(10.0, 1)
-        with pytest.raises(ValidationError):
+        with pytest.raises(TypeError):  # x follows from (L, N)
             Grid(L=10.0, N=4, x=np.array([-10.0, -1.0, 0.0, 1.0, 10.0]))
 
     def test_origin_needs_even_intervals(self):

@@ -37,7 +37,6 @@ def test_aux_csv_round_trip(tmp_path, quad_flux, exact_freq, profile_L20):
     loaded = serialize.read_aux_csv(path)
     assert loaded.method is AuxMethod.INTEGRATING_FACTOR
     assert loaded.freq == exact_freq
-    assert np.array_equal(loaded.w, aux.w)
     assert np.array_equal(loaded.v, aux.v)
     assert np.array_equal(loaded.grid.x, aux.grid.x)
 
@@ -70,38 +69,66 @@ def test_point_csv_round_trip(tmp_path, quad_flux, exact_cfg, exact_freq):
     profile, aux, flux = serialize.read_point_csv(path)
     assert np.array_equal(profile.ubar, res.profile.ubar)
     assert np.array_equal(profile.ubar_prime, res.profile.ubar_prime)
-    assert np.array_equal(aux.w, res.aux.w)
     assert np.array_equal(aux.v, res.aux.v)
     assert aux.freq == res.aux.freq
     assert flux.kind is quad_flux.kind
 
 
-def _set_middle_w_cell(path, value):
-    lines = path.read_text().splitlines(keepends=True)
+def _write(kind, path, quad_flux, exact_freq, profile):
+    """Write a ``kind`` table of the exact case; return its reader."""
+    aux = solve_auxiliary_if(quad_flux, exact_freq, profile)
+    if kind == "profile":
+        serialize.write_profile_csv(path, profile, quad_flux)
+        return serialize.read_profile_csv
+    if kind == "aux":
+        serialize.write_aux_csv(path, aux, profile, quad_flux)
+        return serialize.read_aux_csv
+    serialize.write_point_csv(path, profile, aux, quad_flux)
+    return serialize.read_point_csv
+
+
+def _edit_table(path, header=lambda names: names, row=lambda cells: cells,
+                meta=lambda line: line):
+    """Rewrite a table through ``header``, ``row`` and ``meta`` line maps."""
+    lines = path.read_text().splitlines()
     head = next(i for i, line in enumerate(lines) if not line.startswith("#"))
-    col = lines[head].strip().split(",").index("w")
-    k = (head + 1 + len(lines)) // 2
-    cells = lines[k].rstrip("\n").split(",")
-    cells[col] = value
-    lines[k] = ",".join(cells) + "\n"
-    path.write_text("".join(lines))
+    out = [meta(line) for line in lines[:head]]
+    out.append(",".join(header(lines[head].split(","))))
+    out += [",".join(row(line.split(","))) for line in lines[head + 1:]]
+    path.write_text("\n".join(out) + "\n")
+
+
+@pytest.mark.parametrize("kind", ["profile", "aux", "point"])
+def test_renamed_column_rejected(tmp_path, quad_flux, exact_freq, profile_L20,
+                                 kind):
+    path = tmp_path / f"{kind}.csv"
+    read = _write(kind, path, quad_flux, exact_freq, profile_L20)
+    read(path)
+    _edit_table(path, header=lambda names: names[:-1] + ["y"])
+    with pytest.raises(ValidationError, match="column header"):
+        read(path)
 
 
 @pytest.mark.parametrize("kind", ["aux", "point"])
-def test_nonzero_w_cell_rejected(tmp_path, quad_flux, exact_freq, profile_L20,
-                                 kind):
-    # the correction has w = 0 identically, so a file saying otherwise is invalid
-    aux = solve_auxiliary_if(quad_flux, exact_freq, profile_L20)
+def test_w_column_rejected(tmp_path, quad_flux, exact_freq, profile_L20, kind):
+    # the earlier layout, with an all-zero w column before v
     path = tmp_path / f"{kind}.csv"
-    if kind == "aux":
-        serialize.write_aux_csv(path, aux, profile_L20, quad_flux)
-        read = serialize.read_aux_csv
-    else:
-        serialize.write_point_csv(path, profile_L20, aux, quad_flux)
-        read = serialize.read_point_csv
-    read(path)
-    _set_middle_w_cell(path, "5e-324")
-    with pytest.raises(ValidationError, match="column 'w'"):
+    read = _write(kind, path, quad_flux, exact_freq, profile_L20)
+    _edit_table(path, header=lambda names: names[:-1] + ["w", "v"],
+                row=lambda cells: cells[:-1] + ["0", cells[-1]])
+    with pytest.raises(ValidationError, match="column header"):
+        read(path)
+
+
+@pytest.mark.parametrize("key,value", [("N", "400"), ("L", "2")])
+@pytest.mark.parametrize("kind", ["profile", "aux", "point"])
+def test_x_off_the_named_grid_rejected(tmp_path, quad_flux, exact_freq,
+                                       profile_L20, kind, key, value):
+    path = tmp_path / f"{kind}.csv"
+    read = _write(kind, path, quad_flux, exact_freq, profile_L20)
+    _edit_table(path, meta=lambda line: f"# {key} = {value}"
+                if line.startswith(f"# {key} =") else line)
+    with pytest.raises(ValidationError, match="column 'x'"):
         read(path)
 
 
@@ -115,13 +142,12 @@ def test_beta_table_layout(tmp_path, quad_flux, exact_cfg, exact_freq):
     header = lines[0].split(",")
     assert header == ["method", "L=10", "L=20"]
     assert len(lines) == 3  # header + one row per method
-    # complex cells parse back
+    # every beta cell is a plain float
     for line in lines[1:]:
         cells = line.split(",")
         assert cells[0] in ("if", "coupled")
         for cell in cells[1:]:
-            z = complex(cell)
-            assert abs(z.real - 10.0) < 0.1
+            assert abs(float(cell) - 10.0) < 0.1
 
 
 def test_manifest_json_plain_types(tmp_path):
