@@ -40,8 +40,10 @@ class AuxiliarySolution:
         return float(max(abs(self.v[0]), abs(self.v[-1])))
 
     def check_decay(self, tol: float = DEFAULT_DECAY_TOL) -> None:
+        """Refuse tails above ``tol`` per unit xi0: v is linear in xi0."""
         mag = self.tail_magnitudes()
-        if mag > tol:
+        if mag > tol * abs(self.freq.xi0):
             raise TailNotResolved(
-                f"correction tails |v(+-L)| = {mag:.3e} exceed {tol:.1e}; increase L"
+                f"correction tails |v(+-L)| = {mag:.3e} exceed {tol:.1e} |xi0|; "
+                f"increase L"
             )

@@ -11,8 +11,9 @@ with ubar' inserted through the profile equation (no differencing).  This is
 the paper's int 2 (i tau0 + i xi0 a2(ubar)) y + 2 xi0^2 ubar' dx with the
 correction y = i v, so beta is real.  The transversality factor of the
 determinant cancels in the ratio and never enters the computation.
-sgn beta > 0 is the necessary condition for weak viscous stability; the sign
-is reported as 0 when |beta| falls below the resolution threshold.
+sgn beta > 0 is the necessary condition for weak viscous stability.  beta
+is xi0^2 times a number fixed by the shock, so the sign is reported as 0
+when |beta| is at most ``SIGN_THRESHOLD xi0^2``.
 """
 
 from __future__ import annotations
@@ -22,14 +23,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .auxiliary import AuxiliarySolution, AuxMethod
+from .auxiliary import DEFAULT_DECAY_TOL, AuxiliarySolution, AuxMethod
 from .coupled import solve_coupled
 from .errors import GridMismatch, SolverError, ValidationError
 from .integrating_factor import solve_auxiliary_if
 from .model import FluxModel, NeutralFrequency, ShockConfig
 from .numerics import quad_simpson, quad_trapezoid
-from .profile import Grid, ProfileSolution, check_resolution, solve_profile
+from .profile import DEFAULT_TAIL_TOL, Grid, ProfileSolution
+from .profile import check_resolution, solve_profile
 
+# |beta| / xi0^2 at or below which the sign is reported as 0
 SIGN_THRESHOLD = 1e-10
 
 # Deterministic counters of the coupled route's collocation solve that a
@@ -88,7 +91,7 @@ def compute_beta(
     integral = _quad(g, h, simpson)
     delta_lambda = profile.config.u_jump
     beta = integral / delta_lambda
-    sign = 0 if abs(beta) < SIGN_THRESHOLD else (1 if beta > 0 else -1)
+    sign = 0 if abs(beta) <= SIGN_THRESHOLD * aux.freq.xi0**2 else int(np.sign(beta))
 
     diagnostics = {
         "integrand_tail": float(max(abs(g[0]), abs(g[-1]))),
@@ -137,21 +140,17 @@ def solve_pair(
     method: AuxMethod,
     L: float,
     N: int,
-    tol: float,
-    tail_tol: float,
-    decay_tol: float | None,
+    tail_tol: float = DEFAULT_TAIL_TOL,
+    decay_tol: float = DEFAULT_DECAY_TOL,
 ) -> tuple[ProfileSolution, AuxiliarySolution]:
     """Profile and correction on the uniform (L, N) grid by one method.
 
-    ``tol`` is the collocation tolerance of the coupled route; the tail gates
-    apply to both routes (``decay_tol=None`` skips the correction gate).
+    The tail gates apply to both routes.
     """
     if method is AuxMethod.INTEGRATING_FACTOR:
         profile = solve_profile(cfg, Grid.make(L, N), tail_tol=tail_tol)
         return profile, solve_auxiliary_if(f, freq, profile, decay_tol=decay_tol)
-    res = solve_coupled(
-        cfg, f, freq, L, N, tol=tol, tail_tol=tail_tol, decay_tol=decay_tol
-    )
+    res = solve_coupled(cfg, f, freq, L, N, tail_tol=tail_tol, decay_tol=decay_tol)
     return res.profile, res.aux
 
 
@@ -179,15 +178,13 @@ def beta_convergence_study(
     L_values,
     methods=(AuxMethod.INTEGRATING_FACTOR, AuxMethod.COUPLED),
     N: int = 4000,
-    tol: float = 1e-8,
     quadrature: BetaQuadrature = BetaQuadrature.TRAPEZOID,
-    tail_tol: float = STUDY_TAIL_TOL,
-    decay_tol: float = STUDY_DECAY_TOL,
 ) -> BetaStudy:
     """Recompute beta over a list of truncation half-widths.
 
-    Solver failures are recorded per entry (the rest of the table survives),
-    and sign stability across the table is reported by the returned study; a
+    Each entry is gated by ``STUDY_TAIL_TOL`` and ``STUDY_DECAY_TOL``.  Solver
+    failures are recorded per entry (the rest of the table survives), and sign
+    stability across the table is reported by the returned study; a
     :class:`ValidationError` propagates.  An odd ``N`` for ``if`` or Simpson,
     and a grid too coarse for the profile layer at any L, are rejected before
     the first solve.
@@ -201,7 +198,7 @@ def beta_convergence_study(
         for method in methods:
             try:
                 profile, aux = solve_pair(
-                    cfg, f, freq, method, L, N, tol, tail_tol, decay_tol
+                    cfg, f, freq, method, L, N, STUDY_TAIL_TOL, STUDY_DECAY_TOL
                 )
                 study.results[(method, L)] = compute_beta(f, profile, aux, quadrature)
             except SolverError as exc:

@@ -17,14 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import serialize
-from .beta import (
-    STUDY_DECAY_TOL,
-    STUDY_TAIL_TOL,
-    beta_convergence_study,
-    check_even_N,
-    compute_beta,
-    solve_pair,
-)
+from .beta import beta_convergence_study, check_even_N, compute_beta, solve_pair
 from .config import (
     _PARSERS,
     RunConfig,
@@ -37,7 +30,7 @@ from .coupled import solve_coupled  # noqa: F401  perfbench/tracing.py patches i
 from .errors import ContinuationStalled, SolverError, ValidationError
 from .integrating_factor import solve_auxiliary_if  # noqa: F401  likewise
 from .model import FluxKind
-from .profile import DEFAULT_TAIL_TOL, Grid, check_resolution, solve_profile
+from .profile import Grid, _tanh_profile, check_resolution, solve_profile
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -95,23 +88,15 @@ def _out_dir(rc: RunConfig) -> Path:
     return out
 
 
-def _tail_tol(rc: RunConfig, default: float = DEFAULT_TAIL_TOL) -> float:
-    """The profile endpoint gate: the configured one, else ``default``."""
-    return rc.tail_tol if rc.tail_tol is not None else default
-
-
 def _solve_pairs(rc, flux, cfg, freq):
     """(method, profile, correction) for each requested method at L_single."""
-    tail = _tail_tol(rc)
     for method in rc.methods():
-        yield method, *solve_pair(
-            cfg, flux, freq, method, rc.L_single, rc.N, rc.tol, tail, rc.decay_tol
-        )
+        yield method, *solve_pair(cfg, flux, freq, method, rc.L_single, rc.N)
 
 
 def cmd_profile(rc: RunConfig) -> int:
     flux, cfg, _ = build_model(rc)
-    ps = solve_profile(cfg, Grid.make(rc.L_single, rc.N), tail_tol=_tail_tol(rc))
+    ps = solve_profile(cfg, Grid.make(rc.L_single, rc.N))
     path = _out_dir(rc) / "profile.csv"
     serialize.write_profile_csv(path, ps, flux)
     print(path)
@@ -135,11 +120,9 @@ def cmd_aux(rc: RunConfig) -> int:
 
 def cmd_beta(rc: RunConfig) -> int:
     flux, cfg, freq = build_model(rc)
-    tail = _tail_tol(rc, STUDY_TAIL_TOL)
-    decay = rc.decay_tol if rc.decay_tol is not None else STUDY_DECAY_TOL
     study = beta_convergence_study(
-        cfg, flux, freq, list(rc.L), methods=rc.methods(), N=rc.N, tol=rc.tol,
-        quadrature=rc.quad(), tail_tol=tail, decay_tol=decay,
+        cfg, flux, freq, list(rc.L), methods=rc.methods(), N=rc.N,
+        quadrature=rc.quad(),
     )
     out = _out_dir(rc)
     table = out / "beta_table.csv"
@@ -179,8 +162,7 @@ def cmd_scan(rc: RunConfig) -> int:
     stall = None
     try:
         points = continuation_scan(
-            cfg0, flux, rc.xi0, list(rc.u_minus_list), rc.L_single, rc.N,
-            tol=rc.tol, tail_tol=_tail_tol(rc), decay_tol=rc.decay_tol,
+            cfg0, flux, rc.xi0, list(rc.u_minus_list), rc.L_single, rc.N
         )
     except ContinuationStalled as exc:
         points, stall = exc.results, exc
@@ -224,23 +206,32 @@ def cmd_scan(rc: RunConfig) -> int:
     return EXIT_OK if stall is None else EXIT_SOLVER
 
 
+def _exact_solution(flux, cfg, freq, x) -> tuple[np.ndarray, np.ndarray]:
+    """ubar and v in closed form for a quadratic f1 and an f2 of degree <= 2.
+
+    With c2 the u^2 coefficient of f2 the forcing is xi0 c2 (u - u-)(u - u+)
+    and the profile field a (u - u-)(u - u+), so F/P is the constant
+    R = xi0 c2 / a, taken once at u_mid, and v = ubar' int_0^x R = R x ubar'.
+    """
+    if (len(cfg.q_coeffs) != 1 or flux.kind is FluxKind.SINE_TRANSVERSE
+            or len(flux.params.get("f2_coeffs", ())) > 3):
+        raise ValidationError(
+            "no exact solution for this configuration: compare needs a "
+            "quadratic f1 and an f2 of degree <= 2 (flux burgers, "
+            "quadratic_transverse, or custom with at most three f2 coefficients)"
+        )
+    u, um = cfg.u_mid, cfg.u_minus
+    F_mid = freq.tau0 * (u - um) + freq.xi0 * (flux.f2(u) - flux.f2(um))
+    ubar = _tanh_profile(cfg, x)
+    return ubar, F_mid / cfg.profile_field(u) * x * cfg.profile_field(ubar)
+
+
 def cmd_compare(rc: RunConfig) -> int:
     flux, cfg, freq = build_model(rc)
-    if not (
-        flux.kind is FluxKind.QUADRATIC_TRANSVERSE
-        and (cfg.u_minus, cfg.u_plus, cfg.s) == (1.0, -1.0, 0.0)
-        and (freq.tau0, freq.xi0) == (0.0, 1.0)
-    ):
-        raise ValidationError(
-            "no exact solution for this configuration (needs the quadratic "
-            "transverse flux, u_minus = 1, u_plus = -1, xi0 = 1)"
-        )
     check_even_N(rc.N, methods=rc.methods())
     check_resolution(cfg, rc.L_single, rc.N)
     grid = Grid.make(rc.L_single, rc.N)
-    x = grid.x
-    u_exact = -np.tanh(x / 2.0)
-    v_exact = -x / np.cosh(x / 2.0) ** 2
+    u_exact, v_exact = _exact_solution(flux, cfg, freq, grid.x)
     h = grid.h
 
     rows = []

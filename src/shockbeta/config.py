@@ -1,8 +1,9 @@
 """Run configuration: key = value file, flag overrides, model construction.
 
 The file format is flat ``key = value`` lines; ``#`` starts a comment.  Lists
-are comma-separated.  Numbers must be finite, lists non-empty, and the three
-tolerances positive.  Keys:
+are comma-separated.  Numbers must be finite and lists non-empty.  The keys
+describe the problem only; every acceptance threshold is a constant of the
+module that applies it.  Keys:
 
     flux          burgers | quadratic_transverse | sine_transverse | custom
     sine_freq     frequency of the sine transverse flux (default 4*pi)
@@ -17,9 +18,6 @@ tolerances positive.  Keys:
     quadrature    trapezoid | simpson (default trapezoid)
     out_dir       output directory (default .)
     u_minus_list  continuation values of u_minus (scan command)
-    tol           collocation residual tolerance (default 1e-8)
-    tail_tol      profile endpoint gate (default 1e-6; beta: 1e-3)
-    decay_tol     correction tail gate (default off; beta: 1e-2)
 """
 
 from __future__ import annotations
@@ -49,13 +47,6 @@ def _parse_float(text: str) -> float:
     return value
 
 
-def _parse_positive(text: str) -> float:
-    value = _parse_float(text)
-    if not value > 0.0:
-        raise ValueError(f"expected a positive number, got {text!r}")
-    return value
-
-
 def _parse_float_list(text: str) -> tuple[float, ...]:
     values = tuple(_parse_float(t) for t in str(text).split(",") if t.strip())
     if not values:
@@ -78,9 +69,6 @@ class RunConfig:
     quadrature: str = "trapezoid"
     out_dir: str = "."
     u_minus_list: tuple[float, ...] | None = None
-    tol: float = 1e-8
-    tail_tol: float | None = None
-    decay_tol: float | None = None
 
     @property
     def L_single(self) -> float:
@@ -120,9 +108,6 @@ _PARSERS = {
     "quadrature": str,
     "out_dir": str,
     "u_minus_list": _parse_float_list,
-    "tol": _parse_positive,
-    "tail_tol": _parse_positive,
-    "decay_tol": _parse_positive,
 }
 assert set(_PARSERS) == {f.name for f in fields(RunConfig)}
 

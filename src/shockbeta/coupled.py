@@ -150,15 +150,19 @@ def solve_coupled(
     guess: tuple[np.ndarray, np.ndarray] | None = None,
     tol: float = 1e-8,
     tail_tol: float = DEFAULT_TAIL_TOL,
-    decay_tol: float | None = DEFAULT_DECAY_TOL,
+    decay_tol: float = DEFAULT_DECAY_TOL,
 ) -> CoupledResult:
     """Solve the folded system and sample the unfolded pair on a uniform grid.
 
-    ``n_out`` is the interval count of the output grid on [-L, L].  A guess
-    is a (mesh, state) pair on [0, 1]; by default it is generated by outward
-    integration.
+    ``n_out`` is the interval count of the output grid on [-L, L].  v is
+    linear in xi0 and solved per unit |xi0|, so the mesh, the collocation
+    tolerance and the fold check do not depend on xi0.  A guess is a (mesh,
+    state) pair on [0, 1], v per unit |xi0|; by default it is generated by
+    outward integration.
     """
-    sys = FoldedSystem(cfg=cfg, flux=f, freq=freq, L=float(L))
+    scale = abs(freq.xi0) or 1.0
+    unit = NeutralFrequency(freq.tau0 / scale, freq.xi0 / scale)
+    sys = FoldedSystem(cfg=cfg, flux=f, freq=unit, L=float(L))
     if guess is None:
         mesh, Y0 = initial_guess(sys)
     else:
@@ -181,6 +185,7 @@ def solve_coupled(
     x = grid.x
     folded = sol.interpolant(np.abs(x) / L)
     ubar, v = np.where(x >= 0.0, folded[:2], folded[2:])
+    v *= scale
     profile = ProfileSolution(
         config=cfg,
         grid=grid,
@@ -207,8 +212,7 @@ def solve_coupled(
         },
     )
     aux.diagnostics["tail_magnitude"] = aux.tail_magnitudes()
-    if decay_tol is not None:
-        aux.check_decay(decay_tol)
+    aux.check_decay(decay_tol)
     return CoupledResult(profile=profile, aux=aux, bvp=sol)
 
 
@@ -232,7 +236,7 @@ def continuation_scan(
     n_out: int,
     tol: float = 1e-8,
     tail_tol: float = DEFAULT_TAIL_TOL,
-    decay_tol: float | None = DEFAULT_DECAY_TOL,
+    decay_tol: float = DEFAULT_DECAY_TOL,
 ) -> list[CoupledResult]:
     """Sweep the left state, reusing each solution as the next guess.
 

@@ -56,7 +56,8 @@ def solve_v_if(profile: ProfileSolution, forcing_samples: np.ndarray) -> np.ndar
     """v(x) = ubar'(x) int_0^x F / ubar', the integral by cumulative Simpson.
 
     Emits a :class:`QuadratureDegraded` warning when a coarsened re-evaluation
-    estimates the error of v above ``_WARN_ESTIMATE_TOL``.
+    estimates the error of v above ``_WARN_ESTIMATE_TOL`` (per unit xi0 from
+    :func:`solve_auxiliary_if`, which passes the forcing per unit xi0).
     """
     F = np.asarray(forcing_samples)
     if F.shape != profile.ubar.shape:
@@ -84,16 +85,20 @@ def solve_auxiliary_if(
     f: FluxModel,
     freq: NeutralFrequency,
     profile: ProfileSolution,
-    decay_tol: float | None = DEFAULT_DECAY_TOL,
+    decay_tol: float = DEFAULT_DECAY_TOL,
 ) -> AuxiliarySolution:
-    """Assemble the correction v with v(0) = 0 on an even-N profile grid."""
+    """Assemble the correction v with v(0) = 0 on an even-N profile grid.
+
+    v is linear in xi0, so it is solved per unit |xi0| and scaled back: the
+    refinement warning of :func:`solve_v_if` then judges the grid, not xi0.
+    """
+    scale = abs(freq.xi0) or 1.0
     aux = AuxiliarySolution(
         grid=profile.grid,
-        v=solve_v_if(profile, forcing(f, freq, profile)),
+        v=scale * solve_v_if(profile, forcing(f, freq, profile) / scale),
         method=AuxMethod.INTEGRATING_FACTOR,
         freq=freq,
     )
     aux.diagnostics["tail_magnitude"] = aux.tail_magnitudes()
-    if decay_tol is not None:
-        aux.check_decay(decay_tol)
+    aux.check_decay(decay_tol)
     return aux

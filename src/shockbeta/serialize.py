@@ -77,15 +77,23 @@ def _write_table(path, meta: dict, header: list[str], columns: list[np.ndarray])
         fh.writelines(row % values for values in zip(*(c.tolist() for c in columns)))
 
 
+class _Meta(dict):
+    """Metadata of the table at ``path``; a key it lacks is a ValidationError."""
+
+    def __missing__(self, key):
+        raise ValidationError(f"{self.path}: no '# {key} = ...' metadata line")
+
+
 def _read_table(path, columns: list[str]) -> tuple[dict, dict, Grid]:
     """Metadata, columns by name and grid of a table with header ``columns``.
 
-    The ``x`` column must be bit-equal to the abscissae of the (L, N) grid
-    that the metadata names.
+    Every data row must hold one number per column, and the ``x`` column must
+    be bit-equal to the abscissae of the (L, N) grid that the metadata names.
     """
-    meta: dict[str, str] = {}
+    meta = _Meta()
+    meta.path = path
     header: list[str] | None = None
-    data: list[list[float]] = []
+    rows: list[str] = []
     for line in Path(path).read_text().splitlines():
         line = line.strip()
         if not line:
@@ -96,10 +104,15 @@ def _read_table(path, columns: list[str]) -> tuple[dict, dict, Grid]:
         elif header is None:
             header = [c.strip() for c in line.split(",")]
         else:
-            data.append([float(c) for c in line.split(",")])
+            rows.append(line)
     if header != columns:
         raise ValidationError(f"{path}: column header {header}, expected {columns}")
-    arr = np.asarray(data, dtype=float).reshape(len(data), len(header))
+    try:
+        data = [[float(c) for c in row.split(",")] for row in rows]
+        arr = np.asarray(data, dtype=float).reshape(len(data), len(header))
+    except ValueError as exc:
+        msg = f"{path}: a data row is not {len(header)} numbers"
+        raise ValidationError(msg) from exc
     cols = {name: arr[:, i] for i, name in enumerate(header)}
     grid = Grid.make(float(meta["L"]), int(meta["N"]))
     if not np.array_equal(cols["x"], grid.x):

@@ -1,4 +1,5 @@
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -104,6 +105,14 @@ class TestComputeBeta:
         assert r.beta == 0.0
         assert r.sign_re_beta == 0
 
+    def test_sign_threshold_scales_with_xi0_squared(self, quad_flux, exact_cfg):
+        # beta = 10 xi0^2 > 0 at any xi0; at xi0 = 1e-6 it is 1e-11, which an
+        # absolute 1e-10 threshold reported as neutral
+        freq = neutral_zero(exact_cfg, quad_flux, 1e-6)
+        study = beta_convergence_study(exact_cfg, quad_flux, freq, [20.0, 30.0])
+        assert not study.failures and len(study.results) == 4
+        assert {r.sign_re_beta for r in study.results.values()} == {1}
+
     def test_simpson_quadrature_agrees(self, quad_flux, exact_freq, profile_L20):
         aux = solve_auxiliary_if(quad_flux, exact_freq, profile_L20)
         rt = compute_beta(quad_flux, profile_L20, aux, BetaQuadrature.TRAPEZOID)
@@ -120,7 +129,8 @@ class TestComputeBeta:
                 BetaQuadrature.SIMPSON: quad_simpson}
         for L in (10.0, 20.0, 30.0):
             profile = solve_profile(exact_cfg, Grid.make(L, 4000), tail_tol=1e-3)
-            aux = solve_auxiliary_if(quad_flux, exact_freq, profile, decay_tol=None)
+            aux = solve_auxiliary_if(quad_flux, exact_freq, profile,
+                                     decay_tol=math.inf)
             a2 = np.asarray(quad_flux.a2(profile.ubar))
             dterm = 2.0 * exact_freq.xi0**2 * profile.ubar_prime
             factor = 1j * exact_freq.tau0 + 1j * exact_freq.xi0 * a2
@@ -161,7 +171,7 @@ class TestSolvePair:
                                                exact_freq):
         for method in AuxMethod:
             profile, aux = solve_pair(exact_cfg, quad_flux, exact_freq, method,
-                                      20.0, 1000, 1e-8, 1e-6, 1e-4)
+                                      20.0, 1000)
             assert aux.method is method
             assert profile.grid.N == aux.grid.N == 1000
             assert np.max(np.abs(aux.v - exact_v(aux.grid.x))) <= 1e-4
@@ -171,9 +181,9 @@ class TestSolvePair:
         for method in AuxMethod:
             with pytest.raises(TailNotResolved):
                 solve_pair(exact_cfg, quad_flux, exact_freq, method,
-                           10.0, 1000, 1e-8, 1e-3, 1e-4)
+                           10.0, 1000, tail_tol=1e-3, decay_tol=1e-4)
             solve_pair(exact_cfg, quad_flux, exact_freq, method,
-                       10.0, 1000, 1e-8, 1e-3, None)
+                       10.0, 1000, tail_tol=1e-3, decay_tol=math.inf)
 
 
 class TestConvergenceStudy:
@@ -229,6 +239,24 @@ class TestMetamorphic:
         moved = _betas(custom_flux(f1, (-0.4, 0.7, 1.0)), 1.3, 1.0)
         for m, beta in base.items():
             assert abs(moved[m] - beta) <= 1e-13 * abs(beta)
+
+    def test_exact_table_at_xi0_10_is_100_times_xi0_1(self, quad_flux, exact_cfg):
+        # the tail gates are per unit xi0, so xi0 = 10 fills the same cells
+        # (both L = 10 entries failed a gate absolute in xi0)
+        tables = [
+            beta_convergence_study(exact_cfg, quad_flux,
+                                   neutral_zero(exact_cfg, quad_flux, xi0),
+                                   [10.0, 20.0, 30.0])
+            for xi0 in (1.0, 10.0)
+        ]
+        assert not tables[0].failures and not tables[1].failures
+        assert len(tables[1].results) == 6
+        for key, r in tables[0].results.items():
+            scaled = 100.0 * r.beta
+            assert abs(tables[1].results[key].beta - scaled) <= 1e-12 * scaled
+            # both routes solve v per unit xi0: the coupled mesh is the same
+            assert (tables[1].results[key].diagnostics.get("mesh_size")
+                    == r.diagnostics.get("mesh_size"))
 
     def test_doubling_xi0_quadruples_beta(self):
         # tau0, the forcing and v are linear in xi0, the integrand quadratic

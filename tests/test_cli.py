@@ -156,11 +156,7 @@ class TestConfigValues:
          # empty lists
          ("--L", ","), ("--f1-coeffs", ","),
          # non-finite numbers
-         ("--xi0", "nan"), ("--tail-tol", "nan"), ("--L", "inf"),
-         ("--tol", "nan"),
-         # tolerances must be positive
-         ("--tail-tol", "-1"), ("--decay-tol", "-1"), ("--tol", "0"),
-         ("--tol", "-1")],
+         ("--xi0", "nan"), ("--L", "inf")],
     )
     def test_malformed_flag_exits_2(self, flag, value, exact_config, tmp_path,
                                     capsys):
@@ -168,6 +164,29 @@ class TestConfigValues:
         self._assert_field_error(
             ["profile", "--config", exact_config, flag, value,
              "--out-dir", out], flag[2:].replace("-", "_"), capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--tail-tol", "nan"), ("--tol", "nan"), ("--tail-tol", "-1"),
+         ("--decay-tol", "-1"), ("--tol", "0"), ("--tol", "-1")],
+    )
+    def test_tolerance_flag_exits_2(self, flag, value, exact_config, tmp_path):
+        # every acceptance threshold is a constant: no flag sets one
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as ei:
+            run(["profile", "--config", exact_config, flag, value,
+                 "--out-dir", out])
+        assert ei.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["tol", "tail_tol", "decay_tol"])
+    def test_tolerance_is_not_a_config_key(self, key, exact_config, tmp_path,
+                                           capsys):
+        exact_config.write_text(exact_config.read_text() + f"{key} = 1e-3\n")
+        out = tmp_path / "o"
+        assert run(["beta", "--config", exact_config, "--out-dir", out]) == 2
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_malformed_file_value_names_line(self, tmp_path, capsys):
@@ -536,6 +555,33 @@ class TestCompareCommand:
                     "--out-dir", tmp_path / "o"])
         assert code == 2
         assert "exact" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("f1, f2", [("0,0,0.5,0.1", "0,0,1"),
+                                        ("0,0,0.5", "0,0,1,0.2")])
+    def test_outside_the_quadratic_family_exits_2(self, f1, f2, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run(["compare", "--flux", "custom", "--f1-coeffs", f1,
+                    "--f2-coeffs", f2, "--u-minus", "1", "--u-plus", "-1",
+                    "--xi0", "1", "--out-dir", out])
+        assert code == 2
+        assert "quadratic f1 and an f2 of degree <= 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["--flux", "burgers", "--u-minus", "1.5", "--u-plus", "-1", "--xi0", "0.7"],
+        ["--flux", "custom", "--f1-coeffs", "0.3,-0.2,0.8",
+         "--f2-coeffs", "0.1,0.4,-1.3", "--u-minus", "2", "--u-plus", "-0.5",
+         "--xi0", "1.7"],
+    ], ids=["burgers", "custom"])
+    def test_quadratic_pairs_have_exact_solutions(self, args, tmp_path):
+        # F/P is the constant xi0 c2 / a, so v = (xi0 c2 / a) x ubar'
+        out = tmp_path / "o"
+        assert run(["compare", *args, "--L", "20", "--out-dir", out]) == 0
+        text = (out / "compare.csv").read_text()
+        rows = [l.split(",") for l in text.splitlines() if not l.startswith("#")][1:]
+        weighted = {(r[0], r[1]): float(r[3]) for r in rows}
+        assert weighted[("if", "v")] <= 1e-9
+        assert weighted[("coupled", "v")] <= 1e-9
 
 
 class TestDeterminism:

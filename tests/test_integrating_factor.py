@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,19 @@ class TestSolveV:
         ps = solve_profile(cfg, Grid.make(20.0, 400))
         with pytest.warns(QuadratureDegraded):
             solve_v_if(ps, forcing(f, freq, ps))
+
+    def test_refinement_warning_is_per_unit_xi0(self):
+        # v is linear in xi0, so a grid that resolves v at xi0 = 1 (estimate
+        # 4.1e-7) resolves it at xi0 = 30 (30 times the estimate) as well
+        f = sine_transverse_flux()
+        s = rankine_hugoniot_speed(f, 1.5, -1.0)
+        cfg = normalize_to_standing(f, 1.5, -1.0, s)
+        ps = solve_profile(cfg, Grid.make(20.0, 4000))
+        for xi0 in (1.0, 30.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", QuadratureDegraded)
+                aux = solve_auxiliary_if(f, neutral_zero(cfg, f, xi0), ps)
+            assert aux.grid == ps.grid
 
     @pytest.mark.filterwarnings("ignore::shockbeta.errors.QuadratureDegraded")
     def test_linearity_doubling_forcing_doubles_v(self, quad_flux, exact_ps):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -113,7 +114,7 @@ def test_cubic_custom_wide_domain_matches_coupled(um, L):
     betas = []
     for method in (AuxMethod.INTEGRATING_FACTOR, AuxMethod.COUPLED):
         ps, aux = solve_pair(cfg, CUBIC, freq, method, L, int(200 * L),
-                             1e-8, 1e-6, 1e-6)
+                             decay_tol=1e-6)
         betas.append(compute_beta(CUBIC, ps, aux).beta.real)
     assert abs(betas[0] / betas[1] - 1.0) <= 1e-11
 
@@ -136,7 +137,7 @@ def test_cubic_custom_profile_steps_do_not_grow_with_the_tails(monkeypatch):
     betas = []
     for method in (AuxMethod.INTEGRATING_FACTOR, AuxMethod.COUPLED):
         ps, aux = solve_pair(cfg, CUBIC, freq, method, 100.0, 20000,
-                             1e-8, 1e-6, 1e-6)
+                             decay_tol=1e-6)
         betas.append(compute_beta(CUBIC, ps, aux).beta.real)
     assert len(steps) == 1 and steps[0] <= 300
     assert abs(betas[0] / betas[1] - 1.0) <= 1e-12
@@ -160,7 +161,7 @@ def test_wide_and_strong_shocks_succeed(quad_flux, um, up, L, N):
     cfg = normalize_to_standing(quad_flux, um, up, s)
     freq = neutral_zero(cfg, quad_flux, 1.0)
     ps, aux = solve_pair(cfg, quad_flux, freq, AuxMethod.INTEGRATING_FACTOR,
-                         L, N, 1e-8, 1e-6, None)
+                         L, N, decay_tol=math.inf)
     assert np.all(np.diff(ps.ubar) <= 0.0)
     eta = 0.25 * (um - up) * ps.grid.h  # a*delta*h with a = 1/2
     beta = compute_beta(quad_flux, ps, aux).beta

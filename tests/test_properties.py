@@ -1,6 +1,7 @@
 """Randomized invariant checks over admissible shock configurations."""
 
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -119,6 +120,6 @@ def test_beta_never_references_transversality(linearity_profile, quad_flux, xi):
     names = {p.lower() for p in inspect.signature(compute_beta).parameters}
     assert not names & {"gamma", "transversality"}
     freq = NeutralFrequency(0.0, xi)
-    aux = solve_auxiliary_if(quad_flux, freq, linearity_profile, decay_tol=None)
+    aux = solve_auxiliary_if(quad_flux, freq, linearity_profile, decay_tol=math.inf)
     r = compute_beta(quad_flux, linearity_profile, aux)
     assert r.beta == r.integral / r.delta_lambda

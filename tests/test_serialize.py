@@ -132,6 +132,29 @@ def test_x_off_the_named_grid_rejected(tmp_path, quad_flux, exact_freq,
         read(path)
 
 
+@pytest.mark.parametrize("kind,key", [("profile", "L"), ("aux", "L"),
+                                      ("aux", "tau0"), ("point", "N")])
+def test_missing_metadata_line_rejected(tmp_path, quad_flux, exact_freq,
+                                        profile_L20, kind, key):
+    path = tmp_path / f"{kind}.csv"
+    read = _write(kind, path, quad_flux, exact_freq, profile_L20)
+    _edit_table(path, meta=lambda line: "#" if line.startswith(f"# {key} =") else line)
+    with pytest.raises(ValidationError) as ei:
+        read(path)
+    assert str(ei.value) == f"{path}: no '# {key} = ...' metadata line"
+
+
+@pytest.mark.parametrize("kind", ["profile", "aux", "point"])
+def test_row_missing_a_cell_rejected(tmp_path, quad_flux, exact_freq,
+                                     profile_L20, kind):
+    path = tmp_path / f"{kind}.csv"
+    read = _write(kind, path, quad_flux, exact_freq, profile_L20)
+    _edit_table(path, row=lambda cells: cells[:-1] if cells[0] == "0" else cells)
+    with pytest.raises(ValidationError, match="a data row is not") as ei:
+        read(path)
+    assert str(path) in str(ei.value)
+
+
 def test_beta_table_layout(tmp_path, quad_flux, exact_cfg, exact_freq):
     study = beta_convergence_study(
         exact_cfg, quad_flux, exact_freq, [10.0, 20.0], N=500,
