@@ -160,8 +160,7 @@ def solve_coupled(
     state) pair on [0, 1], v per unit |xi0|; by default it is generated by
     outward integration.
     """
-    scale = abs(freq.xi0) or 1.0
-    unit = NeutralFrequency(freq.tau0 / scale, freq.xi0 / scale)
+    scale, unit = freq.per_unit()
     sys = FoldedSystem(cfg=cfg, flux=f, freq=unit, L=float(L))
     if guess is None:
         mesh, Y0 = initial_guess(sys)
@@ -235,8 +234,6 @@ def continuation_scan(
     L: float,
     n_out: int,
     tol: float = 1e-8,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-    decay_tol: float = DEFAULT_DECAY_TOL,
 ) -> list[CoupledResult]:
     """Sweep the left state, reusing each solution as the next guess.
 
@@ -268,10 +265,7 @@ def continuation_scan(
     def _solve_at(shock, seed: CoupledResult | None) -> CoupledResult:
         cfg, freq = shock
         guess = None if seed is None else _rescaled_guess(seed, cfg)
-        return solve_coupled(
-            cfg, f, freq, L, n_out, guess=guess, tol=tol,
-            tail_tol=tail_tol, decay_tol=decay_tol,
-        )
+        return solve_coupled(cfg, f, freq, L, n_out, guess=guess, tol=tol)
 
     points: list[CoupledResult] = []
     for k, shock in enumerate(shocks):

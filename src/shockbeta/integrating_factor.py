@@ -92,10 +92,10 @@ def solve_auxiliary_if(
     v is linear in xi0, so it is solved per unit |xi0| and scaled back: the
     refinement warning of :func:`solve_v_if` then judges the grid, not xi0.
     """
-    scale = abs(freq.xi0) or 1.0
+    scale, unit = freq.per_unit()
     aux = AuxiliarySolution(
         grid=profile.grid,
-        v=scale * solve_v_if(profile, forcing(f, freq, profile) / scale),
+        v=scale * solve_v_if(profile, forcing(f, unit, profile)),
         method=AuxMethod.INTEGRATING_FACTOR,
         freq=freq,
     )

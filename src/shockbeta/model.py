@@ -217,6 +217,11 @@ class NeutralFrequency:
     tau0: float
     xi0: float
 
+    def per_unit(self) -> tuple[float, "NeutralFrequency"]:
+        """``(|xi0|, self / |xi0|)``, or ``(1, self)`` at xi0 = 0."""
+        scale = abs(self.xi0) or 1.0
+        return scale, NeutralFrequency(self.tau0 / scale, self.xi0 / scale)
+
 
 def rankine_hugoniot_speed(f: FluxModel, u_minus: float, u_plus: float) -> float:
     """Shock speed forced by the jump condition."""

@@ -180,15 +180,6 @@ class TestConfigValues:
         assert ei.value.code == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("key", ["tol", "tail_tol", "decay_tol"])
-    def test_tolerance_is_not_a_config_key(self, key, exact_config, tmp_path,
-                                           capsys):
-        exact_config.write_text(exact_config.read_text() + f"{key} = 1e-3\n")
-        out = tmp_path / "o"
-        assert run(["beta", "--config", exact_config, "--out-dir", out]) == 2
-        assert f"unknown config key '{key}'" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_malformed_file_value_names_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("u_minus = 1.0\nN = abc\n")
@@ -358,11 +349,15 @@ class TestBetaCommand:
         assert not out.exists()
 
     def test_tau0_is_not_a_config_key(self, exact_config, tmp_path, capsys):
-        # tau0 is always derived from xi0 as the neutral zero
-        exact_config.write_text(exact_config.read_text() + "tau0 = 0.3\n")
-        code = run(["beta", "--config", exact_config, "--out-dir", tmp_path / "o"])
-        assert code == 2
-        assert "unknown config key 'tau0'" in capsys.readouterr().err
+        # tau0 is always derived from xi0 as the neutral zero, and every
+        # acceptance threshold is a constant
+        text = exact_config.read_text()
+        for key in ("tau0", "tol", "tail_tol", "decay_tol"):
+            exact_config.write_text(text + f"{key} = 0.3\n")
+            out = tmp_path / key
+            assert run(["beta", "--config", exact_config, "--out-dir", out]) == 2
+            assert f"unknown config key '{key}'" in capsys.readouterr().err
+            assert not out.exists()
         with pytest.raises(SystemExit) as ei:
             build_parser().parse_args(["beta", "--tau0", "0.3"])
         assert ei.value.code == 2
@@ -550,22 +545,20 @@ class TestCompareCommand:
         assert {q for _, q in by_key} == {"ubar", "v"}
 
     def test_no_exact_solution_exits_2(self, tmp_path, capsys):
-        code = run(["compare", "--flux", "sine_transverse", "--u-minus", "1.0",
-                    "--u-plus", "-1.0", "--xi0", "1.0",
-                    "--out-dir", tmp_path / "o"])
-        assert code == 2
-        assert "exact" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("f1, f2", [("0,0,0.5,0.1", "0,0,1"),
-                                        ("0,0,0.5", "0,0,1,0.2")])
-    def test_outside_the_quadratic_family_exits_2(self, f1, f2, tmp_path, capsys):
-        out = tmp_path / "o"
-        code = run(["compare", "--flux", "custom", "--f1-coeffs", f1,
-                    "--f2-coeffs", f2, "--u-minus", "1", "--u-plus", "-1",
-                    "--xi0", "1", "--out-dir", out])
-        assert code == 2
-        assert "quadratic f1 and an f2 of degree <= 2" in capsys.readouterr().err
-        assert not out.exists()
+        # outside a quadratic f1 with an f2 of degree <= 2
+        for k, flux in enumerate([
+            ["sine_transverse"],
+            ["custom", "--f1-coeffs", "0,0,0.5,0.1", "--f2-coeffs", "0,0,1"],
+            ["custom", "--f1-coeffs", "0,0,0.5", "--f2-coeffs", "0,0,1,0.2"],
+        ]):
+            out = tmp_path / str(k)
+            code = run(["compare", "--flux", *flux, "--u-minus", "1.0",
+                        "--u-plus", "-1.0", "--xi0", "1.0", "--out-dir", out])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "no exact solution" in err
+            assert "quadratic f1 and an f2 of degree <= 2" in err
+            assert not out.exists()
 
     @pytest.mark.parametrize("args", [
         ["--flux", "burgers", "--u-minus", "1.5", "--u-plus", "-1", "--xi0", "0.7"],
