@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .auxiliary import DEFAULT_DECAY_TOL, AuxiliarySolution, AuxMethod
-from .coupled import solve_coupled
+from .coupled import CoupledResult, _narrowed_guess, solve_coupled
 from .errors import GridMismatch, SolverError, ValidationError
 from .integrating_factor import solve_auxiliary_if
 from .model import FluxModel, NeutralFrequency, ShockConfig
@@ -142,16 +142,22 @@ def solve_pair(
     N: int,
     tail_tol: float = DEFAULT_TAIL_TOL,
     decay_tol: float = DEFAULT_DECAY_TOL,
-) -> tuple[ProfileSolution, AuxiliarySolution]:
+    wider: CoupledResult | None = None,
+) -> tuple[ProfileSolution, AuxiliarySolution, CoupledResult | None]:
     """Profile and correction on the uniform (L, N) grid by one method.
 
-    The tail gates apply to both routes.
+    The tail gates apply to both routes.  The third element is the coupled
+    route's whole result (None for ``if``); passed back as ``wider`` to a
+    narrower coupled solve, it seeds that solve in place of the outward
+    integration.
     """
     if method is AuxMethod.INTEGRATING_FACTOR:
         profile = solve_profile(cfg, Grid.make(L, N), tail_tol=tail_tol)
-        return profile, solve_auxiliary_if(f, freq, profile, decay_tol=decay_tol)
-    res = solve_coupled(cfg, f, freq, L, N, tail_tol=tail_tol, decay_tol=decay_tol)
-    return res.profile, res.aux
+        return profile, solve_auxiliary_if(f, freq, profile, decay_tol=decay_tol), None
+    guess = None if wider is None else _narrowed_guess(wider, L)
+    res = solve_coupled(cfg, f, freq, L, N, guess=guess,
+                        tail_tol=tail_tol, decay_tol=decay_tol)
+    return res.profile, res.aux, res
 
 
 @dataclass
@@ -182,6 +188,12 @@ def beta_convergence_study(
 ) -> BetaStudy:
     """Recompute beta over a list of truncation half-widths.
 
+    The half-widths are solved widest first.  Each narrower coupled entry is
+    seeded with the nearest wider coupled result that succeeded, cut at its L
+    (the fold conditions all sit at the fold), so the outward integration of
+    the initial guess runs once; a seeded entry's ``newton_per_sweep`` can
+    read ``[0]``.  The order of ``L_values`` changes no result.
+
     Each entry is gated by ``STUDY_TAIL_TOL`` and ``STUDY_DECAY_TOL``.  Solver
     failures are recorded per entry (the rest of the table survives), and sign
     stability across the table is reported by the returned study; a
@@ -191,16 +203,22 @@ def beta_convergence_study(
     """
     methods = [AuxMethod(m) for m in methods]
     check_even_N(N, quadrature, methods)
-    for L in sorted(L_values, reverse=True):  # the widest L names an N all L admit
+    widest_first = sorted(set(L_values), reverse=True)
+    for L in widest_first:  # the widest L names an N all L admit
         check_resolution(cfg, L, N)
     study = BetaStudy(L_values=list(L_values), methods=methods)
-    for L in L_values:
+    wider = None  # the narrowest coupled result so far
+    for L in widest_first:
         for method in methods:
             try:
-                profile, aux = solve_pair(
-                    cfg, f, freq, method, L, N, STUDY_TAIL_TOL, STUDY_DECAY_TOL
+                profile, aux, coupled = solve_pair(
+                    cfg, f, freq, method, L, N, STUDY_TAIL_TOL, STUDY_DECAY_TOL,
+                    wider=wider,
                 )
                 study.results[(method, L)] = compute_beta(f, profile, aux, quadrature)
             except SolverError as exc:
                 study.failures[(method, L)] = f"{type(exc).__name__}: {exc}"
+            else:
+                if coupled is not None:
+                    wider = coupled
     return study

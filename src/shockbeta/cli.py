@@ -91,7 +91,8 @@ def _out_dir(rc: RunConfig) -> Path:
 def _solve_pairs(rc, flux, cfg, freq):
     """(method, profile, correction) for each requested method at L_single."""
     for method in rc.methods():
-        yield method, *solve_pair(cfg, flux, freq, method, rc.L_single, rc.N)
+        profile, aux, _ = solve_pair(cfg, flux, freq, method, rc.L_single, rc.N)
+        yield method, profile, aux
 
 
 def cmd_profile(rc: RunConfig) -> int:

@@ -15,7 +15,11 @@ phase condition, two matching conditions, and the origin normalization
 v(0) = 0.  Both far ends then fall into the attracting equilibria on their
 own; the tail residual is verified after the solve.  The initial guess comes
 from integrating the field outward from the fold, and parameter sweeps reuse
-each converged solution as the next guess.
+each converged solution as the next guess.  Since every fold condition sits
+at t = 0, the solution on [-L, L] is a wider one cut at |x| = L: a study over
+several L solves the widest first and seeds each narrower L with the wider
+solution cut there (:func:`_narrowed_guess`), which usually leaves one sweep
+of at most one Newton step.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ class FoldedSystem:
 
     def __post_init__(self):
         self._f2m = self.flux.f2(self.cfg.u_minus)
+        self._signs = np.array([self.L, -self.L])
 
     def field(self, U: np.ndarray) -> np.ndarray:
         """Unfolded autonomous field on states U = (ubar, v)."""
@@ -69,30 +74,34 @@ class FoldedSystem:
         return np.stack([np.asarray(du, dtype=float), dv])
 
     def rhs(self, t, Y: np.ndarray) -> np.ndarray:
-        if Y.ndim == 1:
-            return self.rhs(t, Y[:, None])[:, 0]
-        return np.vstack(
-            [self.L * self.field(Y[:2]), -self.L * self.field(Y[2:])]
-        )
+        """L times the field on the right half and -L times it on the left.
+
+        One :meth:`field` evaluation covers both halves, stacked as
+        (component, half, ...); ``Y`` is one state (4,) or states (4, n).
+        """
+        halves = Y.reshape(2, 2, *Y.shape[1:]).swapaxes(0, 1)
+        signs = self._signs.reshape(2, *(1,) * (Y.ndim - 1))
+        return (self.field(halves) * signs).swapaxes(0, 1).reshape(Y.shape)
 
     def jac(self, t, Y: np.ndarray) -> np.ndarray:
-        """Jacobian of :meth:`rhs`, shape (n, 4, 4).
+        """Jacobian of :meth:`rhs`, shape (n, 4, 4), both halves in one pass.
 
         Each half is lower triangular, with sign +1 on the right half and -1
         on the left: d ubar'/d ubar = d v'/d v = a1s(ubar) = P'(ubar), and
         d v'/d ubar = P''(ubar) v + tau0 + xi0 a2(ubar).
         """
+        ubar, v = Y[0::2], Y[1::2]  # (half, n)
+        signs = self._signs[:, None]
+        a = signs * self.cfg.a1_shifted(ubar)
+        dv_du = signs * (
+            self.cfg.d2p(ubar) * v
+            + self.freq.tau0
+            + self.freq.xi0 * self.flux.a2(ubar)
+        )
         J = np.zeros((Y.shape[1], 4, 4))
-        for r, sign in ((0, self.L), (2, -self.L)):
-            ubar, v = Y[r], Y[r + 1]
-            a = sign * self.cfg.a1_shifted(ubar)
-            J[:, r, r] = a
-            J[:, r + 1, r + 1] = a
-            J[:, r + 1, r] = sign * (
-                self.cfg.d2p(ubar) * v
-                + self.freq.tau0
-                + self.freq.xi0 * self.flux.a2(ubar)
-            )
+        diag = np.arange(4)
+        J[:, diag, diag] = np.repeat(a, 2, axis=0).T
+        J[:, (1, 3), (0, 2)] = dv_du.T
         return J
 
     @property
@@ -182,8 +191,11 @@ def solve_coupled(
 
     grid = Grid.make(L, n_out)
     x = grid.x
-    folded = sol.interpolant(np.abs(x) / L)
-    ubar, v = np.where(x >= 0.0, folded[:2], folded[2:])
+    k = int(np.searchsorted(x, 0.0))  # x[:k] < 0 <= x[k:]
+    ubar, v = np.concatenate([
+        sol.interpolant(-x[:k] / L, rows=slice(2, 4)),  # the left half
+        sol.interpolant(x[k:] / L, rows=slice(0, 2)),
+    ], axis=1)
     v *= scale
     profile = ProfileSolution(
         config=cfg,
@@ -224,6 +236,26 @@ def _rescaled_guess(
     ratio = (cfg_new.u_minus - up) / (prev.config.u_minus - up)
     Y[::2] = up + (Y[::2] - up) * ratio  # the ubar rows of both halves
     return prev.bvp.mesh.copy(), Y
+
+
+def _narrowed_guess(wide: CoupledResult, L: float) -> tuple[np.ndarray, np.ndarray]:
+    """A wider folded solution cut at |x| = L, as a guess on [0, 1].
+
+    The fold conditions all sit at t = 0, so the solution on [-L, L] is the
+    wider one cut at t = r = L / L_wide.  The guess keeps the wider mesh below
+    r, adds r as a node and rescales onto [0, 1]; the states are the wider
+    interpolant there.  When r lies nearer to the node below it than to the
+    node above, that node is dropped: the last interval is then at least half
+    the wider mesh's interval there, never a sliver of rounding width on
+    which no Newton step can reduce the residual.
+    """
+    mesh = wide.bvp.mesh
+    r = L / wide.profile.grid.L
+    k = int(np.searchsorted(mesh, r))  # mesh[k - 1] < r <= mesh[k]
+    if k > 1 and r - mesh[k - 1] < mesh[k] - r:
+        k -= 1
+    return (np.append(mesh[:k] / r, 1.0),
+            wide.bvp.interpolant(np.append(mesh[:k], r)))
 
 
 def continuation_scan(

@@ -145,12 +145,12 @@ class HermiteInterpolant:
         self.y = y
         self.yp = yp
 
-    def __call__(self, xq):
-        """Values at scalar or array ``xq``."""
+    def __call__(self, xq, rows=slice(None)):
+        """Values at scalar or array ``xq`` of the components ``rows``."""
         xs = np.atleast_1d(np.asarray(xq, dtype=float))
         i = np.clip(np.searchsorted(self.x, xs, side="right") - 1, 0, self.x.size - 2)
         h = self.x[i + 1] - self.x[i]
-        y, yp = self.y, self.yp
+        y, yp = self.y[rows], self.yp[rows]
         t = (xs - self.x[i]) / h
         out = _hermite_value(y[:, i], y[:, i + 1], yp[:, i], yp[:, i + 1], h, t)
         return out[:, 0] if np.ndim(xq) == 0 else out

@@ -47,13 +47,17 @@ def _flux_meta(f: FluxModel) -> dict:
     return meta
 
 
-def _flux_from_meta(meta: dict) -> FluxModel:
+def _floats(value: str) -> list[float]:
+    return [float(c) for c in value.split(",")]
+
+
+def _flux_from_meta(meta: _Meta) -> FluxModel:
     kind = meta["flux_kind"]
-    sine_freq = float(meta["sine_freq"]) if "sine_freq" in meta else None
+    sine_freq = meta.parse("sine_freq") if "sine_freq" in meta else None
     coeffs = {}
     if "f1_coeffs" in meta:
-        coeffs["f1_coeffs"] = [float(c) for c in meta["f1_coeffs"].split(",")]
-        coeffs["f2_coeffs"] = [float(c) for c in meta["f2_coeffs"].split(",")]
+        for key in ("f1_coeffs", "f2_coeffs"):
+            coeffs[key] = meta.parse(key, _floats, "a comma list of numbers")
     return make_flux(kind, sine_freq=sine_freq, **coeffs)
 
 
@@ -83,8 +87,18 @@ class _Meta(dict):
     def __missing__(self, key):
         raise ValidationError(f"{self.path}: no '# {key} = ...' metadata line")
 
+    def parse(self, key: str, parser=float, what: str = "a number"):
+        """``parser`` of the value of ``key``; a refused value is a ValidationError."""
+        value = self[key]
+        try:
+            return parser(value)
+        except ValueError as exc:
+            raise ValidationError(
+                f"{self.path}: '# {key} = {value}' is not {what}"
+            ) from exc
 
-def _read_table(path, columns: list[str]) -> tuple[dict, dict, Grid]:
+
+def _read_table(path, columns: list[str]) -> tuple[_Meta, dict, Grid]:
     """Metadata, columns by name and grid of a table with header ``columns``.
 
     Every data row must hold one number per column, and the ``x`` column must
@@ -114,7 +128,7 @@ def _read_table(path, columns: list[str]) -> tuple[dict, dict, Grid]:
         msg = f"{path}: a data row is not {len(header)} numbers"
         raise ValidationError(msg) from exc
     cols = {name: arr[:, i] for i, name in enumerate(header)}
-    grid = Grid.make(float(meta["L"]), int(meta["N"]))
+    grid = Grid.make(meta.parse("L"), meta.parse("N", int, "an integer"))
     if not np.array_equal(cols["x"], grid.x):
         raise ValidationError(
             f"{path}: column 'x' is not the grid of L = {meta['L']}, N = {meta['N']}"
@@ -140,12 +154,12 @@ def write_profile_csv(path, profile: ProfileSolution, f: FluxModel) -> None:
                  [profile.grid.x, profile.ubar, profile.ubar_prime])
 
 
-def _profile_from(meta: dict, cols: dict, grid: Grid,
+def _profile_from(meta: _Meta, cols: dict, grid: Grid,
                   method: str) -> tuple[ProfileSolution, FluxModel]:
     """Profile and flux of a table with ``ubar``/``ubar_prime`` columns."""
     f = _flux_from_meta(meta)
     cfg = normalize_to_standing(
-        f, float(meta["u_minus"]), float(meta["u_plus"]), float(meta["s"])
+        f, meta.parse("u_minus"), meta.parse("u_plus"), meta.parse("s")
     )
     profile = ProfileSolution(
         config=cfg, grid=grid, ubar=cols["ubar"], ubar_prime=cols["ubar_prime"],
@@ -174,11 +188,13 @@ def write_aux_csv(path, aux: AuxiliarySolution, profile: ProfileSolution,
                  [aux.grid.x, aux.v])
 
 
-def _aux_from(meta: dict, cols: dict, grid: Grid) -> AuxiliarySolution:
+def _aux_from(meta: _Meta, cols: dict, grid: Grid) -> AuxiliarySolution:
     """Correction of a table with a ``v`` column."""
     return AuxiliarySolution(
-        grid=grid, v=cols["v"], method=AuxMethod(meta["method"]),
-        freq=NeutralFrequency(float(meta["tau0"]), float(meta["xi0"])),
+        grid=grid, v=cols["v"],
+        method=meta.parse("method", AuxMethod,
+                          f"one of {[m.value for m in AuxMethod]}"),
+        freq=NeutralFrequency(meta.parse("tau0"), meta.parse("xi0")),
     )
 
 

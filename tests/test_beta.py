@@ -5,19 +5,24 @@ import numpy as np
 import pytest
 
 from shockbeta.auxiliary import AuxMethod, AuxiliarySolution
+import shockbeta.beta
 from shockbeta.beta import (
+    STUDY_DECAY_TOL,
+    STUDY_TAIL_TOL,
     BetaQuadrature,
     beta_convergence_study,
     compute_beta,
     solve_pair,
 )
-from shockbeta.errors import GridMismatch, TailNotResolved
+from shockbeta.errors import GridMismatch, MeshLimitExceeded, TailNotResolved
 from shockbeta.integrating_factor import solve_auxiliary_if
 from shockbeta.model import (
     NeutralFrequency,
+    burgers_flux,
     custom_flux,
     neutral_zero,
     normalize_to_standing,
+    quadratic_transverse_flux,
     rankine_hugoniot_speed,
     sine_transverse_flux,
 )
@@ -170,8 +175,8 @@ class TestSolvePair:
     def test_each_method_on_the_requested_grid(self, quad_flux, exact_cfg,
                                                exact_freq):
         for method in AuxMethod:
-            profile, aux = solve_pair(exact_cfg, quad_flux, exact_freq, method,
-                                      20.0, 1000)
+            profile, aux, _ = solve_pair(exact_cfg, quad_flux, exact_freq, method,
+                                         20.0, 1000)
             assert aux.method is method
             assert profile.grid.N == aux.grid.N == 1000
             assert np.max(np.abs(aux.v - exact_v(aux.grid.x))) <= 1e-4
@@ -218,11 +223,83 @@ class TestConvergenceStudy:
         assert all(r is not None for r in row)
 
 
+def _shock(f, u_minus, u_plus, xi0):
+    s = rankine_hugoniot_speed(f, u_minus, u_plus)
+    cfg = normalize_to_standing(f, u_minus, u_plus, s)
+    return cfg, neutral_zero(cfg, f, xi0)
+
+
+# (flux, u-, u+, xi0, L values) of the studies that narrow the widest
+# coupled solution onto each narrower L
+_STUDIES = {
+    "exact": (quadratic_transverse_flux(), 1.0, -1.0, 1.0, [10.0, 20.0, 30.0]),
+    "exact_xi0_10": (quadratic_transverse_flux(), 1.0, -1.0, 10.0,
+                     [10.0, 20.0, 30.0]),
+    "burgers": (burgers_flux(), 1.5, -1.0, 0.7, [10.0, 20.0, 30.0]),
+    "sine": (sine_transverse_flux(), 1.0, -1.0, 1.0, [10.0, 20.0, 30.0]),
+    "cubic_descending": (custom_flux((0.0, 0.0, 0.5, 0.1), (0.0, 0.0, 1.0)),
+                         1.3, -1.0, 1.0, [30.0, 20.0, 10.0]),
+}
+
+
+class TestContinuationInL:
+    """The study solves the widest L first and seeds each narrower coupled solve."""
+
+    @pytest.mark.parametrize("name", sorted(_STUDIES))
+    def test_narrowed_entries_match_cold_solves(self, name):
+        f, um, up, xi0, L_values = _STUDIES[name]
+        cfg, freq = _shock(f, um, up, xi0)
+        study = beta_convergence_study(cfg, f, freq, L_values,
+                                       methods=[AuxMethod.COUPLED])
+        assert not study.failures
+        for L in sorted(L_values)[:-1]:
+            seeded = study.results[(AuxMethod.COUPLED, L)]
+            profile, aux, _ = solve_pair(cfg, f, freq, AuxMethod.COUPLED, L, 4000,
+                                         STUDY_TAIL_TOL, STUDY_DECAY_TOL)
+            cold = compute_beta(f, profile, aux).beta
+            assert abs(seeded.beta / cold - 1.0) <= 2e-12, (L, seeded.beta, cold)
+            # the narrowed wider solution leaves at most one Newton step
+            assert seeded.diagnostics["newton_per_sweep"][0] <= 1
+
+    def test_order_of_L_values_does_not_matter(self, quad_flux, exact_cfg,
+                                               exact_freq):
+        up, down = (
+            beta_convergence_study(exact_cfg, quad_flux, exact_freq, L_values)
+            for L_values in ([10.0, 20.0, 30.0], [30.0, 20.0, 10.0])
+        )
+        assert up.results.keys() == down.results.keys()
+        assert len(up.results) == 6
+        for key, r in up.results.items():
+            assert r.beta == down.results[key].beta
+            assert r.diagnostics == down.results[key].diagnostics
+
+    def test_narrower_entry_is_seeded_from_nearest_wider_success(
+            self, monkeypatch, quad_flux, exact_cfg, exact_freq):
+        # the widest coupled solve fails: the next one starts from the outward
+        # integration and still seeds the narrowest
+        solve = shockbeta.beta.solve_coupled
+        guesses = {}
+
+        def failing_at_30(cfg, f, freq, L, n_out, guess=None, **kw):
+            guesses[L] = guess
+            if L == 30.0:
+                raise MeshLimitExceeded("forced")
+            return solve(cfg, f, freq, L, n_out, guess=guess, **kw)
+
+        monkeypatch.setattr(shockbeta.beta, "solve_coupled", failing_at_30)
+        study = beta_convergence_study(exact_cfg, quad_flux, exact_freq,
+                                       [10.0, 20.0, 30.0])
+        assert list(study.failures) == [(AuxMethod.COUPLED, 30.0)]
+        assert list(guesses) == [30.0, 20.0, 10.0]
+        assert guesses[30.0] is None and guesses[20.0] is None
+        assert guesses[10.0] is not None
+        assert len(study.results) == 5
+
+
 def _betas(f, u_minus, xi0, L=20.0, N=4000):
     """beta on both routes, by method, for the shock (u_minus, -1)."""
-    s = rankine_hugoniot_speed(f, u_minus, -1.0)
-    cfg = normalize_to_standing(f, u_minus, -1.0, s)
-    study = beta_convergence_study(cfg, f, neutral_zero(cfg, f, xi0), [L], N=N)
+    cfg, freq = _shock(f, u_minus, -1.0, xi0)
+    study = beta_convergence_study(cfg, f, freq, [L], N=N)
     assert not study.failures
     return {m: study.results[(m, L)].beta for m in study.methods}
 

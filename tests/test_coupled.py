@@ -4,6 +4,7 @@ import pytest
 from shockbeta.auxiliary import AuxMethod
 from shockbeta.coupled import (
     FoldedSystem,
+    _narrowed_guess,
     continuation_scan,
     initial_guess,
     solve_coupled,
@@ -107,6 +108,39 @@ class TestFoldedSystem:
         zero[[0, 1, 1, 2, 3, 3], [0, 0, 1, 2, 2, 3]] = False
         assert np.all(J[:, zero] == 0.0)
 
+    @pytest.mark.parametrize("flux", [
+        quadratic_transverse_flux(),
+        sine_transverse_flux(),
+        custom_flux([0.0, 0.0, 0.5, 0.1], [0.0, 0.0, 1.0]),
+    ], ids=["quadratic", "sine", "custom_cubic"])
+    def test_one_pass_equals_per_half_formulas(self, flux):
+        # rhs and jac evaluate both halves at once; each half must come out
+        # bit-equal to its own formula, L times the field on the right and
+        # -L times it on the left
+        cfg = normalize_to_standing(
+            flux, 1.2, -1.0, rankine_hugoniot_speed(flux, 1.2, -1.0)
+        )
+        freq = neutral_zero(cfg, flux, 1.3)
+        sys = FoldedSystem(cfg, flux, freq, 20.0)
+        rng = np.random.default_rng(4)
+        n = 57
+        t = np.linspace(0.0, 1.0, n)
+        Y = rng.uniform(-1.5, 1.5, (4, n))
+        per_half = np.vstack([sys.L * sys.field(Y[:2]), -sys.L * sys.field(Y[2:])])
+        assert np.array_equal(sys.rhs(t, Y), per_half)
+        for p in (0, n - 1):
+            assert np.array_equal(sys.rhs(t[p], Y[:, p]), per_half[:, p])
+        J_ref = np.zeros((n, 4, 4))
+        for r, sign in ((0, sys.L), (2, -sys.L)):
+            ubar, v = Y[r], Y[r + 1]
+            a = sign * cfg.a1_shifted(ubar)
+            J_ref[:, r, r] = a
+            J_ref[:, r + 1, r + 1] = a
+            J_ref[:, r + 1, r] = sign * (
+                cfg.d2p(ubar) * v + freq.tau0 + freq.xi0 * flux.a2(ubar)
+            )
+        assert np.array_equal(sys.jac(t, Y), J_ref)
+
     def test_boundary_conditions_count_and_content(self, folded, exact_cfg):
         Ya = np.array([exact_cfg.u_mid, 0.0, exact_cfg.u_mid, 0.0])
         Yb = np.zeros(4)
@@ -141,6 +175,36 @@ class TestInitialGuess:
         sys0 = FoldedSystem(exact_cfg, quad_flux, NeutralFrequency(0.0, 0.0), 20.0)
         _, Y = initial_guess(sys0)
         assert np.max(np.abs(Y[[1, 3]])) == 0.0
+
+
+class TestNarrowedGuess:
+    def test_guess_is_the_wider_solution_cut_at_L(self, coupled_L20):
+        wide = coupled_L20.bvp
+        mesh, Y = _narrowed_guess(coupled_L20, 10.0)
+        k = mesh.size - 1
+        assert mesh[0] == 0.0 and mesh[-1] == 1.0
+        assert np.all(np.diff(mesh) > 0.0)
+        assert np.array_equal(mesh[:k], wide.mesh[:k] / 0.5)
+        assert np.array_equal(Y[:, :k], wide.y[:, :k])
+        assert np.array_equal(Y[:, k], wide.interpolant(0.5))
+
+    @pytest.mark.parametrize("offset", [-2, -1, 0, 1, 2])
+    def test_node_within_rounding_of_the_cut(self, coupled_L20, exact_cfg,
+                                             quad_flux, exact_freq, offset):
+        # L a few ulps either side of a mesh node: the cut never duplicates
+        # a node nor leaves a sliver interval, and the seeded solve converges
+        wide = coupled_L20.bvp.mesh
+        j = int(np.searchsorted(wide, 0.5))
+        L = 20.0 * wide[j]
+        for _ in range(abs(offset)):
+            L = np.nextafter(L, np.inf if offset > 0 else -np.inf)
+        mesh, Y = _narrowed_guess(coupled_L20, L)
+        h = np.diff(mesh)
+        assert mesh[0] == 0.0 and mesh[-1] == 1.0 and np.all(h > 0.0)
+        assert h[-1] >= 0.5 * np.min(np.diff(wide)[j - 2:j + 2]) * 20.0 / L
+        res = solve_coupled(exact_cfg, quad_flux, exact_freq, L, 2000,
+                            guess=(mesh, Y), tail_tol=1e-3, decay_tol=1e-2)
+        assert res.bvp.newton_per_sweep[0] <= 1
 
 
 class TestSolveCoupled:

@@ -113,8 +113,8 @@ def test_cubic_custom_wide_domain_matches_coupled(um, L):
     freq = neutral_zero(cfg, CUBIC, 1.0)
     betas = []
     for method in (AuxMethod.INTEGRATING_FACTOR, AuxMethod.COUPLED):
-        ps, aux = solve_pair(cfg, CUBIC, freq, method, L, int(200 * L),
-                             decay_tol=1e-6)
+        ps, aux, _ = solve_pair(cfg, CUBIC, freq, method, L, int(200 * L),
+                                decay_tol=1e-6)
         betas.append(compute_beta(CUBIC, ps, aux).beta.real)
     assert abs(betas[0] / betas[1] - 1.0) <= 1e-11
 
@@ -136,8 +136,8 @@ def test_cubic_custom_profile_steps_do_not_grow_with_the_tails(monkeypatch):
     freq = neutral_zero(cfg, CUBIC, 1.0)
     betas = []
     for method in (AuxMethod.INTEGRATING_FACTOR, AuxMethod.COUPLED):
-        ps, aux = solve_pair(cfg, CUBIC, freq, method, 100.0, 20000,
-                             decay_tol=1e-6)
+        ps, aux, _ = solve_pair(cfg, CUBIC, freq, method, 100.0, 20000,
+                                decay_tol=1e-6)
         betas.append(compute_beta(CUBIC, ps, aux).beta.real)
     assert len(steps) == 1 and steps[0] <= 300
     assert abs(betas[0] / betas[1] - 1.0) <= 1e-12
@@ -160,8 +160,8 @@ def test_wide_and_strong_shocks_succeed(quad_flux, um, up, L, N):
     s = rankine_hugoniot_speed(quad_flux, um, up)
     cfg = normalize_to_standing(quad_flux, um, up, s)
     freq = neutral_zero(cfg, quad_flux, 1.0)
-    ps, aux = solve_pair(cfg, quad_flux, freq, AuxMethod.INTEGRATING_FACTOR,
-                         L, N, decay_tol=math.inf)
+    ps, aux, _ = solve_pair(cfg, quad_flux, freq, AuxMethod.INTEGRATING_FACTOR,
+                            L, N, decay_tol=math.inf)
     assert np.all(np.diff(ps.ubar) <= 0.0)
     eta = 0.25 * (um - up) * ps.grid.h  # a*delta*h with a = 1/2
     beta = compute_beta(quad_flux, ps, aux).beta

@@ -144,6 +144,24 @@ def test_missing_metadata_line_rejected(tmp_path, quad_flux, exact_freq,
     assert str(ei.value) == f"{path}: no '# {key} = ...' metadata line"
 
 
+@pytest.mark.parametrize("kind,key,value", [
+    ("profile", "N", "4000.5"), ("point", "N", "many"),
+    ("aux", "L", "twenty"), ("point", "L", "20,"),
+    ("aux", "method", "bogus"), ("point", "method", "IF"),
+])
+def test_unreadable_metadata_value_rejected(tmp_path, quad_flux, exact_freq,
+                                            profile_L20, kind, key, value):
+    what = {"N": "an integer", "L": "a number",
+            "method": "one of ['if', 'coupled']"}[key]
+    path = tmp_path / f"{kind}.csv"
+    read = _write(kind, path, quad_flux, exact_freq, profile_L20)
+    _edit_table(path, meta=lambda line: f"# {key} = {value}"
+                if line.startswith(f"# {key} =") else line)
+    with pytest.raises(ValidationError) as ei:
+        read(path)
+    assert str(ei.value) == f"{path}: '# {key} = {value}' is not {what}"
+
+
 @pytest.mark.parametrize("kind", ["profile", "aux", "point"])
 def test_row_missing_a_cell_rejected(tmp_path, quad_flux, exact_freq,
                                      profile_L20, kind):
