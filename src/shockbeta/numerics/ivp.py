@@ -92,8 +92,8 @@ class Trajectory:
     def y_final(self) -> np.ndarray:
         return self.y[-1]
 
-    def __call__(self, t):
-        """Evaluate the interpolant at scalar or array ``t`` inside the span."""
+    def __call__(self, t, rows=slice(None)):
+        """The state components ``rows`` at scalar or array ``t`` in the span."""
         tq = np.atleast_1d(np.asarray(t, dtype=float))
         lo, hi = self.t[0], self.t[-1]
         if np.any(tq < lo - 1e-12 * (1 + abs(lo))) or np.any(
@@ -104,7 +104,7 @@ class Trajectory:
         idx = np.clip(np.searchsorted(ts, tq, side="right") - 1, 0, len(ts) - 1)
         theta = (tq - ts[idx]) / self._hs[idx]
         theta = np.clip(theta, 0.0, 1.0)[:, None]
-        r = self._rcont[idx]
+        r = self._rcont[:, :, rows][idx]
         out = r[:, 0] + theta * (
             r[:, 1] + (1 - theta) * (r[:, 2] + theta * (r[:, 3] + (1 - theta) * r[:, 4]))
         )

@@ -159,8 +159,10 @@ def _ivp_profile(cfg: ShockConfig, grid: Grid) -> np.ndarray:
                    rtol=_IVP_TOL, atol=_IVP_TOL)
     )
     x = grid.x
-    folded = ends + sign * np.exp(traj(np.abs(x)))
-    ubar = np.where(x >= 0.0, folded[:, 0], folded[:, 1])
+    ubar = np.empty_like(x)
+    for half, on_half in enumerate((x >= 0.0, x < 0.0)):
+        log_d = traj(np.abs(x[on_half]), rows=slice(half, half + 1))[:, 0]
+        ubar[on_half] = ends[half] + sign[half] * np.exp(log_d)
     ubar[x == 0.0] = cfg.u_mid  # u_end + (u_mid - u_end) may round off u_mid
     return ubar
 

@@ -6,12 +6,30 @@ domain objects with equality on all fields.  Metadata travels in
 ``# key = value`` comment lines above the column header.  A reader refuses a
 table whose header is not the one its writer writes, or whose ``x`` column
 is not the grid its metadata names.
+
+Table cells are formatted by a numpy kernel that writes the bytes of
+``'%.17g' % x`` for a block of rows at once (:func:`_write_table`).  A
+cell's 17 significant digits are the integer nearest y = |x| 10^(16 - e),
+e the decimal exponent from ``log10``.  y is formed in double-double
+arithmetic, by Dekker's exact two-product (Numer. Math. 18, 1971; numpy has
+no fused multiply-add) of |x| with a (hi, lo) pair for 10^(16 - e): the
+fixed-precision digit generation of Ryu (Adams, PLDI 2018), with a
+double-double in place of its wide integers.  y is then known to within
+4e-15, so its nearest integer is certain when its fraction lies farther
+than 1e-9 from 1/2.  The digits of such a cell are written through a
+4-digit lookup table, and its ``%g`` layout (sign, ``0.000`` prefix, dot,
+``e+dd`` exponent, trailing zeros stripped) is picked from a table of byte
+masks; zeros are laid out the same way.  Every other cell is formatted by
+``%`` itself: nan, inf, magnitudes outside [1e-280, 1e280), exact ties and
+values at a decade edge.  Tables of real solutions hold next to none.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,12 +79,209 @@ def _flux_from_meta(meta: _Meta) -> FluxModel:
     return make_flux(kind, sine_freq=sine_freq, **coeffs)
 
 
+# Rows formatted per block: bounds the kernel's temporaries at about
+# 0.3 kB per cell whatever the table's length.
+_CHUNK_ROWS = 4096
+
+# A cell is certified when the fraction of its scaled value lies farther than
+# this from 1/2; the value is known to within 4e-15 (see _decimal17).
+_TIE_MARGIN = 1e-9
+
+# Magnitudes formatted by the kernel: inside, 10^(16 - e) and the products of
+# Dekker's split neither overflow nor lose bits to underflow.
+_KERNEL_RANGE = (1e-280, 1e280)
+_E_MIN, _E_MAX = -281, 280  # floor(log10|x|) over that range, with rounding
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
+
+# Byte slots of one cell: the sign and "0.000" (0-5); the 17 digits (11-27);
+# the dot (31); digits 2-17 again (32-47), for a fraction after the dot; the
+# exponent "e+dd" or "e-ddd" (48-52); the separator (56).  A cell's mask
+# picks the slots of its %g form, in order.
+_SLOT = 64
+_DIGITS, _DOT, _EXP, _SEP = 11, 31, 48, 56
+_SIGN_PREFIX = np.frombuffer(b"-0.000\0\0", np.uint64)[0]  # slots 0-7
+_DOT_WORD = np.frombuffer(b"\0\0\0.", np.uint32)[0]  # slots 28-31
+# The layout class of a cell: 0-20 for fixed notation with %e exponent
+# class - 4; 21 and 22 for exponential notation with 2 and 3 exponent digits.
+_N_CLASSES = 23
+
+
+class _KernelTables(NamedTuple):
+    power_hi: np.ndarray  # by e - _E_MIN: 10^(16 - e) ~ power_hi + power_lo
+    power_lo: np.ndarray
+    hi_hi: np.ndarray  # Dekker's split of power_hi: halves of 26 bits
+    hi_lo: np.ndarray
+    exponent: np.ndarray  # by e - _E_MIN: b"e+dd" as uint64
+    layout: np.ndarray  # by e - _E_MIN: the layout class
+    lead: np.ndarray  # by digit d: b"\0\0\0d" as uint32
+    quad: np.ndarray  # by 4-digit group g: b"dddd" as uint32
+    quad_len: np.ndarray  # by g: digits up to the last nonzero one (-99 for 0)
+    mask: np.ndarray  # by (class, significant digits, sign): slot mask, V64
+
+
+@functools.cache
+def _kernel_tables() -> _KernelTables:
+    """The kernel's lookup tables, built on first use and read-only.
+
+    power_hi is the double nearest 10^(16 - e) and power_lo the double
+    nearest the remainder, so their sum is within 2^-106 10^(16 - e); both
+    come from exact integer arithmetic (int -> float and int / int round
+    correctly).
+    """
+    his, los = [], []
+    for e in range(_E_MIN, _E_MAX + 1):
+        if e <= 16:
+            power = 10 ** (16 - e)
+            hi = float(power)
+            lo = float(power - int(hi))
+        else:
+            power = 10 ** (e - 16)
+            hi = 1 / power
+            num, den = hi.as_integer_ratio()
+            lo = (den - num * power) / (den * power)
+        his.append(hi)
+        los.append(lo)
+    hi = np.array(his)
+    c = _SPLIT * hi
+    hi_hi = c - (c - hi)
+
+    e = np.arange(_E_MIN, _E_MAX + 1)
+    exponent = np.zeros((e.size, 8), np.uint8)
+    for k, text in enumerate(b"e%+03d" % v for v in e):
+        exponent[k, :len(text)] = np.frombuffer(text, np.uint8)
+    layout = np.where((-4 <= e) & (e <= 16), e + 4, np.where(np.abs(e) < 100, 21, 22))
+
+    lead = np.zeros((10, 4), np.uint8)
+    lead[:, 3] = np.arange(48, 58)
+    g = np.arange(10000)
+    quad = (g[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
+    trailing = sum((g % d == 0).astype(int) for d in (10, 100, 1000))
+    quad_len = np.where(g == 0, -99, 4 - trailing)
+
+    mask = np.zeros((_N_CLASSES, 18, 2, _SLOT), bool)
+    mask[:, :, 1, 0] = True  # the minus sign
+    mask[..., _SEP] = True
+    for cls in range(_N_CLASSES):
+        x_exp = cls - 4
+        for sig in range(1, 18):
+            m = mask[cls, sig]
+            if cls < 4:  # 0.000ddd
+                m[:, 1:2 - x_exp] = True
+                n_int = sig
+            elif cls <= 20:  # ddd.ddd
+                n_int = x_exp + 1
+            else:  # d.ddde+XX
+                n_int = 1
+                m[:, _EXP:_EXP + (4 if cls == 21 else 5)] = True
+            m[:, _DIGITS:_DIGITS + n_int] = True
+            if cls >= 4 and sig > n_int:
+                m[:, _DOT] = True
+                m[:, _DOT + n_int:_DOT + sig] = True
+    tables = _KernelTables(
+        hi, np.array(los), hi_hi, hi - hi_hi, exponent.view(np.uint64).ravel(),
+        layout, lead.view(np.uint32).ravel(), quad.view(np.uint32).ravel(),
+        quad_len, mask.reshape(-1, _SLOT).view(f"V{_SLOT}").ravel(),
+    )
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+def _decimal17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 17 significant digits of each ``x``, and where they are exact.
+
+    Returns (D, k, fast).  Where ``fast`` and x is not 0, D is the integer in
+    [1e16, 1e17) that ``'%.17g' % x`` writes, with %e exponent e = k + _E_MIN.
+    Zeros are fast with D = 0 and e = 0.  Elsewhere D = 0, e = 0 and the cell
+    is left to ``%``: nan, inf, magnitudes outside ``_KERNEL_RANGE``, and the
+    cells the bound below cannot certify.
+
+    D rounds y = |x| 10^(16 - e), with e = floor(log10|x|), formed as p + err:
+    p = fl(|x| power_hi), and err the exact remainder of Dekker's product plus
+    fl(|x| power_lo).  Three errors remain for y < 1e17: the table's, at most
+    1e17 2^-106 < 1.3e-15; fl(|x| power_lo), of size at most 11, is off by at
+    most 2^-50 < 9e-16; err, at most 19, by at most 2^-49 < 1.8e-15.  p + err
+    is then split exactly into an integer (p >= 2^53 is one) and a fraction
+    f in [0, 1), off by less than 4e-15 in all.  Rounding to the nearest
+    integer is exact unless f lies that close to 1/2, so a cell is certified
+    only when |f - 1/2| > _TIE_MARGIN; exact ties, rounded half-even by ``%``,
+    fall back too.  So does a y whose integer part lies outside [1e16, 1e17),
+    where e was misestimated, and a y that rounds up to 1e17: such a y lies
+    within 5e-18 relative of 10^(e+1), where a log10 off by an ulp gives e.
+    """
+    t = _kernel_tables()
+    a = np.abs(x)
+    fast = (a >= _KERNEL_RANGE[0]) & (a < _KERNEL_RANGE[1])
+    a[~fast] = 1.0  # keeps log10 and the products finite
+    k = np.floor(np.log10(a)).astype(np.intp) - _E_MIN
+    hi, b_hi, b_lo = t.power_hi[k], t.hi_hi[k], t.hi_lo[k]
+    p = a * hi
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    err = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    err += a * t.power_lo[k]
+    y_hi = p + err
+    y_lo = err - (y_hi - p)
+    whole = np.floor(y_lo)
+    frac = y_lo - whole
+    D = y_hi.astype(np.int64) + whole.astype(np.int64)
+    fast &= (np.abs(frac - 0.5) > _TIE_MARGIN) & (D >= 10**16)
+    D += frac > 0.5
+    fast &= D < 10**17
+    D[~fast] = 0
+    k[~fast] = -_E_MIN
+    fast |= x == 0.0
+    return D, k, fast
+
+
+def _format_cells(x: np.ndarray, seps: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """The bytes of ``'%.17g' % c`` and its separator, for each cell c of ``x``.
+
+    ``x`` holds whole rows, flattened; ``seps`` the separator of each column,
+    a byte padded to a uint64; ``buf`` a (x.size, _SLOT) uint8 scratch array.
+    """
+    t = _kernel_tables()
+    D, k, fast = _decimal17(x)
+    lead, rest = D // 10**16, D % 10**16
+    top, bottom = rest // 10**8, rest % 10**8
+    groups = [top // 10**4, top % 10**4, bottom // 10**4, bottom % 10**4]
+    words, longs = buf.view(np.uint32), buf.view(np.uint64)
+    longs[:, 0] = _SIGN_PREFIX
+    words[:, _DIGITS // 4] = t.lead[lead]
+    for i, g in enumerate(groups):
+        # digits 2-17 before the dot and, again, after it
+        words[:, _DIGITS // 4 + 1 + i] = words[:, _DOT // 4 + 1 + i] = t.quad[g]
+    words[:, _DOT // 4] = _DOT_WORD
+    longs[:, _EXP // 8] = t.exponent[k]
+    longs.reshape(-1, seps.size, _SLOT // 8)[..., _SEP // 8] = seps
+    sig = np.maximum.reduce([t.quad_len[g] + 1 + 4 * i for i, g in enumerate(groups)])
+    np.maximum(sig, 1, out=sig)
+    mask = t.mask[(t.layout[k] * 18 + sig) * 2 + np.signbit(x)]
+    mask = mask.view(bool).reshape(buf.shape)
+    slow = np.flatnonzero(~fast)
+    if slow.size:  # each text then its separator, from slot 0 on
+        texts = [(_FLOAT % v).encode() for v in x[slow].tolist()]
+        n = np.array([len(text) for text in texts])
+        padded = b"".join(text.ljust(_SEP) for text in texts)
+        buf[slow, :_SEP] = np.frombuffer(padded, np.uint8).reshape(slow.size, _SEP)
+        buf[slow, n] = buf[slow, _SEP]
+        mask[slow] = np.arange(_SLOT) <= n[:, None]
+    return buf[mask]
+
+
 def _write_table(path, meta: dict, header: list[str], columns: list[np.ndarray]):
-    """Stream ``columns`` to ``path`` as CSV rows of ``%.17g`` cells.
+    """Write ``columns`` to ``path`` as CSV rows of ``%.17g`` cells.
 
     Every column must be real and one-dimensional with a common length: the
-    rows are zipped, which would silently truncate ragged columns, and a
-    float conversion would silently drop imaginary parts.
+    rows would otherwise be ragged, and a float conversion would silently
+    drop imaginary parts.  The cells are formatted ``_CHUNK_ROWS`` rows at a
+    time by :func:`_format_cells`, byte for byte as ``'%.17g' % x`` would.
+    The kernel certifies a cell when the rounding to 17 digits is decided by
+    a margin of ``_TIE_MARGIN`` against an error below 4e-15
+    (:func:`_decimal17`), and lays out zeros itself.  nan, inf, magnitudes
+    outside ``_KERNEL_RANGE`` (subnormals among them), exact ties and values
+    at a decade edge are formatted one by one with ``%``.
     """
     if any(np.iscomplexobj(c) for c in columns):
         raise ValueError(f"{path}: complex table column")
@@ -74,11 +289,24 @@ def _write_table(path, meta: dict, header: list[str], columns: list[np.ndarray])
     if len({c.shape for c in columns}) != 1 or columns[0].ndim != 1:
         raise ValueError(f"{path}: table columns must be 1-D of one length, "
                          f"got shapes {[c.shape for c in columns]}")
-    row = ",".join([_FLOAT] * len(columns)) + "\n"
-    with open(path, "w") as fh:
-        fh.writelines(f"# {k} = {v}\n" for k, v in meta.items())
-        fh.write(",".join(header) + "\n")
-        fh.writelines(row % values for values in zip(*(c.tolist() for c in columns)))
+    with open(path, "wb") as fh:
+        fh.write("".join(f"# {k} = {v}\n" for k, v in meta.items()).encode())
+        fh.write((",".join(header) + "\n").encode())
+        for block in _csv_rows(np.column_stack(columns)):
+            fh.write(block)
+
+
+def _csv_rows(table: np.ndarray):
+    """Yield the CSV bytes of the rows of ``table``, ``_CHUNK_ROWS`` at a time."""
+    n_rows, n_cols = table.shape
+    seps = np.zeros((n_cols, 8), np.uint8)
+    seps[:, 0] = ord(",")
+    seps[-1, 0] = ord("\n")
+    seps = seps.view(np.uint64).ravel()
+    buf = np.empty((min(n_rows, _CHUNK_ROWS) * n_cols, _SLOT), np.uint8)
+    for start in range(0, n_rows, _CHUNK_ROWS):
+        cells = table[start:start + _CHUNK_ROWS].ravel()
+        yield _format_cells(cells, seps, buf[:cells.size])
 
 
 class _Meta(dict):

@@ -143,6 +143,30 @@ def test_cubic_custom_profile_steps_do_not_grow_with_the_tails(monkeypatch):
     assert abs(betas[0] / betas[1] - 1.0) <= 1e-12
 
 
+def test_cubic_custom_profile_evaluates_each_half_once(monkeypatch):
+    # each half of the folded trajectory is evaluated on its own side only;
+    # the profile is bit-equal to evaluating both halves everywhere
+    trajs = []
+
+    def kept(problem):
+        trajs.append(ivp_solve(problem))
+        return trajs[-1]
+
+    monkeypatch.setattr("shockbeta.profile.ivp_solve", kept)
+    s = rankine_hugoniot_speed(CUBIC, 1.0, -1.0)
+    cfg = normalize_to_standing(CUBIC, 1.0, -1.0, s)
+    grid = Grid.make(100.0, 20000)
+    ps = solve_profile(cfg, grid)
+    ends = np.array([cfg.u_plus, cfg.u_minus])
+    sign = np.sign(cfg.u_mid - ends)
+    folded = ends + sign * np.exp(trajs[0](np.abs(grid.x)))
+    both = np.where(grid.x >= 0.0, folded[:, 0], folded[:, 1])
+    both[grid.x == 0.0] = cfg.u_mid
+    assert np.array_equal(ps.ubar, both)
+    assert np.array_equal(trajs[0](grid.x[-5:], rows=slice(1, 2))[:, 0],
+                          trajs[0](grid.x[-5:])[:, 1])
+
+
 # (u-, u+, L, N): wide domains and strong shocks, each at the dimensionless
 # step a*delta*h = 0.01 of the standard case at L = 40, N = 4000
 WIDE_AND_STRONG = [

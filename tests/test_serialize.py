@@ -233,18 +233,113 @@ def _reference_table_text(meta, header, columns):
 
 _SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e16, 0.1,
                       3.0, -42.0, 1.0 / 3.0])
-_MIXED = [np.roll(_SPECIALS, k) for k in range(5)]
 _META = {"flux_kind": "burgers", "L": serialize.fmt(20.0), "N": 10}
 _HEADER = ["x", "ubar", "ubar_prime", "w", "v"]
 
 
-@pytest.mark.parametrize("n_rows", [len(_SPECIALS), 1, 0])
+def _mixed_columns(n_rows):
+    """Five columns of ``n_rows`` cells: the specials, rolled, among normals."""
+    rng = np.random.default_rng(n_rows)
+    cols = []
+    for k in range(len(_HEADER)):
+        col = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-8, 8, n_rows)
+        col[::7] = np.resize(np.roll(_SPECIALS, k), col[::7].size)
+        cols.append(col)
+    return cols
+
+
+_CHUNK = serialize._CHUNK_ROWS
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, len(_SPECIALS), _CHUNK - 1, _CHUNK,
+                                    _CHUNK + 1])
 def test_write_table_matches_reference_writer(tmp_path, n_rows):
-    columns = [c[:n_rows] for c in _MIXED]
-    path = tmp_path / "t.csv"
-    serialize._write_table(path, _META, _HEADER, columns)
-    expected = _reference_table_text(_META, _HEADER, columns)
-    assert path.read_bytes() == expected.encode()
+    columns = [np.resize(np.roll(_SPECIALS, k), n_rows) for k in range(5)]
+    for cols in (columns, _mixed_columns(n_rows)):
+        path = tmp_path / "t.csv"
+        serialize._write_table(path, _META, _HEADER, cols)
+        expected = _reference_table_text(_META, _HEADER, cols)
+        assert path.read_bytes() == expected.encode()
+
+
+def _assert_cells_match_percent(values):
+    """The table writer writes each of ``values`` as ``'%.17g' % value``."""
+    x = np.asarray(values, dtype=float)
+    got = b"".join(serialize._csv_rows(x.reshape(-1, 1))).decode()
+    expected = "".join("%.17g\n" % v for v in x.tolist())
+    if got != expected:
+        bad = [(v, g, e) for v, g, e in zip(x.tolist(), got.splitlines(),
+                                            expected.splitlines()) if g != e]
+        pytest.fail(f"{len(bad)} cells differ, first {bad[:5]}")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                          allow_subnormal=True), max_size=40))
+def test_kernel_matches_percent_on_any_floats(values):
+    _assert_cells_match_percent(values)
+
+
+def test_kernel_matches_percent_on_random_bit_patterns():
+    bits = np.random.default_rng(20180618).integers(
+        np.iinfo(np.int64).min, np.iinfo(np.int64).max, size=1_000_000,
+        dtype=np.int64, endpoint=True,
+    )
+    _assert_cells_match_percent(bits.view(np.float64))
+
+
+def _neighbours(x, width=2):
+    """``x`` and the ``width`` doubles on either side of each."""
+    x = np.asarray(x, dtype=float)
+    out = [x]
+    up, down = x, x
+    for _ in range(width):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        out += [up, down]
+    return np.concatenate(out)
+
+
+def test_kernel_matches_percent_on_boundaries():
+    decades = np.array([float(f"1e{k}") for k in range(-330, 309)])
+    switches = [9.9999999999999995e-6, 1e-5, 9.99999999999999995e-5, 1e-4,
+                1e16, 1e17, 9.9999999999999999e15, 9.99999999999999999e16]
+    # exact ties at the 17th digit: q / 2^m has 18 significant digits, the
+    # last one a 5, when q is odd and q 5^m has 18 digits
+    rng = np.random.default_rng(0)
+    ties = []
+    for m in range(1, 40):
+        lo, hi = 10**17 // 5**m + 1, min(10**18 // 5**m, 2**53)
+        if hi > 2 * lo:
+            q = rng.integers(lo, hi, 200) | 1
+            ties += [math.ldexp(float(v), -m) for v in q.tolist()]
+    ties += [1e15 + 0.25, 1e15 + 0.75]
+    halves = [math.ldexp(m, -j) for m in (1, 3, 5, 2**52 + 1)
+              for j in range(1, 60, 7)]
+    subnormals = np.array([5e-324, 1e-310, 2.2250738585072009e-308,
+                           2.2250738585072014e-308])
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.7976931348623157e308])
+    values = np.concatenate([
+        _neighbours(decades), _neighbours(switches, 4), ties, halves, subnormals,
+        specials, np.linspace(0.0, 1.0, 10001),
+    ])
+    _assert_cells_match_percent(np.concatenate([values, -values]))
+
+
+def test_ties_and_specials_take_the_fallback():
+    values = np.array([1e15 + 0.25, 0.5, 5e-324, 1e300, np.nan, np.inf, 0.0, 0.1])
+    _, _, fast = serialize._decimal17(values)
+    assert fast.tolist() == [False, True, False, False, False, False, True, True]
+
+
+def test_exact_case_columns_take_the_certified_path(quad_flux, exact_cfg,
+                                                    exact_freq):
+    # a kernel that silently sent every cell to ``%`` would still be exact
+    profile = solve_profile(exact_cfg, Grid.make(20.0, 40000))
+    aux = solve_auxiliary_if(quad_flux, exact_freq, profile)
+    for col in (profile.ubar, profile.ubar_prime, aux.v):
+        _, _, fast = serialize._decimal17(col)
+        certified = fast & (col != 0.0)
+        assert certified.mean() >= 0.99
 
 
 @pytest.mark.parametrize("columns", [
