@@ -5,9 +5,10 @@ spectral determinant at a neutral zero; both reduce to computable pieces:
 
     beta = integral / (u+ - u-),
 
-    integral = int 2 xi0^2 ubar' - 2 (tau0 + xi0 a2(ubar)) v dx,
+    integral = int 2 xi0^2 ubar' - 2 F'(ubar) v dx,
 
-with ubar' inserted through the profile equation (no differencing).  This is
+with ubar' inserted through the profile equation (no differencing) and F' the
+slope of the model's forcing (:func:`shockbeta.model.forcing_slope`).  This is
 the paper's int 2 (i tau0 + i xi0 a2(ubar)) y + 2 xi0^2 ubar' dx with the
 correction y = i v, so beta is real.  The transversality factor of the
 determinant cancels in the ratio and never enters the computation.
@@ -27,7 +28,7 @@ from .auxiliary import DEFAULT_DECAY_TOL, AuxiliarySolution, AuxMethod
 from .coupled import CoupledResult, _narrowed_guess, solve_coupled
 from .errors import GridMismatch, SolverError, ValidationError
 from .integrating_factor import solve_auxiliary_if
-from .model import FluxModel, NeutralFrequency, ShockConfig
+from .model import FluxModel, NeutralFrequency, ShockConfig, forcing_slope
 from .numerics import quad_simpson, quad_trapezoid
 from .profile import DEFAULT_TAIL_TOL, Grid, ProfileSolution
 from .profile import check_resolution, solve_profile
@@ -70,7 +71,7 @@ def _integrand(
     if profile.grid != aux.grid:
         raise GridMismatch("profile and correction are sampled on different grids")
     freq = aux.freq
-    factor = 2.0 * (freq.tau0 + freq.xi0 * np.asarray(f.a2(profile.ubar)))
+    factor = 2.0 * forcing_slope(f, freq, profile.ubar)
     return 2.0 * freq.xi0**2 * profile.ubar_prime - factor * aux.v
 
 

@@ -11,6 +11,7 @@ directory, and an unwritable output path is reported after the solves.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -18,19 +19,12 @@ import numpy as np
 
 from . import serialize
 from .beta import beta_convergence_study, check_even_N, compute_beta, solve_pair
-from .config import (
-    _PARSERS,
-    RunConfig,
-    apply_overrides,
-    build_model,
-    parse_config_file,
-)
+from .config import PARSERS, RunConfig, apply_overrides, build_model, parse_config_file
 from .coupled import continuation_scan
 from .coupled import solve_coupled  # noqa: F401  perfbench/tracing.py patches it here
 from .errors import ContinuationStalled, SolverError, ValidationError
 from .integrating_factor import solve_auxiliary_if  # noqa: F401  likewise
-from .model import FluxKind
-from .profile import Grid, _tanh_profile, check_resolution, solve_profile
+from .profile import Grid, check_resolution, exact_solution, solve_profile
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -49,7 +43,7 @@ _HELP = {
 def _add_common_options(p: argparse.ArgumentParser) -> None:
     """``--config`` plus one flag per config key (``_`` spelled ``-``)."""
     p.add_argument("--config", help="run-configuration file (key = value lines)")
-    for key in _PARSERS:
+    for key in PARSERS:
         p.add_argument("--" + key.replace("_", "-"), dest=key, help=_HELP.get(key))
 
 
@@ -61,7 +55,7 @@ def _join_config_flags(argv: list[str]) -> list[str]:
     would lose their value.  Joined as ``--u-plus=-1e0``, every config flag
     takes the next token as its value.
     """
-    flags = {"--" + key.replace("_", "-") for key in _PARSERS}
+    flags = {"--" + key.replace("_", "-") for key in PARSERS}
     out = []
     tokens = iter(argv)
     for tok in tokens:
@@ -75,7 +69,7 @@ def _join_config_flags(argv: list[str]) -> list[str]:
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
     rc = parse_config_file(args.config) if args.config else RunConfig()
-    rc = apply_overrides(rc, {key: getattr(args, key) for key in _PARSERS})
+    rc = apply_overrides(rc, {key: getattr(args, key) for key in PARSERS})
     # every command rejects a bad choice, also one it never reads
     rc.methods()
     rc.quad()
@@ -156,9 +150,10 @@ def cmd_beta(rc: RunConfig) -> int:
 
 
 def cmd_scan(rc: RunConfig) -> int:
-    flux, cfg0, _ = build_model(rc)
     if not rc.u_minus_list:
         raise ValidationError("field 'u_minus_list': required for scan")
+    # the chain's left states are the list's; u_minus is never read
+    flux, cfg0, _ = build_model(dataclasses.replace(rc, u_minus=rc.u_minus_list[0]))
     check_even_N(rc.N, rc.quad())
     stall = None
     try:
@@ -207,32 +202,12 @@ def cmd_scan(rc: RunConfig) -> int:
     return EXIT_OK if stall is None else EXIT_SOLVER
 
 
-def _exact_solution(flux, cfg, freq, x) -> tuple[np.ndarray, np.ndarray]:
-    """ubar and v in closed form for a quadratic f1 and an f2 of degree <= 2.
-
-    With c2 the u^2 coefficient of f2 the forcing is xi0 c2 (u - u-)(u - u+)
-    and the profile field a (u - u-)(u - u+), so F/P is the constant
-    R = xi0 c2 / a, taken once at u_mid, and v = ubar' int_0^x R = R x ubar'.
-    """
-    if (len(cfg.q_coeffs) != 1 or flux.kind is FluxKind.SINE_TRANSVERSE
-            or len(flux.params.get("f2_coeffs", ())) > 3):
-        raise ValidationError(
-            "no exact solution for this configuration: compare needs a "
-            "quadratic f1 and an f2 of degree <= 2 (flux burgers, "
-            "quadratic_transverse, or custom with at most three f2 coefficients)"
-        )
-    u, um = cfg.u_mid, cfg.u_minus
-    F_mid = freq.tau0 * (u - um) + freq.xi0 * (flux.f2(u) - flux.f2(um))
-    ubar = _tanh_profile(cfg, x)
-    return ubar, F_mid / cfg.profile_field(u) * x * cfg.profile_field(ubar)
-
-
 def cmd_compare(rc: RunConfig) -> int:
     flux, cfg, freq = build_model(rc)
     check_even_N(rc.N, methods=rc.methods())
     check_resolution(cfg, rc.L_single, rc.N)
     grid = Grid.make(rc.L_single, rc.N)
-    u_exact, v_exact = _exact_solution(flux, cfg, freq, grid.x)
+    u_exact, v_exact = exact_solution(flux, cfg, freq, grid.x)
     h = grid.h
 
     rows = []

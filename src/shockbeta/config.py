@@ -29,15 +29,7 @@ from pathlib import Path
 from .auxiliary import AuxMethod
 from .beta import BetaQuadrature
 from .errors import ValidationError
-from .model import (
-    FluxModel,
-    NeutralFrequency,
-    ShockConfig,
-    make_flux,
-    neutral_zero,
-    normalize_to_standing,
-    rankine_hugoniot_speed,
-)
+from .model import FluxModel, NeutralFrequency, ShockConfig, make_flux, standing_shock
 
 
 def _parse_float(text: str) -> float:
@@ -94,7 +86,7 @@ class RunConfig:
             ) from None
 
 
-_PARSERS = {
+PARSERS = {
     "flux": str,
     "sine_freq": _parse_float,
     "f1_coeffs": _parse_float_list,
@@ -109,13 +101,13 @@ _PARSERS = {
     "out_dir": str,
     "u_minus_list": _parse_float_list,
 }
-assert set(_PARSERS) == {f.name for f in fields(RunConfig)}
+assert set(PARSERS) == {f.name for f in fields(RunConfig)}
 
 
 def _parse_field(key: str, text: str, where: str = ""):
     """The one parse path of file and flag values."""
     try:
-        return _PARSERS[key](text)
+        return PARSERS[key](text)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{where}field '{key}': {exc}") from exc
 
@@ -134,7 +126,7 @@ def parse_config_file(path) -> RunConfig:
         key, value = key.strip(), value.strip()
         if not sep or not key:
             raise ValidationError(f"{path}:{lineno}: expected 'key = value'")
-        if key not in _PARSERS:
+        if key not in PARSERS:
             raise ValidationError(f"{path}:{lineno}: unknown config key '{key}'")
         if value == "":
             continue
@@ -146,7 +138,7 @@ def apply_overrides(rc: RunConfig, overrides: dict) -> RunConfig:
     for key, value in overrides.items():
         if value is None:
             continue
-        if key not in _PARSERS:
+        if key not in PARSERS:
             raise ValidationError(f"unknown override '{key}'")
         if isinstance(value, str):
             value = _parse_field(key, value)
@@ -165,6 +157,4 @@ def build_model(rc: RunConfig) -> tuple[FluxModel, ShockConfig, NeutralFrequency
         rc.flux, sine_freq=rc.sine_freq,
         f1_coeffs=rc.f1_coeffs, f2_coeffs=rc.f2_coeffs,
     )
-    s = rankine_hugoniot_speed(flux, rc.u_minus, rc.u_plus)
-    cfg = normalize_to_standing(flux, rc.u_minus, rc.u_plus, s)
-    return flux, cfg, neutral_zero(cfg, flux, rc.xi0)
+    return flux, *standing_shock(flux, rc.u_minus, rc.u_plus, rc.xi0)

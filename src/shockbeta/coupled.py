@@ -3,9 +3,10 @@
 The autonomous field
 
     ubar' = P(ubar),
-    v'    = a1s(ubar) v + tau0 (ubar - u-) + xi0 (f2(ubar) - f2(u-)),
+    v'    = a1s(ubar) v + F(ubar),
 
-with P the factored profile field of :class:`ShockConfig`, has equilibria
+with P the factored profile field of :class:`ShockConfig` and F the forcing
+of the model (:func:`shockbeta.model.forcing`), has equilibria
 (u-, 0) and (u+, 0) at a neutral frequency; the desired solution is the
 heteroclinic connection between them; v is the whole correction (see
 :class:`AuxiliarySolution`).  The domain [-L, L] is folded: right
@@ -34,9 +35,9 @@ from .model import (
     FluxModel,
     NeutralFrequency,
     ShockConfig,
-    neutral_zero,
-    normalize_to_standing,
-    rankine_hugoniot_speed,
+    forcing,
+    forcing_slope,
+    standing_shock,
 )
 from .numerics import BvpProblem, BvpSolution, IvpProblem, bvp_solve, ivp_solve
 from .profile import (
@@ -60,7 +61,6 @@ class FoldedSystem:
     L: float
 
     def __post_init__(self):
-        self._f2m = self.flux.f2(self.cfg.u_minus)
         self._signs = np.array([self.L, -self.L])
 
     def field(self, U: np.ndarray) -> np.ndarray:
@@ -68,9 +68,7 @@ class FoldedSystem:
         ubar, v = U
         a = self.cfg.a1_shifted(ubar)
         du = self.cfg.profile_field(ubar)
-        dv = a * v + self.freq.tau0 * (ubar - self.cfg.u_minus) + self.freq.xi0 * (
-            np.asarray(self.flux.f2(ubar)) - self._f2m
-        )
+        dv = a * v + forcing(self.flux, self.freq, self.cfg.u_minus, ubar)
         return np.stack([np.asarray(du, dtype=float), dv])
 
     def rhs(self, t, Y: np.ndarray) -> np.ndarray:
@@ -88,15 +86,13 @@ class FoldedSystem:
 
         Each half is lower triangular, with sign +1 on the right half and -1
         on the left: d ubar'/d ubar = d v'/d v = a1s(ubar) = P'(ubar), and
-        d v'/d ubar = P''(ubar) v + tau0 + xi0 a2(ubar).
+        d v'/d ubar = P''(ubar) v + F'(ubar).
         """
         ubar, v = Y[0::2], Y[1::2]  # (half, n)
         signs = self._signs[:, None]
         a = signs * self.cfg.a1_shifted(ubar)
         dv_du = signs * (
-            self.cfg.d2p(ubar) * v
-            + self.freq.tau0
-            + self.freq.xi0 * self.flux.a2(ubar)
+            self.cfg.d2p(ubar) * v + forcing_slope(self.flux, self.freq, ubar)
         )
         J = np.zeros((Y.shape[1], 4, 4))
         diag = np.arange(4)
@@ -222,7 +218,6 @@ def solve_coupled(
             "fold_mismatch": fold_mismatch,
         },
     )
-    aux.diagnostics["tail_magnitude"] = aux.tail_magnitudes()
     aux.check_decay(decay_tol)
     return CoupledResult(profile=profile, aux=aux, bvp=sol)
 
@@ -276,15 +271,10 @@ def continuation_scan(
     bisected once; if the bisected step also fails,
     :class:`ContinuationStalled` carries the chain computed so far.
     """
-    def _shock(um: float) -> tuple[ShockConfig, NeutralFrequency]:
-        s = rankine_hugoniot_speed(f, um, cfg0.u_plus)
-        cfg = normalize_to_standing(f, um, cfg0.u_plus, s)
-        return cfg, neutral_zero(cfg, f, xi0)
-
     shocks, inadmissible = [], None
     for um in u_minus_values:
         try:
-            shocks.append(_shock(float(um)))
+            shocks.append(standing_shock(f, float(um), cfg0.u_plus, xi0))
         except ValidationError as exc:
             if not shocks:
                 raise  # first point: configuration-level problem
@@ -310,7 +300,8 @@ def continuation_scan(
             # one automatic bisection of the parameter step
             try:
                 um_mid = 0.5 * (prev.config.u_minus + shock[0].u_minus)
-                res = _solve_at(shock, _solve_at(_shock(um_mid), prev))
+                mid = standing_shock(f, um_mid, cfg0.u_plus, xi0)
+                res = _solve_at(shock, _solve_at(mid, prev))
             except SolverError as exc2:
                 raise ContinuationStalled(k, points, exc2) from exc2
         points.append(res)

@@ -2,10 +2,11 @@
 
 The correction v (see :class:`AuxiliarySolution`) solves
 
-    v' = a1(ubar) v + F,  F = tau0 (ubar - u_minus) + xi0 (f2(ubar) - f2(u_minus)),
+    v' = a1(ubar) v + F(ubar),
 
-so with the integrating factor M(x) = exp(-int_0^x a1(ubar)) it reduces to a
-perfect derivative, and the origin value v(0) = 0 that defines beta gives
+with F the forcing of the model (:func:`shockbeta.model.forcing`).  With the
+integrating factor M(x) = exp(-int_0^x a1(ubar)) it reduces to a perfect
+derivative, and the origin value v(0) = 0 that defines beta gives
 v = M^-1 int_0^x M F.  The profile equation gives ubar'' = a1(ubar) ubar', so
 M = ubar'(0) / ubar'(x) exactly, for every flux, and
 
@@ -26,22 +27,12 @@ import numpy as np
 
 from .auxiliary import DEFAULT_DECAY_TOL, AuxMethod, AuxiliarySolution
 from .errors import GridMismatch, QuadratureDegraded
-from .model import FluxModel, NeutralFrequency
+from .model import FluxModel, NeutralFrequency, forcing
 from .numerics import cumquad_simpson
 from .profile import ProfileSolution
 
 # Refinement estimate of v above which the grid is reported as too coarse.
 _WARN_ESTIMATE_TOL = 1e-6
-
-
-def forcing(
-    f: FluxModel, freq: NeutralFrequency, profile: ProfileSolution
-) -> np.ndarray:
-    """Inhomogeneity tau0*(ubar - u_minus) + xi0*(f2(ubar) - f2(u_minus))."""
-    um = profile.config.u_minus
-    return freq.tau0 * (profile.ubar - um) + freq.xi0 * (
-        np.asarray(f.f2(profile.ubar)) - f.f2(um)
-    )
 
 
 def _anchored(R: np.ndarray, up: np.ndarray, h: float, ic: int) -> np.ndarray:
@@ -95,10 +86,11 @@ def solve_auxiliary_if(
     scale, unit = freq.per_unit()
     aux = AuxiliarySolution(
         grid=profile.grid,
-        v=scale * solve_v_if(profile, forcing(f, unit, profile)),
+        v=scale * solve_v_if(
+            profile, forcing(f, unit, profile.config.u_minus, profile.ubar)
+        ),
         method=AuxMethod.INTEGRATING_FACTOR,
         freq=freq,
     )
-    aux.diagnostics["tail_magnitude"] = aux.tail_magnitudes()
     aux.check_decay(decay_tol)
     return aux

@@ -14,6 +14,12 @@ coefficient is evaluated.
 The profile field ``P(u) = f1(u) - s*u - f1(u-) + s*u-`` of ``ubar' = P(ubar)``
 is stored factored as ``(u - u+)(u - u-) Q(u)``, so it vanishes exactly at
 both end states: every f1 is a polynomial, given by its coefficients.
+
+At a neutral zero the correction solves ``v' = P'(ubar) v + F(ubar)``.  Its
+forcing ``F(u) = tau0 (u - u-) + xi0 (f2(u) - f2(u-))`` and the slope
+``F'(u) = tau0 + xi0 a2(u)`` are the only place where f2, a2 and the neutral
+frequency enter the numerics; F(u+) = 0 is the neutral condition
+``Delta(i tau0, xi0) = i F(u+) = 0``.  Both routes only discretize them.
 """
 
 from __future__ import annotations
@@ -230,6 +236,15 @@ def rankine_hugoniot_speed(f: FluxModel, u_minus: float, u_plus: float) -> float
     return (f.f1(u_plus) - f.f1(u_minus)) / (u_plus - u_minus)
 
 
+def standing_shock(
+    f: FluxModel, u_minus: float, u_plus: float, xi0: float
+) -> tuple[ShockConfig, NeutralFrequency]:
+    """The validated standing shock from u- to u+ and its neutral zero at xi0."""
+    s = rankine_hugoniot_speed(f, u_minus, u_plus)
+    cfg = normalize_to_standing(f, u_minus, u_plus, s)
+    return cfg, neutral_zero(cfg, f, xi0)
+
+
 def normalize_to_standing(
     f: FluxModel, u_minus: float, u_plus: float, s: float
 ) -> ShockConfig:
@@ -320,3 +335,15 @@ def check_neutral(
             f"(tau0, xi0) = ({freq.tau0}, {freq.xi0}) is not a neutral zero: "
             f"|Delta| = {abs(val):.3e}"
         )
+
+
+def forcing(f: FluxModel, freq: NeutralFrequency, u_minus: float, u):
+    """F(u) = tau0 (u - u-) + xi0 (f2(u) - f2(u-)), the forcing of v."""
+    return freq.tau0 * (u - u_minus) + freq.xi0 * (
+        np.asarray(f.f2(u)) - f.f2(u_minus)
+    )
+
+
+def forcing_slope(f: FluxModel, freq: NeutralFrequency, u):
+    """F'(u) = tau0 + xi0 a2(u)."""
+    return freq.tau0 + freq.xi0 * np.asarray(f.a2(u))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverError, TailNotResolved, ValidationError
-from .model import ShockConfig
+from .model import FluxKind, FluxModel, NeutralFrequency, ShockConfig, forcing
 from .numerics import IvpProblem, ivp_solve
 
 DEFAULT_TAIL_TOL = 1e-6
@@ -134,6 +134,28 @@ def _tanh_profile(cfg: ShockConfig, x: np.ndarray) -> np.ndarray:
     ubar[t == 1.0] = cfg.u_plus
     ubar[t == -1.0] = cfg.u_minus
     return ubar
+
+
+def exact_solution(
+    f: FluxModel, cfg: ShockConfig, freq: NeutralFrequency, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """ubar and v in closed form for a quadratic f1 and an f2 of degree <= 2.
+
+    With c2 the u^2 coefficient of f2 the forcing is xi0 c2 (u - u-)(u - u+)
+    and the profile field a (u - u-)(u - u+), so F/P is the constant
+    R = xi0 c2 / a, taken once at u_mid, and v = ubar' int_0^x R = R x ubar'.
+    """
+    if (len(cfg.q_coeffs) != 1 or f.kind is FluxKind.SINE_TRANSVERSE
+            or len(f.params.get("f2_coeffs", ())) > 3):
+        raise ValidationError(
+            "no exact solution for this configuration: compare needs a "
+            "quadratic f1 and an f2 of degree <= 2 (flux burgers, "
+            "quadratic_transverse, or custom with at most three f2 coefficients)"
+        )
+    u = cfg.u_mid
+    R = forcing(f, freq, cfg.u_minus, u) / cfg.profile_field(u)
+    ubar = _tanh_profile(cfg, x)
+    return ubar, R * x * cfg.profile_field(ubar)
 
 
 def _ivp_profile(cfg: ShockConfig, grid: Grid) -> np.ndarray:

@@ -14,10 +14,11 @@ import pytest
 from shockbeta.auxiliary import AuxMethod
 from shockbeta.beta import beta_convergence_study, compute_beta
 from shockbeta.coupled import continuation_scan, solve_coupled
-from shockbeta.integrating_factor import forcing, solve_auxiliary_if, solve_v_if
+from shockbeta.integrating_factor import solve_auxiliary_if, solve_v_if
 from shockbeta.model import (
     NeutralFrequency,
     burgers_flux,
+    forcing,
     lopatinskii,
     neutral_zero,
     normalize_to_standing,
@@ -250,7 +251,8 @@ def test_criterion_9_randomized_property_suite(quad_flux, exact_cfg):
         # correction linearity in the forcing
         xi_lin = float(rng.uniform(0.05, 3.0))
         lin_freq = NeutralFrequency(0.0, xi_lin)
-        F1 = forcing(quad_flux, lin_freq, lin_profile)
+        F1 = forcing(quad_flux, lin_freq, lin_profile.config.u_minus,
+                     lin_profile.ubar)
         v1 = solve_v_if(lin_profile, F1)
         v2 = solve_v_if(lin_profile, 2.0 * F1)
         assert np.array_equal(v2, 2.0 * v1)

@@ -21,10 +21,9 @@ from shockbeta.model import (
     burgers_flux,
     custom_flux,
     neutral_zero,
-    normalize_to_standing,
     quadratic_transverse_flux,
-    rankine_hugoniot_speed,
     sine_transverse_flux,
+    standing_shock,
 )
 from shockbeta.numerics import quad_simpson, quad_trapezoid
 from shockbeta.profile import Grid, solve_profile
@@ -223,12 +222,6 @@ class TestConvergenceStudy:
         assert all(r is not None for r in row)
 
 
-def _shock(f, u_minus, u_plus, xi0):
-    s = rankine_hugoniot_speed(f, u_minus, u_plus)
-    cfg = normalize_to_standing(f, u_minus, u_plus, s)
-    return cfg, neutral_zero(cfg, f, xi0)
-
-
 # (flux, u-, u+, xi0, L values) of the studies that narrow the widest
 # coupled solution onto each narrower L
 _STUDIES = {
@@ -248,7 +241,7 @@ class TestContinuationInL:
     @pytest.mark.parametrize("name", sorted(_STUDIES))
     def test_narrowed_entries_match_cold_solves(self, name):
         f, um, up, xi0, L_values = _STUDIES[name]
-        cfg, freq = _shock(f, um, up, xi0)
+        cfg, freq = standing_shock(f, um, up, xi0)
         study = beta_convergence_study(cfg, f, freq, L_values,
                                        methods=[AuxMethod.COUPLED])
         assert not study.failures
@@ -298,7 +291,7 @@ class TestContinuationInL:
 
 def _betas(f, u_minus, xi0, L=20.0, N=4000):
     """beta on both routes, by method, for the shock (u_minus, -1)."""
-    cfg, freq = _shock(f, u_minus, -1.0, xi0)
+    cfg, freq = standing_shock(f, u_minus, -1.0, xi0)
     study = beta_convergence_study(cfg, f, freq, [L], N=N)
     assert not study.failures
     return {m: study.results[(m, L)].beta for m in study.methods}

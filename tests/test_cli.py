@@ -11,7 +11,7 @@ import shockbeta.coupled
 import shockbeta.model
 import shockbeta.profile
 from shockbeta.cli import build_parser, main
-from shockbeta.config import _PARSERS
+from shockbeta.config import PARSERS
 from shockbeta.serialize import read_profile_csv
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -225,7 +225,7 @@ class TestConfigValues:
     def test_every_config_key_is_a_flag_on_every_command(self):
         parser = build_parser()
         for command in self.COMMANDS:
-            for key in _PARSERS:
+            for key in PARSERS:
                 flag = "--" + key.replace("_", "-")
                 args = parser.parse_args([command, flag, "7"])
                 assert getattr(args, key) == "7", (command, flag)
@@ -478,6 +478,29 @@ class TestScanCommand:
             assert p["sign_re_beta"] in (-1, 1)
         # speeds recomputed along the chain
         assert manifest["points"][1]["s"] == pytest.approx(0.05)
+
+    def test_left_states_come_from_the_list(self, tmp_path):
+        # scan never reads u_minus: unset, or inadmissible with u+ = -1, the
+        # chain is the same and starts at the list's first value
+        common = ["scan", "--flux", "burgers", "--u-plus", "-1", "--xi0", "1",
+                  "--u-minus-list", "1.0,1.5", "--L", "20", "--N", "1000"]
+        outs = [tmp_path / "unset", tmp_path / "inadmissible"]
+        assert run([*common, "--out-dir", outs[0]]) == 0
+        assert run([*common, "--u-minus", "-2", "--out-dir", outs[1]]) == 0
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert names == ["point_000.csv", "point_001.csv", "scan_manifest.json"]
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        points = json.loads((outs[0] / "scan_manifest.json").read_text())["points"]
+        assert [p["u_minus"] for p in points] == [1.0, 1.5]
+
+    def test_inadmissible_first_list_value_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run(["scan", "--flux", "burgers", "--u-minus", "1", "--u-plus", "-1",
+                    "--xi0", "1", "--u-minus-list", "-2,1.0", "--L", "20",
+                    "--N", "1000", "--out-dir", out]) == 2
+        assert "a1(u+) - s = 0.5 must be negative" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_each_shock_is_built_once(self, tmp_path, monkeypatch):
         # one normalization for the run's own shock, then one per scan point

@@ -15,6 +15,7 @@ from shockbeta.model import (
     NeutralFrequency,
     burgers_flux,
     custom_flux,
+    forcing_slope,
     neutral_zero,
     normalize_to_standing,
     quadratic_transverse_flux,
@@ -137,7 +138,7 @@ class TestFoldedSystem:
             J_ref[:, r, r] = a
             J_ref[:, r + 1, r + 1] = a
             J_ref[:, r + 1, r] = sign * (
-                cfg.d2p(ubar) * v + freq.tau0 + freq.xi0 * flux.a2(ubar)
+                cfg.d2p(ubar) * v + forcing_slope(flux, freq, ubar)
             )
         assert np.array_equal(sys.jac(t, Y), J_ref)
 

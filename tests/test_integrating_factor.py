@@ -11,10 +11,11 @@ from shockbeta.errors import (
     TailNotResolved,
     ValidationError,
 )
-from shockbeta.integrating_factor import forcing, solve_auxiliary_if, solve_v_if
+from shockbeta.integrating_factor import solve_auxiliary_if, solve_v_if
 from shockbeta.model import (
     NeutralFrequency,
     burgers_flux,
+    forcing,
     neutral_zero,
     normalize_to_standing,
     rankine_hugoniot_speed,
@@ -41,24 +42,25 @@ def sine_case():
 class TestForcing:
     def test_exact_case_closed_form(self, quad_flux, exact_freq, exact_ps):
         # tau0 = 0, xi0 = 1, f2 = u^2: forcing is ubar^2 - 1 = -sech^2(x/2)
-        F = forcing(quad_flux, exact_freq, exact_ps)
+        F = forcing(quad_flux, exact_freq, exact_ps.config.u_minus, exact_ps.ubar)
         expected = -1.0 / np.cosh(exact_ps.grid.x / 2.0) ** 2
         assert np.max(np.abs(F - expected)) < 1e-14
 
     def test_far_field_limits_vanish_at_neutral_zero(self, quad_flux, exact_freq,
                                                      exact_ps):
-        F = forcing(quad_flux, exact_freq, exact_ps)
+        F = forcing(quad_flux, exact_freq, exact_ps.config.u_minus, exact_ps.ubar)
         assert abs(F[0]) < 1e-6
         assert abs(F[-1]) < 1e-6
 
     def test_zero_frequency_zero_forcing(self, quad_flux, exact_ps):
-        F = forcing(quad_flux, NeutralFrequency(0.0, 0.0), exact_ps)
+        F = forcing(quad_flux, NeutralFrequency(0.0, 0.0), exact_ps.config.u_minus,
+                    exact_ps.ubar)
         assert np.array_equal(F, np.zeros_like(F))
 
 
 class TestSolveV:
     def test_exact_solution(self, quad_flux, exact_freq, exact_ps):
-        F = forcing(quad_flux, exact_freq, exact_ps)
+        F = forcing(quad_flux, exact_freq, exact_ps.config.u_minus, exact_ps.ubar)
         v = solve_v_if(exact_ps, F)
         assert np.max(np.abs(v - exact_v(exact_ps.grid.x))) < 2e-6
 
@@ -75,7 +77,7 @@ class TestSolveV:
         f, cfg, freq = sine_case
         ps = solve_profile(cfg, Grid.make(20.0, 400))
         with pytest.warns(QuadratureDegraded):
-            solve_v_if(ps, forcing(f, freq, ps))
+            solve_v_if(ps, forcing(f, freq, ps.config.u_minus, ps.ubar))
 
     def test_refinement_warning_is_per_unit_xi0(self):
         # v is linear in xi0, so a grid that resolves v at xi0 = 1 (estimate
@@ -95,8 +97,8 @@ class TestSolveV:
         # doubling xi0 doubles the forcing and hence v, bit for bit
         freq1 = NeutralFrequency(0.0, 1.0)
         freq2 = NeutralFrequency(0.0, 2.0)
-        F1 = forcing(quad_flux, freq1, exact_ps)
-        F2 = forcing(quad_flux, freq2, exact_ps)
+        F1 = forcing(quad_flux, freq1, exact_ps.config.u_minus, exact_ps.ubar)
+        F2 = forcing(quad_flux, freq2, exact_ps.config.u_minus, exact_ps.ubar)
         assert np.array_equal(F2, 2.0 * F1)
         v1 = solve_v_if(exact_ps, F1)
         v2 = solve_v_if(exact_ps, F2)
@@ -109,7 +111,7 @@ class TestSolveV:
         for n in (400, 800):
             g = Grid.make(20.0, n)
             ps = solve_profile(exact_cfg, g)
-            F = forcing(quad_flux, exact_freq, ps)
+            F = forcing(quad_flux, exact_freq, ps.config.u_minus, ps.ubar)
             v = solve_v_if(ps, F)
             dv = (v[2:] - v[:-2]) / (2.0 * g.h)
             rhs = exact_cfg.a1_shifted(ps.ubar[1:-1]) * v[1:-1] + F[1:-1]
@@ -124,7 +126,8 @@ class TestAccuracy:
     def test_exact_v_at_rounding_level(self, quad_flux, exact_cfg, exact_freq, N):
         # F/ubar' = 2, so the quadrature is exact and only rounding remains
         ps = solve_profile(exact_cfg, Grid.make(20.0, N))
-        v = solve_v_if(ps, forcing(quad_flux, exact_freq, ps))
+        F = forcing(quad_flux, exact_freq, ps.config.u_minus, ps.ubar)
+        v = solve_v_if(ps, F)
         assert np.max(np.abs(v - exact_v(ps.grid.x))) <= 1e-13
 
     @pytest.mark.parametrize("L", [800.0, 2000.0])

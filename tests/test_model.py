@@ -15,6 +15,8 @@ from shockbeta.model import (
     burgers_flux,
     check_neutral,
     custom_flux,
+    forcing,
+    forcing_slope,
     lopatinskii,
     make_flux,
     neutral_zero,
@@ -22,6 +24,7 @@ from shockbeta.model import (
     quadratic_transverse_flux,
     rankine_hugoniot_speed,
     sine_transverse_flux,
+    standing_shock,
 )
 
 
@@ -186,3 +189,44 @@ class TestNeutralZero:
         check_neutral(exact_cfg, quad_flux, NeutralFrequency(0.0, 2.5))
         with pytest.raises(ValidationError):
             check_neutral(exact_cfg, quad_flux, NeutralFrequency(0.3, 1.0))
+
+
+# (flux, u-, u+, xi0) of one shock per flux family
+_FAMILIES = {
+    "burgers": (burgers_flux(), 1.5, -1.0, 0.7),
+    "quadratic": (quadratic_transverse_flux(), 1.2, -1.0, 1.3),
+    "sine": (sine_transverse_flux(), 1.3, -1.0, 1.0),
+    "custom": (custom_flux((0.0, 0.0, 0.5, 0.1), (0.0, 0.3, 1.0, 0.2)),
+               1.0, -1.0, 1.3),
+}
+
+
+class TestForcing:
+    """F(u) = tau0 (u - u-) + xi0 (f2(u) - f2(u-)) at the neutral zero."""
+
+    @pytest.mark.parametrize("name", sorted(_FAMILIES))
+    def test_vanishes_at_both_end_states(self, name):
+        f, um, up, xi0 = _FAMILIES[name]
+        cfg, freq = standing_shock(f, um, up, xi0)
+        assert forcing(f, freq, um, um) == 0.0
+        F_plus = forcing(f, freq, um, up)
+        scale = max(1.0, abs(cfg.u_jump) * (1.0 + abs(freq.tau0) + abs(freq.xi0)))
+        assert abs(F_plus) <= 1e-14 * scale
+        # the neutral condition Delta(i tau0, xi0) = i F(u+)
+        assert lopatinskii(cfg, f, 1j * freq.tau0, freq.xi0) == 1j * F_plus
+
+    @pytest.mark.parametrize("name", sorted(_FAMILIES))
+    def test_slope_is_the_derivative(self, name):
+        f, um, up, xi0 = _FAMILIES[name]
+        _, freq = standing_shock(f, um, up, xi0)
+        u = np.linspace(up, um, 9)
+        h = 1e-6
+        fd = (forcing(f, freq, um, u + h) - forcing(f, freq, um, u - h)) / (2 * h)
+        slope = forcing_slope(f, freq, u)
+        assert slope.shape == u.shape
+        assert np.max(np.abs(fd - slope)) <= 1e-7 * (1.0 + np.max(np.abs(slope)))
+
+    def test_standing_shock_composes_the_three_steps(self):
+        f, um, up, xi0 = _FAMILIES["custom"]
+        cfg = normalize_to_standing(f, um, up, rankine_hugoniot_speed(f, um, up))
+        assert standing_shock(f, um, up, xi0) == (cfg, neutral_zero(cfg, f, xi0))

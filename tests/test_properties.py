@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shockbeta.beta import compute_beta
-from shockbeta.integrating_factor import forcing, solve_auxiliary_if, solve_v_if
+from shockbeta.integrating_factor import solve_auxiliary_if, solve_v_if
 from shockbeta.model import (
     NeutralFrequency,
     burgers_flux,
+    forcing,
     lopatinskii,
     neutral_zero,
     normalize_to_standing,
@@ -92,8 +93,8 @@ def test_correction_linear_in_forcing(linearity_profile, xi, choice, freq):
     # doubling the transverse wavenumber doubles the forcing and v exactly
     f = transverse_flux(choice, freq)
     ps = linearity_profile
-    F1 = forcing(f, NeutralFrequency(0.0, xi), ps)
-    F2 = forcing(f, NeutralFrequency(0.0, 2.0 * xi), ps)
+    F1 = forcing(f, NeutralFrequency(0.0, xi), ps.config.u_minus, ps.ubar)
+    F2 = forcing(f, NeutralFrequency(0.0, 2.0 * xi), ps.config.u_minus, ps.ubar)
     assert np.array_equal(F2, 2.0 * F1)
     v1 = solve_v_if(ps, F1)
     v2 = solve_v_if(ps, F2)
