@@ -15,8 +15,12 @@ giving a 4-dimensional system closed by four fold conditions: the midpoint
 phase condition, two matching conditions, and the origin normalization
 v(0) = 0.  Both far ends then fall into the attracting equilibria on their
 own; the tail residual is verified after the solve.  The initial guess comes
-from integrating the field outward from the fold, and parameter sweeps reuse
-each converged solution as the next guess.  Since every fold condition sits
+from integrating the field outward from the fold.  A parameter sweep seeds
+each point with the previous converged solution, its profile stretched to the
+new end states and sampled on the same 401-node starting mesh as a cold solve
+(:func:`_rescaled_guess`): the solver then refines from the mesh a cold solve
+starts on, so each point ends on its cold solve's mesh, with its sweep count
+and its beta.  Since every fold condition sits
 at t = 0, the solution on [-L, L] is a wider one cut at |x| = L: a study over
 several L solves the widest first and seeds each narrower L with the wider
 solution cut there (:func:`_narrowed_guess`), which usually leaves one sweep
@@ -142,8 +146,13 @@ def initial_guess(sys: FoldedSystem) -> tuple[np.ndarray, np.ndarray]:
         IvpProblem(rhs=sys.rhs, t_span=(0.0, 1.0), y0=[u, 0.0, u, 0.0],
                    rtol=_GUESS_RTOL, atol=_GUESS_ATOL)
     )
-    mesh = np.linspace(0.0, 1.0, _GUESS_NODES)
+    mesh = _starting_mesh()
     return mesh, traj(mesh).T
+
+
+def _starting_mesh() -> np.ndarray:
+    """The uniform mesh of a cold solve, and of each new continuation point."""
+    return np.linspace(0.0, 1.0, _GUESS_NODES)
 
 
 def solve_coupled(
@@ -225,12 +234,24 @@ def solve_coupled(
 def _rescaled_guess(
     prev: CoupledResult, cfg_new: ShockConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Previous folded solution with its profile stretched to the new states."""
-    Y = prev.bvp.y.copy()
+    """Previous folded solution as a guess, its profile stretched to the new states.
+
+    The guess is the previous interpolant on the starting mesh of a cold
+    solve, so the solver refines from where a cold solve does and its first
+    sweep's Newton iterations run on 401 nodes, not on the previous point's
+    thousands; the point then ends on its cold solve's mesh.  A point whose
+    left state equals the previous one is already solved and keeps the
+    converged mesh.
+    """
+    if cfg_new.u_minus == prev.config.u_minus:
+        mesh, Y = prev.bvp.mesh.copy(), prev.bvp.y.copy()
+    else:
+        mesh = _starting_mesh()
+        Y = prev.bvp.interpolant(mesh)
     up = cfg_new.u_plus
     ratio = (cfg_new.u_minus - up) / (prev.config.u_minus - up)
     Y[::2] = up + (Y[::2] - up) * ratio  # the ubar rows of both halves
-    return prev.bvp.mesh.copy(), Y
+    return mesh, Y
 
 
 def _narrowed_guess(wide: CoupledResult, L: float) -> tuple[np.ndarray, np.ndarray]:

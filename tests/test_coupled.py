@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from shockbeta.auxiliary import AuxMethod
+from shockbeta.beta import compute_beta
 from shockbeta.coupled import (
+    _GUESS_NODES,
     FoldedSystem,
     _narrowed_guess,
     continuation_scan,
     initial_guess,
     solve_coupled,
 )
-from shockbeta.errors import ContinuationStalled, ValidationError
+from shockbeta.errors import ContinuationStalled, NewtonDivergence, ValidationError
 from shockbeta.integrating_factor import solve_auxiliary_if
 from shockbeta.model import (
     NeutralFrequency,
@@ -22,6 +24,7 @@ from shockbeta.model import (
     rankine_hugoniot_speed,
     sine_transverse_flux,
 )
+from shockbeta.numerics import bvp_solve
 from shockbeta.profile import Grid, solve_profile
 
 from conftest import exact_profile, exact_v
@@ -308,6 +311,58 @@ class TestContinuation:
             cold = solve_coupled(pt.config, f, pt.freq, 20.0, 4000)
             assert pt.bvp.mesh.size <= 1.1 * cold.bvp.mesh.size
 
+    @pytest.mark.parametrize("chain", ["sine", "burgers"])
+    def test_every_point_equals_its_cold_solve(self, chain, sine_scan,
+                                               burgers_scan):
+        # each step restarts on the cold starting mesh, so it ends where the
+        # cold solve ends: same mesh, same sweeps, beta to rounding
+        f, L, N, points = {
+            "sine": (sine_transverse_flux(), 20.0, 4000, sine_scan),
+            "burgers": (burgers_flux(), 20.0, 8000, burgers_scan),
+        }[chain]
+        for pt in points:
+            cold = solve_coupled(pt.config, f, pt.freq, L, N)
+            warm_d, cold_d = pt.aux.diagnostics, cold.aux.diagnostics
+            assert warm_d["mesh_size"] == cold_d["mesh_size"]
+            assert warm_d["mesh_sweeps"] == cold_d["mesh_sweeps"]
+            beta_warm = compute_beta(f, pt.profile, pt.aux).beta
+            beta_cold = compute_beta(f, cold.profile, cold.aux).beta
+            assert abs(beta_warm - beta_cold) <= 1e-14 * abs(beta_cold)
+
+    def test_steps_start_on_the_cold_starting_mesh(self, quad_flux, exact_cfg,
+                                                   monkeypatch):
+        starts, solved = [], []
+
+        def spy(problem):
+            starts.append(problem.initial_mesh.copy())
+            sol = bvp_solve(problem)
+            solved.append(sol.mesh.copy())
+            return sol
+
+        monkeypatch.setattr("shockbeta.coupled.bvp_solve", spy)
+        continuation_scan(exact_cfg, quad_flux, 1.0, [1.0, 1.2, 1.2, 1.4],
+                          20.0, 1000)
+        assert [m.size for m in starts] == [_GUESS_NODES, _GUESS_NODES,
+                                            solved[1].size, _GUESS_NODES]
+        # the repeated left state is already solved on the previous mesh
+        assert np.array_equal(starts[2], solved[1])
+
+    def test_bisection_midpoint_starts_on_the_cold_starting_mesh(
+            self, quad_flux, exact_cfg, monkeypatch):
+        starts = []
+
+        def failing_once(problem):
+            starts.append(problem.initial_mesh.size)
+            if len(starts) == 2:
+                raise NewtonDivergence("forced failure of the full step")
+            return bvp_solve(problem)
+
+        monkeypatch.setattr("shockbeta.coupled.bvp_solve", failing_once)
+        pts = continuation_scan(exact_cfg, quad_flux, 1.0, [1.0, 1.4], 20.0, 1000)
+        # point 0, the failed step, the midpoint, the step from the midpoint
+        assert starts == [_GUESS_NODES] * 4
+        assert [pt.config.u_minus for pt in pts] == [1.0, 1.4]
+
     def test_singleton_chain_matches_direct_solve(self, quad_flux, exact_cfg,
                                                   exact_freq, coupled_L20):
         pts = continuation_scan(exact_cfg, quad_flux, 1.0, [1.0], 20.0, 4000)
@@ -344,3 +399,10 @@ def sine_scan():
     return continuation_scan(
         cfg0, f, 1.0, [1.0, 1.1, 1.2, 1.3, 1.4, 1.5], 20.0, 4000
     )
+
+
+@pytest.fixture(scope="module")
+def burgers_scan():
+    f = burgers_flux()
+    cfg0 = normalize_to_standing(f, 1.0, -1.0, 0.0)
+    return continuation_scan(cfg0, f, 1.0, [1.0, 2.0, 4.0, 8.0], 20.0, 8000)
