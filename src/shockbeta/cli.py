@@ -153,12 +153,13 @@ def cmd_scan(rc: RunConfig) -> int:
     if not rc.u_minus_list:
         raise ValidationError("field 'u_minus_list': required for scan")
     # the chain's left states are the list's; u_minus is never read
-    flux, cfg0, _ = build_model(dataclasses.replace(rc, u_minus=rc.u_minus_list[0]))
+    flux, cfg0, freq0 = build_model(dataclasses.replace(rc, u_minus=rc.u_minus_list[0]))
     check_even_N(rc.N, rc.quad())
     stall = None
     try:
         points = continuation_scan(
-            cfg0, flux, rc.xi0, list(rc.u_minus_list), rc.L_single, rc.N
+            cfg0, flux, rc.xi0, list(rc.u_minus_list), rc.L_single, rc.N,
+            freq0=freq0,
         )
     except ContinuationStalled as exc:
         points, stall = exc.results, exc

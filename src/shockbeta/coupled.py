@@ -90,7 +90,10 @@ class FoldedSystem:
 
         Each half is lower triangular, with sign +1 on the right half and -1
         on the left: d ubar'/d ubar = d v'/d v = a1s(ubar) = P'(ubar), and
-        d v'/d ubar = P''(ubar) v + F'(ubar).
+        d v'/d ubar = P''(ubar) v + F'(ubar).  The halves do not couple and
+        ubar' does not depend on v, so with the state ordered (ubar_r, v_r,
+        ubar_l, v_l) the whole matrix is lower triangular, as
+        :class:`BvpProblem` requires.
         """
         ubar, v = Y[0::2], Y[1::2]  # (half, n)
         signs = self._signs[:, None]
@@ -106,7 +109,13 @@ class FoldedSystem:
 
     @property
     def bc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The four fold conditions as ``Ba y(0) + Bb y(1) = g``; Bb = 0."""
+        """The four fold conditions as ``Ba y(0) + Bb y(1) = g``.
+
+        All four sit at the fold t = 0, so Bb = 0, and they fix the state
+        there (Ba is nonsingular): the far ends need no condition, since
+        both halves fall into their attracting end states.  This is the
+        form :class:`BvpProblem` requires.
+        """
         Ba = np.array([
             [1.0, 0.0, 0.0, 0.0],   # phase pins ubar_r(0) = u_mid
             [-1.0, 0.0, 1.0, 0.0],  # ubar matches across the fold
@@ -282,20 +291,31 @@ def continuation_scan(
     L: float,
     n_out: int,
     tol: float = 1e-8,
+    freq0: NeutralFrequency | None = None,
 ) -> list[CoupledResult]:
     """Sweep the left state, reusing each solution as the next guess.
 
     The right state is taken from ``cfg0``; speed and neutral frequency are
-    recomputed at every step.  Every point the chain reaches is built, and
-    the grid checked against the steepest, before the first solve; the chain
-    stalls at an inadmissible later point.  On a solver failure the step is
-    bisected once; if the bisected step also fails,
-    :class:`ContinuationStalled` carries the chain computed so far.
+    recomputed at every step.  ``freq0``, when given, is the neutral
+    frequency of ``cfg0``, and ``cfg0`` is then the first point's shock,
+    already built (its left state must be the first value).  Every point the
+    chain reaches is built, and the grid checked against the steepest,
+    before the first solve; the chain stalls at an inadmissible later point.
+    On a solver failure the step is bisected once; if the bisected step also
+    fails, :class:`ContinuationStalled` carries the chain computed so far.
     """
     shocks, inadmissible = [], None
-    for um in u_minus_values:
+    values = [float(um) for um in u_minus_values]
+    if freq0 is not None:
+        if not values or values[0] != cfg0.u_minus:
+            raise ValidationError(
+                f"the first left state {values[:1]} is not cfg0's {cfg0.u_minus}"
+            )
+        shocks.append((cfg0, freq0))
+        values = values[1:]
+    for um in values:
         try:
-            shocks.append(standing_shock(f, float(um), cfg0.u_plus, xi0))
+            shocks.append(standing_shock(f, um, cfg0.u_plus, xi0))
         except ValidationError as exc:
             if not shocks:
                 raise  # first point: configuration-level problem

@@ -1,4 +1,4 @@
-"""Two-point boundary-value solver: 3-stage Lobatto IIIA collocation.
+"""3-stage Lobatto IIIA collocation on [0, 1], with every condition at x = 0.
 
 The discretization is the classical implicit Simpson scheme: a C1 cubic
 Hermite spline is required to satisfy the ODE at every mesh node and at every
@@ -16,19 +16,22 @@ fixed fraction of the tolerance.  Nodes go where the estimate is large and
 come out where it is small, and no interval grows wider than the widest of
 the initial mesh.  The solve is repeated warm-started from the interpolant.
 
-The Newton matrix is block lower-bidiagonal: interval i couples only y_i and
-y_{i+1}, and the m boundary rows couple y_0 with y_{n-1}.  It is solved by
-block condensation (Ascher, Mattheij & Russell, *Numerical Solution of
-Boundary Value Problems for ODEs*, ch. 7), in numpy alone: partial-pivoted
-elimination, vectorized across the intervals, solves every interval block
-for the affine map y_{i+1} = M_i y_i + c_i in m pivot steps; a work-efficient
-prefix scan (Blelloch, CMU-CS-90-190) composes the maps into
-y_k = Phi_k y_0 + c_k with about 2n products; and one m x m system imposes
-the boundary conditions.  Marching from x = 0 is stable when the linearized
-flow contracts towards x = 1, as the folded shock system does on both halves
-(a Lax shock has a1(u+) < 0 < a1(u-)).  A problem whose propagator norm
-max_k |Phi_k| exceeds 1/sqrt(eps), such as a dichotomic one with a growing
-mode, is refused with :class:`SingularJacobian`.
+The solver serves the problems the folded shock system poses: all m
+conditions sit at x = 0 (``Bb = 0``, ``Ba`` nonsingular), and the rhs
+Jacobian is lower triangular, so component r depends on components c <= r
+alone.  The Newton matrix is then block lower-bidiagonal with lower-triangular
+blocks, and one Newton step is m scalar affine recurrences marched from
+x = 0 (block condensation, Ascher, Mattheij & Russell, *Numerical Solution
+of Boundary Value Problems for ODEs*, ch. 7, in its scalar case): the
+conditions give dy_0 outright, and component r of interval i's equations,
+with the components c < r already known, reads
+dy^r_{i+1} = M_i dy^r_i + c_i.  A work-efficient scan of the scalar pairs
+(M_i, c_i) (Blelloch, CMU-CS-90-190) composes them outward in numpy alone.
+Marching from x = 0 is stable when the linearized flow contracts towards
+x = 1, as the folded shock system does on both halves (a Lax shock has
+a1(u+) < 0 < a1(u-)).  A component whose propagator max_k |M_{k-1} ... M_0|
+exceeds 1/sqrt(eps), such as a growing mode, is refused with
+:class:`SingularJacobian`, as is an exactly zero diagonal entry of a block.
 """
 
 from __future__ import annotations
@@ -65,15 +68,20 @@ _MAX_NODES = 20000
 
 @dataclass
 class BvpProblem:
-    """First-order system ``y' = rhs(x, y)`` on [0, 1] with affine two-point BCs.
+    """First-order system ``y' = rhs(x, y)`` on [0, 1] with m conditions at x = 0.
 
     ``rhs`` is vectorized: it maps abscissae of shape ``(n,)`` and states of
     shape ``(m, n)`` to derivatives of shape ``(m, n)``.  ``jac`` takes the
     same arguments and returns its Jacobian, of shape ``(n, m, m)``:
-    ``jac(x, Y)[p, r, c]`` is d rhs_r / d y_c at point p.  ``bc`` is the
+    ``jac(x, Y)[p, r, c]`` is d rhs_r / d y_c at point p.  It must be lower
+    triangular (d rhs_r / d y_c = 0 for c > r), which is checked on the
+    initial guess; the solver reads only its entries c <= r.  ``bc`` is the
     triple ``(Ba, Bb, g)`` of shapes (m, m), (m, m), (m,) that states the m
-    conditions ``Ba y(0) + Bb y(1) = g``.  ``initial_guess`` holds state
-    samples of shape ``(m, n)`` on ``initial_mesh``.
+    conditions ``Ba y(0) + Bb y(1) = g``; every condition must sit at x = 0,
+    so ``Bb`` must be zero and ``Ba`` nonsingular.  Together these let each
+    Newton step march from x = 0 one component at a time.
+    ``initial_guess`` holds state samples of shape ``(m, n)`` on
+    ``initial_mesh``.  Anything else is refused with :class:`BadProblem`.
     """
 
     rhs: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -108,13 +116,19 @@ class BvpProblem:
                 f"bc (Ba, Bb, g) has shapes {shapes} for a system of "
                 f"dimension {m}; expected {((m, m), (m, m), (m,))}"
             )
-        shape = np.shape(self.jac(x[:1], self.initial_guess[:, :1]))
-        if shape != (1, m, m):
+        Ba, Bb, _ = self.bc
+        if np.any(Bb != 0.0):
+            raise BadProblem("every condition must sit at x = 0: Bb must be 0")
+        if np.linalg.matrix_rank(Ba) < m:
+            raise BadProblem("Ba is singular: the conditions do not fix y(0)")
+        J = self.jac(x, self.initial_guess)
+        if np.shape(J) != (x.size, m, m):
             raise BadProblem(
-                f"jac returned shape {shape} at one point of a system of "
-                f"dimension {m}; expected {(1, m, m)}"
+                f"jac returned shape {np.shape(J)} at the initial guess of a "
+                f"system of dimension {m}; expected {(x.size, m, m)}"
             )
-
+        if np.any(np.triu(J, 1)):
+            raise BadProblem("jac must be lower triangular at the initial guess")
 
 def _hermite_value(y0, y1, f0, f1, h, t):
     """Value at t in [0, 1] of the cubic with ends (y0, f0), (y1, f1)."""
@@ -189,92 +203,67 @@ def _collocation_residual(rhs, x, Y):
 
 
 def _assemble_jacobian(jac, bc, x, Y, y_mid, x_mid):
-    """Blocks of the Newton matrix of the collocation system.
+    """Lower-triangular blocks of the Newton matrix of the collocation system.
 
     The rhs Jacobian ``jac`` is evaluated at the nodes and at the residual's
-    own midpoint states ``y_mid``.  Returns ``(A, B, dga, dgb)``: A and B of
-    shape (n-1, m, m) are the derivatives of interval i's residual with
-    respect to y_i and y_{i+1}; dga and dgb, the matrices Ba and Bb of the
-    affine conditions ``bc``, those of the boundary residuals with respect
-    to y_0, y_{n-1}.
+    own midpoint states ``y_mid``.  Returns ``(A, B, Ba)``: A and B of shape
+    (m, m, n-1), interval index last, are the derivatives of interval i's
+    residual with respect to y_i and y_{i+1}; only their entries c <= r are
+    formed, the rest stay zero.  ``Ba``, the matrix of the affine conditions
+    ``bc``, is the derivative of the boundary residuals with respect to y_0.
     """
     m = Y.shape[0]
     h = np.diff(x)
+    Jn = np.ascontiguousarray(jac(x, Y).transpose(1, 2, 0))
+    Jm = np.ascontiguousarray(jac(x_mid, y_mid).transpose(1, 2, 0))
+    lo, hi = Jn[:, :, :-1], Jn[:, :, 1:]
+    inv_h = 1.0 / h
+    q = h / 8.0
+    # d(y_mid)/d(y_i) = I/2 + (h/8) J(y_i), d(y_mid)/d(y_{i+1}) = I/2 - (h/8) J(y_{i+1})
+    Xa = [[0.5 + q * lo[k, k] if c == k else q * lo[k, c] for c in range(k + 1)]
+          for k in range(m)]
+    Xb = [[0.5 - q * hi[k, k] if c == k else -(q * hi[k, c]) for c in range(k + 1)]
+          for k in range(m)]
+    A = np.zeros((m, m, h.size))
+    B = np.zeros((m, m, h.size))
+    # d(phi_i) of phi_i = (y_{i+1} - y_i)/h - (f_i + 4 f(y_mid) + f_{i+1})/6
+    for r in range(m):
+        A[r, :r + 1] = lo[r, :r + 1] / -6.0
+        B[r, :r + 1] = hi[r, :r + 1] / -6.0
+        A[r, r] -= inv_h
+        B[r, r] += inv_h
+        for c in range(r + 1):
+            Sa = Jm[r, c] * Xa[c][c]
+            Sb = Jm[r, c] * Xb[c][c]
+            for k in range(c + 1, r + 1):
+                Sa += Jm[r, k] * Xa[k][c]
+                Sb += Jm[r, k] * Xb[k][c]
+            A[r, c] -= (2.0 / 3.0) * Sa
+            B[r, c] -= (2.0 / 3.0) * Sb
+    return A, B, bc[0]
 
-    Jn = jac(x, Y)
-    Jm = jac(x_mid, y_mid)
-    dga, dgb, _ = bc
 
-    eye = np.eye(m)
-    hcol = h[:, None, None]
-    eye_h = eye / hcol
-    Jn_lo, Jn_hi = Jn[:-1], Jn[1:]
-    # d(phi_i)/d(y_i) and d(phi_i)/d(y_{i+1}) for the 1/h-scaled residuals.
-    A = (
-        -eye_h
-        - Jn_lo / 6.0
-        - (2.0 / 3.0) * (Jm @ (0.5 * eye + (hcol / 8.0) * Jn_lo))
-    )
-    B = (
-        eye_h
-        - Jn_hi / 6.0
-        - (2.0 / 3.0) * (Jm @ (0.5 * eye - (hcol / 8.0) * Jn_hi))
-    )
-    return A, B, dga, dgb
+def _affine_prefix(M, c):
+    """Compose the scalar maps z -> M[i] z + c[i]: (P[k], C[k]) of maps 0..k.
 
-
-def _eliminate(W, m):
-    """Solve every interval block at once by partial-pivoted elimination.
-
-    ``W`` has shape (m, m + k, nint), the interval index last: each slice
-    ``W[:, :, i]`` is an augmented system [B_i | F_i] with an m x m left
-    block.  The m pivot steps and the back substitution are array operations
-    across all intervals, overwriting ``W``; returns the solutions
-    ``B_i^{-1} F_i`` as the view ``W[:, m:]``.  An exactly zero pivot raises
-    :class:`SingularJacobian`.
+    Element k maps the value before map 0 to the value after map k, as
+    P[k] z + C[k].  Work-efficient scan (Blelloch, CMU-CS-90-190): compose
+    adjacent pairs as (M2 M1, M2 c1 + c2), scan the half-length sequence of
+    pairs recursively, which gives every odd prefix, and reach each even
+    prefix with one more composition.  That is about 2n compositions in
+    ceil(log2 n) levels.
     """
-    for k in range(m):
-        col = np.abs(W[k:, k])
-        # the largest entry, first among equals; argmax only where it is
-        # not already on the diagonal
-        swap = np.flatnonzero(col[0] < col.max(axis=0))
-        if swap.size:
-            p = k + np.argmax(col[:, swap], axis=0)
-            rows = W[k][:, swap]
-            W[k][:, swap] = W[p, :, swap].T
-            W[p, :, swap] = rows.T
-        pivot = W[k, k]
-        if not np.all(pivot):
-            i = int(np.flatnonzero(pivot == 0.0)[0])
-            raise SingularJacobian(
-                f"collocation block: zero pivot in column {k} of interval {i}"
-            )
-        lk = W[k + 1:, k] / pivot
-        W[k + 1:, k + 1:] -= lk[:, None] * W[k, k + 1:]
-    X = W[:, m:]
-    for k in range(m - 1, -1, -1):
-        for c in range(k + 1, m):
-            X[k] -= W[k, c] * X[c]
-        X[k] /= W[k, k]
-    return X
-
-
-def _prefix_products(G):
-    """S[k] = G[k] @ ... @ G[0] for a stack of square maps G.
-
-    Work-efficient scan (Blelloch, CMU-CS-90-190): compose adjacent pairs,
-    scan the half-length sequence of pairs recursively, which gives every odd
-    prefix, and reach each even prefix with one more product.  That is about
-    2n products in ceil(log2 n) levels.
-    """
-    n = G.shape[0]
+    n = M.size
     if n == 1:
-        return G
-    S = np.empty_like(G)
-    S[0] = G[0]
-    S[1::2] = _prefix_products(G[1::2] @ G[0:n - 1:2])
-    S[2::2] = G[2::2] @ S[1:n - 1:2]
-    return S
+        return M, c
+    P, C = np.empty_like(M), np.empty_like(c)
+    P[0], C[0] = M[0], c[0]
+    odd = M[1::2]
+    P[1::2], C[1::2] = _affine_prefix(odd * M[0:n - 1:2], odd * c[0:n - 1:2] + c[1::2])
+    even = M[2::2]
+    P[2::2] = even * P[1:n - 1:2]
+    C[2::2] = even * C[1:n - 1:2] + c[2::2]
+    return P, C
 
 
 def _block_solve(jac, R):
@@ -282,57 +271,50 @@ def _block_solve(jac, R):
 
     ``jac`` holds the blocks of :func:`_assemble_jacobian`; ``R`` is the
     residual of :func:`_full_residual` (interval residuals node-major, then
-    the m boundary residuals).  Three steps:
+    the m boundary residuals).  The conditions sit at x = 0, so
+    dy_0 = -Ba^{-1} R_bc.  The blocks are lower triangular, so component r
+    of interval i's equations,
 
-    1. elimination of B_i [M_i | c_i] = [-A_i | -phi_i], vectorized across
-       the intervals, gives the affine maps dy_{i+1} = M_i dy_i + c_i;
-    2. a work-efficient prefix scan of the augmented (m+1) x (m+1) maps
-       gives [dy_k; 1] = P_k [dy_0; 1], with P_k = [[Phi_k, c_k], [0, 1]];
-    3. one m x m solve of (dga + dgb Phi_{n-1}) dy_0 = -g - dgb c_{n-1}
-       imposes the boundary conditions, and one batched product gives every
-       dy_k.
+        B_i^{rr} dy^r_{i+1} + A_i^{rr} dy^r_i
+            = -phi^r_i - sum_{c<r} (A_i^{rc} dy^c_i + B_i^{rc} dy^c_{i+1}),
+
+    is a scalar affine recurrence dy^r_{i+1} = M_i dy^r_i + c_i once the
+    components c < r are known; :func:`_affine_prefix` solves it for every
+    node at once, component by component.
 
     This is the whole factor-and-solve of one Newton iteration.  It is bound
     to the module name ``splu``, which ``perfbench/tracing.py`` wraps, so the
     traced ``bvp.splu_s`` is the time of this linear algebra and
     ``bvp.splu_calls`` counts Newton linear solves.
 
-    Raises :class:`SingularJacobian` if a block or the boundary system is
-    singular, or if max_k |Phi_k| (infinity norm) exceeds 1/sqrt(eps): the
-    forward march is then unstable.
+    Raises :class:`SingularJacobian` if a diagonal entry B_i^{rr} is exactly
+    zero, or if a component's propagator max_k |M_{k-1} ... M_0| exceeds
+    1/sqrt(eps): the forward march is then unstable.
     """
-    A, B, dga, dgb = jac
-    nint, m, _ = A.shape
-    # B_i X_i = [A_i | phi_i], so [M_i | c_i] = -X_i (negation is exact)
-    W = np.empty((m, 2 * m + 1, nint))
-    W[:, :m] = B.transpose(1, 2, 0)
-    W[:, m:2 * m] = A.transpose(1, 2, 0)
-    W[:, 2 * m] = R[:-m].reshape(nint, m).T
-    X = _eliminate(W, m)
-    G = np.zeros((nint, m + 1, m + 1))
-    np.negative(X.transpose(2, 0, 1), out=G[:, :m])
-    G[:, m, m] = 1.0
-    P = np.empty((nint + 1, m + 1, m + 1))
-    P[0] = np.eye(m + 1)
-    P[1:] = _prefix_products(G)
-    # row sums of |Phi_k| column by column: numpy reduces a length-m last
-    # axis of a strided view several times slower
-    a = np.abs(P)
-    row_sums = a[:, :m, 0]
-    for j in range(1, m):
-        row_sums = row_sums + a[:, :m, j]
-    norm = float(np.max(row_sums))
-    if norm > _MAX_PROPAGATOR_NORM:
-        raise SingularJacobian(
-            f"propagator norm {norm:.3e} exceeds {_MAX_PROPAGATOR_NORM:.3e}: "
-            "the linearized problem does not contract away from x = 0"
-        )
-    phi, c = P[-1, :m, :m], P[-1, :m, m]
-    try:
-        dy0 = np.linalg.solve(dga + dgb @ phi, -R[-m:] - dgb @ c)
-    except np.linalg.LinAlgError as exc:
-        raise SingularJacobian(f"boundary system: {exc}") from exc
-    return (P @ np.append(dy0, 1.0))[:, :m].T
+    A, B, Ba = jac
+    m, _, nint = A.shape
+    phi = R[:-m].reshape(nint, m).T
+    dY = np.empty((m, nint + 1))
+    dY[:, 0] = np.linalg.solve(Ba, -R[-m:])
+    for r in range(m):
+        pivot = B[r, r]
+        if not np.all(pivot):
+            i = int(np.flatnonzero(pivot == 0.0)[0])
+            raise SingularJacobian(
+                f"collocation block: zero pivot in column {r} of interval {i}"
+            )
+        rhs = -phi[r]
+        for c in range(r):
+            rhs -= A[r, c] * dY[c, :-1] + B[r, c] * dY[c, 1:]
+        P, C = _affine_prefix(-A[r, r] / pivot, rhs / pivot)
+        norm = float(np.max(np.abs(P)))
+        if norm > _MAX_PROPAGATOR_NORM:
+            raise SingularJacobian(
+                f"propagator norm {norm:.3e} exceeds {_MAX_PROPAGATOR_NORM:.3e}: "
+                "the linearized problem does not contract away from x = 0"
+            )
+        dY[r, 1:] = P * dY[r, 0] + C
+    return dY
 
 
 # perfbench/tracing.py wraps the Newton linear solve under this name.
@@ -341,8 +323,8 @@ splu = _block_solve
 
 def _full_residual(rhs, bc, x, Y):
     phi, f, y_mid, x_mid = _collocation_residual(rhs, x, Y)
-    Ba, Bb, g = bc
-    R = np.concatenate([phi.T.ravel(), Ba @ Y[:, 0] + Bb @ Y[:, -1] - g])
+    Ba, _, g = bc
+    R = np.concatenate([phi.T.ravel(), Ba @ Y[:, 0] - g])
     return R, f, y_mid, x_mid
 
 

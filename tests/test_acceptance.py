@@ -184,25 +184,31 @@ def test_criterion_8_kernel_convergence_orders():
     assert np.all(simpson_orders >= 3.7)
     assert np.all(trapezoid_orders >= 1.8)
 
-    # collocation on y'' = -y: least-squares slope over a refinement ladder
+    # collocation on y0' = -y0**2, y1' = y0 with y(0) = (1, 0), whose solution
+    # is (1/(1+x), log(1+x)): least-squares slope over a refinement ladder
     # (pairwise measurements fluctuate a few hundredths around 4)
     def rhs(x, Y):
-        return np.vstack([Y[1], -Y[0]])
+        return np.vstack([-Y[0] ** 2, Y[0]])
 
     def jac(x, Y):
-        return np.broadcast_to([[0.0, 1.0], [-1.0, 0.0]], (Y.shape[1], 2, 2))
+        J = np.zeros((Y.shape[1], 2, 2))
+        J[:, 0, 0] = -2.0 * Y[0]
+        J[:, 1, 0] = 1.0
+        return J
 
-    # y(0) = 0 and y(1) = sin 1, as Ba y(0) + Bb y(1) = g
-    bc = ([[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]], [0.0, np.sin(1.0)])
+    # both conditions at x = 0, as Ba y(0) + Bb y(1) = g
+    bc = (np.eye(2), np.zeros((2, 2)), [1.0, 0.0])
 
     bvp_errs = []
     sizes = [8, 11, 16, 21, 31, 41]
     for n in sizes:
         mesh = np.linspace(0.0, 1.0, n)
         prob = BvpProblem(rhs=rhs, jac=jac, bc=bc, initial_mesh=mesh,
-                          initial_guess=np.zeros((2, n)), tol=10.0)
+                          initial_guess=np.vstack([np.ones(n), np.zeros(n)]),
+                          tol=10.0)
         sol = bvp_solve(prob)
-        bvp_errs.append(np.max(np.abs(sol.y[0] - np.sin(sol.mesh))))
+        exact = np.vstack([1.0 / (1.0 + sol.mesh), np.log1p(sol.mesh)])
+        bvp_errs.append(np.max(np.abs(sol.y - exact)))
     hs = 1.0 / (np.array(sizes) - 1)
     bvp_slope = float(np.polyfit(np.log(hs), np.log(bvp_errs), 1)[0])
     assert bvp_slope >= 3.95

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shockbeta.errors import (
     BadProblem,
@@ -24,53 +25,51 @@ def _linear(M):
     return rhs, jac
 
 
-# y'' = -y as a first-order system
-_OSCILLATOR = [[0.0, 1.0], [-1.0, 0.0]]
+def _decay_rhs(x, Y):
+    """y0' = -y0**2, y1' = y0: lower triangular, contracting from x = 0."""
+    return np.vstack([-Y[0] ** 2, Y[0]])
 
 
-def _ends_bc(a, b):
-    """y_0(0) = a and y_0(1) = b for a 2-dimensional system, as (Ba, Bb, g)."""
-    return [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]], [a, b]
-
-
-def _sine_problem(n, tol=1e-8):
-    # y(0) = 0, y(1) = sin 1  ->  y = sin x
-    rhs, jac = _linear(_OSCILLATOR)
-    mesh = np.linspace(0.0, 1.0, n)
-    return BvpProblem(rhs=rhs, jac=jac, bc=_ends_bc(0.0, np.sin(1.0)),
-                      initial_mesh=mesh, initial_guess=np.zeros((2, n)), tol=tol)
-
-
-def _mixed_sine_problem(n):
-    # y = sin x again, but each condition couples both ends, so the
-    # boundary solve needs the propagator to x = 1 in full:
-    # y_0(0) + y_1(1) = cos 1 and y_1(0) - y_0(1) = 1 - sin 1
-    rhs, jac = _linear(_OSCILLATOR)
-    bc = ([[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [-1.0, 0.0]],
-          [np.cos(1.0), 1.0 - np.sin(1.0)])
-    mesh = np.linspace(0.0, 1.0, n)
-    return BvpProblem(rhs=rhs, jac=jac, bc=bc, initial_mesh=mesh,
-                      initial_guess=np.zeros((2, n)))
-
-
-def _dense_newton_matrix(A, B, dga, dgb):
-    """The Newton matrix the block solve condenses: interval rows, then bc rows."""
-    nint, m, _ = A.shape
-    n = nint + 1
-    J = np.zeros((n * m, n * m))
-    for i in range(nint):
-        J[i * m:(i + 1) * m, i * m:(i + 1) * m] = A[i]
-        J[i * m:(i + 1) * m, (i + 1) * m:(i + 2) * m] = B[i]
-    J[nint * m:, :m] = dga
-    J[nint * m:, nint * m:] = dgb
+def _decay_jac(x, Y):
+    J = np.zeros((Y.shape[1], 2, 2))
+    J[:, 0, 0] = -2.0 * Y[0]
+    J[:, 1, 0] = 1.0
     return J
 
 
-def _block_and_dense_steps(p, x, Y):
-    R, f, y_mid, x_mid = bvp._full_residual(p.rhs, p.bc, x, Y)
-    blocks = bvp._assemble_jacobian(p.jac, p.bc, x, Y, y_mid, x_mid)
-    dense = np.linalg.solve(_dense_newton_matrix(*blocks), -R)
-    return bvp._block_solve(blocks, R), dense.reshape(x.size, Y.shape[0]).T
+def _decay_exact(x):
+    """The solution with y(0) = (1, 0)."""
+    return np.vstack([1.0 / (1.0 + x), np.log1p(x)])
+
+
+def _start_bc(y0):
+    """y(0) = y0 as (Ba, Bb, g)."""
+    m = len(y0)
+    return np.eye(m), np.zeros((m, m)), y0
+
+
+def _decay_problem(n, tol=1e-8):
+    mesh = np.linspace(0.0, 1.0, n)
+    guess = np.vstack([np.ones(n), np.zeros(n)])
+    return BvpProblem(rhs=_decay_rhs, jac=_decay_jac, bc=_start_bc([1.0, 0.0]),
+                      initial_mesh=mesh, initial_guess=guess, tol=tol)
+
+
+def _dense_newton_matrix(A, B, Ba):
+    """The Newton matrix the block solve condenses: interval rows, then bc rows."""
+    m, _, nint = A.shape
+    n = nint + 1
+    J = np.zeros((n * m, n * m))
+    for i in range(nint):
+        J[i * m:(i + 1) * m, i * m:(i + 1) * m] = A[:, :, i]
+        J[i * m:(i + 1) * m, (i + 1) * m:(i + 2) * m] = B[:, :, i]
+    J[nint * m:, :m] = Ba
+    return J
+
+
+def _dense_step(blocks, R):
+    m = blocks[2].shape[0]
+    return np.linalg.solve(_dense_newton_matrix(*blocks), -R).reshape(-1, m).T
 
 
 def test_block_step_matches_dense_solve_on_coupled_system(exact_cfg, quad_flux,
@@ -78,24 +77,57 @@ def test_block_step_matches_dense_solve_on_coupled_system(exact_cfg, quad_flux,
     sys = FoldedSystem(cfg=exact_cfg, flux=quad_flux, freq=exact_freq, L=20.0)
     mesh, Y0 = initial_guess(sys)
     assert mesh.size == 401
-    step, ref = _block_and_dense_steps(sys, mesh, Y0)
+    R, f, y_mid, x_mid = bvp._full_residual(sys.rhs, sys.bc, mesh, Y0)
+    blocks = bvp._assemble_jacobian(sys.jac, sys.bc, mesh, Y0, y_mid, x_mid)
+    ref = _dense_step(blocks, R)
+    step = bvp._block_solve(blocks, R)
     assert np.max(np.abs(step - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_mixed_end_conditions():
-    p = _mixed_sine_problem(11)
-    step, ref = _block_and_dense_steps(p, p.initial_mesh, p.initial_guess)
-    assert np.max(np.abs(step - ref)) <= 1e-13 * np.max(np.abs(ref))
-    sol = bvp_solve(p)
-    assert np.max(np.abs(sol.y[0] - np.sin(sol.mesh))) < 1e-8
-    assert sol.residual_norm <= 1e-8
+def test_blocks_match_the_matrix_formula(exact_cfg, quad_flux, exact_freq):
+    # d(phi_i)/d(y_i) = -I/h - J_i/6 - (2/3) J_mid (I/2 + (h/8) J_i), and
+    # d(phi_i)/d(y_{i+1}) = I/h - J_{i+1}/6 - (2/3) J_mid (I/2 - (h/8) J_{i+1}),
+    # as batched matrix products
+    sys = FoldedSystem(cfg=exact_cfg, flux=quad_flux, freq=exact_freq, L=20.0)
+    x, Y = initial_guess(sys)
+    R, f, y_mid, x_mid = bvp._full_residual(sys.rhs, sys.bc, x, Y)
+    A, B, _ = bvp._assemble_jacobian(sys.jac, sys.bc, x, Y, y_mid, x_mid)
+    Jn, Jm = sys.jac(x, Y), sys.jac(x_mid, y_mid)
+    h = np.diff(x)[:, None, None]
+    eye = np.eye(4)
+    lo, hi = Jn[:-1], Jn[1:]
+    A_ref = -eye / h - lo / 6.0 - (2.0 / 3.0) * (Jm @ (eye / 2 + h / 8 * lo))
+    B_ref = eye / h - hi / 6.0 - (2.0 / 3.0) * (Jm @ (eye / 2 - h / 8 * hi))
+    tol = 4 * np.finfo(float).eps
+    for got, ref in ((A, A_ref), (B, B_ref)):
+        ref = ref.transpose(1, 2, 0)
+        assert np.max(np.abs(got - ref)) <= tol * np.max(np.abs(ref))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(m=st.integers(1, 4), nint=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_block_step_matches_dense_solve_on_random_lower_blocks(m, nint, seed):
+    # diagonal maps M = -A^rr / B^rr of modulus at most 1 keep the march
+    # (and the dense solve) well conditioned; Ba is a full matrix
+    rng = np.random.default_rng(seed)
+    A = np.tril(rng.uniform(-1.0, 1.0, (nint, m, m))).transpose(1, 2, 0)
+    B = np.tril(rng.uniform(-1.0, 1.0, (nint, m, m))).transpose(1, 2, 0)
+    diag = np.arange(m)
+    sign = rng.choice([-1.0, 1.0], (m, nint))
+    B[diag, diag] = sign * rng.uniform(1.0, 2.0, (m, nint))
+    A[diag, diag] = B[diag, diag] * rng.uniform(-1.0, 1.0, (m, nint))
+    Ba = rng.uniform(-1.0, 1.0, (m, m)) + m * np.eye(m)
+    R = rng.standard_normal((nint + 1) * m)
+    step = bvp._block_solve((A, B, Ba), R)
+    ref = _dense_step((A, B, Ba), R)
+    assert np.max(np.abs(step - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_jacobians_reuse_the_residual_evaluations():
     # assembly makes no rhs call: the analytic jac is evaluated once at the
     # nodes and once at the residual's own midpoint states, and the boundary
-    # rows are the problem's own affine matrices
-    p = _mixed_sine_problem(11)
+    # rows are the problem's own affine matrix
+    p = _decay_problem(11)
     x, Y = p.initial_mesh, p.initial_guess + 0.25
     rhs_calls, jac_points = [], []
 
@@ -109,72 +141,49 @@ def test_jacobians_reuse_the_residual_evaluations():
 
     R, f, y_mid, x_mid = bvp._full_residual(rhs, p.bc, x, Y)
     Ba, Bb, g = p.bc
-    assert np.array_equal(R[-2:], Ba @ Y[:, 0] + Bb @ Y[:, -1] - g)
+    assert np.array_equal(R[-2:], Ba @ Y[:, 0] - g)
     rhs_calls.clear()
-    _, _, dga, dgb = bvp._assemble_jacobian(jac, p.bc, x, Y, y_mid, x_mid)
+    A, B, dga = bvp._assemble_jacobian(jac, p.bc, x, Y, y_mid, x_mid)
     assert rhs_calls == []
     assert len(jac_points) == 2
     (xn, Yn), (xm, Ym) = jac_points
     assert np.array_equal(xn, x) and np.array_equal(Yn, Y)
     assert np.array_equal(xm, x_mid) and np.array_equal(Ym, y_mid)
-    assert dga is Ba and dgb is Bb
-
-
-def _affine_maps(rng, m, nint):
-    """Augmented maps [[Q, c], [0, 1]] with orthogonal Q."""
-    G = np.zeros((nint, m + 1, m + 1))
-    G[:, :m, :m] = np.linalg.qr(rng.standard_normal((nint, m, m)))[0]
-    G[:, :m, m] = rng.standard_normal((nint, m))
-    G[:, m, m] = 1.0
-    return G
+    assert dga is Ba
+    assert A.shape == B.shape == (2, 2, x.size - 1)
+    assert not np.any(A[0, 1]) and not np.any(B[0, 1])
 
 
 @pytest.mark.parametrize("nint", [1, 2, 3, 400, 4397])
 def test_prefix_scan_matches_sequential_composition(nint):
-    m = 4
-    G = _affine_maps(np.random.default_rng(nint), m, nint)
-    ref = np.empty_like(G)
-    ref[0] = G[0]
-    for k in range(1, nint):
-        ref[k] = G[k] @ ref[k - 1]
-    # orthogonal factors: rounding grows at most linearly with the length
-    tol = nint * (m + 1) * np.finfo(float).eps * np.max(np.abs(ref))
-    assert np.max(np.abs(bvp._prefix_products(G) - ref)) <= tol
-
-
-def _row_swapping_blocks(rng, m, nint):
-    """Diagonally dominant blocks with their rows shuffled, interval first.
-
-    The dominant entry of each column sits off the diagonal in most blocks,
-    so partial pivoting has to swap rows.
-    """
-    D = 4.0 * np.eye(m) + rng.uniform(-1.0, 1.0, (nint, m, m))
-    perm = np.array([rng.permutation(m) for _ in range(nint)])
-    return np.take_along_axis(D, perm[:, :, None], axis=1), perm
-
-
-def test_block_elimination_matches_dense_solve_with_row_swaps():
-    rng = np.random.default_rng(11)
-    m, k, nint = 4, 5, 300
-    B, perm = _row_swapping_blocks(rng, m, nint)
-    assert np.mean(perm[:, 0] != 0) > 0.5
-    F = rng.standard_normal((nint, m, k))
-    W = np.concatenate([B, F], axis=2).transpose(1, 2, 0).copy()
-    X = bvp._eliminate(W, m).transpose(2, 0, 1)
-    ref = np.linalg.solve(B, F)
-    assert np.max(np.abs(X - ref)) <= 1e-13 * np.max(np.abs(ref))
+    rng = np.random.default_rng(nint)
+    M = rng.choice([-1.0, 1.0], nint) * rng.uniform(0.9, 1.0, nint)
+    c = rng.standard_normal(nint)
+    ref = np.empty((2, nint))
+    mag = np.empty(nint)  # the same recurrence in absolute values
+    P, C, Q = 1.0, 0.0, 0.0
+    for k in range(nint):
+        P, C, Q = M[k] * P, M[k] * C + c[k], abs(M[k]) * Q + abs(c[k])
+        ref[:, k], mag[k] = (P, C), Q
+    # each value is a sum of at most nint + 1 products of at most nint
+    # factors, in some order: rounding stays below 2 nint eps of its magnitude
+    tol = 2 * nint * np.finfo(float).eps
+    got = np.array(bvp._affine_prefix(M, c))
+    assert np.all(np.abs(got[0] - ref[0]) <= tol * np.abs(ref[0]))
+    assert np.all(np.abs(got[1] - ref[1]) <= tol * mag)
 
 
 def test_zero_pivot_column_raises_collocation_block_error():
     rng = np.random.default_rng(5)
     m, nint = 4, 20
-    B, _ = _row_swapping_blocks(rng, m, nint)
-    B[7, :, 2] = 0.0
-    A = rng.standard_normal((nint, m, m))
+    A = np.tril(rng.standard_normal((nint, m, m))).transpose(1, 2, 0)
+    B = np.tril(rng.standard_normal((nint, m, m))).transpose(1, 2, 0)
+    B[np.arange(m), np.arange(m)] += 4.0
+    B[2, 2, 7] = 0.0
     R = rng.standard_normal(nint * m + m)
-    eye = np.eye(m)
-    with pytest.raises(SingularJacobian, match="collocation block: .*interval 7"):
-        bvp._block_solve((A, B, eye, eye), R)
+    with pytest.raises(SingularJacobian,
+                       match="collocation block: .*column 2 of interval 7"):
+        bvp._block_solve((A, B, np.eye(m)), R)
 
 
 def _inline_hermite(y_lo, y_hi, f_lo, f_hi, h, t, t3):
@@ -210,7 +219,7 @@ def test_residual_estimate_matches_inline_basis(exact_cfg, quad_flux, exact_freq
 
 
 def test_interpolant_matches_inline_basis():
-    sol = bvp_solve(_sine_problem(11))
+    sol = bvp_solve(_decay_problem(11))
     interp = sol.interpolant
     xq = np.random.default_rng(3).uniform(0.0, 1.0, 50)
     idx = np.clip(np.searchsorted(interp.x, xq, side="right") - 1, 0,
@@ -225,12 +234,12 @@ def test_interpolant_matches_inline_basis():
 
 
 def test_dichotomic_problem_refused_with_propagator_norm():
-    # y'' = 1600 y has a mode growing like exp(40 x): marching from x = 0
-    # cannot be stable, whatever the conditioning of the BVP itself
-    rhs, jac = _linear([[0.0, 1.0], [1600.0, 0.0]])
+    # y' = 40 y grows like exp(40 x): marching from x = 0 amplifies by about
+    # that much, whatever the conditioning of the problem itself
+    rhs, jac = _linear([[40.0]])
     mesh = np.linspace(0.0, 1.0, 41)
-    p = BvpProblem(rhs=rhs, jac=jac, bc=_ends_bc(1.0, 0.0), initial_mesh=mesh,
-                   initial_guess=np.zeros((2, 41)))
+    p = BvpProblem(rhs=rhs, jac=jac, bc=_start_bc([1.0]), initial_mesh=mesh,
+                   initial_guess=np.zeros((1, 41)))
     with pytest.raises(SingularJacobian, match=r"propagator norm \d\.\d{3}e\+\d+"):
         bvp_solve(p)
 
@@ -279,13 +288,13 @@ def test_redistribution_removes_surplus_nodes():
 
 
 def test_manufactured_sine_problem():
-    sol = bvp_solve(_sine_problem(11))
-    assert np.max(np.abs(sol.y[0] - np.sin(sol.mesh))) < 1e-8
+    sol = bvp_solve(_decay_problem(11))
+    assert np.max(np.abs(sol.y - _decay_exact(sol.mesh))) < 1e-8
     assert sol.residual_norm <= 1e-8
 
 
 def test_interpolant_reproduces_mesh_samples_exactly():
-    sol = bvp_solve(_sine_problem(11))
+    sol = bvp_solve(_decay_problem(11))
     assert np.array_equal(sol.interpolant(sol.mesh), sol.y)
 
 
@@ -294,15 +303,14 @@ def test_convergence_order_fourth():
     errs = []
     sizes = [8, 11, 16, 21, 31, 41]
     for n in sizes:
-        sol = bvp_solve(_sine_problem(n, tol=10.0))
-        errs.append(np.max(np.abs(sol.y[0] - np.sin(sol.mesh))))
+        sol = bvp_solve(_decay_problem(n, tol=10.0))
+        errs.append(np.max(np.abs(sol.y - _decay_exact(sol.mesh))))
     hs = 1.0 / (np.array(sizes) - 1)
     slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
     assert slope >= 3.95
 
 
 def test_bc_count_mismatch_rejected_at_construction():
-    rhs, jac = _linear(_OSCILLATOR)
     mesh = np.linspace(0.0, 1.0, 5)
     for bc in [
         ([[1.0, 0.0]], [[0.0, 0.0]], [0.0]),               # one condition for two
@@ -311,25 +319,48 @@ def test_bc_count_mismatch_rejected_at_construction():
         (np.eye(2), [0.0, 0.0]),                          # no Bb
     ]:
         with pytest.raises(BadProblem, match=r"bc \(Ba, Bb, g\) has shapes"):
-            BvpProblem(rhs=rhs, jac=jac, bc=bc,
-                       initial_mesh=mesh, initial_guess=np.zeros((2, 5)))
+            BvpProblem(rhs=_decay_rhs, jac=_decay_jac, bc=bc,
+                       initial_mesh=mesh, initial_guess=np.ones((2, 5)))
 
 
 def test_bc_callable_rejected_at_construction():
-    rhs, jac = _linear(_OSCILLATOR)
     mesh = np.linspace(0.0, 1.0, 5)
     with pytest.raises(BadProblem, match=r"bc must be the triple"):
-        BvpProblem(rhs=rhs, jac=jac, bc=lambda ya, yb: np.array([ya[0], yb[0]]),
+        BvpProblem(rhs=_decay_rhs, jac=_decay_jac,
+                   bc=lambda ya, yb: np.array([ya[0], yb[0]]),
+                   initial_mesh=mesh, initial_guess=np.ones((2, 5)))
+
+
+@pytest.mark.parametrize("bc, match", [
+    # y_0(0) = 1 and y_0(1) = 0: a condition at x = 1
+    (([[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]], [1.0, 0.0]),
+     r"every condition must sit at x = 0: Bb must be 0"),
+    # y_0(0) = 1 twice leaves y_1(0) free
+    (([[1.0, 0.0], [1.0, 0.0]], np.zeros((2, 2)), [1.0, 1.0]),
+     r"Ba is singular"),
+])
+def test_conditions_away_from_the_start_rejected_at_construction(bc, match):
+    mesh = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(BadProblem, match=match):
+        BvpProblem(rhs=_decay_rhs, jac=_decay_jac, bc=bc,
+                   initial_mesh=mesh, initial_guess=np.ones((2, 5)))
+
+
+def test_upper_triangular_jac_entry_rejected_at_construction():
+    # y'' = -y couples y_0' to y_1: d rhs_0 / d y_1 = 1 above the diagonal
+    rhs, jac = _linear([[0.0, 1.0], [-1.0, 0.0]])
+    mesh = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(BadProblem, match=r"jac must be lower triangular"):
+        BvpProblem(rhs=rhs, jac=jac, bc=_start_bc([0.0, 1.0]),
                    initial_mesh=mesh, initial_guess=np.zeros((2, 5)))
 
 
 @pytest.mark.parametrize("shape", [(1, 2), (2, 2, 1), (1, 2, 3), (1, 1, 1)])
 def test_jac_shape_mismatch_rejected_at_construction(shape):
-    rhs, _ = _linear(_OSCILLATOR)
     mesh = np.linspace(0.0, 1.0, 5)
     with pytest.raises(BadProblem, match=r"jac returned shape"):
-        BvpProblem(rhs=rhs, jac=lambda x, Y: np.zeros(shape),
-                   bc=_ends_bc(0.0, 0.0),
+        BvpProblem(rhs=_decay_rhs, jac=lambda x, Y: np.zeros(shape),
+                   bc=_start_bc([0.0, 0.0]),
                    initial_mesh=mesh, initial_guess=np.zeros((2, 5)))
 
 
@@ -346,50 +377,43 @@ def test_mesh_validation():
 
 
 def test_newton_divergence_on_bad_guess():
-    p = _sine_problem(11)
+    p = _decay_problem(11)
     p.initial_guess = np.full((2, 11), np.nan)
     with pytest.raises(NewtonDivergence):
         bvp_solve(p)
 
 
 def test_newton_iteration_budget(monkeypatch):
-    def rhs(x, Y):
-        return np.vstack([Y[1], np.exp(Y[0])])
-
-    def jac(x, Y):
-        J = np.zeros((Y.shape[1], 2, 2))
-        J[:, 0, 1] = 1.0
-        J[:, 1, 0] = np.exp(Y[0])
-        return J
-
-    mesh = np.linspace(0.0, 1.0, 21)
-    p = BvpProblem(rhs=rhs, jac=jac, bc=_ends_bc(0.0, 0.0), initial_mesh=mesh,
-                   initial_guess=np.vstack([np.full(21, 3.0), np.zeros(21)]),
-                   tol=1e-8)
+    p = _decay_problem(21)
+    p.initial_guess = np.vstack([np.full(21, 3.0), np.zeros(21)])
     monkeypatch.setattr(bvp, "_MAX_NEWTON", 1)
     with pytest.raises(NewtonDivergence):
         bvp_solve(p)
 
 
 def test_singular_jacobian_detected():
-    # contradictory conditions on y1 leave y2 unconstrained:
-    # y_0(0) - y_0(1) = 0 and y_0(0) - y_0(1) = 1
-    rhs, jac = _linear(np.zeros((2, 2)))
-    bc = ([[1.0, 0.0], [1.0, 0.0]], [[-1.0, 0.0], [-1.0, 0.0]], [0.0, 1.0])
-    mesh = np.linspace(0.0, 1.0, 6)
-    p = BvpProblem(rhs=rhs, jac=jac, bc=bc, initial_mesh=mesh,
-                   initial_guess=np.zeros((2, 6)))
-    with pytest.raises(SingularJacobian):
+    # y' = a(x) y with a = 6/h at the nodes of a uniform mesh and 0 between
+    # them: each block's diagonal 1/h - a/6 vanishes
+    mesh = np.linspace(0.0, 1.0, 5)
+
+    def coeff(x):
+        return np.where(np.isin(x, mesh), 24.0, 0.0)
+
+    p = BvpProblem(rhs=lambda x, Y: coeff(x) * Y,
+                   jac=lambda x, Y: coeff(x)[:, None, None],
+                   bc=_start_bc([1.0]), initial_mesh=mesh,
+                   initial_guess=np.zeros((1, 5)))
+    with pytest.raises(SingularJacobian, match="zero pivot in column 0 of interval 0"):
         bvp_solve(p)
 
 
 def test_mesh_limit_exceeded(monkeypatch):
     monkeypatch.setattr(bvp, "_MAX_NODES", 10)
     with pytest.raises(MeshLimitExceeded):
-        bvp_solve(_sine_problem(5, tol=1e-12))
+        bvp_solve(_decay_problem(5, tol=1e-12))
 
 
 def test_newton_counts_reported():
-    sol = bvp_solve(_sine_problem(11))
+    sol = bvp_solve(_decay_problem(11))
     assert sol.newton_iters == sum(sol.newton_per_sweep)
     assert len(sol.newton_per_sweep) == sol.mesh_iterations

@@ -503,7 +503,7 @@ class TestScanCommand:
         assert not out.exists()
 
     def test_each_shock_is_built_once(self, tmp_path, monkeypatch):
-        # one normalization for the run's own shock, then one per scan point
+        # one normalization per scan point: the run's own shock is the first
         original = shockbeta.model.normalize_to_standing
         calls = []
 
@@ -517,7 +517,7 @@ class TestScanCommand:
                 monkeypatch.setattr(module, "normalize_to_standing", counted)
         assert run(["scan", "--config", SINE_SCAN_CFG,
                     "--out-dir", tmp_path / "o"]) == 0
-        assert len(calls) == 7
+        assert len(calls) == 6
 
     def test_points_carry_solver_counters(self, tmp_path):
         out = tmp_path / "out"

@@ -369,6 +369,16 @@ class TestContinuation:
         assert len(pts) == 1
         assert np.max(np.abs(pts[0].aux.v - coupled_L20.aux.v)) <= 1e-9
 
+    def test_built_first_shock_is_used_as_given(self, quad_flux, exact_cfg,
+                                                exact_freq, coupled_L20):
+        pts = continuation_scan(exact_cfg, quad_flux, 1.0, [1.0], 20.0, 4000,
+                                freq0=exact_freq)
+        assert pts[0].config is exact_cfg and pts[0].freq is exact_freq
+        assert np.array_equal(pts[0].aux.v, coupled_L20.aux.v)
+        with pytest.raises(ValidationError, match="first left state"):
+            continuation_scan(exact_cfg, quad_flux, 1.0, [1.2, 1.4], 20.0, 4000,
+                              freq0=exact_freq)
+
     def test_repeated_parameter_needs_no_extra_newton(self, quad_flux, exact_cfg):
         pts = continuation_scan(exact_cfg, quad_flux, 1.0, [1.0, 1.0], 20.0, 1000)
         assert pts[1].bvp.newton_iters <= 1
