@@ -17,14 +17,15 @@ v(0) = 0.  Both far ends then fall into the attracting equilibria on their
 own; the tail residual is verified after the solve.  The initial guess comes
 from integrating the field outward from the fold.  A parameter sweep seeds
 each point with the previous converged solution, its profile stretched to the
-new end states and sampled on the same 401-node starting mesh as a cold solve
-(:func:`_rescaled_guess`): the solver then refines from the mesh a cold solve
-starts on, so each point ends on its cold solve's mesh, with its sweep count
-and its beta.  Since every fold condition sits
-at t = 0, the solution on [-L, L] is a wider one cut at |x| = L: a study over
-several L solves the widest first and seeds each narrower L with the wider
-solution cut there (:func:`_narrowed_guess`), which usually leaves one sweep
-of at most one Newton step.
+new end states and sampled at the nodes and collocation stages of the same
+401-node starting mesh as a cold solve (:func:`_rescaled_guess`): the solver
+then refines from the mesh a cold solve starts on, so each point ends on its
+cold solve's mesh, with its sweep count and its beta.  Since every fold
+condition sits at t = 0, the solution on [-L, L] is a wider one cut at
+|x| = L: a study over several L solves the widest first and seeds each
+narrower L with the wider solution cut there, converged stages included
+(:func:`_narrowed_guess`), which usually leaves one sweep of at most one
+Newton step.
 """
 
 from __future__ import annotations
@@ -43,7 +44,9 @@ from .model import (
     forcing_slope,
     standing_shock,
 )
-from .numerics import BvpProblem, BvpSolution, IvpProblem, bvp_solve, ivp_solve
+from .numerics import (
+    BvpProblem, BvpSolution, IvpProblem, bvp_solve, ivp_solve, sample_collocation,
+)
 from .profile import (
     DEFAULT_TAIL_TOL, Grid, ProfileSolution, _check_profile, check_resolution,
 )
@@ -143,12 +146,13 @@ class CoupledResult:
 def initial_guess(sys: FoldedSystem) -> tuple[np.ndarray, np.ndarray]:
     """Guess by one outward integration of the folded field from the fold.
 
-    The guess only seeds Newton on the 401-node starting mesh, whose own
-    discretization error is larger than 1e-6, so tighter integration buys no
-    Newton iteration; the solver refines the mesh and the answer from there.
-    The guess is the route's own integration, not the integrating-factor
-    profile, so the coupled route stays independent of the route it is
-    checked against.
+    The guess holds node values only; the solver takes its collocation
+    stages from the guess's quintic extension.  It only seeds Newton on the
+    401-node starting mesh, which converges from it in one iteration, so
+    tighter integration buys no Newton iteration; the solver refines the
+    mesh and the answer from there.  The guess is the route's own
+    integration, not the integrating-factor profile, so the coupled route
+    stays independent of the route it is checked against.
     """
     u = sys.cfg.u_mid
     traj = ivp_solve(
@@ -170,7 +174,7 @@ def solve_coupled(
     freq: NeutralFrequency,
     L: float,
     n_out: int,
-    guess: tuple[np.ndarray, np.ndarray] | None = None,
+    guess: tuple | None = None,
     tol: float = 1e-8,
     tail_tol: float = DEFAULT_TAIL_TOL,
     decay_tol: float = DEFAULT_DECAY_TOL,
@@ -180,19 +184,18 @@ def solve_coupled(
     ``n_out`` is the interval count of the output grid on [-L, L].  v is
     linear in xi0 and solved per unit |xi0|, so the mesh, the collocation
     tolerance and the fold check do not depend on xi0.  A guess is a (mesh,
-    state) pair on [0, 1], v per unit |xi0|; by default it is generated by
-    outward integration.
+    state, stages) triple on [0, 1], v per unit |xi0|, whose stages (the
+    values at the interior collocation points, or None) are as
+    :class:`BvpProblem` takes them; by default it is generated by outward
+    integration.
     """
     scale, unit = freq.per_unit()
     sys = FoldedSystem(cfg=cfg, flux=f, freq=unit, L=float(L))
-    if guess is None:
-        mesh, Y0 = initial_guess(sys)
-    else:
-        mesh, Y0 = guess
+    mesh, Y0, S0 = (*initial_guess(sys), None) if guess is None else guess
 
     problem = BvpProblem(
         rhs=sys.rhs, jac=sys.jac, bc=sys.bc, initial_mesh=mesh,
-        initial_guess=Y0, tol=tol,
+        initial_guess=Y0, initial_stages=S0, tol=tol,
     )
     sol = bvp_solve(problem)
 
@@ -242,45 +245,53 @@ def solve_coupled(
 
 def _rescaled_guess(
     prev: CoupledResult, cfg_new: ShockConfig
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Previous folded solution as a guess, its profile stretched to the new states.
 
-    The guess is the previous interpolant on the starting mesh of a cold
-    solve, so the solver refines from where a cold solve does and its first
-    sweep's Newton iterations run on 401 nodes, not on the previous point's
-    thousands; the point then ends on its cold solve's mesh.  A point whose
-    left state equals the previous one is already solved and keeps the
-    converged mesh.
+    The guess is the previous quintic extension sampled at the nodes and
+    stages of the starting mesh of a cold solve, so the solver refines from
+    where a cold solve does and its first sweep's Newton iterations run on
+    401 nodes, not on the previous point's hundreds; the point then ends on
+    its cold solve's mesh.  A point whose left state equals the previous one
+    is already solved and keeps the converged mesh and stages.
     """
     if cfg_new.u_minus == prev.config.u_minus:
-        mesh, Y = prev.bvp.mesh.copy(), prev.bvp.y.copy()
+        mesh, Y, S = prev.bvp.mesh.copy(), prev.bvp.y.copy(), prev.bvp.stages.copy()
     else:
         mesh = _starting_mesh()
-        Y = prev.bvp.interpolant(mesh)
+        Y, S = sample_collocation(prev.bvp.interpolant, mesh)
     up = cfg_new.u_plus
     ratio = (cfg_new.u_minus - up) / (prev.config.u_minus - up)
-    Y[::2] = up + (Y[::2] - up) * ratio  # the ubar rows of both halves
-    return mesh, Y
+    for Z in (Y, S):
+        Z[::2] = up + (Z[::2] - up) * ratio  # the ubar rows of both halves
+    return mesh, Y, S
 
 
-def _narrowed_guess(wide: CoupledResult, L: float) -> tuple[np.ndarray, np.ndarray]:
+def _narrowed_guess(
+    wide: CoupledResult, L: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A wider folded solution cut at |x| = L, as a guess on [0, 1].
 
     The fold conditions all sit at t = 0, so the solution on [-L, L] is the
     wider one cut at t = r = L / L_wide.  The guess keeps the wider mesh below
-    r, adds r as a node and rescales onto [0, 1]; the states are the wider
-    interpolant there.  When r lies nearer to the node below it than to the
-    node above, that node is dropped: the last interval is then at least half
-    the wider mesh's interval there, never a sliver of rounding width on
-    which no Newton step can reduce the residual.
+    r, adds r as a node and rescales onto [0, 1].  The kept intervals keep
+    their converged nodes and stages: their collocation equations do not
+    change, since the rescaled width times L is the same.  The last interval
+    takes its end value and stages from the wider quintic extension.  When r
+    lies nearer to the node below it than to the node above, that node is
+    dropped: the last interval is then at least half the wider mesh's
+    interval there, never a sliver of rounding width on which no Newton step
+    can reduce the residual.
     """
     mesh = wide.bvp.mesh
     r = L / wide.profile.grid.L
     k = int(np.searchsorted(mesh, r))  # mesh[k - 1] < r <= mesh[k]
     if k > 1 and r - mesh[k - 1] < mesh[k] - r:
         k -= 1
+    ends, last = sample_collocation(wide.bvp.interpolant, np.array([mesh[k - 1], r]))
     return (np.append(mesh[:k] / r, 1.0),
-            wide.bvp.interpolant(np.append(mesh[:k], r)))
+            np.concatenate([wide.bvp.y[:, :k], ends[:, 1:]], axis=1),
+            np.concatenate([wide.bvp.stages[:, :, :k - 1], last], axis=2))
 
 
 def continuation_scan(

@@ -1,37 +1,44 @@
-"""3-stage Lobatto IIIA collocation on [0, 1], with every condition at x = 0.
+"""4-stage Lobatto IIIA collocation on [0, 1], with every condition at x = 0.
 
-The discretization is the classical implicit Simpson scheme: a C1 cubic
-Hermite spline is required to satisfy the ODE at every mesh node and at every
-interval midpoint (fourth order at the nodes).  The nonlinear collocation
-equations are solved by a damped Newton iteration; the problem supplies the
-analytic Jacobian of its rhs, evaluated at the nodes and at the midpoints the
-residual already formed, and affine boundary conditions
-``Ba y(0) + Bb y(1) = g``, which are their own Jacobian.
+On each mesh interval [x_i, x_i + h] the solution is a quartic that
+satisfies the ODE at the four Lobatto points c = 0, (5 - sqrt 5)/10,
+(5 + sqrt 5)/10, 1 (Ascher, Mattheij & Russell, *Numerical Solution of
+Boundary Value Problems for ODEs*, ch. 5; the scheme of bvp5c, Kierzenka &
+Shampine, "A BVP solver that controls residual and error", JNAIAM 3, 2008).
+It is sixth order at the mesh nodes.  The Newton unknowns are the node values
+and the two interior stage values S2, S3 of every interval; the nonlinear
+collocation equations are solved by a damped Newton iteration, with the
+analytic Jacobian of the problem's rhs and affine boundary conditions
+``Ba y(0) + Bb y(1) = g``, which are their own Jacobian.  Each iteration
+evaluates the rhs and its Jacobian once, on the nodes and both stage sets
+stacked into one array.
 
-While the scaled residual estimate exceeds the tolerance somewhere, the mesh
-is redistributed (de Boor's mesh selection; Ascher, Mattheij & Russell, ch. 9,
-and Kierzenka & Shampine, ACM TOMS 27, 2001): the estimate scales as h^3, so
-the nodes are placed to equidistribute est^(1/3), aiming every interval at a
-fixed fraction of the tolerance.  Nodes go where the estimate is large and
-come out where it is small, and no interval grows wider than the widest of
-the initial mesh.  The solve is repeated warm-started from the interpolant.
+The converged solution is extended by the C2 piecewise-quintic Hermite
+interpolant of y, y' = f and y'' = J f at the nodes
+(:class:`HermiteInterpolant`), accurate to O(h^6).  Its residual
+y' - f(y) scales as h^5 and is estimated on every interval; while the
+estimate exceeds the tolerance somewhere, the mesh is redistributed (de Boor's
+mesh selection; Ascher, Mattheij & Russell, ch. 9): the nodes equidistribute
+est^(1/5), aiming every interval at a fixed fraction of the tolerance, and no
+interval grows wider than the widest of the initial mesh.  The solve is then
+repeated from the interpolant's nodes and stages on the new mesh.
 
 The solver serves the problems the folded shock system poses: all m
 conditions sit at x = 0 (``Bb = 0``, ``Ba`` nonsingular), and the rhs
 Jacobian is lower triangular, so component r depends on components c <= r
-alone.  The Newton matrix is then block lower-bidiagonal with lower-triangular
-blocks, and one Newton step is m scalar affine recurrences marched from
-x = 0 (block condensation, Ascher, Mattheij & Russell, *Numerical Solution
-of Boundary Value Problems for ODEs*, ch. 7, in its scalar case): the
-conditions give dy_0 outright, and component r of interval i's equations,
-with the components c < r already known, reads
-dy^r_{i+1} = M_i dy^r_i + c_i.  A work-efficient scan of the scalar pairs
-(M_i, c_i) (Blelloch, CMU-CS-90-190) composes them outward in numpy alone.
-Marching from x = 0 is stable when the linearized flow contracts towards
-x = 1, as the folded shock system does on both halves (a Lax shock has
-a1(u+) < 0 < a1(u-)).  A component whose propagator max_k |M_{k-1} ... M_0|
-exceeds 1/sqrt(eps), such as a growing mode, is refused with
-:class:`SingularJacobian`, as is an exactly zero diagonal entry of a block.
+alone.  One Newton step then condenses each interval's stages and marches
+from x = 0 one component at a time (block condensation, Ascher, Mattheij &
+Russell, ch. 7, in its scalar case): the conditions give dy_0 outright, and
+component r of interval i's three equations, with the components c < r
+already known, is a 3 x 3 system for (dS2, dS3, dy_{i+1}) given dy_i, that
+is, one scalar affine recurrence dy^r_{i+1} = M_i dy^r_i + c_i.  A
+work-efficient scan of the pairs (M_i, c_i) (Blelloch, CMU-CS-90-190)
+composes them outward in numpy alone.  Marching from x = 0 is stable when
+the linearized flow contracts towards x = 1, as the folded shock system does
+on both halves (a Lax shock has a1(u+) < 0 < a1(u-)).  A component whose
+propagator max_k |M_{k-1} ... M_0| exceeds 1/sqrt(eps), such as a growing
+mode, is refused with :class:`SingularJacobian`, as is a singular 3 x 3
+stage block.
 """
 
 from __future__ import annotations
@@ -51,14 +58,27 @@ from ..errors import (
 # Largest propagator norm the forward march accepts: beyond it the march
 # would amplify rounding by more than half of the working digits.
 _MAX_PROPAGATOR_NORM = 1.0 / np.sqrt(np.finfo(float).eps)
-# Interior abscissae of the 5-point Lobatto rule (residual sampling points
-# between the collocation points) and their quadrature weight.
-_RES_THETA = (0.5 - np.sqrt(21.0) / 14.0, 0.5 + np.sqrt(21.0) / 14.0)
-_RES_WEIGHT = 49.0 / 180.0
+_SQRT5 = np.sqrt(5.0)
+# Interior Lobatto points of an interval (the stages S2, S3).
+_STAGE_C = np.array([(5.0 - _SQRT5) / 10.0, (5.0 + _SQRT5) / 10.0])
+# Lobatto IIIA coefficients of the equations for S2, S3 and y_{i+1}, over the
+# rhs at y_i, S2, S3, y_{i+1}: row k reads s_k = y_i + h sum_j _A[k, j] f_j.
+_A = np.array([
+    [11.0 + _SQRT5, 25.0 - _SQRT5, 25.0 - 13.0 * _SQRT5, -1.0 + _SQRT5],
+    [11.0 - _SQRT5, 25.0 + 13.0 * _SQRT5, 25.0 + _SQRT5, -1.0 - _SQRT5],
+    [10.0, 50.0, 50.0, 10.0],
+]) / 120.0
+# Interior abscissae and weights of the 5-point Lobatto rule: the residual of
+# the quintic vanishes at both nodes, so these three samples integrate its
+# square over the interval.
+_RES_T = np.array([0.5 - np.sqrt(21.0) / 14.0, 0.5, 0.5 + np.sqrt(21.0) / 14.0])
+_RES_W = np.array([49.0 / 180.0, 16.0 / 45.0, 49.0 / 180.0])
 # Fraction of the tolerance that a redistributed mesh aims each interval's
-# residual estimate at.  Of 0.3, 0.35, ..., 0.5, 0.3 took the fewest mesh
-# sweeps over 48 coupled shock configurations (106, against 121 at 0.5).
-_MESH_THETA = 0.3
+# residual estimate at.  The output error between nodes, not the residual,
+# sets beta's digits: 0.03 keeps the coupled betas within about 1e-12 of a
+# tol = 1e-11 solve, where 0.3 left them up to 5e-12 off with meshes only
+# 12 % smaller and the same sweep counts.
+_MESH_THETA = 0.03
 # Budgets: step halvings per Newton step, Newton steps per sweep, sweeps, nodes.
 _MAX_BACKTRACKS = 8
 _MAX_NEWTON = 50
@@ -75,13 +95,20 @@ class BvpProblem:
     same arguments and returns its Jacobian, of shape ``(n, m, m)``:
     ``jac(x, Y)[p, r, c]`` is d rhs_r / d y_c at point p.  It must be lower
     triangular (d rhs_r / d y_c = 0 for c > r), which is checked on the
-    initial guess; the solver reads only its entries c <= r.  ``bc`` is the
+    initial guess; the solver reads only its entries c <= r.  The rhs should
+    be autonomous: the continuous extension takes y'' = J f at the nodes,
+    which holds when rhs does not depend on x (otherwise the extension, and
+    with it the residual estimate, loses its sixth order).  ``bc`` is the
     triple ``(Ba, Bb, g)`` of shapes (m, m), (m, m), (m,) that states the m
     conditions ``Ba y(0) + Bb y(1) = g``; every condition must sit at x = 0,
     so ``Bb`` must be zero and ``Ba`` nonsingular.  Together these let each
     Newton step march from x = 0 one component at a time.
     ``initial_guess`` holds state samples of shape ``(m, n)`` on
-    ``initial_mesh``.  Anything else is refused with :class:`BadProblem`.
+    ``initial_mesh``; ``initial_stages``, of shape ``(m, 2, n - 1)``, the
+    guessed values at the two interior stage points of every interval
+    (:func:`stage_abscissae`), or None to take them from the quintic
+    extension of the guess.  Anything else is refused with
+    :class:`BadProblem`.
     """
 
     rhs: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -90,6 +117,7 @@ class BvpProblem:
     initial_mesh: np.ndarray
     initial_guess: np.ndarray
     tol: float = 1e-8
+    initial_stages: np.ndarray | None = None
 
     def __post_init__(self):
         self.initial_mesh = np.asarray(self.initial_mesh, dtype=float)
@@ -103,9 +131,17 @@ class BvpProblem:
             raise BadProblem("initial_guess must have shape (m, len(mesh))")
         if not np.all(np.isfinite(self.initial_guess)):
             raise BadProblem("initial_guess must be finite")
+        m = self.initial_guess.shape[0]
+        if self.initial_stages is not None:
+            self.initial_stages = np.asarray(self.initial_stages, dtype=float)
+            if self.initial_stages.shape != (m, 2, x.size - 1):
+                raise BadProblem(
+                    "initial_stages must have shape (m, 2, len(mesh) - 1)"
+                )
+            if not np.all(np.isfinite(self.initial_stages)):
+                raise BadProblem("initial_stages must be finite")
         if self.tol <= 0:
             raise BadProblem("tol must be positive")
-        m = self.initial_guess.shape[0]
         try:
             self.bc = tuple(np.asarray(b, dtype=float) for b in self.bc)
         except (TypeError, ValueError) as exc:
@@ -130,53 +166,93 @@ class BvpProblem:
         if np.any(np.triu(J, 1)):
             raise BadProblem("jac must be lower triangular at the initial guess")
 
-def _hermite_value(y0, y1, f0, f1, h, t):
-    """Value at t in [0, 1] of the cubic with ends (y0, f0), (y1, f1)."""
-    t2, t3 = t * t, t * t * t
-    return (
-        y0 * (2 * t3 - 3 * t2 + 1)
-        + y1 * (-2 * t3 + 3 * t2)
-        + h * f0 * (t3 - 2 * t2 + t)
-        + h * f1 * (t3 - t2)
-    )
+
+def stage_abscissae(x: np.ndarray) -> np.ndarray:
+    """Interior stage points of every interval of mesh ``x``, shape (2, n - 1)."""
+    return x[:-1] + _STAGE_C[:, None] * np.diff(x)
 
 
-def _hermite_slope(y0, y1, f0, f1, h, t):
-    """Slope at t in [0, 1] of the cubic of :func:`_hermite_value`."""
-    t2 = t * t
-    return (
-        (y1 - y0) * (6 * t - 6 * t2) / h
-        + f0 * (3 * t2 - 4 * t + 1)
-        + f1 * (3 * t2 - 2 * t)
-    )
+def _collocation_points(x):
+    """The nodes, then the first and the second stage point of every interval.
+
+    The Newton state Z of shape (m, n + 2(n - 1)) is laid out the same way:
+    Z[:, :n] are the node values and Z[:, n:] the stages, (m, 2, n - 1)
+    when reshaped.
+    """
+    return np.concatenate([x, stage_abscissae(x).ravel()])
 
 
 class HermiteInterpolant:
-    """Piecewise-cubic Hermite interpolant of (mesh, y, y'); C1 by construction."""
+    """Piecewise-quintic Hermite interpolant of (mesh, y, y', y''); C2.
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, yp: np.ndarray):
+    Interval i holds the monomial coefficients of its quintic in the local
+    variable t = (x - x_i) / h_i in [0, 1], evaluated by Horner's rule.  The
+    last node is a constant piece of its own, so every node, x = 1 included,
+    is reproduced exactly.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, yp: np.ndarray,
+                 ypp: np.ndarray):
+        h = np.diff(x)
+        y0, y1 = y[:, :-1], y[:, 1:]
+        d0, d1 = h * yp[:, :-1], h * yp[:, 1:]
+        e0, e1 = h * h * ypp[:, :-1], h * h * ypp[:, 1:]
+        # the quintic with values, t-slopes d and t-curvatures e at both ends
+        p = y1 - y0 - d0 - 0.5 * e0
+        q = d1 - d0 - e0
+        s = e1 - e0
         self.x = x
-        self.y = y
-        self.yp = yp
+        self._h = np.append(h, 1.0)
+        self._coef = np.zeros((6, *y.shape))
+        self._coef[0] = y
+        for k, ak in enumerate((d0, 0.5 * e0, 10.0 * p - 4.0 * q + 0.5 * s,
+                                -15.0 * p + 7.0 * q - s, 6.0 * p - 3.0 * q + 0.5 * s),
+                               start=1):
+            self._coef[k, :, :-1] = ak
 
     def __call__(self, xq, rows=slice(None)):
         """Values at scalar or array ``xq`` of the components ``rows``."""
         xs = np.atleast_1d(np.asarray(xq, dtype=float))
-        i = np.clip(np.searchsorted(self.x, xs, side="right") - 1, 0, self.x.size - 2)
-        h = self.x[i + 1] - self.x[i]
-        y, yp = self.y[rows], self.yp[rows]
-        t = (xs - self.x[i]) / h
-        out = _hermite_value(y[:, i], y[:, i + 1], yp[:, i], yp[:, i + 1], h, t)
+        i = np.clip(np.searchsorted(self.x, xs, side="right") - 1, 0, self.x.size - 1)
+        t = (xs - self.x[i]) / self._h[i]
+        a = np.take(self._coef[:, rows], i, axis=2)
+        out = a[5] * t
+        for k in range(4, 0, -1):
+            out += a[k]
+            out *= t
+        out += a[0]
         return out[:, 0] if np.ndim(xq) == 0 else out
+
+    def interior(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values and x-slopes at x_i + t h_i on every interval, for each t.
+
+        Both have shape (m, len(t), n - 1).
+        """
+        t = np.asarray(t, dtype=float)[:, None]
+        a = self._coef[:, :, None, :-1]
+        val = a[5] * t
+        slope = 5.0 * a[5] * t
+        for k in range(4, 0, -1):
+            val += a[k]
+            val *= t
+            slope += k * a[k]
+            if k > 1:
+                slope *= t
+        return val + a[0], slope / self._h[:-1]
 
 
 @dataclass
 class BvpSolution:
-    """Converged collocation solution with its C1 interpolant."""
+    """Converged collocation solution with its quintic extension.
+
+    ``stages`` holds the converged values at the two interior stage points
+    of every interval, shape (m, 2, n - 1).
+    """
 
     mesh: np.ndarray
     y: np.ndarray
     yp: np.ndarray
+    stages: np.ndarray
     interpolant: HermiteInterpolant
     residual_norm: float
     newton_iters: int
@@ -184,171 +260,192 @@ class BvpSolution:
     newton_per_sweep: list[int]
 
 
-def _collocation_residual(rhs, x, Y):
-    """Residual densities (Simpson form divided by h) on every interval.
+def _collocation_residual(rhs, x, xz, Z):
+    """Residual densities of the three equations of every interval.
 
-    The 1/h scaling keeps the Newton convergence test meaningful on strongly
-    graded meshes: without it, equations on tiny intervals look converged at
-    any state because the raw Simpson residual carries a factor h.
+    Returns ``(phi, F)``: phi of shape (m, 3, n - 1) holds
+    (s_k - y_i) / h - sum_j _A[k, j] f_j for s_k = S2, S3, y_{i+1}, and F is
+    the rhs at every point ``xz`` of the state Z.  The 1/h scaling keeps the
+    Newton convergence test meaningful on strongly graded meshes: without it,
+    equations on tiny intervals look converged at any state because the raw
+    residual carries a factor h.
+    """
+    points = _point_index(x.size)
+    F = rhs(xz, Z)
+    Zq = Z[:, points]                                       # (m, 4, n - 1)
+    phi = (Zq[:, 1:] - Zq[:, :1]) / np.diff(x) - _A @ F[:, points]
+    return phi, F
+
+
+def _full_residual(rhs, bc, x, xz, Z):
+    phi, F = _collocation_residual(rhs, x, xz, Z)
+    Ba, _, g = bc
+    return np.concatenate([phi.ravel(), Ba @ Z[:, 0] - g]), F
+
+
+def _point_index(n):
+    """Columns of Z at y_i, S2, S3, y_{i+1} of every interval, shape (4, n - 1)."""
+    i = np.arange(n - 1)
+    return np.stack([i, n + i, 2 * n - 1 + i, i + 1])
+
+
+def _assemble_jacobian(jac, bc, x, xz, Z):
+    """The data of the Newton matrix of the collocation system.
+
+    The rhs Jacobian ``jac`` is evaluated once at every point of Z.  Returns
+    ``(h, hJ, Ba)``: hJ of shape (m, m, 4, n - 1) is h_i times d rhs_r / d y_c
+    at y_i, S2, S3 and y_{i+1} of interval i, and ``Ba``, the matrix of the
+    affine conditions ``bc``, is the derivative of the boundary residuals
+    with respect to y_0.  Equation k of interval i,
+    (s_k - y_i) / h - sum_j _A[k, j] f_j, has the derivative -_A[k, j] J_j
+    with respect to the state at its point j, plus I/h on s_k and -I/h on y_i.
     """
     h = np.diff(x)
-    f = rhs(x, Y)
-    y_lo, y_hi = Y[:, :-1], Y[:, 1:]
-    f_lo, f_hi = f[:, :-1], f[:, 1:]
-    y_mid = 0.5 * (y_lo + y_hi) - (h / 8.0) * (f_hi - f_lo)
-    x_mid = x[:-1] + 0.5 * h
-    f_mid = rhs(x_mid, y_mid)
-    phi = (y_hi - y_lo) / h - (f_lo + 4.0 * f_mid + f_hi) / 6.0
-    return phi, f, y_mid, x_mid
-
-
-def _assemble_jacobian(jac, bc, x, Y, y_mid, x_mid):
-    """Lower-triangular blocks of the Newton matrix of the collocation system.
-
-    The rhs Jacobian ``jac`` is evaluated at the nodes and at the residual's
-    own midpoint states ``y_mid``.  Returns ``(A, B, Ba)``: A and B of shape
-    (m, m, n-1), interval index last, are the derivatives of interval i's
-    residual with respect to y_i and y_{i+1}; only their entries c <= r are
-    formed, the rest stay zero.  ``Ba``, the matrix of the affine conditions
-    ``bc``, is the derivative of the boundary residuals with respect to y_0.
-    """
-    m = Y.shape[0]
-    h = np.diff(x)
-    Jn = np.ascontiguousarray(jac(x, Y).transpose(1, 2, 0))
-    Jm = np.ascontiguousarray(jac(x_mid, y_mid).transpose(1, 2, 0))
-    lo, hi = Jn[:, :, :-1], Jn[:, :, 1:]
-    inv_h = 1.0 / h
-    q = h / 8.0
-    # d(y_mid)/d(y_i) = I/2 + (h/8) J(y_i), d(y_mid)/d(y_{i+1}) = I/2 - (h/8) J(y_{i+1})
-    Xa = [[0.5 + q * lo[k, k] if c == k else q * lo[k, c] for c in range(k + 1)]
-          for k in range(m)]
-    Xb = [[0.5 - q * hi[k, k] if c == k else -(q * hi[k, c]) for c in range(k + 1)]
-          for k in range(m)]
-    A = np.zeros((m, m, h.size))
-    B = np.zeros((m, m, h.size))
-    # d(phi_i) of phi_i = (y_{i+1} - y_i)/h - (f_i + 4 f(y_mid) + f_{i+1})/6
-    for r in range(m):
-        A[r, :r + 1] = lo[r, :r + 1] / -6.0
-        B[r, :r + 1] = hi[r, :r + 1] / -6.0
-        A[r, r] -= inv_h
-        B[r, r] += inv_h
-        for c in range(r + 1):
-            Sa = Jm[r, c] * Xa[c][c]
-            Sb = Jm[r, c] * Xb[c][c]
-            for k in range(c + 1, r + 1):
-                Sa += Jm[r, k] * Xa[k][c]
-                Sb += Jm[r, k] * Xb[k][c]
-            A[r, c] -= (2.0 / 3.0) * Sa
-            B[r, c] -= (2.0 / 3.0) * Sb
-    return A, B, bc[0]
+    J = jac(xz, Z).transpose(1, 2, 0)
+    return h, J[:, :, _point_index(x.size)] * h, bc[0]
 
 
 def _affine_prefix(M, c):
     """Compose the scalar maps z -> M[i] z + c[i]: (P[k], C[k]) of maps 0..k.
 
     Element k maps the value before map 0 to the value after map k, as
-    P[k] z + C[k].  Work-efficient scan (Blelloch, CMU-CS-90-190): compose
-    adjacent pairs as (M2 M1, M2 c1 + c2), scan the half-length sequence of
-    pairs recursively, which gives every odd prefix, and reach each even
-    prefix with one more composition.  That is about 2n compositions in
-    ceil(log2 n) levels.
+    P[k] z + C[k]; leading axes of M and c are independent sequences.
+    Work-efficient scan (Blelloch, CMU-CS-90-190): compose adjacent pairs as
+    (M2 M1, M2 c1 + c2), scan the half-length sequence of pairs recursively,
+    which gives every odd prefix, and reach each even prefix with one more
+    composition.  That is about 2n compositions in ceil(log2 n) levels.
     """
-    n = M.size
+    n = M.shape[-1]
     if n == 1:
         return M, c
     P, C = np.empty_like(M), np.empty_like(c)
-    P[0], C[0] = M[0], c[0]
-    odd = M[1::2]
-    P[1::2], C[1::2] = _affine_prefix(odd * M[0:n - 1:2], odd * c[0:n - 1:2] + c[1::2])
-    even = M[2::2]
-    P[2::2] = even * P[1:n - 1:2]
-    C[2::2] = even * C[1:n - 1:2] + c[2::2]
+    P[..., 0], C[..., 0] = M[..., 0], c[..., 0]
+    odd = M[..., 1::2]
+    pair_c = odd * c[..., 0:n - 1:2]
+    pair_c += c[..., 1::2]
+    P[..., 1::2], C[..., 1::2] = _affine_prefix(odd * M[..., 0:n - 1:2], pair_c)
+    even = M[..., 2::2]
+    np.multiply(even, P[..., 1:n - 1:2], out=P[..., 2::2])
+    np.multiply(even, C[..., 1:n - 1:2], out=C[..., 2::2])
+    C[..., 2::2] += c[..., 2::2]
     return P, C
 
 
+def _inverse3(G):
+    """Inverses and determinants of the 3 x 3 matrices G[k][l], arrays alike.
+
+    The adjugate is formed from cyclic cofactors,
+    C_kl = G[k+1][l+1] G[k+2][l+2] - G[k+1][l+2] G[k+2][l+1] (indices mod 3),
+    entry by entry on the whole arrays; the inverse has shape (3, 3, ...).
+    A zero determinant is returned, not divided by.
+    """
+    cof = [[G[(k + 1) % 3][(l + 1) % 3] * G[(k + 2) % 3][(l + 2) % 3]
+            - G[(k + 1) % 3][(l + 2) % 3] * G[(k + 2) % 3][(l + 1) % 3]
+            for l in range(3)] for k in range(3)]
+    det = G[0][0] * cof[0][0] + G[0][1] * cof[0][1] + G[0][2] * cof[0][2]
+    inv_det = 1.0 / np.where(det == 0.0, 1.0, det)
+    return np.array([[cof[l][k] * inv_det for l in range(3)] for k in range(3)]), det
+
+
 def _block_solve(jac, R):
-    """Newton step dY, of shape (m, n), solving ``J dY = -R`` by condensation.
+    """Newton step dZ, in the layout of Z, solving ``J dZ = -R`` by condensation.
 
-    ``jac`` holds the blocks of :func:`_assemble_jacobian`; ``R`` is the
-    residual of :func:`_full_residual` (interval residuals node-major, then
-    the m boundary residuals).  The conditions sit at x = 0, so
-    dy_0 = -Ba^{-1} R_bc.  The blocks are lower triangular, so component r
-    of interval i's equations,
+    ``jac`` holds the data of :func:`_assemble_jacobian`; ``R`` is the
+    residual of :func:`_full_residual` (the densities phi of shape
+    (m, 3, n - 1), raveled, then the m boundary residuals).  The conditions
+    sit at x = 0, so dy_0 = -Ba^{-1} R_bc.  The Jacobian is lower
+    triangular, so component r of interval i's equations, times h,
 
-        B_i^{rr} dy^r_{i+1} + A_i^{rr} dy^r_i
-            = -phi^r_i - sum_{c<r} (A_i^{rc} dy^c_i + B_i^{rc} dy^c_{i+1}),
+        ds_k - sum_{l=1..3} _A[k, l] hJ_l^{rr} ds_l
+            = -h phi^r_k + (1 + _A[k, 0] hJ_0^{rr}) dy^r_i
+              + sum_j _A[k, j] sum_{c<r} hJ_j^{rc} dZ^c_j,
 
-    is a scalar affine recurrence dy^r_{i+1} = M_i dy^r_i + c_i once the
-    components c < r are known; :func:`_affine_prefix` solves it for every
-    node at once, component by component.
+    for (ds_1, ds_2, ds_3) = (dS2, dS3, dy_{i+1}), is a 3 x 3 system
+    G s = u + e dy^r_i once the components c < r are known.  The inverses of
+    every G, for all m components, are formed in one vectorized pass; the
+    last row of G^{-1} e and G^{-1} u gives the scalar affine recurrence
+    dy^r_{i+1} = M_i dy^r_i + c_i, which :func:`_affine_prefix` solves for
+    every node at once, and the first two rows then give the stages.  The
+    components that read none of the components still unsolved share one
+    scan: for the folded system both halves' ubar, then both v.
 
     This is the whole factor-and-solve of one Newton iteration.  It is bound
     to the module name ``splu``, which ``perfbench/tracing.py`` wraps, so the
     traced ``bvp.splu_s`` is the time of this linear algebra and
     ``bvp.splu_calls`` counts Newton linear solves.
 
-    Raises :class:`SingularJacobian` if a diagonal entry B_i^{rr} is exactly
-    zero, or if a component's propagator max_k |M_{k-1} ... M_0| exceeds
-    1/sqrt(eps): the forward march is then unstable.
+    Raises :class:`SingularJacobian` if a block G is exactly singular, or if
+    a component's propagator max_k |M_{k-1} ... M_0| exceeds 1/sqrt(eps):
+    the forward march is then unstable.
     """
-    A, B, Ba = jac
-    m, _, nint = A.shape
-    phi = R[:-m].reshape(nint, m).T
-    dY = np.empty((m, nint + 1))
-    dY[:, 0] = np.linalg.solve(Ba, -R[-m:])
-    for r in range(m):
-        pivot = B[r, r]
-        if not np.all(pivot):
-            i = int(np.flatnonzero(pivot == 0.0)[0])
-            raise SingularJacobian(
-                f"collocation block: zero pivot in column {r} of interval {i}"
-            )
-        rhs = -phi[r]
-        for c in range(r):
-            rhs -= A[r, c] * dY[c, :-1] + B[r, c] * dY[c, 1:]
-        P, C = _affine_prefix(-A[r, r] / pivot, rhs / pivot)
+    h, hJ, Ba = jac
+    m, _, _, nint = hJ.shape
+    n = nint + 1
+    phi = R[:-m].reshape(m, 3, nint)
+    diag = hJ[np.arange(m), np.arange(m)].swapaxes(0, 1)   # (4, m, nint)
+    G = np.eye(3)[:, :, None, None] - _A[:, 1:, None, None] * diag[1:]
+    Ginv, det = _inverse3(G)
+    if not np.all(det):
+        r, i = np.argwhere(det == 0.0)[0]
+        raise SingularJacobian(
+            f"collocation block: zero pivot in column {r} of interval {i}"
+        )
+    Ginv = Ginv.transpose(2, 0, 1, 3)                      # (m, 3, 3, nint)
+    Ge = np.einsum("rkli,lri->rki", Ginv, 1.0 + _A[:, :1, None] * diag[0])
+    points = _point_index(n)
+    dZ = np.empty((m, n + 2 * nint))
+    dZ[:, 0] = np.linalg.solve(Ba, -R[-m:])
+    # coupled[r][c]: component r reads component c < r somewhere
+    coupled = [[c < r and hJ[r, c].any() for c in range(m)] for r in range(m)]
+    todo = list(range(m))
+    while todo:
+        # the components that read none still to be solved march together
+        rows = [r for r in todo if not any(coupled[r][c] for c in todo)]
+        u = -h * phi[rows]
+        for q, r in enumerate(rows):
+            for c in range(r):
+                if coupled[r][c]:
+                    u[q] += _A @ (hJ[r, c] * dZ[c, points])
+        u = np.einsum("rkli,rli->rki", Ginv[rows], u)
+        P, C = _affine_prefix(Ge[rows, 2], u[:, 2])
         norm = float(np.max(np.abs(P)))
         if norm > _MAX_PROPAGATOR_NORM:
             raise SingularJacobian(
                 f"propagator norm {norm:.3e} exceeds {_MAX_PROPAGATOR_NORM:.3e}: "
                 "the linearized problem does not contract away from x = 0"
             )
-        dY[r, 1:] = P * dY[r, 0] + C
-    return dY
+        dZ[rows, 1:n] = dZ[rows, :1] * P + C
+        dy = dZ[rows, :nint]
+        dZ[rows, n:] = (u[:, :2] + Ge[rows, :2] * dy[:, None]).reshape(len(rows), -1)
+        todo = [r for r in todo if r not in rows]
+    return dZ
 
 
 # perfbench/tracing.py wraps the Newton linear solve under this name.
 splu = _block_solve
 
 
-def _full_residual(rhs, bc, x, Y):
-    phi, f, y_mid, x_mid = _collocation_residual(rhs, x, Y)
-    Ba, _, g = bc
-    R = np.concatenate([phi.T.ravel(), Ba @ Y[:, 0] - g])
-    return R, f, y_mid, x_mid
-
-
-def _newton(rhs, jac, bc, x, Y):
-    """Damped Newton on the collocation system; returns (Y, f, iterations)."""
-    R, f, y_mid, x_mid = _full_residual(rhs, bc, x, Y)
+def _newton(rhs, jac, bc, x, Z):
+    """Damped Newton on the collocation system; returns (Z, F, iterations)."""
+    xz = _collocation_points(x)
+    R, F = _full_residual(rhs, bc, x, xz, Z)
     if not np.all(np.isfinite(R)):
         raise NewtonDivergence("residual is not finite at the initial guess")
     iters = 0
     for _ in range(_MAX_NEWTON):
         # residual densities have the units of the rhs
-        scale = 1.0 + np.max(np.abs(Y)) + np.max(np.abs(f))
+        scale = 1.0 + np.max(np.abs(Z)) + np.max(np.abs(F))
         norm = np.max(np.abs(R))
         if norm <= 1e-11 * scale:
-            return Y, f, iters
-        blocks = _assemble_jacobian(jac, bc, x, Y, y_mid, x_mid)
-        dY = splu(blocks, R)
-        if not np.all(np.isfinite(dY)):
+            return Z, F, iters
+        dZ = splu(_assemble_jacobian(jac, bc, x, xz, Z), R)
+        if not np.all(np.isfinite(dZ)):
             raise SingularJacobian("Newton linear solve produced non-finite step")
 
         lam = 1.0
         for _ in range(_MAX_BACKTRACKS + 1):
-            Y_try = Y + lam * dY
-            R_try, f_t, y_mid_t, x_mid = _full_residual(rhs, bc, x, Y_try)
+            Z_try = Z + lam * dZ
+            R_try, F_try = _full_residual(rhs, bc, x, xz, Z_try)
             norm_try = np.max(np.abs(R_try)) if np.all(np.isfinite(R_try)) else np.inf
             if norm_try < (1.0 - 1e-4 * lam) * norm:
                 break
@@ -358,43 +455,51 @@ def _newton(rhs, jac, bc, x, Y):
                 f"no residual decrease after {_MAX_BACKTRACKS} step halvings "
                 f"(|R|={norm:.3e})"
             )
-        Y, R, f, y_mid = Y_try, R_try, f_t, y_mid_t
+        Z, R, F = Z_try, R_try, F_try
         iters += 1
-        if np.max(np.abs(lam * dY)) <= 1e-14 * scale:
-            return Y, f, iters
+        if np.max(np.abs(lam * dZ)) <= 1e-14 * scale:
+            return Z, F, iters
     raise NewtonDivergence(f"not converged after {_MAX_NEWTON} Newton iterations")
 
 
-def _estimate_residuals(rhs, x, Y, f):
-    """Scaled collocation residual estimate on every interval.
+def _extension(jac, x, Y, f):
+    """The quintic extension of node values Y with slopes f = rhs(x, Y)."""
+    return HermiteInterpolant(x, Y, f, np.einsum("prc,cp->rp", jac(x, Y), f))
 
-    Samples the Hermite interpolant at the two interior points of the 5-point
-    Lobatto rule (the collocation residual vanishes at the nodes and the
-    midpoint) and returns a quadrature-weighted rms per interval.
+
+def sample_collocation(interp, x):
+    """Node values (m, n) and stages (m, 2, n - 1) of mesh ``x`` from ``interp``."""
+    Z = interp(_collocation_points(x))
+    return Z[:, :x.size], Z[:, x.size:].reshape(-1, 2, x.size - 1)
+
+
+def _estimate_residuals(rhs, interp):
+    """Scaled residual estimate of the quintic extension on every interval.
+
+    Samples the residual y' - f(y) at the three interior points of the
+    5-point Lobatto rule (it vanishes at the nodes, where y' = f by
+    construction) and returns a quadrature-weighted rms per interval.
     """
-    h = np.diff(x)
-    est_sq = np.zeros(x.size - 1)
-    for t in _RES_THETA:
-        ends = (Y[:, :-1], Y[:, 1:], f[:, :-1], f[:, 1:], h, t)
-        S, Sp = _hermite_value(*ends), _hermite_slope(*ends)
-        fq = rhs(x[:-1] + t * h, S)
-        rel = (Sp - fq) / (1.0 + np.abs(fq))
-        est_sq += _RES_WEIGHT * np.sum(rel * rel, axis=0)
-    return np.sqrt(est_sq)
+    S, Sp = interp.interior(_RES_T)
+    m, k, nint = S.shape
+    xq = (interp.x[:-1] + _RES_T[:, None] * np.diff(interp.x)).ravel()
+    fq = rhs(xq, S.reshape(m, k * nint)).reshape(m, k, nint)
+    rel = (Sp - fq) / (1.0 + np.abs(fq))
+    return np.sqrt(_RES_W @ np.sum(rel * rel, axis=0))
 
 
 def _refine_mesh(x, est, tol, h_max):
     """A fresh mesh whose intervals each carry an estimate of about theta tol.
 
-    The estimate scales as h**3 (halving an interval divides it by about 8),
-    so interval i needs (est_i / (theta tol))**(1/3) subintervals, and at
-    least h_i / h_max, so that no interval grows wider than ``h_max``.  The
-    new nodes equidistribute the cumulative need over [x_0, x_{n-1}]: they
-    crowd where the estimate is large, and nodes where it is small are
+    The estimate scales as h**5 (halving an interval divides it by about
+    32), so interval i needs (est_i / (theta tol))**(1/5) subintervals, and
+    at least h_i / h_max, so that no interval grows wider than ``h_max``.
+    The new nodes equidistribute the cumulative need over [x_0, x_{n-1}]:
+    they crowd where the estimate is large, and nodes where it is small are
     removed.  Both ends are kept.
     """
     h = np.diff(x)
-    need = np.maximum(np.cbrt(est / (_MESH_THETA * tol)), h / h_max)
+    need = np.maximum((est / (_MESH_THETA * tol)) ** 0.2, h / h_max)
     cum = np.concatenate([[0.0], np.cumsum(need)])
     n = int(np.ceil(cum[-1]))
     return np.interp(np.linspace(0.0, cum[-1], n + 1), cum, x)
@@ -404,9 +509,10 @@ def bvp_solve(problem: BvpProblem) -> BvpSolution:
     """Solve a :class:`BvpProblem` to its residual tolerance.
 
     Each mesh sweep runs Newton on the current mesh and estimates the
-    residual; where the estimate exceeds ``problem.tol``, the next sweep
-    starts from a redistributed mesh (:func:`_refine_mesh`), which may hold
-    fewer nodes than the current one.
+    residual of the quintic extension; where the estimate exceeds
+    ``problem.tol``, the next sweep starts from a redistributed mesh
+    (:func:`_refine_mesh`), which may hold fewer nodes than the current one,
+    with its nodes and stages sampled from the extension.
 
     Raises :class:`NewtonDivergence` for an unusable initial guess,
     :class:`SingularJacobian` if the linearization degenerates or its
@@ -417,21 +523,28 @@ def bvp_solve(problem: BvpProblem) -> BvpSolution:
     """
     rhs, jac, bc = problem.rhs, problem.jac, problem.bc
     x = problem.initial_mesh.copy()
-    Y = problem.initial_guess.copy()
+    Y, S = problem.initial_guess, problem.initial_stages
+    if S is None:  # the extension reproduces the node values exactly
+        Z = _extension(jac, x, Y, rhs(x, Y))(_collocation_points(x))
+    else:
+        Z = np.concatenate([Y, S.reshape(Y.shape[0], -1)], axis=1)
     h_max = float(np.max(np.diff(x)))
     per_sweep: list[int] = []
 
     for sweep in range(1, _MAX_MESH_SWEEPS + 1):
-        Y, f, iters = _newton(rhs, jac, bc, x, Y)
+        Z, F, iters = _newton(rhs, jac, bc, x, Z)
         per_sweep.append(iters)
-        est = _estimate_residuals(rhs, x, Y, f)
+        n = x.size
+        Y, f = Z[:, :n], F[:, :n]
+        interp = _extension(jac, x, Y, f)
+        est = _estimate_residuals(rhs, interp)
         res_norm = float(est.max())
         if res_norm <= problem.tol:
-            interp = HermiteInterpolant(x, Y, f)
             return BvpSolution(
                 mesh=x,
                 y=Y,
                 yp=f,
+                stages=Z[:, n:].reshape(-1, 2, n - 1),
                 interpolant=interp,
                 residual_norm=res_norm,
                 newton_iters=sum(per_sweep),
@@ -443,7 +556,7 @@ def bvp_solve(problem: BvpProblem) -> BvpSolution:
             raise MeshLimitExceeded(
                 f"the redistributed mesh needs {x_new.size} nodes (budget {_MAX_NODES})"
             )
-        Y = HermiteInterpolant(x, Y, f)(x_new)
+        Z = interp(_collocation_points(x_new))
         x = x_new
 
     raise MeshLimitExceeded(

@@ -185,8 +185,9 @@ def test_criterion_8_kernel_convergence_orders():
     assert np.all(trapezoid_orders >= 1.8)
 
     # collocation on y0' = -y0**2, y1' = y0 with y(0) = (1, 0), whose solution
-    # is (1/(1+x), log(1+x)): least-squares slope over a refinement ladder
-    # (pairwise measurements fluctuate a few hundredths around 4)
+    # is (1/(1+x), log(1+x)): least-squares slope of the nodal error over a
+    # refinement ladder whose errors stay above rounding (sixth order; the
+    # measured slope is 5.95)
     def rhs(x, Y):
         return np.vstack([-Y[0] ** 2, Y[0]])
 
@@ -200,7 +201,7 @@ def test_criterion_8_kernel_convergence_orders():
     bc = (np.eye(2), np.zeros((2, 2)), [1.0, 0.0])
 
     bvp_errs = []
-    sizes = [8, 11, 16, 21, 31, 41]
+    sizes = np.arange(5, 17)
     for n in sizes:
         mesh = np.linspace(0.0, 1.0, n)
         prob = BvpProblem(rhs=rhs, jac=jac, bc=bc, initial_mesh=mesh,
@@ -209,9 +210,9 @@ def test_criterion_8_kernel_convergence_orders():
         sol = bvp_solve(prob)
         exact = np.vstack([1.0 / (1.0 + sol.mesh), np.log1p(sol.mesh)])
         bvp_errs.append(np.max(np.abs(sol.y - exact)))
-    hs = 1.0 / (np.array(sizes) - 1)
+    hs = 1.0 / (sizes - 1)
     bvp_slope = float(np.polyfit(np.log(hs), np.log(bvp_errs), 1)[0])
-    assert bvp_slope >= 3.95
+    assert bvp_slope >= 5.8
 
     _ok(8, f"orders ivp {ivp_orders.min():.2f}, simpson {simpson_orders.min():.2f}, "
            f"trapezoid {trapezoid_orders.min():.2f}, bvp {bvp_slope:.3f}")

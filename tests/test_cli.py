@@ -269,7 +269,8 @@ class TestBetaCommand:
             d = e["diagnostics"]
             if e["method"] == "coupled":
                 assert d["mesh_sweeps"] == len(d["newton_per_sweep"]) >= 1
-                assert d["mesh_size"] > 401
+                # a cold solve never coarsens its 401-node starting mesh
+                assert d["mesh_size"] >= 401
             else:
                 assert not any(k in d for k in keys)
 

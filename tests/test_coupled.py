@@ -23,8 +23,10 @@ from shockbeta.model import (
     quadratic_transverse_flux,
     rankine_hugoniot_speed,
     sine_transverse_flux,
+    standing_shock,
 )
 from shockbeta.numerics import bvp_solve
+from shockbeta.numerics.bvp import stage_abscissae
 from shockbeta.profile import Grid, solve_profile
 
 from conftest import exact_profile, exact_v
@@ -184,13 +186,19 @@ class TestInitialGuess:
 class TestNarrowedGuess:
     def test_guess_is_the_wider_solution_cut_at_L(self, coupled_L20):
         wide = coupled_L20.bvp
-        mesh, Y = _narrowed_guess(coupled_L20, 10.0)
+        mesh, Y, S = _narrowed_guess(coupled_L20, 10.0)
         k = mesh.size - 1
         assert mesh[0] == 0.0 and mesh[-1] == 1.0
         assert np.all(np.diff(mesh) > 0.0)
         assert np.array_equal(mesh[:k], wide.mesh[:k] / 0.5)
         assert np.array_equal(Y[:, :k], wide.y[:, :k])
         assert np.array_equal(Y[:, k], wide.interpolant(0.5))
+        # the kept intervals keep their converged stages; the cut interval
+        # takes its stages from the wider extension
+        assert S.shape == (4, 2, k)
+        assert np.array_equal(S[:, :, :k - 1], wide.stages[:, :, :k - 1])
+        last = stage_abscissae(np.array([wide.mesh[k - 1], 0.5]))[:, 0]
+        assert np.array_equal(S[:, :, k - 1], wide.interpolant(last))
 
     @pytest.mark.parametrize("offset", [-2, -1, 0, 1, 2])
     def test_node_within_rounding_of_the_cut(self, coupled_L20, exact_cfg,
@@ -202,12 +210,12 @@ class TestNarrowedGuess:
         L = 20.0 * wide[j]
         for _ in range(abs(offset)):
             L = np.nextafter(L, np.inf if offset > 0 else -np.inf)
-        mesh, Y = _narrowed_guess(coupled_L20, L)
-        h = np.diff(mesh)
-        assert mesh[0] == 0.0 and mesh[-1] == 1.0 and np.all(h > 0.0)
+        guess = _narrowed_guess(coupled_L20, L)
+        h = np.diff(guess[0])
+        assert guess[0][0] == 0.0 and guess[0][-1] == 1.0 and np.all(h > 0.0)
         assert h[-1] >= 0.5 * np.min(np.diff(wide)[j - 2:j + 2]) * 20.0 / L
         res = solve_coupled(exact_cfg, quad_flux, exact_freq, L, 2000,
-                            guess=(mesh, Y), tail_tol=1e-3, decay_tol=1e-2)
+                            guess=guess, tail_tol=1e-3, decay_tol=1e-2)
         assert res.bvp.newton_per_sweep[0] <= 1
 
 
@@ -292,6 +300,30 @@ class TestSolveCoupled:
         assert res.bvp.mesh_iterations <= 2
         assert res.aux.diagnostics["mesh_sweeps"] == res.bvp.mesh_iterations
         assert res.aux.diagnostics["newton_per_sweep"] == res.bvp.newton_per_sweep
+
+    def test_cold_sine_solve_mesh_size(self):
+        # sixth-order collocation with an h^5 residual: a few hundred nodes
+        # meet tol = 1e-8 where the 3-stage scheme needed 3456
+        f = sine_transverse_flux()
+        cfg, freq = standing_shock(f, 1.3, -1.0, 1.0)
+        res = solve_coupled(cfg, f, freq, 20.0, 4000)
+        assert res.bvp.mesh.size <= 600
+
+    @pytest.mark.parametrize("case", [
+        ("sine", 1.0, 20.0), ("sine", 1.3, 20.0), ("sine", 1.5, 20.0),
+        ("exact", 1.0, 10.0), ("exact", 1.0, 20.0), ("exact", 1.0, 30.0),
+    ])
+    def test_beta_at_working_tolerance_matches_a_tight_solve(self, case):
+        name, um, L = case
+        f = {"sine": sine_transverse_flux, "exact": quadratic_transverse_flux}[name]()
+        cfg, freq = standing_shock(f, um, -1.0, 1.0)
+        betas = [
+            compute_beta(f, res.profile, res.aux).beta
+            for res in (solve_coupled(cfg, f, freq, L, 4000, tol=tol,
+                                      tail_tol=1e-3, decay_tol=1e-2)
+                        for tol in (1e-8, 1e-11))
+        ]
+        assert abs(betas[0] / betas[1] - 1.0) <= 3e-12
 
 
 class TestContinuation:
