@@ -16,16 +16,18 @@ phase condition, two matching conditions, and the origin normalization
 v(0) = 0.  Both far ends then fall into the attracting equilibria on their
 own; the tail residual is verified after the solve.  The initial guess comes
 from integrating the field outward from the fold.  A parameter sweep seeds
-each point with the previous converged solution, its profile stretched to the
-new end states and sampled at the nodes and collocation stages of the same
-401-node starting mesh as a cold solve (:func:`_rescaled_guess`): the solver
-then refines from the mesh a cold solve starts on, so each point ends on its
-cold solve's mesh, with its sweep count and its beta.  Since every fold
-condition sits at t = 0, the solution on [-L, L] is a wider one cut at
-|x| = L: a study over several L solves the widest first and seeds each
-narrower L with the wider solution cut there, converged stages included
-(:func:`_narrowed_guess`), which usually leaves one sweep of at most one
-Newton step.
+each point with the previous converged solution, each folded half stretched
+in t by the ratio new/old of its end rate |a1s(u+-)| and the profile
+stretched in amplitude to the new end states, sampled at the nodes and
+collocation stages of the same 401-node starting mesh as a cold solve
+(:func:`_rescaled_guess`): the solver then refines from the mesh a cold
+solve starts on, so each point ends on its cold solve's mesh, with its sweep
+count, its Newton iterations (one per sweep along ``configs/sine_scan.cfg``)
+and its beta.  Since every fold condition sits at t = 0, the solution on
+[-L, L] is a wider one cut at |x| = L: a study over several L solves the
+widest first and seeds each narrower L with the wider solution cut there,
+converged stages included (:func:`_narrowed_guess`), which usually leaves
+one sweep of at most one Newton step.
 """
 
 from __future__ import annotations
@@ -246,20 +248,34 @@ def solve_coupled(
 def _rescaled_guess(
     prev: CoupledResult, cfg_new: ShockConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Previous folded solution as a guess, its profile stretched to the new states.
+    """Previous folded solution as a guess, stretched to the new states.
 
     The guess is the previous quintic extension sampled at the nodes and
     stages of the starting mesh of a cold solve, so the solver refines from
     where a cold solve does and its first sweep's Newton iterations run on
     401 nodes, not on the previous point's hundreds; the point then ends on
-    its cold solve's mesh.  A point whose left state equals the previous one
-    is already solved and keeps the converged mesh and stages.
+    its cold solve's mesh.  Each folded half is stretched in t by its
+    end-rate ratio r = |a1s(u_end)| new / old (u+ for the right half, u-
+    for the left): it is sampled at t r, so the layer narrows as its end
+    rate grows (the extension's last piece is constant, so t r > 1 reads the
+    end state).  The profile is then stretched in amplitude about u+.  For a
+    quadratic f1 this maps u_mid - d tanh(a d x) onto the new point's
+    profile exactly; v, linear given the profile, then takes one Newton
+    iteration, as it does from a cold guess.  A point whose left state
+    equals the previous one is already solved and keeps the converged mesh
+    and stages.
     """
     if cfg_new.u_minus == prev.config.u_minus:
         mesh, Y, S = prev.bvp.mesh.copy(), prev.bvp.y.copy(), prev.bvp.stages.copy()
     else:
         mesh = _starting_mesh()
-        Y, S = sample_collocation(prev.bvp.interpolant, mesh)
+        interp = prev.bvp.interpolant
+        r_plus, r_minus = cfg_new.end_rates / prev.config.end_rates
+        Y, S = sample_collocation(
+            lambda t: np.concatenate([interp(t * r_plus, rows=slice(0, 2)),
+                                      interp(t * r_minus, rows=slice(2, 4))]),
+            mesh,
+        )
     up = cfg_new.u_plus
     ratio = (cfg_new.u_minus - up) / (prev.config.u_minus - up)
     for Z in (Y, S):

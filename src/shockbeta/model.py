@@ -203,9 +203,14 @@ class ShockConfig:
         return (u - self.u_plus) * (u - self.u_minus) * self.q(u)
 
     @property
+    def end_rates(self) -> np.ndarray:
+        """|a1s(u+)|, |a1s(u-)|: the profile meets u+- like exp(a1s(u+-) x)."""
+        return np.abs([self.a1_shifted(self.u_plus), self.a1_shifted(self.u_minus)])
+
+    @property
     def layer_rate(self) -> float:
-        """max|a1s(u+-)|: the profile meets u+- like exp(a1s(u+-) x)."""
-        return max(abs(self.a1_shifted(u)) for u in (self.u_plus, self.u_minus))
+        """max|a1s(u+-)|, the steeper of the two end rates."""
+        return float(self.end_rates.max())
 
     @property
     def u_jump(self) -> float:

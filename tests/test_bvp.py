@@ -481,3 +481,36 @@ def test_newton_counts_reported():
     sol = bvp_solve(_decay_problem(11))
     assert sol.newton_iters == sum(sol.newton_per_sweep)
     assert len(sol.newton_per_sweep) == sol.mesh_iterations
+
+
+def _decay_solve(guess):
+    mesh = np.linspace(0.0, 1.0, guess.shape[1])
+    return bvp_solve(BvpProblem(rhs=_decay_rhs, jac=_decay_jac,
+                                bc=_start_bc([1.0, 0.0]), initial_mesh=mesh,
+                                initial_guess=guess))
+
+
+def test_large_last_step_is_settled_by_one_more_step():
+    # y1 is linear given y0, so one Newton step from the exact y0 and a y1
+    # far off passes the residual test; the 21-node mesh passes the
+    # estimate, and the settling step takes the state to where the solve
+    # from the exact guess ends (unsettled it stays 3e-15 away)
+    mesh = np.linspace(0.0, 1.0, 21)
+    exact = _decay_exact(mesh)
+    far = _decay_solve(exact + np.vstack([np.zeros(21), 10.0 * (1.0 + mesh)]))
+    near = _decay_solve(exact)
+    assert far.newton_per_sweep == [2]
+    assert near.newton_per_sweep == [1]
+    assert np.array_equal(far.mesh, near.mesh)
+    assert np.max(np.abs(far.y - near.y)) <= np.finfo(float).eps
+    assert np.max(np.abs(far.stages - near.stages)) <= np.finfo(float).eps
+
+
+def test_small_last_step_keeps_its_count(monkeypatch):
+    def no_settle(*args):
+        raise AssertionError("a solve from a close guess took the settling step")
+
+    monkeypatch.setattr(bvp, "_settle", no_settle)
+    assert _decay_solve(_decay_exact(np.linspace(0.0, 1.0, 21))).newton_per_sweep == [1]
+    # the coarse first sweep fails the estimate; the fine one starts close
+    assert bvp_solve(_decay_problem(11)).newton_per_sweep == [4, 1]

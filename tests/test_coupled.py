@@ -361,6 +361,23 @@ class TestContinuation:
             beta_cold = compute_beta(f, cold.profile, cold.aux).beta
             assert abs(beta_warm - beta_cold) <= 1e-14 * abs(beta_cold)
 
+    def test_sine_steps_take_the_newton_iterations_of_their_cold_solves(
+            self, sine_scan):
+        # the guess stretched by the end-rate ratios is as close as the
+        # outward integration: one Newton iteration per sweep
+        f = sine_transverse_flux()
+        for pt in sine_scan:
+            cold = solve_coupled(pt.config, f, pt.freq, 20.0, 4000)
+            assert pt.bvp.newton_per_sweep == cold.bvp.newton_per_sweep == [1, 1]
+
+    def test_burgers_steps_take_at_most_two_newton_iterations(self, burgers_scan):
+        # u- = 1, 2, 4, 8: the step to 2 is settled by one more Newton step
+        counts = [pt.bvp.newton_per_sweep for pt in burgers_scan]
+        assert len(counts) == 4
+        for count, bound in zip(counts[1:], ([2], [2, 1], [2, 1])):
+            assert len(count) == len(bound)
+            assert all(c <= b for c, b in zip(count, bound))
+
     def test_steps_start_on_the_cold_starting_mesh(self, quad_flux, exact_cfg,
                                                    monkeypatch):
         starts, solved = [], []
