@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Subcommands: profile | aux | beta | scan | compare.  Options mirror the
-config-file keys and override file values.  Exit codes: 0 success, 2 invalid
-configuration (also an unreadable config file, an unwritable output path or
-a grid too large to allocate), 3 solver failure (diagnostics on stderr).
+Commands: profile | aux | beta | scan | compare.  Every command takes the
+same options; they mirror the config-file keys and override file values.
+Exit codes: 0 success, 2 invalid configuration (also an unreadable config
+file, an unwritable output path or a grid too large to allocate), 3 solver
+failure (diagnostics on stderr).
 Each command checks, solves, then writes: a failed check leaves no output
 directory, and an unwritable output path is reported after the solves.
 """
@@ -38,13 +39,6 @@ _HELP = {
     "method": "if | coupled | both",
     "quadrature": "trapezoid | simpson",
 }
-
-
-def _add_common_options(p: argparse.ArgumentParser) -> None:
-    """``--config`` plus one flag per config key (``_`` spelled ``-``)."""
-    p.add_argument("--config", help="run-configuration file (key = value lines)")
-    for key in PARSERS:
-        p.add_argument("--" + key.replace("_", "-"), dest=key, help=_HELP.get(key))
 
 
 def _join_config_flags(argv: list[str]) -> list[str]:
@@ -232,25 +226,35 @@ def cmd_compare(rc: RunConfig) -> int:
     return EXIT_OK
 
 
+COMMANDS = {
+    "profile": ("compute and export the viscous profile", cmd_profile),
+    "aux": ("compute the correction v", cmd_aux),
+    "beta": ("stability coefficient over a list of L", cmd_beta),
+    "scan": ("continuation sweep over u_minus", cmd_scan),
+    "compare": ("error norms against the exact solution", cmd_compare),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One parser: the command, then ``--config`` and one flag per config key.
+
+    Every command takes the same flags (``_`` in a key is spelled ``-``).
+    """
     parser = argparse.ArgumentParser(
         prog="shockbeta",
         description=(
-            "Refined stability coefficient of planar viscous shock profiles "
+            "Refined stability coefficient of planar viscous shock profiles\n"
             "for scalar conservation laws in two space dimensions."
         ),
+        epilog="commands:\n" + "".join(
+            f"  {name:9s} {help_text}\n" for name, (help_text, _) in COMMANDS.items()
+        ),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, func in (
-        ("profile", "compute and export the viscous profile", cmd_profile),
-        ("aux", "compute the correction v", cmd_aux),
-        ("beta", "stability coefficient over a list of L", cmd_beta),
-        ("scan", "continuation sweep over u_minus", cmd_scan),
-        ("compare", "error norms against the exact solution", cmd_compare),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        _add_common_options(p)
-        p.set_defaults(func=func)
+    parser.add_argument("command", choices=COMMANDS, help="the command to run")
+    parser.add_argument("--config", help="run-configuration file (key = value lines)")
+    for key in PARSERS:
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, help=_HELP.get(key))
     return parser
 
 
@@ -259,9 +263,10 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(_join_config_flags(argv))
+    _, func = COMMANDS[args.command]
     try:
         rc = _load_config(args)
-        return args.func(rc)
+        return func(rc)
     except (ValidationError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

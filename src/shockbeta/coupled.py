@@ -17,17 +17,18 @@ v(0) = 0.  Both far ends then fall into the attracting equilibria on their
 own; the tail residual is verified after the solve.  The initial guess comes
 from integrating the field outward from the fold.  A parameter sweep seeds
 each point with the previous converged solution, each folded half stretched
-in t by the ratio new/old of its end rate |a1s(u+-)| and the profile
-stretched in amplitude to the new end states, sampled at the nodes and
-collocation stages of the same 401-node starting mesh as a cold solve
-(:func:`_rescaled_guess`): the solver then refines from the mesh a cold
-solve starts on, so each point ends on its cold solve's mesh, with its sweep
-count, its Newton iterations (one per sweep along ``configs/sine_scan.cfg``)
-and its beta.  Since every fold condition sits at t = 0, the solution on
-[-L, L] is a wider one cut at |x| = L: a study over several L solves the
-widest first and seeds each narrower L with the wider solution cut there,
-converged stages included (:func:`_narrowed_guess`), which usually leaves
-one sweep of at most one Newton step.
+in t by the ratio new/old of its end rate |a1s(u+-)|, the profile stretched
+in amplitude to the new end states and v scaled by the same ratio, sampled
+at the nodes and collocation stages of the same 401-node starting mesh as a
+cold solve (:func:`_rescaled_guess`): the solver then refines from the mesh
+a cold solve starts on, so each point ends on its cold solve's mesh, with
+its sweep count, its Newton iterations (one per sweep along
+``configs/sine_scan.cfg``) and its beta.  Since every fold condition sits
+at t = 0, the solution on [-L, L] is a wider one cut at |x| = L: a study
+over several L solves the widest first and seeds each narrower L with the
+wider solution cut there, converged stages included
+(:func:`_narrowed_guess`), which usually leaves one sweep of at most one
+Newton step.
 """
 
 from __future__ import annotations
@@ -71,24 +72,36 @@ class FoldedSystem:
 
     def __post_init__(self):
         self._signs = np.array([self.L, -self.L])
+        self._row_signs = np.repeat(self._signs, 2)
+        self._f2_minus = self.flux.f2(self.cfg.u_minus)
 
-    def field(self, U: np.ndarray) -> np.ndarray:
-        """Unfolded autonomous field on states U = (ubar, v)."""
+    def field(self, U, out=None):
+        """Unfolded autonomous field on states U = (ubar, v), as (ubar', v').
+
+        With ``out`` (a pair of arrays shaped like ubar), the two components
+        are written there in place and ``out`` is returned.
+        """
         ubar, v = U
-        a = self.cfg.a1_shifted(ubar)
-        du = self.cfg.profile_field(ubar)
-        dv = a * v + forcing(self.flux, self.freq, self.cfg.u_minus, ubar)
-        return np.stack([np.asarray(du, dtype=float), dv])
+        if out is None:
+            out = np.empty((2, *np.shape(ubar)))
+        du, dv = out
+        du[...] = self.cfg.profile_field(ubar)
+        np.multiply(self.cfg.a1_shifted(ubar), v, out=dv)
+        dv += forcing(self.flux, self.freq, self.cfg.u_minus, ubar, self._f2_minus)
+        return out
 
     def rhs(self, t, Y: np.ndarray) -> np.ndarray:
         """L times the field on the right half and -L times it on the left.
 
-        One :meth:`field` evaluation covers both halves, stacked as
-        (component, half, ...); ``Y`` is one state (4,) or states (4, n).
+        One :meth:`field` evaluation covers both halves: it reads the ubar
+        rows (0, 2) and v rows (1, 3) of ``Y`` and writes the same rows of
+        the result, which then takes the row signs (L, L, -L, -L).  ``Y``
+        is one state (4,) or states (4, n).
         """
-        halves = Y.reshape(2, 2, *Y.shape[1:]).swapaxes(0, 1)
-        signs = self._signs.reshape(2, *(1,) * (Y.ndim - 1))
-        return (self.field(halves) * signs).swapaxes(0, 1).reshape(Y.shape)
+        out = np.empty_like(Y)
+        self.field((Y[0::2], Y[1::2]), out=(out[0::2], out[1::2]))
+        out *= self._row_signs if Y.ndim == 1 else self._row_signs[:, None]
+        return out
 
     def jac(self, t, Y: np.ndarray) -> np.ndarray:
         """Jacobian of :meth:`rhs`, shape (n, 4, 4), both halves in one pass.
@@ -258,12 +271,13 @@ def _rescaled_guess(
     end-rate ratio r = |a1s(u_end)| new / old (u+ for the right half, u-
     for the left): it is sampled at t r, so the layer narrows as its end
     rate grows (the extension's last piece is constant, so t r > 1 reads the
-    end state).  The profile is then stretched in amplitude about u+.  For a
-    quadratic f1 this maps u_mid - d tanh(a d x) onto the new point's
-    profile exactly; v, linear given the profile, then takes one Newton
-    iteration, as it does from a cold guess.  A point whose left state
-    equals the previous one is already solved and keeps the converged mesh
-    and stages.
+    end state).  The profile is then stretched in amplitude about u+, and v
+    scaled by the same ratio.  For a quadratic f1 this maps u_mid - d
+    tanh(a d x) onto the new point's profile exactly; for an f2 of degree
+    <= 2 as well, v = R x ubar' with R the same at every point, so v maps
+    exactly too and the step takes the Newton iterations of its cold solve.
+    A point whose left state equals the previous one is already solved and
+    keeps the converged mesh and stages.
     """
     if cfg_new.u_minus == prev.config.u_minus:
         mesh, Y, S = prev.bvp.mesh.copy(), prev.bvp.y.copy(), prev.bvp.stages.copy()
@@ -280,6 +294,7 @@ def _rescaled_guess(
     ratio = (cfg_new.u_minus - up) / (prev.config.u_minus - up)
     for Z in (Y, S):
         Z[::2] = up + (Z[::2] - up) * ratio  # the ubar rows of both halves
+        Z[1::2] *= ratio  # and the v rows
     return mesh, Y, S
 
 

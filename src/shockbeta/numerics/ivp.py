@@ -9,6 +9,7 @@ a problem on x <= 0 is integrated forward in t = -x with the negated field.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -146,13 +147,13 @@ def ivp_solve(problem: IvpProblem) -> Trajectory:
         raise IntegratorFailure("rhs returned a bad value at the initial point")
 
     ts = [t]
-    ys = [y.copy()]
+    ys = [y]
     hs: list[float] = []
     rconts: list[np.ndarray] = []
 
     h = _initial_step(rhs, t, y, f, problem.rtol, problem.atol,
                       min(problem.max_step, tf - t0))
-    K = np.empty((7, m))
+    K = np.empty((8, m))  # the seven stage slopes, then the new state
 
     while t < tf:
         h_cap = min(h, problem.max_step)
@@ -168,14 +169,15 @@ def ivp_solve(problem: IvpProblem) -> Trajectory:
         K[0] = f
         for i in range(1, 6):
             K[i] = rhs(t + _C[i] * h_try, y + h_try * (_A[i, :i] @ K[:i]))
-        y_new = y + h_try * (_B @ K[:6])
-        f_new = rhs(t + h_try, y_new)
-        K[6] = f_new
-        if not np.all(np.isfinite(K)) or not np.all(np.isfinite(y_new)):
+        K[7] = y_new = y + h_try * (_B @ K[:6])
+        K[6] = f_new = rhs(t + h_try, y_new)
+        if not np.isfinite(K).all():
             raise IntegratorFailure(f"non-finite right-hand side near t={t!r}")
+        slopes = K[:7]
 
         scale = problem.atol + problem.rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = np.sqrt(np.mean((h_try * (_E @ K) / scale) ** 2))
+        z = h_try * (_E @ slopes) / scale
+        err = math.sqrt((z * z).sum() / m)  # the RMS norm of z
 
         if err <= 1.0:
             # Continuous extension coefficients for this step.
@@ -186,7 +188,7 @@ def ivp_solve(problem: IvpProblem) -> Trajectory:
             rcont[1] = dy
             rcont[2] = bspl
             rcont[3] = dy - h_try * K[6] - bspl
-            rcont[4] = h_try * (_D @ K)
+            rcont[4] = h_try * (_D @ slopes)
             hs.append(h_try)
             rconts.append(rcont)
 
@@ -194,7 +196,7 @@ def ivp_solve(problem: IvpProblem) -> Trajectory:
             y = y_new
             f = f_new
             ts.append(t)
-            ys.append(y.copy())
+            ys.append(y)
             factor = _MAX_FACTOR if err == 0.0 else min(
                 _MAX_FACTOR, _SAFETY * err**_ORDER_EXP
             )

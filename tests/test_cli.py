@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -229,6 +230,30 @@ class TestConfigValues:
                 flag = "--" + key.replace("_", "-")
                 args = parser.parse_args([command, flag, "7"])
                 assert getattr(args, key) == "7", (command, flag)
+
+
+class TestParser:
+    """One parser: the command is a positional choice, the flags are shared."""
+
+    COMMANDS = TestConfigValues.COMMANDS
+
+    def test_help_names_every_command(self):
+        text = build_parser().format_help()
+        for command in self.COMMANDS:
+            # a line of its own, with what the command does
+            assert re.search(rf"^  {command} +\w", text, re.MULTILINE), command
+
+    def test_unknown_command_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as ei:
+            build_parser().parse_args(["bogus"])
+        assert ei.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_command_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["beta", "--help"])
+        assert ei.value.code == 0
+        assert "--u-minus-list" in capsys.readouterr().out
 
 
 class TestAuxCommand:
