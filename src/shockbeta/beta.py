@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .auxiliary import DEFAULT_DECAY_TOL, AuxiliarySolution, AuxMethod
-from .coupled import CoupledResult, _narrowed_guess, solve_coupled
+from .coupled import CoupledResult, solve_coupled, unfold_coupled
 from .errors import GridMismatch, SolverError, ValidationError
 from .integrating_factor import solve_auxiliary_if
 from .model import FluxModel, NeutralFrequency, ShockConfig, forcing_slope
@@ -148,16 +148,18 @@ def solve_pair(
     """Profile and correction on the uniform (L, N) grid by one method.
 
     The tail gates apply to both routes.  The third element is the coupled
-    route's whole result (None for ``if``); passed back as ``wider`` to a
-    narrower coupled solve, it seeds that solve in place of the outward
-    integration.
+    route's whole result (None for ``if``).  Passed back as ``wider``, a
+    coupled result solved on a half-width of at least L, the coupled pair is
+    sampled from its folded solution, with no new solve.
     """
     if method is AuxMethod.INTEGRATING_FACTOR:
         profile = solve_profile(cfg, Grid.make(L, N), tail_tol=tail_tol)
         return profile, solve_auxiliary_if(f, freq, profile, decay_tol=decay_tol), None
-    guess = None if wider is None else _narrowed_guess(wider, L)
-    res = solve_coupled(cfg, f, freq, L, N, guess=guess,
-                        tail_tol=tail_tol, decay_tol=decay_tol)
+    if wider is None:
+        res = solve_coupled(cfg, f, freq, L, N, tail_tol=tail_tol, decay_tol=decay_tol)
+    else:
+        res = unfold_coupled(wider.bvp, cfg, freq, wider.L_solved, L, N,
+                             tail_tol, decay_tol)
     return res.profile, res.aux, res
 
 
@@ -189,11 +191,12 @@ def beta_convergence_study(
 ) -> BetaStudy:
     """Recompute beta over a list of truncation half-widths.
 
-    The half-widths are solved widest first.  Each narrower coupled entry is
-    seeded with the nearest wider coupled result that succeeded, cut at its L
-    (the fold conditions all sit at the fold), so the outward integration of
-    the initial guess runs once; a seeded entry's ``newton_per_sweep`` can
-    read ``[0]``.  The order of ``L_values`` changes no result.
+    The half-widths are taken widest first.  The fold conditions fix the
+    folded state at the fold, so the coupled solution on a narrower L is a
+    wider one restricted: each narrower coupled entry is sampled from the
+    nearest wider coupled entry that succeeded, with no new solve, and
+    carries that solve's counters.  The order of ``L_values`` changes no
+    result.
 
     Each entry is gated by ``STUDY_TAIL_TOL`` and ``STUDY_DECAY_TOL``.  Solver
     failures are recorded per entry (the rest of the table survives), and sign

@@ -12,7 +12,7 @@ module that applies it.  Keys:
     u_minus       left end state (required)
     u_plus        right end state (required)
     xi0           transverse wavenumber of the neutral frequency (required, not 0)
-    L             truncation half-width; a comma list for beta studies
+    L             truncation half-width; a comma list for beta studies only
     N             interval count of the output grid (default 4000)
     method        if | coupled | both (default both)
     quadrature    trapezoid | simpson (default trapezoid)
@@ -64,6 +64,12 @@ class RunConfig:
 
     @property
     def L_single(self) -> float:
+        """The one half-width of a command that is not a ``beta`` study."""
+        if len(self.L) > 1:
+            raise ValidationError(
+                f"field 'L': {len(self.L)} values given, but this command "
+                "takes one half-width"
+            )
         return self.L[0]
 
     def methods(self) -> list[AuxMethod]:

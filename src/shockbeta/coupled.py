@@ -23,12 +23,11 @@ at the nodes and collocation stages of the same 401-node starting mesh as a
 cold solve (:func:`_rescaled_guess`): the solver then refines from the mesh
 a cold solve starts on, so each point ends on its cold solve's mesh, with
 its sweep count, its Newton iterations (one per sweep along
-``configs/sine_scan.cfg``) and its beta.  Since every fold condition sits
-at t = 0, the solution on [-L, L] is a wider one cut at |x| = L: a study
-over several L solves the widest first and seeds each narrower L with the
-wider solution cut there, converged stages included
-(:func:`_narrowed_guess`), which usually leaves one sweep of at most one
-Newton step.
+``configs/sine_scan.cfg``) and its beta.  The four fold conditions fix the
+state at t = 0, so the folded problem is an initial-value problem, and the
+solution on [-L, L] is a wider one restricted to |x| <= L: a study over
+several L solves the widest alone and samples each narrower L from it
+(:func:`unfold_coupled`).
 """
 
 from __future__ import annotations
@@ -126,28 +125,29 @@ class FoldedSystem:
         return J
 
     @property
-    def bc(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The four fold conditions as ``Ba y(0) + Bb y(1) = g``.
+    def y0(self) -> np.ndarray:
+        """The state at the fold t = 0 that the four fold conditions fix.
 
-        All four sit at the fold t = 0, so Bb = 0, and they fix the state
-        there (Ba is nonsingular): the far ends need no condition, since
-        both halves fall into their attracting end states.  This is the
-        form :class:`BvpProblem` requires.
+        The phase pins ubar_r(0) = u_mid, the origin normalization v_r(0) = 0,
+        and both halves match across the fold.  The far ends need no
+        condition, since both halves fall into their attracting end states.
         """
-        Ba = np.array([
-            [1.0, 0.0, 0.0, 0.0],   # phase pins ubar_r(0) = u_mid
-            [-1.0, 0.0, 1.0, 0.0],  # ubar matches across the fold
-            [0.0, 1.0, 0.0, 0.0],   # v_r(0) = 0
-            [0.0, -1.0, 0.0, 1.0],  # v matches
-        ])
-        return Ba, np.zeros((4, 4)), np.array([self.cfg.u_mid, 0.0, 0.0, 0.0])
+        u = self.cfg.u_mid
+        return np.array([u, 0.0, u, 0.0])
 
 
 @dataclass
 class CoupledResult:
+    """The unfolded pair, its folded solve, and the half-width solved on.
+
+    ``L_solved`` is at least the output grid's half-width: a narrower grid
+    is sampled from a wider solve.
+    """
+
     profile: ProfileSolution
     aux: AuxiliarySolution
     bvp: BvpSolution
+    L_solved: float
 
     @property
     def config(self) -> ShockConfig:
@@ -169,9 +169,8 @@ def initial_guess(sys: FoldedSystem) -> tuple[np.ndarray, np.ndarray]:
     integration, not the integrating-factor profile, so the coupled route
     stays independent of the route it is checked against.
     """
-    u = sys.cfg.u_mid
     traj = ivp_solve(
-        IvpProblem(rhs=sys.rhs, t_span=(0.0, 1.0), y0=[u, 0.0, u, 0.0],
+        IvpProblem(rhs=sys.rhs, t_span=(0.0, 1.0), y0=sys.y0,
                    rtol=_GUESS_RTOL, atol=_GUESS_ATOL)
     )
     mesh = _starting_mesh()
@@ -204,16 +203,36 @@ def solve_coupled(
     :class:`BvpProblem` takes them; by default it is generated by outward
     integration.
     """
-    scale, unit = freq.per_unit()
+    _, unit = freq.per_unit()
     sys = FoldedSystem(cfg=cfg, flux=f, freq=unit, L=float(L))
     mesh, Y0, S0 = (*initial_guess(sys), None) if guess is None else guess
 
     problem = BvpProblem(
-        rhs=sys.rhs, jac=sys.jac, bc=sys.bc, initial_mesh=mesh,
+        rhs=sys.rhs, jac=sys.jac, y0=sys.y0, initial_mesh=mesh,
         initial_guess=Y0, initial_stages=S0, tol=tol,
     )
     sol = bvp_solve(problem)
+    return unfold_coupled(sol, cfg, freq, float(L), L, n_out, tail_tol, decay_tol)
 
+
+def unfold_coupled(
+    sol: BvpSolution,
+    cfg: ShockConfig,
+    freq: NeutralFrequency,
+    L_solved: float,
+    L: float,
+    n_out: int,
+    tail_tol: float,
+    decay_tol: float,
+) -> CoupledResult:
+    """Sample a folded solution on the uniform (L, n_out) grid and gate it.
+
+    ``sol`` solves the folded system of half-width ``L_solved`` >= L, v per
+    unit |xi0|.  The fold conditions fix the state at t = 0, so the pair on
+    [-L, L] is that solution read at t = |x| / L_solved.  The fold mismatch,
+    the profile's tails and the decay of v are checked on the sampled pair,
+    and v is scaled by |xi0|; the diagnostics are those of ``sol``.
+    """
     at_fold = sol.interpolant(0.0)
     fold_mismatch = float(np.max(np.abs(at_fold[:2] - at_fold[2:])))
     if fold_mismatch > _FOLD_TOL:
@@ -225,10 +244,10 @@ def solve_coupled(
     x = grid.x
     k = int(np.searchsorted(x, 0.0))  # x[:k] < 0 <= x[k:]
     ubar, v = np.concatenate([
-        sol.interpolant(-x[:k] / L, rows=slice(2, 4)),  # the left half
-        sol.interpolant(x[k:] / L, rows=slice(0, 2)),
+        sol.interpolant(-x[:k] / L_solved, rows=slice(2, 4)),  # the left half
+        sol.interpolant(x[k:] / L_solved, rows=slice(0, 2)),
     ], axis=1)
-    v *= scale
+    v *= freq.per_unit()[0]
     profile = ProfileSolution(
         config=cfg,
         grid=grid,
@@ -255,7 +274,7 @@ def solve_coupled(
         },
     )
     aux.check_decay(decay_tol)
-    return CoupledResult(profile=profile, aux=aux, bvp=sol)
+    return CoupledResult(profile=profile, aux=aux, bvp=sol, L_solved=L_solved)
 
 
 def _rescaled_guess(
@@ -296,33 +315,6 @@ def _rescaled_guess(
         Z[::2] = up + (Z[::2] - up) * ratio  # the ubar rows of both halves
         Z[1::2] *= ratio  # and the v rows
     return mesh, Y, S
-
-
-def _narrowed_guess(
-    wide: CoupledResult, L: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A wider folded solution cut at |x| = L, as a guess on [0, 1].
-
-    The fold conditions all sit at t = 0, so the solution on [-L, L] is the
-    wider one cut at t = r = L / L_wide.  The guess keeps the wider mesh below
-    r, adds r as a node and rescales onto [0, 1].  The kept intervals keep
-    their converged nodes and stages: their collocation equations do not
-    change, since the rescaled width times L is the same.  The last interval
-    takes its end value and stages from the wider quintic extension.  When r
-    lies nearer to the node below it than to the node above, that node is
-    dropped: the last interval is then at least half the wider mesh's
-    interval there, never a sliver of rounding width on which no Newton step
-    can reduce the residual.
-    """
-    mesh = wide.bvp.mesh
-    r = L / wide.profile.grid.L
-    k = int(np.searchsorted(mesh, r))  # mesh[k - 1] < r <= mesh[k]
-    if k > 1 and r - mesh[k - 1] < mesh[k] - r:
-        k -= 1
-    ends, last = sample_collocation(wide.bvp.interpolant, np.array([mesh[k - 1], r]))
-    return (np.append(mesh[:k] / r, 1.0),
-            np.concatenate([wide.bvp.y[:, :k], ends[:, 1:]], axis=1),
-            np.concatenate([wide.bvp.stages[:, :, :k - 1], last], axis=2))
 
 
 def continuation_scan(

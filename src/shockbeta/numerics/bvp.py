@@ -1,4 +1,4 @@
-"""4-stage Lobatto IIIA collocation on [0, 1], with every condition at x = 0.
+"""4-stage Lobatto IIIA collocation on [0, 1] from a given state at x = 0.
 
 On each mesh interval [x_i, x_i + h] the solution is a quartic that
 satisfies the ODE at the four Lobatto points c = 0, (5 - sqrt 5)/10,
@@ -8,10 +8,9 @@ Shampine, "A BVP solver that controls residual and error", JNAIAM 3, 2008).
 It is sixth order at the mesh nodes.  The Newton unknowns are the node values
 and the two interior stage values S2, S3 of every interval; the nonlinear
 collocation equations are solved by a damped Newton iteration, with the
-analytic Jacobian of the problem's rhs and affine boundary conditions
-``Ba y(0) + Bb y(1) = g``, which are their own Jacobian.  Each iteration
-evaluates the rhs and its Jacobian once, on the nodes and both stage sets
-stacked into one array.
+analytic Jacobian of the problem's rhs and the conditions y(0) = y0, whose
+Jacobian is the identity.  Each iteration evaluates the rhs and its
+Jacobian once, on the nodes and both stage sets stacked into one array.
 
 The converged solution is extended by the C2 piecewise-quintic Hermite
 interpolant of y, y' = f and y'' = J f at the nodes
@@ -25,12 +24,13 @@ repeated from the interpolant's nodes and stages on the new mesh.  A
 state that meets the tolerance after a large last Newton step takes one
 more step, which settles it where a solve from a close guess ends.
 
-The solver serves the problems the folded shock system poses: all m
-conditions sit at x = 0 (``Bb = 0``, ``Ba`` nonsingular), and the rhs
-Jacobian is lower triangular, so component r depends on components c <= r
-alone.  One Newton step then condenses each interval's stages and marches
-from x = 0 one component at a time (block condensation, Ascher, Mattheij &
-Russell, ch. 7, in its scalar case): the conditions give dy_0 outright, and
+The solver serves the problems the folded shock system poses: the m
+conditions fix the state y0 at x = 0, so the problem is an initial-value
+problem solved by global collocation, and the rhs Jacobian is lower
+triangular, so component r depends on components c <= r alone.  One Newton
+step then condenses each interval's stages and marches from x = 0 one
+component at a time (block condensation, Ascher, Mattheij & Russell, ch. 7,
+in its scalar case): the conditions give dy_0 = y0 - y_0 outright, and
 component r of interval i's three equations, with the components c < r
 already known, is a 3 x 3 system for (dS2, dS3, dy_{i+1}) given dy_i, that
 is, one scalar affine recurrence dy^r_{i+1} = M_i dy^r_i + c_i.  A
@@ -106,11 +106,10 @@ class BvpProblem:
     initial guess; the solver reads only its entries c <= r.  The rhs should
     be autonomous: the continuous extension takes y'' = J f at the nodes,
     which holds when rhs does not depend on x (otherwise the extension, and
-    with it the residual estimate, loses its sixth order).  ``bc`` is the
-    triple ``(Ba, Bb, g)`` of shapes (m, m), (m, m), (m,) that states the m
-    conditions ``Ba y(0) + Bb y(1) = g``; every condition must sit at x = 0,
-    so ``Bb`` must be zero and ``Ba`` nonsingular.  Together these let each
-    Newton step march from x = 0 one component at a time.
+    with it the residual estimate, loses its sixth order).  ``y0``, of
+    shape (m,), is the state at x = 0: the m conditions y(0) = y0.  With the
+    triangular Jacobian this lets each Newton step march from x = 0 one
+    component at a time.
     ``initial_guess`` holds state samples of shape ``(m, n)`` on
     ``initial_mesh``; ``initial_stages``, of shape ``(m, 2, n - 1)``, the
     guessed values at the two interior stage points of every interval
@@ -121,7 +120,7 @@ class BvpProblem:
 
     rhs: Callable[[np.ndarray, np.ndarray], np.ndarray]
     jac: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    bc: tuple
+    y0: np.ndarray
     initial_mesh: np.ndarray
     initial_guess: np.ndarray
     tol: float = 1e-8
@@ -150,21 +149,14 @@ class BvpProblem:
                 raise BadProblem("initial_stages must be finite")
         if self.tol <= 0:
             raise BadProblem("tol must be positive")
-        try:
-            self.bc = tuple(np.asarray(b, dtype=float) for b in self.bc)
-        except (TypeError, ValueError) as exc:
-            raise BadProblem(f"bc must be the triple (Ba, Bb, g): {exc}") from exc
-        shapes = tuple(b.shape for b in self.bc)
-        if shapes != ((m, m), (m, m), (m,)):
+        self.y0 = np.asarray(self.y0, dtype=float)
+        if self.y0.shape != (m,):
             raise BadProblem(
-                f"bc (Ba, Bb, g) has shapes {shapes} for a system of "
-                f"dimension {m}; expected {((m, m), (m, m), (m,))}"
+                f"y0 has shape {self.y0.shape} for a system of dimension {m}; "
+                f"expected {(m,)}"
             )
-        Ba, Bb, _ = self.bc
-        if np.any(Bb != 0.0):
-            raise BadProblem("every condition must sit at x = 0: Bb must be 0")
-        if np.linalg.matrix_rank(Ba) < m:
-            raise BadProblem("Ba is singular: the conditions do not fix y(0)")
+        if not np.all(np.isfinite(self.y0)):
+            raise BadProblem("y0 must be finite")
         J = self.jac(x, self.initial_guess)
         if np.shape(J) != (x.size, m, m):
             raise BadProblem(
@@ -285,10 +277,9 @@ def _collocation_residual(rhs, x, xz, Z):
     return phi, F
 
 
-def _full_residual(rhs, bc, x, xz, Z):
+def _full_residual(rhs, y0, x, xz, Z):
     phi, F = _collocation_residual(rhs, x, xz, Z)
-    Ba, _, g = bc
-    return np.concatenate([phi.ravel(), Ba @ Z[:, 0] - g]), F
+    return np.concatenate([phi.ravel(), Z[:, 0] - y0]), F
 
 
 def _point_index(n):
@@ -297,20 +288,19 @@ def _point_index(n):
     return np.stack([i, n + i, 2 * n - 1 + i, i + 1])
 
 
-def _assemble_jacobian(jac, bc, x, xz, Z):
+def _assemble_jacobian(jac, x, xz, Z):
     """The data of the Newton matrix of the collocation system.
 
     The rhs Jacobian ``jac`` is evaluated once at every point of Z.  Returns
-    ``(h, hJ, Ba)``: hJ of shape (m, m, 4, n - 1) is h_i times d rhs_r / d y_c
-    at y_i, S2, S3 and y_{i+1} of interval i, and ``Ba``, the matrix of the
-    affine conditions ``bc``, is the derivative of the boundary residuals
-    with respect to y_0.  Equation k of interval i,
+    ``(h, hJ)``: hJ of shape (m, m, 4, n - 1) is h_i times d rhs_r / d y_c
+    at y_i, S2, S3 and y_{i+1} of interval i.  The boundary residuals
+    y_0 - y0 have the identity as their derivative.  Equation k of interval i,
     (s_k - y_i) / h - sum_j _A[k, j] f_j, has the derivative -_A[k, j] J_j
     with respect to the state at its point j, plus I/h on s_k and -I/h on y_i.
     """
     h = np.diff(x)
     J = jac(xz, Z).transpose(1, 2, 0)
-    return h, J[:, :, _point_index(x.size)] * h, bc[0]
+    return h, J[:, :, _point_index(x.size)] * h
 
 
 def _affine_prefix(M, c):
@@ -360,9 +350,9 @@ def _block_solve(jac, R):
 
     ``jac`` holds the data of :func:`_assemble_jacobian`; ``R`` is the
     residual of :func:`_full_residual` (the densities phi of shape
-    (m, 3, n - 1), raveled, then the m boundary residuals).  The conditions
-    sit at x = 0, so dy_0 = -Ba^{-1} R_bc.  The Jacobian is lower
-    triangular, so component r of interval i's equations, times h,
+    (m, 3, n - 1), raveled, then the m boundary residuals R_bc = y_0 - y0).
+    The conditions fix the state at x = 0, so dy_0 = -R_bc.  The Jacobian
+    is lower triangular, so component r of interval i's equations, times h,
 
         ds_k - sum_{l=1..3} _A[k, l] hJ_l^{rr} ds_l
             = -h phi^r_k + (1 + _A[k, 0] hJ_0^{rr}) dy^r_i
@@ -386,7 +376,7 @@ def _block_solve(jac, R):
     a component's propagator max_k |M_{k-1} ... M_0| exceeds 1/sqrt(eps):
     the forward march is then unstable.
     """
-    h, hJ, Ba = jac
+    h, hJ = jac
     m, _, _, nint = hJ.shape
     n = nint + 1
     phi = R[:-m].reshape(m, 3, nint)
@@ -402,7 +392,7 @@ def _block_solve(jac, R):
     Ge = np.einsum("rkli,lri->rki", Ginv, 1.0 + _A[:, :1, None] * diag[0])
     points = _point_index(n)
     dZ = np.empty((m, n + 2 * nint))
-    dZ[:, 0] = np.linalg.solve(Ba, -R[-m:])
+    dZ[:, 0] = -R[-m:]
     # coupled[r][c]: component r reads component c < r somewhere
     coupled = [[c < r and hJ[r, c].any() for c in range(m)] for r in range(m)]
     todo = list(range(m))
@@ -433,7 +423,7 @@ def _block_solve(jac, R):
 splu = _block_solve
 
 
-def _newton(rhs, jac, bc, x, Z):
+def _newton(rhs, jac, y0, x, Z):
     """Damped Newton on the collocation system.
 
     Returns ``(Z, F, iterations, step)``: ``step`` is the largest entry of
@@ -441,7 +431,7 @@ def _newton(rhs, jac, bc, x, Z):
     when the guess already passes it).
     """
     xz = _collocation_points(x)
-    R, F = _full_residual(rhs, bc, x, xz, Z)
+    R, F = _full_residual(rhs, y0, x, xz, Z)
     if not np.all(np.isfinite(R)):
         raise NewtonDivergence("residual is not finite at the initial guess")
     iters, step = 0, 0.0
@@ -451,12 +441,12 @@ def _newton(rhs, jac, bc, x, Z):
         norm = np.max(np.abs(R))
         if norm <= 1e-11 * scale:
             return Z, F, iters, step
-        dZ = _newton_step(jac, bc, x, xz, Z, R)
+        dZ = _newton_step(jac, x, xz, Z, R)
 
         lam = 1.0
         for _ in range(_MAX_BACKTRACKS + 1):
             Z_try = Z + lam * dZ
-            R_try, F_try = _full_residual(rhs, bc, x, xz, Z_try)
+            R_try, F_try = _full_residual(rhs, y0, x, xz, Z_try)
             norm_try = np.max(np.abs(R_try)) if np.all(np.isfinite(R_try)) else np.inf
             if norm_try < (1.0 - 1e-4 * lam) * norm:
                 break
@@ -475,15 +465,15 @@ def _newton(rhs, jac, bc, x, Z):
     raise NewtonDivergence(f"not converged after {_MAX_NEWTON} Newton iterations")
 
 
-def _newton_step(jac, bc, x, xz, Z, R):
+def _newton_step(jac, x, xz, Z, R):
     """The Newton step dZ at state Z with residual R."""
-    dZ = splu(_assemble_jacobian(jac, bc, x, xz, Z), R)
+    dZ = splu(_assemble_jacobian(jac, x, xz, Z), R)
     if not np.all(np.isfinite(dZ)):
         raise SingularJacobian("Newton linear solve produced non-finite step")
     return dZ
 
 
-def _settle(rhs, jac, bc, x, Z):
+def _settle(rhs, jac, y0, x, Z):
     """One full Newton step from a state that passed the convergence test.
 
     Returns ``(Z, F)``.  After a large last step the residual may pass the
@@ -491,8 +481,8 @@ def _settle(rhs, jac, bc, x, Z):
     where more steps no longer move it.
     """
     xz = _collocation_points(x)
-    R, _ = _full_residual(rhs, bc, x, xz, Z)
-    Z = Z + _newton_step(jac, bc, x, xz, Z, R)
+    R, _ = _full_residual(rhs, y0, x, xz, Z)
+    Z = Z + _newton_step(jac, x, xz, Z, R)
     return Z, rhs(xz, Z)
 
 
@@ -560,7 +550,7 @@ def bvp_solve(problem: BvpProblem) -> BvpSolution:
     ``_MAX_NODES`` nodes or the residual stays above the tolerance after the
     last mesh sweep.
     """
-    rhs, jac, bc = problem.rhs, problem.jac, problem.bc
+    rhs, jac, y0 = problem.rhs, problem.jac, problem.y0
     x = problem.initial_mesh.copy()
     Y, S = problem.initial_guess, problem.initial_stages
     if S is None:  # the extension reproduces the node values exactly
@@ -571,12 +561,12 @@ def bvp_solve(problem: BvpProblem) -> BvpSolution:
     per_sweep: list[int] = []
 
     for sweep in range(1, _MAX_MESH_SWEEPS + 1):
-        Z, F, iters, step = _newton(rhs, jac, bc, x, Z)
+        Z, F, iters, step = _newton(rhs, jac, y0, x, Z)
         n = x.size
         interp = _extension(jac, x, Z[:, :n], F[:, :n])
         est = _estimate_residuals(rhs, interp)
         if step > _SETTLE_STEP and est.max() <= problem.tol:
-            Z, F = _settle(rhs, jac, bc, x, Z)
+            Z, F = _settle(rhs, jac, y0, x, Z)
             iters += 1
             interp = _extension(jac, x, Z[:, :n], F[:, :n])
             est = _estimate_residuals(rhs, interp)

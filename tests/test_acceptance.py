@@ -197,14 +197,14 @@ def test_criterion_8_kernel_convergence_orders():
         J[:, 1, 0] = 1.0
         return J
 
-    # both conditions at x = 0, as Ba y(0) + Bb y(1) = g
-    bc = (np.eye(2), np.zeros((2, 2)), [1.0, 0.0])
+    # both conditions at x = 0: y(0) = (1, 0)
+    y0 = [1.0, 0.0]
 
     bvp_errs = []
     sizes = np.arange(5, 17)
     for n in sizes:
         mesh = np.linspace(0.0, 1.0, n)
-        prob = BvpProblem(rhs=rhs, jac=jac, bc=bc, initial_mesh=mesh,
+        prob = BvpProblem(rhs=rhs, jac=jac, y0=y0, initial_mesh=mesh,
                           initial_guess=np.vstack([np.ones(n), np.zeros(n)]),
                           tol=10.0)
         sol = bvp_solve(prob)

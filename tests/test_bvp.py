@@ -42,23 +42,18 @@ def _decay_exact(x):
     return np.vstack([1.0 / (1.0 + x), np.log1p(x)])
 
 
-def _start_bc(y0):
-    """y(0) = y0 as (Ba, Bb, g)."""
-    m = len(y0)
-    return np.eye(m), np.zeros((m, m)), y0
-
-
 def _decay_problem(n, tol=1e-8):
     mesh = np.linspace(0.0, 1.0, n)
     guess = np.vstack([np.ones(n), np.zeros(n)])
-    return BvpProblem(rhs=_decay_rhs, jac=_decay_jac, bc=_start_bc([1.0, 0.0]),
+    return BvpProblem(rhs=_decay_rhs, jac=_decay_jac, y0=([1.0, 0.0]),
                       initial_mesh=mesh, initial_guess=guess, tol=tol)
 
 
-def _dense_newton_matrix(h, hJ, Ba):
+def _dense_newton_matrix(h, hJ):
     """The full Newton matrix the block solve condenses, node and stage unknowns.
 
-    Rows are the densities phi[r, k, i] raveled, then the m conditions;
+    Rows are the densities phi[r, k, i] raveled, then the m conditions
+    y_0 - y0, whose derivative is the identity;
     columns are the state Z[c, p] raveled, with the n nodes first and then
     the first and the second stage of every interval.  Equation k of
     interval i reads (s_k - y_i) / h_i - sum_j A[k, j] f(z_j), so its
@@ -79,12 +74,12 @@ def _dense_newton_matrix(h, hJ, Ba):
                 for j, p in enumerate(points):
                     cols = p + width * np.arange(m)
                     J[row, cols] -= bvp._A[k, j] * hJ[r, :, j, i] / h[i]
-    J[3 * m * nint:, :width * m:width] = Ba
+    J[3 * m * nint:, :width * m:width] = np.eye(m)
     return J
 
 
 def _dense_step(blocks, R):
-    m = blocks[2].shape[0]
+    m = blocks[1].shape[0]
     return np.linalg.solve(_dense_newton_matrix(*blocks), -R).reshape(m, -1)
 
 
@@ -118,14 +113,14 @@ def test_dense_reference_is_the_residual_jacobian():
     rng = np.random.default_rng(4)
     Z = 1.0 + 0.3 * rng.standard_normal((2, 6 + 2 * 5))
     xz = bvp._collocation_points(x)
-    dense = _dense_newton_matrix(*bvp._assemble_jacobian(p.jac, p.bc, x, xz, Z))
+    dense = _dense_newton_matrix(*bvp._assemble_jacobian(p.jac, x, xz, Z))
     fd = np.empty_like(dense)
     step = 1e-6
     for q in range(Z.size):
         dZ = np.zeros(Z.size)
         dZ[q] = step
-        hi, _ = bvp._full_residual(p.rhs, p.bc, x, xz, Z + dZ.reshape(Z.shape))
-        lo, _ = bvp._full_residual(p.rhs, p.bc, x, xz, Z - dZ.reshape(Z.shape))
+        hi, _ = bvp._full_residual(p.rhs, p.y0, x, xz, Z + dZ.reshape(Z.shape))
+        lo, _ = bvp._full_residual(p.rhs, p.y0, x, xz, Z - dZ.reshape(Z.shape))
         fd[:, q] = (hi - lo) / (2.0 * step)
     assert np.max(np.abs(fd - dense)) <= 1e-7 * np.max(np.abs(dense))
 
@@ -135,8 +130,8 @@ def test_block_step_matches_dense_solve_on_coupled_system(exact_cfg, quad_flux,
     sys = FoldedSystem(cfg=exact_cfg, flux=quad_flux, freq=exact_freq, L=20.0)
     x, Z = _coupled_state(sys, 101)
     xz = bvp._collocation_points(x)
-    R, _ = bvp._full_residual(sys.rhs, sys.bc, x, xz, Z)
-    blocks = bvp._assemble_jacobian(sys.jac, sys.bc, x, xz, Z)
+    R, _ = bvp._full_residual(sys.rhs, sys.y0, x, xz, Z)
+    blocks = bvp._assemble_jacobian(sys.jac, x, xz, Z)
     ref = _dense_step(blocks, R)
     step = bvp._block_solve(blocks, R)
     assert step.shape == Z.shape
@@ -149,19 +144,18 @@ def test_blocks_match_the_matrix_formula(exact_cfg, quad_flux, exact_freq):
     sys = FoldedSystem(cfg=exact_cfg, flux=quad_flux, freq=exact_freq, L=20.0)
     x, Z = _coupled_state(sys, 101)
     n = x.size
-    h, hJ, Ba = bvp._assemble_jacobian(sys.jac, sys.bc, x,
-                                       bvp._collocation_points(x), Z)
+    h, hJ = bvp._assemble_jacobian(sys.jac, x, bvp._collocation_points(x), Z)
     S = Z[:, n:].reshape(4, 2, n - 1)
     stages = bvp.stage_abscissae(x)
     for j, (xp, Yp) in enumerate([(x[:-1], Z[:, :n - 1]), (stages[0], S[:, 0]),
                                   (stages[1], S[:, 1]), (x[1:], Z[:, 1:n])]):
         ref = sys.jac(xp, Yp).transpose(1, 2, 0) * np.diff(x)
         assert np.array_equal(hJ[:, :, j], ref)
-    assert np.array_equal(h, np.diff(x)) and np.array_equal(Ba, sys.bc[0])
+    assert np.array_equal(h, np.diff(x))
 
 
 def _random_lower_blocks(rng, m, nint):
-    """Random lower-triangular hJ whose diagonal contracts, with a full Ba.
+    """Random lower-triangular hJ whose diagonal contracts.
 
     Diagonal entries h J^rr in [-2, 0] make every scalar map M_i a
     contraction (for equal entries M_i is the (3, 3) Pade approximant of
@@ -175,8 +169,7 @@ def _random_lower_blocks(rng, m, nint):
     diag = np.arange(m)
     hJ[diag, diag] = rng.uniform(-2.0, 0.0, (m, 4, nint))
     h = rng.uniform(0.5, 1.0, nint)
-    Ba = rng.uniform(-1.0, 1.0, (m, m)) + m * np.eye(m)
-    return h, hJ, Ba
+    return h, hJ
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -193,7 +186,7 @@ def test_block_step_matches_dense_solve_on_random_lower_blocks(m, nint, seed):
 def test_jacobians_reuse_the_residual_evaluations():
     # one Newton iteration evaluates rhs once and jac once, each on the
     # nodes and both stage sets stacked into one array; the boundary rows
-    # are the problem's own affine matrix
+    # are the state at x = 0 less y0
     p = _decay_problem(11)
     x = p.initial_mesh
     Z = np.concatenate([p.initial_guess, np.ones((2, 20))], axis=1) + 0.25
@@ -208,15 +201,13 @@ def test_jacobians_reuse_the_residual_evaluations():
         jac_points.append((x.copy(), Y.copy()))
         return p.jac(x, Y)
 
-    R, F = bvp._full_residual(rhs, p.bc, x, xz, Z)
-    Ba, Bb, g = p.bc
-    assert np.array_equal(R[-2:], Ba @ Z[:, 0] - g)
-    h, hJ, dga = bvp._assemble_jacobian(jac, p.bc, x, xz, Z)
+    R, F = bvp._full_residual(rhs, p.y0, x, xz, Z)
+    assert np.array_equal(R[-2:], Z[:, 0] - p.y0)
+    h, hJ = bvp._assemble_jacobian(jac, x, xz, Z)
     assert len(rhs_points) == len(jac_points) == 1
     for xs, Ys in (rhs_points[0], jac_points[0]):
         assert np.array_equal(xs, xz) and np.array_equal(Ys, Z)
     assert np.array_equal(xz[11:], bvp.stage_abscissae(x).ravel())
-    assert dga is Ba
     assert hJ.shape == (2, 2, 4, 10)
     assert not np.any(hJ[0, 1])
 
@@ -245,12 +236,12 @@ def test_zero_pivot_column_raises_collocation_block_error():
     # 3 x 3 stage block, (-5/12 * 0, -5/12 * 0, 1 - 12/12), vanishes
     rng = np.random.default_rng(5)
     m, nint = 4, 20
-    h, hJ, Ba = _random_lower_blocks(rng, m, nint)
+    h, hJ = _random_lower_blocks(rng, m, nint)
     hJ[2, 2, 1:, 7] = (0.0, 0.0, 12.0)
     R = rng.standard_normal(3 * m * nint + m)
     with pytest.raises(SingularJacobian,
                        match="collocation block: .*column 2 of interval 7"):
-        bvp._block_solve((h, hJ, Ba), R)
+        bvp._block_solve((h, hJ), R)
 
 
 def test_quintic_extension_reproduces_quintics():
@@ -286,7 +277,7 @@ def test_dichotomic_problem_refused_with_propagator_norm():
     # that much, whatever the conditioning of the problem itself
     rhs, jac = _linear([[40.0]])
     mesh = np.linspace(0.0, 1.0, 41)
-    p = BvpProblem(rhs=rhs, jac=jac, bc=_start_bc([1.0]), initial_mesh=mesh,
+    p = BvpProblem(rhs=rhs, jac=jac, y0=([1.0]), initial_mesh=mesh,
                    initial_guess=np.zeros((1, 41)))
     with pytest.raises(SingularJacobian, match=r"propagator norm \d\.\d{3}e\+\d+"):
         bvp_solve(p)
@@ -373,39 +364,19 @@ def test_residual_estimate_order():
     assert 4.5 <= np.polyfit(log_h, log_est, 1)[0] <= 5.2
 
 
-def test_bc_count_mismatch_rejected_at_construction():
+@pytest.mark.parametrize("y0", [[1.0], [1.0, 0.0, 0.0], [[1.0, 0.0]], 1.0])
+def test_y0_shape_mismatch_rejected_at_construction(y0):
     mesh = np.linspace(0.0, 1.0, 5)
-    for bc in [
-        ([[1.0, 0.0]], [[0.0, 0.0]], [0.0]),               # one condition for two
-        (np.eye(2), np.zeros((2, 2)), [0.0, 0.0, 0.0]),   # three right sides
-        (np.eye(2), np.zeros((2, 3)), [0.0, 0.0]),        # Bb of the wrong width
-        (np.eye(2), [0.0, 0.0]),                          # no Bb
-    ]:
-        with pytest.raises(BadProblem, match=r"bc \(Ba, Bb, g\) has shapes"):
-            BvpProblem(rhs=_decay_rhs, jac=_decay_jac, bc=bc,
-                       initial_mesh=mesh, initial_guess=np.ones((2, 5)))
-
-
-def test_bc_callable_rejected_at_construction():
-    mesh = np.linspace(0.0, 1.0, 5)
-    with pytest.raises(BadProblem, match=r"bc must be the triple"):
-        BvpProblem(rhs=_decay_rhs, jac=_decay_jac,
-                   bc=lambda ya, yb: np.array([ya[0], yb[0]]),
+    with pytest.raises(BadProblem, match=r"y0 has shape .* expected \(2,\)"):
+        BvpProblem(rhs=_decay_rhs, jac=_decay_jac, y0=y0,
                    initial_mesh=mesh, initial_guess=np.ones((2, 5)))
 
 
-@pytest.mark.parametrize("bc, match", [
-    # y_0(0) = 1 and y_0(1) = 0: a condition at x = 1
-    (([[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]], [1.0, 0.0]),
-     r"every condition must sit at x = 0: Bb must be 0"),
-    # y_0(0) = 1 twice leaves y_1(0) free
-    (([[1.0, 0.0], [1.0, 0.0]], np.zeros((2, 2)), [1.0, 1.0]),
-     r"Ba is singular"),
-])
-def test_conditions_away_from_the_start_rejected_at_construction(bc, match):
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_y0_rejected_at_construction(bad):
     mesh = np.linspace(0.0, 1.0, 5)
-    with pytest.raises(BadProblem, match=match):
-        BvpProblem(rhs=_decay_rhs, jac=_decay_jac, bc=bc,
+    with pytest.raises(BadProblem, match=r"y0 must be finite"):
+        BvpProblem(rhs=_decay_rhs, jac=_decay_jac, y0=[1.0, bad],
                    initial_mesh=mesh, initial_guess=np.ones((2, 5)))
 
 
@@ -414,7 +385,7 @@ def test_upper_triangular_jac_entry_rejected_at_construction():
     rhs, jac = _linear([[0.0, 1.0], [-1.0, 0.0]])
     mesh = np.linspace(0.0, 1.0, 5)
     with pytest.raises(BadProblem, match=r"jac must be lower triangular"):
-        BvpProblem(rhs=rhs, jac=jac, bc=_start_bc([0.0, 1.0]),
+        BvpProblem(rhs=rhs, jac=jac, y0=([0.0, 1.0]),
                    initial_mesh=mesh, initial_guess=np.zeros((2, 5)))
 
 
@@ -423,7 +394,7 @@ def test_jac_shape_mismatch_rejected_at_construction(shape):
     mesh = np.linspace(0.0, 1.0, 5)
     with pytest.raises(BadProblem, match=r"jac returned shape"):
         BvpProblem(rhs=_decay_rhs, jac=lambda x, Y: np.zeros(shape),
-                   bc=_start_bc([0.0, 0.0]),
+                   y0=([0.0, 0.0]),
                    initial_mesh=mesh, initial_guess=np.zeros((2, 5)))
 
 
@@ -431,10 +402,10 @@ def test_mesh_validation():
     rhs, jac = _linear([[1.0]])
     bad = np.array([0.0, 0.5, 0.4, 1.0])
     with pytest.raises(BadProblem):
-        BvpProblem(rhs=rhs, jac=jac, bc=([[1.0]], [[0.0]], [0.0]),
+        BvpProblem(rhs=rhs, jac=jac, y0=[0.0],
                    initial_mesh=bad, initial_guess=np.zeros((1, 4)))
     with pytest.raises(BadProblem):
-        BvpProblem(rhs=rhs, jac=jac, bc=([[1.0]], [[0.0]], [0.0]),
+        BvpProblem(rhs=rhs, jac=jac, y0=[0.0],
                    initial_mesh=np.linspace(0.1, 1.0, 4),
                    initial_guess=np.zeros((1, 4)))
 
@@ -465,7 +436,7 @@ def test_singular_jacobian_detected():
 
     p = BvpProblem(rhs=lambda x, Y: coeff(x) * Y,
                    jac=lambda x, Y: coeff(x)[:, None, None],
-                   bc=_start_bc([1.0]), initial_mesh=mesh,
+                   y0=([1.0]), initial_mesh=mesh,
                    initial_guess=np.zeros((1, 5)))
     with pytest.raises(SingularJacobian, match="zero pivot in column 0 of interval 0"):
         bvp_solve(p)
@@ -486,7 +457,7 @@ def test_newton_counts_reported():
 def _decay_solve(guess):
     mesh = np.linspace(0.0, 1.0, guess.shape[1])
     return bvp_solve(BvpProblem(rhs=_decay_rhs, jac=_decay_jac,
-                                bc=_start_bc([1.0, 0.0]), initial_mesh=mesh,
+                                y0=([1.0, 0.0]), initial_mesh=mesh,
                                 initial_guess=guess))
 
 

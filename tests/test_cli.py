@@ -181,6 +181,16 @@ class TestConfigValues:
         assert ei.value.code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["profile", "aux", "scan", "compare"])
+    def test_list_of_half_widths_exits_2(self, command, exact_config, tmp_path,
+                                         capsys):
+        # only beta reads a list of L; the others once took its first value
+        out = tmp_path / "o"
+        self._assert_field_error(
+            [command, "--config", exact_config, "--u-minus-list", "1.0",
+             "--L", "10,20", "--out-dir", out], "L", capsys)
+        assert not out.exists()
+
     def test_malformed_file_value_names_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("u_minus = 1.0\nN = abc\n")

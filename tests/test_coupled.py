@@ -6,7 +6,6 @@ from shockbeta.beta import compute_beta
 from shockbeta.coupled import (
     _GUESS_NODES,
     FoldedSystem,
-    _narrowed_guess,
     continuation_scan,
     initial_guess,
     solve_coupled,
@@ -26,7 +25,6 @@ from shockbeta.model import (
     standing_shock,
 )
 from shockbeta.numerics import bvp_solve
-from shockbeta.numerics.bvp import stage_abscissae
 from shockbeta.profile import Grid, solve_profile
 
 from conftest import exact_profile, exact_v
@@ -148,25 +146,17 @@ class TestFoldedSystem:
         assert np.array_equal(sys.jac(t, Y), J_ref)
 
     def test_boundary_conditions_count_and_content(self, folded, exact_cfg):
-        Ya = np.array([exact_cfg.u_mid, 0.0, exact_cfg.u_mid, 0.0])
-        Yb = np.zeros(4)
-        Ba, Bb, g = folded.bc
-        assert Ba.shape == Bb.shape == (4, 4) and g.shape == (4,)
-        assert not np.any(Bb)  # every condition sits at the fold
-        res = Ba @ Ya + Bb @ Yb - g
-        assert np.max(np.abs(res)) == 0.0
-        # phase, ubar matching, v_r(0) = 0 and v matching, at any state
-        Ya, Yb = np.random.default_rng(2).uniform(-2.0, 2.0, (2, 4))
-        expected = [Ya[0] - exact_cfg.u_mid, Ya[2] - Ya[0], Ya[1], Ya[3] - Ya[1]]
-        assert np.array_equal(Ba @ Ya + Bb @ Yb - g, expected)
+        # the four fold conditions fix the state at t = 0: the phase
+        # ubar_r(0) = u_mid, v_r(0) = 0, and both halves match
+        y0 = folded.y0
+        assert y0.shape == (4,)
+        assert np.array_equal(y0, [exact_cfg.u_mid, 0.0, exact_cfg.u_mid, 0.0])
 
 
 class TestInitialGuess:
     def test_guess_quality_and_newton_count(self, folded, coupled_L20):
         mesh, Y = initial_guess(folded)
-        Ba, Bb, g = folded.bc
-        bc_res = Ba @ Y[:, 0] + Bb @ Y[:, -1] - g
-        assert np.max(np.abs(bc_res)) <= 1e-6
+        assert np.max(np.abs(Y[:, 0] - folded.y0)) <= 1e-6
         # tail of the guess reaches the attracting state
         assert abs(Y[0, -1] - (-1.0)) <= 1e-6
         # Newton never needs more than a few corrections per sweep
@@ -192,42 +182,6 @@ class TestInitialGuess:
         sys0 = FoldedSystem(exact_cfg, quad_flux, NeutralFrequency(0.0, 0.0), 20.0)
         _, Y = initial_guess(sys0)
         assert np.max(np.abs(Y[[1, 3]])) == 0.0
-
-
-class TestNarrowedGuess:
-    def test_guess_is_the_wider_solution_cut_at_L(self, coupled_L20):
-        wide = coupled_L20.bvp
-        mesh, Y, S = _narrowed_guess(coupled_L20, 10.0)
-        k = mesh.size - 1
-        assert mesh[0] == 0.0 and mesh[-1] == 1.0
-        assert np.all(np.diff(mesh) > 0.0)
-        assert np.array_equal(mesh[:k], wide.mesh[:k] / 0.5)
-        assert np.array_equal(Y[:, :k], wide.y[:, :k])
-        assert np.array_equal(Y[:, k], wide.interpolant(0.5))
-        # the kept intervals keep their converged stages; the cut interval
-        # takes its stages from the wider extension
-        assert S.shape == (4, 2, k)
-        assert np.array_equal(S[:, :, :k - 1], wide.stages[:, :, :k - 1])
-        last = stage_abscissae(np.array([wide.mesh[k - 1], 0.5]))[:, 0]
-        assert np.array_equal(S[:, :, k - 1], wide.interpolant(last))
-
-    @pytest.mark.parametrize("offset", [-2, -1, 0, 1, 2])
-    def test_node_within_rounding_of_the_cut(self, coupled_L20, exact_cfg,
-                                             quad_flux, exact_freq, offset):
-        # L a few ulps either side of a mesh node: the cut never duplicates
-        # a node nor leaves a sliver interval, and the seeded solve converges
-        wide = coupled_L20.bvp.mesh
-        j = int(np.searchsorted(wide, 0.5))
-        L = 20.0 * wide[j]
-        for _ in range(abs(offset)):
-            L = np.nextafter(L, np.inf if offset > 0 else -np.inf)
-        guess = _narrowed_guess(coupled_L20, L)
-        h = np.diff(guess[0])
-        assert guess[0][0] == 0.0 and guess[0][-1] == 1.0 and np.all(h > 0.0)
-        assert h[-1] >= 0.5 * np.min(np.diff(wide)[j - 2:j + 2]) * 20.0 / L
-        res = solve_coupled(exact_cfg, quad_flux, exact_freq, L, 2000,
-                            guess=guess, tail_tol=1e-3, decay_tol=1e-2)
-        assert res.bvp.newton_per_sweep[0] <= 1
 
 
 class TestSolveCoupled:
