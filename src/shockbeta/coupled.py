@@ -14,25 +14,26 @@ and left halves are rescaled onto [0, 1] as U_r(t) = U(L t), U_l(t) = U(-L t),
 giving a 4-dimensional system closed by four fold conditions: the midpoint
 phase condition, two matching conditions, and the origin normalization
 v(0) = 0.  Both far ends then fall into the attracting equilibria on their
-own; the tail residual is verified after the solve.  The initial guess comes
-from integrating the field outward from the fold.  A parameter sweep seeds
-each point with the previous converged solution, each folded half stretched
-in t by the ratio new/old of its end rate |a1s(u+-)|, the profile stretched
-in amplitude to the new end states and v scaled by the same ratio, sampled
-at the nodes and collocation stages of the same 401-node starting mesh as a
-cold solve (:func:`_rescaled_guess`): the solver then refines from the mesh
-a cold solve starts on, so each point ends on its cold solve's mesh, with
-its sweep count, its Newton iterations (one per sweep along
-``configs/sine_scan.cfg``) and its beta.  The four fold conditions fix the
-state at t = 0, so the folded problem is an initial-value problem, and the
-solution on [-L, L] is a wider one restricted to |x| <= L: a study over
-several L solves the widest alone and samples each narrower L from it
-(:func:`unfold_coupled`).
+own; the tail residual is verified after the solve.  Every solve starts on
+one 401-node mesh from a guess that is a function of t, read at the nodes
+and collocation stages: cold, the field integrated outward from the fold.
+A parameter sweep guesses each point from the previous converged solution,
+each folded half stretched in t by the ratio new/old of its end rate
+|a1s(u+-)|, the profile stretched in amplitude to the new end states and v
+scaled by the same ratio (:func:`_rescaled_guess`), so each point ends on
+its cold solve's mesh, with its sweep count, its Newton iterations (one per
+sweep along ``configs/sine_scan.cfg``) and its beta.  A repeated left state
+reuses the previous point; a failed step is retried once cold.  The four
+fold conditions fix the state at t = 0, so the folded problem is an
+initial-value problem, and the solution on [-L, L] is a wider one restricted
+to |x| <= L: a study over several L solves the widest alone and samples each
+narrower L from it (:func:`unfold_coupled`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from .model import (
     standing_shock,
 )
 from .numerics import (
-    BvpProblem, BvpSolution, IvpProblem, bvp_solve, ivp_solve, sample_collocation,
+    BvpProblem, BvpSolution, IvpProblem, Trajectory, bvp_solve, ivp_solve,
 )
 from .profile import (
     DEFAULT_TAIL_TOL, Grid, ProfileSolution, _check_profile, check_resolution,
@@ -158,28 +159,21 @@ class CoupledResult:
         return self.aux.freq
 
 
-def initial_guess(sys: FoldedSystem) -> tuple[np.ndarray, np.ndarray]:
+def initial_guess(sys: FoldedSystem) -> Trajectory:
     """Guess by one outward integration of the folded field from the fold.
 
-    The guess holds node values only; the solver takes its collocation
-    stages from the guess's quintic extension.  It only seeds Newton on the
-    401-node starting mesh, which converges from it in one iteration, so
-    tighter integration buys no Newton iteration; the solver refines the
-    mesh and the answer from there.  The guess is the route's own
-    integration, not the integrating-factor profile, so the coupled route
-    stays independent of the route it is checked against.
+    The guess is the dense trajectory itself, which the solver reads at the
+    nodes and stages of the 401-node starting mesh.  It only seeds Newton
+    there, which converges from it in one iteration, so tighter integration
+    buys no Newton iteration; the solver refines the mesh and the answer
+    from there.  The guess is the route's own integration, not the
+    integrating-factor profile, so the coupled route stays independent of
+    the route it is checked against.
     """
-    traj = ivp_solve(
+    return ivp_solve(
         IvpProblem(rhs=sys.rhs, t_span=(0.0, 1.0), y0=sys.y0,
                    rtol=_GUESS_RTOL, atol=_GUESS_ATOL)
     )
-    mesh = _starting_mesh()
-    return mesh, traj(mesh).T
-
-
-def _starting_mesh() -> np.ndarray:
-    """The uniform mesh of a cold solve, and of each new continuation point."""
-    return np.linspace(0.0, 1.0, _GUESS_NODES)
 
 
 def solve_coupled(
@@ -188,7 +182,7 @@ def solve_coupled(
     freq: NeutralFrequency,
     L: float,
     n_out: int,
-    guess: tuple | None = None,
+    guess: Callable[[np.ndarray], np.ndarray] | None = None,
     tol: float = 1e-8,
     tail_tol: float = DEFAULT_TAIL_TOL,
     decay_tol: float = DEFAULT_DECAY_TOL,
@@ -197,19 +191,18 @@ def solve_coupled(
 
     ``n_out`` is the interval count of the output grid on [-L, L].  v is
     linear in xi0 and solved per unit |xi0|, so the mesh, the collocation
-    tolerance and the fold check do not depend on xi0.  A guess is a (mesh,
-    state, stages) triple on [0, 1], v per unit |xi0|, whose stages (the
-    values at the interior collocation points, or None) are as
-    :class:`BvpProblem` takes them; by default it is generated by outward
-    integration.
+    tolerance and the fold check do not depend on xi0.  Every solve starts
+    on the uniform ``_GUESS_NODES`` mesh.  A guess maps t of shape (k,) in
+    [0, 1] to folded states of shape (4, k), v per unit |xi0|, as
+    :class:`BvpProblem` takes it; by default it is the outward integration
+    (:func:`initial_guess`).
     """
     _, unit = freq.per_unit()
     sys = FoldedSystem(cfg=cfg, flux=f, freq=unit, L=float(L))
-    mesh, Y0, S0 = (*initial_guess(sys), None) if guess is None else guess
-
     problem = BvpProblem(
-        rhs=sys.rhs, jac=sys.jac, y0=sys.y0, initial_mesh=mesh,
-        initial_guess=Y0, initial_stages=S0, tol=tol,
+        rhs=sys.rhs, jac=sys.jac, y0=sys.y0,
+        initial_mesh=np.linspace(0.0, 1.0, _GUESS_NODES),
+        initial_guess=initial_guess(sys) if guess is None else guess, tol=tol,
     )
     sol = bvp_solve(problem)
     return unfold_coupled(sol, cfg, freq, float(L), L, n_out, tail_tol, decay_tol)
@@ -279,42 +272,34 @@ def unfold_coupled(
 
 def _rescaled_guess(
     prev: CoupledResult, cfg_new: ShockConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Callable[[np.ndarray], np.ndarray]:
     """Previous folded solution as a guess, stretched to the new states.
 
-    The guess is the previous quintic extension sampled at the nodes and
-    stages of the starting mesh of a cold solve, so the solver refines from
-    where a cold solve does and its first sweep's Newton iterations run on
-    401 nodes, not on the previous point's hundreds; the point then ends on
-    its cold solve's mesh.  Each folded half is stretched in t by its
-    end-rate ratio r = |a1s(u_end)| new / old (u+ for the right half, u-
-    for the left): it is sampled at t r, so the layer narrows as its end
-    rate grows (the extension's last piece is constant, so t r > 1 reads the
-    end state).  The profile is then stretched in amplitude about u+, and v
-    scaled by the same ratio.  For a quadratic f1 this maps u_mid - d
-    tanh(a d x) onto the new point's profile exactly; for an f2 of degree
-    <= 2 as well, v = R x ubar' with R the same at every point, so v maps
-    exactly too and the step takes the Newton iterations of its cold solve.
-    A point whose left state equals the previous one is already solved and
-    keeps the converged mesh and stages.
+    The solver reads the previous quintic extension on a cold solve's
+    starting mesh, so the point ends on its cold solve's mesh.  Each folded
+    half is stretched in t by its end-rate ratio r = |a1s(u_end)| new / old
+    (u+ for the right half, u- for the left): it is read at t r, so the layer
+    narrows as its end rate grows (the extension's last piece is constant, so
+    t r > 1 reads the end state).  The profile is then stretched in amplitude
+    about u+, and v scaled by the same ratio.  For a quadratic f1 this maps
+    u_mid - d tanh(a d x) onto the new point's profile exactly; for an f2 of
+    degree <= 2 as well, v = R x ubar' with R the same at every point, so v
+    maps exactly too and the step takes the Newton iterations of its cold
+    solve.
     """
-    if cfg_new.u_minus == prev.config.u_minus:
-        mesh, Y, S = prev.bvp.mesh.copy(), prev.bvp.y.copy(), prev.bvp.stages.copy()
-    else:
-        mesh = _starting_mesh()
-        interp = prev.bvp.interpolant
-        r_plus, r_minus = cfg_new.end_rates / prev.config.end_rates
-        Y, S = sample_collocation(
-            lambda t: np.concatenate([interp(t * r_plus, rows=slice(0, 2)),
-                                      interp(t * r_minus, rows=slice(2, 4))]),
-            mesh,
-        )
+    interp = prev.bvp.interpolant
+    r_plus, r_minus = cfg_new.end_rates / prev.config.end_rates
     up = cfg_new.u_plus
     ratio = (cfg_new.u_minus - up) / (prev.config.u_minus - up)
-    for Z in (Y, S):
+
+    def guess(t):
+        Z = np.concatenate([interp(t * r_plus, rows=slice(0, 2)),
+                            interp(t * r_minus, rows=slice(2, 4))])
         Z[::2] = up + (Z[::2] - up) * ratio  # the ubar rows of both halves
         Z[1::2] *= ratio  # and the v rows
-    return mesh, Y, S
+        return Z
+
+    return guess
 
 
 def continuation_scan(
@@ -335,8 +320,10 @@ def continuation_scan(
     already built (its left state must be the first value).  Every point the
     chain reaches is built, and the grid checked against the steepest,
     before the first solve; the chain stalls at an inadmissible later point.
-    On a solver failure the step is bisected once; if the bisected step also
-    fails, :class:`ContinuationStalled` carries the chain computed so far.
+    A left state equal to the previous one reuses the previous result, with
+    no solve.  A step that fails from its rescaled guess is retried once
+    cold; if the first point or the cold retry fails,
+    :class:`ContinuationStalled` carries the chain computed so far.
     """
     shocks, inadmissible = [], None
     values = [float(um) for um in u_minus_values]
@@ -359,26 +346,22 @@ def continuation_scan(
         steepest = max((cfg for cfg, _ in shocks), key=lambda cfg: cfg.layer_rate)
         check_resolution(steepest, L, n_out)
 
-    def _solve_at(shock, seed: CoupledResult | None) -> CoupledResult:
-        cfg, freq = shock
-        guess = None if seed is None else _rescaled_guess(seed, cfg)
-        return solve_coupled(cfg, f, freq, L, n_out, guess=guess, tol=tol)
-
     points: list[CoupledResult] = []
-    for k, shock in enumerate(shocks):
+    for k, (cfg, freq) in enumerate(shocks):
         prev = points[-1] if points else None
+        if prev is not None and cfg.u_minus == prev.config.u_minus:
+            points.append(prev)  # a repeated left state is already solved
+            continue
         try:
-            res = _solve_at(shock, prev)
-        except SolverError as exc:
-            if prev is None:
-                raise ContinuationStalled(k, points, exc) from exc
-            # one automatic bisection of the parameter step
             try:
-                um_mid = 0.5 * (prev.config.u_minus + shock[0].u_minus)
-                mid = standing_shock(f, um_mid, cfg0.u_plus, xi0)
-                res = _solve_at(shock, _solve_at(mid, prev))
-            except SolverError as exc2:
-                raise ContinuationStalled(k, points, exc2) from exc2
+                guess = None if prev is None else _rescaled_guess(prev, cfg)
+                res = solve_coupled(cfg, f, freq, L, n_out, guess=guess, tol=tol)
+            except SolverError:
+                if prev is None:
+                    raise
+                res = solve_coupled(cfg, f, freq, L, n_out, tol=tol)  # retry cold
+        except SolverError as exc:
+            raise ContinuationStalled(k, points, exc) from exc
         points.append(res)
     if inadmissible is not None:
         raise ContinuationStalled(len(shocks), points, inadmissible) from inadmissible

@@ -1,12 +1,6 @@
 """Self-contained numerical kernels: IVP integration, quadrature, BVP collocation."""
 
-from .bvp import (
-    BvpProblem,
-    BvpSolution,
-    HermiteInterpolant,
-    bvp_solve,
-    sample_collocation,
-)
+from .bvp import BvpProblem, BvpSolution, HermiteInterpolant, bvp_solve
 from .ivp import IvpProblem, Trajectory, ivp_solve
 from .quadrature import cumquad_simpson, quad_simpson, quad_trapezoid
 
@@ -21,5 +15,4 @@ __all__ = [
     "ivp_solve",
     "quad_simpson",
     "quad_trapezoid",
-    "sample_collocation",
 ]

@@ -11,6 +11,8 @@ collocation equations are solved by a damped Newton iteration, with the
 analytic Jacobian of the problem's rhs and the conditions y(0) = y0, whose
 Jacobian is the identity.  Each iteration evaluates the rhs and its
 Jacobian once, on the nodes and both stage sets stacked into one array.
+The initial guess is a function of x, read once at those points of the
+initial mesh.
 
 The converged solution is extended by the C2 piecewise-quintic Hermite
 interpolant of y, y' = f and y'' = J f at the nodes
@@ -110,11 +112,11 @@ class BvpProblem:
     shape (m,), is the state at x = 0: the m conditions y(0) = y0.  With the
     triangular Jacobian this lets each Newton step march from x = 0 one
     component at a time.
-    ``initial_guess`` holds state samples of shape ``(m, n)`` on
-    ``initial_mesh``; ``initial_stages``, of shape ``(m, 2, n - 1)``, the
-    guessed values at the two interior stage points of every interval
-    (:func:`stage_abscissae`), or None to take them from the quintic
-    extension of the guess.  Anything else is refused with
+    ``initial_guess`` maps abscissae of shape ``(k,)`` in [0, 1] to states
+    of shape ``(m, k)``.  It is read once, here, at the nodes of
+    ``initial_mesh`` and the two interior stage points of every interval
+    (:func:`stage_abscissae`); ``initial_samples`` holds those values, laid
+    out as :func:`_collocation_points`.  Anything else is refused with
     :class:`BadProblem`.
     """
 
@@ -122,49 +124,48 @@ class BvpProblem:
     jac: Callable[[np.ndarray, np.ndarray], np.ndarray]
     y0: np.ndarray
     initial_mesh: np.ndarray
-    initial_guess: np.ndarray
+    initial_guess: Callable[[np.ndarray], np.ndarray]
     tol: float = 1e-8
-    initial_stages: np.ndarray | None = None
 
     def __post_init__(self):
-        self.initial_mesh = np.asarray(self.initial_mesh, dtype=float)
-        self.initial_guess = np.asarray(self.initial_guess, dtype=float)
-        x = self.initial_mesh
-        if x.ndim != 1 or x.size < 2 or np.any(np.diff(x) <= 0):
+        x = self.initial_mesh = _floats(self.initial_mesh, "initial_mesh")
+        if x.ndim != 1 or x.size < 2 or not np.all(np.diff(x) > 0):
             raise BadProblem("mesh must be strictly increasing")
         if x[0] != 0.0 or x[-1] != 1.0:
             raise BadProblem("mesh must run from 0 to 1")
-        if self.initial_guess.ndim != 2 or self.initial_guess.shape[1] != x.size:
-            raise BadProblem("initial_guess must have shape (m, len(mesh))")
-        if not np.all(np.isfinite(self.initial_guess)):
-            raise BadProblem("initial_guess must be finite")
-        m = self.initial_guess.shape[0]
-        if self.initial_stages is not None:
-            self.initial_stages = np.asarray(self.initial_stages, dtype=float)
-            if self.initial_stages.shape != (m, 2, x.size - 1):
-                raise BadProblem(
-                    "initial_stages must have shape (m, 2, len(mesh) - 1)"
-                )
-            if not np.all(np.isfinite(self.initial_stages)):
-                raise BadProblem("initial_stages must be finite")
         if self.tol <= 0:
             raise BadProblem("tol must be positive")
-        self.y0 = np.asarray(self.y0, dtype=float)
-        if self.y0.shape != (m,):
-            raise BadProblem(
-                f"y0 has shape {self.y0.shape} for a system of dimension {m}; "
-                f"expected {(m,)}"
-            )
+        self.y0 = _floats(self.y0, "y0")
+        m = self.y0.size
+        if self.y0.shape != (m,) or m == 0:
+            raise BadProblem(f"y0 has shape {self.y0.shape}; expected (m,)")
         if not np.all(np.isfinite(self.y0)):
             raise BadProblem("y0 must be finite")
-        J = self.jac(x, self.initial_guess)
-        if np.shape(J) != (x.size, m, m):
+        xz = _collocation_points(x)
+        Z = self.initial_samples = _floats(self.initial_guess(xz), "initial_guess")
+        if Z.shape != (m, xz.size):
+            raise BadProblem(
+                f"initial_guess returned shape {Z.shape} at {xz.size} points "
+                f"for y0 of shape {(m,)}; expected {(m, xz.size)}"
+            )
+        if not np.all(np.isfinite(Z)):
+            raise BadProblem("initial_guess must be finite")
+        J = self.jac(xz, Z)
+        if np.shape(J) != (xz.size, m, m):
             raise BadProblem(
                 f"jac returned shape {np.shape(J)} at the initial guess of a "
-                f"system of dimension {m}; expected {(x.size, m, m)}"
+                f"system of dimension {m}; expected {(xz.size, m, m)}"
             )
         if np.any(np.triu(J, 1)):
             raise BadProblem("jac must be lower triangular at the initial guess")
+
+
+def _floats(value, name):
+    """``value`` as an array of floats; a ragged or non-numeric one is refused."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise BadProblem(f"{name} is not an array of numbers: {exc}") from None
 
 
 def stage_abscissae(x: np.ndarray) -> np.ndarray:
@@ -491,12 +492,6 @@ def _extension(jac, x, Y, f):
     return HermiteInterpolant(x, Y, f, np.einsum("prc,cp->rp", jac(x, Y), f))
 
 
-def sample_collocation(interp, x):
-    """Node values (m, n) and stages (m, 2, n - 1) of mesh ``x`` from ``interp``."""
-    Z = interp(_collocation_points(x))
-    return Z[:, :x.size], Z[:, x.size:].reshape(-1, 2, x.size - 1)
-
-
 def _estimate_residuals(rhs, interp):
     """Scaled residual estimate of the quintic extension on every interval.
 
@@ -532,8 +527,9 @@ def _refine_mesh(x, est, tol, h_max):
 def bvp_solve(problem: BvpProblem) -> BvpSolution:
     """Solve a :class:`BvpProblem` to its residual tolerance.
 
-    Each mesh sweep runs Newton on the current mesh and estimates the
-    residual of the quintic extension; where the estimate exceeds
+    Each mesh sweep runs Newton on the current mesh, the first from the
+    guess read at the nodes and stages of ``problem.initial_mesh``, and
+    estimates the residual of the quintic extension; where the estimate exceeds
     ``problem.tol``, the next sweep starts from a redistributed mesh
     (:func:`_refine_mesh`), which may hold fewer nodes than the current one,
     with its nodes and stages sampled from the extension.  A sweep that meets
@@ -551,12 +547,7 @@ def bvp_solve(problem: BvpProblem) -> BvpSolution:
     last mesh sweep.
     """
     rhs, jac, y0 = problem.rhs, problem.jac, problem.y0
-    x = problem.initial_mesh.copy()
-    Y, S = problem.initial_guess, problem.initial_stages
-    if S is None:  # the extension reproduces the node values exactly
-        Z = _extension(jac, x, Y, rhs(x, Y))(_collocation_points(x))
-    else:
-        Z = np.concatenate([Y, S.reshape(Y.shape[0], -1)], axis=1)
+    x, Z = problem.initial_mesh.copy(), problem.initial_samples
     h_max = float(np.max(np.diff(x)))
     per_sweep: list[int] = []
 

@@ -94,7 +94,7 @@ class Trajectory:
         return self.y[-1]
 
     def __call__(self, t, rows=slice(None)):
-        """The state components ``rows`` at scalar or array ``t`` in the span."""
+        """Components ``rows`` at scalar ``t``, or (rows, k) at ``t`` of shape (k,)."""
         tq = np.atleast_1d(np.asarray(t, dtype=float))
         lo, hi = self.t[0], self.t[-1]
         if np.any(tq < lo - 1e-12 * (1 + abs(lo))) or np.any(
@@ -109,9 +109,7 @@ class Trajectory:
         out = r[:, 0] + theta * (
             r[:, 1] + (1 - theta) * (r[:, 2] + theta * (r[:, 3] + (1 - theta) * r[:, 4]))
         )
-        if np.ndim(t) == 0:
-            return out[0]
-        return out
+        return out[0] if np.ndim(t) == 0 else out.T
 
 
 def _initial_step(rhs, t0, y0, f0, rtol, atol, max_step):

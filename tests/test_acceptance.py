@@ -197,16 +197,18 @@ def test_criterion_8_kernel_convergence_orders():
         J[:, 1, 0] = 1.0
         return J
 
-    # both conditions at x = 0: y(0) = (1, 0)
+    # both conditions at x = 0: y(0) = (1, 0), and the guess holds that state
     y0 = [1.0, 0.0]
+
+    def guess(x):
+        return np.vstack([np.ones_like(x), np.zeros_like(x)])
 
     bvp_errs = []
     sizes = np.arange(5, 17)
     for n in sizes:
         mesh = np.linspace(0.0, 1.0, n)
         prob = BvpProblem(rhs=rhs, jac=jac, y0=y0, initial_mesh=mesh,
-                          initial_guess=np.vstack([np.ones(n), np.zeros(n)]),
-                          tol=10.0)
+                          initial_guess=guess, tol=10.0)
         sol = bvp_solve(prob)
         exact = np.vstack([1.0 / (1.0 + sol.mesh), np.log1p(sol.mesh)])
         bvp_errs.append(np.max(np.abs(sol.y - exact)))

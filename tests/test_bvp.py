@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,9 +44,13 @@ def _decay_exact(x):
     return np.vstack([1.0 / (1.0 + x), np.log1p(x)])
 
 
-def _decay_problem(n, tol=1e-8):
+def _constant(*values):
+    """The guess that takes the state ``values`` at every abscissa."""
+    return lambda x: np.repeat(np.array(values, dtype=float)[:, None], x.size, axis=1)
+
+
+def _decay_problem(n, tol=1e-8, guess=_constant(1.0, 0.0)):
     mesh = np.linspace(0.0, 1.0, n)
-    guess = np.vstack([np.ones(n), np.zeros(n)])
     return BvpProblem(rhs=_decay_rhs, jac=_decay_jac, y0=([1.0, 0.0]),
                       initial_mesh=mesh, initial_guess=guess, tol=tol)
 
@@ -85,10 +91,8 @@ def _dense_step(blocks, R):
 
 def _coupled_state(sys, n):
     """The coupled system's initial guess sampled on an n-node uniform mesh."""
-    mesh, Y0 = initial_guess(sys)
-    interp = bvp._extension(sys.jac, mesh, Y0, sys.rhs(mesh, Y0))
     x = np.linspace(0.0, 1.0, n)
-    return x, interp(bvp._collocation_points(x))
+    return x, initial_guess(sys)(bvp._collocation_points(x))
 
 
 def test_lobatto_coefficients():
@@ -189,7 +193,7 @@ def test_jacobians_reuse_the_residual_evaluations():
     # are the state at x = 0 less y0
     p = _decay_problem(11)
     x = p.initial_mesh
-    Z = np.concatenate([p.initial_guess, np.ones((2, 20))], axis=1) + 0.25
+    Z = np.concatenate([p.initial_samples[:, :11], np.ones((2, 20))], axis=1) + 0.25
     xz = bvp._collocation_points(x)
     rhs_points, jac_points = [], []
 
@@ -278,7 +282,7 @@ def test_dichotomic_problem_refused_with_propagator_norm():
     rhs, jac = _linear([[40.0]])
     mesh = np.linspace(0.0, 1.0, 41)
     p = BvpProblem(rhs=rhs, jac=jac, y0=([1.0]), initial_mesh=mesh,
-                   initial_guess=np.zeros((1, 41)))
+                   initial_guess=_constant(0.0))
     with pytest.raises(SingularJacobian, match=r"propagator norm \d\.\d{3}e\+\d+"):
         bvp_solve(p)
 
@@ -366,10 +370,16 @@ def test_residual_estimate_order():
 
 @pytest.mark.parametrize("y0", [[1.0], [1.0, 0.0, 0.0], [[1.0, 0.0]], 1.0])
 def test_y0_shape_mismatch_rejected_at_construction(y0):
+    # m is the length of y0: a y0 that is no vector is refused, and a vector
+    # of the wrong length leaves the two-row guess with the wrong shape
     mesh = np.linspace(0.0, 1.0, 5)
-    with pytest.raises(BadProblem, match=r"y0 has shape .* expected \(2,\)"):
+    if np.ndim(y0) == 1:
+        match = rf"initial_guess returned shape \(2, 13\) .* expected \({len(y0)}, 13\)"
+    else:
+        match = rf"y0 has shape {re.escape(str(np.shape(y0)))}; expected \(m,\)"
+    with pytest.raises(BadProblem, match=match):
         BvpProblem(rhs=_decay_rhs, jac=_decay_jac, y0=y0,
-                   initial_mesh=mesh, initial_guess=np.ones((2, 5)))
+                   initial_mesh=mesh, initial_guess=_constant(1.0, 1.0))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -377,7 +387,7 @@ def test_non_finite_y0_rejected_at_construction(bad):
     mesh = np.linspace(0.0, 1.0, 5)
     with pytest.raises(BadProblem, match=r"y0 must be finite"):
         BvpProblem(rhs=_decay_rhs, jac=_decay_jac, y0=[1.0, bad],
-                   initial_mesh=mesh, initial_guess=np.ones((2, 5)))
+                   initial_mesh=mesh, initial_guess=_constant(1.0, 1.0))
 
 
 def test_upper_triangular_jac_entry_rejected_at_construction():
@@ -386,7 +396,7 @@ def test_upper_triangular_jac_entry_rejected_at_construction():
     mesh = np.linspace(0.0, 1.0, 5)
     with pytest.raises(BadProblem, match=r"jac must be lower triangular"):
         BvpProblem(rhs=rhs, jac=jac, y0=([0.0, 1.0]),
-                   initial_mesh=mesh, initial_guess=np.zeros((2, 5)))
+                   initial_mesh=mesh, initial_guess=_constant(0.0, 0.0))
 
 
 @pytest.mark.parametrize("shape", [(1, 2), (2, 2, 1), (1, 2, 3), (1, 1, 1)])
@@ -395,7 +405,7 @@ def test_jac_shape_mismatch_rejected_at_construction(shape):
     with pytest.raises(BadProblem, match=r"jac returned shape"):
         BvpProblem(rhs=_decay_rhs, jac=lambda x, Y: np.zeros(shape),
                    y0=([0.0, 0.0]),
-                   initial_mesh=mesh, initial_guess=np.zeros((2, 5)))
+                   initial_mesh=mesh, initial_guess=_constant(0.0, 0.0))
 
 
 def test_mesh_validation():
@@ -403,23 +413,58 @@ def test_mesh_validation():
     bad = np.array([0.0, 0.5, 0.4, 1.0])
     with pytest.raises(BadProblem):
         BvpProblem(rhs=rhs, jac=jac, y0=[0.0],
-                   initial_mesh=bad, initial_guess=np.zeros((1, 4)))
+                   initial_mesh=bad, initial_guess=_constant(0.0))
     with pytest.raises(BadProblem):
         BvpProblem(rhs=rhs, jac=jac, y0=[0.0],
                    initial_mesh=np.linspace(0.1, 1.0, 4),
-                   initial_guess=np.zeros((1, 4)))
+                   initial_guess=_constant(0.0))
+    with pytest.raises(BadProblem, match="strictly increasing"):
+        BvpProblem(rhs=rhs, jac=jac, y0=[0.0], initial_mesh=[0.0, np.nan, 1.0],
+                   initial_guess=_constant(0.0))
+
+
+@pytest.mark.parametrize("changes, match", [
+    ({"y0": "abc"}, r"y0 is not an array of numbers"),
+    ({"initial_mesh": [0.0, [0.5, 0.6], 1.0]}, r"initial_mesh is not an array of numbers"),
+    ({"initial_guess": lambda x: [list(x), [0.0]]}, r"initial_guess is not an array"),
+    ({"initial_guess": lambda x: [["a"] * x.size] * 2}, r"initial_guess is not an array"),
+    ({"initial_guess": _constant(1.0)}, r"initial_guess returned shape \(1, 13\)"),
+    ({"initial_guess": lambda x: np.ones((2, x.size - 1))}, r"returned shape \(2, 12\)"),
+    ({"initial_guess": lambda x: np.ones(x.size)}, r"returned shape \(13,\)"),
+    ({"initial_guess": _constant(1.0, np.nan)}, r"initial_guess must be finite"),
+    ({"initial_guess": _constant(np.inf, 0.0)}, r"initial_guess must be finite"),
+])
+def test_bad_values_rejected_at_construction(changes, match):
+    # a ragged or non-numeric value must not escape as numpy's ValueError
+    args = dict(rhs=_decay_rhs, jac=_decay_jac, y0=[1.0, 0.0],
+                initial_mesh=np.linspace(0.0, 1.0, 5), initial_guess=_constant(1.0, 0.0))
+    with pytest.raises(BadProblem, match=match):
+        BvpProblem(**(args | changes))
+
+
+def test_guess_is_read_once_at_the_nodes_and_stages():
+    calls = []
+
+    def guess(x):
+        calls.append(x.copy())
+        return _decay_exact(x)
+
+    p = _decay_problem(6, guess=guess)
+    assert len(calls) == 1
+    assert np.array_equal(calls[0], bvp._collocation_points(p.initial_mesh))
+    assert np.array_equal(p.initial_samples, _decay_exact(calls[0]))
 
 
 def test_newton_divergence_on_bad_guess():
-    p = _decay_problem(11)
-    p.initial_guess = np.full((2, 11), np.nan)
-    with pytest.raises(NewtonDivergence):
+    # finite, but its square overflows: the residual is not finite
+    p = _decay_problem(11, guess=_constant(1e200, 0.0))
+    with np.errstate(all="ignore"), pytest.raises(
+            NewtonDivergence, match="not finite at the initial guess"):
         bvp_solve(p)
 
 
 def test_newton_iteration_budget(monkeypatch):
-    p = _decay_problem(21)
-    p.initial_guess = np.vstack([np.full(21, 3.0), np.zeros(21)])
+    p = _decay_problem(21, guess=_constant(3.0, 0.0))
     monkeypatch.setattr(bvp, "_MAX_NEWTON", 1)
     with pytest.raises(NewtonDivergence):
         bvp_solve(p)
@@ -437,7 +482,7 @@ def test_singular_jacobian_detected():
     p = BvpProblem(rhs=lambda x, Y: coeff(x) * Y,
                    jac=lambda x, Y: coeff(x)[:, None, None],
                    y0=([1.0]), initial_mesh=mesh,
-                   initial_guess=np.zeros((1, 5)))
+                   initial_guess=_constant(0.0))
     with pytest.raises(SingularJacobian, match="zero pivot in column 0 of interval 0"):
         bvp_solve(p)
 
@@ -455,10 +500,7 @@ def test_newton_counts_reported():
 
 
 def _decay_solve(guess):
-    mesh = np.linspace(0.0, 1.0, guess.shape[1])
-    return bvp_solve(BvpProblem(rhs=_decay_rhs, jac=_decay_jac,
-                                y0=([1.0, 0.0]), initial_mesh=mesh,
-                                initial_guess=guess))
+    return bvp_solve(_decay_problem(21, guess=guess))
 
 
 def test_large_last_step_is_settled_by_one_more_step():
@@ -466,10 +508,8 @@ def test_large_last_step_is_settled_by_one_more_step():
     # far off passes the residual test; the 21-node mesh passes the
     # estimate, and the settling step takes the state to where the solve
     # from the exact guess ends (unsettled it stays 3e-15 away)
-    mesh = np.linspace(0.0, 1.0, 21)
-    exact = _decay_exact(mesh)
-    far = _decay_solve(exact + np.vstack([np.zeros(21), 10.0 * (1.0 + mesh)]))
-    near = _decay_solve(exact)
+    far = _decay_solve(lambda x: _decay_exact(x) + [[0.0], [10.0]] * (1.0 + x))
+    near = _decay_solve(_decay_exact)
     assert far.newton_per_sweep == [2]
     assert near.newton_per_sweep == [1]
     assert np.array_equal(far.mesh, near.mesh)
@@ -482,6 +522,6 @@ def test_small_last_step_keeps_its_count(monkeypatch):
         raise AssertionError("a solve from a close guess took the settling step")
 
     monkeypatch.setattr(bvp, "_settle", no_settle)
-    assert _decay_solve(_decay_exact(np.linspace(0.0, 1.0, 21))).newton_per_sweep == [1]
+    assert _decay_solve(_decay_exact).newton_per_sweep == [1]
     # the coarse first sweep fails the estimate; the fine one starts close
     assert bvp_solve(_decay_problem(11)).newton_per_sweep == [4, 1]

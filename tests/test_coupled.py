@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from shockbeta.auxiliary import AuxMethod
 from shockbeta.beta import compute_beta
 from shockbeta.coupled import (
     _GUESS_NODES,
@@ -25,7 +24,6 @@ from shockbeta.model import (
     standing_shock,
 )
 from shockbeta.numerics import bvp_solve
-from shockbeta.profile import Grid, solve_profile
 
 from conftest import exact_profile, exact_v
 
@@ -153,9 +151,15 @@ class TestFoldedSystem:
         assert np.array_equal(y0, [exact_cfg.u_mid, 0.0, exact_cfg.u_mid, 0.0])
 
 
+def _guess_at_nodes(sys):
+    """The nodes of the cold starting mesh and the guess of ``sys`` there."""
+    mesh = np.linspace(0.0, 1.0, _GUESS_NODES)
+    return mesh, initial_guess(sys)(mesh)
+
+
 class TestInitialGuess:
     def test_guess_quality_and_newton_count(self, folded, coupled_L20):
-        mesh, Y = initial_guess(folded)
+        mesh, Y = _guess_at_nodes(folded)
         assert np.max(np.abs(Y[:, 0] - folded.y0)) <= 1e-6
         # tail of the guess reaches the attracting state
         assert abs(Y[0, -1] - (-1.0)) <= 1e-6
@@ -172,7 +176,7 @@ class TestInitialGuess:
             self, exact_cfg, quad_flux, exact_freq, L):
         # the outward integration is this close to the exact pair (8.6e-8
         # and 7.4e-7 at most); the one-iteration first sweeps rely on it
-        mesh, Y = initial_guess(FoldedSystem(exact_cfg, quad_flux, exact_freq, L))
+        mesh, Y = _guess_at_nodes(FoldedSystem(exact_cfg, quad_flux, exact_freq, L))
         for x, rows in ((L * mesh, slice(0, 2)), (-L * mesh, slice(2, 4))):
             ubar, v = Y[rows]
             assert np.max(np.abs(ubar - exact_profile(x))) <= 1e-6
@@ -180,7 +184,7 @@ class TestInitialGuess:
 
     def test_zero_frequency_guess_has_zero_correction(self, exact_cfg, quad_flux):
         sys0 = FoldedSystem(exact_cfg, quad_flux, NeutralFrequency(0.0, 0.0), 20.0)
-        _, Y = initial_guess(sys0)
+        _, Y = _guess_at_nodes(sys0)
         assert np.max(np.abs(Y[[1, 3]])) == 0.0
 
 
@@ -349,37 +353,66 @@ class TestContinuation:
 
     def test_steps_start_on_the_cold_starting_mesh(self, quad_flux, exact_cfg,
                                                    monkeypatch):
-        starts, solved = [], []
-
-        def spy(problem):
-            starts.append(problem.initial_mesh.copy())
-            sol = bvp_solve(problem)
-            solved.append(sol.mesh.copy())
-            return sol
-
-        monkeypatch.setattr("shockbeta.coupled.bvp_solve", spy)
-        continuation_scan(exact_cfg, quad_flux, 1.0, [1.0, 1.2, 1.2, 1.4],
-                          20.0, 1000)
-        assert [m.size for m in starts] == [_GUESS_NODES, _GUESS_NODES,
-                                            solved[1].size, _GUESS_NODES]
-        # the repeated left state is already solved on the previous mesh
-        assert np.array_equal(starts[2], solved[1])
-
-    def test_bisection_midpoint_starts_on_the_cold_starting_mesh(
-            self, quad_flux, exact_cfg, monkeypatch):
         starts = []
 
-        def failing_once(problem):
+        def spy(problem):
             starts.append(problem.initial_mesh.size)
-            if len(starts) == 2:
-                raise NewtonDivergence("forced failure of the full step")
             return bvp_solve(problem)
 
+        monkeypatch.setattr("shockbeta.coupled.bvp_solve", spy)
+        pts = continuation_scan(exact_cfg, quad_flux, 1.0, [1.0, 1.2, 1.2, 1.4],
+                                20.0, 1000)
+        # the repeated left state is already solved: no third solve of 1.2
+        assert starts == [_GUESS_NODES] * 3
+        assert pts[2] is pts[1]
+
+    def test_failed_warm_step_is_retried_cold(self, quad_flux, exact_cfg,
+                                              monkeypatch):
+        solves, cold_guesses = [], []
+
+        def failing_once(problem):
+            solves.append(problem)
+            if len(solves) == 2:
+                raise NewtonDivergence("forced failure of the warm step")
+            return bvp_solve(problem)
+
+        def counted(sys):
+            cold_guesses.append(sys.cfg.u_minus)
+            return initial_guess(sys)
+
         monkeypatch.setattr("shockbeta.coupled.bvp_solve", failing_once)
+        monkeypatch.setattr("shockbeta.coupled.initial_guess", counted)
         pts = continuation_scan(exact_cfg, quad_flux, 1.0, [1.0, 1.4], 20.0, 1000)
-        # point 0, the failed step, the midpoint, the step from the midpoint
-        assert starts == [_GUESS_NODES] * 4
+        # point 0, the failed warm step, and its cold retry
+        assert len(solves) == 3
+        assert cold_guesses == [1.0, 1.4]
         assert [pt.config.u_minus for pt in pts] == [1.0, 1.4]
+        monkeypatch.undo()
+        cold = solve_coupled(pts[1].config, quad_flux, pts[1].freq, 20.0, 1000)
+        beta = compute_beta(quad_flux, pts[1].profile, pts[1].aux).beta
+        beta_cold = compute_beta(quad_flux, cold.profile, cold.aux).beta
+        assert abs(beta - beta_cold) <= 1e-14 * abs(beta_cold)
+
+    @pytest.mark.parametrize("first_failure, index, n_solves", [(1, 0, 1), (2, 1, 3)])
+    def test_failed_cold_solve_stalls_the_chain(self, quad_flux, exact_cfg,
+                                                monkeypatch, first_failure,
+                                                index, n_solves):
+        # the first point is solved cold and not retried; a later point
+        # stalls once its warm step and its cold retry have both failed
+        solves = []
+
+        def failing(problem):
+            solves.append(problem)
+            if len(solves) >= first_failure:
+                raise NewtonDivergence("forced failure")
+            return bvp_solve(problem)
+
+        monkeypatch.setattr("shockbeta.coupled.bvp_solve", failing)
+        with pytest.raises(ContinuationStalled) as ei:
+            continuation_scan(exact_cfg, quad_flux, 1.0, [1.0, 1.4, 1.8], 20.0, 1000)
+        assert len(solves) == n_solves
+        assert ei.value.index == index and len(ei.value.results) == index
+        assert isinstance(ei.value.cause, NewtonDivergence)
 
     def test_singleton_chain_matches_direct_solve(self, quad_flux, exact_cfg,
                                                   exact_freq, coupled_L20):

@@ -38,7 +38,7 @@ def test_dense_output_tracks_solution():
                    y0=np.array([0.0]), rtol=1e-10, atol=1e-12)
     traj = ivp_solve(p)
     tq = np.linspace(0.0, 10.0, 999)
-    assert np.max(np.abs(traj(tq)[:, 0] - np.sin(tq))) < 1e-8
+    assert np.max(np.abs(traj(tq)[0] - np.sin(tq))) < 1e-8
 
 
 def test_dense_output_outside_span_rejected():
@@ -66,7 +66,7 @@ def test_interpolant_order_matches_pair():
                        rtol=1.0, atol=1.0, max_step=h)
         traj = ivp_solve(p)
         tm = traj.t[:-1] + np.diff(traj.t) / 2.0
-        errs.append(np.max(np.abs(traj(tm)[:, 0] - np.exp(tm))))
+        errs.append(np.max(np.abs(traj(tm)[0] - np.exp(tm))))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(orders >= 4.0)
 

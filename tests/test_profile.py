@@ -159,12 +159,12 @@ def test_cubic_custom_profile_evaluates_each_half_once(monkeypatch):
     ps = solve_profile(cfg, grid)
     ends = np.array([cfg.u_plus, cfg.u_minus])
     sign = np.sign(cfg.u_mid - ends)
-    folded = ends + sign * np.exp(trajs[0](np.abs(grid.x)))
-    both = np.where(grid.x >= 0.0, folded[:, 0], folded[:, 1])
+    folded = ends[:, None] + sign[:, None] * np.exp(trajs[0](np.abs(grid.x)))
+    both = np.where(grid.x >= 0.0, folded[0], folded[1])
     both[grid.x == 0.0] = cfg.u_mid
     assert np.array_equal(ps.ubar, both)
-    assert np.array_equal(trajs[0](grid.x[-5:], rows=slice(1, 2))[:, 0],
-                          trajs[0](grid.x[-5:])[:, 1])
+    assert np.array_equal(trajs[0](grid.x[-5:], rows=slice(1, 2))[0],
+                          trajs[0](grid.x[-5:])[1])
 
 
 # (u-, u+, L, N): wide domains and strong shocks, each at the dimensionless
@@ -265,7 +265,7 @@ class TestSolveProfile:
                                         y0=np.full(2, exact_cfg.u_mid),
                                         rtol=1e-3, atol=1e-3, max_step=g.h))
             folded = traj(np.abs(g.x))
-            ubar = np.where(g.x >= 0.0, folded[:, 0], folded[:, 1])
+            ubar = np.where(g.x >= 0.0, folded[0], folded[1])
             errs.append(np.max(np.abs(ubar - exact_profile(g.x))))
         # order p = 4 for the embedded pair: factor >= 2^4 less 20 percent
         assert errs[0] / errs[1] >= 2**4 * 0.8
