@@ -11,7 +11,8 @@ module that applies it.  Keys:
     f2_coeffs     ascending polynomial coefficients (custom flux only)
     u_minus       left end state (required)
     u_plus        right end state (required)
-    xi0           transverse wavenumber of the neutral frequency (required, not 0)
+    xi0           transverse wavenumber of the neutral frequency (required;
+                  1.22e-77 <= |xi0| <= 1.16e77)
     L             truncation half-width; a comma list for beta studies only
     N             interval count of the output grid (default 4000)
     method        if | coupled | both (default both)
@@ -26,10 +27,19 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+import numpy as np
+
 from .auxiliary import AuxMethod
 from .beta import BetaQuadrature
 from .errors import ValidationError
 from .model import FluxModel, NeutralFrequency, ShockConfig, make_flux, standing_shock
+
+
+# beta is xi0^2 times a number of the shock alone.  Within the fourth roots of
+# the float range, xi0^2 stays within its square roots, which leaves that
+# number as many decades either way as xi0^2 takes: beta neither overflows
+# nor falls to a subnormal with fewer digits.
+_XI0_RANGE = (np.finfo(float).tiny ** 0.25, np.finfo(float).max ** 0.25)
 
 
 def _parse_float(text: str) -> float:
@@ -159,6 +169,11 @@ def build_model(rc: RunConfig) -> tuple[FluxModel, ShockConfig, NeutralFrequency
             raise ValidationError(f"field '{name}': required but not set")
     if rc.xi0 == 0.0:
         raise ValidationError("field 'xi0': 0 is not a transverse mode")
+    if not _XI0_RANGE[0] <= abs(rc.xi0) <= _XI0_RANGE[1]:
+        raise ValidationError(
+            f"field 'xi0': {rc.xi0:g} is outside {_XI0_RANGE[0]:.3g} <= |xi0| "
+            f"<= {_XI0_RANGE[1]:.3g}, where beta ~ xi0^2 is a normal float"
+        )
     flux = make_flux(
         rc.flux, sine_freq=rc.sine_freq,
         f1_coeffs=rc.f1_coeffs, f2_coeffs=rc.f2_coeffs,

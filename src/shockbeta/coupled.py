@@ -320,8 +320,8 @@ def continuation_scan(
     already built (its left state must be the first value).  Every point the
     chain reaches is built, and the grid checked against the steepest,
     before the first solve; the chain stalls at an inadmissible later point.
-    A left state equal to the previous one reuses the previous result, with
-    no solve.  A step that fails from its rescaled guess is retried once
+    A left state equal to the previous one reuses the previous shock and
+    result, with no build and no solve.  A step that fails from its rescaled guess is retried once
     cold; if the first point or the cold retry fails,
     :class:`ContinuationStalled` carries the chain computed so far.
     """
@@ -335,6 +335,9 @@ def continuation_scan(
         shocks.append((cfg0, freq0))
         values = values[1:]
     for um in values:
+        if shocks and um == shocks[-1][0].u_minus:
+            shocks.append(shocks[-1])  # a repeated left state: the same shock
+            continue
         try:
             shocks.append(standing_shock(f, um, cfg0.u_plus, xi0))
         except ValidationError as exc:

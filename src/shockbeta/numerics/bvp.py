@@ -22,9 +22,7 @@ estimate exceeds the tolerance somewhere, the mesh is redistributed (de Boor's
 mesh selection; Ascher, Mattheij & Russell, ch. 9): the nodes equidistribute
 est^(1/5), aiming every interval at a fixed fraction of the tolerance, and no
 interval grows wider than the widest of the initial mesh.  The solve is then
-repeated from the interpolant's nodes and stages on the new mesh.  A
-state that meets the tolerance after a large last Newton step takes one
-more step, which settles it where a solve from a close guess ends.
+repeated from the interpolant's nodes and stages on the new mesh.
 
 The solver serves the problems the folded shock system poses: the m
 conditions fix the state y0 at x = 0, so the problem is an initial-value
@@ -83,12 +81,6 @@ _RES_W = np.array([49.0 / 180.0, 16.0 / 45.0, 49.0 / 180.0])
 # tol = 1e-11 solve, where 0.3 left them up to 5e-12 off with meshes only
 # 12 % smaller and the same sweep counts.
 _MESH_THETA = 0.03
-# A sweep that passes the residual estimate after a last Newton step larger
-# than this (over the scale of the convergence test) takes one more step: the
-# residual test passes such a state some way above the rounding level, where
-# its digits still depend on the guess.  The last steps of cold coupled
-# solves stay below 2.2e-7 on the starting mesh and 1.2e-8 on refined ones.
-_SETTLE_STEP = 1e-6
 # Budgets: step halvings per Newton step, Newton steps per sweep, sweeps, nodes.
 _MAX_BACKTRACKS = 8
 _MAX_NEWTON = 50
@@ -244,16 +236,10 @@ class HermiteInterpolant:
 
 @dataclass
 class BvpSolution:
-    """Converged collocation solution with its quintic extension.
-
-    ``stages`` holds the converged values at the two interior stage points
-    of every interval, shape (m, 2, n - 1).
-    """
+    """Converged collocation solution with its quintic extension."""
 
     mesh: np.ndarray
     y: np.ndarray
-    yp: np.ndarray
-    stages: np.ndarray
     interpolant: HermiteInterpolant
     residual_norm: float
     newton_iters: int
@@ -425,24 +411,21 @@ splu = _block_solve
 
 
 def _newton(rhs, jac, y0, x, Z):
-    """Damped Newton on the collocation system.
-
-    Returns ``(Z, F, iterations, step)``: ``step`` is the largest entry of
-    the last Newton step taken, over the scale of the convergence test (0
-    when the guess already passes it).
-    """
+    """Damped Newton on the collocation system; returns ``(Z, F, iterations)``."""
     xz = _collocation_points(x)
     R, F = _full_residual(rhs, y0, x, xz, Z)
     if not np.all(np.isfinite(R)):
         raise NewtonDivergence("residual is not finite at the initial guess")
-    iters, step = 0, 0.0
+    iters = 0
     for _ in range(_MAX_NEWTON):
         # residual densities have the units of the rhs
         scale = 1.0 + np.max(np.abs(Z)) + np.max(np.abs(F))
         norm = np.max(np.abs(R))
         if norm <= 1e-11 * scale:
-            return Z, F, iters, step
-        dZ = _newton_step(jac, x, xz, Z, R)
+            return Z, F, iters
+        dZ = splu(_assemble_jacobian(jac, x, xz, Z), R)
+        if not np.all(np.isfinite(dZ)):
+            raise SingularJacobian("Newton linear solve produced non-finite step")
 
         lam = 1.0
         for _ in range(_MAX_BACKTRACKS + 1):
@@ -459,32 +442,9 @@ def _newton(rhs, jac, y0, x, Z):
             )
         Z, R, F = Z_try, R_try, F_try
         iters += 1
-        step_max = np.max(np.abs(lam * dZ))
-        step = float(step_max / scale)
-        if step_max <= 1e-14 * scale:
-            return Z, F, iters, step
+        if np.max(np.abs(lam * dZ)) <= 1e-14 * scale:
+            return Z, F, iters
     raise NewtonDivergence(f"not converged after {_MAX_NEWTON} Newton iterations")
-
-
-def _newton_step(jac, x, xz, Z, R):
-    """The Newton step dZ at state Z with residual R."""
-    dZ = splu(_assemble_jacobian(jac, x, xz, Z), R)
-    if not np.all(np.isfinite(dZ)):
-        raise SingularJacobian("Newton linear solve produced non-finite step")
-    return dZ
-
-
-def _settle(rhs, jac, y0, x, Z):
-    """One full Newton step from a state that passed the convergence test.
-
-    Returns ``(Z, F)``.  After a large last step the residual may pass the
-    test some way above the rounding level; this step takes the state to
-    where more steps no longer move it.
-    """
-    xz = _collocation_points(x)
-    R, _ = _full_residual(rhs, y0, x, xz, Z)
-    Z = Z + _newton_step(jac, x, xz, Z, R)
-    return Z, rhs(xz, Z)
 
 
 def _extension(jac, x, Y, f):
@@ -532,12 +492,7 @@ def bvp_solve(problem: BvpProblem) -> BvpSolution:
     estimates the residual of the quintic extension; where the estimate exceeds
     ``problem.tol``, the next sweep starts from a redistributed mesh
     (:func:`_refine_mesh`), which may hold fewer nodes than the current one,
-    with its nodes and stages sampled from the extension.  A sweep that meets
-    the tolerance after a last Newton step larger than ``_SETTLE_STEP`` times
-    the scale of Newton's test takes one more Newton step
-    (:func:`_settle`, counted in ``newton_per_sweep``) and rebuilds the
-    extension from the settled state, so a solve from a far guess ends
-    where one from a close guess does.
+    with its nodes and stages sampled from the extension.
 
     Raises :class:`NewtonDivergence` for an unusable initial guess,
     :class:`SingularJacobian` if the linearization degenerates or its
@@ -552,24 +507,16 @@ def bvp_solve(problem: BvpProblem) -> BvpSolution:
     per_sweep: list[int] = []
 
     for sweep in range(1, _MAX_MESH_SWEEPS + 1):
-        Z, F, iters, step = _newton(rhs, jac, y0, x, Z)
+        Z, F, iters = _newton(rhs, jac, y0, x, Z)
+        per_sweep.append(iters)
         n = x.size
         interp = _extension(jac, x, Z[:, :n], F[:, :n])
         est = _estimate_residuals(rhs, interp)
-        if step > _SETTLE_STEP and est.max() <= problem.tol:
-            Z, F = _settle(rhs, jac, y0, x, Z)
-            iters += 1
-            interp = _extension(jac, x, Z[:, :n], F[:, :n])
-            est = _estimate_residuals(rhs, interp)
-        per_sweep.append(iters)
-        Y, f = Z[:, :n], F[:, :n]
         res_norm = float(est.max())
         if res_norm <= problem.tol:
             return BvpSolution(
                 mesh=x,
-                y=Y,
-                yp=f,
-                stages=Z[:, n:].reshape(-1, 2, n - 1),
+                y=Z[:, :n],
                 interpolant=interp,
                 residual_norm=res_norm,
                 newton_iters=sum(per_sweep),

@@ -44,8 +44,10 @@ class Grid:
 
     @staticmethod
     def check(L: float, N: int) -> None:
-        if L <= 0 or N < 2:
-            raise ValidationError("grid needs L > 0 and N >= 2")
+        if L <= 0:
+            raise ValidationError(f"field 'L': {L:g} is not positive")
+        if N < 2:
+            raise ValidationError(f"field 'N': {N} intervals; the grid needs N >= 2")
 
     @classmethod
     def make(cls, L: float, N: int) -> "Grid":

@@ -499,29 +499,7 @@ def test_newton_counts_reported():
     assert len(sol.newton_per_sweep) == sol.mesh_iterations
 
 
-def _decay_solve(guess):
-    return bvp_solve(_decay_problem(21, guess=guess))
-
-
-def test_large_last_step_is_settled_by_one_more_step():
-    # y1 is linear given y0, so one Newton step from the exact y0 and a y1
-    # far off passes the residual test; the 21-node mesh passes the
-    # estimate, and the settling step takes the state to where the solve
-    # from the exact guess ends (unsettled it stays 3e-15 away)
-    far = _decay_solve(lambda x: _decay_exact(x) + [[0.0], [10.0]] * (1.0 + x))
-    near = _decay_solve(_decay_exact)
-    assert far.newton_per_sweep == [2]
-    assert near.newton_per_sweep == [1]
-    assert np.array_equal(far.mesh, near.mesh)
-    assert np.max(np.abs(far.y - near.y)) <= np.finfo(float).eps
-    assert np.max(np.abs(far.stages - near.stages)) <= np.finfo(float).eps
-
-
-def test_small_last_step_keeps_its_count(monkeypatch):
-    def no_settle(*args):
-        raise AssertionError("a solve from a close guess took the settling step")
-
-    monkeypatch.setattr(bvp, "_settle", no_settle)
-    assert _decay_solve(_decay_exact).newton_per_sweep == [1]
+def test_small_last_step_keeps_its_count():
+    assert bvp_solve(_decay_problem(21, guess=_decay_exact)).newton_per_sweep == [1]
     # the coarse first sweep fails the estimate; the fine one starts close
     assert bvp_solve(_decay_problem(11)).newton_per_sweep == [4, 1]

@@ -191,6 +191,17 @@ class TestConfigValues:
              "--L", "10,20", "--out-dir", out], "L", capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, field", [
+        (["aux", "--L", "-5"], "L"),
+        (["beta", "--L", "0,20"], "L"),
+        (["aux", "--L", "20", "--N", "0"], "N"),
+    ])
+    def test_grid_error_names_its_field(self, args, field, tmp_path, capsys):
+        out = tmp_path / "o"
+        self._assert_field_error(
+            [*args, "--config", EXACT_CASE_CFG, "--out-dir", out], field, capsys)
+        assert not out.exists()
+
     def test_malformed_file_value_names_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("u_minus = 1.0\nN = abc\n")
@@ -384,6 +395,17 @@ class TestBetaCommand:
         assert capsys.readouterr().err.startswith("error: field 'xi0': ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("xi0", ["1e200", "-1e200", "1e154", "1e-160"])
+    def test_unrepresentable_beta_exits_2_before_any_file(self, xi0, tmp_path,
+                                                          capsys):
+        # beta ~ xi0^2 overflows or turns subnormal at these xi0
+        out = tmp_path / "o"
+        assert run(["beta", "--config", EXACT_CASE_CFG, "--L", "20",
+                    "--xi0", xi0, "--out-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: field 'xi0': ") and "Traceback" not in err
+        assert not out.exists()
+
     def test_tau0_is_not_a_config_key(self, exact_config, tmp_path, capsys):
         # tau0 is always derived from xi0 as the neutral zero, and every
         # acceptance threshold is a constant
@@ -539,7 +561,8 @@ class TestScanCommand:
         assert not out.exists()
 
     def test_each_shock_is_built_once(self, tmp_path, monkeypatch):
-        # one normalization per scan point: the run's own shock is the first
+        # one normalization per distinct scan point: the run's own shock is
+        # the first, and a repeated left state reuses the previous one
         original = shockbeta.model.normalize_to_standing
         calls = []
 
@@ -551,9 +574,12 @@ class TestScanCommand:
             if (name.startswith("shockbeta")
                     and getattr(module, "normalize_to_standing", None) is original):
                 monkeypatch.setattr(module, "normalize_to_standing", counted)
-        assert run(["scan", "--config", SINE_SCAN_CFG,
-                    "--out-dir", tmp_path / "o"]) == 0
-        assert len(calls) == 6
+        for k, (extra, builds) in enumerate([
+                ([], 6), (["--u-minus-list", "1.0,1.0,1.1"], 2)]):
+            calls.clear()
+            assert run(["scan", "--config", SINE_SCAN_CFG, *extra,
+                        "--out-dir", tmp_path / str(k)]) == 0
+            assert len(calls) == builds
 
     def test_points_carry_solver_counters(self, tmp_path):
         out = tmp_path / "out"

@@ -163,6 +163,6 @@ def test_continuation_step_equals_its_cold_solve(choice, um, um_next, L, N):
 
 
 def test_quadratic_step_from_1_to_1_25_equals_its_cold_solve():
-    # one sweep on the starting mesh: a Newton stop left unsettled put this
-    # beta 2.1e-11 from the cold solve's
+    # one sweep on the starting mesh: the warm step ends within 1e-14 of
+    # its cold solve's beta
     _check_step_equals_cold_solve(0, 1.0, 1.25, 20.0, 100)
