@@ -202,13 +202,15 @@ def beta_convergence_study(
     failures are recorded per entry (the rest of the table survives), and sign
     stability across the table is reported by the returned study; a
     :class:`ValidationError` propagates.  An odd ``N`` for ``if`` or Simpson,
-    and a grid too coarse for the profile layer at any L, are rejected before
-    the first solve.
+    an L listed twice and a grid too coarse for the profile layer at any L
+    are rejected before the first solve.
     """
     methods = [AuxMethod(m) for m in methods]
     check_even_N(N, quadrature, methods)
-    widest_first = sorted(set(L_values), reverse=True)
-    for L in widest_first:  # the widest L names an N all L admit
+    widest_first = sorted(L_values, reverse=True)
+    for k, L in enumerate(widest_first):  # the widest L names an N all L admit
+        if L in widest_first[:k]:
+            raise ValidationError(f"field 'L': {L:g} is listed twice")
         check_resolution(cfg, L, N)
     study = BetaStudy(L_values=list(L_values), methods=methods)
     wider = None  # the narrowest coupled result so far

@@ -33,14 +33,14 @@ component at a time (block condensation, Ascher, Mattheij & Russell, ch. 7,
 in its scalar case): the conditions give dy_0 = y0 - y_0 outright, and
 component r of interval i's three equations, with the components c < r
 already known, is a 3 x 3 system for (dS2, dS3, dy_{i+1}) given dy_i, that
-is, one scalar affine recurrence dy^r_{i+1} = M_i dy^r_i + c_i.  A
-work-efficient scan of the pairs (M_i, c_i) (Blelloch, CMU-CS-90-190)
-composes them outward in numpy alone.  Marching from x = 0 is stable when
-the linearized flow contracts towards x = 1, as the folded shock system does
-on both halves (a Lax shock has a1(u+) < 0 < a1(u-)).  A component whose
-propagator max_k |M_{k-1} ... M_0| exceeds 1/sqrt(eps), such as a growing
-mode, is refused with :class:`SingularJacobian`, as is a singular 3 x 3
-stage block.
+is, one scalar affine recurrence dy^r_{i+1} = M_i dy^r_i + c_i.
+Recursive doubling of the pairs (M_i, c_i) (Hillis & Steele, "Data parallel
+algorithms", CACM 29, 1986) composes them outward in numpy alone.  Marching
+from x = 0 is stable when the linearized flow contracts towards x = 1, as
+the folded shock system does on both halves (a Lax shock has
+a1(u+) < 0 < a1(u-)).  A component whose propagator max_k |M_{k-1} ... M_0|
+exceeds 1/sqrt(eps), such as a growing mode, is refused with
+:class:`SingularJacobian`, as is a singular 3 x 3 stage block.
 """
 
 from __future__ import annotations
@@ -295,24 +295,19 @@ def _affine_prefix(M, c):
 
     Element k maps the value before map 0 to the value after map k, as
     P[k] z + C[k]; leading axes of M and c are independent sequences.
-    Work-efficient scan (Blelloch, CMU-CS-90-190): compose adjacent pairs as
-    (M2 M1, M2 c1 + c2), scan the half-length sequence of pairs recursively,
-    which gives every odd prefix, and reach each even prefix with one more
-    composition.  That is about 2n compositions in ceil(log2 n) levels.
+    Recursive doubling (Hillis & Steele, "Data parallel algorithms", CACM 29,
+    1986): after the pass of stride s, element k holds the composition of
+    maps k - 2s + 1 .. k, so ceil(log2 n) whole-array passes give every
+    prefix.
     """
+    P, C = M.copy(), c.copy()
     n = M.shape[-1]
-    if n == 1:
-        return M, c
-    P, C = np.empty_like(M), np.empty_like(c)
-    P[..., 0], C[..., 0] = M[..., 0], c[..., 0]
-    odd = M[..., 1::2]
-    pair_c = odd * c[..., 0:n - 1:2]
-    pair_c += c[..., 1::2]
-    P[..., 1::2], C[..., 1::2] = _affine_prefix(odd * M[..., 0:n - 1:2], pair_c)
-    even = M[..., 2::2]
-    np.multiply(even, P[..., 1:n - 1:2], out=P[..., 2::2])
-    np.multiply(even, C[..., 1:n - 1:2], out=C[..., 2::2])
-    C[..., 2::2] += c[..., 2::2]
+    s = 1
+    while s < n:
+        # C first: it reads the P of the previous pass
+        C[..., s:] += P[..., s:] * C[..., :-s]
+        P[..., s:] *= P[..., :-s]
+        s *= 2
     return P, C
 
 
@@ -351,8 +346,7 @@ def _block_solve(jac, R):
     last row of G^{-1} e and G^{-1} u gives the scalar affine recurrence
     dy^r_{i+1} = M_i dy^r_i + c_i, which :func:`_affine_prefix` solves for
     every node at once, and the first two rows then give the stages.  The
-    components that read none of the components still unsolved share one
-    scan: for the folded system both halves' ubar, then both v.
+    components are marched in index order, each one alone.
 
     This is the whole factor-and-solve of one Newton iteration.  It is bound
     to the module name ``splu``, which ``perfbench/tracing.py`` wraps, so the
@@ -380,29 +374,22 @@ def _block_solve(jac, R):
     points = _point_index(n)
     dZ = np.empty((m, n + 2 * nint))
     dZ[:, 0] = -R[-m:]
-    # coupled[r][c]: component r reads component c < r somewhere
-    coupled = [[c < r and hJ[r, c].any() for c in range(m)] for r in range(m)]
-    todo = list(range(m))
-    while todo:
-        # the components that read none still to be solved march together
-        rows = [r for r in todo if not any(coupled[r][c] for c in todo)]
-        u = -h * phi[rows]
-        for q, r in enumerate(rows):
-            for c in range(r):
-                if coupled[r][c]:
-                    u[q] += _A @ (hJ[r, c] * dZ[c, points])
-        u = np.einsum("rkli,rli->rki", Ginv[rows], u)
-        P, C = _affine_prefix(Ge[rows, 2], u[:, 2])
+    for r in range(m):
+        # component r reads the components c < r, already solved
+        u = -h * phi[r]
+        for c in range(r):
+            if hJ[r, c].any():
+                u += _A @ (hJ[r, c] * dZ[c, points])
+        u = np.einsum("kli,li->ki", Ginv[r], u)
+        P, C = _affine_prefix(Ge[r, 2], u[2])
         norm = float(np.max(np.abs(P)))
         if norm > _MAX_PROPAGATOR_NORM:
             raise SingularJacobian(
                 f"propagator norm {norm:.3e} exceeds {_MAX_PROPAGATOR_NORM:.3e}: "
                 "the linearized problem does not contract away from x = 0"
             )
-        dZ[rows, 1:n] = dZ[rows, :1] * P + C
-        dy = dZ[rows, :nint]
-        dZ[rows, n:] = (u[:, :2] + Ge[rows, :2] * dy[:, None]).reshape(len(rows), -1)
-        todo = [r for r in todo if r not in rows]
+        dZ[r, 1:n] = dZ[r, 0] * P + C
+        dZ[r, n:] = (u[:2] + Ge[r, :2] * dZ[r, :nint]).ravel()
     return dZ
 
 

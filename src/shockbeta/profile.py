@@ -148,11 +148,11 @@ def exact_solution(
     R = xi0 c2 / a, taken once at u_mid, and v = ubar' int_0^x R = R x ubar'.
     """
     if (len(cfg.q_coeffs) != 1 or f.kind is FluxKind.SINE_TRANSVERSE
-            or len(f.params.get("f2_coeffs", ())) > 3):
+            or len(np.trim_zeros(f.params.get("f2_coeffs", ()), "b")) > 3):
         raise ValidationError(
             "no exact solution for this configuration: compare needs a "
             "quadratic f1 and an f2 of degree <= 2 (flux burgers, "
-            "quadratic_transverse, or custom with at most three f2 coefficients)"
+            "quadratic_transverse, or custom)"
         )
     u = cfg.u_mid
     R = forcing(f, freq, cfg.u_minus, u) / cfg.profile_field(u)

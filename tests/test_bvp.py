@@ -164,8 +164,8 @@ def _random_lower_blocks(rng, m, nint):
     Diagonal entries h J^rr in [-2, 0] make every scalar map M_i a
     contraction (for equal entries M_i is the (3, 3) Pade approximant of
     exp(h J^rr)), which keeps the march and the dense solve well conditioned.
-    About half of the component pairs do not couple at all, so components
-    that read no unsolved one are marched together in varying patterns.
+    About half of the component pairs do not couple at all, so each
+    component reads a varying set of the components c < r.
     """
     couples = rng.uniform(size=(m, m)) < 0.5
     hJ = np.tril(rng.uniform(-1.0, 1.0, (4, nint, m, m)) * couples)

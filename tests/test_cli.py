@@ -195,6 +195,7 @@ class TestConfigValues:
         (["aux", "--L", "-5"], "L"),
         (["beta", "--L", "0,20"], "L"),
         (["aux", "--L", "20", "--N", "0"], "N"),
+        (["beta", "--L", "20,20"], "L"),
     ])
     def test_grid_error_names_its_field(self, args, field, tmp_path, capsys):
         out = tmp_path / "o"
@@ -650,7 +651,10 @@ class TestCompareCommand:
         ["--flux", "custom", "--f1-coeffs", "0.3,-0.2,0.8",
          "--f2-coeffs", "0.1,0.4,-1.3", "--u-minus", "2", "--u-plus", "-0.5",
          "--xi0", "1.7"],
-    ], ids=["burgers", "custom"])
+        # f2 of degree 2 written with a trailing zero
+        ["--flux", "custom", "--f1-coeffs", "0,0,0.5", "--f2-coeffs", "0,0,1,0",
+         "--u-minus", "1", "--u-plus", "-1", "--xi0", "1"],
+    ], ids=["burgers", "custom", "custom_trailing_zero"])
     def test_quadratic_pairs_have_exact_solutions(self, args, tmp_path):
         # F/P is the constant xi0 c2 / a, so v = (xi0 c2 / a) x ubar'
         out = tmp_path / "o"
