@@ -146,6 +146,10 @@ def cmd_beta(rc: RunConfig) -> int:
 def cmd_scan(rc: RunConfig) -> int:
     if not rc.u_minus_list:
         raise ValidationError("field 'u_minus_list': required for scan")
+    if rc.method == "if":
+        raise ValidationError(
+            "field 'method': scan solves the coupled route only, not 'if'"
+        )
     # the chain's left states are the list's; u_minus is never read
     flux, cfg0, freq0 = build_model(dataclasses.replace(rc, u_minus=rc.u_minus_list[0]))
     check_even_N(rc.N, rc.quad())

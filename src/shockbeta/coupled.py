@@ -16,18 +16,14 @@ phase condition, two matching conditions, and the origin normalization
 v(0) = 0.  Both far ends then fall into the attracting equilibria on their
 own; the tail residual is verified after the solve.  Every solve starts on
 one 401-node mesh from a guess that is a function of t, read at the nodes
-and collocation stages: cold, the field integrated outward from the fold.
-A parameter sweep guesses each point from the previous converged solution,
-each folded half stretched in t by the ratio new/old of its end rate
-|a1s(u+-)|, the profile stretched in amplitude to the new end states and v
-scaled by the same ratio (:func:`_rescaled_guess`), so each point ends on
-its cold solve's mesh, with its sweep count, its Newton iterations (one per
-sweep along ``configs/sine_scan.cfg``) and its beta.  A repeated left state
-reuses the previous point; a failed step is retried once cold.  The four
-fold conditions fix the state at t = 0, so the folded problem is an
-initial-value problem, and the solution on [-L, L] is a wider one restricted
-to |x| <= L: a study over several L solves the widest alone and samples each
-narrower L from it (:func:`unfold_coupled`).
+and collocation stages: by default the field integrated outward from the
+fold (:func:`initial_guess`).  A parameter sweep solves each point alone
+from the closed-form pair of a quadratic f1 (:func:`tanh_guess`), so no
+point depends on its neighbours; a repeated left state reuses the previous
+point.  The four fold conditions fix the state at t = 0, so the folded
+problem is an initial-value problem, and the solution on [-L, L] is a wider
+one restricted to |x| <= L: a study over several L solves the widest alone
+and samples each narrower L from it (:func:`unfold_coupled`).
 """
 
 from __future__ import annotations
@@ -176,13 +172,40 @@ def initial_guess(sys: FoldedSystem) -> Trajectory:
     )
 
 
+def tanh_guess(sys: FoldedSystem) -> Callable[[np.ndarray], np.ndarray]:
+    """Guess by the closed form of a quadratic f1, each half at its end rate.
+
+    With x = L t on the right half and x = -L t on the left, each half is
+    ubar = u_mid - delta tanh(k x), delta = (u- - u+)/2 and k = |a1s(u_end)|/2
+    at the end state it approaches, and v = R x P(ubar) with the constant
+    R = F(u_mid) / P(u_mid).  For a quadratic f1 and an f2 of degree <= 2
+    this is the exact pair (:func:`shockbeta.profile.exact_solution`).
+    """
+    cfg = sys.cfg
+    delta = 0.5 * (cfg.u_minus - cfg.u_plus)
+    u = cfg.u_mid
+    R = forcing(sys.flux, sys.freq, cfg.u_minus, u) / cfg.profile_field(u)
+    k = 0.5 * cfg.end_rates[:, None]  # (right, left)
+    ends = sys._signs[:, None]  # x = +-L t
+
+    def guess(t):
+        x = ends * t
+        ubar = u - delta * np.tanh(k * x)
+        Z = np.empty((4, t.size))
+        Z[0::2] = ubar
+        Z[1::2] = R * x * cfg.profile_field(ubar)
+        return Z
+
+    return guess
+
+
 def solve_coupled(
     cfg: ShockConfig,
     f: FluxModel,
     freq: NeutralFrequency,
     L: float,
     n_out: int,
-    guess: Callable[[np.ndarray], np.ndarray] | None = None,
+    guess: Callable[[FoldedSystem], Callable[[np.ndarray], np.ndarray]] | None = None,
     tol: float = 1e-8,
     tail_tol: float = DEFAULT_TAIL_TOL,
     decay_tol: float = DEFAULT_DECAY_TOL,
@@ -192,9 +215,10 @@ def solve_coupled(
     ``n_out`` is the interval count of the output grid on [-L, L].  v is
     linear in xi0 and solved per unit |xi0|, so the mesh, the collocation
     tolerance and the fold check do not depend on xi0.  Every solve starts
-    on the uniform ``_GUESS_NODES`` mesh.  A guess maps t of shape (k,) in
-    [0, 1] to folded states of shape (4, k), v per unit |xi0|, as
-    :class:`BvpProblem` takes it; by default it is the outward integration
+    on the uniform ``_GUESS_NODES`` mesh.  ``guess`` maps the
+    :class:`FoldedSystem` to a function of t of shape (k,) in [0, 1] with
+    folded states of shape (4, k), v per unit |xi0|, as :class:`BvpProblem`
+    takes it: :func:`tanh_guess`, or by default the outward integration
     (:func:`initial_guess`).
     """
     _, unit = freq.per_unit()
@@ -202,7 +226,7 @@ def solve_coupled(
     problem = BvpProblem(
         rhs=sys.rhs, jac=sys.jac, y0=sys.y0,
         initial_mesh=np.linspace(0.0, 1.0, _GUESS_NODES),
-        initial_guess=initial_guess(sys) if guess is None else guess, tol=tol,
+        initial_guess=(initial_guess if guess is None else guess)(sys), tol=tol,
     )
     sol = bvp_solve(problem)
     return unfold_coupled(sol, cfg, freq, float(L), L, n_out, tail_tol, decay_tol)
@@ -270,38 +294,6 @@ def unfold_coupled(
     return CoupledResult(profile=profile, aux=aux, bvp=sol, L_solved=L_solved)
 
 
-def _rescaled_guess(
-    prev: CoupledResult, cfg_new: ShockConfig
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Previous folded solution as a guess, stretched to the new states.
-
-    The solver reads the previous quintic extension on a cold solve's
-    starting mesh, so the point ends on its cold solve's mesh.  Each folded
-    half is stretched in t by its end-rate ratio r = |a1s(u_end)| new / old
-    (u+ for the right half, u- for the left): it is read at t r, so the layer
-    narrows as its end rate grows (the extension's last piece is constant, so
-    t r > 1 reads the end state).  The profile is then stretched in amplitude
-    about u+, and v scaled by the same ratio.  For a quadratic f1 this maps
-    u_mid - d tanh(a d x) onto the new point's profile exactly; for an f2 of
-    degree <= 2 as well, v = R x ubar' with R the same at every point, so v
-    maps exactly too and the step takes the Newton iterations of its cold
-    solve.
-    """
-    interp = prev.bvp.interpolant
-    r_plus, r_minus = cfg_new.end_rates / prev.config.end_rates
-    up = cfg_new.u_plus
-    ratio = (cfg_new.u_minus - up) / (prev.config.u_minus - up)
-
-    def guess(t):
-        Z = np.concatenate([interp(t * r_plus, rows=slice(0, 2)),
-                            interp(t * r_minus, rows=slice(2, 4))])
-        Z[::2] = up + (Z[::2] - up) * ratio  # the ubar rows of both halves
-        Z[1::2] *= ratio  # and the v rows
-        return Z
-
-    return guess
-
-
 def continuation_scan(
     cfg0: ShockConfig,
     f: FluxModel,
@@ -312,18 +304,17 @@ def continuation_scan(
     tol: float = 1e-8,
     freq0: NeutralFrequency | None = None,
 ) -> list[CoupledResult]:
-    """Sweep the left state, reusing each solution as the next guess.
+    """Sweep the left state, each point solved alone from :func:`tanh_guess`.
 
     The right state is taken from ``cfg0``; speed and neutral frequency are
-    recomputed at every step.  ``freq0``, when given, is the neutral
+    recomputed at every point.  ``freq0``, when given, is the neutral
     frequency of ``cfg0``, and ``cfg0`` is then the first point's shock,
     already built (its left state must be the first value).  Every point the
-    chain reaches is built, and the grid checked against the steepest,
-    before the first solve; the chain stalls at an inadmissible later point.
-    A left state equal to the previous one reuses the previous shock and
-    result, with no build and no solve.  A step that fails from its rescaled guess is retried once
-    cold; if the first point or the cold retry fails,
-    :class:`ContinuationStalled` carries the chain computed so far.
+    scan reaches is built, and the grid checked against the steepest, before
+    the first solve; the scan stalls at an inadmissible later point.  A left
+    state equal to the previous one reuses the previous shock and result,
+    with no build and no solve.  The first point that fails to solve stalls
+    the scan: :class:`ContinuationStalled` carries the points computed so far.
     """
     shocks, inadmissible = [], None
     values = [float(um) for um in u_minus_values]
@@ -351,18 +342,11 @@ def continuation_scan(
 
     points: list[CoupledResult] = []
     for k, (cfg, freq) in enumerate(shocks):
-        prev = points[-1] if points else None
-        if prev is not None and cfg.u_minus == prev.config.u_minus:
-            points.append(prev)  # a repeated left state is already solved
+        if points and cfg.u_minus == points[-1].config.u_minus:
+            points.append(points[-1])  # a repeated left state is already solved
             continue
         try:
-            try:
-                guess = None if prev is None else _rescaled_guess(prev, cfg)
-                res = solve_coupled(cfg, f, freq, L, n_out, guess=guess, tol=tol)
-            except SolverError:
-                if prev is None:
-                    raise
-                res = solve_coupled(cfg, f, freq, L, n_out, tol=tol)  # retry cold
+            res = solve_coupled(cfg, f, freq, L, n_out, guess=tanh_guess, tol=tol)
         except SolverError as exc:
             raise ContinuationStalled(k, points, exc) from exc
         points.append(res)

@@ -211,7 +211,9 @@ class TestConfigValues:
     @pytest.mark.parametrize(
         "command, flag, value",
         [("scan", "--method", "bogus"), ("aux", "--quadrature", "nope"),
-         ("compare", "--quadrature", "nope")],
+         ("compare", "--quadrature", "nope"),
+         # scan solves the coupled route only; it once ran it under 'if'
+         ("scan", "--method", "if")],
     )
     def test_bad_choice_exits_2_where_unused(self, command, flag, value,
                                              exact_config, tmp_path, capsys):
@@ -581,6 +583,19 @@ class TestScanCommand:
             assert run(["scan", "--config", SINE_SCAN_CFG, *extra,
                         "--out-dir", tmp_path / str(k)]) == 0
             assert len(calls) == builds
+
+    def test_point_does_not_depend_on_the_other_points(self, tmp_path):
+        # every point is solved alone from the same guess: its CSV is the
+        # same whatever the list around it and its place in it
+        files = []
+        for k, (values, name) in enumerate([("1.0,1.4", "point_001.csv"),
+                                            ("1.4,1.0", "point_000.csv"),
+                                            ("1.4", "point_000.csv")]):
+            out = tmp_path / str(k)
+            assert run(["scan", "--config", SINE_SCAN_CFG, "--u-minus-list",
+                        values, "--out-dir", out]) == 0
+            files.append((out / name).read_bytes())
+        assert files[0] == files[1] == files[2]
 
     def test_points_carry_solver_counters(self, tmp_path):
         out = tmp_path / "out"

@@ -8,6 +8,7 @@ from shockbeta.coupled import (
     continuation_scan,
     initial_guess,
     solve_coupled,
+    tanh_guess,
 )
 from shockbeta.errors import ContinuationStalled, NewtonDivergence, ValidationError
 from shockbeta.integrating_factor import solve_auxiliary_if
@@ -23,7 +24,7 @@ from shockbeta.model import (
     sine_transverse_flux,
     standing_shock,
 )
-from shockbeta.numerics import bvp_solve
+from shockbeta.numerics import bvp, bvp_solve
 
 from conftest import exact_profile, exact_v
 
@@ -188,6 +189,27 @@ class TestInitialGuess:
         assert np.max(np.abs(Y[[1, 3]])) == 0.0
 
 
+class TestTanhGuess:
+    @pytest.mark.parametrize("L", [20.0, 30.0])
+    def test_exact_case_guess_is_the_closed_form(self, exact_cfg, quad_flux,
+                                                 exact_freq, L):
+        # at the starting mesh's nodes and stages, both halves, to rounding
+        t = bvp._collocation_points(np.linspace(0.0, 1.0, _GUESS_NODES))
+        Y = tanh_guess(FoldedSystem(exact_cfg, quad_flux, exact_freq, L))(t)
+        eps = np.finfo(float).eps
+        for x, rows in ((L * t, slice(0, 2)), (-L * t, slice(2, 4))):
+            ubar, v = Y[rows]
+            assert np.all(np.abs(ubar - exact_profile(x)) <= eps)
+            assert np.all(np.abs(v - exact_v(x)) <= 4 * eps * (1.0 + np.abs(x)))
+
+    def test_exact_case_solve_takes_one_newton_iteration(
+            self, exact_cfg, quad_flux, exact_freq):
+        res = solve_coupled(exact_cfg, quad_flux, exact_freq, 20.0, 4000,
+                            guess=tanh_guess)
+        assert res.bvp.newton_per_sweep == [1]
+        assert res.bvp.mesh.size == _GUESS_NODES
+
+
 class TestSolveCoupled:
     def test_exact_case_two_norm_errors(self, coupled_L20):
         x = coupled_L20.profile.grid.x
@@ -306,7 +328,7 @@ class TestContinuation:
             assert abs(pt.aux.v[i0]) <= 1e-10
 
     def test_scan_meshes_do_not_accumulate(self, sine_scan):
-        # each warm mesh is sized for its own point, not grown from the last
+        # each scan mesh is sized for its own point, not grown from the last
         f = sine_transverse_flux()
         for pt in sine_scan:
             cold = solve_coupled(pt.config, f, pt.freq, 20.0, 4000)
@@ -315,24 +337,25 @@ class TestContinuation:
     @pytest.mark.parametrize("chain", ["sine", "burgers"])
     def test_every_point_equals_its_cold_solve(self, chain, sine_scan,
                                                burgers_scan):
-        # each step restarts on the cold starting mesh, so it ends where the
-        # cold solve ends: same mesh, same sweeps, beta to rounding
+        # each point is solved alone from the tanh guess and ends where the
+        # solve from the outward integration ends: same mesh, same sweeps,
+        # beta to rounding
         f, L, N, points = {
             "sine": (sine_transverse_flux(), 20.0, 4000, sine_scan),
             "burgers": (burgers_flux(), 20.0, 8000, burgers_scan),
         }[chain]
         for pt in points:
             cold = solve_coupled(pt.config, f, pt.freq, L, N)
-            warm_d, cold_d = pt.aux.diagnostics, cold.aux.diagnostics
-            assert warm_d["mesh_size"] == cold_d["mesh_size"]
-            assert warm_d["mesh_sweeps"] == cold_d["mesh_sweeps"]
-            beta_warm = compute_beta(f, pt.profile, pt.aux).beta
+            scan_d, cold_d = pt.aux.diagnostics, cold.aux.diagnostics
+            assert scan_d["mesh_size"] == cold_d["mesh_size"]
+            assert scan_d["mesh_sweeps"] == cold_d["mesh_sweeps"]
+            beta_scan = compute_beta(f, pt.profile, pt.aux).beta
             beta_cold = compute_beta(f, cold.profile, cold.aux).beta
-            assert abs(beta_warm - beta_cold) <= 1e-14 * abs(beta_cold)
+            assert abs(beta_scan - beta_cold) <= 1e-14 * abs(beta_cold)
 
     def test_sine_steps_take_the_newton_iterations_of_their_cold_solves(
             self, sine_scan):
-        # the guess stretched by the end-rate ratios is as close as the
+        # the tanh guess of the sine flux's f1 = u^2/2 is as close as the
         # outward integration: one Newton iteration per sweep
         f = sine_transverse_flux()
         for pt in sine_scan:
@@ -341,9 +364,8 @@ class TestContinuation:
 
     def test_burgers_steps_take_the_newton_iterations_of_their_cold_solves(
             self, burgers_scan):
-        # u- = 1, 2, 4, 8: with the v rows scaled as the profile is, the
-        # guess of a quadratic f2 is exact up to the collocation error, so no
-        # step needs the settling step its cold solve does not take
+        # u- = 1, 2, 4, 8: for a quadratic f2 the tanh guess is the exact
+        # pair, so each point takes the iterations of the outward guess
         f = burgers_flux()
         counts = [pt.bvp.newton_per_sweep for pt in burgers_scan]
         assert counts == [[1], [1], [1, 1], [1, 1]]
@@ -366,39 +388,12 @@ class TestContinuation:
         assert starts == [_GUESS_NODES] * 3
         assert pts[2] is pts[1]
 
-    def test_failed_warm_step_is_retried_cold(self, quad_flux, exact_cfg,
-                                              monkeypatch):
-        solves, cold_guesses = [], []
-
-        def failing_once(problem):
-            solves.append(problem)
-            if len(solves) == 2:
-                raise NewtonDivergence("forced failure of the warm step")
-            return bvp_solve(problem)
-
-        def counted(sys):
-            cold_guesses.append(sys.cfg.u_minus)
-            return initial_guess(sys)
-
-        monkeypatch.setattr("shockbeta.coupled.bvp_solve", failing_once)
-        monkeypatch.setattr("shockbeta.coupled.initial_guess", counted)
-        pts = continuation_scan(exact_cfg, quad_flux, 1.0, [1.0, 1.4], 20.0, 1000)
-        # point 0, the failed warm step, and its cold retry
-        assert len(solves) == 3
-        assert cold_guesses == [1.0, 1.4]
-        assert [pt.config.u_minus for pt in pts] == [1.0, 1.4]
-        monkeypatch.undo()
-        cold = solve_coupled(pts[1].config, quad_flux, pts[1].freq, 20.0, 1000)
-        beta = compute_beta(quad_flux, pts[1].profile, pts[1].aux).beta
-        beta_cold = compute_beta(quad_flux, cold.profile, cold.aux).beta
-        assert abs(beta - beta_cold) <= 1e-14 * abs(beta_cold)
-
-    @pytest.mark.parametrize("first_failure, index, n_solves", [(1, 0, 1), (2, 1, 3)])
+    @pytest.mark.parametrize("first_failure, index, n_solves", [(1, 0, 1), (2, 1, 2)])
     def test_failed_cold_solve_stalls_the_chain(self, quad_flux, exact_cfg,
                                                 monkeypatch, first_failure,
                                                 index, n_solves):
-        # the first point is solved cold and not retried; a later point
-        # stalls once its warm step and its cold retry have both failed
+        # a point is solved once, never retried: the first failure stalls
+        # the scan with the points solved before it
         solves = []
 
         def failing(problem):
@@ -421,11 +416,12 @@ class TestContinuation:
         assert np.max(np.abs(pts[0].aux.v - coupled_L20.aux.v)) <= 1e-9
 
     def test_built_first_shock_is_used_as_given(self, quad_flux, exact_cfg,
-                                                exact_freq, coupled_L20):
+                                                exact_freq):
         pts = continuation_scan(exact_cfg, quad_flux, 1.0, [1.0], 20.0, 4000,
                                 freq0=exact_freq)
         assert pts[0].config is exact_cfg and pts[0].freq is exact_freq
-        assert np.array_equal(pts[0].aux.v, coupled_L20.aux.v)
+        built = continuation_scan(exact_cfg, quad_flux, 1.0, [1.0], 20.0, 4000)
+        assert np.array_equal(pts[0].aux.v, built[0].aux.v)
         with pytest.raises(ValidationError, match="first left state"):
             continuation_scan(exact_cfg, quad_flux, 1.0, [1.2, 1.4], 20.0, 4000,
                               freq0=exact_freq)

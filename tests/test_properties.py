@@ -140,14 +140,14 @@ def _admitted(choice, u_minus_values, L, N):
 
 def _check_step_equals_cold_solve(choice, um, um_next, L, N):
     f = transverse_flux(choice, 4.0 * np.pi)
-    warm = continuation_scan(admissible_config(f, um, -1.0), f, 1.0,
+    step = continuation_scan(admissible_config(f, um, -1.0), f, 1.0,
                              [um, um_next], L, N)[1]
-    cold = solve_coupled(warm.config, f, warm.freq, L, N)
+    cold = solve_coupled(step.config, f, step.freq, L, N)
     for key in ("mesh_size", "mesh_sweeps"):
-        assert warm.aux.diagnostics[key] == cold.aux.diagnostics[key]
-    beta_warm = compute_beta(f, warm.profile, warm.aux).beta
+        assert step.aux.diagnostics[key] == cold.aux.diagnostics[key]
+    beta_step = compute_beta(f, step.profile, step.aux).beta
     beta_cold = compute_beta(f, cold.profile, cold.aux).beta
-    assert abs(beta_warm - beta_cold) <= 1e-14 * abs(beta_cold)
+    assert abs(beta_step - beta_cold) <= 1e-14 * abs(beta_cold)
 
 
 # both betas come from the same grid: its quadrature error is not under test
@@ -156,13 +156,14 @@ def _check_step_equals_cold_solve(choice, um, um_next, L, N):
 @given(choice=st.integers(0, 2), um=st.floats(0.8, 1.6), um_next=st.floats(0.8, 1.6),
        L=st.sampled_from([20.0, 30.0]), N=st.sampled_from([100, 200, 1000, 4000]))
 def test_continuation_step_equals_its_cold_solve(choice, um, um_next, L, N):
-    # a step up or down in u- ends where the cold solve of its point ends; a
-    # repeated left state is already solved and keeps its converged mesh
+    # a scan point after a step up or down in u-, solved from the tanh
+    # guess, ends where the solve from the outward integration ends
+    # (a repeated left state is already solved, so it is left out)
     assume(um != um_next and _admitted(choice, (um, um_next), L, N))
     _check_step_equals_cold_solve(choice, um, um_next, L, N)
 
 
 def test_quadratic_step_from_1_to_1_25_equals_its_cold_solve():
-    # one sweep on the starting mesh: the warm step ends within 1e-14 of
-    # its cold solve's beta
+    # one sweep on the starting mesh: the scan point ends within 1e-14 of
+    # the beta solved from the outward integration
     _check_step_equals_cold_solve(0, 1.0, 1.25, 20.0, 100)
