@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .auxiliary import DEFAULT_DECAY_TOL, AuxiliarySolution, AuxMethod
-from .coupled import CoupledResult, solve_coupled, unfold_coupled
+from .coupled import CoupledResult, solve_coupled, tanh_guess, unfold_coupled
 from .errors import GridMismatch, SolverError, ValidationError
 from .integrating_factor import solve_auxiliary_if
 from .model import FluxModel, NeutralFrequency, ShockConfig, forcing_slope
@@ -144,19 +145,23 @@ def solve_pair(
     tail_tol: float = DEFAULT_TAIL_TOL,
     decay_tol: float = DEFAULT_DECAY_TOL,
     wider: CoupledResult | None = None,
+    guess: Callable | None = None,
 ) -> tuple[ProfileSolution, AuxiliarySolution, CoupledResult | None]:
     """Profile and correction on the uniform (L, N) grid by one method.
 
     The tail gates apply to both routes.  The third element is the coupled
     route's whole result (None for ``if``).  Passed back as ``wider``, a
     coupled result solved on a half-width of at least L, the coupled pair is
-    sampled from its folded solution, with no new solve.
+    sampled from its folded solution, with no new solve.  Otherwise the
+    coupled route solves from ``guess``, as :func:`solve_coupled` takes it
+    (None: the outward integration).
     """
     if method is AuxMethod.INTEGRATING_FACTOR:
         profile = solve_profile(cfg, Grid.make(L, N), tail_tol=tail_tol)
         return profile, solve_auxiliary_if(f, freq, profile, decay_tol=decay_tol), None
     if wider is None:
-        res = solve_coupled(cfg, f, freq, L, N, tail_tol=tail_tol, decay_tol=decay_tol)
+        res = solve_coupled(cfg, f, freq, L, N, guess=guess, tail_tol=tail_tol,
+                            decay_tol=decay_tol)
     else:
         res = unfold_coupled(wider.bvp, cfg, freq, wider.L_solved, L, N,
                              tail_tol, decay_tol)
@@ -191,12 +196,14 @@ def beta_convergence_study(
 ) -> BetaStudy:
     """Recompute beta over a list of truncation half-widths.
 
-    The half-widths are taken widest first.  The fold conditions fix the
-    folded state at the fold, so the coupled solution on a narrower L is a
-    wider one restricted: each narrower coupled entry is sampled from the
-    nearest wider coupled entry that succeeded, with no new solve, and
-    carries that solve's counters.  The order of ``L_values`` changes no
-    result.
+    The half-widths are taken widest first.  The widest coupled entry is
+    solved from the closed-form guess (:func:`shockbeta.coupled.tanh_guess`),
+    as every point of a scan is.  The fold conditions fix the folded state
+    at the fold, so the coupled solution on a narrower L is a wider one
+    restricted: each narrower coupled entry is sampled from the nearest
+    wider coupled entry that succeeded, with no new solve, and carries that
+    solve's counters; an entry with no wider success solves from the same
+    guess.  The order of ``L_values`` changes no result.
 
     Each entry is gated by ``STUDY_TAIL_TOL`` and ``STUDY_DECAY_TOL``.  Solver
     failures are recorded per entry (the rest of the table survives), and sign
@@ -219,7 +226,7 @@ def beta_convergence_study(
             try:
                 profile, aux, coupled = solve_pair(
                     cfg, f, freq, method, L, N, STUDY_TAIL_TOL, STUDY_DECAY_TOL,
-                    wider=wider,
+                    wider=wider, guess=tanh_guess,
                 )
                 study.results[(method, L)] = compute_beta(f, profile, aux, quadrature)
             except SolverError as exc:

@@ -49,6 +49,13 @@ def _parse_float(text: str) -> float:
     return value
 
 
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {text!r}") from None
+
+
 def _parse_float_list(text: str) -> tuple[float, ...]:
     values = tuple(_parse_float(t) for t in str(text).split(",") if t.strip())
     if not values:
@@ -111,7 +118,7 @@ PARSERS = {
     "u_plus": _parse_float,
     "xi0": _parse_float,
     "L": _parse_float_list,
-    "N": int,
+    "N": _parse_int,
     "method": str,
     "quadrature": str,
     "out_dir": str,

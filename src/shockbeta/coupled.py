@@ -17,13 +17,14 @@ v(0) = 0.  Both far ends then fall into the attracting equilibria on their
 own; the tail residual is verified after the solve.  Every solve starts on
 one 401-node mesh from a guess that is a function of t, read at the nodes
 and collocation stages: by default the field integrated outward from the
-fold (:func:`initial_guess`).  A parameter sweep solves each point alone
-from the closed-form pair of a quadratic f1 (:func:`tanh_guess`), so no
-point depends on its neighbours; a repeated left state reuses the previous
-point.  The four fold conditions fix the state at t = 0, so the folded
-problem is an initial-value problem, and the solution on [-L, L] is a wider
-one restricted to |x| <= L: a study over several L solves the widest alone
-and samples each narrower L from it (:func:`unfold_coupled`).
+fold (:func:`initial_guess`), which the ``aux`` and ``compare`` commands
+keep.  A parameter sweep solves each point alone, and a beta study its
+widest L, from the closed-form pair of a quadratic f1 (:func:`tanh_guess`),
+so no point depends on its neighbours; a repeated left state reuses the
+previous point.  The four fold conditions fix the state at t = 0, so the
+folded problem is an initial-value problem, and the solution on [-L, L] is
+a wider one restricted to |x| <= L: a study over several L solves the
+widest alone and samples each narrower L from it (:func:`unfold_coupled`).
 """
 
 from __future__ import annotations
@@ -218,8 +219,9 @@ def solve_coupled(
     on the uniform ``_GUESS_NODES`` mesh.  ``guess`` maps the
     :class:`FoldedSystem` to a function of t of shape (k,) in [0, 1] with
     folded states of shape (4, k), v per unit |xi0|, as :class:`BvpProblem`
-    takes it: :func:`tanh_guess`, or by default the outward integration
-    (:func:`initial_guess`).
+    takes it: :func:`tanh_guess`, which scans and beta studies pass, or by
+    default the outward integration (:func:`initial_guess`), looked up when
+    called.
     """
     _, unit = freq.per_unit()
     sys = FoldedSystem(cfg=cfg, flux=f, freq=unit, L=float(L))

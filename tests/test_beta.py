@@ -15,6 +15,7 @@ from shockbeta.beta import (
     compute_beta,
     solve_pair,
 )
+from shockbeta.coupled import initial_guess, solve_coupled, tanh_guess
 from shockbeta.errors import GridMismatch, MeshLimitExceeded, TailNotResolved
 from shockbeta.integrating_factor import solve_auxiliary_if
 from shockbeta.model import (
@@ -270,22 +271,24 @@ class TestContinuationInL:
 
     def test_one_solve_per_study(self, monkeypatch, quad_flux, exact_cfg,
                                  exact_freq):
-        # the widest L is solved, from one outward integration; the narrower
-        # entries are sampled from it
-        calls = {"bvp_solve": 0, "initial_guess": 0}
-        for name in calls:
-            real = getattr(shockbeta.coupled, name)
+        # the widest L is solved, from one closed-form guess and no outward
+        # integration; the narrower entries are sampled from it
+        calls = {"bvp_solve": 0, "initial_guess": 0, "tanh_guess": 0}
+        for module, name in ((shockbeta.coupled, "bvp_solve"),
+                             (shockbeta.coupled, "initial_guess"),
+                             (shockbeta.beta, "tanh_guess")):
+            real = getattr(module, name)
 
             def spy(*args, _real=real, _name=name, **kw):
                 calls[_name] += 1
                 return _real(*args, **kw)
 
-            monkeypatch.setattr(shockbeta.coupled, name, spy)
+            monkeypatch.setattr(module, name, spy)
         study = beta_convergence_study(exact_cfg, quad_flux, exact_freq,
                                        [10.0, 20.0, 30.0],
                                        methods=[AuxMethod.COUPLED])
         assert not study.failures and len(study.results) == 3
-        assert calls == {"bvp_solve": 1, "initial_guess": 1}
+        assert calls == {"bvp_solve": 1, "initial_guess": 0, "tanh_guess": 1}
         widest = study.results[(AuxMethod.COUPLED, 30.0)].diagnostics
         for L in (10.0, 20.0):
             d = study.results[(AuxMethod.COUPLED, L)].diagnostics
@@ -294,8 +297,8 @@ class TestContinuationInL:
 
     def test_narrower_entry_is_seeded_from_nearest_wider_success(
             self, monkeypatch, quad_flux, exact_cfg, exact_freq):
-        # the widest coupled solve fails: the next one solves from the
-        # outward integration, and the narrowest is sampled from it
+        # the widest coupled solve fails: the next one solves from the same
+        # closed-form guess, and the narrowest is sampled from it
         solve = shockbeta.beta.solve_coupled
         guesses = {}
 
@@ -309,12 +312,52 @@ class TestContinuationInL:
         study = beta_convergence_study(exact_cfg, quad_flux, exact_freq,
                                        [10.0, 20.0, 30.0])
         assert list(study.failures) == [(AuxMethod.COUPLED, 30.0)]
-        assert guesses == {30.0: None, 20.0: None}
+        assert guesses == {30.0: tanh_guess, 20.0: tanh_guess}
         assert len(study.results) == 5
         sampled = study.results[(AuxMethod.COUPLED, 10.0)]
         solved = study.results[(AuxMethod.COUPLED, 20.0)]
         assert sampled.L == 10.0
         assert sampled.diagnostics["mesh_size"] == solved.diagnostics["mesh_size"]
+
+
+# (flux, u-, xi0, L, N) of single-L studies that solve from the tanh guess
+_CUBIC = custom_flux((0.0, 0.0, 0.5, 0.1), (0.0, 0.0, 1.0))
+_TANH_STUDIES = {
+    "cubic_1.0": (_CUBIC, 1.0, 1.0, 30.0, 6000),
+    "cubic_1.5": (_CUBIC, 1.5, 1.0, 30.0, 6000),
+    "burgers": (burgers_flux(), 1.5, 0.7, 20.0, 4000),
+    "sine_1.3": (sine_transverse_flux(), 1.3, 1.0, 20.0, 4000),
+}
+
+
+class TestStudyGuess:
+    """The study solves from the closed-form tanh guess, also off its exact case."""
+
+    @pytest.mark.parametrize("name", sorted(_TANH_STUDIES))
+    def test_tanh_guess_reaches_the_outward_guess_solution(self, name):
+        # the tanh form is not the profile of a cubic f1: Newton takes more
+        # iterations there, but lands on the same mesh and beta
+        f, um, xi0, L, N = _TANH_STUDIES[name]
+        cfg, freq = standing_shock(f, um, -1.0, xi0)
+        study = beta_convergence_study(cfg, f, freq, [L], methods=[AuxMethod.COUPLED],
+                                       N=N)
+        assert not study.failures
+        r = study.results[(AuxMethod.COUPLED, L)]
+        outward = solve_coupled(cfg, f, freq, L, N, guess=initial_guess,
+                                tail_tol=STUDY_TAIL_TOL, decay_tol=STUDY_DECAY_TOL)
+        ref = compute_beta(f, outward.profile, outward.aux).beta
+        assert r.diagnostics["mesh_size"] == outward.aux.diagnostics["mesh_size"]
+        assert abs(r.beta / ref - 1.0) <= 1e-11, (r.beta, ref)
+
+    def test_exact_case_takes_one_newton_iteration(self, quad_flux, exact_cfg,
+                                                   exact_freq):
+        study = beta_convergence_study(exact_cfg, quad_flux, exact_freq,
+                                       [10.0, 20.0, 30.0],
+                                       methods=[AuxMethod.COUPLED])
+        assert not study.failures and len(study.results) == 3
+        for r in study.results.values():
+            assert r.diagnostics["newton_per_sweep"] == [1]
+            assert r.diagnostics["mesh_size"] == 401
 
 
 def _betas(f, u_minus, xi0, L=20.0, N=4000):

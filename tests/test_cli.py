@@ -223,6 +223,16 @@ class TestConfigValues:
              flag, value, "--out-dir", out], flag[2:], capsys)
         assert not out.exists()
 
+    def test_non_integer_N_message_matches_the_other_fields(
+            self, exact_config, tmp_path, capsys):
+        # int()'s own message once leaked: "invalid literal for int() ..."
+        out = tmp_path / "o"
+        assert run(["profile", "--config", exact_config, "--N", "1e9",
+                    "--out-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: field 'N': expected an integer, got '1e9'\n"
+        assert not out.exists()
+
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_bytes(b"\xff\xfeu_minus = 1.0\n")
@@ -290,6 +300,22 @@ class TestAuxCommand:
         err = capsys.readouterr().err
         assert "SolverError: fold duplicate mismatch" in err
         assert "Traceback" not in err
+
+    def test_coupled_route_solves_from_the_outward_guess(self, tmp_path,
+                                                         monkeypatch):
+        # the benchmark self-test asserts that the aux workload's coupled
+        # guess integrates: aux keeps one outward integration per solve
+        real = shockbeta.coupled.initial_guess
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(shockbeta.coupled, "initial_guess", spy)
+        assert run(["aux", "--config", SINE_SCAN_CFG, "--N", "4000",
+                    "--method", "both", "--out-dir", tmp_path / "o"]) == 0
+        assert len(calls) == 1
 
 
 class TestBetaCommand:
