@@ -27,7 +27,7 @@ import numpy as np
 
 from .auxiliary import DEFAULT_DECAY_TOL, AuxiliarySolution, AuxMethod
 from .coupled import CoupledResult, solve_coupled, tanh_guess, unfold_coupled
-from .errors import GridMismatch, SolverError, ValidationError
+from .errors import GridMismatch, SolverError, ValidationError, describe
 from .integrating_factor import solve_auxiliary_if
 from .model import FluxModel, NeutralFrequency, ShockConfig, forcing_slope
 from .numerics import quad_simpson, quad_trapezoid
@@ -230,7 +230,7 @@ def beta_convergence_study(
                 )
                 study.results[(method, L)] = compute_beta(f, profile, aux, quadrature)
             except SolverError as exc:
-                study.failures[(method, L)] = f"{type(exc).__name__}: {exc}"
+                study.failures[(method, L)] = describe(exc)
             else:
                 if coupled is not None:
                     wider = coupled

@@ -3,8 +3,8 @@
 Commands: profile | aux | beta | scan | compare.  Every command takes the
 same options; they mirror the config-file keys and override file values.
 Exit codes: 0 success, 2 invalid configuration (also an unreadable config
-file, an unwritable output path or a grid too large to allocate), 3 solver
-failure (diagnostics on stderr).
+file, an unwritable output path or an N above the grid's interval budget),
+3 solver failure (diagnostics on stderr), also of any one scan point.
 Each command checks, solves, then writes: a failed check leaves no output
 directory, and an unwritable output path is reported after the solves.
 """
@@ -23,7 +23,7 @@ from .beta import beta_convergence_study, check_even_N, compute_beta, solve_pair
 from .config import PARSERS, RunConfig, apply_overrides, build_model, parse_config_file
 from .coupled import continuation_scan
 from .coupled import solve_coupled  # noqa: F401  perfbench/tracing.py patches it here
-from .errors import ContinuationStalled, SolverError, ValidationError
+from .errors import SolverError, ValidationError, describe
 from .integrating_factor import solve_auxiliary_if  # noqa: F401  likewise
 from .profile import Grid, check_resolution, exact_solution, solve_profile
 
@@ -150,22 +150,23 @@ def cmd_scan(rc: RunConfig) -> int:
         raise ValidationError(
             "field 'method': scan solves the coupled route only, not 'if'"
         )
-    # the chain's left states are the list's; u_minus is never read
+    # the left states are the list's; u_minus is never read
     flux, cfg0, freq0 = build_model(dataclasses.replace(rc, u_minus=rc.u_minus_list[0]))
     check_even_N(rc.N, rc.quad())
-    stall = None
-    try:
-        points = continuation_scan(
-            cfg0, flux, rc.xi0, list(rc.u_minus_list), rc.L_single, rc.N,
-            freq0=freq0,
-        )
-    except ContinuationStalled as exc:
-        points, stall = exc.results, exc
-        print(exc, file=sys.stderr)
+    points = continuation_scan(
+        cfg0, flux, rc.xi0, list(rc.u_minus_list), rc.L_single, rc.N, freq0=freq0,
+    )
+    failures = {k: pt for k, pt in enumerate(points) if isinstance(pt, Exception)}
+    first = min(failures, default=None)
+    for k, exc in failures.items():
+        print(f"point {k} (u- = {rc.u_minus_list[k]:g}) failed: {describe(exc)}",
+              file=sys.stderr)
 
     out = _out_dir(rc)
     manifest_points = []
     for k, pt in enumerate(points):
+        if k in failures:
+            continue
         r = compute_beta(flux, pt.profile, pt.aux, rc.quad())
         path = out / f"point_{k:03d}.csv"
         serialize.write_point_csv(path, pt.profile, pt.aux, flux)
@@ -193,12 +194,14 @@ def cmd_scan(rc: RunConfig) -> int:
         "xi0": rc.xi0,
         "u_minus_list": list(rc.u_minus_list),
         "points": manifest_points,
-        "stall_index": stall.index if stall else None,
-        "stall_cause": str(stall.cause) if stall else None,
+        "stall_index": first,
+        "stall_cause": None if first is None else str(failures[first]),
     }
+    if failures:  # only then, so a clean scan's manifest is unchanged
+        manifest["failures"] = {str(k): describe(exc) for k, exc in failures.items()}
     serialize.write_manifest(out / "scan_manifest.json", manifest)
     print(out / "scan_manifest.json")
-    return EXIT_OK if stall is None else EXIT_SOLVER
+    return EXIT_SOLVER if failures else EXIT_OK
 
 
 def cmd_compare(rc: RunConfig) -> int:
@@ -234,7 +237,7 @@ COMMANDS = {
     "profile": ("compute and export the viscous profile", cmd_profile),
     "aux": ("compute the correction v", cmd_aux),
     "beta": ("stability coefficient over a list of L", cmd_beta),
-    "scan": ("continuation sweep over u_minus", cmd_scan),
+    "scan": ("coupled beta at each u_minus of a list", cmd_scan),
     "compare": ("error norms against the exact solution", cmd_compare),
 }
 
@@ -275,7 +278,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverError as exc:
-        print(f"solver failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"solver failure: {describe(exc)}", file=sys.stderr)
         return EXIT_SOLVER
 
 

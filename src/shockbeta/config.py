@@ -18,7 +18,7 @@ module that applies it.  Keys:
     method        if | coupled | both (default both)
     quadrature    trapezoid | simpson (default trapezoid)
     out_dir       output directory (default .)
-    u_minus_list  continuation values of u_minus (scan command)
+    u_minus_list  the left states of the scan command
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .auxiliary import DEFAULT_DECAY_TOL, AuxMethod, AuxiliarySolution
-from .errors import ContinuationStalled, SolverError, ValidationError
+from .errors import SolverError, ValidationError
 from .model import (
     FluxModel,
     NeutralFrequency,
@@ -305,53 +305,53 @@ def continuation_scan(
     n_out: int,
     tol: float = 1e-8,
     freq0: NeutralFrequency | None = None,
-) -> list[CoupledResult]:
+) -> list[CoupledResult | ValidationError | SolverError]:
     """Sweep the left state, each point solved alone from :func:`tanh_guess`.
 
     The right state is taken from ``cfg0``; speed and neutral frequency are
     recomputed at every point.  ``freq0``, when given, is the neutral
     frequency of ``cfg0``, and ``cfg0`` is then the first point's shock,
-    already built (its left state must be the first value).  Every point the
-    scan reaches is built, and the grid checked against the steepest, before
-    the first solve; the scan stalls at an inadmissible later point.  A left
-    state equal to the previous one reuses the previous shock and result,
-    with no build and no solve.  The first point that fails to solve stalls
-    the scan: :class:`ContinuationStalled` carries the points computed so far.
+    already built (its left state must be the first value).  Returns one
+    entry per left state: its result, or the error the point raised, the
+    :class:`ValidationError` of an inadmissible shock or the
+    :class:`SolverError` of a failed solve; an inadmissible first point
+    raises.  Every point is built, and the grid checked against the steepest
+    admissible one, before the first solve.  A left state equal to the
+    previous one repeats the previous entry, with no build and no solve.
     """
-    shocks, inadmissible = [], None
     values = [float(um) for um in u_minus_values]
-    if freq0 is not None:
-        if not values or values[0] != cfg0.u_minus:
-            raise ValidationError(
-                f"the first left state {values[:1]} is not cfg0's {cfg0.u_minus}"
-            )
-        shocks.append((cfg0, freq0))
-        values = values[1:]
-    for um in values:
-        if shocks and um == shocks[-1][0].u_minus:
-            shocks.append(shocks[-1])  # a repeated left state: the same shock
-            continue
-        try:
-            shocks.append(standing_shock(f, um, cfg0.u_plus, xi0))
-        except ValidationError as exc:
-            if not shocks:
-                raise  # first point: configuration-level problem
-            inadmissible = exc
-            break
-    if shocks:
-        steepest = max((cfg for cfg, _ in shocks), key=lambda cfg: cfg.layer_rate)
-        check_resolution(steepest, L, n_out)
+    if freq0 is not None and values[:1] != [cfg0.u_minus]:
+        raise ValidationError(
+            f"the first left state {values[:1]} is not cfg0's {cfg0.u_minus}"
+        )
+    repeats = [k > 0 and um == values[k - 1] for k, um in enumerate(values)]
+    shocks: list = []
+    for k, um in enumerate(values):
+        if repeats[k]:
+            shocks.append(shocks[-1])
+        elif k == 0 and freq0 is not None:
+            shocks.append((cfg0, freq0))
+        else:
+            try:
+                shocks.append(standing_shock(f, um, cfg0.u_plus, xi0))
+            except ValidationError as exc:
+                if k == 0:
+                    raise  # first point: configuration-level problem
+                shocks.append(exc)
+    admissible = [s[0] for s in shocks if not isinstance(s, ValidationError)]
+    if admissible:
+        check_resolution(max(admissible, key=lambda cfg: cfg.layer_rate), L, n_out)
 
-    points: list[CoupledResult] = []
-    for k, (cfg, freq) in enumerate(shocks):
-        if points and cfg.u_minus == points[-1].config.u_minus:
-            points.append(points[-1])  # a repeated left state is already solved
+    points: list = []
+    for shock, repeat in zip(shocks, repeats):
+        if repeat or isinstance(shock, ValidationError):
+            points.append(points[-1] if repeat else shock)
             continue
+        cfg, freq = shock
         try:
-            res = solve_coupled(cfg, f, freq, L, n_out, guess=tanh_guess, tol=tol)
+            points.append(
+                solve_coupled(cfg, f, freq, L, n_out, guess=tanh_guess, tol=tol)
+            )
         except SolverError as exc:
-            raise ContinuationStalled(k, points, exc) from exc
-        points.append(res)
-    if inadmissible is not None:
-        raise ContinuationStalled(len(shocks), points, inadmissible) from inadmissible
+            points.append(exc)
     return points

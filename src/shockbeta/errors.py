@@ -70,22 +70,10 @@ class MeshLimitExceeded(SolverError):
     """Mesh refinement exceeded the node budget before reaching tolerance."""
 
 
-class ContinuationStalled(SolverError):
-    """A continuation chain failed at some parameter step.
-
-    Carries the index of the failing parameter value and the results computed
-    so far, so that partial output can be preserved.
-    """
-
-    def __init__(self, index, results, cause=None):
-        self.index = index
-        self.results = results
-        self.cause = cause
-        msg = f"continuation stalled at parameter index {index}"
-        if cause is not None:
-            msg += f": {cause}"
-        super().__init__(msg)
-
-
 class QuadratureDegraded(UserWarning):
     """Grid too coarse for the requested quadrature accuracy."""
+
+
+def describe(exc: Exception) -> str:
+    """``Class: message``, as a failure is recorded in manifests and on stderr."""
+    return f"{type(exc).__name__}: {exc}"

@@ -29,6 +29,10 @@ DEFAULT_TAIL_TOL = 1e-6
 # in l = log|ubar - u_end|: an error in l is a relative error of the deviation.
 _IVP_TOL = 1e-12
 
+# Interval budget of an output grid.  A command's peak memory grows by at most
+# about 150 bytes per interval, so this bounds it near 1.5 GB.
+_MAX_INTERVALS = 10**7
+
 # Machine-level ties are tolerated when checking strict monotonicity: in the
 # saturated tails consecutive samples can differ by less than one ulp.
 _TIE_TOL = 4 * np.finfo(float).eps
@@ -48,6 +52,10 @@ class Grid:
             raise ValidationError(f"field 'L': {L:g} is not positive")
         if N < 2:
             raise ValidationError(f"field 'N': {N} intervals; the grid needs N >= 2")
+        if N > _MAX_INTERVALS:
+            raise ValidationError(
+                f"field 'N': {N} intervals exceed the budget of {_MAX_INTERVALS}"
+            )
 
     @classmethod
     def make(cls, L: float, N: int) -> "Grid":

@@ -432,7 +432,7 @@ def read_aux_csv(path) -> AuxiliarySolution:
 
 def write_point_csv(path, profile: ProfileSolution, aux: AuxiliarySolution,
                     f: FluxModel) -> None:
-    """Combined per-parameter-point table for continuation output."""
+    """One scan point's table: x, ubar, ubar_prime and v."""
     _write_table(path, _aux_meta(profile, aux, f), _POINT_COLUMNS,
                  [profile.grid.x, profile.ubar, profile.ubar_prime, aux.v])
 

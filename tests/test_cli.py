@@ -137,6 +137,32 @@ class TestFileSystemErrors:
             ["profile", "--config", EXACT_CASE_CFG, "--N", 10**15,
              "--out-dir", tmp_path / "o"], capsys)
 
+    @pytest.mark.parametrize("command", [
+        ["profile", "--config", EXACT_CASE_CFG, "--L", "20"],
+        ["aux", "--config", EXACT_CASE_CFG, "--L", "20"],
+        ["beta", "--config", EXACT_CASE_CFG],
+        ["scan", "--config", SINE_SCAN_CFG],
+        ["compare", "--config", EXACT_CASE_CFG, "--L", "20"],
+    ])
+    def test_grid_above_the_interval_budget(self, command, tmp_path, capsys,
+                                            monkeypatch):
+        # an N that fits the address space but not memory is refused before
+        # its grid is allocated: linspace raises if it is asked for that grid
+        N = shockbeta.profile._MAX_INTERVALS + 2
+        linspace = np.linspace
+
+        def no_grid(start, stop, num=50, **kwargs):
+            if num > N:
+                raise AssertionError("a grid was allocated before the budget check")
+            return linspace(start, stop, num, **kwargs)
+
+        monkeypatch.setattr(np, "linspace", no_grid)
+        out = tmp_path / "o"
+        assert run([*command, "--N", N, "--out-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: field 'N': {N} intervals exceed the budget")
+        assert not out.exists()
+
 
 class TestConfigValues:
     """Malformed values and unknown choices are configuration errors (exit 2)
@@ -538,15 +564,23 @@ class TestGridResolution:
         assert "> 1/2" in err
         assert not out.exists()
 
-    def test_scan_checks_only_points_the_chain_reaches(self, tmp_path):
-        # u- = -3 is inadmissible, so the chain stalls there with exit 3;
-        # the check does not turn that stall into a configuration error
+    def test_scan_checks_every_admissible_point(self, tmp_path, capsys,
+                                                monkeypatch):
+        # u- = -3 is inadmissible and left to its entry; u- = 50 after it is
+        # admissible, so N = 800 is refused at u- = 50 before any solve
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a point was solved before the grid check")
+
+        monkeypatch.setattr("shockbeta.coupled.solve_coupled", no_solve)
         out = tmp_path / "out"
         code = run(["scan", "--flux", "sine_transverse", "--u-minus", "1.0",
                     "--u-plus", "-1.0", "--xi0", "1.0", "--L", "20",
                     "--N", "800", "--u-minus-list", "1.0,-3.0,50.0",
                     "--out-dir", out])
-        assert code == 3
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: field 'N': ") and "at u- = 50," in err
+        assert not out.exists()
 
 
 class TestScanCommand:
@@ -558,17 +592,17 @@ class TestScanCommand:
                     "--out-dir", out])
         assert code == 0
         manifest = json.loads((out / "scan_manifest.json").read_text())
-        assert manifest["stall_index"] is None
+        assert manifest["stall_index"] is None and "failures" not in manifest
         assert len(manifest["points"]) == 3
         for k, p in enumerate(manifest["points"]):
             assert (out / p["file"]).exists()
             assert p["sign_re_beta"] in (-1, 1)
-        # speeds recomputed along the chain
+        # speeds recomputed at every point
         assert manifest["points"][1]["s"] == pytest.approx(0.05)
 
     def test_left_states_come_from_the_list(self, tmp_path):
         # scan never reads u_minus: unset, or inadmissible with u+ = -1, the
-        # chain is the same and starts at the list's first value
+        # scan is the same and starts at the list's first value
         common = ["scan", "--flux", "burgers", "--u-plus", "-1", "--xi0", "1",
                   "--u-minus-list", "1.0,1.5", "--L", "20", "--N", "1000"]
         outs = [tmp_path / "unset", tmp_path / "inadmissible"]
@@ -645,6 +679,32 @@ class TestScanCommand:
         assert manifest["stall_index"] == 1
         assert len(manifest["points"]) == 1
         assert (out / "point_000.csv").exists()
+        assert list(manifest["failures"]) == ["1"]
+        assert manifest["failures"]["1"].startswith("LaxViolation: ")
+        assert "point 1 (u- = -3) failed: LaxViolation: " in capsys.readouterr().err
+
+    def test_failed_point_leaves_the_later_points(self, tmp_path, capsys):
+        # u- = -0.8 fails its tail gate at L = 20; u- = 1.5 after it is
+        # written as its one-point scan writes it, under its list index
+        common = ["scan", "--flux", "burgers", "--u-plus", "-1", "--xi0", "1",
+                  "--L", "20", "--N", "4000"]
+        out, alone = tmp_path / "out", tmp_path / "alone"
+        assert run([*common, "--u-minus-list", "1.0,-0.8,1.5", "--out-dir", out]) == 3
+        cause = ("endpoint residuals (2.384e-02, 2.384e-02) exceed 1.0e-06; "
+                 "increase L")
+        assert f"point 1 (u- = -0.8) failed: TailNotResolved: {cause}\n" in (
+            capsys.readouterr().err)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "point_000.csv", "point_002.csv", "scan_manifest.json"]
+        manifest = json.loads((out / "scan_manifest.json").read_text())
+        assert manifest["stall_index"] == 1
+        assert manifest["stall_cause"] == cause
+        assert manifest["failures"] == {"1": f"TailNotResolved: {cause}"}
+        assert [p["file"] for p in manifest["points"]] == [
+            "point_000.csv", "point_002.csv"]
+        assert run([*common, "--u-minus-list", "1.5", "--out-dir", alone]) == 0
+        assert ((out / "point_002.csv").read_bytes()
+                == (alone / "point_000.csv").read_bytes())
 
     def test_singleton_scan_matches_beta_point(self, exact_config, tmp_path):
         out1 = tmp_path / "a"

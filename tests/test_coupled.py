@@ -4,13 +4,19 @@ import pytest
 from shockbeta.beta import compute_beta
 from shockbeta.coupled import (
     _GUESS_NODES,
+    CoupledResult,
     FoldedSystem,
     continuation_scan,
     initial_guess,
     solve_coupled,
     tanh_guess,
 )
-from shockbeta.errors import ContinuationStalled, NewtonDivergence, ValidationError
+from shockbeta.errors import (
+    LaxViolation,
+    NewtonDivergence,
+    TailNotResolved,
+    ValidationError,
+)
 from shockbeta.integrating_factor import solve_auxiliary_if
 from shockbeta.model import (
     NeutralFrequency,
@@ -388,12 +394,11 @@ class TestContinuation:
         assert starts == [_GUESS_NODES] * 3
         assert pts[2] is pts[1]
 
-    @pytest.mark.parametrize("first_failure, index, n_solves", [(1, 0, 1), (2, 1, 2)])
-    def test_failed_cold_solve_stalls_the_chain(self, quad_flux, exact_cfg,
-                                                monkeypatch, first_failure,
-                                                index, n_solves):
-        # a point is solved once, never retried: the first failure stalls
-        # the scan with the points solved before it
+    @pytest.mark.parametrize("first_failure, index", [(1, 0), (2, 1)])
+    def test_failed_solve_is_its_points_entry(self, quad_flux, exact_cfg,
+                                              monkeypatch, first_failure, index):
+        # a point is solved once, never retried, and a failure does not end
+        # the scan: every point is attempted, each failure is its entry
         solves = []
 
         def failing(problem):
@@ -403,11 +408,10 @@ class TestContinuation:
             return bvp_solve(problem)
 
         monkeypatch.setattr("shockbeta.coupled.bvp_solve", failing)
-        with pytest.raises(ContinuationStalled) as ei:
-            continuation_scan(exact_cfg, quad_flux, 1.0, [1.0, 1.4, 1.8], 20.0, 1000)
-        assert len(solves) == n_solves
-        assert ei.value.index == index and len(ei.value.results) == index
-        assert isinstance(ei.value.cause, NewtonDivergence)
+        pts = continuation_scan(exact_cfg, quad_flux, 1.0, [1.0, 1.4, 1.8], 20.0, 1000)
+        assert len(solves) == len(pts) == 3
+        assert all(isinstance(pt, CoupledResult) for pt in pts[:index])
+        assert all(isinstance(pt, NewtonDivergence) for pt in pts[index:])
 
     def test_singleton_chain_matches_direct_solve(self, quad_flux, exact_cfg,
                                                   exact_freq, coupled_L20):
@@ -431,12 +435,39 @@ class TestContinuation:
         assert pts[1].bvp.newton_iters <= 1
 
     def test_stall_preserves_prior_points(self, quad_flux, exact_cfg):
-        with pytest.raises(ContinuationStalled) as ei:
-            continuation_scan(
-                exact_cfg, quad_flux, 1.0, [1.0, -3.0], 20.0, 1000
-            )
-        assert ei.value.index == 1
-        assert len(ei.value.results) == 1
+        pts = continuation_scan(exact_cfg, quad_flux, 1.0, [1.0, -3.0], 20.0, 1000)
+        assert len(pts) == 2
+        assert isinstance(pts[0], CoupledResult)
+        assert isinstance(pts[1], LaxViolation)
+
+    def test_a_failed_point_leaves_the_later_points(self):
+        # u- = -0.8 is admissible but its layer is too wide for L = 20; the
+        # point after it is solved as it is alone
+        f = burgers_flux()
+        cfg0 = normalize_to_standing(f, 1.0, -1.0, 0.0)
+        pts = continuation_scan(cfg0, f, 1.0, [1.0, -0.8, 1.5], 20.0, 4000)
+        alone = continuation_scan(cfg0, f, 1.0, [1.5], 20.0, 4000)[0]
+        assert isinstance(pts[0], CoupledResult)
+        assert isinstance(pts[1], TailNotResolved)
+        assert str(pts[1]) == ("endpoint residuals (2.384e-02, 2.384e-02) "
+                               "exceed 1.0e-06; increase L")
+        assert np.array_equal(pts[2].aux.v, alone.aux.v)
+        assert np.array_equal(pts[2].profile.ubar, alone.profile.ubar)
+
+    def test_a_repeated_failure_repeats_its_entry(self, quad_flux, exact_cfg,
+                                                  monkeypatch):
+        solves = []
+
+        def failing(problem):
+            solves.append(problem)
+            raise NewtonDivergence("forced failure")
+
+        monkeypatch.setattr("shockbeta.coupled.bvp_solve", failing)
+        pts = continuation_scan(exact_cfg, quad_flux, 1.0, [1.0, 1.0, -3.0, -3.0],
+                                20.0, 1000)
+        assert len(solves) == 1
+        assert pts[1] is pts[0] and isinstance(pts[0], NewtonDivergence)
+        assert pts[3] is pts[2] and isinstance(pts[2], LaxViolation)
 
     def test_coarse_grid_at_a_later_point_raises_before_any_solve(
             self, quad_flux, exact_cfg, monkeypatch):
