@@ -20,8 +20,8 @@ and collocation stages: by default the field integrated outward from the
 fold (:func:`initial_guess`), which the ``aux`` and ``compare`` commands
 keep.  A parameter sweep solves each point alone, and a beta study its
 widest L, from the closed-form pair of a quadratic f1 (:func:`tanh_guess`),
-so no point depends on its neighbours; a repeated left state reuses the
-previous point.  The four fold conditions fix the state at t = 0, so the
+so no point depends on its neighbours; a repeated left state reuses an
+earlier point.  The four fold conditions fix the state at t = 0, so the
 folded problem is an initial-value problem, and the solution on [-L, L] is
 a wider one restricted to |x| <= L: a study over several L solves the
 widest alone and samples each narrower L from it (:func:`unfold_coupled`).
@@ -316,19 +316,20 @@ def continuation_scan(
     :class:`ValidationError` of an inadmissible shock or the
     :class:`SolverError` of a failed solve; an inadmissible first point
     raises.  Every point is built, and the grid checked against the steepest
-    admissible one, before the first solve.  A left state equal to the
-    previous one repeats the previous entry, with no build and no solve.
+    admissible one, before the first solve.  A left state equal to an
+    earlier point's repeats that point's entry, with no build and no solve.
     """
     values = [float(um) for um in u_minus_values]
     if freq0 is not None and values[:1] != [cfg0.u_minus]:
         raise ValidationError(
             f"the first left state {values[:1]} is not cfg0's {cfg0.u_minus}"
         )
-    repeats = [k > 0 and um == values[k - 1] for k, um in enumerate(values)]
+    first: dict[float, int] = {}
+    source = [first.setdefault(um, k) for k, um in enumerate(values)]
     shocks: list = []
     for k, um in enumerate(values):
-        if repeats[k]:
-            shocks.append(shocks[-1])
+        if source[k] < k:
+            shocks.append(shocks[source[k]])
         elif k == 0 and freq0 is not None:
             shocks.append((cfg0, freq0))
         else:
@@ -343,9 +344,9 @@ def continuation_scan(
         check_resolution(max(admissible, key=lambda cfg: cfg.layer_rate), L, n_out)
 
     points: list = []
-    for shock, repeat in zip(shocks, repeats):
-        if repeat or isinstance(shock, ValidationError):
-            points.append(points[-1] if repeat else shock)
+    for k, shock in enumerate(shocks):
+        if source[k] < k or isinstance(shock, ValidationError):
+            points.append(points[source[k]] if source[k] < k else shock)
             continue
         cfg, freq = shock
         try:

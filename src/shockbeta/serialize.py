@@ -16,12 +16,13 @@ no fused multiply-add) of |x| with a (hi, lo) pair for 10^(16 - e): the
 fixed-precision digit generation of Ryu (Adams, PLDI 2018), with a
 double-double in place of its wide integers.  y is then known to within
 4e-15, so its nearest integer is certain when its fraction lies farther
-than 1e-9 from 1/2.  The digits of such a cell are written through a
-4-digit lookup table, and its ``%g`` layout (sign, ``0.000`` prefix, dot,
-``e+dd`` exponent, trailing zeros stripped) is picked from a table of byte
-masks; zeros are laid out the same way.  Every other cell is formatted by
-``%`` itself: nan, inf, magnitudes outside [1e-280, 1e280), exact ties and
-values at a decade edge.  Tables of real solutions hold next to none.
+than 1e-9 from 1/2.  Such a cell is laid out in a 32-byte record: its
+digits go in once through a 4-digit lookup table, three word masks pick its
+``%g`` layout (sign, ``0.000`` prefix, dot, ``e+dd`` exponent, trailing
+zeros stripped), and the NUL bytes it leaves unused are dropped; zeros are
+laid out the same way.  Every other cell is formatted by ``%`` itself: nan,
+inf, magnitudes outside [1e-280, 1e280), exact ties and values at a decade
+edge.  Tables of real solutions hold next to none.
 """
 
 from __future__ import annotations
@@ -79,8 +80,8 @@ def _flux_from_meta(meta: _Meta) -> FluxModel:
     return make_flux(kind, sine_freq=sine_freq, **coeffs)
 
 
-# Rows formatted per block: bounds the kernel's temporaries at about
-# 0.3 kB per cell whatever the table's length.
+# Rows formatted per block: bounds the kernel's temporaries, the 32-byte
+# records among them, at about 0.25 kB per cell whatever the table's length.
 _CHUNK_ROWS = 4096
 
 # A cell is certified when the fraction of its scaled value lies farther than
@@ -93,30 +94,18 @@ _KERNEL_RANGE = (1e-280, 1e280)
 _E_MIN, _E_MAX = -281, 280  # floor(log10|x|) over that range, with rounding
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitting constant
 
-# Byte slots of one cell: the sign and "0.000" (0-5); the 17 digits (11-27);
-# the dot (31); digits 2-17 again (32-47), for a fraction after the dot; the
-# exponent "e+dd" or "e-ddd" (48-52); the separator (56).  A cell's mask
-# picks the slots of its %g form, in order.
-_SLOT = 64
-_DIGITS, _DOT, _EXP, _SEP = 11, 31, 48, 56
-_SIGN_PREFIX = np.frombuffer(b"-0.000\0\0", np.uint64)[0]  # slots 0-7
-_DOT_WORD = np.frombuffer(b"\0\0\0.", np.uint32)[0]  # slots 28-31
-# The layout class of a cell: 0-20 for fixed notation with %e exponent
-# class - 4; 21 and 22 for exponential notation with 2 and 3 exponent digits.
-_N_CLASSES = 23
-
 
 class _KernelTables(NamedTuple):
     power_hi: np.ndarray  # by e - _E_MIN: 10^(16 - e) ~ power_hi + power_lo
     power_lo: np.ndarray
     hi_hi: np.ndarray  # Dekker's split of power_hi: halves of 26 bits
     hi_lo: np.ndarray
-    exponent: np.ndarray  # by e - _E_MIN: b"e+dd" as uint64
-    layout: np.ndarray  # by e - _E_MIN: the layout class
-    lead: np.ndarray  # by digit d: b"\0\0\0d" as uint32
-    quad: np.ndarray  # by 4-digit group g: b"dddd" as uint32
-    quad_len: np.ndarray  # by g: digits up to the last nonzero one (-99 for 0)
-    mask: np.ndarray  # by (class, significant digits, sign): slot mask, V64
+    # by e - _E_MIN, then again for the last cell of a row:
+    suffix: np.ndarray  # word 3: b"e+dd," or b"," (b"\n" ending a row)
+    row: np.ndarray  # 36 times the layout class
+    quad: np.ndarray  # by 4-digit group g: b"dddd" as uint64
+    sig: np.ndarray  # by (group i, g): 2 (4i + 1 + digits to g's last nonzero); 2 for 0
+    masks: np.ndarray  # by (word, lo/hi/fixed, 36 class + 2 sig + sign)
 
 
 @functools.cache
@@ -146,41 +135,45 @@ def _kernel_tables() -> _KernelTables:
     hi_hi = c - (c - hi)
 
     e = np.arange(_E_MIN, _E_MAX + 1)
-    exponent = np.zeros((e.size, 8), np.uint8)
-    for k, text in enumerate(b"e%+03d" % v for v in e):
-        exponent[k, :len(text)] = np.frombuffer(text, np.uint8)
-    layout = np.where((-4 <= e) & (e <= 16), e + 4, np.where(np.abs(e) < 100, 21, 22))
+    fixed_point = (-4 <= e) & (e <= 16)
+    suffix = b"".join((sep if fp else b"e%+03d%s" % (v, sep)).ljust(8, b"\0")
+                      for sep in (b",", b"\n")
+                      for v, fp in zip(e.tolist(), fixed_point))
+    # the layout class: 0-20 for fixed notation with exponent class - 4; 21
+    # and 22 for exponential notation with 2 and 3 exponent digits
+    layout = np.where(fixed_point, e + 4, np.where(np.abs(e) < 100, 21, 22))
 
-    lead = np.zeros((10, 4), np.uint8)
-    lead[:, 3] = np.arange(48, 58)
     g = np.arange(10000)
     quad = (g[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48).astype(np.uint8)
     trailing = sum((g % d == 0).astype(int) for d in (10, 100, 1000))
-    quad_len = np.where(g == 0, -99, 4 - trailing)
+    sig = [np.where(g == 0, 2, 2 * (4 * i + 5 - trailing)) for i in range(4)]
 
-    mask = np.zeros((_N_CLASSES, 18, 2, _SLOT), bool)
-    mask[:, :, 1, 0] = True  # the minus sign
-    mask[..., _SEP] = True
-    for cls in range(_N_CLASSES):
+    # Bytes 0-23 by (class, sig, sign): those taken from the digits at 6-22
+    # (lo), from the digits at 7-23 (hi), and those written whatever the
+    # digits (fixed: the prefix and the dot).
+    picks = np.zeros((3, 23, 18, 2, 24), np.uint8)
+    lo, hi_, fixed = picks
+    for cls in range(23):
         x_exp = cls - 4
-        for sig in range(1, 18):
-            m = mask[cls, sig]
-            if cls < 4:  # 0.000ddd
-                m[:, 1:2 - x_exp] = True
-                n_int = sig
-            elif cls <= 20:  # ddd.ddd
-                n_int = x_exp + 1
-            else:  # d.ddde+XX
-                n_int = 1
-                m[:, _EXP:_EXP + (4 if cls == 21 else 5)] = True
-            m[:, _DIGITS:_DIGITS + n_int] = True
-            if cls >= 4 and sig > n_int:
-                m[:, _DOT] = True
-                m[:, _DOT + n_int:_DOT + sig] = True
+        n_int = 0 if cls < 4 else 1 if cls > 20 else x_exp + 1
+        for s in range(1, 18):
+            if n_int:  # ddd.ddd, d.ddde+XX
+                dot = 6 + n_int
+                end = 7 + s if s > n_int else dot
+                fixed[cls, s, :, dot] = ord(".") * (end > dot)
+                fixed[cls, s, 1, 5] = ord("-")
+            else:  # 0.000ddd: the dot is in the prefix
+                dot = end = 6 + s
+                for sign in (0, 1):
+                    prefix = b"-0.000"[1 - sign:2 - x_exp]
+                    fixed[cls, s, sign, 6 - len(prefix):6] = list(prefix)
+            lo[cls, s, :, 6:dot] = 0xFF
+            hi_[cls, s, :, dot + 1:end] = 0xFF
+    masks = picks.reshape(3, -1, 24).view(np.uint64).transpose(2, 0, 1)
     tables = _KernelTables(
-        hi, np.array(los), hi_hi, hi - hi_hi, exponent.view(np.uint64).ravel(),
-        layout, lead.view(np.uint32).ravel(), quad.view(np.uint32).ravel(),
-        quad_len, mask.reshape(-1, _SLOT).view(f"V{_SLOT}").ravel(),
+        hi, np.array(los), hi_hi, hi - hi_hi, np.frombuffer(suffix, np.uint64),
+        np.tile(36 * layout, 2), quad.view(np.uint32).ravel().astype(np.uint64),
+        np.array(sig), np.ascontiguousarray(masks),
     )
     for t in tables:
         t.flags.writeable = False
@@ -235,39 +228,44 @@ def _decimal17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return D, k, fast
 
 
-def _format_cells(x: np.ndarray, seps: np.ndarray, buf: np.ndarray) -> np.ndarray:
+def _format_cells(x: np.ndarray, n_cols: int, rec: np.ndarray) -> bytes:
     """The bytes of ``'%.17g' % c`` and its separator, for each cell c of ``x``.
 
-    ``x`` holds whole rows, flattened; ``seps`` the separator of each column,
-    a byte padded to a uint64; ``buf`` a (x.size, _SLOT) uint8 scratch array.
+    ``x`` holds whole rows of ``n_cols`` cells, flattened; ``rec`` is an
+    (x.size, 4) uint64 scratch array, one record per cell.  The 17 digits
+    are written once, at bytes 7-23, and read again one byte lower: the
+    digits before the dot come from the lower copy and those after it from
+    the upper one, which frees the byte between them for the dot.  Three
+    masks by (layout class, significant digits, sign) pick each word's bytes
+    from the two copies and the fixed ones, and so cut the body to length.
     """
     t = _kernel_tables()
     D, k, fast = _decimal17(x)
-    lead, rest = D // 10**16, D % 10**16
-    top, bottom = rest // 10**8, rest % 10**8
-    groups = [top // 10**4, top % 10**4, bottom // 10**4, bottom % 10**4]
-    words, longs = buf.view(np.uint32), buf.view(np.uint64)
-    longs[:, 0] = _SIGN_PREFIX
-    words[:, _DIGITS // 4] = t.lead[lead]
-    for i, g in enumerate(groups):
-        # digits 2-17 before the dot and, again, after it
-        words[:, _DIGITS // 4 + 1 + i] = words[:, _DOT // 4 + 1 + i] = t.quad[g]
-    words[:, _DOT // 4] = _DOT_WORD
-    longs[:, _EXP // 8] = t.exponent[k]
-    longs.reshape(-1, seps.size, _SLOT // 8)[..., _SEP // 8] = seps
-    sig = np.maximum.reduce([t.quad_len[g] + 1 + 4 * i for i, g in enumerate(groups)])
-    np.maximum(sig, 1, out=sig)
-    mask = t.mask[(t.layout[k] * 18 + sig) * 2 + np.signbit(x)]
-    mask = mask.view(bool).reshape(buf.shape)
+    k[n_cols - 1::n_cols] += _E_MAX + 1 - _E_MIN  # the row's last cell
+    top = D // 10**8
+    groups = [top // 10**8]
+    for part in (top - groups[0] * 10**8, D - top * 10**8):
+        g = part // 10**4
+        groups += [g, part - g * 10**4]
+    layout = np.maximum(np.maximum(t.sig[0][groups[1]], t.sig[1][groups[2]]),
+                        np.maximum(t.sig[2][groups[3]], t.sig[3][groups[4]]))
+    layout += t.row[k]
+    layout += np.signbit(x)
+    up = [t.quad[groups[0]] << 32]  # the lead digit at byte 7
+    for i in (1, 3):
+        up.append(t.quad[groups[i]] | t.quad[groups[i + 1]] << 32)
+    up.append(0)
+    for w, masks in enumerate(t.masks):
+        lo, hi, fixed = (m[layout] for m in masks)
+        down = up[w] >> 8 | up[w + 1] << 56
+        np.bitwise_or(down & lo | up[w] & hi, fixed, out=rec[:, w])
+    rec[:, 3] = t.suffix[k]
     slow = np.flatnonzero(~fast)
-    if slow.size:  # each text then its separator, from slot 0 on
-        texts = [(_FLOAT % v).encode() for v in x[slow].tolist()]
-        n = np.array([len(text) for text in texts])
-        padded = b"".join(text.ljust(_SEP) for text in texts)
-        buf[slow, :_SEP] = np.frombuffer(padded, np.uint8).reshape(slow.size, _SEP)
-        buf[slow, n] = buf[slow, _SEP]
-        mask[slow] = np.arange(_SLOT) <= n[:, None]
-    return buf[mask]
+    if slow.size:  # the text in bytes 0-23, the separator at 24
+        texts = b"".join((_FLOAT % v).encode().ljust(24, b"\0")
+                         for v in x[slow].tolist())
+        rec[slow, :3] = np.frombuffer(texts, np.uint64).reshape(slow.size, 3)
+    return rec.tobytes().translate(None, b"\0")
 
 
 def _write_table(path, meta: dict, header: list[str], columns: list[np.ndarray]):
@@ -276,12 +274,16 @@ def _write_table(path, meta: dict, header: list[str], columns: list[np.ndarray])
     Every column must be real and one-dimensional with a common length: the
     rows would otherwise be ragged, and a float conversion would silently
     drop imaginary parts.  The cells are formatted ``_CHUNK_ROWS`` rows at a
-    time by :func:`_format_cells`, byte for byte as ``'%.17g' % x`` would.
-    The kernel certifies a cell when the rounding to 17 digits is decided by
-    a margin of ``_TIE_MARGIN`` against an error below 4e-15
-    (:func:`_decimal17`), and lays out zeros itself.  nan, inf, magnitudes
-    outside ``_KERNEL_RANGE`` (subnormals among them), exact ties and values
-    at a decade edge are formatted one by one with ``%``.
+    time by :func:`_format_cells`, byte for byte as ``'%.17g' % x`` would,
+    each in a 32-byte record of fixed fields: the prefix, the sign and any
+    ``0.000``, in bytes 0-5; the body, the digits and the dot after the
+    integer part, from byte 6; the suffix, the exponent and the separator,
+    from byte 24.  Unused bytes are NUL, and a block drops them all at once
+    with ``bytes.translate``.  The kernel certifies a cell when the rounding
+    to 17 digits is decided by a margin of ``_TIE_MARGIN`` against an error
+    below 4e-15 (:func:`_decimal17`), and lays out zeros itself.  nan, inf,
+    magnitudes outside ``_KERNEL_RANGE`` (subnormals among them), exact ties
+    and values at a decade edge are formatted one by one with ``%``.
     """
     if any(np.iscomplexobj(c) for c in columns):
         raise ValueError(f"{path}: complex table column")
@@ -299,14 +301,10 @@ def _write_table(path, meta: dict, header: list[str], columns: list[np.ndarray])
 def _csv_rows(table: np.ndarray):
     """Yield the CSV bytes of the rows of ``table``, ``_CHUNK_ROWS`` at a time."""
     n_rows, n_cols = table.shape
-    seps = np.zeros((n_cols, 8), np.uint8)
-    seps[:, 0] = ord(",")
-    seps[-1, 0] = ord("\n")
-    seps = seps.view(np.uint64).ravel()
-    buf = np.empty((min(n_rows, _CHUNK_ROWS) * n_cols, _SLOT), np.uint8)
+    rec = np.empty((min(n_rows, _CHUNK_ROWS) * n_cols, 4), np.uint64)
     for start in range(0, n_rows, _CHUNK_ROWS):
         cells = table[start:start + _CHUNK_ROWS].ravel()
-        yield _format_cells(cells, seps, buf[:cells.size])
+        yield _format_cells(cells, n_cols, rec[:cells.size])
 
 
 class _Meta(dict):

@@ -644,6 +644,26 @@ class TestScanCommand:
                         "--out-dir", tmp_path / str(k)]) == 0
             assert len(calls) == builds
 
+    def test_a_left_state_repeated_later_reuses_its_first_point(self, tmp_path,
+                                                                monkeypatch):
+        # u- = 1.0 comes back after 1.5: its point is not solved again, and
+        # its file is the first one's
+        original = shockbeta.coupled.solve_coupled
+        solved = []
+
+        def spy(cfg, *args, **kwargs):
+            solved.append(cfg.u_minus)
+            return original(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(shockbeta.coupled, "solve_coupled", spy)
+        out = tmp_path / "o"
+        assert run(["scan", "--flux", "burgers", "--u-plus", "-1", "--xi0", "1",
+                    "--u-minus-list", "1.0,1.5,1.0", "--L", "20", "--N", "4000",
+                    "--out-dir", out]) == 0
+        assert solved == [1.0, 1.5]
+        first, repeat = (out / f"point_00{k}.csv" for k in (0, 2))
+        assert repeat.read_bytes() == first.read_bytes()
+
     def test_point_does_not_depend_on_the_other_points(self, tmp_path):
         # every point is solved alone from the same guess: its CSV is the
         # same whatever the list around it and its place in it

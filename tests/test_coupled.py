@@ -469,6 +469,21 @@ class TestContinuation:
         assert pts[1] is pts[0] and isinstance(pts[0], NewtonDivergence)
         assert pts[3] is pts[2] and isinstance(pts[2], LaxViolation)
 
+    def test_a_repeat_after_other_points_reuses_the_first_entry(
+            self, quad_flux, exact_cfg, monkeypatch):
+        solves = []
+
+        def spy(problem):
+            solves.append(problem)
+            return bvp_solve(problem)
+
+        monkeypatch.setattr("shockbeta.coupled.bvp_solve", spy)
+        pts = continuation_scan(exact_cfg, quad_flux, 1.0,
+                                [1.0, 1.2, -3.0, 1.0, -3.0], 20.0, 1000)
+        assert len(solves) == 2
+        assert pts[3] is pts[0] and isinstance(pts[0], CoupledResult)
+        assert pts[4] is pts[2] and isinstance(pts[2], LaxViolation)
+
     def test_coarse_grid_at_a_later_point_raises_before_any_solve(
             self, quad_flux, exact_cfg, monkeypatch):
         # 4 L max|a1s| = 40 (u- - u+): N = 100 resolves u- = 1 and 1.2, not 3

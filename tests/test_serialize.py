@@ -1,5 +1,6 @@
 import json
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -323,6 +324,52 @@ def test_kernel_matches_percent_on_boundaries():
         specials, np.linspace(0.0, 1.0, 10001),
     ])
     _assert_cells_match_percent(np.concatenate([values, -values]))
+
+
+def _with_digits(e, s, rng):
+    """A double whose ``%.17g`` has exponent e and s significant digits, or None.
+
+    Exact ties at the 17th digit, which the kernel leaves to ``%``, are skipped.
+    """
+    if s <= 2:  # every candidate, largest first: a decade edge takes the fallback
+        mantissas = [m for m in range(10 ** s - 1, 10 ** (s - 1) - 1, -1) if m % 10]
+    else:
+        mantissas = [m for m in rng.integers(10 ** (s - 1), 10 ** s, 400).tolist()
+                     if m % 10]
+    for m in mantissas:
+        digits = str(m)
+        v = float(f"{digits[0]}.{digits[1:]}e{e}")
+        mantissa, exponent = ("%.16e" % v).split("e")
+        tie = Decimal(v).normalize().as_tuple().digits[17:] == (5,)
+        if (int(exponent) == e and len(mantissa.replace(".", "").rstrip("0")) == s
+                and not tie):
+            return v
+    return None
+
+
+def test_kernel_writes_every_record_layout():
+    # every decimal exponent (the 23 %g layouts: 0.000ddd, ddd.ddd, and
+    # d.ddde+XX with two and three exponent digits), every count of
+    # significant digits and both signs: each prefix length, dot position,
+    # body length and exponent width a record tells apart
+    rng = np.random.default_rng(17)
+    values, layouts, missing = [], [], set()
+    for e in range(-300, 301):
+        layout = e if -4 <= e <= 16 else "e+XXX" if abs(e) >= 100 else "e+XX"
+        for s in range(1, 18):
+            v = _with_digits(e, s, rng)
+            if v is None:
+                missing.add(s)
+                continue
+            values += [v, -v]
+            layouts += [(layout, s, "+"), (layout, s, "-")]
+    # no double prints as one digit at some exponents, or as two at a few
+    assert missing == {1, 2}
+    values = np.array(values)
+    _, _, fast = serialize._decimal17(values)
+    kernel = {layout for layout, f in zip(layouts, fast.tolist()) if f}
+    assert len(kernel) == 23 * 17 * 2  # each laid out by the kernel, not by %
+    _assert_cells_match_percent(values)
 
 
 def test_ties_and_specials_take_the_fallback():
