@@ -27,7 +27,7 @@ import numpy as np
 
 from .auxiliary import DEFAULT_DECAY_TOL, AuxiliarySolution, AuxMethod
 from .coupled import CoupledResult, solve_coupled, tanh_guess, unfold_coupled
-from .errors import GridMismatch, SolverError, ValidationError, describe
+from .errors import GridMismatch, SolverError, ValidationError
 from .integrating_factor import solve_auxiliary_if
 from .model import FluxModel, NeutralFrequency, ShockConfig, forcing_slope
 from .numerics import quad_simpson, quad_trapezoid
@@ -87,6 +87,7 @@ def compute_beta(
     quadrature: BetaQuadrature = BetaQuadrature.TRAPEZOID,
 ) -> BetaResult:
     """beta = integral / [u] with its sign report and quadrature diagnostics."""
+    quadrature = BetaQuadrature(quadrature)
     g = _integrand(f, profile, aux)
     h = profile.grid.h
     simpson = quadrature is BetaQuadrature.SIMPSON
@@ -175,7 +176,7 @@ class BetaStudy:
     L_values: list
     methods: list
     results: dict = field(default_factory=dict)   # (method, L) -> BetaResult
-    failures: dict = field(default_factory=dict)  # (method, L) -> error string
+    failures: dict = field(default_factory=dict)  # (method, L) -> SolverError
 
     def sign_stable(self) -> bool:
         signs = {r.sign_re_beta for r in self.results.values()}
@@ -213,6 +214,7 @@ def beta_convergence_study(
     are rejected before the first solve.
     """
     methods = [AuxMethod(m) for m in methods]
+    quadrature = BetaQuadrature(quadrature)
     check_even_N(N, quadrature, methods)
     widest_first = sorted(L_values, reverse=True)
     for k, L in enumerate(widest_first):  # the widest L names an N all L admit
@@ -230,7 +232,7 @@ def beta_convergence_study(
                 )
                 study.results[(method, L)] = compute_beta(f, profile, aux, quadrature)
             except SolverError as exc:
-                study.failures[(method, L)] = describe(exc)
+                study.failures[(method, L)] = exc
             else:
                 if coupled is not None:
                     wider = coupled

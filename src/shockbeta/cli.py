@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import serialize
+from .auxiliary import AuxMethod
 from .beta import beta_convergence_study, check_even_N, compute_beta, solve_pair
 from .config import PARSERS, RunConfig, apply_overrides, build_model, parse_config_file
 from .coupled import continuation_scan
@@ -63,11 +64,7 @@ def _join_config_flags(argv: list[str]) -> list[str]:
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
     rc = parse_config_file(args.config) if args.config else RunConfig()
-    rc = apply_overrides(rc, {key: getattr(args, key) for key in PARSERS})
-    # every command rejects a bad choice, also one it never reads
-    rc.methods()
-    rc.quad()
-    return rc
+    return apply_overrides(rc, {key: getattr(args, key) for key in PARSERS})
 
 
 def _out_dir(rc: RunConfig) -> Path:
@@ -78,7 +75,7 @@ def _out_dir(rc: RunConfig) -> Path:
 
 def _solve_pairs(rc, flux, cfg, freq):
     """(method, profile, correction) for each requested method at L_single."""
-    for method in rc.methods():
+    for method in rc.method:
         profile, aux, _ = solve_pair(cfg, flux, freq, method, rc.L_single, rc.N)
         yield method, profile, aux
 
@@ -94,7 +91,7 @@ def cmd_profile(rc: RunConfig) -> int:
 
 def cmd_aux(rc: RunConfig) -> int:
     flux, cfg, freq = build_model(rc)
-    check_even_N(rc.N, methods=rc.methods())
+    check_even_N(rc.N, methods=rc.method)
     check_resolution(cfg, rc.L_single, rc.N)
     for method, profile, aux in _solve_pairs(rc, flux, cfg, freq):
         out = _out_dir(rc)  # each route is written once solved, before the next runs
@@ -110,8 +107,8 @@ def cmd_aux(rc: RunConfig) -> int:
 def cmd_beta(rc: RunConfig) -> int:
     flux, cfg, freq = build_model(rc)
     study = beta_convergence_study(
-        cfg, flux, freq, list(rc.L), methods=rc.methods(), N=rc.N,
-        quadrature=rc.quad(),
+        cfg, flux, freq, list(rc.L), methods=rc.method, N=rc.N,
+        quadrature=rc.quadrature,
     )
     out = _out_dir(rc)
     table = out / "beta_table.csv"
@@ -130,7 +127,7 @@ def cmd_beta(rc: RunConfig) -> int:
         "methods": [m.value for m in study.methods],
         "entries": entries,
         "failures": {
-            f"{m.value},L={L}": msg for (m, L), msg in study.failures.items()
+            f"{m.value},L={L}": describe(exc) for (m, L), exc in study.failures.items()
         },
         "sign_stable": study.sign_stable(),
     }
@@ -138,21 +135,21 @@ def cmd_beta(rc: RunConfig) -> int:
     print(table)
     if not study.results:
         print("all table entries failed", file=sys.stderr)
-    for (method, L), msg in sorted(study.failures.items(), key=by_entry):
-        print(f"entry {method.value} L={L} failed: {msg}", file=sys.stderr)
+    for (method, L), exc in sorted(study.failures.items(), key=by_entry):
+        print(f"entry {method.value} L={L} failed: {describe(exc)}", file=sys.stderr)
     return EXIT_OK if study.results else EXIT_SOLVER
 
 
 def cmd_scan(rc: RunConfig) -> int:
     if not rc.u_minus_list:
         raise ValidationError("field 'u_minus_list': required for scan")
-    if rc.method == "if":
+    if AuxMethod.COUPLED not in rc.method:
         raise ValidationError(
             "field 'method': scan solves the coupled route only, not 'if'"
         )
     # the left states are the list's; u_minus is never read
     flux, cfg0, freq0 = build_model(dataclasses.replace(rc, u_minus=rc.u_minus_list[0]))
-    check_even_N(rc.N, rc.quad())
+    check_even_N(rc.N, rc.quadrature)
     points = continuation_scan(
         cfg0, flux, rc.xi0, list(rc.u_minus_list), rc.L_single, rc.N, freq0=freq0,
     )
@@ -167,7 +164,7 @@ def cmd_scan(rc: RunConfig) -> int:
     for k, pt in enumerate(points):
         if k in failures:
             continue
-        r = compute_beta(flux, pt.profile, pt.aux, rc.quad())
+        r = compute_beta(flux, pt.profile, pt.aux, rc.quadrature)
         path = out / f"point_{k:03d}.csv"
         serialize.write_point_csv(path, pt.profile, pt.aux, flux)
         manifest_points.append(
@@ -178,14 +175,12 @@ def cmd_scan(rc: RunConfig) -> int:
                 "s": pt.config.s,
                 "tau0": pt.freq.tau0,
                 "xi0": pt.freq.xi0,
-                "newton_iters": pt.bvp.newton_iters,
-                "residual_norm": pt.bvp.residual_norm,
-                "mesh_size": int(pt.bvp.mesh.size),
-                "mesh_sweeps": pt.bvp.mesh_iterations,
-                "newton_per_sweep": pt.bvp.newton_per_sweep,
+                **{key: pt.aux.diagnostics[key] for key in (  # the solve's record
+                    "newton_iters", "residual_norm", "mesh_size", "mesh_sweeps",
+                    "newton_per_sweep")},
                 "beta": [r.beta, 0.0],
                 "sign_re_beta": r.sign_re_beta,
-                "aux_tail": pt.aux.tail_magnitudes(),
+                "aux_tail": r.diagnostics["aux_tail"],
             }
         )
     manifest = {
@@ -206,7 +201,7 @@ def cmd_scan(rc: RunConfig) -> int:
 
 def cmd_compare(rc: RunConfig) -> int:
     flux, cfg, freq = build_model(rc)
-    check_even_N(rc.N, methods=rc.methods())
+    check_even_N(rc.N, methods=rc.method)
     check_resolution(cfg, rc.L_single, rc.N)
     grid = Grid.make(rc.L_single, rc.N)
     u_exact, v_exact = exact_solution(flux, cfg, freq, grid.x)

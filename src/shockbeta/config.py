@@ -1,9 +1,10 @@
 """Run configuration: key = value file, flag overrides, model construction.
 
 The file format is flat ``key = value`` lines; ``#`` starts a comment.  Lists
-are comma-separated.  Numbers must be finite and lists non-empty.  The keys
-describe the problem only; every acceptance threshold is a constant of the
-module that applies it.  Keys:
+are comma-separated.  Numbers must be finite, lists non-empty, and ``method``
+and ``quadrature`` one of their choices: every value is checked when read, so
+a bad one in a file names its line.  The keys describe the problem only; every
+acceptance threshold is a constant of the module that applies it.  Keys:
 
     flux          burgers | quadratic_transverse | sine_transverse | custom
     sine_freq     frequency of the sine transverse flux (default 4*pi)
@@ -63,6 +64,18 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return values
 
 
+def _parse_choice(choices: dict):
+    """A parser of one of the keys of ``choices``, read as its value."""
+
+    def parse(text: str):
+        try:
+            return choices[text]
+        except KeyError:
+            raise ValueError(f"expected {' | '.join(choices)}, got {text!r}") from None
+
+    return parse
+
+
 @dataclass
 class RunConfig:
     flux: str = "quadratic_transverse"
@@ -74,8 +87,8 @@ class RunConfig:
     xi0: float | None = None
     L: tuple[float, ...] = (20.0,)
     N: int = 4000
-    method: str = "both"
-    quadrature: str = "trapezoid"
+    method: tuple[AuxMethod, ...] = tuple(AuxMethod)
+    quadrature: BetaQuadrature = BetaQuadrature.TRAPEZOID
     out_dir: str = "."
     u_minus_list: tuple[float, ...] | None = None
 
@@ -89,25 +102,6 @@ class RunConfig:
             )
         return self.L[0]
 
-    def methods(self) -> list[AuxMethod]:
-        if self.method == "both":
-            return [AuxMethod.INTEGRATING_FACTOR, AuxMethod.COUPLED]
-        try:
-            return [AuxMethod(self.method)]
-        except ValueError:
-            raise ValidationError(
-                f"field 'method': expected if | coupled | both, got {self.method!r}"
-            ) from None
-
-    def quad(self) -> BetaQuadrature:
-        try:
-            return BetaQuadrature(self.quadrature)
-        except ValueError:
-            raise ValidationError(
-                f"field 'quadrature': expected trapezoid | simpson, "
-                f"got {self.quadrature!r}"
-            ) from None
-
 
 PARSERS = {
     "flux": str,
@@ -119,8 +113,9 @@ PARSERS = {
     "xi0": _parse_float,
     "L": _parse_float_list,
     "N": _parse_int,
-    "method": str,
-    "quadrature": str,
+    "method": _parse_choice({**{m.value: (m,) for m in AuxMethod},
+                             "both": tuple(AuxMethod)}),
+    "quadrature": _parse_choice({q.value: q for q in BetaQuadrature}),
     "out_dir": str,
     "u_minus_list": _parse_float_list,
 }

@@ -324,35 +324,26 @@ def continuation_scan(
         raise ValidationError(
             f"the first left state {values[:1]} is not cfg0's {cfg0.u_minus}"
         )
-    first: dict[float, int] = {}
-    source = [first.setdefault(um, k) for k, um in enumerate(values)]
-    shocks: list = []
-    for k, um in enumerate(values):
-        if source[k] < k:
-            shocks.append(shocks[source[k]])
-        elif k == 0 and freq0 is not None:
-            shocks.append((cfg0, freq0))
-        else:
+    # each distinct left state -> its shock, then its entry
+    by_state: dict = {} if freq0 is None else {cfg0.u_minus: (cfg0, freq0)}
+    for um in values:
+        if um not in by_state:
             try:
-                shocks.append(standing_shock(f, um, cfg0.u_plus, xi0))
+                by_state[um] = standing_shock(f, um, cfg0.u_plus, xi0)
             except ValidationError as exc:
-                if k == 0:
+                if not by_state:
                     raise  # first point: configuration-level problem
-                shocks.append(exc)
-    admissible = [s[0] for s in shocks if not isinstance(s, ValidationError)]
+                by_state[um] = exc
+    admissible = [s[0] for s in by_state.values() if not isinstance(s, ValidationError)]
     if admissible:
         check_resolution(max(admissible, key=lambda cfg: cfg.layer_rate), L, n_out)
 
-    points: list = []
-    for k, shock in enumerate(shocks):
-        if source[k] < k or isinstance(shock, ValidationError):
-            points.append(points[source[k]] if source[k] < k else shock)
-            continue
-        cfg, freq = shock
-        try:
-            points.append(
-                solve_coupled(cfg, f, freq, L, n_out, guess=tanh_guess, tol=tol)
-            )
-        except SolverError as exc:
-            points.append(exc)
-    return points
+    for um, shock in by_state.items():
+        if not isinstance(shock, ValidationError):
+            cfg, freq = shock
+            try:
+                by_state[um] = solve_coupled(cfg, f, freq, L, n_out,
+                                             guess=tanh_guess, tol=tol)
+            except SolverError as exc:
+                by_state[um] = exc
+    return [by_state[um] for um in values]

@@ -329,13 +329,11 @@ def neutral_zero(cfg: ShockConfig, f: FluxModel, xi0: float) -> NeutralFrequency
     return freq
 
 
-def check_neutral(
-    cfg: ShockConfig, f: FluxModel, freq: NeutralFrequency, tol: float = _NEUTRAL_TOL
-) -> None:
+def check_neutral(cfg: ShockConfig, f: FluxModel, freq: NeutralFrequency) -> None:
     """Verify the neutral-zero identity; raises ValidationError otherwise."""
     val = lopatinskii(cfg, f, 1j * freq.tau0, freq.xi0)
     scale = max(1.0, abs(cfg.u_jump) * (1.0 + abs(freq.tau0) + abs(freq.xi0)))
-    if abs(val) > tol * scale:
+    if abs(val) > _NEUTRAL_TOL * scale:
         raise ValidationError(
             f"(tau0, xi0) = ({freq.tau0}, {freq.xi0}) is not a neutral zero: "
             f"|Delta| = {abs(val):.3e}"

@@ -50,6 +50,8 @@ class Grid:
     def check(L: float, N: int) -> None:
         if L <= 0:
             raise ValidationError(f"field 'L': {L:g} is not positive")
+        if not np.isfinite(2.0 * L):
+            raise ValidationError(f"field 'L': {L:g} is too wide: 2L overflows a float")
         if N < 2:
             raise ValidationError(f"field 'N': {N} intervals; the grid needs N >= 2")
         if N > _MAX_INTERVALS:
@@ -82,20 +84,27 @@ def check_resolution(cfg: ShockConfig, L: float, N: int) -> None:
 
     The profile meets u+- like exp(a1s(u+-) x); with h max|a1s(u+-)| > 1/2
     (h = 2L/N) the layer falls on a few nodes, where neither route's beta is
-    to be trusted.  The N named is even, as Simpson's rule and ``if`` need.
+    to be trusted.  The N named is even, as Simpson's rule and ``if`` need;
+    when it is above the interval budget, the widest L the budget resolves,
+    _MAX_INTERVALS / (4 max|a1s(u+-)|), is named instead.
     """
     Grid.check(L, N)
     width = 2.0 * L * cfg.layer_rate  # h max|a1s(u+-)| = width / N
     ratio = width / N
     if ratio > 0.5:
-        least = 2 * int(np.ceil(width)) if width < 2.0**52 else f"about {2 * width:.3g}"
+        if width > _MAX_INTERVALS // 2:  # least admissible N = 2 ceil(width) > budget
+            advice = (f"no grid within the budget of {_MAX_INTERVALS} intervals "
+                      f"resolves it; the budget admits L up to about "
+                      f"{_MAX_INTERVALS / (4 * cfg.layer_rate):.3g}")
+        else:
+            advice = f"the smallest admissible even N is {2 * int(np.ceil(width))}"
         # enough digits that a refused grid never reads as admissible
         shown = f"{ratio:.3g}" if ratio >= 0.501 else str(float(ratio))
         raise ValidationError(
             f"field 'N': {N} intervals on [-{L:g}, {L:g}] at u- = "
             f"{cfg.u_minus:g}, u+ = {cfg.u_plus:g} give "
             f"h max|a1s(u+-)| = {shown} > 1/2, too coarse for the profile "
-            f"layer; the smallest admissible even N is {least}"
+            f"layer; {advice}"
         )
 
 

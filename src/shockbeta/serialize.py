@@ -451,7 +451,7 @@ def write_beta_table_csv(path, study) -> None:
         for L in study.L_values:
             r = study.results.get((method, L))
             if r is None:
-                cells.append(study.failures.get((method, L), "failed").split(":")[0])
+                cells.append(type(study.failures[(method, L)]).__name__)
             else:
                 cells.append(fmt(r.beta))
         lines.append(",".join(cells))

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from shockbeta import serialize
 from shockbeta.auxiliary import AuxMethod, AuxiliarySolution
 import shockbeta.beta
 import shockbeta.coupled
@@ -16,7 +17,9 @@ from shockbeta.beta import (
     solve_pair,
 )
 from shockbeta.coupled import initial_guess, solve_coupled, tanh_guess
-from shockbeta.errors import GridMismatch, MeshLimitExceeded, TailNotResolved
+from shockbeta.errors import (
+    GridMismatch, MeshLimitExceeded, TailNotResolved, ValidationError,
+)
 from shockbeta.integrating_factor import solve_auxiliary_if
 from shockbeta.model import (
     NeutralFrequency,
@@ -126,6 +129,16 @@ class TestComputeBeta:
         assert abs(rt.beta - rs.beta) <= 1e-6
         assert rt.diagnostics["quadrature_cross_difference"] <= 1e-5
 
+    def test_quadrature_named_by_its_string(self, quad_flux, exact_freq,
+                                            profile_L20):
+        # "simpson" once fell through to the trapezoid rule, and its result
+        # could not be serialized
+        aux = solve_auxiliary_if(quad_flux, exact_freq, profile_L20)
+        named, chosen = (compute_beta(quad_flux, profile_L20, aux, q)
+                         for q in ("simpson", BetaQuadrature.SIMPSON))
+        assert named.quadrature is BetaQuadrature.SIMPSON
+        assert serialize.beta_result_dict(named) == serialize.beta_result_dict(chosen)
+
     def test_integral_is_stability_integral(self, quad_flux, exact_cfg,
                                             exact_freq):
         # at each L of the paper table, the integrand of the paper with y = i v
@@ -214,9 +227,28 @@ class TestConvergenceStudy:
             key_bad = (method, 1.0)
             key_ok = (method, 20.0)
             assert key_bad in study.failures
-            assert "TailNotResolved" in study.failures[key_bad]
+            assert isinstance(study.failures[key_bad], TailNotResolved)
             assert key_ok in study.results
         assert not study.sign_stable()
+
+    def test_quadrature_named_by_its_string(self, quad_flux, exact_cfg,
+                                            exact_freq):
+        named, chosen = (
+            beta_convergence_study(exact_cfg, quad_flux, exact_freq, [10.0, 20.0],
+                                   N=1000, quadrature=q)
+            for q in ("simpson", BetaQuadrature.SIMPSON)
+        )
+        assert named.results.keys() == chosen.results.keys()
+        assert len(named.results) == 4
+        for key, r in named.results.items():
+            assert r.quadrature is BetaQuadrature.SIMPSON
+            assert (serialize.beta_result_dict(r)
+                    == serialize.beta_result_dict(chosen.results[key]))
+        # and the string's odd N is refused before any solve, as the enum's is
+        with pytest.raises(ValidationError, match="Simpson's rule"):
+            beta_convergence_study(exact_cfg, quad_flux, exact_freq, [20.0],
+                                   methods=[AuxMethod.COUPLED], N=1001,
+                                   quadrature="simpson")
 
     def test_row_layout(self, quad_flux, exact_cfg, exact_freq):
         study = beta_convergence_study(

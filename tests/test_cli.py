@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,8 +12,15 @@ import pytest
 import shockbeta.coupled
 import shockbeta.model
 import shockbeta.profile
+from shockbeta.auxiliary import AuxMethod
+from shockbeta.beta import BetaQuadrature
 from shockbeta.cli import build_parser, main
-from shockbeta.config import PARSERS
+from shockbeta.config import PARSERS, parse_config_file
+from shockbeta.coupled import continuation_scan
+from shockbeta.model import (
+    quadratic_transverse_flux, sine_transverse_flux, standing_shock,
+)
+from shockbeta.profile import check_resolution
 from shockbeta.serialize import read_profile_csv
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -163,6 +171,25 @@ class TestFileSystemErrors:
         assert err.startswith(f"error: field 'N': {N} intervals exceed the budget")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["profile", "--config", EXACT_CASE_CFG],
+        ["aux", "--config", EXACT_CASE_CFG],
+        ["beta", "--config", EXACT_CASE_CFG],
+        ["scan", "--config", SINE_SCAN_CFG],
+        ["compare", "--config", EXACT_CASE_CFG],
+    ])
+    def test_half_width_whose_grid_overflows(self, command, tmp_path, capsys):
+        # 2L = inf: profile once wrote a nan/inf grid with numpy warnings,
+        # and the others named an N of "about inf"
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([*command, "--L", "1e308", "--N", "4000",
+                        "--out-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: field 'L': 1e+308 is too wide")
+        assert not out.exists()
+
 
 class TestConfigValues:
     """Malformed values and unknown choices are configuration errors (exit 2)
@@ -248,6 +275,25 @@ class TestConfigValues:
             [command, "--config", exact_config, "--u-minus-list", "1.0",
              flag, value, "--out-dir", out], flag[2:], capsys)
         assert not out.exists()
+
+    def test_bad_choice_in_a_file_names_its_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("u_minus = 1.0\nmethod = bogus\n")
+        out = tmp_path / "o"
+        assert run(["profile", "--config", bad, "--out-dir", out]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}:2: field 'method': expected if | coupled | both, "
+            "got 'bogus'\n")
+        assert not out.exists()
+
+    def test_choices_are_enums_when_read(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("method = if\nquadrature = simpson\n")
+        rc = parse_config_file(cfg)
+        assert rc.method == (AuxMethod.INTEGRATING_FACTOR,)
+        assert rc.quadrature is BetaQuadrature.SIMPSON
+        assert PARSERS["method"]("both") == (AuxMethod.INTEGRATING_FACTOR,
+                                             AuxMethod.COUPLED)
 
     def test_non_integer_N_message_matches_the_other_fields(
             self, exact_config, tmp_path, capsys):
@@ -525,6 +571,33 @@ class TestGridResolution:
             manifest = json.loads((out / "beta_manifest.json").read_text())
             assert manifest["failures"] == {}
 
+    @pytest.mark.parametrize("command", [
+        ["aux", "--config", EXACT_CASE_CFG, "--L", "3e6", "--method", "if"],
+        ["aux", "--config", EXACT_CASE_CFG, "--L", "5e6", "--method", "if"],
+        # 2 L max|a1s(u+-)| overflows to inf
+        ["beta", *STEEP[:-2], "--L", "1e200", "--f1-coeffs", "0,0,1e200"],
+    ])
+    def test_no_N_above_the_budget_is_named(self, command, tmp_path, capsys):
+        # the least admissible N is above the interval budget, which refuses
+        # it in turn: the refusal names the widest L the budget resolves
+        out = tmp_path / "o"
+        assert run([*command, "--N", "4000", "--out-dir", out]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: field 'N': 4000 intervals on ")
+        assert "no grid within the budget of 10000000 intervals resolves it" in err
+        assert "admissible even N" not in err and "about inf" not in err
+
+    def test_named_widest_L_passes_the_budget(self, tmp_path, capsys):
+        # max|a1s(u+-)| = 1, so the budget admits L <= 10**7 / 4
+        assert run(["aux", "--config", EXACT_CASE_CFG, "--L", "3e6", "--N", "4000",
+                    "--method", "if", "--out-dir", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err.rstrip()
+        assert err.endswith("the budget admits L up to about 2.5e+06")
+        cfg, _ = standing_shock(quadratic_transverse_flux(),
+                                1.0, -1.0, 1.0)
+        check_resolution(cfg, 2.5e6, shockbeta.profile._MAX_INTERVALS)
+
     def test_refused_ratio_never_reads_as_admissible(self, tmp_path, capsys):
         # h max|a1s| = 2002 / 4000 = 0.5005, which 3 digits would round to 0.5
         assert run(["beta", "--config", EXACT_CASE_CFG, "--L", "10,1001",
@@ -687,6 +760,24 @@ class TestScanCommand:
             assert p["mesh_sweeps"] == len(p["newton_per_sweep"]) >= 1
             assert p["newton_iters"] == sum(p["newton_per_sweep"])
             assert p["mesh_size"] > 401
+
+    def test_points_record_what_their_solve_made(self, tmp_path):
+        # the manifest's counters are those the collocation solve returned
+        out = tmp_path / "out"
+        assert run(["scan", "--flux", "sine_transverse", "--u-plus", "-1.0",
+                    "--xi0", "1.0", "--L", "20", "--N", "1000",
+                    "--u-minus-list", "1.0,1.1", "--out-dir", out]) == 0
+        points = json.loads((out / "scan_manifest.json").read_text())["points"]
+        f = sine_transverse_flux()
+        cfg0, freq0 = standing_shock(f, 1.0, -1.0, 1.0)
+        solved = continuation_scan(cfg0, f, 1.0, [1.0, 1.1], 20.0, 1000, freq0=freq0)
+        for p, pt in zip(points, solved, strict=True):
+            assert p["newton_iters"] == pt.bvp.newton_iters
+            assert p["residual_norm"] == pt.bvp.residual_norm
+            assert p["mesh_size"] == pt.bvp.mesh.size
+            assert p["mesh_sweeps"] == pt.bvp.mesh_iterations
+            assert p["newton_per_sweep"] == list(pt.bvp.newton_per_sweep)
+            assert p["aux_tail"] == pt.aux.tail_magnitudes()
 
     def test_stall_preserves_partials_exits_3(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -192,6 +192,22 @@ def test_beta_table_layout(tmp_path, quad_flux, exact_cfg, exact_freq):
             assert abs(float(cell) - 10.0) < 0.1
 
 
+def test_failed_entry_cell_is_its_exception_class(tmp_path, quad_flux, exact_cfg,
+                                                  exact_freq):
+    # L = 1 fails its tail gates on both routes
+    study = beta_convergence_study(
+        exact_cfg, quad_flux, exact_freq, [1.0, 20.0], N=1000,
+    )
+    assert len(study.failures) == 2
+    path = tmp_path / "table.csv"
+    serialize.write_beta_table_csv(path, study)
+    rows = [l.split(",") for l in path.read_text().splitlines()[2:]]
+    for row, method in zip(rows, study.methods, strict=True):
+        assert row[0] == method.value
+        assert row[1] == type(study.failures[(method, 1.0)]).__name__
+        assert float(row[2]) == study.results[(method, 20.0)].beta
+
+
 def test_manifest_json_plain_types(tmp_path):
     payload = {
         "a": np.float64(1.5),
