@@ -93,12 +93,13 @@ def cmd_aux(rc: RunConfig) -> int:
     flux, cfg, freq = build_model(rc)
     check_even_N(rc.N, methods=rc.method)
     check_resolution(cfg, rc.L_single, rc.N)
+    grids = serialize.GridCells()  # the routes' tables share one grid
     for method, profile, aux in _solve_pairs(rc, flux, cfg, freq):
         out = _out_dir(rc)  # each route is written once solved, before the next runs
         ppath = out / f"profile_{method.value}.csv"
         apath = out / f"aux_{method.value}.csv"
-        serialize.write_profile_csv(ppath, profile, flux)
-        serialize.write_aux_csv(apath, aux, profile, flux)
+        serialize.write_profile_csv(ppath, profile, flux, grids)
+        serialize.write_aux_csv(apath, aux, profile, flux, grids)
         print(ppath)
         print(apath)
     return EXIT_OK
@@ -160,13 +161,14 @@ def cmd_scan(rc: RunConfig) -> int:
               file=sys.stderr)
 
     out = _out_dir(rc)
+    grids = serialize.GridCells()  # the points share one grid
     manifest_points = []
     for k, pt in enumerate(points):
         if k in failures:
             continue
         r = compute_beta(flux, pt.profile, pt.aux, rc.quadrature)
         path = out / f"point_{k:03d}.csv"
-        serialize.write_point_csv(path, pt.profile, pt.aux, flux)
+        serialize.write_point_csv(path, pt.profile, pt.aux, flux, grids)
         manifest_points.append(
             {
                 "file": path.name,

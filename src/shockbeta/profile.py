@@ -30,7 +30,8 @@ DEFAULT_TAIL_TOL = 1e-6
 _IVP_TOL = 1e-12
 
 # Interval budget of an output grid.  A command's peak memory grows by at most
-# about 150 bytes per interval, so this bounds it near 1.5 GB.
+# about 160 bytes per interval (aux at 4e6 intervals: 628 MB ru_maxrss), so
+# this bounds it near 1.6 GB.
 _MAX_INTERVALS = 10**7
 
 # Machine-level ties are tolerated when checking strict monotonicity: in the

@@ -8,7 +8,10 @@ table whose header is not the one its writer writes, or whose ``x`` column
 is not the grid its metadata names.
 
 Table cells are formatted by a numpy kernel that writes the bytes of
-``'%.17g' % x`` for a block of rows at once (:func:`_write_table`).  A
+``'%.17g' % x`` for a block of cells at once (:func:`_write_table`).  A
+command that writes several tables on one grid (``aux``, ``scan``) formats
+the grid's x column once, into records that each table copies
+(:class:`GridCells`).  A
 cell's 17 significant digits are the integer nearest y = |x| 10^(16 - e),
 e the decimal exponent from ``log10``.  y is formed in double-double
 arithmetic, by Dekker's exact two-product (Numer. Math. 18, 1971; numpy has
@@ -80,9 +83,9 @@ def _flux_from_meta(meta: _Meta) -> FluxModel:
     return make_flux(kind, sine_freq=sine_freq, **coeffs)
 
 
-# Rows formatted per block: bounds the kernel's temporaries, the 32-byte
+# Cells formatted per block: bounds the kernel's temporaries, the 32-byte
 # records among them, at about 0.25 kB per cell whatever the table's length.
-_CHUNK_ROWS = 4096
+_BLOCK_CELLS = 16384
 
 # A cell is certified when the fraction of its scaled value lies farther than
 # this from 1/2; the value is known to within 4e-15 (see _decimal17).
@@ -228,11 +231,12 @@ def _decimal17(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return D, k, fast
 
 
-def _format_cells(x: np.ndarray, n_cols: int, rec: np.ndarray) -> bytes:
-    """The bytes of ``'%.17g' % c`` and its separator, for each cell c of ``x``.
+def _fill_records(x: np.ndarray, rec: np.ndarray, ends_row: bool) -> None:
+    """Lay out ``'%.17g' % c`` and its separator for each cell c of ``x``.
 
-    ``x`` holds whole rows of ``n_cols`` cells, flattened; ``rec`` is an
-    (x.size, 4) uint64 scratch array, one record per cell.  The 17 digits
+    ``x`` is a (columns, rows) block of cells and ``rec`` their (columns,
+    rows, 4) uint64 records, one per cell, a view into the table's records;
+    when ``ends_row``, ``x[-1]`` is each row's last column.  The 17 digits
     are written once, at bytes 7-23, and read again one byte lower: the
     digits before the dot come from the lower copy and those after it from
     the upper one, which frees the byte between them for the dot.  Three
@@ -241,7 +245,8 @@ def _format_cells(x: np.ndarray, n_cols: int, rec: np.ndarray) -> bytes:
     """
     t = _kernel_tables()
     D, k, fast = _decimal17(x)
-    k[n_cols - 1::n_cols] += _E_MAX + 1 - _E_MIN  # the row's last cell
+    if ends_row:
+        k[-1] += _E_MAX + 1 - _E_MIN
     top = D // 10**8
     groups = [top // 10**8]
     for part in (top - groups[0] * 10**8, D - top * 10**8):
@@ -258,32 +263,60 @@ def _format_cells(x: np.ndarray, n_cols: int, rec: np.ndarray) -> bytes:
     for w, masks in enumerate(t.masks):
         lo, hi, fixed = (m[layout] for m in masks)
         down = up[w] >> 8 | up[w + 1] << 56
-        np.bitwise_or(down & lo | up[w] & hi, fixed, out=rec[:, w])
-    rec[:, 3] = t.suffix[k]
-    slow = np.flatnonzero(~fast)
-    if slow.size:  # the text in bytes 0-23, the separator at 24
+        np.bitwise_or(down & lo | up[w] & hi, fixed, out=rec[..., w])
+    rec[..., 3] = t.suffix[k]
+    slow = np.nonzero(~fast)
+    if slow[0].size:  # the text in bytes 0-23, the separator at 24
         texts = b"".join((_FLOAT % v).encode().ljust(24, b"\0")
                          for v in x[slow].tolist())
-        rec[slow, :3] = np.frombuffer(texts, np.uint64).reshape(slow.size, 3)
-    return rec.tobytes().translate(None, b"\0")
+        rec[slow + (slice(0, 3),)] = np.frombuffer(texts, np.uint64).reshape(-1, 3)
 
 
-def _write_table(path, meta: dict, header: list[str], columns: list[np.ndarray]):
+def _column_cells(x: np.ndarray) -> np.ndarray:
+    """The (x.size, 4) records of ``x`` as a table's first column, of several.
+
+    :func:`_write_table` copies them into each table that starts with ``x``.
+    """
+    rec = np.empty((1, x.size, 4), np.uint64)
+    for start in range(0, x.size, _BLOCK_CELLS):
+        stop = start + _BLOCK_CELLS
+        _fill_records(x[None, start:stop], rec[:, start:stop], ends_row=False)
+    return rec[0]
+
+
+class GridCells(dict):
+    """The records of each grid's x column, made on first use (``grids[grid]``).
+
+    A command that writes several tables on one grid passes one map to
+    their writers, so that the column is formatted once: a grid hashes by
+    (L, N), which fix its abscissae.  A map lives as long as its command.
+    """
+
+    def __missing__(self, grid: Grid) -> np.ndarray:
+        cells = self[grid] = _column_cells(grid.x)
+        return cells
+
+
+def _write_table(path, meta: dict, header: list[str], columns: list[np.ndarray],
+                 x_cells: np.ndarray | None = None):
     """Write ``columns`` to ``path`` as CSV rows of ``%.17g`` cells.
 
     Every column must be real and one-dimensional with a common length: the
     rows would otherwise be ragged, and a float conversion would silently
-    drop imaginary parts.  The cells are formatted ``_CHUNK_ROWS`` rows at a
-    time by :func:`_format_cells`, byte for byte as ``'%.17g' % x`` would,
-    each in a 32-byte record of fixed fields: the prefix, the sign and any
-    ``0.000``, in bytes 0-5; the body, the digits and the dot after the
-    integer part, from byte 6; the suffix, the exponent and the separator,
-    from byte 24.  Unused bytes are NUL, and a block drops them all at once
-    with ``bytes.translate``.  The kernel certifies a cell when the rounding
-    to 17 digits is decided by a margin of ``_TIE_MARGIN`` against an error
-    below 4e-15 (:func:`_decimal17`), and lays out zeros itself.  nan, inf,
-    magnitudes outside ``_KERNEL_RANGE`` (subnormals among them), exact ties
-    and values at a decade edge are formatted one by one with ``%``.
+    drop imaginary parts.  ``x_cells``, if given, are the records of
+    ``columns[0]`` (from :class:`GridCells`), copied into each block in
+    place of formatting that column again.  The other cells are formatted
+    by :func:`_fill_records`, ``_BLOCK_CELLS`` at a time, byte for byte as
+    ``'%.17g' % x`` would, each in a 32-byte record of fixed fields: the
+    prefix, the sign and any ``0.000``, in bytes 0-5; the body, the digits
+    and the dot after the integer part, from byte 6; the suffix, the
+    exponent and the separator, from byte 24.  Unused bytes are NUL, and a
+    block drops them all at once with ``bytes.translate``.  The kernel
+    certifies a cell when the rounding to 17 digits is decided by a margin
+    of ``_TIE_MARGIN`` against an error below 4e-15 (:func:`_decimal17`),
+    and lays out zeros itself.  nan, inf, magnitudes outside
+    ``_KERNEL_RANGE`` (subnormals among them), exact ties and values at a
+    decade edge are formatted one by one with ``%``.
     """
     if any(np.iscomplexobj(c) for c in columns):
         raise ValueError(f"{path}: complex table column")
@@ -291,20 +324,34 @@ def _write_table(path, meta: dict, header: list[str], columns: list[np.ndarray])
     if len({c.shape for c in columns}) != 1 or columns[0].ndim != 1:
         raise ValueError(f"{path}: table columns must be 1-D of one length, "
                          f"got shapes {[c.shape for c in columns]}")
+    if x_cells is not None and (len(columns) < 2 or len(x_cells) != len(columns[0])):
+        raise ValueError(f"{path}: x_cells are not the first of several columns")
     with open(path, "wb") as fh:
         fh.write("".join(f"# {k} = {v}\n" for k, v in meta.items()).encode())
         fh.write((",".join(header) + "\n").encode())
-        for block in _csv_rows(np.column_stack(columns)):
+        for block in _csv_rows(columns, x_cells):
             fh.write(block)
 
 
-def _csv_rows(table: np.ndarray):
-    """Yield the CSV bytes of the rows of ``table``, ``_CHUNK_ROWS`` at a time."""
-    n_rows, n_cols = table.shape
-    rec = np.empty((min(n_rows, _CHUNK_ROWS) * n_cols, 4), np.uint64)
-    for start in range(0, n_rows, _CHUNK_ROWS):
-        cells = table[start:start + _CHUNK_ROWS].ravel()
-        yield _format_cells(cells, n_cols, rec[:cells.size])
+def _csv_rows(columns: list[np.ndarray], x_cells: np.ndarray | None = None):
+    """Yield the CSV bytes of the rows of ``columns``, a block at a time.
+
+    A block holds about ``_BLOCK_CELLS`` cells to format: those of every
+    column, or of all but the first when its records ``x_cells`` are given.
+    """
+    n_rows, n_cols = len(columns[0]), len(columns)
+    fresh = columns if x_cells is None else columns[1:]
+    rows = max(1, _BLOCK_CELLS // len(fresh))
+    rec = np.empty((min(n_rows, rows), n_cols, 4), np.uint64)
+    for start in range(0, n_rows, rows):
+        stop = min(start + rows, n_rows)
+        block = rec[:stop - start]
+        if x_cells is not None:
+            block[:, 0] = x_cells[start:stop]
+        cells = np.stack([c[start:stop] for c in fresh])
+        _fill_records(cells, block.transpose(1, 0, 2)[n_cols - len(fresh):],
+                      ends_row=True)
+        yield block.tobytes().translate(None, b"\0")
 
 
 class _Meta(dict):
@@ -370,14 +417,20 @@ def _shock_meta(profile_cfg, grid: Grid, f: FluxModel, extra: dict) -> dict:
     return meta
 
 
-def write_profile_csv(path, profile: ProfileSolution, f: FluxModel) -> None:
+def _grid_cells(grids: GridCells | None, grid: Grid) -> np.ndarray | None:
+    return None if grids is None else grids[grid]
+
+
+def write_profile_csv(path, profile: ProfileSolution, f: FluxModel,
+                      grids: GridCells | None = None) -> None:
     meta = _shock_meta(
         profile.config, profile.grid, f,
         {"method": profile.diagnostics.get("method", "ivp"),
          "exact": fmt(profile.exact)},
     )
     _write_table(path, meta, _PROFILE_COLUMNS,
-                 [profile.grid.x, profile.ubar, profile.ubar_prime])
+                 [profile.grid.x, profile.ubar, profile.ubar_prime],
+                 _grid_cells(grids, profile.grid))
 
 
 def _profile_from(meta: _Meta, cols: dict, grid: Grid,
@@ -409,9 +462,9 @@ def _aux_meta(profile: ProfileSolution, aux: AuxiliarySolution,
 
 
 def write_aux_csv(path, aux: AuxiliarySolution, profile: ProfileSolution,
-                  f: FluxModel) -> None:
+                  f: FluxModel, grids: GridCells | None = None) -> None:
     _write_table(path, _aux_meta(profile, aux, f), _AUX_COLUMNS,
-                 [aux.grid.x, aux.v])
+                 [aux.grid.x, aux.v], _grid_cells(grids, aux.grid))
 
 
 def _aux_from(meta: _Meta, cols: dict, grid: Grid) -> AuxiliarySolution:
@@ -429,10 +482,11 @@ def read_aux_csv(path) -> AuxiliarySolution:
 
 
 def write_point_csv(path, profile: ProfileSolution, aux: AuxiliarySolution,
-                    f: FluxModel) -> None:
+                    f: FluxModel, grids: GridCells | None = None) -> None:
     """One scan point's table: x, ubar, ubar_prime and v."""
     _write_table(path, _aux_meta(profile, aux, f), _POINT_COLUMNS,
-                 [profile.grid.x, profile.ubar, profile.ubar_prime, aux.v])
+                 [profile.grid.x, profile.ubar, profile.ubar_prime, aux.v],
+                 _grid_cells(grids, profile.grid))
 
 
 def read_point_csv(path) -> tuple[ProfileSolution, AuxiliarySolution, FluxModel]:

@@ -12,6 +12,7 @@ import pytest
 import shockbeta.coupled
 import shockbeta.model
 import shockbeta.profile
+import shockbeta.serialize
 from shockbeta.auxiliary import AuxMethod
 from shockbeta.beta import BetaQuadrature
 from shockbeta.cli import build_parser, main
@@ -887,6 +888,55 @@ class TestDeterminism:
                         "--N", "400", "--out-dir", out]) == 0
             outs.append((out / "aux_if.csv").read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestGridColumnFormattedOnce:
+    """A command formats the x column of its grid once, for all its tables."""
+
+    @pytest.fixture()
+    def formatted(self, monkeypatch):
+        original = shockbeta.serialize._column_cells
+        sizes = []
+
+        def spy(x):
+            sizes.append(x.size)
+            return original(x)
+
+        monkeypatch.setattr(shockbeta.serialize, "_column_cells", spy)
+        return sizes
+
+    @staticmethod
+    def _x_column(path):
+        rows = [line for line in path.read_text().splitlines()
+                if not line.startswith("#")][1:]
+        return [row.split(",", 1)[0] for row in rows]
+
+    def test_aux_formats_x_once_for_its_four_tables(self, tmp_path, formatted):
+        out = tmp_path / "aux"
+        assert run(["aux", "--config", SINE_SCAN_CFG, "--N", "4000",
+                    "--method", "both", "--out-dir", out]) == 0
+        assert formatted == [4001]
+        alone = tmp_path / "profile"
+        assert run(["profile", "--config", SINE_SCAN_CFG, "--N", "4000",
+                    "--out-dir", alone]) == 0
+        assert formatted == [4001]  # a lone table formats its column per block
+        x = self._x_column(alone / "profile.csv")
+        tables = [out / f"{kind}_{m}.csv" for kind in ("profile", "aux")
+                  for m in ("if", "coupled")]
+        assert all(self._x_column(path) == x for path in tables)
+
+    def test_scan_formats_x_once_for_its_points(self, tmp_path, formatted):
+        out = tmp_path / "scan"
+        assert run(["scan", "--config", SINE_SCAN_CFG, "--u-minus-list",
+                    "1.0,1.1,1.2", "--out-dir", out]) == 0
+        assert formatted == [4001]
+        assert len(list(out.glob("point_*.csv"))) == 3
+
+    def test_no_column_outlives_its_command(self, tmp_path, formatted):
+        for k in range(2):
+            assert run(["aux", "--config", SINE_SCAN_CFG, "--N", "4000",
+                        "--out-dir", tmp_path / str(k)]) == 0
+        assert formatted == [4001, 4001]
 
 
 class TestOverridePrecedence:

@@ -265,7 +265,13 @@ def _mixed_columns(n_rows):
     return cols
 
 
-_CHUNK = serialize._CHUNK_ROWS
+def _block_rows(n_values):
+    """Rows of a block that formats ``n_values`` cells a row."""
+    return serialize._BLOCK_CELLS // n_values
+
+
+# a block of the five columns with a shared first column
+_CHUNK = _block_rows(4)
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, len(_SPECIALS), _CHUNK - 1, _CHUNK,
@@ -273,16 +279,31 @@ _CHUNK = serialize._CHUNK_ROWS
 def test_write_table_matches_reference_writer(tmp_path, n_rows):
     columns = [np.resize(np.roll(_SPECIALS, k), n_rows) for k in range(5)]
     for cols in (columns, _mixed_columns(n_rows)):
-        path = tmp_path / "t.csv"
-        serialize._write_table(path, _META, _HEADER, cols)
-        expected = _reference_table_text(_META, _HEADER, cols)
-        assert path.read_bytes() == expected.encode()
+        expected = _reference_table_text(_META, _HEADER, cols).encode()
+        for x_cells in (None, serialize._column_cells(cols[0])):
+            path = tmp_path / "t.csv"
+            serialize._write_table(path, _META, _HEADER, cols, x_cells)
+            assert path.read_bytes() == expected
+
+
+@pytest.mark.parametrize("n_cols", [2, 3, 4])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_shared_first_column_at_block_boundaries(tmp_path, n_cols, offset):
+    # the rows of a block when the first column's records are shared
+    n_rows = _block_rows(n_cols - 1) + offset
+    header = _HEADER[:n_cols]
+    grid = np.resize(_SPECIALS, n_rows)
+    grid[len(_SPECIALS):] = np.linspace(-20.0, 20.0, n_rows)[len(_SPECIALS):]
+    cols = [grid] + _mixed_columns(n_rows)[1:n_cols]
+    path = tmp_path / "t.csv"
+    serialize._write_table(path, _META, header, cols, serialize._column_cells(grid))
+    assert path.read_bytes() == _reference_table_text(_META, header, cols).encode()
 
 
 def _assert_cells_match_percent(values):
     """The table writer writes each of ``values`` as ``'%.17g' % value``."""
     x = np.asarray(values, dtype=float)
-    got = b"".join(serialize._csv_rows(x.reshape(-1, 1))).decode()
+    got = b"".join(serialize._csv_rows([x])).decode()
     expected = "".join("%.17g\n" % v for v in x.tolist())
     if got != expected:
         bad = [(v, g, e) for v, g, e in zip(x.tolist(), got.splitlines(),
