@@ -10,9 +10,10 @@ and the two interior stage values S2, S3 of every interval; the nonlinear
 collocation equations are solved by a damped Newton iteration, with the
 analytic Jacobian of the problem's rhs and the conditions y(0) = y0, whose
 Jacobian is the identity.  Each iteration evaluates the rhs and its
-Jacobian once, on the nodes and both stage sets stacked into one array.
+Jacobian once, on the nodes and both stage sets stacked into one array;
+the four points of every interval are four slices of that layout.
 The initial guess is a function of x, read once at those points of the
-initial mesh.
+initial mesh, and the Jacobian that checks it serves the first Newton step.
 
 The converged solution is extended by the C2 piecewise-quintic Hermite
 interpolant of y, y' = f and y'' = J f at the nodes
@@ -33,7 +34,9 @@ component at a time (block condensation, Ascher, Mattheij & Russell, ch. 7,
 in its scalar case): the conditions give dy_0 = y0 - y_0 outright, and
 component r of interval i's three equations, with the components c < r
 already known, is a 3 x 3 system for (dS2, dS3, dy_{i+1}) given dy_i, that
-is, one scalar affine recurrence dy^r_{i+1} = M_i dy^r_i + c_i.
+is, one scalar affine recurrence dy^r_{i+1} = M_i dy^r_i + c_i.  The
+block depends on component r's diagonal entries alone, so components with
+equal diagonals share it (the folded system's four components have two).
 Recursive doubling of the pairs (M_i, c_i) (Hillis & Steele, "Data parallel
 algorithms", CACM 29, 1986) composes them outward in numpy alone.  Marching
 from x = 0 is stable when the linearized flow contracts towards x = 1, as
@@ -108,8 +111,9 @@ class BvpProblem:
     of shape ``(m, k)``.  It is read once, here, at the nodes of
     ``initial_mesh`` and the two interior stage points of every interval
     (:func:`stage_abscissae`); ``initial_samples`` holds those values, laid
-    out as :func:`_collocation_points`.  Anything else is refused with
-    :class:`BadProblem`.
+    out as :func:`_collocation_points`, and ``initial_jac`` the ``jac`` that
+    checks them, which the first Newton step reuses.  Anything else is
+    refused with :class:`BadProblem`.
     """
 
     rhs: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -142,7 +146,7 @@ class BvpProblem:
             )
         if not np.all(np.isfinite(Z)):
             raise BadProblem("initial_guess must be finite")
-        J = self.jac(xz, Z)
+        J = self.initial_jac = self.jac(xz, Z)
         if np.shape(J) != (xz.size, m, m):
             raise BadProblem(
                 f"jac returned shape {np.shape(J)} at the initial guess of a "
@@ -247,7 +251,13 @@ class BvpSolution:
     newton_per_sweep: list[int]
 
 
-def _collocation_residual(rhs, x, xz, Z):
+def _at_points(Z, n):
+    """Z at y_i, S2, S3, y_{i+1} of every interval, four slices: (..., 4, n - 1)."""
+    return np.stack([Z[..., :n - 1], Z[..., n:2 * n - 1], Z[..., 2 * n - 1:],
+                     Z[..., 1:n]], axis=-2)
+
+
+def _collocation_residual(rhs, h, xz, Z):
     """Residual densities of the three equations of every interval.
 
     Returns ``(phi, F)``: phi of shape (m, 3, n - 1) holds
@@ -257,37 +267,35 @@ def _collocation_residual(rhs, x, xz, Z):
     equations on tiny intervals look converged at any state because the raw
     residual carries a factor h.
     """
-    points = _point_index(x.size)
+    n = h.size + 1
     F = rhs(xz, Z)
-    Zq = Z[:, points]                                       # (m, 4, n - 1)
-    phi = (Zq[:, 1:] - Zq[:, :1]) / np.diff(x) - _A @ F[:, points]
+    Zq = _at_points(Z, n)                                   # (m, 4, n - 1)
+    phi = (Zq[:, 1:] - Zq[:, :1]) / h - _A @ _at_points(F, n)
     return phi, F
 
 
-def _full_residual(rhs, y0, x, xz, Z):
-    phi, F = _collocation_residual(rhs, x, xz, Z)
+def _full_residual(rhs, y0, h, xz, Z):
+    phi, F = _collocation_residual(rhs, h, xz, Z)
     return np.concatenate([phi.ravel(), Z[:, 0] - y0]), F
 
 
-def _point_index(n):
-    """Columns of Z at y_i, S2, S3, y_{i+1} of every interval, shape (4, n - 1)."""
-    i = np.arange(n - 1)
-    return np.stack([i, n + i, 2 * n - 1 + i, i + 1])
-
-
-def _assemble_jacobian(jac, x, xz, Z):
+def _assemble_jacobian(J, h):
     """The data of the Newton matrix of the collocation system.
 
-    The rhs Jacobian ``jac`` is evaluated once at every point of Z.  Returns
-    ``(h, hJ)``: hJ of shape (m, m, 4, n - 1) is h_i times d rhs_r / d y_c
-    at y_i, S2, S3 and y_{i+1} of interval i.  The boundary residuals
-    y_0 - y0 have the identity as their derivative.  Equation k of interval i,
-    (s_k - y_i) / h - sum_j _A[k, j] f_j, has the derivative -_A[k, j] J_j
-    with respect to the state at its point j, plus I/h on s_k and -I/h on y_i.
+    ``J`` is the rhs Jacobian at every point of Z, of shape (points, m, m);
+    only its entries c <= r are read.  Returns ``(h, diag, couplings)``: diag
+    of shape (m, 4, n - 1) is h_i times d rhs_r / d y_r at y_i, S2, S3 and
+    y_{i+1} of interval i, and couplings[r] lists (c, hJ^{rc}), laid out
+    alike, for each c < r where d rhs_r / d y_c is not zero everywhere.
+    Equation k of interval i, (s_k - y_i) / h - sum_j _A[k, j] f_j, has the
+    derivative -_A[k, j] J_j with respect to the state at its point j, plus
+    I/h on s_k and -I/h on y_i; the conditions' derivative is the identity.
     """
-    h = np.diff(x)
-    J = jac(xz, Z).transpose(1, 2, 0)
-    return h, J[:, :, _point_index(x.size)] * h
+    n, m = h.size + 1, J.shape[1]
+    diag = _at_points(np.diagonal(J, axis1=1, axis2=2).T, n) * h
+    couplings = [[(c, _at_points(J[:, r, c], n) * h)
+                  for c in range(r) if J[:, r, c].any()] for r in range(m)]
+    return h, diag, couplings
 
 
 def _affine_prefix(M, c):
@@ -341,12 +349,13 @@ def _block_solve(jac, R):
               + sum_j _A[k, j] sum_{c<r} hJ_j^{rc} dZ^c_j,
 
     for (ds_1, ds_2, ds_3) = (dS2, dS3, dy_{i+1}), is a 3 x 3 system
-    G s = u + e dy^r_i once the components c < r are known.  The inverses of
-    every G, for all m components, are formed in one vectorized pass; the
-    last row of G^{-1} e and G^{-1} u gives the scalar affine recurrence
-    dy^r_{i+1} = M_i dy^r_i + c_i, which :func:`_affine_prefix` solves for
-    every node at once, and the first two rows then give the stages.  The
-    components are marched in index order, each one alone.
+    G s = u + e dy^r_i once the components c < r are known.  G and e depend
+    on hJ^{rr} alone: they are formed, in one vectorized pass, for the first
+    component of each distinct diagonal, and shared by the components equal
+    to it.  The last row of G^{-1} e and G^{-1} u gives the scalar affine
+    recurrence dy^r_{i+1} = M_i dy^r_i + c_i, which :func:`_affine_prefix`
+    solves for every node at once, and the first two rows then give the
+    stages.  The components are marched in index order, each one alone.
 
     This is the whole factor-and-solve of one Newton iteration.  It is bound
     to the module name ``splu``, which ``perfbench/tracing.py`` wraps, so the
@@ -357,31 +366,35 @@ def _block_solve(jac, R):
     a component's propagator max_k |M_{k-1} ... M_0| exceeds 1/sqrt(eps):
     the forward march is then unstable.
     """
-    h, hJ = jac
-    m, _, _, nint = hJ.shape
+    h, diag, couplings = jac
+    m, _, nint = diag.shape
     n = nint + 1
     phi = R[:-m].reshape(m, 3, nint)
-    diag = hJ[np.arange(m), np.arange(m)].swapaxes(0, 1)   # (4, m, nint)
-    G = np.eye(3)[:, :, None, None] - _A[:, 1:, None, None] * diag[1:]
+    first, slot = [], []  # component r shares the blocks of first[slot[r]]
+    for r in range(m):
+        slot.append(next((s for s, q in enumerate(first)
+                          if np.array_equal(diag[q], diag[r])), len(first)))
+        if slot[-1] == len(first):
+            first.append(r)
+    D = diag[first].swapaxes(0, 1)                          # (4, d, nint)
+    G = np.eye(3)[:, :, None, None] - _A[:, 1:, None, None] * D[1:]
     Ginv, det = _inverse3(G)
     if not np.all(det):
-        r, i = np.argwhere(det == 0.0)[0]
+        s, i = np.argwhere(det == 0.0)[0]
         raise SingularJacobian(
-            f"collocation block: zero pivot in column {r} of interval {i}"
+            f"collocation block: zero pivot in column {first[s]} of interval {i}"
         )
-    Ginv = Ginv.transpose(2, 0, 1, 3)                      # (m, 3, 3, nint)
-    Ge = np.einsum("rkli,lri->rki", Ginv, 1.0 + _A[:, :1, None] * diag[0])
-    points = _point_index(n)
+    Ginv = Ginv.transpose(2, 0, 1, 3)                      # (d, 3, 3, nint)
+    Ge = np.einsum("rkli,lri->rki", Ginv, 1.0 + _A[:, :1, None] * D[0])
     dZ = np.empty((m, n + 2 * nint))
     dZ[:, 0] = -R[-m:]
-    for r in range(m):
+    for r, s in enumerate(slot):
         # component r reads the components c < r, already solved
         u = -h * phi[r]
-        for c in range(r):
-            if hJ[r, c].any():
-                u += _A @ (hJ[r, c] * dZ[c, points])
-        u = np.einsum("kli,li->ki", Ginv[r], u)
-        P, C = _affine_prefix(Ge[r, 2], u[2])
+        for c, hJ in couplings[r]:
+            u += _A @ (hJ * _at_points(dZ[c], n))
+        u = np.einsum("kli,li->ki", Ginv[s], u)
+        P, C = _affine_prefix(Ge[s, 2], u[2])
         norm = float(np.max(np.abs(P)))
         if norm > _MAX_PROPAGATOR_NORM:
             raise SingularJacobian(
@@ -389,7 +402,7 @@ def _block_solve(jac, R):
                 "the linearized problem does not contract away from x = 0"
             )
         dZ[r, 1:n] = dZ[r, 0] * P + C
-        dZ[r, n:] = (u[:2] + Ge[r, :2] * dZ[r, :nint]).ravel()
+        dZ[r, n:] = (u[:2] + Ge[s, :2] * dZ[r, :nint]).ravel()
     return dZ
 
 
@@ -397,10 +410,12 @@ def _block_solve(jac, R):
 splu = _block_solve
 
 
-def _newton(rhs, jac, y0, x, Z):
-    """Damped Newton on the collocation system; returns ``(Z, F, iterations)``."""
-    xz = _collocation_points(x)
-    R, F = _full_residual(rhs, y0, x, xz, Z)
+def _newton(rhs, jac, y0, h, xz, Z, J=None):
+    """Damped Newton on the collocation system; returns ``(Z, F, iterations)``.
+
+    ``h = np.diff(x)``; ``J``, if given, is ``jac(xz, Z)`` for the first step.
+    """
+    R, F = _full_residual(rhs, y0, h, xz, Z)
     if not np.all(np.isfinite(R)):
         raise NewtonDivergence("residual is not finite at the initial guess")
     iters = 0
@@ -410,14 +425,15 @@ def _newton(rhs, jac, y0, x, Z):
         norm = np.max(np.abs(R))
         if norm <= 1e-11 * scale:
             return Z, F, iters
-        dZ = splu(_assemble_jacobian(jac, x, xz, Z), R)
+        dZ = splu(_assemble_jacobian(jac(xz, Z) if J is None else J, h), R)
+        J = None
         if not np.all(np.isfinite(dZ)):
             raise SingularJacobian("Newton linear solve produced non-finite step")
 
         lam = 1.0
         for _ in range(_MAX_BACKTRACKS + 1):
             Z_try = Z + lam * dZ
-            R_try, F_try = _full_residual(rhs, y0, x, xz, Z_try)
+            R_try, F_try = _full_residual(rhs, y0, h, xz, Z_try)
             norm_try = np.max(np.abs(R_try)) if np.all(np.isfinite(R_try)) else np.inf
             if norm_try < (1.0 - 1e-4 * lam) * norm:
                 break
@@ -481,7 +497,8 @@ def bvp_solve(problem: BvpProblem) -> BvpSolution:
     (:func:`_refine_mesh`), which may hold fewer nodes than the current one,
     with its nodes and stages sampled from the extension.
 
-    Raises :class:`NewtonDivergence` for an unusable initial guess,
+    Raises :class:`NewtonDivergence` for an unusable initial guess or a
+    residual estimate that is not finite,
     :class:`SingularJacobian` if the linearization degenerates or its
     propagator from x = 0 grows past 1/sqrt(eps), and
     :class:`MeshLimitExceeded` if a redistributed mesh needs more than
@@ -489,17 +506,20 @@ def bvp_solve(problem: BvpProblem) -> BvpSolution:
     last mesh sweep.
     """
     rhs, jac, y0 = problem.rhs, problem.jac, problem.y0
-    x, Z = problem.initial_mesh.copy(), problem.initial_samples
-    h_max = float(np.max(np.diff(x)))
+    x, Z, J = problem.initial_mesh.copy(), problem.initial_samples, problem.initial_jac
+    xz, h = _collocation_points(x), np.diff(x)
+    h_max = float(np.max(h))
     per_sweep: list[int] = []
 
     for sweep in range(1, _MAX_MESH_SWEEPS + 1):
-        Z, F, iters = _newton(rhs, jac, y0, x, Z)
+        Z, F, iters = _newton(rhs, jac, y0, h, xz, Z, J)
         per_sweep.append(iters)
         n = x.size
         interp = _extension(jac, x, Z[:, :n], F[:, :n])
         est = _estimate_residuals(rhs, interp)
         res_norm = float(est.max())
+        if not np.isfinite(res_norm):
+            raise NewtonDivergence(f"residual estimate {res_norm} is not finite")
         if res_norm <= problem.tol:
             return BvpSolution(
                 mesh=x,
@@ -515,8 +535,8 @@ def bvp_solve(problem: BvpProblem) -> BvpSolution:
             raise MeshLimitExceeded(
                 f"the redistributed mesh needs {x_new.size} nodes (budget {_MAX_NODES})"
             )
-        Z = interp(_collocation_points(x_new))
-        x = x_new
+        x, xz, h, J = x_new, _collocation_points(x_new), np.diff(x_new), None
+        Z = interp(xz)
 
     raise MeshLimitExceeded(
         f"residual {res_norm:.3e} > tol after {_MAX_MESH_SWEEPS} mesh sweeps"

@@ -49,9 +49,9 @@ def _constant(*values):
     return lambda x: np.repeat(np.array(values, dtype=float)[:, None], x.size, axis=1)
 
 
-def _decay_problem(n, tol=1e-8, guess=_constant(1.0, 0.0)):
+def _decay_problem(n, tol=1e-8, guess=_constant(1.0, 0.0), jac=_decay_jac):
     mesh = np.linspace(0.0, 1.0, n)
-    return BvpProblem(rhs=_decay_rhs, jac=_decay_jac, y0=([1.0, 0.0]),
+    return BvpProblem(rhs=_decay_rhs, jac=jac, y0=([1.0, 0.0]),
                       initial_mesh=mesh, initial_guess=guess, tol=tol)
 
 
@@ -84,9 +84,33 @@ def _dense_newton_matrix(h, hJ):
     return J
 
 
+def _dense_blocks(blocks):
+    """``(h, hJ)`` of the assembly ``(h, diag, couplings)``, all m x m blocks.
+
+    hJ[r, c, j, i] is h_i times d rhs_r / d y_c at point j of interval i;
+    the couplings the assembly leaves out are zero.
+    """
+    h, diag, couplings = blocks
+    m, _, nint = diag.shape
+    hJ = np.zeros((m, m, 4, nint))
+    hJ[np.arange(m), np.arange(m)] = diag
+    for r, pairs in enumerate(couplings):
+        for c, block in pairs:
+            hJ[r, c] = block
+    return h, hJ
+
+
+def _packed(h, hJ):
+    """The assembly ``(h, diag, couplings)`` of lower-triangular blocks hJ."""
+    m = hJ.shape[0]
+    return h, hJ[np.arange(m), np.arange(m)], [
+        [(c, hJ[r, c]) for c in range(r) if hJ[r, c].any()] for r in range(m)
+    ]
+
+
 def _dense_step(blocks, R):
     m = blocks[1].shape[0]
-    return np.linalg.solve(_dense_newton_matrix(*blocks), -R).reshape(m, -1)
+    return np.linalg.solve(_dense_newton_matrix(*_dense_blocks(blocks)), -R).reshape(m, -1)
 
 
 def _coupled_state(sys, n):
@@ -117,14 +141,15 @@ def test_dense_reference_is_the_residual_jacobian():
     rng = np.random.default_rng(4)
     Z = 1.0 + 0.3 * rng.standard_normal((2, 6 + 2 * 5))
     xz = bvp._collocation_points(x)
-    dense = _dense_newton_matrix(*bvp._assemble_jacobian(p.jac, x, xz, Z))
+    h = np.diff(x)
+    dense = _dense_newton_matrix(*_dense_blocks(bvp._assemble_jacobian(p.jac(xz, Z), h)))
     fd = np.empty_like(dense)
     step = 1e-6
     for q in range(Z.size):
         dZ = np.zeros(Z.size)
         dZ[q] = step
-        hi, _ = bvp._full_residual(p.rhs, p.y0, x, xz, Z + dZ.reshape(Z.shape))
-        lo, _ = bvp._full_residual(p.rhs, p.y0, x, xz, Z - dZ.reshape(Z.shape))
+        hi, _ = bvp._full_residual(p.rhs, p.y0, h, xz, Z + dZ.reshape(Z.shape))
+        lo, _ = bvp._full_residual(p.rhs, p.y0, h, xz, Z - dZ.reshape(Z.shape))
         fd[:, q] = (hi - lo) / (2.0 * step)
     assert np.max(np.abs(fd - dense)) <= 1e-7 * np.max(np.abs(dense))
 
@@ -134,8 +159,8 @@ def test_block_step_matches_dense_solve_on_coupled_system(exact_cfg, quad_flux,
     sys = FoldedSystem(cfg=exact_cfg, flux=quad_flux, freq=exact_freq, L=20.0)
     x, Z = _coupled_state(sys, 101)
     xz = bvp._collocation_points(x)
-    R, _ = bvp._full_residual(sys.rhs, sys.y0, x, xz, Z)
-    blocks = bvp._assemble_jacobian(sys.jac, x, xz, Z)
+    R, _ = bvp._full_residual(sys.rhs, sys.y0, np.diff(x), xz, Z)
+    blocks = bvp._assemble_jacobian(sys.jac(xz, Z), np.diff(x))
     ref = _dense_step(blocks, R)
     step = bvp._block_solve(blocks, R)
     assert step.shape == Z.shape
@@ -148,7 +173,8 @@ def test_blocks_match_the_matrix_formula(exact_cfg, quad_flux, exact_freq):
     sys = FoldedSystem(cfg=exact_cfg, flux=quad_flux, freq=exact_freq, L=20.0)
     x, Z = _coupled_state(sys, 101)
     n = x.size
-    h, hJ = bvp._assemble_jacobian(sys.jac, x, bvp._collocation_points(x), Z)
+    xz = bvp._collocation_points(x)
+    h, hJ = _dense_blocks(bvp._assemble_jacobian(sys.jac(xz, Z), np.diff(x)))
     S = Z[:, n:].reshape(4, 2, n - 1)
     stages = bvp.stage_abscissae(x)
     for j, (xp, Yp) in enumerate([(x[:-1], Z[:, :n - 1]), (stages[0], S[:, 0]),
@@ -180,17 +206,39 @@ def _random_lower_blocks(rng, m, nint):
 @given(m=st.integers(1, 4), nint=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
 def test_block_step_matches_dense_solve_on_random_lower_blocks(m, nint, seed):
     rng = np.random.default_rng(seed)
-    blocks = _random_lower_blocks(rng, m, nint)
+    blocks = _packed(*_random_lower_blocks(rng, m, nint))
     R = rng.standard_normal(3 * m * nint + m)
     step = bvp._block_solve(blocks, R)
     ref = _dense_step(blocks, R)
     assert np.max(np.abs(step - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_jacobians_reuse_the_residual_evaluations():
+def _random_shared_diagonal_blocks(rng, m, nint):
+    """:func:`_random_lower_blocks` whose diagonals come from a pool of two."""
+    h, hJ = _random_lower_blocks(rng, m, nint)
+    pool = rng.uniform(-2.0, 0.0, (2, 4, nint))
+    diag = np.arange(m)
+    hJ[diag, diag] = pool[rng.integers(0, 2, m)]
+    return h, hJ
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(m=st.integers(1, 4), nint=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_block_step_matches_dense_solve_with_shared_diagonals(m, nint, seed):
+    # components with equal diagonals share their stage blocks
+    rng = np.random.default_rng(seed)
+    blocks = _packed(*_random_shared_diagonal_blocks(rng, m, nint))
+    R = rng.standard_normal(3 * m * nint + m)
+    step = bvp._block_solve(blocks, R)
+    ref = _dense_step(blocks, R)
+    assert np.max(np.abs(step - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_jacobians_reuse_the_residual_evaluations(monkeypatch):
     # one Newton iteration evaluates rhs once and jac once, each on the
     # nodes and both stage sets stacked into one array; the boundary rows
-    # are the state at x = 0 less y0
+    # are the state at x = 0 less y0.  The spy on splu takes the first
+    # step's assembly and residual and stops the iteration there.
     p = _decay_problem(11)
     x = p.initial_mesh
     Z = np.concatenate([p.initial_samples[:, :11], np.ones((2, 20))], axis=1) + 0.25
@@ -205,9 +253,21 @@ def test_jacobians_reuse_the_residual_evaluations():
         jac_points.append((x.copy(), Y.copy()))
         return p.jac(x, Y)
 
-    R, F = bvp._full_residual(rhs, p.y0, x, xz, Z)
+    class FirstStep(Exception):
+        pass
+
+    steps = []
+
+    def splu(blocks, R):
+        steps.append((blocks, R))
+        raise FirstStep
+
+    monkeypatch.setattr(bvp, "splu", splu)
+    with pytest.raises(FirstStep):
+        bvp._newton(rhs, jac, p.y0, np.diff(x), xz, Z)
+    [(blocks, R)] = steps
     assert np.array_equal(R[-2:], Z[:, 0] - p.y0)
-    h, hJ = bvp._assemble_jacobian(jac, x, xz, Z)
+    h, hJ = _dense_blocks(blocks)
     assert len(rhs_points) == len(jac_points) == 1
     for xs, Ys in (rhs_points[0], jac_points[0]):
         assert np.array_equal(xs, xz) and np.array_equal(Ys, Z)
@@ -245,7 +305,26 @@ def test_zero_pivot_column_raises_collocation_block_error():
     R = rng.standard_normal(3 * m * nint + m)
     with pytest.raises(SingularJacobian,
                        match="collocation block: .*column 2 of interval 7"):
-        bvp._block_solve((h, hJ), R)
+        bvp._block_solve(_packed(h, hJ), R)
+
+
+@pytest.mark.parametrize("singular, regular", [((1, 3), ()), ((2, 3), (0, 1))])
+def test_zero_pivot_of_a_shared_diagonal_names_its_first_component(singular, regular):
+    # the components ``singular`` share the singular block of interval 7, and
+    # the components ``regular`` a regular diagonal: the error names the
+    # first of ``singular``, not the index of its shared block
+    rng = np.random.default_rng(6)
+    m, nint = 4, 20
+    h, hJ = _random_lower_blocks(rng, m, nint)
+    r = singular[0]
+    hJ[r, r, 1:, 7] = (0.0, 0.0, 12.0)
+    for group in (singular, regular):
+        for c in group[1:]:
+            hJ[c, c] = hJ[group[0], group[0]]
+    R = rng.standard_normal(3 * m * nint + m)
+    with pytest.raises(SingularJacobian,
+                       match=f"collocation block: .*column {r} of interval 7"):
+        bvp._block_solve(_packed(h, hJ), R)
 
 
 def test_quintic_extension_reproduces_quintics():
@@ -463,6 +542,18 @@ def test_newton_divergence_on_bad_guess():
         bvp_solve(p)
 
 
+def test_non_finite_residual_estimate_is_a_solver_error():
+    # y' = -y with an rhs that is finite at the nodes and stages of the mesh
+    # and NaN between them, where the residual estimate samples it
+    mesh = np.linspace(0.0, 1.0, 11)
+    points = bvp._collocation_points(mesh)
+    p = BvpProblem(rhs=lambda x, Y: np.where(np.isin(x, points), -Y, np.nan),
+                   jac=lambda x, Y: np.full((x.size, 1, 1), -1.0), y0=[1.0],
+                   initial_mesh=mesh, initial_guess=lambda x: np.exp(-x)[None])
+    with pytest.raises(NewtonDivergence, match="residual estimate nan is not finite"):
+        bvp_solve(p)
+
+
 def test_newton_iteration_budget(monkeypatch):
     p = _decay_problem(21, guess=_constant(3.0, 0.0))
     monkeypatch.setattr(bvp, "_MAX_NEWTON", 1)
@@ -497,6 +588,34 @@ def test_newton_counts_reported():
     sol = bvp_solve(_decay_problem(11))
     assert sol.newton_iters == sum(sol.newton_per_sweep)
     assert len(sol.newton_per_sweep) == sol.mesh_iterations
+
+
+@pytest.mark.parametrize("n, guess", [(21, _decay_exact), (11, _constant(1.0, 0.0))])
+def test_first_newton_step_reuses_the_guess_jacobian(monkeypatch, n, guess):
+    # jac runs once for the problem's check, once per Newton assembly after
+    # the first, and once per extension; the first assembly reads the check's
+    # evaluation at the initial samples
+    calls, assemblies = [], []
+
+    def jac(x, Y):
+        calls.append(x.size)
+        return _decay_jac(x, Y)
+
+    def splu(blocks, R):
+        assemblies.append(blocks)
+        return bvp._block_solve(blocks, R)
+
+    p = _decay_problem(n, guess=guess, jac=jac)
+    monkeypatch.setattr(bvp, "splu", splu)
+    sol = bvp_solve(p)
+    assert len(assemblies) == sol.newton_iters >= 1
+    assert len(calls) == 1 + (len(assemblies) - 1) + sol.mesh_iterations
+    x = p.initial_mesh
+    fresh = bvp._assemble_jacobian(_decay_jac(bvp._collocation_points(x), p.initial_samples),
+                                   np.diff(x))
+    assert [[c for c, _ in pairs] for pairs in assemblies[0][2]] == [[], [0]]
+    for got, ref in zip(_dense_blocks(assemblies[0]), _dense_blocks(fresh)):
+        assert np.array_equal(got, ref)
 
 
 def test_small_last_step_keeps_its_count():
