@@ -14,17 +14,22 @@ and left halves are rescaled onto [0, 1] as U_r(t) = U(L t), U_l(t) = U(-L t),
 giving a 4-dimensional system closed by four fold conditions: the midpoint
 phase condition, two matching conditions, and the origin normalization
 v(0) = 0.  Both far ends then fall into the attracting equilibria on their
-own; the tail residual is verified after the solve.  Every solve starts on
-one 401-node mesh from a guess that is a function of t, read at the nodes
-and collocation stages: by default the field integrated outward from the
-fold (:func:`initial_guess`), which the ``aux`` and ``compare`` commands
-keep.  A parameter sweep solves each point alone, and a beta study its
-widest L, from the closed-form pair of a quadratic f1 (:func:`tanh_guess`),
-so no point depends on its neighbours; a repeated left state reuses an
-earlier point.  The four fold conditions fix the state at t = 0, so the
-folded problem is an initial-value problem, and the solution on [-L, L] is
-a wider one restricted to |x| <= L: a study over several L solves the
-widest alone and samples each narrower L from it (:func:`unfold_coupled`).
+own; the tail residual is verified after the solve.  A solve starts from a
+guess that is a function of t, read at the nodes and collocation stages of
+its first mesh: by default the field integrated outward from the fold
+(:func:`initial_guess`), which the ``aux`` and ``compare`` commands keep.
+A parameter sweep solves each point alone, and a beta study its widest L,
+from the closed-form pair of a quadratic f1 (:func:`tanh_guess`), so no
+point depends on its neighbours; a repeated left state reuses an earlier
+point.  The first mesh is uniform with 401 nodes, except for a quadratic f1
+whose closed-form pair is not exact (the sine flux): there the solution has
+the pair's layer but not its values, the uniform mesh needs a second sweep
+to cluster nodes in that layer, and the solve starts instead on 701 nodes
+graded to the pair (:func:`first_mesh`), whichever the guess.  The four fold
+conditions fix the state at t = 0, so the folded problem is an
+initial-value problem, and the solution on [-L, L] is a wider one
+restricted to |x| <= L: a study over several L solves the widest alone and
+samples each narrower L from it (:func:`unfold_coupled`).
 """
 
 from __future__ import annotations
@@ -49,11 +54,23 @@ from .numerics import (
 )
 from .profile import (
     DEFAULT_TAIL_TOL, Grid, ProfileSolution, _check_profile, check_resolution,
+    closed_form_is_exact,
 )
 
 _FOLD_TOL = 1e-10
 # Starting mesh of the initial guess, and the tolerances of its integration.
 _GUESS_NODES = 401
+# Graded first mesh (:func:`graded_mesh`).  Its node count: on the six points
+# of configs/sine_scan.cfg (L = 20) 701 nodes converge in one sweep with every
+# beta within 4.9e-13 of a tol = 1e-11 solve; 601 nodes left them 1.2e-12 off
+# and 501 nodes 3.7e-12.  The slope's weight in the arc-length monitor: 0.25
+# needs a second sweep at one of the eight left states 0.8, 1.0, ..., 1.5, 1.6
+# at L = 40, where 0.05 needs one at four; 1.0 left the L = 20 betas 1.1e-12
+# off.  Sampling the pair at 1001 to 8001 points gave the same sweeps and the
+# same betas to two figures.
+_GRADED_NODES = 701
+_ARC_WEIGHT = 0.25
+_ARC_SAMPLES = 2001
 _GUESS_RTOL = 1e-6
 _GUESS_ATOL = 1e-8
 
@@ -160,10 +177,10 @@ def initial_guess(sys: FoldedSystem) -> Trajectory:
     """Guess by one outward integration of the folded field from the fold.
 
     The guess is the dense trajectory itself, which the solver reads at the
-    nodes and stages of the 401-node starting mesh.  It only seeds Newton
-    there, which converges from it in one iteration, so tighter integration
-    buys no Newton iteration; the solver refines the mesh and the answer
-    from there.  The guess is the route's own integration, not the
+    nodes and stages of the first mesh (:func:`first_mesh`).  It only seeds
+    Newton there, which converges from it in one iteration, so tighter
+    integration buys no Newton iteration; the solver refines the mesh and the
+    answer from there.  The guess is the route's own integration, not the
     integrating-factor profile, so the coupled route stays independent of
     the route it is checked against.
     """
@@ -179,8 +196,9 @@ def tanh_guess(sys: FoldedSystem) -> Callable[[np.ndarray], np.ndarray]:
     With x = L t on the right half and x = -L t on the left, each half is
     ubar = u_mid - delta tanh(k x), delta = (u- - u+)/2 and k = |a1s(u_end)|/2
     at the end state it approaches, and v = R x P(ubar) with the constant
-    R = F(u_mid) / P(u_mid).  For a quadratic f1 and an f2 of degree <= 2
-    this is the exact pair (:func:`shockbeta.profile.exact_solution`).
+    R = F(u_mid) / P(u_mid).  Where it is the exact pair
+    (:func:`shockbeta.profile.exact_solution`) is decided by
+    :func:`shockbeta.profile.closed_form_is_exact`.
     """
     cfg = sys.cfg
     delta = 0.5 * (cfg.u_minus - cfg.u_plus)
@@ -200,6 +218,39 @@ def tanh_guess(sys: FoldedSystem) -> Callable[[np.ndarray], np.ndarray]:
     return guess
 
 
+def graded_mesh(sys: FoldedSystem) -> np.ndarray:
+    """``_GRADED_NODES`` nodes equidistributing the arc length of the tanh pair.
+
+    The monitor is sqrt(1 + w |Z'(t)|^2), w = ``_ARC_WEIGHT``, with Z the
+    folded pair of :func:`tanh_guess`: its arc length is that of the polyline
+    through ``_ARC_SAMPLES`` uniform samples of (t, sqrt(w) Z(t)), and the
+    nodes cut it into equal parts (de Boor's equidistribution; Ascher,
+    Mattheij & Russell, ch. 9), so they crowd in the layer at the fold.
+    """
+    t = np.linspace(0.0, 1.0, _ARC_SAMPLES)
+    dZ = np.diff(tanh_guess(sys)(t), axis=1)
+    arc = np.concatenate([[0.0], np.cumsum(np.sqrt(
+        np.diff(t) ** 2 + _ARC_WEIGHT * np.einsum("rk,rk->k", dZ, dZ)))])
+    return np.interp(np.linspace(0.0, arc[-1], _GRADED_NODES), arc, t)
+
+
+def first_mesh(sys: FoldedSystem) -> np.ndarray:
+    """The mesh a solve starts on: graded where the tanh pair is close but inexact.
+
+    For a quadratic f1 the tanh profile is exact, and where the f2 makes the
+    pair inexact (:func:`shockbeta.profile.closed_form_is_exact`) the solution
+    still has the pair's layer, which :func:`graded_mesh` resolves in one
+    sweep where the uniform mesh needs two.  Every other solve starts on the
+    uniform ``_GUESS_NODES`` mesh: an exact pair passes there in one sweep,
+    and a cubic f1 started graded moved a beta study's narrowed entries
+    2.6e-12 from their own solves, where the uniform start keeps them within
+    2e-12.
+    """
+    if len(sys.cfg.q_coeffs) == 1 and not closed_form_is_exact(sys.flux, sys.cfg):
+        return graded_mesh(sys)
+    return np.linspace(0.0, 1.0, _GUESS_NODES)
+
+
 def solve_coupled(
     cfg: ShockConfig,
     f: FluxModel,
@@ -215,19 +266,21 @@ def solve_coupled(
 
     ``n_out`` is the interval count of the output grid on [-L, L].  v is
     linear in xi0 and solved per unit |xi0|, so the mesh, the collocation
-    tolerance and the fold check do not depend on xi0.  Every solve starts
-    on the uniform ``_GUESS_NODES`` mesh.  ``guess`` maps the
-    :class:`FoldedSystem` to a function of t of shape (k,) in [0, 1] with
-    folded states of shape (4, k), v per unit |xi0|, as :class:`BvpProblem`
-    takes it: :func:`tanh_guess`, which scans and beta studies pass, or by
-    default the outward integration (:func:`initial_guess`), looked up when
-    called.
+    tolerance and the fold check do not depend on xi0.  The solve starts on
+    :func:`first_mesh`, whichever the guess: graded to the closed-form pair
+    for a quadratic f1 whose pair is not exact (the sine flux), where it saves
+    the second mesh sweep, else the uniform ``_GUESS_NODES`` mesh.
+    ``guess`` maps the :class:`FoldedSystem` to a function of t of shape (k,)
+    in [0, 1] with folded states of shape (4, k), v per unit |xi0|, as
+    :class:`BvpProblem` takes it: :func:`tanh_guess`, which scans and beta
+    studies pass, or by default the outward integration
+    (:func:`initial_guess`), looked up when called.
     """
     _, unit = freq.per_unit()
     sys = FoldedSystem(cfg=cfg, flux=f, freq=unit, L=float(L))
     problem = BvpProblem(
         rhs=sys.rhs, jac=sys.jac, y0=sys.y0,
-        initial_mesh=np.linspace(0.0, 1.0, _GUESS_NODES),
+        initial_mesh=first_mesh(sys),
         initial_guess=(initial_guess if guess is None else guess)(sys), tol=tol,
     )
     sol = bvp_solve(problem)

@@ -156,6 +156,16 @@ def _tanh_profile(cfg: ShockConfig, x: np.ndarray) -> np.ndarray:
     return ubar
 
 
+def closed_form_is_exact(f: FluxModel, cfg: ShockConfig) -> bool:
+    """Whether the closed-form pair of :func:`exact_solution` solves the problem.
+
+    It does for a quadratic f1 and an f2 of degree <= 2 (every built-in flux
+    but the sine, and a custom f2 whose coefficients past u^2 are zero).
+    """
+    return (len(cfg.q_coeffs) == 1 and f.kind is not FluxKind.SINE_TRANSVERSE
+            and len(np.trim_zeros(f.params.get("f2_coeffs", ()), "b")) <= 3)
+
+
 def exact_solution(
     f: FluxModel, cfg: ShockConfig, freq: NeutralFrequency, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -165,8 +175,7 @@ def exact_solution(
     and the profile field a (u - u-)(u - u+), so F/P is the constant
     R = xi0 c2 / a, taken once at u_mid, and v = ubar' int_0^x R = R x ubar'.
     """
-    if (len(cfg.q_coeffs) != 1 or f.kind is FluxKind.SINE_TRANSVERSE
-            or len(np.trim_zeros(f.params.get("f2_coeffs", ()), "b")) > 3):
+    if not closed_form_is_exact(f, cfg):
         raise ValidationError(
             "no exact solution for this configuration: compare needs a "
             "quadratic f1 and an f2 of degree <= 2 (flux burgers, "

@@ -3,10 +3,13 @@ import pytest
 
 from shockbeta.beta import compute_beta
 from shockbeta.coupled import (
+    _GRADED_NODES,
     _GUESS_NODES,
     CoupledResult,
     FoldedSystem,
     continuation_scan,
+    first_mesh,
+    graded_mesh,
     initial_guess,
     solve_coupled,
     tanh_guess,
@@ -216,6 +219,36 @@ class TestTanhGuess:
         assert res.bvp.mesh.size == _GUESS_NODES
 
 
+class TestFirstMesh:
+    @pytest.mark.parametrize("L", [20.0, 60.0])
+    @pytest.mark.parametrize("um", [1.0, 1.3, 1.5])
+    def test_graded_mesh_crowds_at_the_fold(self, um, L):
+        f = sine_transverse_flux()
+        cfg, freq = standing_shock(f, um, -1.0, 1.0)
+        mesh = graded_mesh(FoldedSystem(cfg, f, freq.per_unit()[1], L))
+        h = np.diff(mesh)
+        assert mesh.size == _GRADED_NODES
+        assert mesh[0] == 0.0 and mesh[-1] == 1.0
+        assert np.all(h > 0.0)
+        assert h[0] < h[-1]
+
+    @pytest.mark.parametrize("flux, graded", [
+        (sine_transverse_flux(), True),
+        (custom_flux((0.0, 0.0, 0.5), (0.0, 0.0, 1.0, 0.3)), True),
+        (custom_flux((0.0, 0.0, 0.5), (0.0, 0.0, 1.0, 0.0)), False),
+        (quadratic_transverse_flux(), False),
+        (burgers_flux(), False),
+        (custom_flux((0.0, 0.0, 0.5, 0.1), (0.0, 0.0, 1.0, 0.3)), False),
+    ])
+    def test_graded_only_where_the_pair_is_close_but_inexact(self, flux, graded):
+        # a quadratic f1 with an inexact pair starts graded, an exact pair
+        # or a cubic f1 on the uniform mesh
+        cfg, freq = standing_shock(flux, 1.3, -1.0, 1.0)
+        sys = FoldedSystem(cfg, flux, freq.per_unit()[1], 20.0)
+        uniform = np.linspace(0.0, 1.0, _GUESS_NODES)
+        assert np.array_equal(first_mesh(sys), graded_mesh(sys) if graded else uniform)
+
+
 class TestSolveCoupled:
     def test_exact_case_two_norm_errors(self, coupled_L20):
         x = coupled_L20.profile.grid.x
@@ -299,20 +332,29 @@ class TestSolveCoupled:
         assert res.aux.diagnostics["newton_per_sweep"] == res.bvp.newton_per_sweep
 
     def test_cold_sine_solve_mesh_size(self):
-        # sixth-order collocation with an h^5 residual: a few hundred nodes
-        # meet tol = 1e-8 where the 3-stage scheme needed 3456
+        # sixth-order collocation with an h^5 residual: the graded first mesh
+        # of a few hundred nodes meets tol = 1e-8 in one sweep, where the
+        # 3-stage scheme needed 3456 nodes
         f = sine_transverse_flux()
         cfg, freq = standing_shock(f, 1.3, -1.0, 1.0)
         res = solve_coupled(cfg, f, freq, 20.0, 4000)
-        assert res.bvp.mesh.size <= 600
+        assert res.bvp.mesh.size == _GRADED_NODES
+        assert res.bvp.mesh_iterations == 1
 
     @pytest.mark.parametrize("case", [
-        ("sine", 1.0, 20.0), ("sine", 1.3, 20.0), ("sine", 1.5, 20.0),
+        ("sine", 1.0, 20.0), ("sine", 1.1, 20.0), ("sine", 1.2, 20.0),
+        ("sine", 1.3, 20.0), ("sine", 1.4, 20.0), ("sine", 1.5, 20.0),
+        ("quadratic_cubic", 1.3, 20.0),
         ("exact", 1.0, 10.0), ("exact", 1.0, 20.0), ("exact", 1.0, 30.0),
     ])
     def test_beta_at_working_tolerance_matches_a_tight_solve(self, case):
         name, um, L = case
-        f = {"sine": sine_transverse_flux, "exact": quadratic_transverse_flux}[name]()
+        f = {
+            "sine": sine_transverse_flux,
+            "quadratic_cubic": lambda: custom_flux((0.0, 0.0, 0.5),
+                                                   (0.0, 0.0, 1.0, 0.3)),
+            "exact": quadratic_transverse_flux,
+        }[name]()
         cfg, freq = standing_shock(f, um, -1.0, 1.0)
         betas = [
             compute_beta(f, res.profile, res.aux).beta
@@ -362,11 +404,11 @@ class TestContinuation:
     def test_sine_steps_take_the_newton_iterations_of_their_cold_solves(
             self, sine_scan):
         # the tanh guess of the sine flux's f1 = u^2/2 is as close as the
-        # outward integration: one Newton iteration per sweep
+        # outward integration: one Newton iteration in the one sweep
         f = sine_transverse_flux()
         for pt in sine_scan:
             cold = solve_coupled(pt.config, f, pt.freq, 20.0, 4000)
-            assert pt.bvp.newton_per_sweep == cold.bvp.newton_per_sweep == [1, 1]
+            assert pt.bvp.newton_per_sweep == cold.bvp.newton_per_sweep == [1]
 
     def test_burgers_steps_take_the_newton_iterations_of_their_cold_solves(
             self, burgers_scan):

