@@ -7,7 +7,7 @@ a bad one in a file names its line.  The keys describe the problem only; every
 acceptance threshold is a constant of the module that applies it.  Keys:
 
     flux          burgers | quadratic_transverse | sine_transverse | custom
-    sine_freq     frequency of the sine transverse flux (default 4*pi)
+    sine_freq     frequency of f2 = sin(freq u), sine flux only (default 4*pi)
     f1_coeffs     ascending polynomial coefficients (custom flux only)
     f2_coeffs     ascending polynomial coefficients (custom flux only)
     u_minus       left end state (required)

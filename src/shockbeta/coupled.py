@@ -19,13 +19,14 @@ guess that is a function of t, read at the nodes and collocation stages of
 its first mesh: by default the field integrated outward from the fold
 (:func:`initial_guess`), which the ``aux`` and ``compare`` commands keep.
 A parameter sweep solves each point alone, and a beta study its widest L,
-from the closed-form pair of a quadratic f1 (:func:`tanh_guess`), so no
-point depends on its neighbours; a repeated left state reuses an earlier
-point.  The first mesh is uniform with 401 nodes, except for a quadratic f1
-whose closed-form pair is not exact (the sine flux): there the solution has
-the pair's layer but not its values, the uniform mesh needs a second sweep
-to cluster nodes in that layer, and the solve starts instead on 701 nodes
-graded to the pair (:func:`first_mesh`), whichever the guess.  The four fold
+from the closed-form pair of :func:`shockbeta.profile.tanh_pair` read
+folded (:func:`tanh_guess`), so no point depends on its neighbours; a
+repeated left state reuses an earlier point.  The first mesh is uniform
+with 401 nodes, except for a quadratic f1 whose closed-form pair is not
+exact (the sine flux): there the solution has the pair's layer but not its
+values, the uniform mesh needs a second sweep to cluster nodes in that
+layer, and the solve starts instead on 701 nodes graded to the pair
+(:func:`first_mesh`), whichever the guess.  The four fold
 conditions fix the state at t = 0, so the folded problem is an
 initial-value problem, and the solution on [-L, L] is a wider one
 restricted to |x| <= L: a study over several L solves the widest alone and
@@ -54,7 +55,7 @@ from .numerics import (
 )
 from .profile import (
     DEFAULT_TAIL_TOL, Grid, ProfileSolution, _check_profile, check_resolution,
-    closed_form_is_exact,
+    closed_form_is_exact, tanh_pair,
 )
 
 _FOLD_TOL = 1e-10
@@ -191,29 +192,19 @@ def initial_guess(sys: FoldedSystem) -> Trajectory:
 
 
 def tanh_guess(sys: FoldedSystem) -> Callable[[np.ndarray], np.ndarray]:
-    """Guess by the closed form of a quadratic f1, each half at its end rate.
+    """Guess by the closed-form pair, read folded at x = L t and x = -L t.
 
-    With x = L t on the right half and x = -L t on the left, each half is
-    ubar = u_mid - delta tanh(k x), delta = (u- - u+)/2 and k = |a1s(u_end)|/2
-    at the end state it approaches, and v = R x P(ubar) with the constant
-    R = F(u_mid) / P(u_mid).  Where it is the exact pair
-    (:func:`shockbeta.profile.exact_solution`) is decided by
+    Each half is :func:`shockbeta.profile.tanh_pair` on its side of the
+    origin, so it meets the end state it approaches at that state's rate
+    k = delta Q(u_end) = |a1s(u_end)|/2, with v per unit |xi0|.  Where it is
+    the exact pair is decided by
     :func:`shockbeta.profile.closed_form_is_exact`.
     """
-    cfg = sys.cfg
-    delta = 0.5 * (cfg.u_minus - cfg.u_plus)
-    u = cfg.u_mid
-    R = forcing(sys.flux, sys.freq, cfg.u_minus, u) / cfg.profile_field(u)
-    k = 0.5 * cfg.end_rates[:, None]  # (right, left)
     ends = sys._signs[:, None]  # x = +-L t
 
     def guess(t):
-        x = ends * t
-        ubar = u - delta * np.tanh(k * x)
-        Z = np.empty((4, t.size))
-        Z[0::2] = ubar
-        Z[1::2] = R * x * cfg.profile_field(ubar)
-        return Z
+        pair = tanh_pair(sys.flux, sys.cfg, sys.freq, ends * t)  # (ubar, v) by half
+        return np.stack(pair, axis=1).reshape(4, t.size)  # (ubar_r, v_r, ubar_l, v_l)
 
     return guess
 

@@ -10,7 +10,9 @@ the leading coefficient a of f1, and the profile is the closed form
 by construction, and exactly u+- where tanh has saturated.  For a custom f1
 of degree >= 3 the equation is integrated outward from the origin as one
 sweep of the folded pair (ubar(t), ubar(-t)) over t in [0, L], each half as
-the log of its deviation from the end state it approaches.
+the log of its deviation from the end state it approaches.  That profile and
+``v = R x P(ubar)`` are the closed-form pair of ``compare`` and of the
+coupled route's guess, written once (:func:`tanh_pair`).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SolverError, TailNotResolved, ValidationError
-from .model import FluxKind, FluxModel, NeutralFrequency, ShockConfig, forcing
+from .model import FluxModel, NeutralFrequency, ShockConfig, forcing
 from .numerics import IvpProblem, ivp_solve
 
 DEFAULT_TAIL_TOL = 1e-6
@@ -143,48 +145,60 @@ def _check_profile(ps: ProfileSolution, tail_tol: float) -> None:
 
 
 def _tanh_profile(cfg: ShockConfig, x: np.ndarray) -> np.ndarray:
-    """Closed-form profile of a quadratic f1: u_mid - delta tanh(a delta x).
+    """Closed-form profile of a quadratic f1: u_mid - delta tanh(k x).
 
-    P(u) = a (u - u+)(u - u-) with the constant Q = a, and delta = (u- - u+)/2.
-    Where tanh has saturated to +-1 the samples are the end states themselves.
+    delta = (u- - u+)/2, and each side takes the rate k = delta Q(u_end) =
+    |a1s(u_end)|/2 of the end state it approaches (u+ for x >= 0).  Where tanh
+    has saturated to +-1 the samples are the end states themselves.
     """
     delta = 0.5 * (cfg.u_minus - cfg.u_plus)
-    t = np.tanh(cfg.q_coeffs[0] * delta * x)
+    k_plus, k_minus = delta * cfg.q(cfg.u_plus), delta * cfg.q(cfg.u_minus)
+    kx = k_plus * x
+    if k_minus != k_plus:  # a non-constant Q: the left side at its own rate
+        left = x < 0.0
+        kx[left] = k_minus * x[left]
+    t = np.tanh(kx, out=kx)
     ubar = cfg.u_mid - delta * t
     ubar[t == 1.0] = cfg.u_plus
     ubar[t == -1.0] = cfg.u_minus
     return ubar
 
 
-def closed_form_is_exact(f: FluxModel, cfg: ShockConfig) -> bool:
-    """Whether the closed-form pair of :func:`exact_solution` solves the problem.
+def tanh_pair(f: FluxModel, cfg: ShockConfig, freq: NeutralFrequency,
+              x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The closed-form pair at x: ubar of :func:`_tanh_profile` and v = R x P(ubar).
 
-    It does for a quadratic f1 and an f2 of degree <= 2 (every built-in flux
-    but the sine, and a custom f2 whose coefficients past u^2 are zero).
+    R = F(u_mid) / P(u_mid), so v = ubar' int_0^x R: exact where F/P is that
+    constant (:func:`closed_form_is_exact`).
     """
-    return (len(cfg.q_coeffs) == 1 and f.kind is not FluxKind.SINE_TRANSVERSE
-            and len(np.trim_zeros(f.params.get("f2_coeffs", ()), "b")) <= 3)
+    u = cfg.u_mid
+    R = forcing(f, freq, cfg.u_minus, u) / cfg.profile_field(u)
+    ubar = _tanh_profile(cfg, x)
+    return ubar, R * x * cfg.profile_field(ubar)
+
+
+def closed_form_is_exact(f: FluxModel, cfg: ShockConfig) -> bool:
+    """Whether the closed-form pair of :func:`tanh_pair` solves the problem.
+
+    It does for a quadratic f1 and a polynomial f2 of degree <= 2: F is then
+    xi0 c2 (u - u-)(u - u+), c2 the u^2 coefficient of f2, and P is
+    a (u - u-)(u - u+), so F/P is a constant.
+    """
+    return (len(cfg.q_coeffs) == 1 and f.f2_coeffs is not None
+            and len(np.trim_zeros(f.f2_coeffs, "b")) <= 3)
 
 
 def exact_solution(
     f: FluxModel, cfg: ShockConfig, freq: NeutralFrequency, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """ubar and v in closed form for a quadratic f1 and an f2 of degree <= 2.
-
-    With c2 the u^2 coefficient of f2 the forcing is xi0 c2 (u - u-)(u - u+)
-    and the profile field a (u - u-)(u - u+), so F/P is the constant
-    R = xi0 c2 / a, taken once at u_mid, and v = ubar' int_0^x R = R x ubar'.
-    """
+    """:func:`tanh_pair`, refused where it is not the exact pair."""
     if not closed_form_is_exact(f, cfg):
         raise ValidationError(
             "no exact solution for this configuration: compare needs a "
             "quadratic f1 and an f2 of degree <= 2 (flux burgers, "
             "quadratic_transverse, or custom)"
         )
-    u = cfg.u_mid
-    R = forcing(f, freq, cfg.u_minus, u) / cfg.profile_field(u)
-    ubar = _tanh_profile(cfg, x)
-    return ubar, R * x * cfg.profile_field(ubar)
+    return tanh_pair(f, cfg, freq, x)
 
 
 def _ivp_profile(cfg: ShockConfig, grid: Grid) -> np.ndarray:

@@ -39,7 +39,9 @@ import numpy as np
 
 from .auxiliary import AuxMethod, AuxiliarySolution
 from .errors import ValidationError
-from .model import FluxModel, NeutralFrequency, make_flux, normalize_to_standing
+from .model import (
+    FluxKind, FluxModel, NeutralFrequency, make_flux, normalize_to_standing,
+)
 from .profile import Grid, ProfileSolution
 
 # The one float format of every metadata value and table cell.
@@ -61,11 +63,11 @@ def fmt(x) -> str:
 
 def _flux_meta(f: FluxModel) -> dict:
     meta = {"flux_kind": f.kind.value}
-    if "freq" in f.params:
-        meta["sine_freq"] = fmt(f.params["freq"])
-    if "f2_coeffs" in f.params:  # a custom flux
+    if f.sine_freq is not None:
+        meta["sine_freq"] = fmt(f.sine_freq)
+    if f.kind is FluxKind.CUSTOM:  # a built-in flux is its kind alone
         meta["f1_coeffs"] = ",".join(fmt(c) for c in f.f1_coeffs)
-        meta["f2_coeffs"] = ",".join(fmt(c) for c in f.params["f2_coeffs"])
+        meta["f2_coeffs"] = ",".join(fmt(c) for c in f.f2_coeffs)
     return meta
 
 

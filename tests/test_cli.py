@@ -257,6 +257,22 @@ class TestConfigValues:
             [*args, "--config", EXACT_CASE_CFG, "--out-dir", out], field, capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, field", [
+        (["--flux", "burgers", "--f2-coeffs", "0,0,5"], "f2_coeffs"),
+        (["--flux", "quadratic_transverse", "--sine-freq", "3"], "sine_freq"),
+        (["--flux", "sine_transverse", "--f1-coeffs", "0,0,1"], "f1_coeffs"),
+        (["--flux", "custom", "--f1-coeffs", "0,0,0.5", "--f2-coeffs", "0,0,1",
+          "--sine-freq", "3"], "sine_freq"),
+    ])
+    def test_parameter_the_flux_does_not_take_exits_2(self, args, field, tmp_path,
+                                                       capsys):
+        # once ignored, so a different flux was computed than the one asked for
+        out = tmp_path / "o"
+        self._assert_field_error(
+            ["beta", *args, "--u-minus", "1", "--u-plus", "-1", "--xi0", "1",
+             "--out-dir", out], field, capsys)
+        assert not out.exists()
+
     def test_malformed_file_value_names_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("u_minus = 1.0\nN = abc\n")

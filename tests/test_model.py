@@ -10,7 +10,6 @@ from shockbeta.errors import (
 )
 from shockbeta.model import (
     FluxKind,
-    FluxModel,
     NeutralFrequency,
     burgers_flux,
     check_neutral,
@@ -33,7 +32,7 @@ class TestFluxModels:
         assert burgers_flux().kind is FluxKind.BURGERS
         assert quadratic_transverse_flux().kind is FluxKind.QUADRATIC_TRANSVERSE
         assert sine_transverse_flux().kind is FluxKind.SINE_TRANSVERSE
-        assert sine_transverse_flux().params["freq"] == pytest.approx(4 * np.pi)
+        assert sine_transverse_flux().sine_freq == pytest.approx(4 * np.pi)
 
     def test_custom_polynomial_flux(self):
         f = custom_flux([0.0, 0.0, 0.5], [0.0, 1.0])
@@ -41,26 +40,47 @@ class TestFluxModels:
         assert f.f1_coeffs == (0.0, 0.0, 0.5)
         assert f.a2(5.0) == pytest.approx(1.0)
 
-    def test_mismatched_derivative_rejected(self):
-        with pytest.raises(ValidationError, match="a2 is not the derivative"):
-            FluxModel(
-                f1_coeffs=(0.0, 0.0, 0.5),
-                f2=lambda u: u**2,
-                a2=lambda u: u,  # wrong by a factor of 2
-                kind=FluxKind.CUSTOM,
-            )
-
     def test_non_finite_f1_coefficient_rejected(self):
         with pytest.raises(ValidationError, match="f1_coeffs must be finite"):
             custom_flux([0.0, np.inf, 0.5], [0.0, 1.0])
 
     def test_make_flux_dispatch(self):
         assert make_flux("burgers").kind is FluxKind.BURGERS
-        assert make_flux("sine_transverse", sine_freq=2.0).params["freq"] == 2.0
+        assert make_flux("sine_transverse", sine_freq=2.0).sine_freq == 2.0
         with pytest.raises(ValidationError):
             make_flux("nonsense")
         with pytest.raises(ValidationError):
             make_flux("custom")  # missing coefficient tables
+
+    @pytest.mark.parametrize("flux", [
+        burgers_flux(), quadratic_transverse_flux(), sine_transverse_flux(),
+        sine_transverse_flux(0.7),
+        custom_flux((0.0, 0.0, 0.5), (0.0, 0.3, 1.0, 0.2)),
+        custom_flux((0.0, 0.0, 0.5, 0.1), (2.0, -1.0, 0.0, 0.0, 0.25)),
+    ], ids=lambda f: f"{f.kind.value}-{f.sine_freq or len(f.f2_coeffs)}")
+    def test_a2_is_the_central_difference_of_f2(self, flux):
+        u = np.linspace(-3.0, 3.0, 41)
+        h = 1e-5
+        fd = (flux.f2(u + h) - flux.f2(u - h)) / (2 * h)
+        a2 = flux.a2(u)
+        assert np.max(np.abs(fd - a2)) <= 1e-6 * (1.0 + np.max(np.abs(a2)))
+
+    @pytest.mark.parametrize("flux, f2_coeffs", [
+        (burgers_flux(), (0.0, 0.0, 0.5)),
+        (quadratic_transverse_flux(), (0.0, 0.0, 1.0)),
+    ], ids=["burgers", "quadratic_transverse"])
+    def test_builtin_quadratic_is_its_custom_flux_bitwise(self, flux, f2_coeffs):
+        custom = custom_flux((0.0, 0.0, 0.5), f2_coeffs)
+        u = np.linspace(-3.0, 3.0, 97)
+        for fn in ("f1", "f2", "a2"):
+            assert np.array_equal(getattr(flux, fn)(u), getattr(custom, fn)(u))
+            assert getattr(flux, fn)(-1.3) == getattr(custom, fn)(-1.3)
+
+    def test_overflowing_f2_is_named_without_a_warning(self):
+        # finite coefficients whose f2 overflows on the state interval
+        f = custom_flux((0.0, 0.0, 0.5), (0.0, 1e308, 1e308))
+        with pytest.raises(ValidationError, match="f2 is not finite"):
+            normalize_to_standing(f, 1.0, -1.0, 0.0)
 
 
 class TestShockSpeed:

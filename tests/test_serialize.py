@@ -48,7 +48,7 @@ def test_sine_flux_metadata_round_trip(tmp_path, exact_cfg):
     path = tmp_path / "p.csv"
     serialize.write_profile_csv(path, ps, f)
     _, flux = serialize.read_profile_csv(path)
-    assert flux.params["freq"] == 7.5
+    assert flux.sine_freq == 7.5
 
 
 def test_write_is_deterministic(tmp_path, quad_flux, exact_cfg):
