@@ -104,10 +104,9 @@ def compute_beta(
     diagnostics.update(
         (k, aux.diagnostics[k]) for k in _SOLVER_COUNTERS if k in aux.diagnostics
     )
-    if simpson or profile.grid.N % 2 == 0:  # other rule, same samples
-        diagnostics["quadrature_cross_difference"] = abs(
-            _quad(g, h, not simpson) - integral
-        )
+    diagnostics["quadrature_cross_difference"] = abs(  # other rule, same samples
+        _quad(g, h, not simpson) - integral
+    )
     return BetaResult(
         beta=beta,
         integral=integral,
@@ -118,22 +117,6 @@ def compute_beta(
         quadrature=quadrature,
         diagnostics=diagnostics,
     )
-
-
-def check_even_N(
-    N: int, quadrature: BetaQuadrature | None = None, methods=()
-) -> None:
-    """Before any solve: Simpson's rule and the ``if`` route need an even N.
-
-    ``quadrature`` is None for a command that computes no beta.
-    """
-    need = None
-    if quadrature is BetaQuadrature.SIMPSON:
-        need = "Simpson's rule needs an even number of intervals"
-    elif AuxMethod.INTEGRATING_FACTOR in methods:
-        need = "the if route needs a grid node at the origin"
-    if N % 2 and need:
-        raise ValidationError(f"field 'N': {N} is odd, but {need}")
 
 
 def solve_pair(
@@ -209,13 +192,12 @@ def beta_convergence_study(
     Each entry is gated by ``STUDY_TAIL_TOL`` and ``STUDY_DECAY_TOL``.  Solver
     failures are recorded per entry (the rest of the table survives), and sign
     stability across the table is reported by the returned study; a
-    :class:`ValidationError` propagates.  An odd ``N`` for ``if`` or Simpson,
-    an L listed twice and a grid too coarse for the profile layer at any L
-    are rejected before the first solve.
+    :class:`ValidationError` propagates.  A grid that :meth:`Grid.check`
+    refuses (an odd ``N`` among them), an L listed twice and a grid too
+    coarse for the profile layer at any L are rejected before the first solve.
     """
     methods = [AuxMethod(m) for m in methods]
     quadrature = BetaQuadrature(quadrature)
-    check_even_N(N, quadrature, methods)
     widest_first = sorted(L_values, reverse=True)
     for k, L in enumerate(widest_first):  # the widest L names an N all L admit
         if L in widest_first[:k]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import serialize
 from .auxiliary import AuxMethod
-from .beta import beta_convergence_study, check_even_N, compute_beta, solve_pair
+from .beta import beta_convergence_study, compute_beta, solve_pair
 from .config import PARSERS, RunConfig, apply_overrides, build_model, parse_config_file
 from .coupled import continuation_scan
 from .coupled import solve_coupled  # noqa: F401  perfbench/tracing.py patches it here
@@ -91,7 +91,6 @@ def cmd_profile(rc: RunConfig) -> int:
 
 def cmd_aux(rc: RunConfig) -> int:
     flux, cfg, freq = build_model(rc)
-    check_even_N(rc.N, methods=rc.method)
     check_resolution(cfg, rc.L_single, rc.N)
     grids = serialize.GridCells()  # the routes' tables share one grid
     for method, profile, aux in _solve_pairs(rc, flux, cfg, freq):
@@ -150,7 +149,6 @@ def cmd_scan(rc: RunConfig) -> int:
         )
     # the left states are the list's; u_minus is never read
     flux, cfg0, freq0 = build_model(dataclasses.replace(rc, u_minus=rc.u_minus_list[0]))
-    check_even_N(rc.N, rc.quadrature)
     points = continuation_scan(
         cfg0, flux, rc.xi0, list(rc.u_minus_list), rc.L_single, rc.N, freq0=freq0,
     )
@@ -203,7 +201,6 @@ def cmd_scan(rc: RunConfig) -> int:
 
 def cmd_compare(rc: RunConfig) -> int:
     flux, cfg, freq = build_model(rc)
-    check_even_N(rc.N, methods=rc.method)
     check_resolution(cfg, rc.L_single, rc.N)
     grid = Grid.make(rc.L_single, rc.N)
     u_exact, v_exact = exact_solution(flux, cfg, freq, grid.x)

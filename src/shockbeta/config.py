@@ -15,7 +15,7 @@ acceptance threshold is a constant of the module that applies it.  Keys:
     xi0           transverse wavenumber of the neutral frequency (required;
                   1.22e-77 <= |xi0| <= 1.16e77)
     L             truncation half-width; a comma list for beta studies only
-    N             interval count of the output grid (default 4000)
+    N             even interval count of the output grid (default 4000)
     method        if | coupled | both (default both)
     quadrature    trapezoid | simpson (default trapezoid)
     out_dir       output directory (default .)
@@ -48,6 +48,18 @@ def _parse_float(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"expected a finite number, got {text!r}")
     return value
+
+
+def check_xi0(xi0: float) -> float:
+    """``xi0``, refused unless a transverse mode whose beta ~ xi0^2 is a normal float."""
+    if xi0 == 0.0:
+        raise ValidationError("field 'xi0': 0 is not a transverse mode")
+    if not _XI0_RANGE[0] <= abs(xi0) <= _XI0_RANGE[1]:
+        raise ValidationError(
+            f"field 'xi0': {xi0:g} is outside {_XI0_RANGE[0]:.3g} <= |xi0| "
+            f"<= {_XI0_RANGE[1]:.3g}, where beta ~ xi0^2 is a normal float"
+        )
+    return xi0
 
 
 def _parse_int(text: str) -> int:
@@ -169,13 +181,7 @@ def build_model(rc: RunConfig) -> tuple[FluxModel, ShockConfig, NeutralFrequency
     for name in ("u_minus", "u_plus", "xi0"):
         if getattr(rc, name) is None:
             raise ValidationError(f"field '{name}': required but not set")
-    if rc.xi0 == 0.0:
-        raise ValidationError("field 'xi0': 0 is not a transverse mode")
-    if not _XI0_RANGE[0] <= abs(rc.xi0) <= _XI0_RANGE[1]:
-        raise ValidationError(
-            f"field 'xi0': {rc.xi0:g} is outside {_XI0_RANGE[0]:.3g} <= |xi0| "
-            f"<= {_XI0_RANGE[1]:.3g}, where beta ~ xi0^2 is a normal float"
-        )
+    check_xi0(rc.xi0)
     flux = make_flux(
         rc.flux, sine_freq=rc.sine_freq,
         f1_coeffs=rc.f1_coeffs, f2_coeffs=rc.f2_coeffs,

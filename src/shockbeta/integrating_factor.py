@@ -78,7 +78,7 @@ def solve_auxiliary_if(
     profile: ProfileSolution,
     decay_tol: float = DEFAULT_DECAY_TOL,
 ) -> AuxiliarySolution:
-    """Assemble the correction v with v(0) = 0 on an even-N profile grid.
+    """Assemble the correction v with v(0) = 0 on the profile grid.
 
     v is linear in xi0, so it is solved per unit |xi0| and scaled back: the
     refinement warning of :func:`solve_v_if` then judges the grid, not xi0.

@@ -43,7 +43,11 @@ _TIE_TOL = 4 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform abscissae on [-L, L] with N intervals; (L, N) is the whole grid."""
+    """Uniform abscissae on [-L, L] with N intervals; (L, N) is the whole grid.
+
+    N is even, so the centre x = 0 of the shock layer, where v(0) = 0 pins
+    the correction, is a node (:attr:`origin_index`).
+    """
 
     L: float
     N: int
@@ -61,6 +65,10 @@ class Grid:
             raise ValidationError(
                 f"field 'N': {N} intervals exceed the budget of {_MAX_INTERVALS}"
             )
+        if N % 2:
+            raise ValidationError(
+                f"field 'N': {N} is odd, but the grid needs a node at x = 0"
+            )
 
     @classmethod
     def make(cls, L: float, N: int) -> "Grid":
@@ -76,9 +84,7 @@ class Grid:
 
     @property
     def origin_index(self) -> int:
-        """Index of the x = 0 node; requires even N."""
-        if self.N % 2 != 0:
-            raise ValidationError("origin is a node only for even N")
+        """Index N/2 of the centre node, x = 0 up to the rounding of linspace."""
         return self.N // 2
 
 
@@ -87,8 +93,8 @@ def check_resolution(cfg: ShockConfig, L: float, N: int) -> None:
 
     The profile meets u+- like exp(a1s(u+-) x); with h max|a1s(u+-)| > 1/2
     (h = 2L/N) the layer falls on a few nodes, where neither route's beta is
-    to be trusted.  The N named is even, as Simpson's rule and ``if`` need;
-    when it is above the interval budget, the widest L the budget resolves,
+    to be trusted.  The N named is even, as every grid's is; when it is
+    above the interval budget, the widest L the budget resolves,
     _MAX_INTERVALS / (4 max|a1s(u+-)|), is named instead.
     """
     Grid.check(L, N)

@@ -4,8 +4,9 @@ Every float is written as ``%.17g``, which reproduces the double exactly on
 reload, so identical runs yield bit-identical files and readers rebuild the
 domain objects with equality on all fields.  Metadata travels in
 ``# key = value`` comment lines above the column header.  A reader refuses a
-table whose header is not the one its writer writes, or whose ``x`` column
-is not the grid its metadata names.
+table whose header is not the one its writer writes, whose ``x`` column is
+not the grid its metadata names, or whose metadata holds a value the command
+line refuses (a non-finite number, a stray flux key, an inadmissible xi0).
 
 Table cells are formatted by a numpy kernel that writes the bytes of
 ``'%.17g' % x`` for a block of cells at once (:func:`_write_table`).  A
@@ -38,6 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .auxiliary import AuxMethod, AuxiliarySolution
+from .config import _parse_field, _parse_float, check_xi0
 from .errors import ValidationError
 from .model import (
     FluxKind, FluxModel, NeutralFrequency, make_flux, normalize_to_standing,
@@ -71,18 +73,11 @@ def _flux_meta(f: FluxModel) -> dict:
     return meta
 
 
-def _floats(value: str) -> list[float]:
-    return [float(c) for c in value.split(",")]
-
-
 def _flux_from_meta(meta: _Meta) -> FluxModel:
-    kind = meta["flux_kind"]
-    sine_freq = meta.parse("sine_freq") if "sine_freq" in meta else None
-    coeffs = {}
-    if "f1_coeffs" in meta:
-        for key in ("f1_coeffs", "f2_coeffs"):
-            coeffs[key] = meta.parse(key, _floats, "a comma list of numbers")
-    return make_flux(kind, sine_freq=sine_freq, **coeffs)
+    """The flux of every flux line the table carries; make_flux refuses strays."""
+    params = {key: _parse_field(key, meta[key], f"{meta.path}: ")
+              for key in ("sine_freq", "f1_coeffs", "f2_coeffs") if key in meta}
+    return meta.checked(make_flux, meta["flux_kind"], **params)
 
 
 # Cells formatted per block: bounds the kernel's temporaries, the 32-byte
@@ -362,7 +357,7 @@ class _Meta(dict):
     def __missing__(self, key):
         raise ValidationError(f"{self.path}: no '# {key} = ...' metadata line")
 
-    def parse(self, key: str, parser=float, what: str = "a number"):
+    def parse(self, key: str, parser=_parse_float, what: str = "a finite number"):
         """``parser`` of the value of ``key``; a refused value is a ValidationError."""
         value = self[key]
         try:
@@ -371,6 +366,13 @@ class _Meta(dict):
             raise ValidationError(
                 f"{self.path}: '# {key} = {value}' is not {what}"
             ) from exc
+
+    def checked(self, build, *args, **kwargs):
+        """``build(*args, **kwargs)``, its ValidationError prefixed with the path."""
+        try:
+            return build(*args, **kwargs)
+        except ValidationError as exc:
+            raise ValidationError(f"{self.path}: {exc}") from exc
 
 
 def _read_table(path, columns: list[str]) -> tuple[_Meta, dict, Grid]:
@@ -475,7 +477,8 @@ def _aux_from(meta: _Meta, cols: dict, grid: Grid) -> AuxiliarySolution:
         grid=grid, v=cols["v"],
         method=meta.parse("method", AuxMethod,
                           f"one of {[m.value for m in AuxMethod]}"),
-        freq=NeutralFrequency(meta.parse("tau0"), meta.parse("xi0")),
+        freq=NeutralFrequency(meta.parse("tau0"),
+                              meta.checked(check_xi0, meta.parse("xi0"))),
     )
 
 

@@ -245,7 +245,7 @@ class TestConvergenceStudy:
             assert (serialize.beta_result_dict(r)
                     == serialize.beta_result_dict(chosen.results[key]))
         # and the string's odd N is refused before any solve, as the enum's is
-        with pytest.raises(ValidationError, match="Simpson's rule"):
+        with pytest.raises(ValidationError, match="field 'N': 1001 is odd"):
             beta_convergence_study(exact_cfg, quad_flux, exact_freq, [20.0],
                                    methods=[AuxMethod.COUPLED], N=1001,
                                    quadrature="simpson")

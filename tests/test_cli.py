@@ -481,13 +481,21 @@ class TestBetaCommand:
         (["aux", "--config", EXACT_CASE_CFG, "--L", "20"], ["--method", "both"]),
         (["aux", "--config", EXACT_CASE_CFG, "--L", "20"], ["--method", "if"]),
         (["compare", "--config", EXACT_CASE_CFG, "--L", "20"], ["--method", "if"]),
+        # every grid needs a node at x = 0, whatever the method and quadrature
+        (["profile", "--config", EXACT_CASE_CFG, "--L", "20"], []),
+        (["beta", "--config", EXACT_CASE_CFG, "--method", "coupled"], []),
+        (["scan", "--config", SINE_SCAN_CFG], []),
+        (["aux", "--config", EXACT_CASE_CFG, "--L", "20"], ["--method", "coupled"]),
+        (["compare", "--config", EXACT_CASE_CFG, "--L", "20"],
+         ["--method", "coupled"]),
     ])
     def test_odd_N_rejected_before_any_solve(self, command, extra, tmp_path,
                                              capsys, monkeypatch):
         def no_solve(*args, **kwargs):
             raise AssertionError("a solver ran before the sample-count check")
 
-        for target in ("shockbeta.beta.solve_profile", "shockbeta.beta.solve_coupled",
+        for target in ("shockbeta.cli.solve_profile", "shockbeta.beta.solve_profile",
+                       "shockbeta.beta.solve_coupled",
                        "shockbeta.coupled.solve_coupled"):
             monkeypatch.setattr(target, no_solve)
         out = tmp_path / "o"
@@ -495,10 +503,6 @@ class TestBetaCommand:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: field 'N': 4001 is odd")
         assert not out.exists()
-
-    def test_odd_N_coupled_trapezoid_succeeds(self, tmp_path):
-        assert run(["beta", "--config", EXACT_CASE_CFG, "--N", "4001",
-                    "--method", "coupled", "--out-dir", tmp_path / "o"]) == 0
 
     @pytest.mark.parametrize("command", [
         ["beta", "--config", EXACT_CASE_CFG, "--L", "20"],

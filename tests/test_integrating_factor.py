@@ -208,11 +208,10 @@ class TestAssembled:
         i0 = aux.grid.origin_index
         assert aux.v[i0] == 0.0
 
-    def test_odd_N_profile_rejected(self, quad_flux, exact_cfg, exact_freq):
+    def test_odd_N_profile_rejected(self):
         # the origin, where v = 0 is imposed, is a node only for even N
-        ps = solve_profile(exact_cfg, Grid.make(20.0, 513))
-        with pytest.raises(ValidationError, match="origin is a node only for even"):
-            solve_auxiliary_if(quad_flux, exact_freq, ps)
+        with pytest.raises(ValidationError, match="field 'N': 513 is odd"):
+            Grid.make(20.0, 513)
 
     def test_decay_gate(self, quad_flux, exact_cfg):
         # narrow domain: the correction tails stay visibly above the gate

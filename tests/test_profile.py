@@ -47,6 +47,12 @@ class TestGrid:
         with pytest.raises(ValidationError):
             _ = Grid.make(10.0, 101).origin_index
 
+    def test_budget_checked_before_parity(self):
+        with pytest.raises(ValidationError) as ei:
+            Grid.make(1.0, 10**7 + 1)
+        msg = str(ei.value)
+        assert msg == "field 'N': 10000001 intervals exceed the budget of 10000000"
+
 
 class TestExactProfile:
     def test_values(self, exact_cfg):

@@ -11,7 +11,7 @@ from shockbeta.auxiliary import AuxMethod
 from shockbeta.beta import beta_convergence_study
 from shockbeta.errors import ValidationError
 from shockbeta.integrating_factor import solve_auxiliary_if
-from shockbeta.model import sine_transverse_flux
+from shockbeta.model import burgers_flux, sine_transverse_flux
 from shockbeta.profile import Grid, solve_profile
 
 
@@ -152,7 +152,7 @@ def test_missing_metadata_line_rejected(tmp_path, quad_flux, exact_freq,
 ])
 def test_unreadable_metadata_value_rejected(tmp_path, quad_flux, exact_freq,
                                             profile_L20, kind, key, value):
-    what = {"N": "an integer", "L": "a number",
+    what = {"N": "an integer", "L": "a finite number",
             "method": "one of ['if', 'coupled']"}[key]
     path = tmp_path / f"{kind}.csv"
     read = _write(kind, path, quad_flux, exact_freq, profile_L20)
@@ -161,6 +161,40 @@ def test_unreadable_metadata_value_rejected(tmp_path, quad_flux, exact_freq,
     with pytest.raises(ValidationError) as ei:
         read(path)
     assert str(ei.value) == f"{path}: '# {key} = {value}' is not {what}"
+
+
+@pytest.mark.parametrize("key,value", [
+    ("f2_coeffs", "0,0,5"), ("sine_freq", "3"), ("f1_coeffs", "0,0,1"),
+])
+def test_stray_flux_line_rejected_with_its_path(tmp_path, profile_L20, key, value):
+    # the command line refuses a flux key the kind does not take; so does a table
+    path = tmp_path / "profile.csv"
+    serialize.write_profile_csv(path, profile_L20, burgers_flux())
+    _edit_table(path, meta=lambda line: f"{line}\n# {key} = {value}"
+                if line == "# flux_kind = burgers" else line)
+    with pytest.raises(ValidationError) as ei:
+        serialize.read_profile_csv(path)
+    assert str(ei.value) == f"{path}: field '{key}': the burgers flux takes no {key}"
+
+
+@pytest.mark.parametrize("key,value,refusal", [
+    ("tau0", "inf", "is not a finite number"),
+    ("xi0", "nan", "is not a finite number"),
+    ("xi0", "inf", "is not a finite number"),
+    ("xi0", "1e200", "field 'xi0': 1e+200 is outside"),
+    ("xi0", "0", "field 'xi0': 0 is not a transverse mode"),
+])
+@pytest.mark.parametrize("kind", ["aux", "point"])
+def test_frequency_the_command_line_refuses_rejected(tmp_path, quad_flux,
+                                                     exact_freq, profile_L20,
+                                                     kind, key, value, refusal):
+    path = tmp_path / f"{kind}.csv"
+    read = _write(kind, path, quad_flux, exact_freq, profile_L20)
+    _edit_table(path, meta=lambda line: f"# {key} = {value}"
+                if line.startswith(f"# {key} =") else line)
+    with pytest.raises(ValidationError) as ei:
+        read(path)
+    assert str(ei.value).startswith(f"{path}: ") and refusal in str(ei.value)
 
 
 @pytest.mark.parametrize("kind", ["profile", "aux", "point"])
