@@ -234,7 +234,9 @@ def _ivp_profile(cfg: ShockConfig, grid: Grid) -> np.ndarray:
     for half, on_half in enumerate((x >= 0.0, x < 0.0)):
         log_d = traj(np.abs(x[on_half]), rows=slice(half, half + 1))[0]
         ubar[on_half] = ends[half] + sign[half] * np.exp(log_d)
-    ubar[x == 0.0] = cfg.u_mid  # u_end + (u_mid - u_end) may round off u_mid
+    # u_end + (u_mid - u_end) may round off u_mid, and linspace may put the
+    # centre node a rounding off 0.0
+    ubar[grid.origin_index] = cfg.u_mid
     return ubar
 
 

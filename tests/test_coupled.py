@@ -176,21 +176,42 @@ class TestInitialGuess:
         # Newton never needs more than a few corrections per sweep
         assert max(coupled_L20.bvp.newton_per_sweep) <= 3
 
-    def test_guess_costs_no_newton_iteration(self, coupled_L20):
-        # the guess is integrated only to the starting mesh's own accuracy;
-        # Newton still converges on the first sweep in one iteration
-        assert coupled_L20.bvp.newton_per_sweep[0] == 1
+    def test_guess_costs_at_most_one_extra_newton_iteration(self, coupled_L20):
+        # the guess is integrated loosely (rtol 1e-3); Newton converges
+        # quadratically from it, so the first sweep takes two iterations
+        # where the exact guess takes one
+        assert coupled_L20.bvp.newton_per_sweep[0] <= 2
 
     @pytest.mark.parametrize("L", [20.0, 30.0])
     def test_guess_matches_the_closed_form_on_both_halves(
             self, exact_cfg, quad_flux, exact_freq, L):
-        # the outward integration is this close to the exact pair (8.6e-8
-        # and 7.4e-7 at most); the one-iteration first sweeps rely on it
+        # the outward integration is this close to the exact pair (4.7e-5
+        # and 5.8e-4 at most, over both L)
         mesh, Y = _guess_at_nodes(FoldedSystem(exact_cfg, quad_flux, exact_freq, L))
         for x, rows in ((L * mesh, slice(0, 2)), (-L * mesh, slice(2, 4))):
             ubar, v = Y[rows]
-            assert np.max(np.abs(ubar - exact_profile(x))) <= 1e-6
-            assert np.max(np.abs(v - exact_v(x))) <= 1e-5
+            assert np.max(np.abs(ubar - exact_profile(x))) <= 1e-4
+            assert np.max(np.abs(v - exact_v(x))) <= 1e-3
+
+    @pytest.mark.parametrize("flux, um", [
+        (sine_transverse_flux(), 1.0),
+        (sine_transverse_flux(), 1.3),
+        (quadratic_transverse_flux(), 1.0),
+        (burgers_flux(), 2.0),
+    ], ids=["sine_1.0", "sine_1.3", "quadratic_transverse", "burgers_2.0"])
+    def test_answer_does_not_depend_on_the_guess(self, flux, um):
+        # the loose outward guess and the closed-form pair end on the same
+        # mesh, at the same pair and beta to rounding
+        cfg, freq = standing_shock(flux, um, -1.0, 1.0)
+        outward, closed = (solve_coupled(cfg, flux, freq, 20.0, 4000, guess=guess)
+                           for guess in (initial_guess, tanh_guess))
+        for key in ("mesh_size", "mesh_sweeps"):
+            assert outward.aux.diagnostics[key] == closed.aux.diagnostics[key]
+        assert np.max(np.abs(outward.profile.ubar - closed.profile.ubar)) <= 1e-13
+        assert np.max(np.abs(outward.aux.v - closed.aux.v)) <= 1e-13
+        beta_outward, beta_closed = (compute_beta(flux, r.profile, r.aux).beta
+                                     for r in (outward, closed))
+        assert abs(beta_outward - beta_closed) <= 1e-14 * abs(beta_closed)
 
     def test_zero_frequency_guess_has_zero_correction(self, exact_cfg, quad_flux):
         sys0 = FoldedSystem(exact_cfg, quad_flux, NeutralFrequency(0.0, 0.0), 20.0)
@@ -401,25 +422,30 @@ class TestContinuation:
             beta_cold = compute_beta(f, cold.profile, cold.aux).beta
             assert abs(beta_scan - beta_cold) <= 1e-14 * abs(beta_cold)
 
-    def test_sine_steps_take_the_newton_iterations_of_their_cold_solves(
+    def test_sine_points_take_no_more_iterations_than_cold_solves(
             self, sine_scan):
-        # the tanh guess of the sine flux's f1 = u^2/2 is as close as the
-        # outward integration: one Newton iteration in the one sweep
+        # the tanh guess of the sine flux's f1 = u^2/2 is closer than the
+        # loose outward integration: one Newton iteration in the one sweep,
+        # where the cold solve takes two
         f = sine_transverse_flux()
         for pt in sine_scan:
             cold = solve_coupled(pt.config, f, pt.freq, 20.0, 4000)
-            assert pt.bvp.newton_per_sweep == cold.bvp.newton_per_sweep == [1]
+            assert pt.bvp.newton_per_sweep == [1]
+            assert len(cold.bvp.newton_per_sweep) == 1
+            assert cold.bvp.newton_per_sweep[0] >= pt.bvp.newton_per_sweep[0]
 
-    def test_burgers_steps_take_the_newton_iterations_of_their_cold_solves(
+    def test_burgers_points_take_no_more_iterations_than_cold_solves(
             self, burgers_scan):
         # u- = 1, 2, 4, 8: for a quadratic f2 the tanh guess is the exact
-        # pair, so each point takes the iterations of the outward guess
+        # pair, so no sweep of a point takes more iterations than the same
+        # sweep from the loose outward guess
         f = burgers_flux()
         counts = [pt.bvp.newton_per_sweep for pt in burgers_scan]
         assert counts == [[1], [1], [1, 1], [1, 1]]
         for pt, count in zip(burgers_scan, counts):
             cold = solve_coupled(pt.config, f, pt.freq, 20.0, 8000)
-            assert cold.bvp.newton_per_sweep == count
+            assert len(cold.bvp.newton_per_sweep) == len(count)
+            assert all(c >= s for c, s in zip(cold.bvp.newton_per_sweep, count))
 
     def test_steps_start_on_the_cold_starting_mesh(self, quad_flux, exact_cfg,
                                                    monkeypatch):

@@ -108,6 +108,17 @@ class TestExactProfile:
         assert not ps.exact
         _check_profile(ps, 1e-6)
 
+    @pytest.mark.parametrize("L, N", [(20.0, 154), (30.0, 22)])
+    def test_cubic_custom_pins_the_centre_node_off_exact_zero(self, L, N):
+        # linspace puts these grids' centre node at -3.55e-15, not 0.0; the
+        # pin still lands on it
+        grid = Grid.make(L, N)
+        assert grid.x[grid.origin_index] != 0.0
+        cfg = normalize_to_standing(CUBIC, 1.0, -1.0,
+                                    rankine_hugoniot_speed(CUBIC, 1.0, -1.0))
+        ps = solve_profile(cfg, grid)
+        assert ps.ubar[grid.origin_index] == cfg.u_mid
+
 
 @pytest.mark.parametrize("um", [1.0, 1.3])
 @pytest.mark.parametrize("L", [40.0, 100.0])
