@@ -61,6 +61,7 @@ from .profile import (
 )
 
 _FOLD_TOL = 1e-10
+_COLLOCATION_TOL = 1e-8  # residual tolerance of a coupled solve and of a scan
 # Uniform starting mesh.
 _GUESS_NODES = 401
 # Graded first mesh (:func:`graded_mesh`).  Its node count: on the six points
@@ -257,7 +258,7 @@ def solve_coupled(
     L: float,
     n_out: int,
     guess: Callable[[FoldedSystem], Callable[[np.ndarray], np.ndarray]] | None = None,
-    tol: float = 1e-8,
+    tol: float = _COLLOCATION_TOL,
     tail_tol: float = DEFAULT_TAIL_TOL,
     decay_tol: float = DEFAULT_DECAY_TOL,
 ) -> CoupledResult:
@@ -300,9 +301,10 @@ def unfold_coupled(
 
     ``sol`` solves the folded system of half-width ``L_solved`` >= L, v per
     unit |xi0|.  The fold conditions fix the state at t = 0, so the pair on
-    [-L, L] is that solution read at t = |x| / L_solved.  The fold mismatch,
-    the profile's tails and the decay of v are checked on the sampled pair,
-    and v is scaled by |xi0|; the diagnostics are those of ``sol``.
+    [-L, L] is that solution read at t = |x| / L_solved, the left half before
+    :attr:`Grid.origin_index`.  The fold mismatch, tails and decay of v are
+    checked on the sampled pair; v is scaled by |xi0|; the diagnostics are
+    those of ``sol``.
     """
     at_fold = sol.interpolant(0.0)
     fold_mismatch = float(np.max(np.abs(at_fold[:2] - at_fold[2:])))
@@ -313,7 +315,7 @@ def unfold_coupled(
 
     grid = Grid.make(L, n_out)
     x = grid.x
-    k = int(np.searchsorted(x, 0.0))  # x[:k] < 0 <= x[k:]
+    k = grid.origin_index
     ubar, v = np.concatenate([
         sol.interpolant(-x[:k] / L_solved, rows=slice(2, 4)),  # the left half
         sol.interpolant(x[k:] / L_solved, rows=slice(0, 2)),
@@ -355,7 +357,7 @@ def continuation_scan(
     u_minus_values,
     L: float,
     n_out: int,
-    tol: float = 1e-8,
+    tol: float = _COLLOCATION_TOL,
     freq0: NeutralFrequency | None = None,
 ) -> list[CoupledResult | ValidationError | SolverError]:
     """Sweep the left state, each point solved alone from :func:`tanh_guess`.

@@ -46,8 +46,9 @@ def _anchored(R: np.ndarray, up: np.ndarray, h: float, ic: int) -> np.ndarray:
 def solve_v_if(profile: ProfileSolution, forcing_samples: np.ndarray) -> np.ndarray:
     """v(x) = ubar'(x) int_0^x F / ubar', the integral by cumulative Simpson.
 
-    Emits a :class:`QuadratureDegraded` warning when a coarsened re-evaluation
-    estimates the error of v above ``_WARN_ESTIMATE_TOL`` (per unit xi0 from
+    On every grid, a :class:`QuadratureDegraded` warning is emitted when a
+    re-evaluation on the every-other-node grid through the origin estimates
+    the error of v above ``_WARN_ESTIMATE_TOL`` (per unit xi0 from
     :func:`solve_auxiliary_if`, which passes the forcing per unit xi0).
     """
     F = np.asarray(forcing_samples)
@@ -59,16 +60,16 @@ def solve_v_if(profile: ProfileSolution, forcing_samples: np.ndarray) -> np.ndar
     ic = grid.origin_index
     v = _anchored(R, up, grid.h, ic)
 
-    if grid.N % 4 == 0:
-        vc = _anchored(R[::2], up[::2], 2 * grid.h, ic // 2)
-        est = np.max(np.abs(v[::2] - vc)) / 15.0
-        if est > _WARN_ESTIMATE_TOL:
-            warnings.warn(
-                f"cumulative Simpson refinement estimate {est:.3e} exceeds "
-                f"{_WARN_ESTIMATE_TOL:.1e}; grid may be too coarse",
-                QuadratureDegraded,
-                stacklevel=2,
-            )
+    s = ic % 2  # the odd nodes when N/2 is odd
+    vc = _anchored(R[s::2], up[s::2], 2 * grid.h, ic // 2)
+    est = np.max(np.abs(v[s::2] - vc)) / 15.0
+    if est > _WARN_ESTIMATE_TOL:
+        warnings.warn(
+            f"cumulative Simpson refinement estimate {est:.3e} exceeds "
+            f"{_WARN_ESTIMATE_TOL:.1e}; grid may be too coarse",
+            QuadratureDegraded,
+            stacklevel=2,
+        )
     return v
 
 

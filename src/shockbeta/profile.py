@@ -45,8 +45,9 @@ _TIE_TOL = 4 * np.finfo(float).eps
 class Grid:
     """Uniform abscissae on [-L, L] with N intervals; (L, N) is the whole grid.
 
-    N is even, so the centre x = 0 of the shock layer, where v(0) = 0 pins
-    the correction, is a node (:attr:`origin_index`).
+    N is even and at least 4, so the centre x = 0 of the shock layer, where
+    v(0) = 0 pins the correction, is a node (:attr:`origin_index`) of the
+    grid and of its every-other-node coarsening, which has 3 nodes or more.
     """
 
     L: float
@@ -59,8 +60,8 @@ class Grid:
             raise ValidationError(f"field 'L': {L:g} is not positive")
         if not np.isfinite(2.0 * L):
             raise ValidationError(f"field 'L': {L:g} is too wide: 2L overflows a float")
-        if N < 2:
-            raise ValidationError(f"field 'N': {N} intervals; the grid needs N >= 2")
+        if N < 4:
+            raise ValidationError(f"field 'N': {N} intervals; the grid needs N >= 4")
         if N > _MAX_INTERVALS:
             raise ValidationError(
                 f"field 'N': {N} intervals exceed the budget of {_MAX_INTERVALS}"
@@ -84,7 +85,8 @@ class Grid:
 
     @property
     def origin_index(self) -> int:
-        """Index N/2 of the centre node, x = 0 up to the rounding of linspace."""
+        """Index N/2 of the centre node, x = 0 up to the rounding of linspace:
+        v is anchored there, and every grid's halves are x[:N/2] and x[N/2:]."""
         return self.N // 2
 
 
@@ -159,10 +161,7 @@ def _tanh_profile(cfg: ShockConfig, x: np.ndarray) -> np.ndarray:
     """
     delta = 0.5 * (cfg.u_minus - cfg.u_plus)
     k_plus, k_minus = delta * cfg.q(cfg.u_plus), delta * cfg.q(cfg.u_minus)
-    kx = k_plus * x
-    if k_minus != k_plus:  # a non-constant Q: the left side at its own rate
-        left = x < 0.0
-        kx[left] = k_minus * x[left]
+    kx = k_plus * np.maximum(x, 0.0) + k_minus * np.minimum(x, 0.0)
     t = np.tanh(kx, out=kx)
     ubar = cfg.u_mid - delta * t
     ubar[t == 1.0] = cfg.u_plus
@@ -231,7 +230,8 @@ def _ivp_profile(cfg: ShockConfig, grid: Grid) -> np.ndarray:
     )
     x = grid.x
     ubar = np.empty_like(x)
-    for half, on_half in enumerate((x >= 0.0, x < 0.0)):
+    k = grid.origin_index
+    for half, on_half in enumerate((slice(k, None), slice(None, k))):
         log_d = traj(np.abs(x[on_half]), rows=slice(half, half + 1))[0]
         ubar[on_half] = ends[half] + sign[half] * np.exp(log_d)
     # u_end + (u_mid - u_end) may round off u_mid, and linspace may put the

@@ -6,7 +6,8 @@ domain objects with equality on all fields.  Metadata travels in
 ``# key = value`` comment lines above the column header.  A reader refuses a
 table whose header is not the one its writer writes, whose ``x`` column is
 not the grid its metadata names, or whose metadata holds a value the command
-line refuses (a non-finite number, a stray flux key, an inadmissible xi0).
+line refuses (a non-finite number, a stray flux key, an inadmissible xi0 or
+shock, a tau0 that is not the neutral zero of the table's shock).
 
 Table cells are formatted by a numpy kernel that writes the bytes of
 ``'%.17g' % x`` for a block of cells at once (:func:`_write_table`).  A
@@ -42,7 +43,8 @@ from .auxiliary import AuxMethod, AuxiliarySolution
 from .config import _parse_field, _parse_float, check_xi0
 from .errors import ValidationError
 from .model import (
-    FluxKind, FluxModel, NeutralFrequency, make_flux, normalize_to_standing,
+    FluxKind, FluxModel, NeutralFrequency, ShockConfig, check_neutral, make_flux,
+    normalize_to_standing,
 )
 from .profile import Grid, ProfileSolution
 
@@ -375,11 +377,13 @@ class _Meta(dict):
             raise ValidationError(f"{self.path}: {exc}") from exc
 
 
-def _read_table(path, columns: list[str]) -> tuple[_Meta, dict, Grid]:
-    """Metadata, columns by name and grid of a table with header ``columns``.
+def _read_table(path, columns: list[str]
+                ) -> tuple[_Meta, dict, Grid, ShockConfig, FluxModel]:
+    """Metadata, columns by name, grid, shock and flux of a table.
 
-    Every data row must hold one number per column, and the ``x`` column must
-    be bit-equal to the abscissae of the (L, N) grid that the metadata names.
+    The header must be ``columns``, every data row must hold one number per
+    column, and the ``x`` column must be bit-equal to the abscissae of the
+    (L, N) grid that the metadata names.
     """
     meta = _Meta()
     meta.path = path
@@ -410,7 +414,10 @@ def _read_table(path, columns: list[str]) -> tuple[_Meta, dict, Grid]:
         raise ValidationError(
             f"{path}: column 'x' is not the grid of L = {meta['L']}, N = {meta['N']}"
         )
-    return meta, cols, grid
+    f = _flux_from_meta(meta)
+    cfg = meta.checked(normalize_to_standing, f, meta.parse("u_minus"),
+                       meta.parse("u_plus"), meta.parse("s"))
+    return meta, cols, grid, cfg, f
 
 
 def _shock_meta(profile_cfg, grid: Grid, f: FluxModel, extra: dict) -> dict:
@@ -437,19 +444,14 @@ def write_profile_csv(path, profile: ProfileSolution, f: FluxModel,
                  _grid_cells(grids, profile.grid))
 
 
-def _profile_from(meta: _Meta, cols: dict, grid: Grid,
-                  method: str) -> tuple[ProfileSolution, FluxModel]:
+def _profile_from(meta: _Meta, cols: dict, grid: Grid, cfg: ShockConfig,
+                  f: FluxModel, method: str) -> tuple[ProfileSolution, FluxModel]:
     """Profile and flux of a table with ``ubar``/``ubar_prime`` columns."""
-    f = _flux_from_meta(meta)
-    cfg = normalize_to_standing(
-        f, meta.parse("u_minus"), meta.parse("u_plus"), meta.parse("s")
-    )
-    profile = ProfileSolution(
+    return ProfileSolution(
         config=cfg, grid=grid, ubar=cols["ubar"], ubar_prime=cols["ubar_prime"],
         exact=meta.get("exact") == "true",
         diagnostics={"method": meta.get("method", method)},
-    )
-    return profile, f
+    ), f
 
 
 def read_profile_csv(path) -> tuple[ProfileSolution, FluxModel]:
@@ -471,14 +473,16 @@ def write_aux_csv(path, aux: AuxiliarySolution, profile: ProfileSolution,
                  [aux.grid.x, aux.v], _grid_cells(grids, aux.grid))
 
 
-def _aux_from(meta: _Meta, cols: dict, grid: Grid) -> AuxiliarySolution:
-    """Correction of a table with a ``v`` column."""
+def _aux_from(meta: _Meta, cols: dict, grid: Grid, cfg: ShockConfig,
+              f: FluxModel) -> AuxiliarySolution:
+    """Correction of a table with a ``v`` column, at a neutral zero of its shock."""
+    freq = NeutralFrequency(meta.parse("tau0"),
+                            meta.checked(check_xi0, meta.parse("xi0")))
+    meta.checked(check_neutral, cfg, f, freq)
     return AuxiliarySolution(
-        grid=grid, v=cols["v"],
+        grid=grid, v=cols["v"], freq=freq,
         method=meta.parse("method", AuxMethod,
                           f"one of {[m.value for m in AuxMethod]}"),
-        freq=NeutralFrequency(meta.parse("tau0"),
-                              meta.checked(check_xi0, meta.parse("xi0"))),
     )
 
 
@@ -495,9 +499,9 @@ def write_point_csv(path, profile: ProfileSolution, aux: AuxiliarySolution,
 
 
 def read_point_csv(path) -> tuple[ProfileSolution, AuxiliarySolution, FluxModel]:
-    meta, cols, grid = _read_table(path, _POINT_COLUMNS)
-    profile, f = _profile_from(meta, cols, grid, "coupled")
-    return profile, _aux_from(meta, cols, grid), f
+    table = _read_table(path, _POINT_COLUMNS)
+    profile, f = _profile_from(*table, "coupled")
+    return profile, _aux_from(*table), f
 
 
 def write_beta_table_csv(path, study) -> None:

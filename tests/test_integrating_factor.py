@@ -79,6 +79,26 @@ class TestSolveV:
         with pytest.warns(QuadratureDegraded):
             solve_v_if(ps, forcing(f, freq, ps.config.u_minus, ps.ubar))
 
+    def test_refinement_check_runs_whatever_the_parity_of_half_n(self):
+        # N = 82 and 86 have N/2 odd: the estimate is then taken on the odd
+        # nodes, the every-other-node grid through the origin (3.608e-2 and
+        # 1.330e-2 on the sine flux, u+- = +-1, xi0 = 1)
+        f = sine_transverse_flux()
+        cfg = normalize_to_standing(f, 1.0, -1.0, rankine_hugoniot_speed(f, 1.0, -1.0))
+        freq = neutral_zero(cfg, f, 1.0)
+        for N, est in ((82, "3.608e-02"), (86, "1.330e-02")):
+            ps = solve_profile(cfg, Grid.make(20.0, N))
+            with pytest.warns(QuadratureDegraded, match=f"estimate {est} exceeds"):
+                solve_auxiliary_if(f, freq, ps)
+        solve_auxiliary_if(f, freq, solve_profile(cfg, Grid.make(20.0, 4002)))
+
+    def test_exact_case_is_silent_on_odd_half_n(self, quad_flux, exact_cfg,
+                                                 exact_freq):
+        # F/ubar' is constant, so the odd-node estimate is at rounding as well
+        ps = solve_profile(exact_cfg, Grid.make(20.25, 82))
+        aux = solve_auxiliary_if(quad_flux, exact_freq, ps)
+        assert aux.v[ps.grid.origin_index] == 0.0
+
     def test_refinement_warning_is_per_unit_xi0(self):
         # v is linear in xi0, so a grid that resolves v at xi0 = 1 (estimate
         # 4.1e-7) resolves it at xi0 = 30 (30 times the estimate) as well

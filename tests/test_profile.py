@@ -47,6 +47,15 @@ class TestGrid:
         with pytest.raises(ValidationError):
             _ = Grid.make(10.0, 101).origin_index
 
+    def test_coarsening_through_the_origin_needs_four_intervals(self):
+        # N = 2 leaves one node on the every-other-node grid through the origin
+        with pytest.raises(ValidationError) as ei:
+            Grid.make(10.0, 2)
+        assert str(ei.value) == "field 'N': 2 intervals; the grid needs N >= 4"
+        for N in (4, 6):
+            g = Grid.make(10.0, N)
+            assert g.x[g.origin_index % 2::2].size == 3
+
     def test_budget_checked_before_parity(self):
         with pytest.raises(ValidationError) as ei:
             Grid.make(1.0, 10**7 + 1)

@@ -35,34 +35,32 @@ def test_sample_count_validation():
         quad_simpson(np.array([1.0, 2.0, 3.0, 4.0]), 0.1)
     with pytest.raises(BadSampleCount):
         cumquad_simpson(np.array([1.0]), 0.1)
+    # a grid and its every-other-node coarsening have odd sample counts
+    for shape in (2, 4, 14, (2, 8)):
+        with pytest.raises(BadSampleCount):
+            cumquad_simpson(np.ones(shape), 0.1)
 
 
 def test_cumulative_matches_prefix_rules():
     # even prefixes agree with composite Simpson; odd ones add their last
-    # interval by the three-point rule h/12 (5, 8, -1) through the next node,
-    # or h/12 (-1, 8, 5) through the previous two at the last node
+    # interval by the three-point rule h/12 (5, 8, -1) through the next node
     rng = np.random.default_rng(7)
-    y = rng.standard_normal(14)
+    y = rng.standard_normal(13)
     h = 0.31
     out = cumquad_simpson(y, h)
     assert out[0] == 0.0
-    for j in range(2, 14, 2):
+    for j in range(2, 13, 2):
         assert out[j] == pytest.approx(quad_simpson(y[: j + 1], h), rel=1e-14)
     for j in range(1, 13, 2):
         expected = out[j - 1] + h / 12.0 * (5.0 * y[j - 1] + 8.0 * y[j] - y[j + 1])
         assert out[j] == pytest.approx(expected, rel=1e-14)
-    expected = out[12] + h / 12.0 * (-y[11] + 8.0 * y[12] + 5.0 * y[13])
-    assert out[13] == pytest.approx(expected, rel=1e-14)
-    # a single interval is a trapezoid
-    assert cumquad_simpson(y[:2], h)[1] == pytest.approx(0.5 * h * (y[0] + y[1]),
-                                                         rel=1e-14)
 
 
 def test_cumulative_rows_match_one_dimensional_calls():
     # a 2-row array is integrated along its last axis, each row bit for bit
     # as the 1-D call gives it
     rng = np.random.default_rng(11)
-    for n in (2, 3, 8, 13):
+    for n in (3, 13):
         y = rng.standard_normal((2, n))
         out = cumquad_simpson(y, 0.13)
         assert out.shape == y.shape
@@ -72,13 +70,12 @@ def test_cumulative_rows_match_one_dimensional_calls():
 
 def test_cumulative_against_antiderivative():
     # even prefixes are 4th order; odd prefixes add the local h^4/24 f'''
-    # error of their three-point interval, also at a final odd node
-    for n in (201, 202):
-        x = np.linspace(0.0, 2.0, n)
-        h = x[1] - x[0]
-        err = np.abs(cumquad_simpson(np.exp(x), h) - (np.exp(x) - 1.0))
-        assert np.max(err[0::2]) < 1e-9
-        assert np.max(err[1::2]) < 1e-9 + (h**4 / 24.0) * np.e**2
+    # error of their three-point interval
+    x = np.linspace(0.0, 2.0, 201)
+    h = x[1] - x[0]
+    err = np.abs(cumquad_simpson(np.exp(x), h) - (np.exp(x) - 1.0))
+    assert np.max(err[0::2]) < 1e-9
+    assert np.max(err[1::2]) < 1e-9 + (h**4 / 24.0) * np.e**2
 
 
 def test_cumulative_complex_samples():

@@ -197,6 +197,31 @@ def test_frequency_the_command_line_refuses_rejected(tmp_path, quad_flux,
     assert str(ei.value).startswith(f"{path}: ") and refusal in str(ei.value)
 
 
+@pytest.mark.parametrize("kind", ["aux", "point"])
+def test_tau0_off_the_neutral_zero_of_the_shock_rejected(tmp_path, quad_flux,
+                                                         exact_freq, profile_L20,
+                                                         kind):
+    # the exact case's tau0 is 0; 5 passes every number check but is not a
+    # neutral zero of the table's own flux and shock
+    path = tmp_path / f"{kind}.csv"
+    read = _write(kind, path, quad_flux, exact_freq, profile_L20)
+    assert "# tau0 = 0\n" in path.read_text()
+    _edit_table(path, meta=lambda line: "# tau0 = 5" if line == "# tau0 = 0" else line)
+    with pytest.raises(ValidationError) as ei:
+        read(path)
+    assert str(ei.value).startswith(f"{path}: (tau0, xi0) = (5.0, 1.0) is not a neutral zero")
+
+
+def test_inadmissible_shock_rejected_with_its_path(tmp_path, quad_flux,
+                                                   profile_L20):
+    path = tmp_path / "profile.csv"
+    serialize.write_profile_csv(path, profile_L20, quad_flux)
+    _edit_table(path, meta=lambda line: "# s = 5" if line.startswith("# s =") else line)
+    with pytest.raises(ValidationError) as ei:
+        serialize.read_profile_csv(path)
+    assert str(ei.value).startswith(f"{path}: s*[u] - [f1] = ")
+
+
 @pytest.mark.parametrize("kind", ["profile", "aux", "point"])
 def test_row_missing_a_cell_rejected(tmp_path, quad_flux, exact_freq,
                                      profile_L20, kind):
