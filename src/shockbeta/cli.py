@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,15 +32,6 @@ from .profile import Grid, check_resolution, exact_solution, solve_profile
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
-
-
-_HELP = {
-    "flux": "flux kind",
-    "L": "half-width; comma list for beta",
-    "N": "output grid interval count",
-    "method": "if | coupled | both",
-    "quadrature": "trapezoid | simpson",
-}
 
 
 def _join_config_flags(argv: list[str]) -> list[str]:
@@ -254,9 +246,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=COMMANDS, help="the command to run")
     parser.add_argument("--config", help="run-configuration file (key = value lines)")
-    for key in PARSERS:
-        parser.add_argument("--" + key.replace("_", "-"), dest=key, help=_HELP.get(key))
+    for field in dataclasses.fields(RunConfig):
+        parser.add_argument("--" + field.name.replace("_", "-"), dest=field.name,
+                            help=field.metadata["help"])
     return parser
+
+
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    """A command's warning as one line, without the package file that raised it."""
+    return f"warning: {category.__name__}: {message}\n"
 
 
 def main(argv=None) -> int:
@@ -265,6 +263,8 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = parser.parse_args(_join_config_flags(argv))
     _, func = COMMANDS[args.command]
+    saved = warnings.formatwarning
+    warnings.formatwarning = _format_warning
     try:
         rc = _load_config(args)
         return func(rc)
@@ -274,6 +274,8 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"solver failure: {describe(exc)}", file=sys.stderr)
         return EXIT_SOLVER
+    finally:
+        warnings.formatwarning = saved
 
 
 if __name__ == "__main__":

@@ -4,28 +4,17 @@ The file format is flat ``key = value`` lines; ``#`` starts a comment.  Lists
 are comma-separated.  Numbers must be finite, lists non-empty, and ``method``
 and ``quadrature`` one of their choices: every value is checked when read, so
 a bad one in a file names its line.  The keys describe the problem only; every
-acceptance threshold is a constant of the module that applies it.  Keys:
+acceptance threshold is a constant of the module that applies it.
 
-    flux          burgers | quadratic_transverse | sine_transverse | custom
-    sine_freq     frequency of f2 = sin(freq u), sine flux only (default 4*pi)
-    f1_coeffs     ascending polynomial coefficients (custom flux only)
-    f2_coeffs     ascending polynomial coefficients (custom flux only)
-    u_minus       left end state (required)
-    u_plus        right end state (required)
-    xi0           transverse wavenumber of the neutral frequency (required;
-                  1.22e-77 <= |xi0| <= 1.16e77)
-    L             truncation half-width; a comma list for beta studies only
-    N             even interval count of the output grid (default 4000)
-    method        if | coupled | both (default both)
-    quadrature    trapezoid | simpson (default trapezoid)
-    out_dir       output directory (default .)
-    u_minus_list  the left states of the scan command
+A key is declared once, as a :class:`RunConfig` field with its default, its
+parser and its flag help; ``PARSERS`` and the command line are read from those
+fields.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -76,33 +65,51 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return values
 
 
-def _parse_choice(choices: dict):
-    """A parser of one of the keys of ``choices``, read as its value."""
+def _key(default, parse, help=None):
+    """A :class:`RunConfig` field: its default, its text's parser, its flag help."""
+    return field(default=default, metadata={"parse": parse, "help": help})
+
+
+def _choice(default, choices: dict):
+    """A key whose text is a key of ``choices``, read as its value; help lists them."""
+    listed = " | ".join(choices)
 
     def parse(text: str):
         try:
             return choices[text]
         except KeyError:
-            raise ValueError(f"expected {' | '.join(choices)}, got {text!r}") from None
+            raise ValueError(f"expected {listed}, got {text!r}") from None
 
-    return parse
+    return _key(default, parse, listed)
 
 
 @dataclass
 class RunConfig:
-    flux: str = "quadratic_transverse"
-    sine_freq: float | None = None
-    f1_coeffs: tuple[float, ...] | None = None
-    f2_coeffs: tuple[float, ...] | None = None
-    u_minus: float | None = None
-    u_plus: float | None = None
-    xi0: float | None = None
-    L: tuple[float, ...] = (20.0,)
-    N: int = 4000
-    method: tuple[AuxMethod, ...] = tuple(AuxMethod)
-    quadrature: BetaQuadrature = BetaQuadrature.TRAPEZOID
-    out_dir: str = "."
-    u_minus_list: tuple[float, ...] | None = None
+    # burgers | quadratic_transverse | sine_transverse | custom
+    flux: str = _key("quadratic_transverse", str, "flux kind")
+    # f2 = sin(sine_freq u), sine flux only (None: 4 pi)
+    sine_freq: float | None = _key(None, _parse_float)
+    # ascending polynomial coefficients, custom flux only
+    f1_coeffs: tuple[float, ...] | None = _key(None, _parse_float_list)
+    f2_coeffs: tuple[float, ...] | None = _key(None, _parse_float_list)
+    # the end states and the transverse wavenumber of the neutral frequency:
+    # required, with 1.22e-77 <= |xi0| <= 1.16e77 (check_xi0)
+    u_minus: float | None = _key(None, _parse_float)
+    u_plus: float | None = _key(None, _parse_float)
+    xi0: float | None = _key(None, _parse_float)
+    # truncation half-width; a comma list for beta studies only
+    L: tuple[float, ...] = _key((20.0,), _parse_float_list,
+                                "half-width; comma list for beta")
+    # even interval count of the output grid
+    N: int = _key(4000, _parse_int, "output grid interval count")
+    method: tuple[AuxMethod, ...] = _choice(
+        tuple(AuxMethod),
+        {**{m.value: (m,) for m in AuxMethod}, "both": tuple(AuxMethod)})
+    quadrature: BetaQuadrature = _choice(
+        BetaQuadrature.TRAPEZOID, {q.value: q for q in BetaQuadrature})
+    out_dir: str = _key(".", str)
+    # the left states of the scan command
+    u_minus_list: tuple[float, ...] | None = _key(None, _parse_float_list)
 
     @property
     def L_single(self) -> float:
@@ -115,23 +122,7 @@ class RunConfig:
         return self.L[0]
 
 
-PARSERS = {
-    "flux": str,
-    "sine_freq": _parse_float,
-    "f1_coeffs": _parse_float_list,
-    "f2_coeffs": _parse_float_list,
-    "u_minus": _parse_float,
-    "u_plus": _parse_float,
-    "xi0": _parse_float,
-    "L": _parse_float_list,
-    "N": _parse_int,
-    "method": _parse_choice({**{m.value: (m,) for m in AuxMethod},
-                             "both": tuple(AuxMethod)}),
-    "quadrature": _parse_choice({q.value: q for q in BetaQuadrature}),
-    "out_dir": str,
-    "u_minus_list": _parse_float_list,
-}
-assert set(PARSERS) == {f.name for f in fields(RunConfig)}
+PARSERS = {f.name: f.metadata["parse"] for f in fields(RunConfig)}
 
 
 def _parse_field(key: str, text: str, where: str = ""):

@@ -95,15 +95,13 @@ class FoldedSystem:
         self._row_signs = np.repeat(self._signs, 2)
         self._f2_minus = self.flux.f2(self.cfg.u_minus)
 
-    def field(self, U, out=None):
+    def field(self, U, out):
         """Unfolded autonomous field on states U = (ubar, v), as (ubar', v').
 
-        With ``out`` (a pair of arrays shaped like ubar), the two components
-        are written there in place and ``out`` is returned.
+        The two components are written in place into ``out`` (a pair of
+        arrays shaped like ubar), which is returned.
         """
         ubar, v = U
-        if out is None:
-            out = np.empty((2, *np.shape(ubar)))
         du, dv = out
         du[...] = self.cfg.profile_field(ubar)
         np.multiply(self.cfg.a1_shifted(ubar), v, out=dv)

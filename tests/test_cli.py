@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -16,7 +17,7 @@ import shockbeta.serialize
 from shockbeta.auxiliary import AuxMethod
 from shockbeta.beta import BetaQuadrature
 from shockbeta.cli import build_parser, main
-from shockbeta.config import PARSERS, parse_config_file
+from shockbeta.config import PARSERS, RunConfig, parse_config_file
 from shockbeta.coupled import continuation_scan
 from shockbeta.model import (
     quadratic_transverse_flux, sine_transverse_flux, standing_shock,
@@ -377,6 +378,50 @@ class TestParser:
             main(["beta", "--help"])
         assert ei.value.code == 0
         assert "--u-minus-list" in capsys.readouterr().out
+
+    def test_each_key_is_declared_by_its_field_alone(self):
+        # a RunConfig field carries its key's parser and flag help, and
+        # PARSERS and the flags are read from the fields
+        fields = dataclasses.fields(RunConfig)
+        assert all(callable(f.metadata["parse"]) for f in fields)
+        assert list(PARSERS) == [f.name for f in fields]
+        helps = {a.dest: a.help for a in build_parser()._actions}
+        for key, accepted in (
+                ("method", [m.value for m in AuxMethod] + ["both"]),
+                ("quadrature", [q.value for q in BetaQuadrature])):
+            assert helps[key] == " | ".join(accepted), key
+            for choice in helps[key].split(" | "):
+                PARSERS[key](choice)
+            refusal = rf"expected {re.escape(helps[key])}, got 'bogus'"
+            with pytest.raises(ValueError, match=refusal):
+                PARSERS[key]("bogus")
+
+
+class TestWarningLine:
+    def test_command_warning_is_one_line_without_a_package_file(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "shockbeta.cli", "aux",
+             "--flux", "sine_transverse", "--u-minus", "1", "--u-plus", "-1",
+             "--xi0", "1", "--L", "20", "--N", "82", "--method", "if",
+             "--out-dir", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith(
+            "warning: QuadratureDegraded: cumulative Simpson refinement estimate")
+        assert ".py:" not in proc.stderr
+
+    def test_formatter_is_restored_after_the_command(self, exact_config, tmp_path):
+        before = warnings.formatwarning
+        out = tmp_path / "o"
+        assert run(["profile", "--config", exact_config, "--out-dir", out]) == 0
+        assert warnings.formatwarning is before
 
 
 class TestAuxCommand:
