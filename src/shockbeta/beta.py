@@ -147,8 +147,8 @@ def solve_pair(
         res = solve_coupled(cfg, f, freq, L, N, guess=guess, tail_tol=tail_tol,
                             decay_tol=decay_tol)
     else:
-        res = unfold_coupled(wider.bvp, cfg, freq, wider.L_solved, L, N,
-                             tail_tol, decay_tol)
+        res = unfold_coupled(wider.bvp, wider.aux.diagnostics["fold_mismatch"],
+                             cfg, freq, wider.L_solved, L, N, tail_tol, decay_tol)
     return res.profile, res.aux, res
 
 

@@ -32,7 +32,9 @@ layer, and the solve starts instead on 701 nodes graded to the pair
 conditions fix the state at t = 0, so the folded problem is an
 initial-value problem, and the solution on [-L, L] is a wider one
 restricted to |x| <= L: a study over several L solves the widest alone and
-samples each narrower L from it (:func:`unfold_coupled`).
+samples each narrower L from it (:func:`unfold_coupled`).  The fold is
+checked once per solve, in :func:`solve_coupled`, and every sampling of
+that solve reads the recorded mismatch.
 """
 
 from __future__ import annotations
@@ -282,11 +284,19 @@ def solve_coupled(
         initial_guess=(initial_guess if guess is None else guess)(sys), tol=tol,
     )
     sol = bvp_solve(problem)
-    return unfold_coupled(sol, cfg, freq, float(L), L, n_out, tail_tol, decay_tol)
+    at_fold = sol.interpolant(0.0)
+    fold_mismatch = float(np.max(np.abs(at_fold[:2] - at_fold[2:])))
+    if fold_mismatch > _FOLD_TOL:
+        raise SolverError(
+            f"fold duplicate mismatch {fold_mismatch:.3e} > {_FOLD_TOL}"
+        )
+    return unfold_coupled(sol, fold_mismatch, cfg, freq, float(L), L, n_out,
+                          tail_tol, decay_tol)
 
 
 def unfold_coupled(
     sol: BvpSolution,
+    fold_mismatch: float,
     cfg: ShockConfig,
     freq: NeutralFrequency,
     L_solved: float,
@@ -300,17 +310,12 @@ def unfold_coupled(
     ``sol`` solves the folded system of half-width ``L_solved`` >= L, v per
     unit |xi0|.  The fold conditions fix the state at t = 0, so the pair on
     [-L, L] is that solution read at t = |x| / L_solved, the left half before
-    :attr:`Grid.origin_index`.  The fold mismatch, tails and decay of v are
+    :attr:`Grid.origin_index`.  The fold was checked once, when ``sol`` was
+    solved (:func:`solve_coupled`), and ``fold_mismatch`` is the mismatch it
+    recorded, read here, not measured again.  The tails and decay of v are
     checked on the sampled pair; v is scaled by |xi0|; the diagnostics are
     those of ``sol``.
     """
-    at_fold = sol.interpolant(0.0)
-    fold_mismatch = float(np.max(np.abs(at_fold[:2] - at_fold[2:])))
-    if fold_mismatch > _FOLD_TOL:
-        raise SolverError(
-            f"fold duplicate mismatch {fold_mismatch:.3e} > {_FOLD_TOL}"
-        )
-
     grid = Grid.make(L, n_out)
     x = grid.x
     k = grid.origin_index

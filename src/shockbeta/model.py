@@ -22,6 +22,11 @@ forcing ``F(u) = tau0 (u - u-) + xi0 (f2(u) - f2(u-))`` and the slope
 ``F'(u) = tau0 + xi0 a2(u)`` are the only place where f2, a2 and the neutral
 frequency enter the numerics; F(u+) = 0 is the neutral condition
 ``Delta(i tau0, xi0) = i F(u+) = 0``.  Both routes only discretize them.
+
+The coefficient arithmetic (difference, derivative, division by the two end
+factors, evaluation) follows numpy.polynomial's order step for step, so every
+table is bit-identical to its numpy.polynomial counterpart, without importing
+that package.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as poly
 
 from .errors import (
     DegenerateShock,
@@ -62,6 +66,58 @@ def _horner(coeffs, u):
     for c in coeffs[-2::-1]:
         acc = acc * u + c
     return acc
+
+
+# Ascending coefficient lists, each step as numpy.polynomial takes it.
+
+def _trim(cs):
+    """``cs`` without trailing zeros, keeping at least one (``trimseq``)."""
+    k = len(cs)
+    while k > 1 and cs[k - 1] == 0:
+        k -= 1
+    return list(cs[:k])
+
+
+def _sub(a, b):
+    """a - b, trimmed (``polysub``)."""
+    a, b = _trim(a), _trim(b)
+    tail = a[len(b):] if len(a) > len(b) else [-c for c in b[len(a):]]
+    return _trim([x - y for x, y in zip(a, b)] + tail)
+
+
+def _der(cs):
+    """The derivative (``polyder``); 0 times the constant for a constant."""
+    if len(cs) == 1:
+        return [cs[0] * 0]
+    return [j * c for j, c in enumerate(cs)][1:]
+
+
+def _div_roots(cs, r0, r1):
+    """The quotient of cs by (u - r0)(u - r1) (``polydiv`` by ``polyfromroots``)."""
+    c = list(cs)
+    if len(c) < 3:
+        return [c[0] * 0]
+    r0, r1 = sorted((r0, r1))
+    # u^2 + a u + b; numpy's convolution sums b from +0.0
+    a, b = -r0 + -r1, r0 * r1 + 0.0
+    for j in range(len(c) - 1, 1, -1):
+        c[j - 2] -= b * c[j]
+        c[j - 1] -= a * c[j]
+    return c[2:]
+
+
+def _real_roots(cs):
+    """Real parts of the roots of cs (``polyroots``, unsorted)."""
+    cs = _trim(cs)
+    if len(cs) < 2:
+        return np.empty(0)
+    if len(cs) == 2:
+        return np.array([-cs[0] / cs[1]])
+    n = len(cs) - 1
+    companion = np.zeros((n, n))
+    companion.reshape(-1)[n::n + 1] = 1.0
+    companion[:, -1] -= np.divide(cs[:-1], cs[-1])
+    return np.linalg.eigvals(companion).real
 
 
 @dataclass(frozen=True)
@@ -258,16 +314,16 @@ def normalize_to_standing(
         )
 
     # P = f1 - s*u - c0, expanded; every field of the config derives from it
-    p = poly.polysub(f.f1_coeffs, (f.f1(u_minus) - s * u_minus, s))
-    dp = poly.polyder(p)
-    q, _ = poly.polydiv(p, poly.polyfromroots((u_plus, u_minus)))
+    p = _sub(f.f1_coeffs, (f.f1(u_minus) - s * u_minus, s))
+    dp = _der(p)
+    q = _div_roots(p, u_plus, u_minus)
     cfg = ShockConfig(
         u_minus=float(u_minus),
         u_plus=float(u_plus),
         s=float(s),
         q_coeffs=tuple(float(c) for c in q),
         dp_coeffs=tuple(float(c) for c in dp),
-        d2p_coeffs=tuple(float(c) for c in poly.polyder(dp)),
+        d2p_coeffs=tuple(float(c) for c in _der(dp)),
     )
     a_plus, a_minus = cfg.a1_shifted(u_plus), cfg.a1_shifted(u_minus)
     if not (a_plus < 0.0):
@@ -289,11 +345,11 @@ def normalize_to_standing(
     # A rest point inside is a zero of Q.  Lax makes sign(u- - u+) Q positive
     # at both ends, so its least value is at an end or an interior critical
     # point of Q; one at the rounding level of Q counts as a rest point.
-    crit = poly.polyroots(poly.polyder(q)).real
+    crit = _real_roots(_der(q))
     samples = np.concatenate(
         [[u_minus, u_plus], crit[(crit - u_minus) * (crit - u_plus) < 0.0]]
     )
-    rounding = _ROUNDING * poly.polyval(np.abs(samples), np.abs(q))
+    rounding = _ROUNDING * _horner(np.abs(cfg.q_coeffs), np.abs(samples))
     if np.any(np.sign(u_minus - u_plus) * cfg.q(samples) <= rounding):
         raise InteriorEquilibrium(
             "shifted flux has a rest point strictly between the end states"

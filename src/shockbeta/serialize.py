@@ -530,22 +530,24 @@ def beta_result_dict(r) -> dict:
         "L": r.L,
         "method": r.method.value,
         "quadrature": r.quadrature.value,
-        "diagnostics": _plain(r.diagnostics),
+        "diagnostics": r.diagnostics,
     }
 
 
-def _plain(obj):
-    """Recursively convert numpy scalars/containers for JSON emission."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
+def _json_default(obj):
+    """A numpy scalar or array as its Python value, for ``json.dumps``."""
+    if isinstance(obj, (np.floating, np.integer, np.bool_, np.ndarray)):
         return obj.tolist()
-    return obj
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def write_manifest(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(_plain(payload), indent=2, sort_keys=True) + "\n")
+    """``payload`` as indented JSON with sorted keys, in one pass.
+
+    ``json.dumps`` walks the payload once; its ``default`` hook
+    (:func:`_json_default`) turns each numpy scalar or array it meets into
+    its Python value.  A numpy float is a Python float, written with the
+    same repr.
+    """
+    Path(path).write_text(
+        json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n")

@@ -301,6 +301,39 @@ class TestContinuationInL:
             assert r.beta == down.results[key].beta
             assert r.diagnostics == down.results[key].diagnostics
 
+    def test_narrower_entries_carry_the_widest_fold_mismatch(
+            self, monkeypatch, quad_flux, exact_cfg, exact_freq):
+        real = shockbeta.beta.solve_pair
+        fold = {}
+
+        def spy(cfg, f, freq, method, L, *args, **kw):
+            pair = real(cfg, f, freq, method, L, *args, **kw)
+            fold[L] = pair[1].diagnostics["fold_mismatch"]
+            return pair
+
+        monkeypatch.setattr(shockbeta.beta, "solve_pair", spy)
+        study = beta_convergence_study(exact_cfg, quad_flux, exact_freq,
+                                       [10.0, 20.0, 30.0],
+                                       methods=[AuxMethod.COUPLED])
+        assert not study.failures
+        assert fold[10.0] == fold[20.0] == fold[30.0] <= 1e-10
+
+    def test_sampling_reads_the_recorded_fold_check(self, monkeypatch, quad_flux,
+                                                    exact_cfg, exact_freq):
+        # the fold is checked when the widest L is solved, not per sampling:
+        # a tolerance no solve meets, set afterwards, fails no narrower entry
+        *_, widest = solve_pair(exact_cfg, quad_flux, exact_freq, AuxMethod.COUPLED,
+                                30.0, 4000, STUDY_TAIL_TOL, STUDY_DECAY_TOL,
+                                guess=tanh_guess)
+        monkeypatch.setattr(shockbeta.coupled, "_FOLD_TOL", -1.0)
+        for L in (10.0, 20.0):
+            _, aux, sampled = solve_pair(exact_cfg, quad_flux, exact_freq,
+                                         AuxMethod.COUPLED, L, 4000, STUDY_TAIL_TOL,
+                                         STUDY_DECAY_TOL, wider=widest)
+            assert sampled.bvp is widest.bvp
+            assert (aux.diagnostics["fold_mismatch"]
+                    == widest.aux.diagnostics["fold_mismatch"])
+
     def test_one_solve_per_study(self, monkeypatch, quad_flux, exact_cfg,
                                  exact_freq):
         # the widest L is solved, from one closed-form guess and no outward

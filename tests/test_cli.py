@@ -483,6 +483,21 @@ class TestBetaCommand:
             else:
                 assert not any(k in d for k in keys)
 
+    def test_fold_mismatch_fails_each_coupled_entry(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # each coupled solve checks its fold once and fails; the if row stands
+        monkeypatch.setattr(shockbeta.coupled, "_FOLD_TOL", -1.0)
+        out = tmp_path / "o"
+        assert run(["beta", "--config", EXACT_CASE_CFG, "--out-dir", out]) == 0
+        manifest = json.loads((out / "beta_manifest.json").read_text())
+        assert sorted(manifest["failures"]) == [
+            "coupled,L=10.0", "coupled,L=20.0", "coupled,L=30.0"]
+        for cause in manifest["failures"].values():
+            assert cause.startswith("SolverError: fold duplicate mismatch"), cause
+        assert [(e["method"], e["L"]) for e in manifest["entries"]] == [
+            ("if", 10.0), ("if", 20.0), ("if", 30.0)]
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_method_subset_single_row(self, exact_config, tmp_path):
         out = tmp_path / "out"
         assert run(["beta", "--config", exact_config, "--method", "if",

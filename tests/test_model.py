@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as poly
 
 from shockbeta.errors import (
     DegenerateShock,
@@ -168,6 +169,55 @@ class TestNormalizeToStanding:
         f = custom_flux(TANGENT_F1, [0.0, 0.0, 1.0])
         with pytest.raises(InteriorEquilibrium):
             normalize_to_standing(f, 1.0, -1.0, 0.0)
+
+
+def _numpy_shock_data(f, cfg):
+    """(q, P', P'') of the shock by numpy.polynomial, the reference."""
+    c0 = f.f1(cfg.u_minus) - cfg.s * cfg.u_minus
+    p = poly.polysub(f.f1_coeffs, (c0, cfg.s))
+    dp = poly.polyder(p)
+    q, _ = poly.polydiv(p, poly.polyfromroots((cfg.u_plus, cfg.u_minus)))
+    return tuple(tuple(float(c) for c in cs) for cs in (q, dp, poly.polyder(dp)))
+
+
+def _seeded_custom_shocks():
+    """Admissible custom f1 of degree 2-5 from a fixed seed, one of them with
+    trailing zeros: u^2/2 with a small perturbation, u- near 1, u+ near -1."""
+    rng = np.random.default_rng(20260)
+    shocks = []
+    for degree in (2, 3, 4, 5, 2, 3, 4, 5):
+        f1 = [float(c) for c in rng.uniform(-0.04, 0.04, degree + 1)]
+        f1[2] += 0.5
+        shocks.append((f1, float(rng.uniform(0.8, 1.6)), float(rng.uniform(-1.4, -0.7))))
+    shocks.append(([0.0, 0.0, 0.5, 0.1, 0.0, 0.0], 1.5, -1.0))
+    return shocks
+
+
+class TestShockDataBitForBit:
+    """Every coefficient table equals numpy.polynomial's, bit for bit."""
+
+    @pytest.mark.parametrize("flux, u_minus, u_plus", [
+        pytest.param(burgers_flux(), 1.0, -1.0, id="burgers"),
+        pytest.param(burgers_flux(), 1.5, -1.0, id="burgers-moving"),
+        pytest.param(quadratic_transverse_flux(), 1.0, -1.0, id="quadratic"),
+        pytest.param(quadratic_transverse_flux(), 0.0, -1.3, id="quadratic-zero-state"),
+        pytest.param(sine_transverse_flux(), 1.0, -1.0, id="sine"),
+        pytest.param(sine_transverse_flux(), 1.3, -1.0, id="sine-1.3"),
+        pytest.param(custom_flux((0.0, 0.0, 0.5, 0.1), (0.0, 0.0, 1.0)), 1.5, -1.0,
+                     id="ci-cubic"),
+        pytest.param(custom_flux((0.0, 0.0, 0.5, 0.1), (0.0, 0.0, 1.0)), 1.0, -1.0,
+                     id="ci-cubic-1.0"),
+    ] + [pytest.param(custom_flux(f1, (0.0, 0.0, 1.0)), um, up,
+                      id=f"custom-{k}-{len(f1)}-coeffs")
+         for k, (f1, um, up) in enumerate(_seeded_custom_shocks())])
+    def test_tables_equal_numpy_polynomial(self, flux, u_minus, u_plus):
+        cfg, _ = standing_shock(flux, u_minus, u_plus, 1.0)
+        got = (cfg.q_coeffs, cfg.dp_coeffs, cfg.d2p_coeffs)
+        ref = _numpy_shock_data(flux, cfg)
+        assert got == ref
+        # signed zeros included
+        assert [[c.hex() for c in cs] for cs in got] == [
+            [c.hex() for c in cs] for cs in ref]
 
 
 class TestLopatinskii:

@@ -267,17 +267,45 @@ def test_failed_entry_cell_is_its_exception_class(tmp_path, quad_flux, exact_cfg
         assert float(row[2]) == study.results[(method, 20.0)].beta
 
 
+def _plain_reference(obj):
+    """A converted copy of the payload: numpy scalars and arrays as Python
+    values, tuples as lists, keys as strings.  The reference of the manifest
+    bytes."""
+    if isinstance(obj, dict):
+        return {str(k): _plain_reference(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain_reference(v) for v in obj]
+    if isinstance(obj, (np.floating, np.integer, np.bool_)):
+        return obj.item()
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    return obj
+
+
 def test_manifest_json_plain_types(tmp_path):
     payload = {
         "a": np.float64(1.5),
         "b": np.int64(3),
         "c": np.arange(3),
         "d": {"nested": np.bool_(True)},
+        "e": np.array(0.1),
+        "f": np.arange(6.0).reshape(2, 3) / 7.0,
+        "g": (np.float64(1.0) / 3.0, 1, "x", None, (np.int64(-4), np.bool_(False))),
+        "h": {"z": [np.float64(-0.0), {"y": np.arange(2.0)}], "a": {}},
     }
     path = tmp_path / "m.json"
     serialize.write_manifest(path, payload)
     loaded = json.loads(path.read_text())
-    assert loaded == {"a": 1.5, "b": 3, "c": [0, 1, 2], "d": {"nested": True}}
+    assert loaded == {"a": 1.5, "b": 3, "c": [0, 1, 2], "d": {"nested": True},
+                      "e": 0.1, "f": (np.arange(6.0).reshape(2, 3) / 7.0).tolist(),
+                      "g": [1.0 / 3.0, 1, "x", None, [-4, False]],
+                      "h": {"z": [-0.0, {"y": [0.0, 1.0]}], "a": {}}}
+    expected = json.dumps(_plain_reference(payload), indent=2, sort_keys=True) + "\n"
+    assert path.read_text() == expected
+
+    with pytest.raises(TypeError):
+        serialize.write_manifest(tmp_path / "refused.json", {"a": [1, object()]})
+    assert not (tmp_path / "refused.json").exists()
 
 
 def test_float_formatting_is_lossless():
