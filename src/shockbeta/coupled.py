@@ -95,7 +95,6 @@ class FoldedSystem:
     def __post_init__(self):
         self._signs = np.array([self.L, -self.L])
         self._row_signs = np.repeat(self._signs, 2)
-        self._f2_minus = self.flux.f2(self.cfg.u_minus)
 
     def field(self, U, out):
         """Unfolded autonomous field on states U = (ubar, v), as (ubar', v').
@@ -107,7 +106,7 @@ class FoldedSystem:
         du, dv = out
         du[...] = self.cfg.profile_field(ubar)
         np.multiply(self.cfg.a1_shifted(ubar), v, out=dv)
-        dv += forcing(self.flux, self.freq, self.cfg.u_minus, ubar, self._f2_minus)
+        dv += forcing(self.flux, self.freq, self.cfg.u_minus, ubar)
         return out
 
     def rhs(self, t, Y: np.ndarray) -> np.ndarray:
@@ -340,7 +339,6 @@ def unfold_coupled(
         method=AuxMethod.COUPLED,
         freq=freq,
         diagnostics={
-            "method": "coupled",
             "residual_norm": sol.residual_norm,
             "newton_iters": sol.newton_iters,
             "mesh_size": int(sol.mesh.size),
@@ -391,9 +389,9 @@ def continuation_scan(
                 if not by_state:
                     raise  # first point: configuration-level problem
                 by_state[um] = exc
+    # the first point is admissible, or has raised
     admissible = [s[0] for s in by_state.values() if not isinstance(s, ValidationError)]
-    if admissible:
-        check_resolution(max(admissible, key=lambda cfg: cfg.layer_rate), L, n_out)
+    check_resolution(max(admissible, key=lambda cfg: cfg.layer_rate), L, n_out)
 
     for um, shock in by_state.items():
         if not isinstance(shock, ValidationError):

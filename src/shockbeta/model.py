@@ -387,15 +387,9 @@ def check_neutral(cfg: ShockConfig, f: FluxModel, freq: NeutralFrequency) -> Non
         )
 
 
-def forcing(f: FluxModel, freq: NeutralFrequency, u_minus: float, u,
-            f2_minus=None):
-    """F(u) = tau0 (u - u-) + xi0 (f2(u) - f2(u-)), the forcing of v.
-
-    ``f2_minus`` is f2(u-), for a caller that evaluates F many times.
-    """
-    if f2_minus is None:
-        f2_minus = f.f2(u_minus)
-    return freq.tau0 * (u - u_minus) + freq.xi0 * (np.asarray(f.f2(u)) - f2_minus)
+def forcing(f: FluxModel, freq: NeutralFrequency, u_minus: float, u):
+    """F(u) = tau0 (u - u-) + xi0 (f2(u) - f2(u-)), the forcing of v."""
+    return freq.tau0 * (u - u_minus) + freq.xi0 * (np.asarray(f.f2(u)) - f.f2(u_minus))
 
 
 def forcing_slope(f: FluxModel, freq: NeutralFrequency, u):

@@ -9,9 +9,12 @@ It is sixth order at the mesh nodes.  The Newton unknowns are the node values
 and the two interior stage values S2, S3 of every interval; the nonlinear
 collocation equations are solved by a damped Newton iteration, with the
 analytic Jacobian of the problem's rhs and the conditions y(0) = y0, whose
-Jacobian is the identity.  Each iteration evaluates the rhs and its
-Jacobian once, on the nodes and both stage sets stacked into one array;
-the four points of every interval are four slices of that layout.
+Jacobian is the identity.  A step that does not reduce the residual is
+halved, up to ``_MAX_BACKTRACKS`` times, before the iteration is refused
+with :class:`NewtonDivergence`; a full step at rounding level is taken
+with no decrease test.  Each iteration evaluates the rhs and its Jacobian
+once, on the nodes and both stage sets stacked into one array; the four
+points of every interval are four slices of that layout.
 The initial guess is a function of x, read once at those points of the
 initial mesh, and the Jacobian that checks it serves the first Newton step.
 
@@ -414,6 +417,12 @@ def _newton(rhs, jac, y0, h, xz, Z, J=None):
     """Damped Newton on the collocation system; returns ``(Z, F, iterations)``.
 
     ``h = np.diff(x)``; ``J``, if given, is ``jac(xz, Z)`` for the first step.
+    A step that does not reduce the max-norm residual |R| by the factor
+    1 - 1e-4 lam is halved, up to ``_MAX_BACKTRACKS`` times, and then
+    :class:`NewtonDivergence` is raised, naming |R| before the step and at
+    the shortest one.  A full step at rounding level, max|dZ| <= 1e-14 scale,
+    is taken with no decrease test; it, or any accepted step that small,
+    ends the iteration.
     """
     R, F = _full_residual(rhs, y0, h, xz, Z)
     if not np.all(np.isfinite(R)):
@@ -430,18 +439,21 @@ def _newton(rhs, jac, y0, h, xz, Z, J=None):
         if not np.all(np.isfinite(dZ)):
             raise SingularJacobian("Newton linear solve produced non-finite step")
 
+        # a full step at rounding level is taken without the decrease test:
+        # the residual it leaves is at rounding level too
+        rounding = np.max(np.abs(dZ)) <= 1e-14 * scale
         lam = 1.0
         for _ in range(_MAX_BACKTRACKS + 1):
             Z_try = Z + lam * dZ
             R_try, F_try = _full_residual(rhs, y0, h, xz, Z_try)
             norm_try = np.max(np.abs(R_try)) if np.all(np.isfinite(R_try)) else np.inf
-            if norm_try < (1.0 - 1e-4 * lam) * norm:
+            if rounding or norm_try < (1.0 - 1e-4 * lam) * norm:
                 break
             lam *= 0.5
         else:
             raise NewtonDivergence(
-                f"no residual decrease after {_MAX_BACKTRACKS} step halvings "
-                f"(|R|={norm:.3e})"
+                f"no residual decrease after {_MAX_BACKTRACKS} step halvings: "
+                f"|R| = {norm:.3e}, {norm_try:.3e} at the shortest step"
             )
         Z, R, F = Z_try, R_try, F_try
         iters += 1

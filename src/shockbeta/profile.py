@@ -139,11 +139,18 @@ class ProfileSolution:
 
 
 def _check_profile(ps: ProfileSolution, tail_tol: float) -> None:
+    """Refuse unresolved tails and a profile that is not monotone.
+
+    The tail gate is relative to the jump: each endpoint residual must be at
+    most ``tail_tol`` |u+ - u-|, so a shock of any size has to be carried
+    the same fraction of the way to its end states.
+    """
     left, right = ps.tail_residuals()
-    if max(left, right) > tail_tol:
+    jump = abs(ps.config.u_jump)
+    if max(left, right) > tail_tol * jump:
         raise TailNotResolved(
-            f"endpoint residuals ({left:.3e}, {right:.3e}) exceed {tail_tol:.1e}; "
-            f"increase L"
+            f"endpoint residuals ({left:.3e}, {right:.3e}) exceed {tail_tol:.1e} "
+            f"times the jump {jump:.3e}; increase L"
         )
     direction = np.sign(ps.config.u_plus - ps.config.u_minus)
     dd = direction * np.diff(ps.ubar)
@@ -250,8 +257,9 @@ def solve_profile(
     f1 of degree >= 3 is integrated outward from the midpoint anchor.  Either
     way ``ubar_prime`` is the profile field P at ``ubar``.
 
-    Raises :class:`TailNotResolved` when the endpoint residual exceeds
-    ``tail_tol`` (the domain half-width L is too small for the decay rates).
+    Raises :class:`TailNotResolved` when an endpoint residual exceeds
+    ``tail_tol`` times the jump |u+ - u-| (the domain half-width L is too
+    small for the decay rates).
     """
     quadratic = len(cfg.q_coeffs) == 1
     if quadratic:

@@ -231,6 +231,18 @@ class TestConvergenceStudy:
             assert key_ok in study.results
         assert not study.sign_stable()
 
+    def test_tiny_jump_entries_are_refused(self):
+        # both endpoint residuals are 1e-9, below the study's 1e-3 taken
+        # absolutely, but the whole half-jump
+        f = burgers_flux()
+        cfg, freq = standing_shock(f, 1e-9, -1e-9, 1.0)
+        study = beta_convergence_study(cfg, f, freq, [20.0])
+        assert not study.results
+        assert set(study.failures) == {(m, 20.0) for m in AuxMethod}
+        for exc in study.failures.values():
+            assert isinstance(exc, TailNotResolved)
+            assert "times the jump 2.000e-09" in str(exc)
+
     def test_quadrature_named_by_its_string(self, quad_flux, exact_cfg,
                                             exact_freq):
         named, chosen = (

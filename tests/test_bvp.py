@@ -622,3 +622,53 @@ def test_small_last_step_keeps_its_count():
     assert bvp_solve(_decay_problem(21, guess=_decay_exact)).newton_per_sweep == [1]
     # the coarse first sweep fails the estimate; the fine one starts close
     assert bvp_solve(_decay_problem(11)).newton_per_sweep == [4, 1]
+
+
+def _unit_decay_problem(guess):
+    """y' = -y, y(0) = 1 on the uniform 11-node mesh."""
+    rhs, jac = _linear([[-1.0]])
+    return BvpProblem(rhs=rhs, jac=jac, y0=[1.0], initial_mesh=np.linspace(0.0, 1.0, 11),
+                      initial_guess=guess)
+
+
+def _scaled_steps(monkeypatch, factor):
+    """Patch the Newton linear solve to return ``factor`` times its step."""
+    steps = []
+
+    def splu(blocks, R):
+        steps.append(factor * bvp._block_solve(blocks, R))
+        return steps[-1]
+
+    monkeypatch.setattr(bvp, "splu", splu)
+    return steps
+
+
+def test_an_overlong_step_is_halved_until_it_reduces_the_residual(monkeypatch):
+    # the residual is affine in Z: ten times the step leaves -9 R, and the
+    # fourth trial, 1.25 times the step, leaves -R/4
+    steps = _scaled_steps(monkeypatch, 10.0)
+    sol = bvp_solve(_unit_decay_problem(_constant(0.0)))
+    assert np.max(np.abs(sol.y[0] - np.exp(-sol.mesh))) <= 1e-9
+    assert len(steps) == sol.newton_iters > 10
+
+
+def test_full_steps_that_do_not_reduce_the_residual_diverge(monkeypatch):
+    steps = _scaled_steps(monkeypatch, 10.0)
+    monkeypatch.setattr(bvp, "_MAX_BACKTRACKS", 0)
+    with pytest.raises(NewtonDivergence, match=r"^no residual decrease after 0 step "
+                       r"halvings: \|R\| = 1\.000e\+00, 9\.000e\+00 at the shortest step$"):
+        bvp_solve(_unit_decay_problem(_constant(0.0)))
+    assert len(steps) == 1
+
+
+def test_a_step_at_rounding_level_ends_the_iteration(monkeypatch):
+    # from y = 0 the residual is 1, far above the convergence test, and a
+    # step 1e-20 times the Newton step leaves it there; the step is taken,
+    # not halved until the iteration is refused
+    steps = _scaled_steps(monkeypatch, 1e-20)
+    p = _unit_decay_problem(_constant(0.0))
+    x = p.initial_mesh
+    Z, F, iters = bvp._newton(p.rhs, p.jac, p.y0, np.diff(x), bvp._collocation_points(x),
+                              p.initial_samples)
+    assert iters == len(steps) == 1
+    assert np.array_equal(Z, p.initial_samples + steps[0])

@@ -882,8 +882,8 @@ class TestScanCommand:
                   "--L", "20", "--N", "4000"]
         out, alone = tmp_path / "out", tmp_path / "alone"
         assert run([*common, "--u-minus-list", "1.0,-0.8,1.5", "--out-dir", out]) == 3
-        cause = ("endpoint residuals (2.384e-02, 2.384e-02) exceed 1.0e-06; "
-                 "increase L")
+        cause = ("endpoint residuals (2.384e-02, 2.384e-02) exceed 1.0e-06 "
+                 "times the jump 2.000e-01; increase L")
         assert f"point 1 (u- = -0.8) failed: TailNotResolved: {cause}\n" in (
             capsys.readouterr().err)
         assert sorted(p.name for p in out.iterdir()) == [

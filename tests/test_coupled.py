@@ -289,6 +289,32 @@ class TestSolveCoupled:
     def test_residual_norm_under_tolerance(self, coupled_L20):
         assert coupled_L20.bvp.residual_norm <= 1e-8
 
+    def test_a_far_tanh_guess_takes_a_halved_newton_step(self, monkeypatch):
+        # f1 = 1.3 u^2 - 0.26 u^4 is concave beyond |u| = 0.913, and this
+        # admissible shock's profile is far from the tanh pair: the first
+        # sweep halves one Newton step, and full steps alone diverge
+        f = custom_flux((0.0, 0.0, 1.3, 0.0, -0.26), (0.0, 0.0, 1.0))
+        cfg, freq = standing_shock(f, 1.44, -1.37, 1.0)
+        full_residual, calls = bvp._full_residual, []
+
+        def spy(*args):
+            calls.append(args)
+            return full_residual(*args)
+
+        monkeypatch.setattr(bvp, "_full_residual", spy)
+        damped = solve_coupled(cfg, f, freq, 65.0, 4000, guess=tanh_guess)
+        assert damped.bvp.newton_per_sweep == [6, 1]
+        # one residual per sweep's start and per step, and the halved trial
+        assert len(calls) == damped.bvp.mesh_iterations + damped.bvp.newton_iters + 1
+        # the outward guess takes full steps to the same solution
+        outward = solve_coupled(cfg, f, freq, 65.0, 4000)
+        assert np.max(np.abs(damped.aux.v - outward.aux.v)) <= 1e-14
+        assert np.max(np.abs(damped.profile.ubar - outward.profile.ubar)) <= 1e-14
+        monkeypatch.setattr(bvp, "_MAX_BACKTRACKS", 0)
+        with pytest.raises(NewtonDivergence, match=r"no residual decrease after 0 step "
+                           r"halvings: \|R\| = 1\.134e\+02, 1\.138e\+02 at the shortest"):
+            solve_coupled(cfg, f, freq, 65.0, 4000, guess=tanh_guess)
+
     def test_zero_frequency_reduces_to_profile(self, exact_cfg, quad_flux,
                                                grid_L20, profile_L20):
         res = solve_coupled(
@@ -519,9 +545,21 @@ class TestContinuation:
         assert isinstance(pts[0], CoupledResult)
         assert isinstance(pts[1], TailNotResolved)
         assert str(pts[1]) == ("endpoint residuals (2.384e-02, 2.384e-02) "
-                               "exceed 1.0e-06; increase L")
+                               "exceed 1.0e-06 times the jump 2.000e-01; increase L")
         assert np.array_equal(pts[2].aux.v, alone.aux.v)
         assert np.array_equal(pts[2].profile.ubar, alone.profile.ubar)
+
+    def test_inadmissible_first_point_raises_before_any_solve(self, monkeypatch):
+        # with no freq0 the first left state is built here: u- = -3 < u+
+        # breaks the Lax condition, and the scan raises instead of recording it
+        def no_solve(problem):
+            raise AssertionError("a point was solved")
+
+        monkeypatch.setattr("shockbeta.coupled.bvp_solve", no_solve)
+        f = burgers_flux()
+        cfg0 = normalize_to_standing(f, 1.0, -1.0, 0.0)
+        with pytest.raises(LaxViolation):
+            continuation_scan(cfg0, f, 1.0, [-3.0, 1.0], 20.0, 4000)
 
     def test_a_repeated_failure_repeats_its_entry(self, quad_flux, exact_cfg,
                                                   monkeypatch):

@@ -239,6 +239,14 @@ class TestSolveProfile:
         with pytest.raises(TailNotResolved):
             solve_profile(exact_cfg, Grid.make(1.0, 100))
 
+    def test_tail_gate_is_relative_to_the_jump(self):
+        # a jump of 2e-9 keeps both endpoint residuals below 1e-6 at any L,
+        # yet at L = 20 the layer, of width 1e9, has not begun to turn
+        cfg = normalize_to_standing(burgers_flux(), 1e-9, -1e-9, 0.0)
+        with pytest.raises(TailNotResolved, match=r"\(1\.000e-09, 1\.000e-09\) exceed "
+                           r"1\.0e-06 times the jump 2\.000e-09; increase L"):
+            solve_profile(cfg, Grid.make(20.0, 4000))
+
     def test_non_monotone_profile_is_solver_error(self, profile_L20):
         ubar = profile_L20.ubar.copy()
         ubar[100] += 1e-9  # a wiggle in the saturated left tail

@@ -2,18 +2,20 @@
 
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from shockbeta.beta import compute_beta
-from shockbeta.coupled import continuation_scan, solve_coupled
+from shockbeta.coupled import continuation_scan, solve_coupled, tanh_guess
 from shockbeta.errors import ValidationError
 from shockbeta.integrating_factor import solve_auxiliary_if, solve_v_if
 from shockbeta.model import (
     NeutralFrequency,
     burgers_flux,
+    custom_flux,
     forcing,
     lopatinskii,
     neutral_zero,
@@ -21,6 +23,7 @@ from shockbeta.model import (
     quadratic_transverse_flux,
     rankine_hugoniot_speed,
     sine_transverse_flux,
+    standing_shock,
 )
 from shockbeta.profile import Grid, check_resolution, solve_profile
 
@@ -171,3 +174,47 @@ def test_quadratic_step_from_1_to_1_25_equals_its_cold_solve():
     # one sweep on the starting mesh: the scan point ends within 1e-14 of
     # the beta solved from the outward integration
     _check_step_equals_cold_solve(0, 1.0, 1.25, 20.0, 100)
+
+
+# the built-in fluxes, the sine at 5 to 80, custom f1 of degree 3 and 4,
+# and a steep quadratic f1 with a cubic f2; each drawn in turn, since one
+# derandomized draw of all six leaves some out
+SWEEP_FLUXES = {
+    "burgers": st.builds(burgers_flux),
+    "quadratic_transverse": st.builds(quadratic_transverse_flux),
+    "sine": st.builds(sine_transverse_flux, st.floats(5.0, 80.0)),
+    "cubic_f1": st.builds(lambda a, c3: custom_flux((0.0, 0.0, a, c3), (0.0, 0.0, 1.0)),
+                          st.floats(0.5, 2.0), st.floats(-0.3, 0.3)),
+    "quartic_f1": st.builds(
+        lambda a, c4: custom_flux((0.0, 0.0, a, 0.0, c4), (0.0, 0.0, 1.0)),
+        st.floats(0.5, 2.0), st.floats(-0.3, 0.3)),
+    "steep_f1_cubic_f2": st.builds(
+        lambda a, c3: custom_flux((0.0, 0.0, a), (0.0, 0.0, 1.0, c3)),
+        st.floats(2.0, 25.0), st.floats(-0.3, 0.3)),
+}
+
+
+@pytest.mark.parametrize("family", SWEEP_FLUXES)
+def test_admissible_coupled_solves_converge(family):
+    # every admissible shock whose tails the domain resolves converges from
+    # either guess, and warns of nothing: 7 draws of each of the six
+    # families, 42 in all, with L from the slower end rate
+    @settings(max_examples=7, deadline=None, derandomize=True)
+    @given(f=SWEEP_FLUXES[family], up=st.floats(-2.0, 0.5), jump=st.floats(0.2, 3.0),
+           xi0=st.sampled_from([0.3, 1.0, 3.0]))
+    def sweep(f, up, jump, xi0):
+        try:
+            cfg, nf = standing_shock(f, up + jump, up, xi0)
+        except ValidationError:
+            assume(False)
+        slower = min(abs(cfg.a1_shifted(u)) for u in (cfg.u_minus, cfg.u_plus))
+        L = math.ceil(40.0 / slower)
+        assume(L <= 400)
+        N = max(4000, 2 * math.ceil(2.0 * L * cfg.layer_rate))
+        check_resolution(cfg, L, N)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for guess in (None, tanh_guess):
+                solve_coupled(cfg, f, nf, L, N, guess=guess)
+
+    sweep()
