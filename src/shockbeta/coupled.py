@@ -122,15 +122,15 @@ class FoldedSystem:
         out *= self._row_signs if Y.ndim == 1 else self._row_signs[:, None]
         return out
 
-    def jac(self, t, Y: np.ndarray) -> np.ndarray:
-        """Jacobian of :meth:`rhs`, shape (n, 4, 4), both halves in one pass.
+    def jac(self, t, Y: np.ndarray):
+        """Jacobian of :meth:`rhs` as ``(diag, couplings)``, both halves in one pass.
 
         Each half is lower triangular, with sign +1 on the right half and -1
         on the left: d ubar'/d ubar = d v'/d v = a1s(ubar) = P'(ubar), and
         d v'/d ubar = P''(ubar) v + F'(ubar).  The halves do not couple and
         ubar' does not depend on v, so with the state ordered (ubar_r, v_r,
-        ubar_l, v_l) the whole matrix is lower triangular, as
-        :class:`BvpProblem` requires.
+        ubar_l, v_l) the diagonal is each half's a1s(ubar) twice, and the
+        couplings below it are (1, 0) and (3, 2), as :class:`BvpProblem` takes.
         """
         ubar, v = Y[0::2], Y[1::2]  # (half, n)
         signs = self._signs[:, None]
@@ -138,11 +138,7 @@ class FoldedSystem:
         dv_du = signs * (
             self.cfg.d2p(ubar) * v + forcing_slope(self.flux, self.freq, ubar)
         )
-        J = np.zeros((Y.shape[1], 4, 4))
-        diag = np.arange(4)
-        J[:, diag, diag] = np.repeat(a, 2, axis=0).T
-        J[:, (1, 3), (0, 2)] = dv_du.T
-        return J
+        return np.repeat(a, 2, axis=0), ((1, 0, dv_du[0]), (3, 2, dv_du[1]))
 
     @property
     def y0(self) -> np.ndarray:

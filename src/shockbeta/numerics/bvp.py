@@ -31,7 +31,8 @@ repeated from the interpolant's nodes and stages on the new mesh.
 The solver serves the problems the folded shock system poses: the m
 conditions fix the state y0 at x = 0, so the problem is an initial-value
 problem solved by global collocation, and the rhs Jacobian is lower
-triangular, so component r depends on components c <= r alone.  One Newton
+triangular, given as its diagonal and its couplings c < r, the entries the
+solver reads: component r depends on components c <= r alone.  One Newton
 step then condenses each interval's stages and marches from x = 0 one
 component at a time (block condensation, Ascher, Mattheij & Russell, ch. 7,
 in its scalar case): the conditions give dy_0 = y0 - y_0 outright, and
@@ -100,11 +101,12 @@ class BvpProblem:
 
     ``rhs`` is vectorized: it maps abscissae of shape ``(n,)`` and states of
     shape ``(m, n)`` to derivatives of shape ``(m, n)``.  ``jac`` takes the
-    same arguments and returns its Jacobian, of shape ``(n, m, m)``:
-    ``jac(x, Y)[p, r, c]`` is d rhs_r / d y_c at point p.  It must be lower
-    triangular (d rhs_r / d y_c = 0 for c > r), which is checked on the
-    initial guess; the solver reads only its entries c <= r.  The rhs should
-    be autonomous: the continuous extension takes y'' = J f at the nodes,
+    same arguments and returns the lower-triangular Jacobian as the pair
+    ``(diag, couplings)``: ``diag[r]`` of shape (m, n) is d rhs_r / d y_r,
+    each ``(r, c, values)`` of ``couplings`` gives d rhs_r / d y_c, c < r,
+    in ``values`` of shape (n,), and an entry not listed is zero; the shapes
+    and c < r are checked on the initial guess.  The rhs should be
+    autonomous: the continuous extension takes y'' = J f at the nodes,
     which holds when rhs does not depend on x (otherwise the extension, and
     with it the residual estimate, loses its sixth order).  ``y0``, of
     shape (m,), is the state at x = 0: the m conditions y(0) = y0.  With the
@@ -120,7 +122,7 @@ class BvpProblem:
     """
 
     rhs: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    jac: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    jac: Callable[[np.ndarray, np.ndarray], tuple]
     y0: np.ndarray
     initial_mesh: np.ndarray
     initial_guess: Callable[[np.ndarray], np.ndarray]
@@ -132,7 +134,7 @@ class BvpProblem:
             raise BadProblem("mesh must be strictly increasing")
         if x[0] != 0.0 or x[-1] != 1.0:
             raise BadProblem("mesh must run from 0 to 1")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise BadProblem("tol must be positive")
         self.y0 = _floats(self.y0, "y0")
         m = self.y0.size
@@ -143,20 +145,22 @@ class BvpProblem:
         xz = _collocation_points(x)
         Z = self.initial_samples = _floats(self.initial_guess(xz), "initial_guess")
         if Z.shape != (m, xz.size):
-            raise BadProblem(
-                f"initial_guess returned shape {Z.shape} at {xz.size} points "
-                f"for y0 of shape {(m,)}; expected {(m, xz.size)}"
-            )
+            raise BadProblem(f"initial_guess returned shape {Z.shape} at {xz.size} "
+                             f"points for y0 of shape {(m,)}; expected {(m, xz.size)}")
         if not np.all(np.isfinite(Z)):
             raise BadProblem("initial_guess must be finite")
         J = self.initial_jac = self.jac(xz, Z)
-        if np.shape(J) != (xz.size, m, m):
-            raise BadProblem(
-                f"jac returned shape {np.shape(J)} at the initial guess of a "
-                f"system of dimension {m}; expected {(xz.size, m, m)}"
-            )
-        if np.any(np.triu(J, 1)):
-            raise BadProblem("jac must be lower triangular at the initial guess")
+        if not (isinstance(J, tuple) and len(J) == 2):
+            raise BadProblem("jac must return the pair (diag, couplings)")
+        if np.shape(J[0]) != (m, xz.size):
+            raise BadProblem(f"jac returned a diagonal of shape {np.shape(J[0])}; "
+                             f"expected {(m, xz.size)}")
+        for r, c, values in J[1]:
+            if not 0 <= c < r < m:
+                raise BadProblem(f"jac coupling ({r}, {c}) is not below the diagonal")
+            if np.shape(values) != xz.shape:
+                raise BadProblem(f"jac coupling ({r}, {c}) has shape "
+                                 f"{np.shape(values)}; expected {xz.shape}")
 
 
 def _floats(value, name):
@@ -282,23 +286,23 @@ def _full_residual(rhs, y0, h, xz, Z):
     return np.concatenate([phi.ravel(), Z[:, 0] - y0]), F
 
 
-def _assemble_jacobian(J, h):
+def _assemble_jacobian(jac, h):
     """The data of the Newton matrix of the collocation system.
 
-    ``J`` is the rhs Jacobian at every point of Z, of shape (points, m, m);
-    only its entries c <= r are read.  Returns ``(h, diag, couplings)``: diag
+    ``jac`` is the rhs Jacobian ``(diag, couplings)`` at every point of Z,
+    as :class:`BvpProblem` takes it.  Returns ``(h, diag, couplings)``: diag
     of shape (m, 4, n - 1) is h_i times d rhs_r / d y_r at y_i, S2, S3 and
     y_{i+1} of interval i, and couplings[r] lists (c, hJ^{rc}), laid out
-    alike, for each c < r where d rhs_r / d y_c is not zero everywhere.
+    alike, for each declared c < r where d rhs_r / d y_c is not zero everywhere.
     Equation k of interval i, (s_k - y_i) / h - sum_j _A[k, j] f_j, has the
     derivative -_A[k, j] J_j with respect to the state at its point j, plus
     I/h on s_k and -I/h on y_i; the conditions' derivative is the identity.
     """
-    n, m = h.size + 1, J.shape[1]
-    diag = _at_points(np.diagonal(J, axis1=1, axis2=2).T, n) * h
-    couplings = [[(c, _at_points(J[:, r, c], n) * h)
-                  for c in range(r) if J[:, r, c].any()] for r in range(m)]
-    return h, diag, couplings
+    diag, declared = jac
+    n = h.size + 1
+    couplings = [[(c, _at_points(values, n) * h) for q, c, values in declared
+                  if q == r and values.any()] for r in range(len(diag))]
+    return h, _at_points(diag, n) * h, couplings
 
 
 def _affine_prefix(M, c):
@@ -464,7 +468,11 @@ def _newton(rhs, jac, y0, h, xz, Z, J=None):
 
 def _extension(jac, x, Y, f):
     """The quintic extension of node values Y with slopes f = rhs(x, Y)."""
-    return HermiteInterpolant(x, Y, f, np.einsum("prc,cp->rp", jac(x, Y), f))
+    diag, couplings = jac(x, Y)
+    fp = diag * f  # y'' = J f
+    for r, c, values in couplings:
+        fp[r] += values * f[c]
+    return HermiteInterpolant(x, Y, f, fp)
 
 
 def _estimate_residuals(rhs, interp):
@@ -533,15 +541,9 @@ def bvp_solve(problem: BvpProblem) -> BvpSolution:
         if not np.isfinite(res_norm):
             raise NewtonDivergence(f"residual estimate {res_norm} is not finite")
         if res_norm <= problem.tol:
-            return BvpSolution(
-                mesh=x,
-                y=Z[:, :n],
-                interpolant=interp,
-                residual_norm=res_norm,
-                newton_iters=sum(per_sweep),
-                mesh_iterations=sweep,
-                newton_per_sweep=per_sweep,
-            )
+            return BvpSolution(mesh=x, y=Z[:, :n], interpolant=interp,
+                               residual_norm=res_norm, newton_iters=sum(per_sweep),
+                               mesh_iterations=sweep, newton_per_sweep=per_sweep)
         x_new = _refine_mesh(x, est, problem.tol, h_max)
         if x_new.size > _MAX_NODES:
             raise MeshLimitExceeded(

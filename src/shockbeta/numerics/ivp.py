@@ -70,11 +70,11 @@ class IvpProblem:
 
     def __post_init__(self):
         self.y0 = np.atleast_1d(np.asarray(self.y0, dtype=float))
-        if self.rtol <= 0 or self.atol <= 0:
+        if not (self.rtol > 0 and self.atol > 0):
             raise BadProblem("rtol and atol must be positive")
         if self.y0.ndim != 1 or not np.all(np.isfinite(self.y0)):
             raise BadProblem("y0 must be a finite 1-D state vector")
-        if self.max_step <= 0:
+        if not self.max_step > 0:
             raise BadProblem("max_step must be positive")
         if not self.t_span[1] > self.t_span[0]:
             raise BadProblem("t_span must run forward: t_span[1] > t_span[0]")

@@ -192,10 +192,8 @@ def test_criterion_8_kernel_convergence_orders():
         return np.vstack([-Y[0] ** 2, Y[0]])
 
     def jac(x, Y):
-        J = np.zeros((Y.shape[1], 2, 2))
-        J[:, 0, 0] = -2.0 * Y[0]
-        J[:, 1, 0] = 1.0
-        return J
+        # the diagonal (-2 y0, 0) and the coupling d rhs_1 / d y0 = 1
+        return np.vstack([-2.0 * Y[0], np.zeros_like(Y[0])]), ((1, 0, np.ones_like(Y[0])),)
 
     # both conditions at x = 0: y(0) = (1, 0), and the guess holds that state
     y0 = [1.0, 0.0]

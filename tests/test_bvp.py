@@ -15,14 +15,20 @@ from shockbeta.numerics import BvpProblem, bvp, bvp_solve
 
 
 def _linear(M):
-    """rhs and analytic jac of the constant-coefficient system y' = M y."""
+    """rhs and analytic jac of the constant-coefficient system y' = M y.
+
+    jac declares a coupling for every nonzero entry off the diagonal, above
+    it included, so that an upper entry reaches the problem's check.
+    """
     M = np.asarray(M, dtype=float)
 
     def rhs(x, Y):
         return M @ Y
 
     def jac(x, Y):
-        return np.broadcast_to(M, (Y.shape[1], *M.shape))
+        n = Y.shape[1]
+        return np.repeat(np.diag(M)[:, None], n, axis=1), tuple(
+            (r, c, np.full(n, M[r, c])) for r, c in zip(*np.nonzero(M)) if r != c)
 
     return rhs, jac
 
@@ -33,9 +39,17 @@ def _decay_rhs(x, Y):
 
 
 def _decay_jac(x, Y):
-    J = np.zeros((Y.shape[1], 2, 2))
-    J[:, 0, 0] = -2.0 * Y[0]
-    J[:, 1, 0] = 1.0
+    return np.vstack([-2.0 * Y[0], np.zeros_like(Y[0])]), ((1, 0, np.ones_like(Y[0])),)
+
+
+def _dense_jac(jac):
+    """The array J[r, c, p] of a Jacobian ``(diag, couplings)``, zero elsewhere."""
+    diag, couplings = jac
+    m, n = diag.shape
+    J = np.zeros((m, m, n))
+    J[np.arange(m), np.arange(m)] = diag
+    for r, c, values in couplings:
+        J[r, c] = values
     return J
 
 
@@ -179,7 +193,7 @@ def test_blocks_match_the_matrix_formula(exact_cfg, quad_flux, exact_freq):
     stages = bvp.stage_abscissae(x)
     for j, (xp, Yp) in enumerate([(x[:-1], Z[:, :n - 1]), (stages[0], S[:, 0]),
                                   (stages[1], S[:, 1]), (x[1:], Z[:, 1:n])]):
-        ref = sys.jac(xp, Yp).transpose(1, 2, 0) * np.diff(x)
+        ref = _dense_jac(sys.jac(xp, Yp)) * np.diff(x)
         assert np.array_equal(hJ[:, :, j], ref)
     assert np.array_equal(h, np.diff(x))
 
@@ -470,21 +484,72 @@ def test_non_finite_y0_rejected_at_construction(bad):
 
 
 def test_upper_triangular_jac_entry_rejected_at_construction():
-    # y'' = -y couples y_0' to y_1: d rhs_0 / d y_1 = 1 above the diagonal
+    # y'' = -y couples y_0' to y_1: d rhs_0 / d y_1 = 1 above the diagonal,
+    # a coupling (0, 1); a coupling (1, 1) would be the diagonal itself
     rhs, jac = _linear([[0.0, 1.0], [-1.0, 0.0]])
     mesh = np.linspace(0.0, 1.0, 5)
-    with pytest.raises(BadProblem, match=r"jac must be lower triangular"):
+    with pytest.raises(BadProblem, match=r"jac coupling \(0, 1\) is not below the diagonal"):
         BvpProblem(rhs=rhs, jac=jac, y0=([0.0, 1.0]),
                    initial_mesh=mesh, initial_guess=_constant(0.0, 0.0))
+    with pytest.raises(BadProblem, match=r"jac coupling \(1, 1\) is not below the diagonal"):
+        BvpProblem(rhs=rhs, y0=([0.0, 1.0]), initial_mesh=mesh,
+                   jac=lambda x, Y: (np.zeros((2, x.size)), ((1, 1, np.zeros(x.size)),)),
+                   initial_guess=_constant(0.0, 0.0))
 
 
-@pytest.mark.parametrize("shape", [(1, 2), (2, 2, 1), (1, 2, 3), (1, 1, 1)])
+@pytest.mark.parametrize("shape", [
+    # (diag, values) at the 13 points of a 5-node mesh: a wrong diagonal,
+    # then a wrong coupling beside the right diagonal (2, 13)
+    ((13,), (13,)), ((13, 2), (13,)), ((1, 13), (13,)), ((3, 13), (13,)),
+    ((2, 13), (12,)), ((2, 13), (1, 13)), ((2, 13), ()),
+])
 def test_jac_shape_mismatch_rejected_at_construction(shape):
+    diag, values = shape
     mesh = np.linspace(0.0, 1.0, 5)
-    with pytest.raises(BadProblem, match=r"jac returned shape"):
-        BvpProblem(rhs=_decay_rhs, jac=lambda x, Y: np.zeros(shape),
+    if diag != (2, 13):
+        match = rf"jac returned a diagonal of shape {re.escape(str(diag))}; expected \(2, 13\)"
+    else:
+        match = rf"jac coupling \(1, 0\) has shape {re.escape(str(values))}; expected \(13,\)"
+    with pytest.raises(BadProblem, match=match):
+        BvpProblem(rhs=_decay_rhs,
+                   jac=lambda x, Y: (np.zeros(diag), ((1, 0, np.zeros(values)),)),
                    y0=([0.0, 0.0]),
                    initial_mesh=mesh, initial_guess=_constant(0.0, 0.0))
+
+
+def test_dense_jac_array_rejected_at_construction():
+    # the (n, m, m) array of every entry is not the pair the solver reads
+    with pytest.raises(BadProblem, match=r"jac must return the pair \(diag, couplings\)"):
+        BvpProblem(rhs=_decay_rhs,
+                   jac=lambda x, Y: _dense_jac(_decay_jac(x, Y)).transpose(2, 0, 1),
+                   y0=([1.0, 0.0]), initial_mesh=np.linspace(0.0, 1.0, 5),
+                   initial_guess=_constant(1.0, 0.0))
+
+
+def test_a_coupling_zero_everywhere_solves_bit_identically():
+    # y' = diag(-1, -2) y has no coupling; declaring (1, 0) with values that
+    # are zero everywhere changes no bit of the solve
+    rhs, jac = _linear([[-1.0, 0.0], [0.0, -2.0]])
+
+    def declared(x, Y):
+        diag, couplings = jac(x, Y)
+        assert couplings == ()
+        return diag, ((1, 0, np.zeros(x.size)),)
+
+    a, b = (bvp_solve(BvpProblem(rhs=rhs, jac=j, y0=[1.0, 1.0],
+                                 initial_mesh=np.linspace(0.0, 1.0, 11),
+                                 initial_guess=_constant(1.0, 1.0)))
+            for j in (jac, declared))
+    assert np.array_equal(a.mesh, b.mesh) and np.array_equal(a.y, b.y)
+    assert a.newton_per_sweep == b.newton_per_sweep and a.residual_norm == b.residual_norm
+    assert np.array_equal(a.interpolant._coef, b.interpolant._coef)
+
+
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0])
+def test_non_positive_tol_rejected_at_construction(tol):
+    # a NaN fails every comparison, so it must not pass a test of tol <= 0
+    with pytest.raises(BadProblem, match=r"tol must be positive"):
+        _decay_problem(5, tol=tol)
 
 
 def test_mesh_validation():
@@ -548,7 +613,7 @@ def test_non_finite_residual_estimate_is_a_solver_error():
     mesh = np.linspace(0.0, 1.0, 11)
     points = bvp._collocation_points(mesh)
     p = BvpProblem(rhs=lambda x, Y: np.where(np.isin(x, points), -Y, np.nan),
-                   jac=lambda x, Y: np.full((x.size, 1, 1), -1.0), y0=[1.0],
+                   jac=lambda x, Y: (np.full((1, x.size), -1.0), ()), y0=[1.0],
                    initial_mesh=mesh, initial_guess=lambda x: np.exp(-x)[None])
     with pytest.raises(NewtonDivergence, match="residual estimate nan is not finite"):
         bvp_solve(p)
@@ -571,7 +636,7 @@ def test_singular_jacobian_detected():
         return np.where(np.isin(x, mesh), 48.0, 0.0)
 
     p = BvpProblem(rhs=lambda x, Y: coeff(x) * Y,
-                   jac=lambda x, Y: coeff(x)[:, None, None],
+                   jac=lambda x, Y: (coeff(x)[None], ()),
                    y0=([1.0]), initial_mesh=mesh,
                    initial_guess=_constant(0.0))
     with pytest.raises(SingularJacobian, match="zero pivot in column 0 of interval 0"):

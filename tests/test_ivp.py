@@ -87,6 +87,16 @@ def test_blowup_raises_step_underflow():
         ivp_solve(p)
 
 
+@pytest.mark.parametrize("field, match", [("rtol", "rtol and atol must be positive"),
+                                          ("atol", "rtol and atol must be positive"),
+                                          ("max_step", "max_step must be positive")])
+def test_nan_tolerance_rejected_at_construction(field, match):
+    # a NaN fails every comparison, so it must not pass a test of x <= 0
+    with pytest.raises(BadProblem, match=match):
+        IvpProblem(rhs=lambda t, y: -y, t_span=(0.0, 1.0), y0=np.array([1.0]),
+                   **{field: np.nan})
+
+
 def test_problem_validation():
     with pytest.raises(BadProblem):
         IvpProblem(rhs=lambda t, y: y, t_span=(0.0, 1.0), y0=np.array([1.0]), rtol=0.0)
