@@ -12,6 +12,19 @@ slope of the model's forcing (:func:`shockbeta.model.forcing_slope`).  This is
 the paper's int 2 (i tau0 + i xi0 a2(ubar)) y + 2 xi0^2 ubar' dx with the
 correction y = i v, so beta is real.  The transversality factor of the
 determinant cancels in the ratio and never enters the computation.
+
+The coupled route integrates this paper form.  The integrating-factor route
+builds v = ubar' C with C = int_0^x R and R = F/ubar' (0 where ubar' = 0), so
+F'(ubar) v = C dF/dx, and the integral is taken by parts, exactly on [-L, L]:
+
+    integral = 2 xi0^2 (ubar(L) - ubar(-L)) - 2 (R v)(L) + 2 (R v)(-L)
+               + 2 int F R dx.
+
+v enters only at its two ends, where R v is the F C its construction
+anchored, so the cumulative-quadrature error of v inside the domain does not
+reach beta.  Either integrand is summed by the end-corrected trapezoid rule
+(:func:`shockbeta.numerics.quad_gregory`, ``trapezoid``) or by Simpson's.
+
 sgn beta > 0 is the necessary condition for weak viscous stability.  beta
 is xi0^2 times a number fixed by the shock, so the sign is reported as 0
 when |beta| is at most ``SIGN_THRESHOLD xi0^2``.
@@ -29,8 +42,8 @@ from .auxiliary import DEFAULT_DECAY_TOL, AuxiliarySolution, AuxMethod
 from .coupled import CoupledResult, solve_coupled, tanh_guess, unfold_coupled
 from .errors import GridMismatch, SolverError, ValidationError
 from .integrating_factor import solve_auxiliary_if
-from .model import FluxModel, NeutralFrequency, ShockConfig, forcing_slope
-from .numerics import quad_simpson, quad_trapezoid
+from .model import FluxModel, NeutralFrequency, ShockConfig, forcing, forcing_slope
+from .numerics import quad_gregory, quad_simpson
 from .profile import DEFAULT_TAIL_TOL, Grid, ProfileSolution
 from .profile import check_resolution, solve_profile
 
@@ -68,16 +81,25 @@ class BetaResult:
 
 def _integrand(
     f: FluxModel, profile: ProfileSolution, aux: AuxiliarySolution
-) -> np.ndarray:
+) -> tuple[float, np.ndarray]:
+    """(end terms, integrand) whose sum is the route's integral (module doc)."""
     if profile.grid != aux.grid:
         raise GridMismatch("profile and correction are sampled on different grids")
     freq = aux.freq
-    factor = 2.0 * forcing_slope(f, freq, profile.ubar)
-    return 2.0 * freq.xi0**2 * profile.ubar_prime - factor * aux.v
+    up = profile.ubar_prime
+    if aux.method is AuxMethod.COUPLED:
+        factor = 2.0 * forcing_slope(f, freq, profile.ubar)
+        return 0.0, 2.0 * freq.xi0**2 * up - factor * aux.v
+    ubar = profile.ubar
+    F = forcing(f, freq, profile.config.u_minus, ubar)
+    R = np.divide(F, up, out=np.zeros_like(up), where=up != 0.0)
+    Rv = R[[0, -1]] * aux.v[[0, -1]]
+    ends = 2.0 * freq.xi0**2 * (ubar[-1] - ubar[0]) - 2.0 * (Rv[1] - Rv[0])
+    return float(ends), 2.0 * F * R
 
 
 def _quad(g: np.ndarray, h: float, simpson: bool) -> float:
-    return float(quad_simpson(g, h) if simpson else quad_trapezoid(g, h))
+    return float(quad_simpson(g, h) if simpson else quad_gregory(g, h))
 
 
 def compute_beta(
@@ -86,12 +108,18 @@ def compute_beta(
     aux: AuxiliarySolution,
     quadrature: BetaQuadrature = BetaQuadrature.TRAPEZOID,
 ) -> BetaResult:
-    """beta = integral / [u] with its sign report and quadrature diagnostics."""
+    """beta = integral / [u] with its sign report and quadrature diagnostics.
+
+    The route is the correction's ``method``: the paper form for ``coupled``,
+    by parts for ``if`` (module doc).  ``integrand_tail`` and
+    ``quadrature_cross_difference`` are of the integrand the rule sums.
+    """
     quadrature = BetaQuadrature(quadrature)
-    g = _integrand(f, profile, aux)
+    ends, g = _integrand(f, profile, aux)
     h = profile.grid.h
     simpson = quadrature is BetaQuadrature.SIMPSON
-    integral = _quad(g, h, simpson)
+    body = _quad(g, h, simpson)
+    integral = ends + body
     delta_lambda = profile.config.u_jump
     beta = integral / delta_lambda
     sign = 0 if abs(beta) <= SIGN_THRESHOLD * aux.freq.xi0**2 else int(np.sign(beta))
@@ -105,7 +133,7 @@ def compute_beta(
         (k, aux.diagnostics[k]) for k in _SOLVER_COUNTERS if k in aux.diagnostics
     )
     diagnostics["quadrature_cross_difference"] = abs(  # other rule, same samples
-        _quad(g, h, not simpson) - integral
+        _quad(g, h, not simpson) - body
     )
     return BetaResult(
         beta=beta,

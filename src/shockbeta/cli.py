@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
+import shutil
 import sys
 import warnings
 from pathlib import Path
@@ -232,7 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
     """One parser: the command, then ``--config`` and one flag per config key.
 
     Every command takes the same flags (``_`` in a key is spelled ``-``).
+    The help width is read once, as the value argparse computes for each help
+    formatter it builds (one per flag otherwise).
     """
+    width = shutil.get_terminal_size().columns - 2
     parser = argparse.ArgumentParser(
         prog="shockbeta",
         description=(
@@ -242,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="commands:\n" + "".join(
             f"  {name:9s} {help_text}\n" for name, (help_text, _) in COMMANDS.items()
         ),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        formatter_class=functools.partial(argparse.RawDescriptionHelpFormatter,
+                                          width=width),
     )
     parser.add_argument("command", choices=COMMANDS, help="the command to run")
     parser.add_argument("--config", help="run-configuration file (key = value lines)")

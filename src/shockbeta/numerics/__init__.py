@@ -2,7 +2,7 @@
 
 from .bvp import BvpProblem, BvpSolution, HermiteInterpolant, bvp_solve
 from .ivp import IvpProblem, Trajectory, ivp_solve
-from .quadrature import cumquad_simpson, quad_simpson, quad_trapezoid
+from .quadrature import cumquad_simpson, quad_gregory, quad_simpson, quad_trapezoid
 
 __all__ = [
     "BvpProblem",
@@ -13,6 +13,7 @@ __all__ = [
     "bvp_solve",
     "cumquad_simpson",
     "ivp_solve",
+    "quad_gregory",
     "quad_simpson",
     "quad_trapezoid",
 ]

@@ -25,12 +25,13 @@ from shockbeta.model import (
     NeutralFrequency,
     burgers_flux,
     custom_flux,
+    forcing,
     neutral_zero,
     quadratic_transverse_flux,
     sine_transverse_flux,
     standing_shock,
 )
-from shockbeta.numerics import quad_simpson, quad_trapezoid
+from shockbeta.numerics import quad_gregory, quad_simpson
 from shockbeta.profile import Grid, solve_profile
 
 from conftest import exact_profile, exact_v
@@ -49,9 +50,10 @@ def oracle_integral(n_nodes=2**20 + 1, half_width=60.0):
 
 
 def zero_aux(grid, freq):
+    # the coupled route integrates the paper form, where v enters whole; the
+    # if route's beta by parts holds for the if route's own v only
     z = np.zeros(grid.x.size)
-    return AuxiliarySolution(grid=grid, v=z,
-                             method=AuxMethod.INTEGRATING_FACTOR, freq=freq)
+    return AuxiliarySolution(grid=grid, v=z, method=AuxMethod.COUPLED, freq=freq)
 
 
 class TestStabilityIntegral:
@@ -143,13 +145,13 @@ class TestComputeBeta:
                                             exact_freq):
         # at each L of the paper table, the integrand of the paper with y = i v
         # is real, and is 2 xi0^2 ubar' - 2 (tau0 + xi0 a2(ubar)) v element by
-        # element; the integral is each rule's quadrature of it
-        rule = {BetaQuadrature.TRAPEZOID: quad_trapezoid,
+        # element; the coupled integral is each rule's quadrature of it
+        rule = {BetaQuadrature.TRAPEZOID: quad_gregory,
                 BetaQuadrature.SIMPSON: quad_simpson}
         for L in (10.0, 20.0, 30.0):
-            profile = solve_profile(exact_cfg, Grid.make(L, 4000), tail_tol=1e-3)
-            aux = solve_auxiliary_if(quad_flux, exact_freq, profile,
-                                     decay_tol=math.inf)
+            profile, aux, _ = solve_pair(exact_cfg, quad_flux, exact_freq,
+                                         AuxMethod.COUPLED, L, 4000,
+                                         STUDY_TAIL_TOL, math.inf)
             a2 = np.asarray(quad_flux.a2(profile.ubar))
             dterm = 2.0 * exact_freq.xi0**2 * profile.ubar_prime
             factor = 1j * exact_freq.tau0 + 1j * exact_freq.xi0 * a2
@@ -165,6 +167,32 @@ class TestComputeBeta:
                 "quadrature_cross_difference"]
             assert cross == abs(ints[BetaQuadrature.SIMPSON]
                                 - ints[BetaQuadrature.TRAPEZOID])
+
+    def test_if_integral_is_taken_by_parts(self, quad_flux, exact_cfg,
+                                           exact_freq):
+        # with R = F / ubar', the if integral is
+        # 2 xi0^2 [ubar] - 2 [R v] + 2 int F R, by either rule, and v is read
+        # at its two ends only
+        rule = {BetaQuadrature.TRAPEZOID: quad_gregory,
+                BetaQuadrature.SIMPSON: quad_simpson}
+        for L in (10.0, 20.0, 30.0):
+            profile = solve_profile(exact_cfg, Grid.make(L, 4000), tail_tol=1e-3)
+            aux = solve_auxiliary_if(quad_flux, exact_freq, profile,
+                                     decay_tol=math.inf)
+            ubar, up = profile.ubar, profile.ubar_prime
+            F = forcing(quad_flux, exact_freq, exact_cfg.u_minus, ubar)
+            R = F / up
+            ends = (2.0 * exact_freq.xi0**2 * (ubar[-1] - ubar[0])
+                    - 2.0 * (R[-1] * aux.v[-1] - R[0] * aux.v[0]))
+            inside = aux.v.copy()
+            inside[1:-1] = np.nan
+            blurred = AuxiliarySolution(grid=aux.grid, v=inside, method=aux.method,
+                                        freq=aux.freq)
+            for q in BetaQuadrature:
+                r = compute_beta(quad_flux, profile, aux, q)
+                body = float(rule[q](2.0 * F * R, profile.grid.h))
+                assert r.integral == ends + body
+                assert compute_beta(quad_flux, profile, blurred, q).beta == r.beta
 
     def test_no_transversality_parameter_anywhere(self):
         # the determinant's transversality factor cancels and never appears
