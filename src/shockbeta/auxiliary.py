@@ -11,7 +11,6 @@ type on the profile's uniform grid.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,13 +26,14 @@ class AuxMethod(str, enum.Enum):
     COUPLED = "coupled"
 
 
-@dataclass
 class AuxiliarySolution:
-    grid: Grid
-    v: np.ndarray
-    method: AuxMethod
-    freq: NeutralFrequency
-    diagnostics: dict = field(default_factory=dict)
+    def __init__(self, grid: Grid, v: np.ndarray, method: AuxMethod,
+                 freq: NeutralFrequency, diagnostics: dict | None = None):
+        self.grid = grid
+        self.v = v
+        self.method = method
+        self.freq = freq
+        self.diagnostics = {} if diagnostics is None else diagnostics
 
     def tail_magnitudes(self) -> float:
         """Largest of |v| at the two domain ends."""

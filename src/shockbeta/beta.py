@@ -33,7 +33,6 @@ when |beta| is at most ``SIGN_THRESHOLD xi0^2``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -67,16 +66,18 @@ class BetaQuadrature(str, enum.Enum):
     SIMPSON = "simpson"
 
 
-@dataclass
 class BetaResult:
-    beta: float
-    integral: float
-    delta_lambda: float
-    sign_re_beta: int
-    L: float
-    method: AuxMethod
-    quadrature: BetaQuadrature
-    diagnostics: dict = field(default_factory=dict)
+    def __init__(self, beta: float, integral: float, delta_lambda: float,
+                 sign_re_beta: int, L: float, method: AuxMethod,
+                 quadrature: BetaQuadrature, diagnostics: dict | None = None):
+        self.beta = beta
+        self.integral = integral
+        self.delta_lambda = delta_lambda
+        self.sign_re_beta = sign_re_beta
+        self.L = L
+        self.method = method
+        self.quadrature = quadrature
+        self.diagnostics = {} if diagnostics is None else diagnostics
 
 
 def _integrand(
@@ -180,14 +181,15 @@ def solve_pair(
     return res.profile, res.aux, res
 
 
-@dataclass
 class BetaStudy:
     """Per-(method, L) results of a truncation convergence study."""
 
-    L_values: list
-    methods: list
-    results: dict = field(default_factory=dict)   # (method, L) -> BetaResult
-    failures: dict = field(default_factory=dict)  # (method, L) -> SolverError
+    def __init__(self, L_values: list, methods: list, results: dict | None = None,
+                 failures: dict | None = None):
+        self.L_values = L_values
+        self.methods = methods
+        self.results = {} if results is None else results     # (method, L) -> BetaResult
+        self.failures = {} if failures is None else failures  # (method, L) -> SolverError
 
     def sign_stable(self) -> bool:
         signs = {r.sign_re_beta for r in self.results.values()}

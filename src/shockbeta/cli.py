@@ -12,7 +12,6 @@ directory, and an unwritable output path is reported after the solves.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import shutil
 import sys
@@ -24,7 +23,7 @@ import numpy as np
 from . import serialize
 from .auxiliary import AuxMethod
 from .beta import beta_convergence_study, compute_beta, solve_pair
-from .config import PARSERS, RunConfig, apply_overrides, build_model, parse_config_file
+from .config import KEYS, PARSERS, RunConfig, apply_overrides, build_model, parse_config_file
 from .coupled import continuation_scan
 from .coupled import solve_coupled  # noqa: F401  perfbench/tracing.py patches it here
 from .errors import SolverError, ValidationError, describe
@@ -142,7 +141,7 @@ def cmd_scan(rc: RunConfig) -> int:
             "field 'method': scan solves the coupled route only, not 'if'"
         )
     # the left states are the list's; u_minus is never read
-    flux, cfg0, freq0 = build_model(dataclasses.replace(rc, u_minus=rc.u_minus_list[0]))
+    flux, cfg0, freq0 = build_model(RunConfig(**{**vars(rc), "u_minus": rc.u_minus_list[0]}))
     points = continuation_scan(
         cfg0, flux, rc.xi0, list(rc.u_minus_list), rc.L_single, rc.N, freq0=freq0,
     )
@@ -252,9 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=COMMANDS, help="the command to run")
     parser.add_argument("--config", help="run-configuration file (key = value lines)")
-    for field in dataclasses.fields(RunConfig):
-        parser.add_argument("--" + field.name.replace("_", "-"), dest=field.name,
-                            help=field.metadata["help"])
+    for key, (_, _, help_text) in KEYS.items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text)
     return parser
 
 

@@ -6,15 +6,14 @@ and ``quadrature`` one of their choices: every value is checked when read, so
 a bad one in a file names its line.  The keys describe the problem only; every
 acceptance threshold is a constant of the module that applies it.
 
-A key is declared once, as a :class:`RunConfig` field with its default, its
-parser and its flag help; ``PARSERS`` and the command line are read from those
-fields.
+A key is declared once, as an entry of :data:`KEYS` with its default, its
+parser and its flag help; :class:`RunConfig`, ``PARSERS`` and the command
+line are read from those entries.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -66,8 +65,8 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 
 
 def _key(default, parse, help=None):
-    """A :class:`RunConfig` field: its default, its text's parser, its flag help."""
-    return field(default=default, metadata={"parse": parse, "help": help})
+    """An entry of :data:`KEYS`: the default, the text's parser, the flag help."""
+    return default, parse, help
 
 
 def _choice(default, choices: dict):
@@ -83,33 +82,44 @@ def _choice(default, choices: dict):
     return _key(default, parse, listed)
 
 
-@dataclass
-class RunConfig:
+# Every key, once, in the order of its flag: name -> (default, parser, help).
+KEYS = {
     # burgers | quadratic_transverse | sine_transverse | custom
-    flux: str = _key("quadratic_transverse", str, "flux kind")
+    "flux": _key("quadratic_transverse", str, "flux kind"),
     # f2 = sin(sine_freq u), sine flux only (None: 4 pi)
-    sine_freq: float | None = _key(None, _parse_float)
+    "sine_freq": _key(None, _parse_float),
     # ascending polynomial coefficients, custom flux only
-    f1_coeffs: tuple[float, ...] | None = _key(None, _parse_float_list)
-    f2_coeffs: tuple[float, ...] | None = _key(None, _parse_float_list)
+    "f1_coeffs": _key(None, _parse_float_list),
+    "f2_coeffs": _key(None, _parse_float_list),
     # the end states and the transverse wavenumber of the neutral frequency:
     # required, with 1.22e-77 <= |xi0| <= 1.16e77 (check_xi0)
-    u_minus: float | None = _key(None, _parse_float)
-    u_plus: float | None = _key(None, _parse_float)
-    xi0: float | None = _key(None, _parse_float)
+    "u_minus": _key(None, _parse_float),
+    "u_plus": _key(None, _parse_float),
+    "xi0": _key(None, _parse_float),
     # truncation half-width; a comma list for beta studies only
-    L: tuple[float, ...] = _key((20.0,), _parse_float_list,
-                                "half-width; comma list for beta")
+    "L": _key((20.0,), _parse_float_list, "half-width; comma list for beta"),
     # even interval count of the output grid
-    N: int = _key(4000, _parse_int, "output grid interval count")
-    method: tuple[AuxMethod, ...] = _choice(
-        tuple(AuxMethod),
-        {**{m.value: (m,) for m in AuxMethod}, "both": tuple(AuxMethod)})
-    quadrature: BetaQuadrature = _choice(
-        BetaQuadrature.TRAPEZOID, {q.value: q for q in BetaQuadrature})
-    out_dir: str = _key(".", str)
+    "N": _key(4000, _parse_int, "output grid interval count"),
+    # the routes, a tuple of AuxMethod
+    "method": _choice(tuple(AuxMethod),
+                      {**{m.value: (m,) for m in AuxMethod}, "both": tuple(AuxMethod)}),
+    "quadrature": _choice(BetaQuadrature.TRAPEZOID, {q.value: q for q in BetaQuadrature}),
+    "out_dir": _key(".", str),
     # the left states of the scan command
-    u_minus_list: tuple[float, ...] | None = _key(None, _parse_float_list)
+    "u_minus_list": _key(None, _parse_float_list),
+}
+
+PARSERS = {name: parse for name, (_, parse, _) in KEYS.items()}
+
+
+class RunConfig:
+    """The value of every key of :data:`KEYS`: its default unless given."""
+
+    def __init__(self, **values):
+        for name, (default, _, _) in KEYS.items():
+            setattr(self, name, values.pop(name, default))
+        if values:
+            raise TypeError(f"RunConfig takes no key {sorted(values)}")
 
     @property
     def L_single(self) -> float:
@@ -120,9 +130,6 @@ class RunConfig:
                 "takes one half-width"
             )
         return self.L[0]
-
-
-PARSERS = {f.name: f.metadata["parse"] for f in fields(RunConfig)}
 
 
 def _parse_field(key: str, text: str, where: str = ""):

@@ -39,7 +39,6 @@ that solve reads the recorded mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -83,16 +82,15 @@ _GUESS_RTOL = 1e-3
 _GUESS_ATOL = 1e-5
 
 
-@dataclass
 class FoldedSystem:
     """Doubled and rescaled field on [0, 1] with its fold conditions."""
 
-    cfg: ShockConfig
-    flux: FluxModel
-    freq: NeutralFrequency
-    L: float
-
-    def __post_init__(self):
+    def __init__(self, cfg: ShockConfig, flux: FluxModel, freq: NeutralFrequency,
+                 L: float):
+        self.cfg = cfg
+        self.flux = flux
+        self.freq = freq
+        self.L = L
         self._signs = np.array([self.L, -self.L])
         self._row_signs = np.repeat(self._signs, 2)
 
@@ -152,7 +150,6 @@ class FoldedSystem:
         return np.array([u, 0.0, u, 0.0])
 
 
-@dataclass
 class CoupledResult:
     """The unfolded pair, its folded solve, and the half-width solved on.
 
@@ -160,10 +157,12 @@ class CoupledResult:
     is sampled from a wider solve.
     """
 
-    profile: ProfileSolution
-    aux: AuxiliarySolution
-    bvp: BvpSolution
-    L_solved: float
+    def __init__(self, profile: ProfileSolution, aux: AuxiliarySolution,
+                 bvp: BvpSolution, L_solved: float):
+        self.profile = profile
+        self.aux = aux
+        self.bvp = bvp
+        self.L_solved = L_solved
 
     @property
     def config(self) -> ShockConfig:

@@ -32,7 +32,6 @@ that package.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +42,7 @@ from .errors import (
     RankineHugoniotViolation,
     ValidationError,
 )
+from .record import Frozen
 
 _JUMP_TOL = 1e-12       # identities that are exact in exact arithmetic
 _NEUTRAL_TOL = 1e-14
@@ -120,8 +120,7 @@ def _real_roots(cs):
     return np.linalg.eigvals(companion).real
 
 
-@dataclass(frozen=True)
-class FluxModel:
+class FluxModel(Frozen):
     """Scalar flux pair as data: polynomial f1, and f2 a polynomial or a sine.
 
     f1 is ``f1_coeffs``, ascending; f2 is ``f2_coeffs`` or sin(``sine_freq`` u),
@@ -129,18 +128,18 @@ class FluxModel:
     its function, so a2 is the derivative of f2 by construction.
     """
 
-    kind: FluxKind
-    f1_coeffs: tuple
-    f2_coeffs: tuple | None = None
-    sine_freq: float | None = None
+    _fields = ("kind", "f1_coeffs", "f2_coeffs", "sine_freq")
 
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.f1_coeffs)):
+    def __init__(self, kind: FluxKind, f1_coeffs: tuple,
+                 f2_coeffs: tuple | None = None, sine_freq: float | None = None):
+        self.__dict__.update(kind=kind, f1_coeffs=f1_coeffs, f2_coeffs=f2_coeffs,
+                             sine_freq=sine_freq)
+        if not np.all(np.isfinite(f1_coeffs)):
             raise ValidationError("f1_coeffs must be finite")
-        if self.f2_coeffs is not None:
+        if f2_coeffs is not None:
             # Python floats: an overflowing coefficient is inf, with no warning
-            a2 = tuple(k * c for k, c in enumerate(self.f2_coeffs))[1:] or (0.0,)
-            object.__setattr__(self, "_a2_coeffs", a2)
+            self.__dict__["_a2_coeffs"] = (
+                tuple(k * c for k, c in enumerate(f2_coeffs))[1:] or (0.0,))
 
     def f1(self, u):
         """f1(u) from its coefficients."""
@@ -218,8 +217,7 @@ def make_flux(
             FluxKind.SINE_TRANSVERSE: sine_transverse_flux}[kind]()
 
 
-@dataclass(frozen=True)
-class ShockConfig:
+class ShockConfig(Frozen):
     """End states with the speed-normalized longitudinal flux.
 
     The ascending coefficient tables all derive from the one profile field
@@ -229,12 +227,12 @@ class ShockConfig:
     ``P' = a1 - s`` and ``d2p_coeffs`` is ``P''``.
     """
 
-    u_minus: float
-    u_plus: float
-    s: float
-    q_coeffs: tuple
-    dp_coeffs: tuple
-    d2p_coeffs: tuple
+    _fields = ("u_minus", "u_plus", "s", "q_coeffs", "dp_coeffs", "d2p_coeffs")
+
+    def __init__(self, u_minus: float, u_plus: float, s: float, q_coeffs: tuple,
+                 dp_coeffs: tuple, d2p_coeffs: tuple):
+        self.__dict__.update(u_minus=u_minus, u_plus=u_plus, s=s, q_coeffs=q_coeffs,
+                             dp_coeffs=dp_coeffs, d2p_coeffs=d2p_coeffs)
 
     def q(self, u):
         """Q(u)."""
@@ -266,12 +264,13 @@ class ShockConfig:
         return 0.5 * (self.u_plus + self.u_minus)
 
 
-@dataclass(frozen=True)
-class NeutralFrequency:
+class NeutralFrequency(Frozen):
     """A boundary zero (lambda = i*tau0, xi0) of the determinant."""
 
-    tau0: float
-    xi0: float
+    _fields = ("tau0", "xi0")
+
+    def __init__(self, tau0: float, xi0: float):
+        self.__dict__.update(tau0=tau0, xi0=xi0)
 
     def per_unit(self) -> tuple[float, "NeutralFrequency"]:
         """``(|xi0|, self / |xi0|)``, or ``(1, self)`` at xi0 = 0."""

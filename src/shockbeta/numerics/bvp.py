@@ -52,7 +52,6 @@ exceeds 1/sqrt(eps), such as a growing mode, is refused with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -95,7 +94,6 @@ _MAX_MESH_SWEEPS = 12
 _MAX_NODES = 20000
 
 
-@dataclass
 class BvpProblem:
     """First-order system ``y' = rhs(x, y)`` on [0, 1] with m conditions at x = 0.
 
@@ -121,22 +119,22 @@ class BvpProblem:
     refused with :class:`BadProblem`.
     """
 
-    rhs: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    jac: Callable[[np.ndarray, np.ndarray], tuple]
-    y0: np.ndarray
-    initial_mesh: np.ndarray
-    initial_guess: Callable[[np.ndarray], np.ndarray]
-    tol: float = 1e-8
-
-    def __post_init__(self):
-        x = self.initial_mesh = _floats(self.initial_mesh, "initial_mesh")
+    def __init__(self, rhs: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                 jac: Callable[[np.ndarray, np.ndarray], tuple], y0: np.ndarray,
+                 initial_mesh: np.ndarray,
+                 initial_guess: Callable[[np.ndarray], np.ndarray], tol: float = 1e-8):
+        self.rhs = rhs
+        self.jac = jac
+        self.initial_guess = initial_guess
+        self.tol = tol
+        x = self.initial_mesh = _floats(initial_mesh, "initial_mesh")
         if x.ndim != 1 or x.size < 2 or not np.all(np.diff(x) > 0):
             raise BadProblem("mesh must be strictly increasing")
         if x[0] != 0.0 or x[-1] != 1.0:
             raise BadProblem("mesh must run from 0 to 1")
         if not self.tol > 0:
             raise BadProblem("tol must be positive")
-        self.y0 = _floats(self.y0, "y0")
+        self.y0 = _floats(y0, "y0")
         m = self.y0.size
         if self.y0.shape != (m,) or m == 0:
             raise BadProblem(f"y0 has shape {self.y0.shape}; expected (m,)")
@@ -245,17 +243,19 @@ class HermiteInterpolant:
         return val + a[0], slope / self._h[:-1]
 
 
-@dataclass
 class BvpSolution:
     """Converged collocation solution with its quintic extension."""
 
-    mesh: np.ndarray
-    y: np.ndarray
-    interpolant: HermiteInterpolant
-    residual_norm: float
-    newton_iters: int
-    mesh_iterations: int
-    newton_per_sweep: list[int]
+    def __init__(self, mesh: np.ndarray, y: np.ndarray, interpolant: HermiteInterpolant,
+                 residual_norm: float, newton_iters: int, mesh_iterations: int,
+                 newton_per_sweep: list[int]):
+        self.mesh = mesh
+        self.y = y
+        self.interpolant = interpolant
+        self.residual_norm = residual_norm
+        self.newton_iters = newton_iters
+        self.mesh_iterations = mesh_iterations
+        self.newton_per_sweep = newton_per_sweep
 
 
 def _at_points(Z, n):

@@ -10,7 +10,6 @@ a problem on x <= 0 is integrated forward in t = -x with the negated field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -53,7 +52,6 @@ _MAX_FACTOR = 10.0
 _ORDER_EXP = -1.0 / 5.0
 
 
-@dataclass
 class IvpProblem:
     """An initial-value problem ``y' = rhs(t, y)`` on ``t_span``.
 
@@ -61,15 +59,15 @@ class IvpProblem:
     ``(m,)``.  ``t_span`` must run forward: ``t_span[1] > t_span[0]``.
     """
 
-    rhs: Callable[[float, np.ndarray], np.ndarray]
-    t_span: tuple[float, float]
-    y0: np.ndarray
-    rtol: float = 1e-8
-    atol: float = 1e-10
-    max_step: float = np.inf
-
-    def __post_init__(self):
-        self.y0 = np.atleast_1d(np.asarray(self.y0, dtype=float))
+    def __init__(self, rhs: Callable[[float, np.ndarray], np.ndarray],
+                 t_span: tuple[float, float], y0: np.ndarray, rtol: float = 1e-8,
+                 atol: float = 1e-10, max_step: float = np.inf):
+        self.rhs = rhs
+        self.t_span = t_span
+        self.y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+        self.rtol = rtol
+        self.atol = atol
+        self.max_step = max_step
         if not (self.rtol > 0 and self.atol > 0):
             raise BadProblem("rtol and atol must be positive")
         if self.y0.ndim != 1 or not np.all(np.isfinite(self.y0)):

@@ -17,13 +17,12 @@ coupled route's guess, written once (:func:`tanh_pair`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import SolverError, TailNotResolved, ValidationError
 from .model import FluxModel, NeutralFrequency, ShockConfig, forcing
 from .numerics import IvpProblem, ivp_solve
+from .record import Frozen
 
 DEFAULT_TAIL_TOL = 1e-6
 
@@ -41,18 +40,19 @@ _MAX_INTERVALS = 10**7
 _TIE_TOL = 4 * np.finfo(float).eps
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(Frozen):
     """Uniform abscissae on [-L, L] with N intervals; (L, N) is the whole grid.
 
     N is even and at least 4, so the centre x = 0 of the shock layer, where
     v(0) = 0 pins the correction, is a node (:attr:`origin_index`) of the
     grid and of its every-other-node coarsening, which has 3 nodes or more.
+    A grid compares and hashes by (L, N) alone, never by ``x``.
     """
 
-    L: float
-    N: int
-    x: np.ndarray = field(init=False, repr=False, compare=False)
+    _fields = ("L", "N")
+
+    def __init__(self, L: float, N: int):
+        self.__dict__.update(L=L, N=N, x=np.linspace(-L, L, N + 1))
 
     @staticmethod
     def check(L: float, N: int) -> None:
@@ -75,9 +75,6 @@ class Grid:
     def make(cls, L: float, N: int) -> "Grid":
         cls.check(L, N)
         return cls(L=float(L), N=int(N))
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.linspace(-self.L, self.L, self.N + 1))
 
     @property
     def h(self) -> float:
@@ -119,16 +116,17 @@ def check_resolution(cfg: ShockConfig, L: float, N: int) -> None:
         )
 
 
-@dataclass
 class ProfileSolution:
     """Sampled profile with derivative values taken from the ODE right side."""
 
-    config: ShockConfig
-    grid: Grid
-    ubar: np.ndarray
-    ubar_prime: np.ndarray
-    exact: bool
-    diagnostics: dict = field(default_factory=dict)
+    def __init__(self, config: ShockConfig, grid: Grid, ubar: np.ndarray,
+                 ubar_prime: np.ndarray, exact: bool, diagnostics: dict | None = None):
+        self.config = config
+        self.grid = grid
+        self.ubar = ubar
+        self.ubar_prime = ubar_prime
+        self.exact = exact
+        self.diagnostics = {} if diagnostics is None else diagnostics
 
     def tail_residuals(self) -> tuple[float, float]:
         """|ubar(-L) - u_minus| and |ubar(L) - u_plus|."""

@@ -649,6 +649,15 @@ def test_mesh_limit_exceeded(monkeypatch):
         bvp_solve(_decay_problem(5, tol=1e-12))
 
 
+def test_rhs_can_be_wrapped_after_construction():
+    # a tracer counts evaluations by wrapping problem.rhs before the solve
+    p = _decay_problem(11)
+    calls = []
+    p.rhs = lambda x, Y: calls.append(x.size) or _decay_rhs(x, Y)
+    sol = bvp_solve(p)
+    assert calls and np.array_equal(sol.y, bvp_solve(_decay_problem(11)).y)
+
+
 def test_newton_counts_reported():
     sol = bvp_solve(_decay_problem(11))
     assert sol.newton_iters == sum(sol.newton_per_sweep)

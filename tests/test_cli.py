@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import re
@@ -17,7 +16,7 @@ import shockbeta.serialize
 from shockbeta.auxiliary import AuxMethod
 from shockbeta.beta import BetaQuadrature
 from shockbeta.cli import build_parser, main
-from shockbeta.config import PARSERS, RunConfig, parse_config_file
+from shockbeta.config import KEYS, PARSERS, RunConfig, parse_config_file
 from shockbeta.coupled import continuation_scan
 from shockbeta.model import (
     quadratic_transverse_flux, sine_transverse_flux, standing_shock,
@@ -380,12 +379,17 @@ class TestParser:
         assert "--u-minus-list" in capsys.readouterr().out
 
     def test_each_key_is_declared_by_its_field_alone(self):
-        # a RunConfig field carries its key's parser and flag help, and
-        # PARSERS and the flags are read from the fields
-        fields = dataclasses.fields(RunConfig)
-        assert all(callable(f.metadata["parse"]) for f in fields)
-        assert list(PARSERS) == [f.name for f in fields]
+        # a key's one entry of KEYS carries its default, its parser and its
+        # flag help, and RunConfig, PARSERS and the flags are read from them
+        assert all(callable(parse) for _, parse, _ in KEYS.values())
+        assert list(PARSERS) == list(KEYS)
+        assert vars(RunConfig()) == {key: default for key, (default, _, _) in KEYS.items()}
+        assert RunConfig(N=400, xi0=2.0).N == 400
+        with pytest.raises(TypeError, match=r"RunConfig takes no key \['tau0'\]"):
+            RunConfig(tau0=0.3)
         helps = {a.dest: a.help for a in build_parser()._actions}
+        assert {key: helps[key] for key in KEYS} == {
+            key: help_text for key, (_, _, help_text) in KEYS.items()}
         for key, accepted in (
                 ("method", [m.value for m in AuxMethod] + ["both"]),
                 ("quadrature", [q.value for q in BetaQuadrature])):
@@ -1042,6 +1046,22 @@ loaded = sorted(name for name, mod in sys.modules.items()
                 if name.split(".")[0] == "scipy" and mod is not None)
 print(json.dumps({"codes": codes, "scipy_modules": loaded}))
 """
+
+
+def test_command_line_imports_no_record_machinery():
+    # in a fresh interpreter: this one has loaded dataclasses for pytest
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, shockbeta.cli; print(sorted({'dataclasses', 'copy', "
+         "'numpy.polynomial'} & sys.modules.keys()))"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_runtime_is_numpy_only(tmp_path):

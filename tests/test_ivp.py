@@ -105,3 +105,13 @@ def test_problem_validation():
     with pytest.raises(BadProblem):
         IvpProblem(rhs=lambda t, y: y, t_span=(0.0, 1.0), y0=np.array([1.0]),
                    max_step=-1.0)
+
+
+def test_rhs_can_be_wrapped_after_construction():
+    # a tracer counts evaluations by wrapping problem.rhs before the solve
+    p = IvpProblem(rhs=lambda t, y: -y, t_span=(0.0, 1.0), y0=np.array([1.0]))
+    calls = []
+    rhs = p.rhs
+    p.rhs = lambda t, y: calls.append(t) or rhs(t, y)
+    traj = ivp_solve(p)
+    assert len(calls) > len(traj.t) > 1

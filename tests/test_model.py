@@ -11,6 +11,7 @@ from shockbeta.errors import (
 )
 from shockbeta.model import (
     FluxKind,
+    FluxModel,
     NeutralFrequency,
     burgers_flux,
     check_neutral,
@@ -44,6 +45,10 @@ class TestFluxModels:
     def test_non_finite_f1_coefficient_rejected(self):
         with pytest.raises(ValidationError, match="f1_coeffs must be finite"):
             custom_flux([0.0, np.inf, 0.5], [0.0, 1.0])
+
+    def test_non_finite_f1_coefficient_rejected_at_construction(self):
+        with pytest.raises(ValidationError, match="f1_coeffs must be finite"):
+            FluxModel(FluxKind.CUSTOM, (0.0, np.nan, 0.5), f2_coeffs=(0.0, 1.0))
 
     def test_make_flux_dispatch(self):
         assert make_flux("burgers").kind is FluxKind.BURGERS
@@ -300,3 +305,44 @@ class TestForcing:
         f, um, up, xi0 = _FAMILIES["custom"]
         cfg = normalize_to_standing(f, um, up, rankine_hugoniot_speed(f, um, up))
         assert standing_shock(f, um, up, xi0) == (cfg, neutral_zero(cfg, f, xi0))
+
+
+class TestValueRecords:
+    """Flux, shock and neutral frequency compare and hash by their fields."""
+
+    @staticmethod
+    def _pairs():
+        shock = normalize_to_standing(quadratic_transverse_flux(), 1.0, -1.0, 0.0)
+        return [
+            (custom_flux([0.0, 0.0, 0.5], [0.0, 1.0]),
+             custom_flux((0, 0, 0.5), (0.0, 1)),
+             [custom_flux([0.0, 0.0, 0.5], [0.0, 2.0]),
+              FluxModel(FluxKind.SINE_TRANSVERSE, (0.0, 0.0, 0.5), sine_freq=1.0)]),
+            (sine_transverse_flux(2.0), sine_transverse_flux(2),
+             [sine_transverse_flux(3.0), burgers_flux()]),
+            (NeutralFrequency(0.25, 1.0), NeutralFrequency(tau0=0.25, xi0=1),
+             [NeutralFrequency(0.25, 2.0), NeutralFrequency(0.5, 1.0)]),
+            (shock, normalize_to_standing(quadratic_transverse_flux(), 1, -1, 0),
+             [normalize_to_standing(quadratic_transverse_flux(), 1.0, -0.5, 0.25)]),
+        ]
+
+    def test_equal_and_hashed_by_fields(self):
+        for record, same, others in self._pairs():
+            assert record == same and hash(record) == hash(same)
+            assert len({record, same, *others}) == 1 + len(others)
+            for other in others:
+                assert record != other
+            assert record != tuple(getattr(record, name) for name in record._fields)
+
+    def test_assignment_refused(self):
+        for record, _, _ in self._pairs():
+            for name in record._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, 0.0)
+                with pytest.raises(AttributeError):
+                    delattr(record, name)
+            with pytest.raises(AttributeError):
+                record.extra = 1
+
+    def test_shown_by_fields(self):
+        assert repr(NeutralFrequency(0.25, 1.0)) == "NeutralFrequency(tau0=0.25, xi0=1.0)"

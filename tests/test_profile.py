@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +15,7 @@ from shockbeta.model import (
     rankine_hugoniot_speed,
 )
 from shockbeta.numerics import IvpProblem, ivp_solve
-from shockbeta.profile import Grid, _check_profile, solve_profile
+from shockbeta.profile import Grid, ProfileSolution, _check_profile, solve_profile
 
 from conftest import exact_profile
 
@@ -42,6 +41,19 @@ class TestGrid:
             Grid.make(10.0, 1)
         with pytest.raises(TypeError):  # x follows from (L, N)
             Grid(L=10.0, N=4, x=np.array([-10.0, -1.0, 0.0, 1.0, 10.0]))
+
+    def test_value_is_L_and_N_whatever_its_x(self):
+        g, same = Grid.make(20.0, 4000), Grid.make(20, 4000.0)
+        object.__setattr__(same, "x", g.x + 1.0)  # past the refusal below
+        assert g == same and hash(g) == hash(same)
+        assert {g: 1}[same] == 1
+        assert g != Grid.make(20.0, 4002) and g != Grid.make(20.5, 4000)
+        assert g != (20.0, 4000)
+        with pytest.raises(AttributeError):
+            g.x = same.x
+        with pytest.raises(AttributeError):
+            g.N = 4002
+        assert (g.L, g.N) == (20.0, 4000)
 
     def test_origin_needs_even_intervals(self):
         with pytest.raises(ValidationError):
@@ -250,7 +262,9 @@ class TestSolveProfile:
     def test_non_monotone_profile_is_solver_error(self, profile_L20):
         ubar = profile_L20.ubar.copy()
         ubar[100] += 1e-9  # a wiggle in the saturated left tail
-        wiggly = dataclasses.replace(profile_L20, ubar=ubar)
+        wiggly = ProfileSolution(profile_L20.config, profile_L20.grid, ubar,
+                                 profile_L20.ubar_prime, profile_L20.exact,
+                                 profile_L20.diagnostics)
         with pytest.raises(SolverError, match="not monotone"):
             _check_profile(wiggly, 1e-6)
 

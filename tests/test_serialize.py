@@ -25,6 +25,9 @@ def test_profile_csv_round_trip(tmp_path, quad_flux, exact_cfg, profile_L20):
     assert loaded.config.s == exact_cfg.s
     assert loaded.grid.L == profile_L20.grid.L
     assert loaded.grid.N == profile_L20.grid.N
+    # equal, so compute_beta takes the table's profile with a solved correction
+    assert loaded.grid == profile_L20.grid
+    assert hash(loaded.grid) == hash(profile_L20.grid)
     assert np.array_equal(loaded.grid.x, profile_L20.grid.x)
     assert np.array_equal(loaded.ubar, profile_L20.ubar)
     assert np.array_equal(loaded.ubar_prime, profile_L20.ubar_prime)
